@@ -179,8 +179,15 @@ def _decode(
     n_blocks = len(schedule.bits)
     if n_blocks == 0:
         raise ValueError("schedule has no bits to decode")
+    blocks = triples.block_index
+    outside = (blocks < 0) | (blocks >= n_blocks)
+    if outside.any():
+        raise ValueError(
+            f"triple block index {int(blocks[np.argmax(outside)])} is outside "
+            f"the schedule's {n_blocks} blocks"
+        )
     bound = nyquist_min_samples(geom)
-    counts = np.bincount(triples.block_index, minlength=n_blocks)[:n_blocks]
+    counts = np.bincount(blocks, minlength=n_blocks)
     low = [b for b in range(n_blocks) if counts[b] < bound]
     if low:
         warnings.warn(
@@ -189,19 +196,28 @@ def _decode(
             LowSampleWarning,
             stacklevel=3,
         )
+    # (block, x_bin) counts of the selected slice in one pass; row b is the
+    # histogram build_histogram gives for block b
+    selected = np.ones(len(triples), dtype=bool)
+    for value, column in ((babu_filter, triples.babu), (alisha_filter, triples.alisha)):
+        if value is not None:
+            selected &= column == value
+    x = triples.x_bin[selected]
+    if len(x) and (x.min() < 0 or x.max() >= geom.n_bins):
+        raise ValueError("x_bin outside the screen binning")
+    grid = np.bincount(
+        blocks[selected] * geom.n_bins + x, minlength=n_blocks * geom.n_bins
+    ).reshape(n_blocks, geom.n_bins)
     decoded, vis, err = [], [], []
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", LowSampleWarning)
-        for b in range(n_blocks):
-            hist = build_histogram(
-                triples, geom.n_bins, babu=babu_filter, alisha=alisha_filter, block=b
-            )
-            if hist.total == 0:
+        for counts_b in grid:
+            if not counts_b.any():
                 decoded.append(0)
                 vis.append(0.0)
                 err.append(float("inf"))
                 continue
-            fit = fit_fringe(hist, geom)
+            fit = fit_fringe(counts_b, geom)
             decoded.append(1 if classify_pattern(fit) == "interference" else 0)
             vis.append(fit.visibility)
             err.append(fit.standard_error)

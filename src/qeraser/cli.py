@@ -405,6 +405,8 @@ def run_property_suite(
 
 
 def cmd_verify(args) -> int:
+    if args.trials < 1:
+        raise SystemExit(f"qeraser: --trials must be at least 1, got {args.trials}")
     config = _load_config_or_fail(args.config) if args.config else None
     geom = config.geometry if config else None
     envelope = config.envelope if config else None

@@ -20,6 +20,7 @@ in every stream header.
 from __future__ import annotations
 
 import math
+import re
 from dataclasses import dataclass, replace
 from pathlib import Path
 
@@ -46,6 +47,7 @@ _DOMAIN_BACKGROUND = 3
 
 DETECTOR_LABELS = ("D0",) + BABU_LABELS + ALISHA_LABELS
 _CODE_BY_LABEL = {label: code for code, label in enumerate(DETECTOR_LABELS)}
+_MAX_LABEL_BYTES = max(len(label) for label in DETECTOR_LABELS)
 CODE_D0 = 0
 
 
@@ -359,10 +361,19 @@ def match_coincidences(
     spacing_ns and block_size are given (normally from the stream header)
     the block index is recovered from the D0 timestamp, which stays correct
     even when background events distort the matched sequence numbering.
+
+    A D0 more than 2w after the previous D0 can only meet idlers that no
+    earlier D0 could reach (every idler an earlier D0 consumed or skipped lies
+    below its t - w), so its greedy pointers are the searchsorted positions of
+    t - w.  D0s with both neighbours that far away are decided in one array
+    pass; only runs of closer D0s are walked one by one.
     """
     w = int(window_ns)
     if w < 0:
         raise ValueError("window must be non-negative")
+    for name, value in (("block_size", block_size), ("spacing_ns", spacing_ns)):
+        if value is not None and int(value) < 1:
+            raise ValueError(f"{name} must be positive, got {value}")
     t = stream.time_ns
     if len(t) > 1 and np.any(np.diff(t) < 0):
         raise ValueError("event stream is not time-sorted")
@@ -371,52 +382,68 @@ def match_coincidences(
     d0_pos = np.flatnonzero(codes == CODE_D0)
     b_pos = np.flatnonzero((codes >= 1) & (codes <= 4))
     a_pos = np.flatnonzero(codes >= 5)
-
-    td = t[d0_pos].tolist()
-    xd = stream.x_bin[d0_pos].tolist()
-    tb = t[b_pos].tolist()
-    cb = codes[b_pos].tolist()
-    ta = t[a_pos].tolist()
-    ca = codes[a_pos].tolist()
-
+    td, tb, ta = t[d0_pos], t[b_pos], t[a_pos]
     nb, na = len(tb), len(ta)
-    used_b = np.zeros(nb, dtype=bool)
-    used_a = np.zeros(na, dtype=bool)
-    used_d = np.zeros(len(td), dtype=bool)
 
-    xs, js, ks, blocks = [], [], [], []
-    matched = 0
-    pb = pa = 0
-    for di, t0 in enumerate(td):
-        while pb < nb and tb[pb] < t0 - w:
-            pb += 1
-        while pa < na and ta[pa] < t0 - w:
-            pa += 1
-        if pb < nb and tb[pb] <= t0 + w and pa < na and ta[pa] <= t0 + w:
-            used_d[di] = True
-            used_b[pb] = True
-            used_a[pa] = True
-            xs.append(xd[di])
-            js.append(cb[pb] - 1)
-            ks.append(ca[pa] - 5)
-            if spacing_ns is not None and block_size is not None:
-                blocks.append(t0 // (int(spacing_ns) * int(block_size)))
-            elif block_size is not None:
-                blocks.append(matched // int(block_size))
+    # first idler at or after t - w on each arm, per D0
+    first_b = np.searchsorted(tb, td - w)
+    first_a = np.searchsorted(ta, td - w)
+    hit = (first_b < nb) & (first_a < na)
+    hit[hit] = (tb[first_b[hit]] <= td[hit] + w) & (ta[first_a[hit]] <= td[hit] + w)
+    pick_b = np.where(hit, first_b, -1)
+    pick_a = np.where(hit, first_a, -1)
+
+    far = np.diff(td) > 2 * w
+    isolated = np.ones(len(td), dtype=bool)
+    isolated[1:] &= far
+    isolated[:-1] &= far
+    clustered = np.flatnonzero(~isolated)
+    if len(clustered):
+        tb_at, ta_at = tb.item, ta.item
+        pb = pa = 0
+        for i, t0, sb, sa in zip(
+            clustered.tolist(),
+            td[clustered].tolist(),
+            first_b[clustered].tolist(),
+            first_a[clustered].tolist(),
+        ):
+            # pointers carried over from an earlier run never pass sb, sa
+            pb = max(pb, sb)
+            pa = max(pa, sa)
+            if pb < nb and pa < na and tb_at(pb) <= t0 + w and ta_at(pa) <= t0 + w:
+                pick_b[i] = pb
+                pick_a[i] = pa
+                pb += 1
+                pa += 1
             else:
-                blocks.append(0)
-            matched += 1
-            pb += 1
-            pa += 1
+                pick_b[i] = pick_a[i] = -1
 
-    orphan_pos = np.concatenate(
-        [d0_pos[~used_d], b_pos[~used_b], a_pos[~used_a]]
-    ).astype(np.int64)
-    orphan_pos.sort()
-    by_detector: dict = {}
-    for code in codes[orphan_pos]:
-        label = DETECTOR_LABELS[int(code)]
-        by_detector[label] = by_detector.get(label, 0) + 1
+    used_d = pick_b >= 0
+    pick_b = pick_b[used_d]
+    pick_a = pick_a[used_d]
+    matched = len(pick_b)
+    if spacing_ns is not None and block_size is not None:
+        # |t| < 10**18 for any parseable log, so clamping keeps Python's floor
+        period = min(int(spacing_ns) * int(block_size), np.iinfo(np.int64).max)
+        blocks = td[used_d] // period
+    elif block_size is not None:
+        blocks = np.arange(matched, dtype=np.int64) // int(block_size)
+    else:
+        blocks = np.zeros(matched, dtype=np.int64)
+
+    orphan = np.ones(len(codes), dtype=bool)
+    orphan[d0_pos[used_d]] = False
+    orphan[b_pos[pick_b]] = False
+    orphan[a_pos[pick_a]] = False
+    orphan_pos = np.flatnonzero(orphan)
+    orphan_codes = codes[orphan_pos]
+    counts = np.bincount(orphan_codes, minlength=len(DETECTOR_LABELS))
+    present = np.flatnonzero(counts)
+    first_seen = [int(np.argmax(orphan_codes == code)) for code in present]
+    # labels in order of first appearance, as a record-by-record count gives them
+    by_detector = {
+        DETECTOR_LABELS[present[i]]: int(counts[present[i]]) for i in np.argsort(first_seen)
+    }
     report = OrphanReport(
         total=int(orphan_pos.size),
         by_detector=by_detector,
@@ -424,10 +451,10 @@ def match_coincidences(
     )
     batch = TripleBatch(
         triple_id=np.arange(matched, dtype=np.int64),
-        x_bin=np.array(xs, dtype=np.int64),
-        babu=np.array(js, dtype=np.int64),
-        alisha=np.array(ks, dtype=np.int64),
-        block_index=np.array(blocks, dtype=np.int64),
+        x_bin=stream.x_bin[d0_pos[used_d]],
+        babu=codes[b_pos[pick_b]] - 1,
+        alisha=codes[a_pos[pick_a]] - 5,
+        block_index=blocks,
     )
     return batch, report
 
@@ -435,6 +462,11 @@ def match_coincidences(
 # ---------------------------------------------------------------------------
 # Text formats.  '#'-prefixed key=value header, then one record per line.
 # Integers and fixed labels only, so identical runs are byte-identical.
+#
+# Row grammar, checked by the readers: header lines only before the first
+# data row; blank lines are skipped; fields are split on ',' with no padding;
+# an integer field is -?[0-9]{1,18}, so every value fits in int64; labels are
+# exact.  "\r\n" and "\r" line ends read as "\n".
 # ---------------------------------------------------------------------------
 
 _HEADER_KEYS = (
@@ -448,6 +480,9 @@ _HEADER_KEYS = (
     "n_triples",
     "n_bins",
 )
+_INT_RE = re.compile(r"-?[0-9]{1,18}")
+_MAX_DIGITS = 18
+_CHUNK_ROWS = 65_536  # rows per write or parse pass: bounds memory, keeps temporaries in cache
 
 
 def _header_lines(header: SimStreamHeader, kind: str, n_rows: int) -> list[str]:
@@ -460,122 +495,269 @@ def _header_lines(header: SimStreamHeader, kind: str, n_rows: int) -> list[str]:
     return lines
 
 
-def _parse_header(fh) -> tuple[dict, list[str]]:
-    """Read leading '#' lines; returns (key->value, remaining data lines)."""
-    meta: dict = {}
-    data: list[str] = []
-    for raw in fh:
-        line = raw.rstrip("\n")
-        if line.startswith("#"):
-            body = line[1:].strip()
-            if "=" in body:
-                key, value = body.split("=", 1)
-                meta[key.strip()] = value.strip()
-            continue
-        if line:
-            data.append(line)
-    return meta, data
+def _header_int(meta: dict, key: str) -> int:
+    value = meta[key]
+    if not _INT_RE.fullmatch(value):
+        raise ValueError(f"stream header field {key}={value!r} is not an integer")
+    return int(value)
 
 
 def _header_from_meta(meta: dict) -> SimStreamHeader:
     try:
         return SimStreamHeader(
-            seed=int(meta["seed"]),
+            seed=_header_int(meta, "seed"),
             config_digest=meta["config_digest"],
-            coincidence_window_ns=int(meta["coincidence_window_ns"]),
+            coincidence_window_ns=_header_int(meta, "coincidence_window_ns"),
             rng_algorithm=meta["rng_algorithm"],
             bits=meta["bits"],
-            block_size=int(meta["block_size"]),
-            spacing_ns=int(meta["spacing_ns"]),
-            n_triples=int(meta["n_triples"]),
-            n_bins=int(meta["n_bins"]),
+            block_size=_header_int(meta, "block_size"),
+            spacing_ns=_header_int(meta, "spacing_ns"),
+            n_triples=_header_int(meta, "n_triples"),
+            n_bins=_header_int(meta, "n_bins"),
         )
     except KeyError as exc:
         raise ValueError(f"stream header missing field {exc}") from exc
 
 
+@dataclass(eq=False)
+class _Rows:
+    """A stream file split into byte ranges: rows, and fields within rows."""
+
+    buf: np.ndarray  # uint8 view of the data rows; every row ends in b"\n"
+    start: np.ndarray  # per row, offset of its first byte
+    end: np.ndarray  # per row, offset of its b"\n"
+    comma: np.ndarray  # (rows, fields - 1) offsets of the separators
+
+    def field(self, f: int, rows: slice) -> tuple[np.ndarray, np.ndarray]:
+        """[left, right) byte range of field f for the given rows."""
+        left = self.start[rows] if f == 0 else self.comma[rows, f - 1] + 1
+        right = self.end[rows] if f == self.comma.shape[1] else self.comma[rows, f]
+        return left, right
+
+    def line(self, i: int) -> str:
+        return _line_text(self.buf, self.start[i], self.end[i])
+
+
+def _line_text(buf: np.ndarray, start: int, end: int) -> str:
+    return buf[start:end].tobytes().decode("utf-8", errors="backslashreplace")
+
+
+def _split_rows(path, what: str, n_fields: int, row_error) -> tuple[dict, _Rows]:
+    """Read a stream file: header fields and the byte layout of its rows.
+
+    Checks the declared row count and the field count of every row;
+    row_error(line) gives the message for the first row that fails.
+    """
+    data = Path(path).read_bytes()
+    if b"\r" in data:
+        data = data.replace(b"\r\n", b"\n").replace(b"\r", b"\n")
+    if data and not data.endswith(b"\n"):
+        data += b"\n"
+    meta: dict = {}
+    pos = 0
+    while data.startswith(b"#", pos) or data.startswith(b"\n", pos):
+        eol = data.index(b"\n", pos)
+        body = data[pos + 1 : eol].decode("utf-8").strip()
+        if data[pos] == ord("#") and "=" in body:
+            key, value = body.split("=", 1)
+            meta[key.strip()] = value.strip()
+        pos = eol + 1
+    buf = np.frombuffer(data, dtype=np.uint8)[pos:]
+    end = np.flatnonzero(buf == ord("\n"))
+    start = np.empty_like(end)
+    start[:1] = 0
+    start[1:] = end[:-1] + 1
+    blank = end == start
+    if blank.any():
+        start, end = start[~blank], end[~blank]
+    n = len(start)
+    declared = _header_int(meta, "n_rows") if "n_rows" in meta else -1
+    if declared != n:
+        raise ValueError(
+            f"{what} declares {declared} rows but contains {n}; "
+            "file is truncated or corrupt"
+        )
+    comma = np.flatnonzero(buf == ord(","))
+    k = n_fields - 1
+    if len(comma) == n * k:
+        # n * k separators sit k to a row iff each row's k slots fall inside it
+        comma = comma.reshape(n, k)
+        if n == 0 or ((comma[:, 0] >= start).all() and (comma[:, -1] < end).all()):
+            return meta, _Rows(buf, start, end, comma)
+        comma = comma.ravel()
+    per_row = np.bincount(np.searchsorted(end, comma), minlength=n)
+    bad = int(np.argmax(per_row != k))
+    raise ValueError(row_error(_line_text(buf, start[bad], end[bad])))
+
+
+def _parse_ints(buf, left, right) -> tuple[np.ndarray, np.ndarray]:
+    """Values of the integer fields buf[left:right], and which are well-formed."""
+    neg = buf[left] == ord("-")
+    n_digits = right - left - neg
+    good = (n_digits >= 1) & (n_digits <= _MAX_DIGITS)
+    value = np.zeros(len(left), dtype=np.int64)
+    scale = 1
+    for k in range(min(int(n_digits.max(initial=0)), _MAX_DIGITS)):
+        inside = k < n_digits
+        digit = buf.take(right - 1 - k, mode="clip") - np.uint8(ord("0"))
+        good &= (digit < 10) | ~inside
+        value += np.where(inside, digit, 0).astype(np.int64) * scale
+        scale *= 10
+    np.negative(value, out=value, where=neg)
+    return value, good
+
+
+def _label_table(labels: dict) -> tuple[np.ndarray, np.ndarray]:
+    """Labels packed big-endian into int64 keys, sorted, with their codes."""
+    packed = {int.from_bytes(label.encode("ascii"), "big"): code for label, code in labels.items()}
+    keys = sorted(packed)
+    return np.array(keys, dtype=np.int64), np.array([packed[key] for key in keys], dtype=np.int64)
+
+
+def _parse_labels(buf, left, right, table) -> tuple[np.ndarray, np.ndarray]:
+    """Codes of the label fields buf[left:right], and which hold a known label."""
+    keys, codes = table
+    width = right - left
+    key = np.zeros(len(left), dtype=np.int64)
+    for k in range(_MAX_LABEL_BYTES):
+        key = np.where(k < width, key * 256 + buf.take(left + k, mode="clip"), key)
+    idx = np.minimum(np.searchsorted(keys, key), len(keys) - 1)
+    good = (keys[idx] == key) & (width <= _MAX_LABEL_BYTES)  # an empty field packs to 0, no label
+    return codes[idx], good
+
+
+def _reject_first_bad_row(rows: _Rows, span: slice, good: np.ndarray, row_error) -> None:
+    if not good.all():
+        i = span.start + int(np.argmin(good))
+        raise ValueError(row_error(rows.line(i)))
+
+
+def _field_error(line: str, what: str, parts: list[str], n_fields: int) -> str | None:
+    """Message for a misplaced header line or a wrong field count, if any."""
+    if line.startswith("#"):
+        return f"header line after the first data row: {line!r}"
+    if len(parts) != n_fields:
+        return f"malformed {what} row: {line!r}"
+    return None
+
+
+def _bad_int(field: str, what: str, line: str) -> str:
+    return f"bad integer {field!r} in {what} row (want -?[0-9]{{1,18}}): {line!r}"
+
+
+_DETECTOR_TABLE = _label_table(_CODE_BY_LABEL)
+_BABU_TABLE = _label_table({label: i for i, label in enumerate(BABU_LABELS)})
+_ALISHA_TABLE = _label_table({label: i for i, label in enumerate(ALISHA_LABELS)})
+
+
+def _event_row_error(line: str) -> str:
+    parts = line.split(",")
+    error = _field_error(line, "event", parts, 4)
+    if error:
+        return error
+    code = _CODE_BY_LABEL.get(parts[1])
+    if code is None:
+        return f"unknown detector {parts[1]!r}"
+    has_x = parts[3] != ""
+    if has_x != (code == CODE_D0):
+        return f"x_bin presence inconsistent with detector: {line!r}"
+    for field in (parts[0], parts[2], parts[3]) if has_x else (parts[0], parts[2]):
+        if not _INT_RE.fullmatch(field):
+            return _bad_int(field, "event", line)
+    return f"malformed event row: {line!r}"
+
+
+def _triple_row_error(line: str) -> str:
+    parts = line.split(",")
+    error = _field_error(line, "triple", parts, 5)
+    if error:
+        return error
+    if parts[3] not in BABU_LABELS or parts[4] not in ALISHA_LABELS:
+        return f"unknown outcome labels in row: {line!r}"
+    for field in parts[:3]:
+        if not _INT_RE.fullmatch(field):
+            return _bad_int(field, "triple", line)
+    return f"malformed triple row: {line!r}"
+
+
 def write_event_log(path, stream: EventStream, header: SimStreamHeader) -> None:
     lines = _header_lines(header, "event-log", len(stream))
     lines.append("# columns=event_id,detector,time_ns,x_bin")
-    ids = stream.event_id.tolist()
-    det = stream.detector.tolist()
-    ts = stream.time_ns.tolist()
-    xs = stream.x_bin.tolist()
-    for i in range(len(ids)):
-        x = str(xs[i]) if det[i] == CODE_D0 else ""
-        lines.append(f"{ids[i]},{DETECTOR_LABELS[det[i]]},{ts[i]},{x}")
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write("\n".join(lines) + "\n")
+        for lo in range(0, len(stream), _CHUNK_ROWS):
+            rows = slice(lo, lo + _CHUNK_ROWS)
+            fh.write(
+                "".join(
+                    f"{i},{DETECTOR_LABELS[d]},{t},{x if d == CODE_D0 else ''}\n"
+                    for i, d, t, x in zip(
+                        stream.event_id[rows].tolist(),
+                        stream.detector[rows].tolist(),
+                        stream.time_ns[rows].tolist(),
+                        stream.x_bin[rows].tolist(),
+                    )
+                )
+            )
 
 
 def read_event_log(path) -> tuple[EventStream, SimStreamHeader]:
-    with open(path, "r", encoding="utf-8") as fh:
-        meta, data = _parse_header(fh)
+    meta, rows = _split_rows(path, "event log", 4, _event_row_error)
     header = _header_from_meta(meta)
-    declared = int(meta.get("n_rows", -1))
-    if declared != len(data):
-        raise ValueError(
-            f"event log declares {declared} rows but contains {len(data)}; "
-            "file is truncated or corrupt"
-        )
-    ids, det, ts, xs = [], [], [], []
-    for line in data:
-        parts = line.split(",")
-        if len(parts) != 4:
-            raise ValueError(f"malformed event row: {line!r}")
-        code = _CODE_BY_LABEL.get(parts[1])
-        if code is None:
-            raise ValueError(f"unknown detector {parts[1]!r}")
-        has_x = parts[3] != ""
-        if has_x != (code == CODE_D0):
-            raise ValueError(f"x_bin presence inconsistent with detector: {line!r}")
-        ids.append(int(parts[0]))
-        det.append(code)
-        ts.append(int(parts[2]))
-        xs.append(int(parts[3]) if has_x else -1)
-    stream = EventStream(
-        event_id=ids, detector=det, time_ns=ts, x_bin=xs, n_bins=header.n_bins
-    )
+    n = len(rows.start)
+    ids, det, ts, xs = np.empty((4, n), dtype=np.int64)
+    for lo in range(0, n, _CHUNK_ROWS):
+        span = slice(lo, min(lo + _CHUNK_ROWS, n))
+        ids[span], good = _parse_ints(rows.buf, *rows.field(0, span))
+        det[span], ok = _parse_labels(rows.buf, *rows.field(1, span), _DETECTOR_TABLE)
+        good &= ok
+        ts[span], ok = _parse_ints(rows.buf, *rows.field(2, span))
+        good &= ok
+        left, right = rows.field(3, span)
+        x, ok = _parse_ints(rows.buf, left, right)
+        has_x = right > left
+        good &= (ok | ~has_x) & (has_x == (det[span] == CODE_D0))
+        xs[span] = np.where(has_x, x, -1)
+        _reject_first_bad_row(rows, span, good, _event_row_error)
+    stream = EventStream(event_id=ids, detector=det, time_ns=ts, x_bin=xs, n_bins=header.n_bins)
     return stream, header
 
 
 def write_triples(path, batch: TripleBatch, header: SimStreamHeader) -> None:
     lines = _header_lines(header, "triples", len(batch))
     lines.append("# columns=triple_id,block_index,x_bin,babu,alisha")
-    tid = batch.triple_id.tolist()
-    blk = batch.block_index.tolist()
-    xb = batch.x_bin.tolist()
-    jj = batch.babu.tolist()
-    kk = batch.alisha.tolist()
-    for i in range(len(tid)):
-        lines.append(
-            f"{tid[i]},{blk[i]},{xb[i]},{BABU_LABELS[jj[i]]},{ALISHA_LABELS[kk[i]]}"
-        )
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write("\n".join(lines) + "\n")
+        for lo in range(0, len(batch), _CHUNK_ROWS):
+            rows = slice(lo, lo + _CHUNK_ROWS)
+            fh.write(
+                "".join(
+                    f"{t},{b},{x},{BABU_LABELS[j]},{ALISHA_LABELS[k]}\n"
+                    for t, b, x, j, k in zip(
+                        batch.triple_id[rows].tolist(),
+                        batch.block_index[rows].tolist(),
+                        batch.x_bin[rows].tolist(),
+                        batch.babu[rows].tolist(),
+                        batch.alisha[rows].tolist(),
+                    )
+                )
+            )
 
 
 def read_triples(path) -> tuple[TripleBatch, SimStreamHeader]:
-    with open(path, "r", encoding="utf-8") as fh:
-        meta, data = _parse_header(fh)
+    meta, rows = _split_rows(path, "triples file", 5, _triple_row_error)
     header = _header_from_meta(meta)
-    declared = int(meta.get("n_rows", -1))
-    if declared != len(data):
-        raise ValueError(
-            f"triples file declares {declared} rows but contains {len(data)}; "
-            "file is truncated or corrupt"
-        )
-    babu_code = {label: i for i, label in enumerate(BABU_LABELS)}
-    alisha_code = {label: i for i, label in enumerate(ALISHA_LABELS)}
-    tid, blk, xb, jj, kk = [], [], [], [], []
-    for line in data:
-        parts = line.split(",")
-        if len(parts) != 5:
-            raise ValueError(f"malformed triple row: {line!r}")
-        if parts[3] not in babu_code or parts[4] not in alisha_code:
-            raise ValueError(f"unknown outcome labels in row: {line!r}")
-        tid.append(int(parts[0]))
-        blk.append(int(parts[1]))
-        xb.append(int(parts[2]))
-        jj.append(babu_code[parts[3]])
-        kk.append(alisha_code[parts[4]])
+    n = len(rows.start)
+    cols = np.empty((5, n), dtype=np.int64)
+    for lo in range(0, n, _CHUNK_ROWS):
+        span = slice(lo, min(lo + _CHUNK_ROWS, n))
+        good = np.ones(span.stop - span.start, dtype=bool)
+        for f, table in enumerate((None, None, None, _BABU_TABLE, _ALISHA_TABLE)):
+            if table is None:
+                cols[f, span], ok = _parse_ints(rows.buf, *rows.field(f, span))
+            else:
+                cols[f, span], ok = _parse_labels(rows.buf, *rows.field(f, span), table)
+            good &= ok
+        _reject_first_bad_row(rows, span, good, _triple_row_error)
+    tid, blk, xb, jj, kk = cols
     batch = TripleBatch(triple_id=tid, x_bin=xb, babu=jj, alisha=kk, block_index=blk)
     return batch, header

@@ -179,10 +179,13 @@ def _arm_to_dict(arm: ArmSettings) -> dict:
 def _arm_from_dict(obj: dict, which: str) -> ArmSettings:
     if not isinstance(obj, dict):
         raise ValueError(f"{which} section must be an object")
+    splitter = obj.get("splitter", True)
+    if not isinstance(splitter, bool):
+        raise ValueError(f"{which}.splitter must be true or false, got {splitter!r}")
     try:
         return ArmSettings(
             tap_probability=float(obj["tap_p"]),
-            splitter_present=bool(obj.get("splitter", True)),
+            splitter_present=splitter,
             theta=float(obj.get("theta", math.pi / 4.0)),
             chi=float(obj.get("chi", 0.0)),
         )

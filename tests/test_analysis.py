@@ -213,6 +213,15 @@ def test_decode_empty_block_is_zero_bit(geom):
     assert math.isinf(report.per_block_stderr[1])
 
 
+@pytest.mark.parametrize("block", [4, -1])
+def test_decode_rejects_out_of_schedule_block(geom, block):
+    tr = batch(x=np.arange(6), j=[0] * 6, k=[0] * 6, blocks=[0, 1, block, 2, block, 3])
+    schedule = SwitchSchedule(bits=(1, 0, 1, 0), block_size=2)
+    for decode in (decode_omniscient, decode_alisha_only):
+        with pytest.raises(ValueError, match=rf"block index {block} is outside"):
+            decode(tr, schedule, geom)
+
+
 # ---------------------------------------------------------------------------
 # information accounting
 # ---------------------------------------------------------------------------

@@ -256,6 +256,33 @@ def test_decode_truncated_triples(tmp_path, small_config_path, capsys):
     assert "truncated" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "field, value, message",
+    [
+        (2, "12345678901234567890", "bad integer '12345678901234567890'"),
+        (1, "4", "block index 4 is outside the schedule's 4 blocks"),
+        (1, "-1", "block index -1 is outside the schedule's 4 blocks"),
+    ],
+)
+def test_decode_bad_triples_field_exits_2(tmp_path, small_config_path, capsys, field, value, message):
+    out = tmp_path / "run"
+    cli.main(["simulate", "--config", str(small_config_path), "--out", str(out)])
+    path = out / "triples.csv"
+    lines = path.read_text().splitlines()
+    parts = lines[-5].split(",")
+    parts[field] = value
+    lines[-5] = ",".join(parts)
+    path.write_text("\n".join(lines) + "\n")
+    capsys.readouterr()
+    code = cli.main(
+        ["decode", "--config", str(small_config_path), "--triples", str(path), "--out", str(out)]
+    )
+    assert code == 2
+    err = capsys.readouterr().err
+    assert message in err
+    assert err.count("\n") == 1  # one line, no traceback
+
+
 # ---------------------------------------------------------------------------
 # verify
 # ---------------------------------------------------------------------------
@@ -278,6 +305,25 @@ def test_verify_injection_hook_fails(capsys):
 def test_verify_with_config(config_path, capsys):
     assert cli.main(["verify", "--trials", "30", "--config", str(config_path)]) == 0
     assert capsys.readouterr().out.count("PASS") == 6
+
+
+@pytest.mark.parametrize("trials", ["0", "-3"])
+def test_verify_rejects_no_trials(capsys, trials):
+    assert cli.main(["verify", "--trials", trials]) == 2
+    captured = capsys.readouterr()
+    assert "--trials must be at least 1" in captured.err
+    assert "all properties hold" not in captured.out
+
+
+@pytest.mark.parametrize("arm", ["babu", "alisha"])
+@pytest.mark.parametrize("value", ["false", 0, 1, None])
+def test_splitter_must_be_json_bool(tmp_path, capsys, arm, value):
+    doc = config_to_dict(default_config())
+    doc["experiment"][arm]["splitter"] = value
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(doc))
+    assert cli.main(["patterns", "--config", str(path), "--out", str(tmp_path / "o")]) == 2
+    assert f"{arm}.splitter must be true or false" in capsys.readouterr().err
 
 
 # ---------------------------------------------------------------------------

@@ -211,6 +211,13 @@ def test_match_sequence_blocks(small_config):
     np.testing.assert_array_equal(matched.block_index, tr.block_index)
 
 
+@pytest.mark.parametrize("kw", [{"block_size": 0}, {"block_size": 5, "spacing_ns": 0}])
+def test_match_rejects_nonpositive_block_period(small_config, kw):
+    st = emit_events(sample_triples(small_config, seed=0), small_config, seed=0)
+    with pytest.raises(ValueError, match="must be positive"):
+        match_coincidences(st, **kw)
+
+
 def test_match_rejects_unsorted():
     st = EventStream(
         event_id=[0, 1],
@@ -363,3 +370,69 @@ def test_detector_code_layout():
     assert DETECTOR_LABELS[0] == "D0"
     assert DETECTOR_LABELS[1:5] == ("D1", "D2", "D3", "D4")
     assert DETECTOR_LABELS[5:] == ("D1'", "D2'", "D3'", "D4'")
+
+
+# ---------------------------------------------------------------------------
+# row grammar: integers are -?[0-9]{1,18}, headers only before the data
+# ---------------------------------------------------------------------------
+
+
+def _replace_row(path, row):
+    lines = path.read_text().splitlines()
+    lines[-2] = row
+    path.write_text("\n".join(lines) + "\n")
+
+
+@pytest.mark.parametrize(
+    "row, message",
+    [
+        ("1_0,0,3,D1,D1'", "bad integer '1_0'"),
+        ("+5,0,3,D1,D1'", "bad integer '\\+5'"),
+        (" 5,0,3,D1,D1'", "bad integer ' 5'"),
+        ("5,0 ,3,D1,D1'", "bad integer '0 '"),
+        ("5,0,,D1,D1'", "bad integer ''"),
+        ("5,0,-,D1,D1'", "bad integer '-'"),
+        ("5,0,1234567890123456789,D1,D1'", "bad integer '1234567890123456789'"),
+        ("5,0,3,D1 ,D1'", "labels"),
+        ("5,0,3,D1,D1'x", "labels"),
+        ("5,0,3,D1", "malformed triple row"),
+        ("# late=1", "header line after the first data row"),
+    ],
+)
+def test_triples_grammar_rejects(tmp_path, small_config, row, message):
+    path = tmp_path / "triples.csv"
+    write_triples(path, sample_triples(small_config, seed=0), header_for(small_config))
+    _replace_row(path, row)
+    with pytest.raises(ValueError, match=message):
+        read_triples(path)
+
+
+@pytest.mark.parametrize(
+    "row, message",
+    [
+        ("5,D0,10,1_0", "bad integer '1_0'"),
+        ("5,D0,+10,3", "bad integer '\\+10'"),
+        ("5,D0,-12345678901234567890,3", "bad integer"),
+        ("5,D1,10,3", "x_bin presence"),
+        ("5,D0,10,", "x_bin presence"),
+        ("5,D9,10,", "unknown detector 'D9'"),
+        ("5,D0,10,3,4", "malformed event row"),
+    ],
+)
+def test_event_log_grammar_rejects(tmp_path, small_config, row, message):
+    path = tmp_path / "events.csv"
+    tr = sample_triples(small_config, seed=0)
+    write_event_log(path, emit_events(tr, small_config, seed=0), header_for(small_config))
+    _replace_row(path, row)
+    with pytest.raises(ValueError, match=message):
+        read_event_log(path)
+
+
+def test_grammar_keeps_blank_lines_and_crlf(tmp_path, small_config):
+    path = tmp_path / "triples.csv"
+    tr = sample_triples(small_config, seed=0)
+    write_triples(path, tr, header_for(small_config))
+    text = path.read_text()
+    path.write_bytes(text.replace("\n", "\r\n").replace("# columns", "\r\n# columns").encode())
+    again, _ = read_triples(path)
+    np.testing.assert_array_equal(again.x_bin, tr.x_bin)
