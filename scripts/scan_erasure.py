@@ -20,14 +20,7 @@ import numpy as np
 
 from qeraser.analysis import LowSampleWarning, fit_fringe
 from qeraser.experiment import default_config
-from qeraser.optics import (
-    ArmOptics,
-    D1,
-    alisha_marginal,
-    joint_distribution,
-    screen_marginal,
-    unitary_from_angle,
-)
+from qeraser.optics import ArmOptics, D1, joint_distribution, screen_marginal
 
 
 def main(argv=None) -> int:
@@ -41,23 +34,20 @@ def main(argv=None) -> int:
 
     config = default_config()
     geom = config.geometry
-    alisha = config.alisha_optics
+    alisha = config.alisha
     reference = screen_marginal(geom, config.envelope, alisha)
 
     rows = []
     print(f"{'theta':>8} {'vis (fit)':>12} {'sin(2t)cos(chi)':>16} "
           f"{'|diff|':>10} {'marginal shift':>15}")
     for theta in np.linspace(0.0, math.pi / 2.0, args.steps):
-        babu = ArmOptics(
-            tap_probability=config.babu.tap_probability,
-            unitary=unitary_from_angle(float(theta), args.chi),
-        )
+        babu = ArmOptics(config.babu.tap_probability, theta=float(theta), chi=args.chi)
         dist = joint_distribution(geom, config.envelope, babu, alisha)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", LowSampleWarning)
             fit = fit_fringe(dist.pattern(D1, D1), geom)
         expected = abs(math.sin(2.0 * theta) * math.cos(args.chi))
-        shift = float(np.abs(alisha_marginal(dist) - reference).max())
+        shift = float(np.abs(dist.alisha_marginal() - reference).max())
         print(f"{theta:8.4f} {fit.visibility:12.9f} {expected:16.9f} "
               f"{abs(fit.visibility - expected):10.2e} {shift:15.2e}")
         rows.append((float(theta), fit.visibility, expected, shift))

@@ -17,12 +17,10 @@ from .optics import (
     BABU_LABELS,
     BeamSplitterUnitary,
     CoincidenceDistribution,
-    FIFTY_FIFTY,
     GaussianEnvelope,
     IDENTITY_SPLITTER,
     SlitScreenGeometry,
     UniformEnvelope,
-    alisha_marginal,
     arm_amplitudes,
     interference_coefficient,
     joint_distribution,
@@ -31,7 +29,6 @@ from .optics import (
     unitary_from_angle,
 )
 from .experiment import (
-    ArmSettings,
     ExperimentConfig,
     MODE_DOUBLE,
     MODE_SINGLE,
@@ -75,14 +72,12 @@ __all__ = [
     "__version__",
     "ALISHA_LABELS",
     "ArmOptics",
-    "ArmSettings",
     "BABU_LABELS",
     "BeamSplitterUnitary",
     "CoincidenceDistribution",
     "DecodeReport",
     "EventStream",
     "ExperimentConfig",
-    "FIFTY_FIFTY",
     "FringeFit",
     "GaussianEnvelope",
     "Histogram",
@@ -96,7 +91,6 @@ __all__ = [
     "SwitchSchedule",
     "TripleBatch",
     "UniformEnvelope",
-    "alisha_marginal",
     "arm_amplitudes",
     "build_histogram",
     "chi_square_fit",

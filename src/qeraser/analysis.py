@@ -157,6 +157,16 @@ def classify_pattern(fit: FringeFit, visibility_threshold: float = VISIBILITY_TH
     return "clump"
 
 
+def _check_blocks(blocks: np.ndarray, n_blocks: int) -> None:
+    """Every triple's block must be one of the schedule's blocks."""
+    outside = (blocks < 0) | (blocks >= n_blocks)
+    if outside.any():
+        raise ValueError(
+            f"triple block index {int(blocks[np.argmax(outside)])} is outside "
+            f"the schedule's {n_blocks} blocks"
+        )
+
+
 @dataclass(frozen=True)
 class DecodeReport:
     selector: str
@@ -180,12 +190,7 @@ def _decode(
     if n_blocks == 0:
         raise ValueError("schedule has no bits to decode")
     blocks = triples.block_index
-    outside = (blocks < 0) | (blocks >= n_blocks)
-    if outside.any():
-        raise ValueError(
-            f"triple block index {int(blocks[np.argmax(outside)])} is outside "
-            f"the schedule's {n_blocks} blocks"
-        )
+    _check_blocks(blocks, n_blocks)
     bound = nyquist_min_samples(geom)
     counts = np.bincount(blocks, minlength=n_blocks)
     low = [b for b in range(n_blocks) if counts[b] < bound]
@@ -301,8 +306,7 @@ def mutual_information(labels, cells) -> MIEstimate:
 def schedule_bit_labels(triples: TripleBatch, schedule: SwitchSchedule) -> np.ndarray:
     """Per-triple bit label looked up from the block index."""
     bits = np.asarray(schedule.bits, dtype=np.int64)
-    if len(triples) and triples.block_index.max() >= len(bits):
-        raise ValueError("triple block index outside the schedule")
+    _check_blocks(triples.block_index, len(bits))
     return bits[triples.block_index]
 
 
@@ -379,32 +383,6 @@ def _write_table(path, header_pairs: dict, columns: str, rows: list[str]) -> Non
     lines.append(f"# columns={columns}")
     lines.extend(rows)
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
-
-
-def write_histogram_csv(path, hist: Histogram, geom: SlitScreenGeometry, header: dict) -> None:
-    rows = [
-        f"{_fmt(x)},{int(c)}"
-        for x, c in zip(geom.bin_centers, hist.counts)
-    ]
-    meta = dict(header)
-    meta["selector"] = hist.selector
-    _write_table(path, meta, "bin_center_m,count", rows)
-
-
-def write_fit_csv(path, fit: FringeFit, header: dict) -> None:
-    row = ",".join(
-        _fmt(v)
-        for v in (
-            fit.mean_level,
-            fit.amplitude,
-            fit.phase,
-            fit.visibility,
-            fit.standard_error,
-        )
-    )
-    _write_table(
-        path, dict(header), "mean_level,amplitude,phase_rad,visibility,standard_error", [row]
-    )
 
 
 def write_decode_csv(path, report: DecodeReport, header: dict) -> None:

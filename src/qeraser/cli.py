@@ -28,13 +28,14 @@ Config file (JSON)::
     }
 
 Geometry fields are metres; theta/chi parameterise the recombiner as
-alpha = cos(theta), beta = sin(theta) e^{i chi}.  Every output file embeds
-the sha256 digest of the canonical config serialisation so artifacts from
-different configs cannot be mixed up silently; marginal tables embed the
-digest of the screen-side config subset instead, because they provably do
-not depend on babu's settings.  A manifest.json written next to the outputs
-records command, seed, digest and the sha256 of every file; identical
-manifests mean byte-identical artifacts.
+alpha = cos(theta), beta = sin(theta) e^{i chi}.  Unknown keys and values
+of the wrong JSON type are refused, naming the key path.  Every output file
+embeds the sha256 digest of the canonical config serialisation so artifacts
+from different configs cannot be mixed up silently; marginal tables embed
+the digest of the screen-side config subset instead, because they provably
+do not depend on babu's settings.  A manifest.json written next to the
+outputs records command, seed, digest and the sha256 of every file;
+identical manifests mean byte-identical artifacts.
 
 Exit codes: 0 success, 1 verification failure, 2 bad usage/config/input.
 """
@@ -43,6 +44,7 @@ from __future__ import annotations
 
 import argparse
 import hashlib
+import itertools
 import json
 import math
 import sys
@@ -55,6 +57,8 @@ import numpy as np
 from . import __version__
 from .analysis import (
     LowSampleWarning,
+    _fmt,
+    _write_table,
     decode_alisha_only,
     decode_omniscient,
     fit_fringe,
@@ -89,7 +93,6 @@ from .optics import (
     ERASING_OUTCOMES,
     SlitScreenGeometry,
     UniformEnvelope,
-    alisha_marginal,
     arm_amplitudes,
     interference_coefficient,
     joint_distribution,
@@ -99,14 +102,6 @@ from .optics import (
 )
 
 EXACT_TOL = 1e-12
-
-
-def _fmt(v) -> str:
-    return repr(float(v))
-
-
-def _write_lines(path: Path, lines: list[str]) -> None:
-    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
 def _sha256_file(path: Path) -> str:
@@ -157,54 +152,42 @@ def cmd_patterns(args) -> int:
     digest = config_digest(config)
     written: list[Path] = []
 
+    xs = geom.bin_centers
+    header = {"config_digest": digest, "mode": config.mode}
     if config.mode == MODE_DOUBLE:
         dist = distribution_for(config)
-        lines = [
-            f"# tool_version={__version__}",
-            f"# config_digest={digest}",
-            f"# mode={config.mode}",
-            "# columns=babu,alisha,bin_center_m,probability",
+        rows = [
+            f"{BABU_LABELS[j]},{ALISHA_LABELS[k]},{_fmt(x)},{_fmt(p)}"
+            for j in range(4)
+            for k in range(4)
+            for x, p in zip(xs, dist.pattern(j, k))
         ]
-        xs = geom.bin_centers
-        for j in range(4):
-            for k in range(4):
-                slice_jk = dist.pattern(j, k)
-                for x, p in zip(xs, slice_jk):
-                    lines.append(
-                        f"{BABU_LABELS[j]},{ALISHA_LABELS[k]},{_fmt(x)},{_fmt(p)}"
-                    )
         path = out / "patterns.csv"
-        _write_lines(path, lines)
+        _write_table(path, header, "babu,alisha,bin_center_m,probability", rows)
         written.append(path)
 
         # written from the screen-side closed form and keyed to the screen-side
         # digest, so babu's settings cannot move a byte of this file; agreement
         # with the joint-table marginal is checked by `verify` and the sweep
-        marg = screen_marginal(geom, config.envelope, config.alisha_optics)
-        lines = [
-            f"# tool_version={__version__}",
-            f"# marginal_digest={marginal_digest(config)}",
-            "# columns=alisha,bin_center_m,probability",
+        marg = screen_marginal(geom, config.envelope, config.alisha)
+        rows = [
+            f"{ALISHA_LABELS[k]},{_fmt(x)},{_fmt(p)}"
+            for k in range(4)
+            for x, p in zip(xs, marg[:, k])
         ]
-        for k in range(4):
-            for x, p in zip(xs, marg[:, k]):
-                lines.append(f"{ALISHA_LABELS[k]},{_fmt(x)},{_fmt(p)}")
         path = out / "marginal.csv"
-        _write_lines(path, lines)
+        _write_table(
+            path, {"marginal_digest": marginal_digest(config)}, "alisha,bin_center_m,probability", rows
+        )
         written.append(path)
     else:
-        lines = [
-            f"# tool_version={__version__}",
-            f"# config_digest={digest}",
-            f"# mode={config.mode}",
-            "# columns=babu,bin_center_m,probability",
+        rows = [
+            f"{BABU_LABELS[j]},{_fmt(x)},{_fmt(p)}"
+            for j in ERASING_OUTCOMES
+            for x, p in zip(xs, single_choice_pattern(j, config))
         ]
-        for j in ERASING_OUTCOMES:
-            pattern = single_choice_pattern(j, config)
-            for x, p in zip(geom.bin_centers, pattern):
-                lines.append(f"{BABU_LABELS[j]},{_fmt(x)},{_fmt(p)}")
         path = out / "single_patterns.csv"
-        _write_lines(path, lines)
+        _write_table(path, header, "babu,bin_center_m,probability", rows)
         written.append(path)
 
     _write_manifest(
@@ -234,11 +217,13 @@ def cmd_simulate(args) -> int:
     schedule = config.schedule
 
     triples = sample_triples(config, seed=seed)
-    stream = emit_events(triples, config, seed)
-    if args.background_rate > 0.0:
-        stream = inject_background(stream, args.background_rate, seed)
-
+    stream = inject_background(emit_events(triples, config, seed), args.background_rate, seed)
     spacing = triple_spacing_ns(config.pair_rate_scale)
+    # match before writing, so a bad window fails with no file written
+    matched, orphans = match_coincidences(
+        stream, window, block_size=schedule.block_size, spacing_ns=spacing
+    )
+
     header = SimStreamHeader(
         seed=seed,
         config_digest=config_digest(config),
@@ -252,10 +237,6 @@ def cmd_simulate(args) -> int:
 
     events_path = out / "events.csv"
     write_event_log(events_path, stream, header)
-
-    matched, orphans = match_coincidences(
-        stream, window, block_size=schedule.block_size, spacing_ns=spacing
-    )
     triples_path = out / "triples.csv"
     write_triples(triples_path, matched, header)
 
@@ -324,16 +305,17 @@ def run_property_suite(
         )
 
     def rand_arm():
+        # draws tap, splitter, theta, chi in that order; verify's output depends on it
         return ArmOptics(
-            tap_probability=rng.uniform(0.0, 1.0),
-            splitter_present=bool(rng.integers(0, 2)),
-            unitary=rand_unitary(),
+            rng.uniform(0.0, 1.0),
+            bool(rng.integers(0, 2)),
+            rng.uniform(0.0, 2.0 * math.pi),
+            rng.uniform(0.0, 2.0 * math.pi),
         )
 
     # unitarity of angle-parameterised splitters
     worst = 0.0
     detail = ""
-    passed = True
     for _ in range(trials):
         u = rand_unitary()
         worst = max(worst, abs(abs(u.alpha) ** 2 + abs(u.beta) ** 2 - 1.0))
@@ -342,8 +324,7 @@ def run_property_suite(
         residual = abs(abs(alpha) ** 2 + abs(beta) ** 2 - 1.0)
         worst = max(worst, residual)
         detail = f"injected pair alpha={alpha}, beta={beta}, residual={residual:.3e}"
-    passed = worst <= EXACT_TOL
-    results.append(PropertyResult("unitarity", passed, worst, detail))
+    results.append(PropertyResult("unitarity", worst <= EXACT_TOL, worst, detail))
 
     # arm map isometry: the two path vectors stay orthonormal
     worst = 0.0
@@ -398,7 +379,7 @@ def run_property_suite(
         for _ in range(2):
             dist = joint_distribution(geom, envelope, rand_arm(), alisha)
             worst = max(
-                worst, float(np.abs(alisha_marginal(dist) - reference).max())
+                worst, float(np.abs(dist.alisha_marginal() - reference).max())
             )
     results.append(PropertyResult("marginal-invariance", worst <= EXACT_TOL, worst))
     return results
@@ -495,12 +476,26 @@ def _parse_values(text: str, what: str) -> list[float]:
     return values
 
 
+def _parse_splitters(text: str) -> list[bool]:
+    values = [v for v in text.split(",") if v != ""]
+    for v in values:
+        if v not in ("0", "1"):
+            raise SystemExit(f"qeraser: --splitter values must be 0 or 1, got {v!r}")
+    if not values:
+        raise SystemExit("qeraser: empty splitter list")
+    return [v == "1" for v in values]
+
+
 _SWEEP_COLUMNS = (
     "theta,chi,tap,splitter,theta_alisha,chi_alisha,tap_alisha,"
     "vis_d1_d1p,vis_d1_d2p,vis_d2_d1p,vis_d2_d2p,"
     "cancel_residual_d1p,cancel_residual_d2p,"
     "marginal_visibility,marginal_residual"
 )
+
+
+def _visibility(pattern: np.ndarray, geom: SlitScreenGeometry) -> float:
+    return float("nan") if pattern.sum() <= 0.0 else fit_fringe(pattern, geom).visibility
 
 
 def cmd_sweep(args) -> int:
@@ -515,94 +510,49 @@ def cmd_sweep(args) -> int:
     thetas = _parse_values(args.theta, "theta")
     chis = _parse_values(args.chi, "chi")
     taps = _parse_values(args.tap, "tap")
-    splitters = [bool(int(v)) for v in _parse_values(args.splitter, "splitter")]
+    splitters = _parse_splitters(args.splitter)
     a_thetas = _parse_values(args.theta_alisha, "theta-alisha") if args.theta_alisha else [config.alisha.theta]
     a_chis = _parse_values(args.chi_alisha, "chi-alisha") if args.chi_alisha else [config.alisha.chi]
     a_taps = _parse_values(args.tap_alisha, "tap-alisha") if args.tap_alisha else [config.alisha.tap_probability]
 
+    # alisha's setting is the outer key: rows of one setting share a reference marginal
+    grid = itertools.product(a_thetas, a_chis, a_taps, thetas, chis, taps, splitters)
     rows = []
     references: dict = {}
-    n_rows = 0
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", LowSampleWarning)
-        for a_theta in a_thetas:
-            for a_chi in a_chis:
-                for a_tap in a_taps:
-                    alisha = ArmOptics(
-                        tap_probability=a_tap,
-                        splitter_present=True,
-                        unitary=unitary_from_angle(a_theta, a_chi),
-                    )
-                    group = (a_theta, a_chi, a_tap)
-                    for theta in thetas:
-                        for chi in chis:
-                            for tap in taps:
-                                for splitter in splitters:
-                                    babu = ArmOptics(
-                                        tap_probability=tap,
-                                        splitter_present=splitter,
-                                        unitary=unitary_from_angle(theta, chi),
-                                    )
-                                    dist = joint_distribution(geom, envelope, babu, alisha)
-                                    vis = []
-                                    for j in ERASING_OUTCOMES:
-                                        for k in ERASING_OUTCOMES:
-                                            slice_jk = dist.pattern(j, k)
-                                            if slice_jk.sum() <= 0.0:
-                                                vis.append(float("nan"))
-                                            else:
-                                                vis.append(fit_fringe(slice_jk, geom).visibility)
-                                    ub = babu.effective_unitary
-                                    ua = alisha.effective_unitary
-                                    cancel = [
-                                        abs(
-                                            interference_coefficient(D1, k, ub, ua)
-                                            + interference_coefficient(D2, k, ub, ua)
-                                        )
-                                        for k in ERASING_OUTCOMES
-                                    ]
-                                    marg = alisha_marginal(dist)
-                                    if group not in references:
-                                        references[group] = marg
-                                    marg_residual = float(
-                                        np.abs(marg - references[group]).max()
-                                    )
-                                    marg_vis = 0.0
-                                    for k in range(4):
-                                        col = marg[:, k]
-                                        if col.sum() > 0.0:
-                                            marg_vis = max(
-                                                marg_vis, fit_fringe(col, geom).visibility
-                                            )
-                                    rows.append(
-                                        ",".join(
-                                            [
-                                                _fmt(theta),
-                                                _fmt(chi),
-                                                _fmt(tap),
-                                                str(int(splitter)),
-                                                _fmt(a_theta),
-                                                _fmt(a_chi),
-                                                _fmt(a_tap),
-                                            ]
-                                            + [_fmt(v) for v in vis]
-                                            + [_fmt(c) for c in cancel]
-                                            + [_fmt(marg_vis), _fmt(marg_residual)]
-                                        )
-                                    )
-                                    n_rows += 1
+        for a_theta, a_chi, a_tap, theta, chi, tap, splitter in grid:
+            alisha = ArmOptics(a_tap, True, a_theta, a_chi)
+            babu = ArmOptics(tap, splitter, theta, chi)
+            dist = joint_distribution(geom, envelope, babu, alisha)
+            vis = [
+                _visibility(dist.pattern(j, k), geom)
+                for j in ERASING_OUTCOMES
+                for k in ERASING_OUTCOMES
+            ]
+            ub = babu.effective_unitary
+            ua = alisha.effective_unitary
+            cancel = [
+                abs(interference_coefficient(D1, k, ub, ua) + interference_coefficient(D2, k, ub, ua))
+                for k in ERASING_OUTCOMES
+            ]
+            marg = dist.alisha_marginal()
+            reference = references.setdefault((a_theta, a_chi, a_tap), marg)
+            marg_residual = float(np.abs(marg - reference).max())
+            marg_vis = max(
+                [0.0] + [fit_fringe(col, geom).visibility for col in marg.T if col.sum() > 0.0]
+            )
+            rows.append(
+                ",".join(
+                    [_fmt(theta), _fmt(chi), _fmt(tap), str(int(splitter))]
+                    + [_fmt(v) for v in (a_theta, a_chi, a_tap, *vis, *cancel, marg_vis, marg_residual)]
+                )
+            )
 
     digest = config_digest(config)
-    lines = [
-        f"# tool_version={__version__}",
-        f"# config_digest={digest}",
-        f"# n_rows={n_rows}",
-        f"# columns={_SWEEP_COLUMNS}",
-    ]
-    lines.extend(rows)
     path = out / "sweep.csv"
-    _write_lines(path, lines)
-    print(f"wrote {path} ({n_rows} grid points)")
+    _write_table(path, {"config_digest": digest, "n_rows": len(rows)}, _SWEEP_COLUMNS, rows)
+    print(f"wrote {path} ({len(rows)} grid points)")
     _write_manifest(
         out,
         "sweep",

@@ -51,33 +51,6 @@ _MAX_LABEL_BYTES = max(len(label) for label in DETECTOR_LABELS)
 CODE_D0 = 0
 
 
-@dataclass(frozen=True)
-class EventRecord:
-    """One time-tagged detection; x_bin is present exactly for D0 records."""
-
-    event_id: int
-    detector: str
-    time_ns: int
-    x_bin: int | None = None
-
-    def __post_init__(self):
-        if self.detector not in _CODE_BY_LABEL:
-            raise ValueError(f"unknown detector {self.detector!r}")
-        if self.time_ns < 0:
-            raise ValueError("time_ns must be non-negative")
-        if (self.detector == "D0") != (self.x_bin is not None):
-            raise ValueError("x_bin must be present iff the detector is D0")
-
-
-@dataclass(frozen=True)
-class CoincidenceTriple:
-    triple_id: int
-    x_bin: int
-    babu_outcome: int
-    alisha_outcome: int
-    block_index: int
-
-
 @dataclass(eq=False)
 class TripleBatch:
     """Column-oriented batch of coincidence triples (int64 arrays)."""
@@ -105,26 +78,6 @@ class TripleBatch:
     def __len__(self) -> int:
         return len(self.triple_id)
 
-    def record(self, i: int) -> CoincidenceTriple:
-        return CoincidenceTriple(
-            triple_id=int(self.triple_id[i]),
-            x_bin=int(self.x_bin[i]),
-            babu_outcome=int(self.babu[i]),
-            alisha_outcome=int(self.alisha[i]),
-            block_index=int(self.block_index[i]),
-        )
-
-    @classmethod
-    def from_records(cls, records) -> "TripleBatch":
-        records = list(records)
-        return cls(
-            triple_id=[r.triple_id for r in records],
-            x_bin=[r.x_bin for r in records],
-            babu=[r.babu_outcome for r in records],
-            alisha=[r.alisha_outcome for r in records],
-            block_index=[r.block_index for r in records],
-        )
-
 
 @dataclass(eq=False)
 class EventStream:
@@ -145,15 +98,6 @@ class EventStream:
 
     def __len__(self) -> int:
         return len(self.event_id)
-
-    def record(self, i: int) -> EventRecord:
-        code = int(self.detector[i])
-        return EventRecord(
-            event_id=int(self.event_id[i]),
-            detector=DETECTOR_LABELS[code],
-            time_ns=int(self.time_ns[i]),
-            x_bin=int(self.x_bin[i]) if code == CODE_D0 else None,
-        )
 
 
 @dataclass(frozen=True)
@@ -223,14 +167,14 @@ def sample_triples(
         return _empty_batch()
 
     geom = config.geometry
-    alisha = config.alisha_optics
+    alisha = config.alisha
     marg_flat = screen_marginal(geom, config.envelope, alisha).ravel()
     marg_cum = np.cumsum(marg_flat)
     marg_cum /= marg_cum[-1]
 
     cond_cum = {}
     for bit in sorted(set(schedule.bits)):
-        babu = replace(config.babu_optics, splitter_present=bool(bit))
+        babu = replace(config.babu, splitter_present=bool(bit))
         dist = joint_distribution(geom, config.envelope, babu, alisha)
         cond = dist.probs.transpose(0, 2, 1).reshape(-1, 4).copy()  # row = (bin, k)
         rowsum = cond.sum(axis=1, keepdims=True)
@@ -314,7 +258,7 @@ def inject_background(stream: EventStream, rate_per_ns: float, seed: int = 0) ->
     """
     rate = float(rate_per_ns)
     if not (math.isfinite(rate) and rate >= 0.0):
-        raise ValueError("background rate must be non-negative")
+        raise ValueError(f"background rate must be finite and non-negative, got {rate!r}")
     if rate == 0.0 or len(stream) < 2:
         return stream
     rng = np.random.default_rng(

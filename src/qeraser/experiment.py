@@ -1,9 +1,9 @@
 """Experiment description layer: configs, schedules, closed-form references.
 
 Ties the amplitude model to runnable experiments: a serialisable
-configuration (geometry, envelope, both arms, switch schedule), the shared
-three-party path state, closed-form per-bin rates for the balanced setup,
-and the sampling bound that says how many detections resolve one fringe.
+configuration (geometry, envelope, both arms, switch schedule), closed-form
+per-bin rates for the balanced setup, and the sampling bound that says how
+many detections resolve one fringe.
 """
 
 from __future__ import annotations
@@ -28,7 +28,6 @@ from .optics import (
     UniformEnvelope,
     joint_distribution,
     single_distribution,
-    unitary_from_angle,
 )
 
 MODE_SINGLE = "single_delayed_choice"
@@ -37,35 +36,6 @@ MODES = (MODE_SINGLE, MODE_DOUBLE)
 
 # Balanced 20-bit payload used by the default protocol run.
 DEFAULT_BITS = (1, 0, 1, 1, 0, 0, 1, 0, 1, 1, 0, 1, 0, 0, 1, 0, 1, 1, 0, 0)
-
-
-@dataclass(frozen=True)
-class ArmSettings:
-    """Config-level arm description; angles rather than matrix entries."""
-
-    tap_probability: float
-    splitter_present: bool = True
-    theta: float = math.pi / 4.0
-    chi: float = 0.0
-
-    def __post_init__(self):
-        p = float(self.tap_probability)
-        if not (math.isfinite(p) and 0.0 <= p <= 1.0):
-            raise ValueError(f"tap probability {p!r} outside [0, 1]")
-        for name in ("theta", "chi"):
-            v = float(getattr(self, name))
-            if not math.isfinite(v):
-                raise ValueError(f"{name} must be finite")
-            object.__setattr__(self, name, v)
-        object.__setattr__(self, "tap_probability", p)
-        object.__setattr__(self, "splitter_present", bool(self.splitter_present))
-
-    def optics(self) -> ArmOptics:
-        return ArmOptics(
-            tap_probability=self.tap_probability,
-            splitter_present=self.splitter_present,
-            unitary=unitary_from_angle(self.theta, self.chi),
-        )
 
 
 @dataclass(frozen=True)
@@ -94,8 +64,8 @@ class ExperimentConfig:
     mode: str
     geometry: SlitScreenGeometry
     envelope: object
-    babu: ArmSettings
-    alisha: ArmSettings
+    babu: ArmOptics
+    alisha: ArmOptics
     schedule: SwitchSchedule | None = None
     pair_rate_scale: float = 1.0
 
@@ -106,14 +76,6 @@ class ExperimentConfig:
         if not (math.isfinite(s) and s > 0.0):
             raise ValueError("pair_rate_scale must be positive")
         object.__setattr__(self, "pair_rate_scale", s)
-
-    @property
-    def babu_optics(self) -> ArmOptics:
-        return self.babu.optics()
-
-    @property
-    def alisha_optics(self) -> ArmOptics:
-        return self.alisha.optics()
 
 
 def default_geometry() -> SlitScreenGeometry:
@@ -132,8 +94,8 @@ def default_config(mode: str = MODE_DOUBLE) -> ExperimentConfig:
         mode=mode,
         geometry=default_geometry(),
         envelope=UniformEnvelope(),
-        babu=ArmSettings(tap_probability=0.5),
-        alisha=ArmSettings(tap_probability=0.5),
+        babu=ArmOptics(tap_probability=0.5),
+        alisha=ArmOptics(tap_probability=0.5),
         schedule=SwitchSchedule(bits=DEFAULT_BITS, block_size=10_000),
         pair_rate_scale=1.0,
     )
@@ -153,21 +115,51 @@ def _envelope_to_dict(envelope) -> dict:
     raise ValueError(f"unsupported envelope {envelope!r}")
 
 
+def _fields(obj, path: str, required: tuple, optional: tuple = ()) -> dict:
+    """obj as an object holding every required key and no key outside the schema."""
+    if not isinstance(obj, dict):
+        raise ValueError(f"{path} must be an object")
+    for key in obj:
+        if key not in required and key not in optional:
+            raise ValueError(f"unknown key {path}.{key}")
+    for key in required:
+        if key not in obj:
+            raise ValueError(f"{path} section missing field {key!r}")
+    return obj
+
+
+def _number(value, path: str) -> float:
+    """A JSON number (int or float, never a bool or a string) as a float."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ValueError(f"{path} must be a number, got {value!r}")
+    try:
+        return float(value)
+    except OverflowError:
+        raise ValueError(f"{path} is too large for a float") from None
+
+
+def _integer(value, path: str) -> int:
+    """A JSON integer; 256.0, "256" and true are refused, not coerced."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ValueError(f"{path} must be an integer, got {value!r}")
+    return value
+
+
 def _envelope_from_obj(obj):
     if obj == "uniform" or obj is None:
         return UniformEnvelope()
     if isinstance(obj, dict):
         kind = obj.get("type")
         if kind == "uniform":
+            _fields(obj, "experiment.envelope", ("type",))
             return UniformEnvelope()
         if kind == "gaussian":
-            if "sigma" not in obj:
-                raise ValueError("gaussian envelope needs a sigma field")
-            return GaussianEnvelope(sigma=float(obj["sigma"]))
+            _fields(obj, "experiment.envelope", ("type", "sigma"))
+            return GaussianEnvelope(sigma=_number(obj["sigma"], "experiment.envelope.sigma"))
     raise ValueError(f"unsupported envelope description {obj!r}")
 
 
-def _arm_to_dict(arm: ArmSettings) -> dict:
+def _arm_to_dict(arm: ArmOptics) -> dict:
     return {
         "tap_p": arm.tap_probability,
         "splitter": arm.splitter_present,
@@ -176,21 +168,17 @@ def _arm_to_dict(arm: ArmSettings) -> dict:
     }
 
 
-def _arm_from_dict(obj: dict, which: str) -> ArmSettings:
-    if not isinstance(obj, dict):
-        raise ValueError(f"{which} section must be an object")
+def _arm_from_dict(obj, path: str) -> ArmOptics:
+    obj = _fields(obj, path, ("tap_p",), ("splitter", "theta", "chi"))
     splitter = obj.get("splitter", True)
     if not isinstance(splitter, bool):
-        raise ValueError(f"{which}.splitter must be true or false, got {splitter!r}")
-    try:
-        return ArmSettings(
-            tap_probability=float(obj["tap_p"]),
-            splitter_present=splitter,
-            theta=float(obj.get("theta", math.pi / 4.0)),
-            chi=float(obj.get("chi", 0.0)),
-        )
-    except KeyError as exc:
-        raise ValueError(f"{which} section missing field {exc}") from exc
+        raise ValueError(f"{path}.splitter must be true or false, got {splitter!r}")
+    return ArmOptics(
+        tap_probability=_number(obj["tap_p"], f"{path}.tap_p"),
+        splitter_present=splitter,
+        theta=_number(obj.get("theta", math.pi / 4.0), f"{path}.theta"),
+        chi=_number(obj.get("chi", 0.0), f"{path}.chi"),
+    )
 
 
 def config_to_dict(config: ExperimentConfig) -> dict:
@@ -218,43 +206,49 @@ def config_to_dict(config: ExperimentConfig) -> dict:
 
 
 def config_from_dict(data: dict) -> ExperimentConfig:
+    """Read the config schema strictly.
+
+    A key outside the schema, a missing field or a value of the wrong JSON
+    type is an error that names its key path, e.g. experiment.babu.tapp.
+    """
     if not isinstance(data, dict) or "experiment" not in data:
         raise ValueError("config must contain a top-level 'experiment' object")
-    doc = data["experiment"]
-    if not isinstance(doc, dict):
-        raise ValueError("'experiment' must be an object")
-    mode = doc.get("mode", MODE_DOUBLE)
-    geo = doc.get("geometry")
-    if not isinstance(geo, dict):
-        raise ValueError("geometry section missing")
-    try:
-        geometry = SlitScreenGeometry(
-            slit_separation=float(geo["d"]),
-            wavelength=float(geo["lambda"]),
-            focal_length=float(geo["f"]),
-            screen_width=float(geo["L"]),
-            n_bins=int(geo["n_bins"]),
-        )
-    except KeyError as exc:
-        raise ValueError(f"geometry section missing field {exc}") from exc
+    for key in data:
+        if key != "experiment":
+            raise ValueError(f"unknown key {key}")
+    doc = _fields(
+        data["experiment"],
+        "experiment",
+        ("geometry",),
+        ("mode", "envelope", "babu", "alisha", "schedule", "pair_rate_scale"),
+    )
+    geo = _fields(doc["geometry"], "experiment.geometry", ("d", "lambda", "f", "L", "n_bins"))
+    geometry = SlitScreenGeometry(
+        slit_separation=_number(geo["d"], "experiment.geometry.d"),
+        wavelength=_number(geo["lambda"], "experiment.geometry.lambda"),
+        focal_length=_number(geo["f"], "experiment.geometry.f"),
+        screen_width=_number(geo["L"], "experiment.geometry.L"),
+        n_bins=_integer(geo["n_bins"], "experiment.geometry.n_bins"),
+    )
     schedule = None
-    if "schedule" in doc and doc["schedule"] is not None:
-        sch = doc["schedule"]
-        try:
-            schedule = SwitchSchedule(
-                bits=tuple(int(b) for b in sch["bits"]),
-                block_size=int(sch["block_size"]),
-            )
-        except KeyError as exc:
-            raise ValueError(f"schedule section missing field {exc}") from exc
+    if doc.get("schedule") is not None:
+        sch = _fields(doc["schedule"], "experiment.schedule", ("bits", "block_size"))
+        if not isinstance(sch["bits"], list):
+            raise ValueError("experiment.schedule.bits must be a list")
+        schedule = SwitchSchedule(
+            bits=tuple(
+                _integer(b, f"experiment.schedule.bits[{i}]") for i, b in enumerate(sch["bits"])
+            ),
+            block_size=_integer(sch["block_size"], "experiment.schedule.block_size"),
+        )
     return ExperimentConfig(
-        mode=mode,
+        mode=doc.get("mode", MODE_DOUBLE),
         geometry=geometry,
         envelope=_envelope_from_obj(doc.get("envelope")),
-        babu=_arm_from_dict(doc.get("babu", {"tap_p": 0.5}), "babu"),
-        alisha=_arm_from_dict(doc.get("alisha", {"tap_p": 0.5}), "alisha"),
+        babu=_arm_from_dict(doc.get("babu", {"tap_p": 0.5}), "experiment.babu"),
+        alisha=_arm_from_dict(doc.get("alisha", {"tap_p": 0.5}), "experiment.alisha"),
         schedule=schedule,
-        pair_rate_scale=float(doc.get("pair_rate_scale", 1.0)),
+        pair_rate_scale=_number(doc.get("pair_rate_scale", 1.0), "experiment.pair_rate_scale"),
     )
 
 
@@ -298,37 +292,8 @@ def marginal_digest(config: ExperimentConfig) -> str:
 
 
 # ---------------------------------------------------------------------------
-# Shared path state and closed-form references.
+# Closed-form references.
 # ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True, eq=False)
-class GhzPathState:
-    """Three-party path state: signal and both idlers share one branch label."""
-
-    amplitudes: dict
-
-    def norm(self) -> float:
-        return math.sqrt(sum(abs(a) ** 2 for a in self.amplitudes.values()))
-
-    def amplitude(self, key: tuple[str, str, str]) -> complex:
-        return self.amplitudes.get(key, 0.0 + 0j)
-
-    def statevector(self) -> np.ndarray:
-        """(8,) vector over (slot1, slot2, slot3) with A -> 0, B -> 1."""
-        vec = np.zeros(8, dtype=complex)
-        for key, amp in self.amplitudes.items():
-            idx = 0
-            for slot in key:
-                idx = 2 * idx + (0 if slot == "A" else 1)
-            vec[idx] = amp
-        return vec
-
-
-def ghz_state() -> GhzPathState:
-    """Equal superposition of all-A and all-B; no other branch is populated."""
-    r = math.sqrt(0.5)
-    return GhzPathState(amplitudes={("A", "A", "A"): r, ("B", "B", "B"): r})
 
 
 def ideal_rate(
@@ -379,7 +344,7 @@ def single_choice_pattern(j: int, config: ExperimentConfig) -> np.ndarray:
         raise ValueError("single_choice_pattern needs a single_delayed_choice config")
     if j not in ERASING_OUTCOMES:
         raise ValueError("only D1/D2 patterns are defined here")
-    table = single_distribution(config.geometry, config.envelope, config.babu_optics)
+    table = single_distribution(config.geometry, config.envelope, config.babu)
     erased = table[:, [D1, D2]]
     total = erased.sum()
     if total <= 0.0:
@@ -398,27 +363,13 @@ def nyquist_min_samples(geom: SlitScreenGeometry) -> int:
     return int(math.ceil(r - 1e-12 * max(1.0, abs(r)) - 1e-12))
 
 
-def expand_schedule(schedule: SwitchSchedule, base: ArmOptics) -> list[ArmOptics]:
-    """Per-triple arm optics: triple t gets splitter_present = bits[t // N]."""
-    if not schedule.bits:
-        raise ValueError("schedule has no bits")
-    variants = {
-        0: replace(base, splitter_present=False),
-        1: replace(base, splitter_present=True),
-    }
-    out: list[ArmOptics] = []
-    for bit in schedule.bits:
-        out.extend([variants[bit]] * schedule.block_size)
-    return out
-
-
 def distribution_for(
     config: ExperimentConfig, splitter_present: bool | None = None
 ) -> CoincidenceDistribution:
     """Joint table for a two-idler config, optionally overriding babu's splitter."""
     if config.mode != MODE_DOUBLE:
         raise ValueError("joint tables exist only for double_delayed_choice configs")
-    babu = config.babu_optics
+    babu = config.babu
     if splitter_present is not None:
         babu = replace(babu, splitter_present=splitter_present)
-    return joint_distribution(config.geometry, config.envelope, babu, config.alisha_optics)
+    return joint_distribution(config.geometry, config.envelope, babu, config.alisha)

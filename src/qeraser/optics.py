@@ -29,7 +29,6 @@ PATHS = (PATH_A, PATH_B)
 # (D3 fires only for path A, D4 only for path B).
 D1, D2, D3, D4 = 0, 1, 2, 3
 ERASING_OUTCOMES = (D1, D2)
-WHICH_PATH_OUTCOMES = (D3, D4)
 BABU_LABELS = ("D1", "D2", "D3", "D4")
 ALISHA_LABELS = ("D1'", "D2'", "D3'", "D4'")
 
@@ -75,23 +74,36 @@ def unitary_from_angle(theta: float, chi: float) -> BeamSplitterUnitary:
 
 
 IDENTITY_SPLITTER = BeamSplitterUnitary(1.0 + 0j, 0.0 + 0j)
-FIFTY_FIFTY = unitary_from_angle(math.pi / 4.0, 0.0)
 
 
 @dataclass(frozen=True)
 class ArmOptics:
-    """One observer's idler arm: which-path tap plus optional recombiner."""
+    """One observer's idler arm: which-path tap plus optional recombiner.
+
+    The fields are the config schema's (tap_p, splitter, theta, chi); the
+    recombiner is unitary_from_angle(theta, chi), built once per arm.
+    """
 
     tap_probability: float
     splitter_present: bool = True
-    unitary: BeamSplitterUnitary = FIFTY_FIFTY
+    theta: float = math.pi / 4.0
+    chi: float = 0.0
 
     def __post_init__(self):
         p = float(self.tap_probability)
         if not (math.isfinite(p) and 0.0 <= p <= 1.0):
             raise ValueError(f"tap probability {p!r} outside [0, 1]")
+        for name in ("theta", "chi"):
+            v = float(getattr(self, name))
+            if not math.isfinite(v):
+                raise ValueError(f"{name} must be finite")
+            object.__setattr__(self, name, v)
         object.__setattr__(self, "tap_probability", p)
         object.__setattr__(self, "splitter_present", bool(self.splitter_present))
+
+    @cached_property
+    def unitary(self) -> BeamSplitterUnitary:
+        return unitary_from_angle(self.theta, self.chi)
 
     @property
     def effective_unitary(self) -> BeamSplitterUnitary:
@@ -208,25 +220,6 @@ def _signal_vectors(geom: SlitScreenGeometry, envelope) -> tuple[np.ndarray, np.
     return mag * rot, mag * np.conjugate(rot)
 
 
-def signal_amplitude(x: float, path: str, geom: SlitScreenGeometry, envelope) -> complex:
-    """Screen amplitude sqrt(E(x)/Z) e^{+- i 2 pi x d/(lambda f)} for path A/B.
-
-    Z sums the envelope over bin centres, so |amplitude|^2 evaluated on the
-    bin grid is a normalised distribution per path.
-    """
-    if path not in PATHS:
-        raise ValueError(f"unknown path {path!r}")
-    x = float(x)
-    if abs(x) > geom.screen_width / 2.0:
-        raise ValueError(f"x = {x!r} lies outside the screen")
-    z = float(np.sum(envelope.profile(geom.bin_centers)))
-    mag = math.sqrt(float(envelope.profile(x)) / z)
-    ph = float(geom.phase(x))
-    if path == PATH_B:
-        ph = -ph
-    return mag * cmath.exp(1j * ph)
-
-
 @dataclass(frozen=True, eq=False)
 class CoincidenceDistribution:
     """Exact joint table P(screen bin, babu outcome, alisha outcome)."""
@@ -249,61 +242,25 @@ class CoincidenceDistribution:
         return float(self.probs.sum())
 
 
-def joint_amplitude(
-    bin_index: int,
-    j: int,
-    k: int | None,
-    geom: SlitScreenGeometry,
-    envelope,
-    babu: ArmOptics,
-    alisha: ArmOptics | None = None,
-) -> complex:
-    """Amplitude for one (screen bin, babu outcome[, alisha outcome]) cell.
+def _outcome_probabilities(geom: SlitScreenGeometry, envelope, arms) -> np.ndarray:
+    """|amplitude|^2 over (screen bin, outcome of each arm in turn).
 
-    The two source paths enter with equal weight 1/sqrt(2).  With k=None
-    only babu's arm participates (the one-idler experiment).
+    The two source paths enter with equal weight 1/sqrt(2); per path the
+    amplitude is psi * arm_1 * arm_2 ..., multiplied in that order.
     """
-    if not 0 <= int(bin_index) < geom.n_bins:
-        raise ValueError("bin index out of range")
-    if not 0 <= int(j) < 4:
-        raise ValueError("babu outcome out of range")
-    psi_a, psi_b = _signal_vectors(geom, envelope)
-    ba = arm_amplitudes(PATH_A, babu)
-    bb = arm_amplitudes(PATH_B, babu)
-    root_half = math.sqrt(0.5)
-    if k is None:
-        return complex(
-            root_half * (psi_a[bin_index] * ba[j] + psi_b[bin_index] * bb[j])
-        )
-    if alisha is None:
-        raise ValueError("alisha optics required when k is given")
-    if not 0 <= int(k) < 4:
-        raise ValueError("alisha outcome out of range")
-    aa = arm_amplitudes(PATH_A, alisha)
-    ab = arm_amplitudes(PATH_B, alisha)
-    return complex(
-        root_half
-        * (
-            psi_a[bin_index] * ba[j] * aa[k]
-            + psi_b[bin_index] * bb[j] * ab[k]
-        )
-    )
+    amp_a, amp_b = _signal_vectors(geom, envelope)
+    for arm in arms:
+        amp_a = amp_a[..., None] * arm_amplitudes(PATH_A, arm)
+        amp_b = amp_b[..., None] * arm_amplitudes(PATH_B, arm)
+    amp = math.sqrt(0.5) * (amp_a + amp_b)
+    return amp.real**2 + amp.imag**2
 
 
 def joint_distribution(
     geom: SlitScreenGeometry, envelope, babu: ArmOptics, alisha: ArmOptics
 ) -> CoincidenceDistribution:
     """Exact (n_bins, 4, 4) coincidence table; entries sum to 1."""
-    psi_a, psi_b = _signal_vectors(geom, envelope)
-    ba = arm_amplitudes(PATH_A, babu)
-    bb = arm_amplitudes(PATH_B, babu)
-    aa = arm_amplitudes(PATH_A, alisha)
-    ab = arm_amplitudes(PATH_B, alisha)
-    amp = math.sqrt(0.5) * (
-        psi_a[:, None, None] * ba[None, :, None] * aa[None, None, :]
-        + psi_b[:, None, None] * bb[None, :, None] * ab[None, None, :]
-    )
-    probs = amp.real**2 + amp.imag**2
+    probs = _outcome_probabilities(geom, envelope, (babu, alisha))
     probs.flags.writeable = False
     return CoincidenceDistribution(
         probs=probs, geometry=geom, envelope=envelope, babu=babu, alisha=alisha
@@ -314,29 +271,19 @@ def single_distribution(
     geom: SlitScreenGeometry, envelope, babu: ArmOptics
 ) -> np.ndarray:
     """Exact (n_bins, 4) outcome table for the one-idler experiment."""
-    psi_a, psi_b = _signal_vectors(geom, envelope)
-    ba = arm_amplitudes(PATH_A, babu)
-    bb = arm_amplitudes(PATH_B, babu)
-    amp = math.sqrt(0.5) * (
-        psi_a[:, None] * ba[None, :] + psi_b[:, None] * bb[None, :]
-    )
-    return amp.real**2 + amp.imag**2
-
-
-def alisha_marginal(dist: CoincidenceDistribution) -> np.ndarray:
-    """Screen-side joint P(x_bin, alisha outcome); see CoincidenceDistribution."""
-    return dist.alisha_marginal()
+    return _outcome_probabilities(geom, envelope, (babu,))
 
 
 def screen_marginal(
     geom: SlitScreenGeometry, envelope, alisha: ArmOptics
 ) -> np.ndarray:
-    """The same (n_bins, 4) marginal computed without reference to babu's arm.
+    """Screen-side (n_bins, 4) marginal computed without reference to babu's arm.
 
     Orthonormality of babu's two path vectors collapses his outcome sum to
     (|psi_A|^2 |a_k^A|^2 + |psi_B|^2 |a_k^B|^2) / 2: no cross term survives,
-    whatever sits in the other arm.  Agreement with alisha_marginal() over
-    arbitrary babu settings is the no-signalling identity.
+    whatever sits in the other arm.  Agreement with the joint table's
+    alisha_marginal() over arbitrary babu settings is the no-signalling
+    identity.
     """
     psi_a, psi_b = _signal_vectors(geom, envelope)
     wa = np.abs(arm_amplitudes(PATH_A, alisha)) ** 2
@@ -375,10 +322,4 @@ def interference_coefficient(
     aca, acb = _erasing_path_factors(k, alisha_unitary)
     ca = bca * aca
     cb = bcb * acb
-    return float(2.0 * (ca * cb.conjugate()).real)
-
-
-def single_interference_coefficient(j: int, unitary: BeamSplitterUnitary) -> float:
-    """One-idler fringe weight: -(alpha beta + c.c.) for D1, the negative for D2."""
-    ca, cb = _erasing_path_factors(j, unitary)
     return float(2.0 * (ca * cb.conjugate()).real)

@@ -3,7 +3,6 @@ import math
 import pytest
 
 from qeraser.experiment import (
-    ArmSettings,
     ExperimentConfig,
     MODE_DOUBLE,
     SwitchSchedule,
@@ -50,8 +49,8 @@ def make_config(bits, block_size, tap_babu=0.5, tap_alisha=0.5) -> ExperimentCon
         mode=MODE_DOUBLE,
         geometry=default_geometry(),
         envelope=UniformEnvelope(),
-        babu=ArmSettings(tap_probability=tap_babu),
-        alisha=ArmSettings(tap_probability=tap_alisha),
+        babu=ArmOptics(tap_probability=tap_babu),
+        alisha=ArmOptics(tap_probability=tap_alisha),
         schedule=SwitchSchedule(bits=tuple(bits), block_size=block_size),
     )
 

@@ -1,6 +1,10 @@
-"""Reference implementations the whole-array stream path is tested against.
+"""Reference implementations the library's fast paths are tested against.
 
-These are the line-by-line readers and the full greedy matcher loop that
+The scalar amplitude routes (``signal_amplitude``, ``joint_amplitude``) build
+one table cell at a time from closed forms; ``joint_distribution`` must
+agree with them cell by cell.
+
+The rest are the line-by-line readers and the full greedy matcher loop that
 ``qeraser.events`` used before its numpy passes, and the per-block decode
 loop of ``qeraser.analysis``.  They are kept verbatim as differential
 oracles: the fast paths must return the same arrays, headers, floats and
@@ -11,6 +15,8 @@ anywhere), so they agree with the library on every file the writers produce.
 
 from __future__ import annotations
 
+import cmath
+import math
 import warnings
 
 import numpy as np
@@ -24,9 +30,70 @@ from qeraser.events import (
     SimStreamHeader,
     TripleBatch,
 )
-from qeraser.optics import ALISHA_LABELS, BABU_LABELS
+from qeraser.optics import (
+    ALISHA_LABELS,
+    BABU_LABELS,
+    PATH_A,
+    PATH_B,
+    PATHS,
+    ArmOptics,
+    SlitScreenGeometry,
+    arm_amplitudes,
+)
 
 _CODE_BY_LABEL = {label: code for code, label in enumerate(DETECTOR_LABELS)}
+
+
+def signal_amplitude(x: float, path: str, geom: SlitScreenGeometry, envelope) -> complex:
+    """Screen amplitude sqrt(E(x)/Z) e^{+- i 2 pi x d/(lambda f)} for path A/B.
+
+    Z sums the envelope over bin centres, so |amplitude|^2 evaluated on the
+    bin grid is a normalised distribution per path.
+    """
+    if path not in PATHS:
+        raise ValueError(f"unknown path {path!r}")
+    x = float(x)
+    if abs(x) > geom.screen_width / 2.0:
+        raise ValueError(f"x = {x!r} lies outside the screen")
+    z = float(np.sum(envelope.profile(geom.bin_centers)))
+    mag = math.sqrt(float(envelope.profile(x)) / z)
+    ph = float(geom.phase(x))
+    if path == PATH_B:
+        ph = -ph
+    return mag * cmath.exp(1j * ph)
+
+
+def joint_amplitude(
+    bin_index: int,
+    j: int,
+    k: int | None,
+    geom: SlitScreenGeometry,
+    envelope,
+    babu: ArmOptics,
+    alisha: ArmOptics | None = None,
+) -> complex:
+    """Amplitude for one (screen bin, babu outcome[, alisha outcome]) cell.
+
+    The two source paths enter with equal weight 1/sqrt(2).  With k=None
+    only babu's arm participates (the one-idler experiment).
+    """
+    if not 0 <= int(bin_index) < geom.n_bins:
+        raise ValueError("bin index out of range")
+    if not 0 <= int(j) < 4:
+        raise ValueError("babu outcome out of range")
+    x = geom.bin_centers[bin_index]
+    psi_a = signal_amplitude(x, PATH_A, geom, envelope)
+    psi_b = signal_amplitude(x, PATH_B, geom, envelope)
+    amp_a = psi_a * arm_amplitudes(PATH_A, babu)[j]
+    amp_b = psi_b * arm_amplitudes(PATH_B, babu)[j]
+    if k is not None:
+        if alisha is None:
+            raise ValueError("alisha optics required when k is given")
+        if not 0 <= int(k) < 4:
+            raise ValueError("alisha outcome out of range")
+        amp_a *= arm_amplitudes(PATH_A, alisha)[k]
+        amp_b *= arm_amplitudes(PATH_B, alisha)[k]
+    return complex(math.sqrt(0.5) * (amp_a + amp_b))
 
 
 def match_coincidences_loop(

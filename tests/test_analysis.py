@@ -18,9 +18,8 @@ from qeraser.analysis import (
     mutual_information,
     omniscient_observable_cells,
     schedule_bit_labels,
+    _write_table,
     write_decode_csv,
-    write_fit_csv,
-    write_histogram_csv,
 )
 from qeraser.events import TripleBatch, sample_triples
 from qeraser.experiment import SwitchSchedule, default_geometry, nyquist_min_samples
@@ -274,8 +273,15 @@ def test_schedule_bit_labels_roundtrip():
     tr = sample_triples(cfg, seed=0)
     bits = schedule_bit_labels(tr, cfg.schedule)
     np.testing.assert_array_equal(bits, np.repeat([1, 0, 1], 10))
-    with pytest.raises(ValueError, match="outside"):
+    with pytest.raises(ValueError, match="block index 1 is outside the schedule's 1 blocks"):
         schedule_bit_labels(tr, SwitchSchedule(bits=(1,), block_size=10))
+
+
+def test_schedule_bit_labels_rejects_negative_block():
+    """Block -1 must not wrap around to the schedule's last bit."""
+    tr = TripleBatch([0, 1], [3, 4], [0, 0], [0, 0], [0, -1])
+    with pytest.raises(ValueError, match="block index -1 is outside the schedule's 2 blocks"):
+        schedule_bit_labels(tr, SwitchSchedule(bits=(1, 0), block_size=1))
 
 
 # ---------------------------------------------------------------------------
@@ -325,12 +331,7 @@ def test_chi_square_validation():
 # ---------------------------------------------------------------------------
 
 
-def test_writers_byte_stable(tmp_path, geom):
-    counts = np.rint(cosine_counts(geom, 120.0)).astype(int)
-    from qeraser.analysis import Histogram
-
-    hist = Histogram(counts=counts, selector="babu=D1 alisha=D1'")
-    fit = fit_fringe(hist, geom)
+def test_writers_byte_stable(tmp_path):
     cfg = make_config(bits=(1, 0), block_size=50)
     tr = sample_triples(cfg, seed=0)
     with warnings.catch_warnings():
@@ -338,9 +339,8 @@ def test_writers_byte_stable(tmp_path, geom):
         report = decode_omniscient(tr, cfg.schedule, cfg.geometry)
 
     for name, write in (
-        ("hist", lambda p: write_histogram_csv(p, hist, geom, {"seed": 0})),
-        ("fit", lambda p: write_fit_csv(p, fit, {"seed": 0})),
         ("dec", lambda p: write_decode_csv(p, report, {"seed": 0})),
+        ("table", lambda p: _write_table(p, {"seed": 0, "n_rows": 2}, "a,b", ["1,2", "3,4"])),
     ):
         p1, p2 = tmp_path / f"{name}1.csv", tmp_path / f"{name}2.csv"
         write(p1)
@@ -349,3 +349,5 @@ def test_writers_byte_stable(tmp_path, geom):
         text = p1.read_text()
         assert text.startswith("# tool_version=")
         assert "# columns=" in text
+    lines = (tmp_path / "table1.csv").read_text().splitlines()
+    assert lines[1:] == ["# seed=0", "# n_rows=2", "# columns=a,b", "1,2", "3,4"]

@@ -194,6 +194,28 @@ def test_simulate_with_background(tmp_path, small_config_path, capsys):
     assert len(stream) > 3 * header.n_triples  # dark counts landed in the log
 
 
+@pytest.mark.parametrize("rate", ["-1", "nan"])
+def test_simulate_rejects_bad_background_rate(tmp_path, small_config_path, capsys, rate):
+    out = tmp_path / "bg"
+    argv = ["simulate", "--config", str(small_config_path), "--out", str(out), "--background-rate", rate]
+    assert cli.main(argv) == 2
+    err = capsys.readouterr().err
+    assert "background rate must be finite and non-negative" in err
+    assert err.count("\n") == 1
+    assert not (out / "manifest.json").exists()
+
+
+def test_simulate_bad_window_writes_nothing(tmp_path, small_config_path, capsys):
+    out = tmp_path / "win"
+    argv = ["simulate", "--config", str(small_config_path), "--out", str(out), "--window-ns", "-5"]
+    assert cli.main(argv) == 2
+    err = capsys.readouterr().err
+    assert "window must be non-negative" in err
+    assert err.count("\n") == 1
+    assert not (out / "events.csv").exists()
+    assert list(out.iterdir()) == []
+
+
 def test_decode_roundtrip(tmp_path, small_config_path, capsys):
     out = tmp_path / "run"
     cli.main(["simulate", "--config", str(small_config_path), "--out", str(out)])
@@ -326,6 +348,26 @@ def test_splitter_must_be_json_bool(tmp_path, capsys, arm, value):
     assert f"{arm}.splitter must be true or false" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "section, key, value, message",
+    [
+        ("babu", "tapp", 0.9, "unknown key experiment.babu.tapp"),
+        ("alisha", "tap_p", "0.5", "experiment.alisha.tap_p must be a number, got '0.5'"),
+        ("geometry", "n_bins", 256.7, "experiment.geometry.n_bins must be an integer, got 256.7"),
+        ("schedule", "block_size", "10000", "experiment.schedule.block_size must be an integer"),
+    ],
+)
+def test_strict_config_exits_2(tmp_path, capsys, section, key, value, message):
+    doc = config_to_dict(default_config())
+    doc["experiment"][section][key] = value
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(doc))
+    assert cli.main(["patterns", "--config", str(path), "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert message in err
+    assert err.count("\n") == 1
+
+
 # ---------------------------------------------------------------------------
 # sweep
 # ---------------------------------------------------------------------------
@@ -376,6 +418,16 @@ def test_sweep_rejects_bad_grid(config_path, tmp_path, capsys):
     )
     assert code == 2
     assert "theta" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("value", ["2", "0.5", "1.0", "-1", "true", "1,2"])
+def test_sweep_splitter_takes_only_0_and_1(config_path, tmp_path, capsys, value):
+    argv = ["sweep", "--config", str(config_path), "--out", str(tmp_path / "s"), "--splitter", value]
+    assert cli.main(argv) == 2
+    err = capsys.readouterr().err
+    assert "--splitter values must be 0 or 1" in err
+    assert err.count("\n") == 1
+    assert not (tmp_path / "s" / "sweep.csv").exists()
 
 
 def test_sweep_needs_double_mode(tmp_path, capsys):

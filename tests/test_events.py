@@ -4,7 +4,6 @@ import pytest
 from qeraser.events import (
     CODE_D0,
     DETECTOR_LABELS,
-    EventRecord,
     EventStream,
     SimStreamHeader,
     TripleBatch,
@@ -292,17 +291,6 @@ def test_matching_survives_light_background(small_config):
 # ---------------------------------------------------------------------------
 # records and files
 # ---------------------------------------------------------------------------
-
-
-def test_event_record_validation():
-    EventRecord(0, "D0", 5, x_bin=3)
-    EventRecord(1, "D3'", 6)
-    with pytest.raises(ValueError, match="x_bin"):
-        EventRecord(0, "D0", 5)
-    with pytest.raises(ValueError, match="x_bin"):
-        EventRecord(0, "D1", 5, x_bin=3)
-    with pytest.raises(ValueError, match="detector"):
-        EventRecord(0, "D9", 5)
 
 
 def test_triple_batch_validation():

@@ -1,5 +1,4 @@
 import json
-import math
 
 import numpy as np
 import pytest
@@ -7,7 +6,6 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from qeraser.experiment import (
-    ArmSettings,
     DEFAULT_BITS,
     ExperimentConfig,
     MODE_DOUBLE,
@@ -19,8 +17,6 @@ from qeraser.experiment import (
     default_config,
     default_geometry,
     distribution_for,
-    expand_schedule,
-    ghz_state,
     ideal_rate,
     load_config,
     marginal_digest,
@@ -39,38 +35,6 @@ from qeraser.optics import (
 )
 
 EXACT = 1e-12
-
-
-# ---------------------------------------------------------------------------
-# shared path state
-# ---------------------------------------------------------------------------
-
-
-def test_ghz_norm_and_support():
-    state = ghz_state()
-    assert abs(state.norm() - 1.0) <= EXACT
-    r = math.sqrt(0.5)
-    assert abs(state.amplitude(("A", "A", "A")) - r) <= EXACT
-    assert abs(state.amplitude(("B", "B", "B")) - r) <= EXACT
-    # every mixed branch is strictly absent, not merely small
-    assert state.amplitude(("A", "B", "A")) == 0
-    assert state.amplitude(("B", "A", "A")) == 0
-
-
-def test_ghz_statevector_frozen():
-    vec = ghz_state().statevector()
-    expected = np.zeros(8, dtype=complex)
-    expected[0] = expected[7] = math.sqrt(0.5)
-    np.testing.assert_allclose(vec, expected, atol=EXACT)
-
-
-def test_ghz_partial_trace_idlers():
-    """Tracing out the screen leaves the idler pair perfectly correlated
-    and fully dephased: diag(1/2, 0, 0, 1/2), no off-diagonal coherence."""
-    vec = ghz_state().statevector().reshape(2, 4)  # slot1 x (slot2, slot3)
-    rho = vec.T @ vec.conj()
-    expected = np.diag([0.5, 0.0, 0.0, 0.5])
-    np.testing.assert_allclose(rho, expected, atol=EXACT)
 
 
 # ---------------------------------------------------------------------------
@@ -119,7 +83,7 @@ def test_single_pattern_tap_invariant():
     base = default_config(MODE_SINGLE)
     import dataclasses
 
-    thin = dataclasses.replace(base, babu=ArmSettings(tap_probability=0.9))
+    thin = dataclasses.replace(base, babu=ArmOptics(tap_probability=0.9))
     np.testing.assert_allclose(
         single_choice_pattern(D1, base), single_choice_pattern(D1, thin), atol=EXACT
     )
@@ -133,7 +97,7 @@ def test_single_pattern_rejects_bad_requests():
     import dataclasses
 
     starved = dataclasses.replace(
-        default_config(MODE_SINGLE), babu=ArmSettings(tap_probability=1.0)
+        default_config(MODE_SINGLE), babu=ArmOptics(tap_probability=1.0)
     )
     with pytest.raises(ValueError, match="tap"):
         single_choice_pattern(D1, starved)
@@ -193,18 +157,6 @@ def test_default_bits_balanced():
     assert sum(DEFAULT_BITS) == 10
 
 
-def test_expand_schedule():
-    base = ArmOptics(0.5)
-    sch = SwitchSchedule(bits=(1, 0), block_size=3)
-    per_triple = expand_schedule(sch, base)
-    assert len(per_triple) == 6
-    assert [a.splitter_present for a in per_triple] == [True] * 3 + [False] * 3
-    # one shared instance per bit value, not fresh objects per triple
-    assert per_triple[0] is per_triple[1]
-    with pytest.raises(ValueError, match="bits"):
-        expand_schedule(SwitchSchedule(bits=(), block_size=3), base)
-
-
 # ---------------------------------------------------------------------------
 # config round-trips and digests
 # ---------------------------------------------------------------------------
@@ -261,6 +213,92 @@ def test_config_from_dict_errors():
         config_from_dict(doc)
 
 
+def mutated(path: str, value):
+    """The default config document with the value at a dotted key path set."""
+    doc = config_to_dict(default_config())
+    *parents, last = path.split(".")
+    node = doc
+    for key in parents:
+        node = node[key]
+    node[last] = value
+    return doc
+
+
+@pytest.mark.parametrize(
+    "path",
+    [
+        "extra",
+        "experiment.seed",
+        "experiment.geometry.width",
+        "experiment.envelope.sigma",
+        "experiment.babu.tapp",
+        "experiment.alisha.phase",
+        "experiment.schedule.repeat",
+    ],
+)
+def test_config_rejects_unknown_keys(path):
+    with pytest.raises(ValueError, match=f"^unknown key {path}$"):
+        config_from_dict(mutated(path, 0.9))
+
+
+def test_config_rejects_unknown_gaussian_key():
+    doc = mutated("experiment.envelope", {"type": "gaussian", "sigma": 2e-3, "mu": 0.0})
+    with pytest.raises(ValueError, match="unknown key experiment.envelope.mu"):
+        config_from_dict(doc)
+
+
+@pytest.mark.parametrize(
+    "path, value",
+    [
+        ("experiment.babu.tap_p", "0.5"),
+        ("experiment.alisha.theta", None),
+        ("experiment.babu.chi", [0.0]),
+        ("experiment.geometry.d", True),
+        ("experiment.geometry.lambda", "7e-07"),
+        ("experiment.pair_rate_scale", "1"),
+        ("experiment.envelope", {"type": "gaussian", "sigma": "0.002"}),
+    ],
+)
+def test_config_numbers_must_be_json_numbers(path, value):
+    where = "experiment.envelope.sigma" if path == "experiment.envelope" else path
+    with pytest.raises(ValueError, match=f"{where} must be a number"):
+        config_from_dict(mutated(path, value))
+
+
+@pytest.mark.parametrize(
+    "path, value",
+    [
+        ("experiment.geometry.n_bins", 256.7),
+        ("experiment.geometry.n_bins", 256.0),
+        ("experiment.geometry.n_bins", "256"),
+        ("experiment.schedule.block_size", 10000.0),
+        ("experiment.schedule.block_size", True),
+        ("experiment.schedule.bits", [1, 0, "1"]),
+        ("experiment.schedule.bits", [1, 0.0]),
+    ],
+)
+def test_config_counts_must_be_json_integers(path, value):
+    with pytest.raises(ValueError, match=r"must be an integer"):
+        config_from_dict(mutated(path, value))
+
+
+def test_config_bits_must_be_a_list():
+    with pytest.raises(ValueError, match="bits must be a list"):
+        config_from_dict(mutated("experiment.schedule.bits", "1011"))
+
+
+def test_config_integer_numbers_accepted():
+    # a JSON integer is a number: "tap_p": 1 reads as 1.0
+    cfg = config_from_dict(mutated("experiment.babu.tap_p", 1))
+    assert cfg.babu.tap_probability == 1.0
+    assert config_digest(cfg) == config_digest(config_from_dict(mutated("experiment.babu.tap_p", 1.0)))
+
+
+def test_config_huge_integer_is_a_value_error():
+    with pytest.raises(ValueError, match="too large"):
+        config_from_dict(mutated("experiment.geometry.L", 10**400))
+
+
 def test_save_config_canonical_bytes(tmp_path):
     a, b = tmp_path / "a.json", tmp_path / "b.json"
     save_config(default_config(), a)
@@ -285,15 +323,15 @@ def test_experiment_config_validation():
             mode="bogus",
             geometry=default_geometry(),
             envelope=UniformEnvelope(),
-            babu=ArmSettings(0.5),
-            alisha=ArmSettings(0.5),
+            babu=ArmOptics(0.5),
+            alisha=ArmOptics(0.5),
         )
     with pytest.raises(ValueError, match="pair_rate_scale"):
         ExperimentConfig(
             mode=MODE_DOUBLE,
             geometry=default_geometry(),
             envelope=UniformEnvelope(),
-            babu=ArmSettings(0.5),
-            alisha=ArmSettings(0.5),
+            babu=ArmOptics(0.5),
+            alisha=ArmOptics(0.5),
             pair_rate_scale=0.0,
         )

@@ -13,26 +13,22 @@ from qeraser.optics import (
     D2,
     D3,
     D4,
-    FIFTY_FIFTY,
     GaussianEnvelope,
     IDENTITY_SPLITTER,
     PATH_A,
     PATH_B,
     SlitScreenGeometry,
     UniformEnvelope,
-    alisha_marginal,
     arm_amplitudes,
     interference_coefficient,
-    joint_amplitude,
     joint_distribution,
     screen_marginal,
-    signal_amplitude,
     single_distribution,
-    single_interference_coefficient,
     unitary_from_angle,
 )
 
 from conftest import angle_pairs
+from oracles import joint_amplitude, signal_amplitude
 
 EXACT = 1e-12
 
@@ -58,9 +54,17 @@ def test_angle_parameterisation_is_unitary(theta, chi):
 def test_known_splitters():
     assert IDENTITY_SPLITTER.alpha == 1.0 + 0j
     assert IDENTITY_SPLITTER.beta == 0.0 + 0j
+    balanced = ArmOptics(0.5).unitary  # the default arm's recombiner
     r = math.sqrt(0.5)
-    assert abs(FIFTY_FIFTY.alpha - r) <= EXACT
-    assert abs(FIFTY_FIFTY.beta - r) <= EXACT
+    assert abs(balanced.alpha - r) <= EXACT
+    assert abs(balanced.beta - r) <= EXACT
+
+
+def test_arm_unitary_from_its_angles():
+    arm = ArmOptics(0.3, theta=1.1, chi=2.2)
+    assert arm.unitary == unitary_from_angle(1.1, 2.2)
+    assert arm.unitary is arm.unitary  # built once per arm
+    assert ArmOptics(0.3, splitter_present=False, theta=1.1).effective_unitary == IDENTITY_SPLITTER
 
 
 def test_nonunitary_entries_rejected():
@@ -100,7 +104,7 @@ def test_arm_amplitudes_frozen_passthrough():
 
 
 def test_splitter_removal_ignores_angles():
-    armed = ArmOptics(0.3, splitter_present=False, unitary=unitary_from_angle(1.1, 2.2))
+    armed = ArmOptics(0.3, splitter_present=False, theta=1.1, chi=2.2)
     plain = ArmOptics(0.3, splitter_present=False)
     for path in (PATH_A, PATH_B):
         np.testing.assert_array_equal(
@@ -112,7 +116,7 @@ def test_splitter_removal_ignores_angles():
 @given(p=taps, theta=angles, chi=angles, present=st.booleans())
 def test_arm_vectors_orthonormal(p, theta, chi, present):
     """The A/B image vectors form an isometry for every arm setting."""
-    arm = ArmOptics(p, splitter_present=present, unitary=unitary_from_angle(theta, chi))
+    arm = ArmOptics(p, splitter_present=present, theta=theta, chi=chi)
     va = arm_amplitudes(PATH_A, arm)
     vb = arm_amplitudes(PATH_B, arm)
     assert abs(np.vdot(va, va) - 1.0) <= EXACT
@@ -127,6 +131,10 @@ def test_arm_rejects_bad_inputs():
         ArmOptics(tap_probability=1.5)
     with pytest.raises(ValueError, match="tap"):
         ArmOptics(tap_probability=-0.1)
+    with pytest.raises(ValueError, match="theta"):
+        ArmOptics(0.5, theta=math.nan)
+    with pytest.raises(ValueError, match="chi"):
+        ArmOptics(0.5, chi=math.inf)
 
 
 # ---------------------------------------------------------------------------
@@ -216,10 +224,10 @@ def brute_force_joint(geom, envelope, babu, alisha):
     "babu,alisha",
     [
         (ArmOptics(0.5), ArmOptics(0.5)),
-        (ArmOptics(0.2, unitary=unitary_from_angle(0.9, 1.3)), ArmOptics(0.7)),
+        (ArmOptics(0.2, theta=0.9, chi=1.3), ArmOptics(0.7)),
         (
             ArmOptics(0.0, splitter_present=False),
-            ArmOptics(0.4, unitary=unitary_from_angle(2.0, -0.4)),
+            ArmOptics(0.4, theta=2.0, chi=-0.4),
         ),
     ],
 )
@@ -249,8 +257,8 @@ def test_joint_amplitude_validation(small_geom, envelope):
 def test_total_probability_random_settings(small_geom, envelope):
     rng = np.random.default_rng(42)
     for theta, chi in angle_pairs(rng, 25):
-        babu = ArmOptics(rng.uniform(), unitary=unitary_from_angle(theta, chi))
-        alisha = ArmOptics(rng.uniform(), unitary=unitary_from_angle(chi, theta))
+        babu = ArmOptics(rng.uniform(), theta=theta, chi=chi)
+        alisha = ArmOptics(rng.uniform(), theta=chi, chi=theta)
         dist = joint_distribution(small_geom, envelope, babu, alisha)
         assert abs(dist.total() - 1.0) <= EXACT
         assert dist.probs.min() >= 0.0
@@ -269,7 +277,7 @@ def test_cross_monitors_never_coincide(small_geom, envelope):
         dist = joint_distribution(
             small_geom,
             envelope,
-            ArmOptics(rng.uniform(), unitary=unitary_from_angle(theta, chi)),
+            ArmOptics(rng.uniform(), theta=theta, chi=chi),
             ArmOptics(rng.uniform()),
         )
         assert np.abs(dist.pattern(D3, D4)).max() <= EXACT
@@ -291,7 +299,7 @@ def test_tap_rates_exact(small_geom, envelope):
 
 
 def test_coefficients_balanced_values():
-    u = FIFTY_FIFTY
+    u = unitary_from_angle(math.pi / 4.0, 0.0)
     assert abs(interference_coefficient(D1, D1, u, u) - 0.5) <= EXACT
     assert abs(interference_coefficient(D2, D2, u, u) - 0.5) <= EXACT
     assert abs(interference_coefficient(D1, D2, u, u) + 0.5) <= EXACT
@@ -299,10 +307,11 @@ def test_coefficients_balanced_values():
 
 
 def test_coefficient_monitor_outcomes_rejected():
+    u = unitary_from_angle(math.pi / 4.0, 0.0)
     with pytest.raises(ValueError, match="monitor"):
-        interference_coefficient(D3, D1, FIFTY_FIFTY, FIFTY_FIFTY)
+        interference_coefficient(D3, D1, u, u)
     with pytest.raises(ValueError, match="monitor"):
-        single_interference_coefficient(D4, FIFTY_FIFTY)
+        interference_coefficient(D1, D4, u, u)
 
 
 @settings(max_examples=300)
@@ -322,8 +331,8 @@ def test_coefficient_matches_joint_table(small_geom, envelope):
     / (2 n) with z the product of the hand-written path factors; the cosine
     weight must agree with interference_coefficient.
     """
-    babu = ArmOptics(0.0, unitary=unitary_from_angle(0.7, 0.5))
-    alisha = ArmOptics(0.0, unitary=unitary_from_angle(1.2, -0.3))
+    babu = ArmOptics(0.0, theta=0.7, chi=0.5)
+    alisha = ArmOptics(0.0, theta=1.2, chi=-0.3)
     dist = joint_distribution(small_geom, envelope, babu, alisha)
     u = 2.0 * small_geom.phase(small_geom.bin_centers)
     n = small_geom.n_bins
@@ -348,17 +357,38 @@ def test_coefficient_matches_joint_table(small_geom, envelope):
             assert abs(csin + 2.0 * z.imag) <= 1e-9
 
 
-def test_single_coefficients_balanced():
-    assert abs(single_interference_coefficient(D1, FIFTY_FIFTY) + 1.0) <= EXACT
-    assert abs(single_interference_coefficient(D2, FIFTY_FIFTY) - 1.0) <= EXACT
+def test_single_coefficients_balanced(small_geom, envelope):
+    """One-idler fringe weights -(alpha beta + c.c.): -1 for D1, +1 for D2.
+
+    Each erased column is (1 - p) (1 + c cos(2 phase)) / (2 n) on a flat
+    envelope; c is read off by projection onto cos(2 phase).
+    """
+    table = single_distribution(small_geom, envelope, ArmOptics(0.0))
+    n = small_geom.n_bins
+    u = 2.0 * small_geom.phase(small_geom.bin_centers)
+    design = np.column_stack([np.ones(n), np.cos(u), np.sin(u)])
+    for j, expected in ((D1, -1.0), (D2, 1.0)):
+        c0, ccos, csin = np.linalg.lstsq(design, table[:, j] * 2.0 * n, rcond=None)[0]
+        assert abs(c0 - 1.0) <= 1e-9
+        assert abs(ccos - expected) <= 1e-9
+        assert abs(csin) <= 1e-9
 
 
 def test_single_distribution_pair_sum_flat(small_geom, envelope):
-    arm = ArmOptics(0.25, unitary=unitary_from_angle(0.6, 1.9))
+    arm = ArmOptics(0.25, theta=0.6, chi=1.9)
     table = single_distribution(small_geom, envelope, arm)
     flat = (1.0 - 0.25) / small_geom.n_bins
     np.testing.assert_allclose(table[:, D1] + table[:, D2], flat, atol=EXACT)
     assert abs(table.sum() - 1.0) <= EXACT
+
+
+def test_single_distribution_matches_scalar_amplitudes(small_geom, envelope):
+    arm = ArmOptics(0.4, theta=1.3, chi=-0.7)
+    table = single_distribution(small_geom, envelope, arm)
+    for i in (0, 11, 31):
+        for j in range(4):
+            amp = joint_amplitude(i, j, None, small_geom, envelope, arm)
+            assert abs(abs(amp) ** 2 - table[i, j]) <= EXACT
 
 
 # ---------------------------------------------------------------------------
@@ -372,12 +402,10 @@ def test_marginal_invariant_under_babu_settings(small_geom, envelope):
     rng = np.random.default_rng(3)
     for theta, chi in angle_pairs(rng, 20):
         babu = ArmOptics(
-            rng.uniform(),
-            splitter_present=bool(rng.integers(2)),
-            unitary=unitary_from_angle(theta, chi),
+            rng.uniform(), splitter_present=bool(rng.integers(2)), theta=theta, chi=chi
         )
         dist = joint_distribution(small_geom, envelope, babu, alisha)
-        assert np.abs(alisha_marginal(dist) - ref).max() <= EXACT
+        assert np.abs(dist.alisha_marginal() - ref).max() <= EXACT
 
 
 def test_marginal_flat_for_uniform_envelope(small_geom, envelope):
