@@ -56,7 +56,6 @@ from .events import (
 from .analysis import (
     DecodeReport,
     FringeFit,
-    Histogram,
     LowSampleWarning,
     MIEstimate,
     build_histogram,
@@ -80,7 +79,6 @@ __all__ = [
     "ExperimentConfig",
     "FringeFit",
     "GaussianEnvelope",
-    "Histogram",
     "IDENTITY_SPLITTER",
     "LowSampleWarning",
     "MIEstimate",

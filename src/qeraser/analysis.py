@@ -22,7 +22,7 @@ from scipy.stats import chi2 as _chi2_dist
 
 from .events import TripleBatch
 from .experiment import SwitchSchedule, nyquist_min_samples
-from .optics import ALISHA_LABELS, BABU_LABELS, SlitScreenGeometry
+from .optics import SlitScreenGeometry
 
 VISIBILITY_THRESHOLD = 0.5
 AMPLITUDE_SIGMAS = 3.0
@@ -32,22 +32,23 @@ class LowSampleWarning(UserWarning):
     """Fewer detections than the sampling bound 2L/d; fit is undersampled."""
 
 
-@dataclass(frozen=True, eq=False)
-class Histogram:
-    counts: np.ndarray
-    selector: str
+def _select(triples: TripleBatch, n_bins: int, babu=None, alisha=None, block=None) -> np.ndarray:
+    """Mask of the triples in one slice; None leaves that column unrestricted.
 
-    @property
-    def total(self) -> float:
-        return float(self.counts.sum())
-
-
-def _as_filter(value) -> set | None:
-    if value is None:
-        return None
-    if np.isscalar(value):
-        return {int(value)}
-    return {int(v) for v in value}
+    Every selected x_bin must lie on the screen binning.
+    """
+    mask = np.ones(len(triples), dtype=bool)
+    for value, column in (
+        (babu, triples.babu),
+        (alisha, triples.alisha),
+        (block, triples.block_index),
+    ):
+        if value is not None:
+            mask &= column == int(value)  # int() refuses a set, which would select nothing
+    x = triples.x_bin[mask]
+    if len(x) and (x.min() < 0 or x.max() >= n_bins):
+        raise ValueError("x_bin outside the screen binning")
+    return mask
 
 
 def build_histogram(
@@ -56,33 +57,16 @@ def build_histogram(
     babu=None,
     alisha=None,
     block=None,
-) -> Histogram:
-    """Screen-position histogram over a selected subset of triples.
+) -> np.ndarray:
+    """Screen-position counts over a selected subset of triples.
 
-    babu/alisha/block accept a single index, a set of indices, or None for
-    no restriction; (babu=j, alisha=k) is the usual coincidence slice and
-    alisha-only selection is what a screen-side observer can actually form.
+    babu/alisha/block take one index, or None for no restriction;
+    (babu=j, alisha=k) is the usual coincidence slice and alisha-only
+    selection is what a screen-side observer can actually form.
     """
-    mask = np.ones(len(triples), dtype=bool)
-    parts = []
-    for name, values, column, labels in (
-        ("babu", _as_filter(babu), triples.babu, BABU_LABELS),
-        ("alisha", _as_filter(alisha), triples.alisha, ALISHA_LABELS),
-        ("block", _as_filter(block), triples.block_index, None),
-    ):
-        if values is None:
-            continue
-        mask &= np.isin(column, sorted(values))
-        if labels is None:
-            parts.append(f"{name}={sorted(values)}")
-        else:
-            parts.append(f"{name}={'+'.join(labels[v] for v in sorted(values))}")
-    selector = " ".join(parts) if parts else "all"
-    x = triples.x_bin[mask]
-    if len(x) and (x.min() < 0 or x.max() >= n_bins):
-        raise ValueError("x_bin outside the screen binning")
-    counts = np.bincount(x, minlength=n_bins)
-    return Histogram(counts=counts, selector=selector)
+    return np.bincount(
+        triples.x_bin[_select(triples, n_bins, babu, alisha, block)], minlength=n_bins
+    )
 
 
 @dataclass(frozen=True)
@@ -100,7 +84,7 @@ class FringeFit:
         return self.amplitude > AMPLITUDE_SIGMAS * self.standard_error
 
 
-def fit_fringe(data, geom: SlitScreenGeometry) -> FringeFit:
+def fit_fringe(counts, geom: SlitScreenGeometry) -> FringeFit:
     """Fit counts to c0 + A cos(w x - phase) at the fixed fringe frequency.
 
     Plain least squares first; one reweighted pass with Poisson variances
@@ -108,7 +92,6 @@ def fit_fringe(data, geom: SlitScreenGeometry) -> FringeFit:
     amplitude wherever bins run empty).  standard_error is the propagated
     error of the amplitude.  Noiseless model input is recovered exactly.
     """
-    counts = data.counts if isinstance(data, Histogram) else data
     y = np.asarray(counts, dtype=float)
     if y.ndim != 1 or len(y) != geom.n_bins:
         raise ValueError("histogram length does not match the screen binning")
@@ -187,8 +170,6 @@ def _decode(
     selector: str,
 ) -> DecodeReport:
     n_blocks = len(schedule.bits)
-    if n_blocks == 0:
-        raise ValueError("schedule has no bits to decode")
     blocks = triples.block_index
     _check_blocks(blocks, n_blocks)
     bound = nyquist_min_samples(geom)
@@ -203,15 +184,10 @@ def _decode(
         )
     # (block, x_bin) counts of the selected slice in one pass; row b is the
     # histogram build_histogram gives for block b
-    selected = np.ones(len(triples), dtype=bool)
-    for value, column in ((babu_filter, triples.babu), (alisha_filter, triples.alisha)):
-        if value is not None:
-            selected &= column == value
-    x = triples.x_bin[selected]
-    if len(x) and (x.min() < 0 or x.max() >= geom.n_bins):
-        raise ValueError("x_bin outside the screen binning")
+    selected = _select(triples, geom.n_bins, babu_filter, alisha_filter)
     grid = np.bincount(
-        blocks[selected] * geom.n_bins + x, minlength=n_blocks * geom.n_bins
+        blocks[selected] * geom.n_bins + triples.x_bin[selected],
+        minlength=n_blocks * geom.n_bins,
     ).reshape(n_blocks, geom.n_bins)
     decoded, vis, err = [], [], []
     with warnings.catch_warnings():

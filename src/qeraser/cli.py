@@ -146,14 +146,12 @@ def _load_config_or_fail(path: str):
 
 def cmd_patterns(args) -> int:
     config = _load_config_or_fail(args.config)
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
     geom = config.geometry
     digest = config_digest(config)
-    written: list[Path] = []
 
     xs = geom.bin_centers
     header = {"config_digest": digest, "mode": config.mode}
+    tables = []  # (file name, header, columns, rows), all built before the first write
     if config.mode == MODE_DOUBLE:
         dist = distribution_for(config)
         rows = [
@@ -162,9 +160,7 @@ def cmd_patterns(args) -> int:
             for k in range(4)
             for x, p in zip(xs, dist.pattern(j, k))
         ]
-        path = out / "patterns.csv"
-        _write_table(path, header, "babu,alisha,bin_center_m,probability", rows)
-        written.append(path)
+        tables.append(("patterns.csv", header, "babu,alisha,bin_center_m,probability", rows))
 
         # written from the screen-side closed form and keyed to the screen-side
         # digest, so babu's settings cannot move a byte of this file; agreement
@@ -175,21 +171,22 @@ def cmd_patterns(args) -> int:
             for k in range(4)
             for x, p in zip(xs, marg[:, k])
         ]
-        path = out / "marginal.csv"
-        _write_table(
-            path, {"marginal_digest": marginal_digest(config)}, "alisha,bin_center_m,probability", rows
-        )
-        written.append(path)
+        marginal_header = {"marginal_digest": marginal_digest(config)}
+        tables.append(("marginal.csv", marginal_header, "alisha,bin_center_m,probability", rows))
     else:
         rows = [
             f"{BABU_LABELS[j]},{_fmt(x)},{_fmt(p)}"
             for j in ERASING_OUTCOMES
             for x, p in zip(xs, single_choice_pattern(j, config))
         ]
-        path = out / "single_patterns.csv"
-        _write_table(path, header, "babu,bin_center_m,probability", rows)
-        written.append(path)
+        tables.append(("single_patterns.csv", header, "babu,bin_center_m,probability", rows))
 
+    out = Path(args.out)
+    out.mkdir(parents=True, exist_ok=True)
+    written: list[Path] = []
+    for name, table_header, columns, rows in tables:
+        written.append(out / name)
+        _write_table(written[-1], table_header, columns, rows)
     _write_manifest(
         out,
         "patterns",
@@ -210,19 +207,24 @@ def cmd_simulate(args) -> int:
     config = _load_config_or_fail(args.config)
     if config.schedule is None:
         raise SystemExit("qeraser: config has no schedule; nothing to simulate")
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
     seed = int(args.seed)
     window = int(args.window_ns)
     schedule = config.schedule
+    spacing = triple_spacing_ns(config.pair_rate_scale)
+    if 2 * window > spacing:
+        # wider windows overlap, and one D0 could claim a neighbouring triple's idlers
+        raise SystemExit(
+            f"qeraser: --window-ns {window} is more than half the triple spacing {spacing} ns"
+        )
 
     triples = sample_triples(config, seed=seed)
     stream = inject_background(emit_events(triples, config, seed), args.background_rate, seed)
-    spacing = triple_spacing_ns(config.pair_rate_scale)
     # match before writing, so a bad window fails with no file written
     matched, orphans = match_coincidences(
         stream, window, block_size=schedule.block_size, spacing_ns=spacing
     )
+    out = Path(args.out)
+    out.mkdir(parents=True, exist_ok=True)
 
     header = SimStreamHeader(
         seed=seed,
@@ -432,14 +434,14 @@ def cmd_decode(args) -> int:
             f"(file digest {header.config_digest[:12]}..., "
             f"config digest {digest[:12]}...)"
         )
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
     decoder = decode_omniscient if args.mode == "omniscient" else decode_alisha_only
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always", LowSampleWarning)
         report = decoder(triples, config.schedule, config.geometry)
     for w in caught:
         print(f"warning: {w.message}", file=sys.stderr)
+    out = Path(args.out)
+    out.mkdir(parents=True, exist_ok=True)
     path = out / f"decode_{args.mode}.csv"
     write_decode_csv(path, report, {"config_digest": digest, "seed": header.seed})
     print(f"decoder={args.mode}")
@@ -504,8 +506,6 @@ def cmd_sweep(args) -> int:
         raise SystemExit("qeraser: sweep needs a double_delayed_choice config")
     geom = config.geometry
     envelope = config.envelope
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
 
     thetas = _parse_values(args.theta, "theta")
     chis = _parse_values(args.chi, "chi")
@@ -550,6 +550,8 @@ def cmd_sweep(args) -> int:
             )
 
     digest = config_digest(config)
+    out = Path(args.out)
+    out.mkdir(parents=True, exist_ok=True)
     path = out / "sweep.csv"
     _write_table(path, {"config_digest": digest, "n_rows": len(rows)}, _SWEEP_COLUMNS, rows)
     print(f"wrote {path} ({len(rows)} grid points)")

@@ -21,18 +21,13 @@ from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
-from .experiment import MODE_DOUBLE, ExperimentConfig, SwitchSchedule
-from .optics import (
-    ALISHA_LABELS,
-    BABU_LABELS,
-    joint_distribution,
-    screen_marginal,
-)
+from .experiment import MODE_DOUBLE, ExperimentConfig, distribution_for
+from .optics import ALISHA_LABELS, BABU_LABELS, screen_marginal
 
 RNG_ALGORITHM = "numpy-pcg64-seedseq"
 DEFAULT_WINDOW_NS = 20
@@ -46,8 +41,6 @@ _DOMAIN_DELAYS = 2
 _DOMAIN_BACKGROUND = 3
 
 DETECTOR_LABELS = ("D0",) + BABU_LABELS + ALISHA_LABELS
-_CODE_BY_LABEL = {label: code for code, label in enumerate(DETECTOR_LABELS)}
-_MAX_LABEL_BYTES = max(len(label) for label in DETECTOR_LABELS)
 CODE_D0 = 0
 
 
@@ -138,45 +131,30 @@ def triple_spacing_ns(pair_rate_scale: float) -> int:
     return spacing
 
 
-def _empty_batch() -> TripleBatch:
-    z = np.zeros(0, dtype=np.int64)
-    return TripleBatch(z, z, z, z, z)
-
-
-def sample_triples(
-    config: ExperimentConfig,
-    schedule: SwitchSchedule | None = None,
-    seed: int = 0,
-) -> TripleBatch:
+def sample_triples(config: ExperimentConfig, seed: int = 0) -> TripleBatch:
     """Draw block_size triples per schedule bit from the exact joint table.
 
-    Deterministic for a given (config, schedule, seed): block b consumes the
-    spawned streams (0, b) and (1, b) only, so blocks could be generated in
-    any order with identical output.
+    Deterministic for a given (config, seed): block b consumes the spawned
+    streams (0, b) and (1, b) only, so blocks could be generated in any order
+    with identical output.
     """
     if config.mode != MODE_DOUBLE:
         raise ValueError("triple sampling needs a double_delayed_choice config")
-    if schedule is None:
-        schedule = config.schedule
+    schedule = config.schedule
     if schedule is None:
         raise ValueError("no switch schedule given")
     if int(seed) < 0:
         raise ValueError("seed must be a non-negative integer")
     seed = int(seed)
-    if not schedule.bits:
-        return _empty_batch()
 
-    geom = config.geometry
-    alisha = config.alisha
-    marg_flat = screen_marginal(geom, config.envelope, alisha).ravel()
+    marg_flat = screen_marginal(config.geometry, config.envelope, config.alisha).ravel()
     marg_cum = np.cumsum(marg_flat)
     marg_cum /= marg_cum[-1]
 
     cond_cum = {}
     for bit in sorted(set(schedule.bits)):
-        babu = replace(config.babu, splitter_present=bool(bit))
-        dist = joint_distribution(geom, config.envelope, babu, alisha)
-        cond = dist.probs.transpose(0, 2, 1).reshape(-1, 4).copy()  # row = (bin, k)
+        probs = distribution_for(config, splitter_present=bool(bit)).probs
+        cond = probs.transpose(0, 2, 1).reshape(-1, 4).copy()  # row = (bin, k)
         rowsum = cond.sum(axis=1, keepdims=True)
         np.divide(cond, rowsum, out=cond, where=rowsum > 0)
         cond[rowsum[:, 0] == 0] = 0.25  # rows with zero marginal are never drawn
@@ -295,16 +273,16 @@ def match_coincidences(
     stream: EventStream,
     window_ns: int = DEFAULT_WINDOW_NS,
     *,
-    block_size: int | None = None,
-    spacing_ns: int | None = None,
+    block_size: int,
+    spacing_ns: int,
 ) -> tuple[TripleBatch, OrphanReport]:
     """Greedy earliest-first triple matching within a symmetric time window.
 
     Walks D0 records in time order; each one claims the earliest unconsumed
-    record from each idler arm within window_ns, or becomes an orphan.  If
-    spacing_ns and block_size are given (normally from the stream header)
-    the block index is recovered from the D0 timestamp, which stays correct
-    even when background events distort the matched sequence numbering.
+    record from each idler arm within window_ns, or becomes an orphan.  The
+    block index is recovered from the D0 timestamp (spacing_ns and block_size
+    normally come from the stream header), which stays correct even when
+    background events distort the matched sequence numbering.
 
     A D0 more than 2w after the previous D0 can only meet idlers that no
     earlier D0 could reach (every idler an earlier D0 consumed or skipped lies
@@ -316,7 +294,7 @@ def match_coincidences(
     if w < 0:
         raise ValueError("window must be non-negative")
     for name, value in (("block_size", block_size), ("spacing_ns", spacing_ns)):
-        if value is not None and int(value) < 1:
+        if int(value) < 1:
             raise ValueError(f"{name} must be positive, got {value}")
     t = stream.time_ns
     if len(t) > 1 and np.any(np.diff(t) < 0):
@@ -366,14 +344,9 @@ def match_coincidences(
     pick_b = pick_b[used_d]
     pick_a = pick_a[used_d]
     matched = len(pick_b)
-    if spacing_ns is not None and block_size is not None:
-        # |t| < 10**18 for any parseable log, so clamping keeps Python's floor
-        period = min(int(spacing_ns) * int(block_size), np.iinfo(np.int64).max)
-        blocks = td[used_d] // period
-    elif block_size is not None:
-        blocks = np.arange(matched, dtype=np.int64) // int(block_size)
-    else:
-        blocks = np.zeros(matched, dtype=np.int64)
+    # |t| < 10**18 for any parseable log, so clamping keeps Python's floor
+    period = min(int(spacing_ns) * int(block_size), np.iinfo(np.int64).max)
+    blocks = td[used_d] // period
 
     orphan = np.ones(len(codes), dtype=bool)
     orphan[d0_pos[used_d]] = False
@@ -413,84 +386,95 @@ def match_coincidences(
 # exact.  "\r\n" and "\r" line ends read as "\n".
 # ---------------------------------------------------------------------------
 
+# header keys in file order, each with the type it reads back as
 _HEADER_KEYS = (
-    "seed",
-    "config_digest",
-    "coincidence_window_ns",
-    "rng_algorithm",
-    "bits",
-    "block_size",
-    "spacing_ns",
-    "n_triples",
-    "n_bins",
+    ("seed", int),
+    ("config_digest", str),
+    ("coincidence_window_ns", int),
+    ("rng_algorithm", str),
+    ("bits", str),
+    ("block_size", int),
+    ("spacing_ns", int),
+    ("n_triples", int),
+    ("n_bins", int),
 )
 _INT_RE = re.compile(r"-?[0-9]{1,18}")
 _MAX_DIGITS = 18
 _CHUNK_ROWS = 65_536  # rows per write or parse pass: bounds memory, keeps temporaries in cache
 
 
-def _header_lines(header: SimStreamHeader, kind: str, n_rows: int) -> list[str]:
+@dataclass(frozen=True)
+class _Format:
+    """One stream file kind: header tag, row noun and columns in file order.
+
+    A column is (name, None) for an integer, or (name, labels) for one of a
+    fixed label tuple, held in memory as its index into the tuple.  With
+    d0_x_bin, the x_bin field is present exactly on D0 rows and reads as -1
+    where it is empty.
+    """
+
+    kind: str
+    what: str
+    noun: str
+    columns: tuple
+    d0_x_bin: bool = False
+
+    @property
+    def names(self) -> tuple:
+        return tuple(name for name, _ in self.columns)
+
+
+_EVENT_LOG = _Format(
+    "event-log",
+    "event log",
+    "event",
+    (("event_id", None), ("detector", DETECTOR_LABELS), ("time_ns", None), ("x_bin", None)),
+    d0_x_bin=True,
+)
+_TRIPLES = _Format(
+    "triples",
+    "triples file",
+    "triple",
+    (
+        ("triple_id", None),
+        ("block_index", None),
+        ("x_bin", None),
+        ("babu", BABU_LABELS),
+        ("alisha", ALISHA_LABELS),
+    ),
+)
+
+
+def _write_stream(path, fmt: _Format, header: SimStreamHeader, record, format_rows) -> None:
+    """Header, then the record's columns in file order, _CHUNK_ROWS rows at a time.
+
+    format_rows turns one chunk, an iterator of per-row value tuples, into text.
+    """
     from . import __version__
 
-    lines = [f"# qeraser-{kind} v1", f"# tool_version={__version__}"]
-    for key in _HEADER_KEYS:
-        lines.append(f"# {key}={getattr(header, key)}")
-    lines.append(f"# n_rows={n_rows}")
-    return lines
+    columns = [getattr(record, name) for name in fmt.names]
+    n = len(columns[0])
+    lines = [f"# qeraser-{fmt.kind} v1", f"# tool_version={__version__}"]
+    lines += [f"# {key}={getattr(header, key)}" for key, _ in _HEADER_KEYS]
+    lines += [f"# n_rows={n}", f"# columns={','.join(fmt.names)}"]
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write("\n".join(lines) + "\n")
+        for lo in range(0, n, _CHUNK_ROWS):
+            fh.write(format_rows(zip(*(c[lo : lo + _CHUNK_ROWS].tolist() for c in columns))))
 
 
-def _header_int(meta: dict, key: str) -> int:
-    value = meta[key]
+def _header_int(key: str, value: str) -> int:
     if not _INT_RE.fullmatch(value):
         raise ValueError(f"stream header field {key}={value!r} is not an integer")
     return int(value)
 
 
-def _header_from_meta(meta: dict) -> SimStreamHeader:
-    try:
-        return SimStreamHeader(
-            seed=_header_int(meta, "seed"),
-            config_digest=meta["config_digest"],
-            coincidence_window_ns=_header_int(meta, "coincidence_window_ns"),
-            rng_algorithm=meta["rng_algorithm"],
-            bits=meta["bits"],
-            block_size=_header_int(meta, "block_size"),
-            spacing_ns=_header_int(meta, "spacing_ns"),
-            n_triples=_header_int(meta, "n_triples"),
-            n_bins=_header_int(meta, "n_bins"),
-        )
-    except KeyError as exc:
-        raise ValueError(f"stream header missing field {exc}") from exc
+def _read_stream(path, fmt: _Format) -> tuple[dict, SimStreamHeader]:
+    """A stream file's columns (name -> int64 array) and its header.
 
-
-@dataclass(eq=False)
-class _Rows:
-    """A stream file split into byte ranges: rows, and fields within rows."""
-
-    buf: np.ndarray  # uint8 view of the data rows; every row ends in b"\n"
-    start: np.ndarray  # per row, offset of its first byte
-    end: np.ndarray  # per row, offset of its b"\n"
-    comma: np.ndarray  # (rows, fields - 1) offsets of the separators
-
-    def field(self, f: int, rows: slice) -> tuple[np.ndarray, np.ndarray]:
-        """[left, right) byte range of field f for the given rows."""
-        left = self.start[rows] if f == 0 else self.comma[rows, f - 1] + 1
-        right = self.end[rows] if f == self.comma.shape[1] else self.comma[rows, f]
-        return left, right
-
-    def line(self, i: int) -> str:
-        return _line_text(self.buf, self.start[i], self.end[i])
-
-
-def _line_text(buf: np.ndarray, start: int, end: int) -> str:
-    return buf[start:end].tobytes().decode("utf-8", errors="backslashreplace")
-
-
-def _split_rows(path, what: str, n_fields: int, row_error) -> tuple[dict, _Rows]:
-    """Read a stream file: header fields and the byte layout of its rows.
-
-    Checks the declared row count and the field count of every row;
-    row_error(line) gives the message for the first row that fails.
+    Checks the declared row count and the field count of every row, then
+    parses the fields chunk by chunk; the first row that fails is re-checked
+    by _row_error for the message.
     """
     data = Path(path).read_bytes()
     if b"\r" in data:
@@ -506,7 +490,7 @@ def _split_rows(path, what: str, n_fields: int, row_error) -> tuple[dict, _Rows]
             key, value = body.split("=", 1)
             meta[key.strip()] = value.strip()
         pos = eol + 1
-    buf = np.frombuffer(data, dtype=np.uint8)[pos:]
+    buf = np.frombuffer(data, dtype=np.uint8)[pos:]  # data rows, each ending in b"\n"
     end = np.flatnonzero(buf == ord("\n"))
     start = np.empty_like(end)
     start[:1] = 0
@@ -515,23 +499,57 @@ def _split_rows(path, what: str, n_fields: int, row_error) -> tuple[dict, _Rows]
     if blank.any():
         start, end = start[~blank], end[~blank]
     n = len(start)
-    declared = _header_int(meta, "n_rows") if "n_rows" in meta else -1
+    declared = _header_int("n_rows", meta["n_rows"]) if "n_rows" in meta else -1
     if declared != n:
         raise ValueError(
-            f"{what} declares {declared} rows but contains {n}; "
+            f"{fmt.what} declares {declared} rows but contains {n}; "
             "file is truncated or corrupt"
         )
+
+    def bad_row(i: int) -> ValueError:
+        line = buf[start[i] : end[i]].tobytes().decode("utf-8", errors="backslashreplace")
+        return ValueError(_row_error(fmt, line))
+
+    k = len(fmt.columns) - 1
     comma = np.flatnonzero(buf == ord(","))
-    k = n_fields - 1
-    if len(comma) == n * k:
-        # n * k separators sit k to a row iff each row's k slots fall inside it
-        comma = comma.reshape(n, k)
-        if n == 0 or ((comma[:, 0] >= start).all() and (comma[:, -1] < end).all()):
-            return meta, _Rows(buf, start, end, comma)
-        comma = comma.ravel()
-    per_row = np.bincount(np.searchsorted(end, comma), minlength=n)
-    bad = int(np.argmax(per_row != k))
-    raise ValueError(row_error(_line_text(buf, start[bad], end[bad])))
+    # n * k separators sit k to a row iff each row's first and last fall inside it
+    if len(comma) != n * k or (
+        n and not ((comma[::k] >= start).all() and (comma[k - 1 :: k] < end).all())
+    ):
+        per_row = np.bincount(np.searchsorted(end, comma), minlength=n)
+        raise bad_row(int(np.argmax(per_row != k)))
+    comma = comma.reshape(n, k)
+
+    cols = np.empty((k + 1, n), dtype=np.int64)
+    for lo in range(0, n, _CHUNK_ROWS):
+        span = slice(lo, min(lo + _CHUNK_ROWS, n))
+        good = np.ones(span.stop - lo, dtype=bool)
+        for f, (name, labels) in enumerate(fmt.columns):
+            left = start[span] if f == 0 else comma[span, f - 1] + 1
+            right = end[span] if f == k else comma[span, f]
+            if labels is not None:
+                cols[f, span], ok = _parse_labels(buf, left, right, labels)
+            elif fmt.d0_x_bin and name == "x_bin":
+                value, ok = _parse_ints(buf, left, right)
+                present = right > left
+                is_d0 = cols[fmt.names.index("detector"), span] == CODE_D0
+                ok = (ok | ~present) & (present == is_d0)
+                cols[f, span] = np.where(present, value, -1)
+            else:
+                cols[f, span], ok = _parse_ints(buf, left, right)
+            good &= ok
+        if not good.all():
+            raise bad_row(lo + int(np.argmin(good)))
+    try:
+        header = SimStreamHeader(
+            **{
+                key: _header_int(key, meta[key]) if kind is int else meta[key]
+                for key, kind in _HEADER_KEYS
+            }
+        )
+    except KeyError as exc:
+        raise ValueError(f"stream header missing field {exc}") from exc
+    return dict(zip(fmt.names, cols)), header
 
 
 def _parse_ints(buf, left, right) -> tuple[np.ndarray, np.ndarray]:
@@ -551,157 +569,71 @@ def _parse_ints(buf, left, right) -> tuple[np.ndarray, np.ndarray]:
     return value, good
 
 
-def _label_table(labels: dict) -> tuple[np.ndarray, np.ndarray]:
-    """Labels packed big-endian into int64 keys, sorted, with their codes."""
-    packed = {int.from_bytes(label.encode("ascii"), "big"): code for label, code in labels.items()}
-    keys = sorted(packed)
-    return np.array(keys, dtype=np.int64), np.array([packed[key] for key in keys], dtype=np.int64)
+def _parse_labels(buf, left, right, labels: tuple) -> tuple[np.ndarray, np.ndarray]:
+    """Indices into labels of the fields buf[left:right], and which hold a label.
 
-
-def _parse_labels(buf, left, right, table) -> tuple[np.ndarray, np.ndarray]:
-    """Codes of the label fields buf[left:right], and which hold a known label."""
-    keys, codes = table
+    Each field packs big-endian into an int64 key, looked up among the
+    labels' sorted keys.
+    """
+    packed = sorted(
+        (int.from_bytes(label.encode("ascii"), "big"), i) for i, label in enumerate(labels)
+    )
+    keys = np.array([key for key, _ in packed], dtype=np.int64)
+    codes = np.array([i for _, i in packed], dtype=np.int64)
+    longest = max(len(label) for label in labels)
     width = right - left
     key = np.zeros(len(left), dtype=np.int64)
-    for k in range(_MAX_LABEL_BYTES):
+    for k in range(longest):
         key = np.where(k < width, key * 256 + buf.take(left + k, mode="clip"), key)
     idx = np.minimum(np.searchsorted(keys, key), len(keys) - 1)
-    good = (keys[idx] == key) & (width <= _MAX_LABEL_BYTES)  # an empty field packs to 0, no label
+    good = (keys[idx] == key) & (width <= longest)  # an empty field packs to 0, no label
     return codes[idx], good
 
 
-def _reject_first_bad_row(rows: _Rows, span: slice, good: np.ndarray, row_error) -> None:
-    if not good.all():
-        i = span.start + int(np.argmin(good))
-        raise ValueError(row_error(rows.line(i)))
-
-
-def _field_error(line: str, what: str, parts: list[str], n_fields: int) -> str | None:
-    """Message for a misplaced header line or a wrong field count, if any."""
+def _row_error(fmt: _Format, line: str) -> str:
+    """Message naming the first rule of the row grammar that line breaks."""
     if line.startswith("#"):
         return f"header line after the first data row: {line!r}"
-    if len(parts) != n_fields:
-        return f"malformed {what} row: {line!r}"
-    return None
-
-
-def _bad_int(field: str, what: str, line: str) -> str:
-    return f"bad integer {field!r} in {what} row (want -?[0-9]{{1,18}}): {line!r}"
-
-
-_DETECTOR_TABLE = _label_table(_CODE_BY_LABEL)
-_BABU_TABLE = _label_table({label: i for i, label in enumerate(BABU_LABELS)})
-_ALISHA_TABLE = _label_table({label: i for i, label in enumerate(ALISHA_LABELS)})
-
-
-def _event_row_error(line: str) -> str:
-    parts = line.split(",")
-    error = _field_error(line, "event", parts, 4)
-    if error:
-        return error
-    code = _CODE_BY_LABEL.get(parts[1])
-    if code is None:
-        return f"unknown detector {parts[1]!r}"
-    has_x = parts[3] != ""
-    if has_x != (code == CODE_D0):
+    fields = line.split(",")
+    if len(fields) != len(fmt.columns):
+        return f"malformed {fmt.noun} row: {line!r}"
+    for (name, labels), field in zip(fmt.columns, fields):
+        if labels is not None and field not in labels:
+            known = " ".join(labels)
+            return f"unknown {name} {field!r} in {fmt.noun} row (labels {known}): {line!r}"
+    row = dict(zip(fmt.names, fields))
+    if fmt.d0_x_bin and (row["x_bin"] != "") != (row["detector"] == DETECTOR_LABELS[CODE_D0]):
         return f"x_bin presence inconsistent with detector: {line!r}"
-    for field in (parts[0], parts[2], parts[3]) if has_x else (parts[0], parts[2]):
-        if not _INT_RE.fullmatch(field):
-            return _bad_int(field, "event", line)
-    return f"malformed event row: {line!r}"
-
-
-def _triple_row_error(line: str) -> str:
-    parts = line.split(",")
-    error = _field_error(line, "triple", parts, 5)
-    if error:
-        return error
-    if parts[3] not in BABU_LABELS or parts[4] not in ALISHA_LABELS:
-        return f"unknown outcome labels in row: {line!r}"
-    for field in parts[:3]:
-        if not _INT_RE.fullmatch(field):
-            return _bad_int(field, "triple", line)
-    return f"malformed triple row: {line!r}"
+    for (name, labels), field in zip(fmt.columns, fields):
+        absent = fmt.d0_x_bin and name == "x_bin" and field == ""
+        if labels is None and not absent and not _INT_RE.fullmatch(field):
+            return f"bad integer {field!r} in {fmt.noun} row (want -?[0-9]{{1,18}}): {line!r}"
+    return f"malformed {fmt.noun} row: {line!r}"
 
 
 def write_event_log(path, stream: EventStream, header: SimStreamHeader) -> None:
-    lines = _header_lines(header, "event-log", len(stream))
-    lines.append("# columns=event_id,detector,time_ns,x_bin")
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(lines) + "\n")
-        for lo in range(0, len(stream), _CHUNK_ROWS):
-            rows = slice(lo, lo + _CHUNK_ROWS)
-            fh.write(
-                "".join(
-                    f"{i},{DETECTOR_LABELS[d]},{t},{x if d == CODE_D0 else ''}\n"
-                    for i, d, t, x in zip(
-                        stream.event_id[rows].tolist(),
-                        stream.detector[rows].tolist(),
-                        stream.time_ns[rows].tolist(),
-                        stream.x_bin[rows].tolist(),
-                    )
-                )
-            )
+    def rows(chunk) -> str:
+        return "".join(
+            f"{i},{DETECTOR_LABELS[d]},{t},{x if d == CODE_D0 else ''}\n" for i, d, t, x in chunk
+        )
+
+    _write_stream(path, _EVENT_LOG, header, stream, rows)
 
 
 def read_event_log(path) -> tuple[EventStream, SimStreamHeader]:
-    meta, rows = _split_rows(path, "event log", 4, _event_row_error)
-    header = _header_from_meta(meta)
-    n = len(rows.start)
-    ids, det, ts, xs = np.empty((4, n), dtype=np.int64)
-    for lo in range(0, n, _CHUNK_ROWS):
-        span = slice(lo, min(lo + _CHUNK_ROWS, n))
-        ids[span], good = _parse_ints(rows.buf, *rows.field(0, span))
-        det[span], ok = _parse_labels(rows.buf, *rows.field(1, span), _DETECTOR_TABLE)
-        good &= ok
-        ts[span], ok = _parse_ints(rows.buf, *rows.field(2, span))
-        good &= ok
-        left, right = rows.field(3, span)
-        x, ok = _parse_ints(rows.buf, left, right)
-        has_x = right > left
-        good &= (ok | ~has_x) & (has_x == (det[span] == CODE_D0))
-        xs[span] = np.where(has_x, x, -1)
-        _reject_first_bad_row(rows, span, good, _event_row_error)
-    stream = EventStream(event_id=ids, detector=det, time_ns=ts, x_bin=xs, n_bins=header.n_bins)
-    return stream, header
+    cols, header = _read_stream(path, _EVENT_LOG)
+    return EventStream(**cols, n_bins=header.n_bins), header
 
 
 def write_triples(path, batch: TripleBatch, header: SimStreamHeader) -> None:
-    lines = _header_lines(header, "triples", len(batch))
-    lines.append("# columns=triple_id,block_index,x_bin,babu,alisha")
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(lines) + "\n")
-        for lo in range(0, len(batch), _CHUNK_ROWS):
-            rows = slice(lo, lo + _CHUNK_ROWS)
-            fh.write(
-                "".join(
-                    f"{t},{b},{x},{BABU_LABELS[j]},{ALISHA_LABELS[k]}\n"
-                    for t, b, x, j, k in zip(
-                        batch.triple_id[rows].tolist(),
-                        batch.block_index[rows].tolist(),
-                        batch.x_bin[rows].tolist(),
-                        batch.babu[rows].tolist(),
-                        batch.alisha[rows].tolist(),
-                    )
-                )
-            )
+    def rows(chunk) -> str:
+        return "".join(
+            f"{t},{b},{x},{BABU_LABELS[j]},{ALISHA_LABELS[k]}\n" for t, b, x, j, k in chunk
+        )
+
+    _write_stream(path, _TRIPLES, header, batch, rows)
 
 
 def read_triples(path) -> tuple[TripleBatch, SimStreamHeader]:
-    meta, rows = _split_rows(path, "triples file", 5, _triple_row_error)
-    header = _header_from_meta(meta)
-    n = len(rows.start)
-    cols = np.empty((5, n), dtype=np.int64)
-    for lo in range(0, n, _CHUNK_ROWS):
-        span = slice(lo, min(lo + _CHUNK_ROWS, n))
-        good = np.ones(span.stop - span.start, dtype=bool)
-        for f, table in enumerate((None, None, None, _BABU_TABLE, _ALISHA_TABLE)):
-            if table is None:
-                cols[f, span], ok = _parse_ints(rows.buf, *rows.field(f, span))
-            else:
-                cols[f, span], ok = _parse_labels(rows.buf, *rows.field(f, span), table)
-            good &= ok
-        _reject_first_bad_row(rows, span, good, _triple_row_error)
-    tid, blk, xb, jj, kk = cols
-    batch = TripleBatch(triple_id=tid, x_bin=xb, babu=jj, alisha=kk, block_index=blk)
-    return batch, header
+    cols, header = _read_stream(path, _TRIPLES)
+    return TripleBatch(**cols), header

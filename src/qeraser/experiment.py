@@ -47,6 +47,8 @@ class SwitchSchedule:
 
     def __post_init__(self):
         bits = tuple(int(b) for b in self.bits)
+        if not bits:
+            raise ValueError("schedule bits must not be empty")
         if any(b not in (0, 1) for b in bits):
             raise ValueError("schedule bits must be 0 or 1")
         if int(self.block_size) < 1:

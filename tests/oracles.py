@@ -100,8 +100,8 @@ def match_coincidences_loop(
     stream: EventStream,
     window_ns: int = 20,
     *,
-    block_size: int | None = None,
-    spacing_ns: int | None = None,
+    block_size: int,
+    spacing_ns: int,
 ) -> tuple[TripleBatch, OrphanReport]:
     """Greedy earliest-first matcher, one Python iteration per D0 record."""
     w = int(window_ns)
@@ -143,12 +143,7 @@ def match_coincidences_loop(
             xs.append(xd[di])
             js.append(cb[pb] - 1)
             ks.append(ca[pa] - 5)
-            if spacing_ns is not None and block_size is not None:
-                blocks.append(t0 // (int(spacing_ns) * int(block_size)))
-            elif block_size is not None:
-                blocks.append(matched // int(block_size))
-            else:
-                blocks.append(0)
+            blocks.append(t0 // (int(spacing_ns) * int(block_size)))
             matched += 1
             pb += 1
             pa += 1
@@ -277,15 +272,15 @@ def decode_per_block(triples, schedule, geom, babu_filter, alisha_filter):
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", LowSampleWarning)
         for b in range(len(schedule.bits)):
-            hist = build_histogram(
+            counts = build_histogram(
                 triples, geom.n_bins, babu=babu_filter, alisha=alisha_filter, block=b
             )
-            if hist.total == 0:
+            if counts.sum() == 0:
                 decoded.append(0)
                 vis.append(0.0)
                 err.append(float("inf"))
                 continue
-            fit = fit_fringe(hist, geom)
+            fit = fit_fringe(counts, geom)
             decoded.append(1 if classify_pattern(fit) == "interference" else 0)
             vis.append(fit.visibility)
             err.append(fit.standard_error)

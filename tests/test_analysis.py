@@ -55,13 +55,12 @@ def test_histogram_partition(small_config):
     n_bins = small_config.geometry.n_bins
     whole = build_histogram(tr, n_bins)
     parts = sum(
-        build_histogram(tr, n_bins, babu=j, alisha=k).counts
+        build_histogram(tr, n_bins, babu=j, alisha=k)
         for j in range(4)
         for k in range(4)
     )
-    np.testing.assert_array_equal(whole.counts, parts)
-    np.testing.assert_array_equal(whole.counts, np.bincount(tr.x_bin, minlength=n_bins))
-    assert whole.selector == "all"
+    np.testing.assert_array_equal(whole, parts)
+    np.testing.assert_array_equal(whole, np.bincount(tr.x_bin, minlength=n_bins))
 
 
 def test_histogram_filters():
@@ -71,9 +70,10 @@ def test_histogram_filters():
         k=[0, 1, 0, 1, 0, 1],
         blocks=np.array([0, 0, 0, 1, 1, 1]),
     )
-    h = build_histogram(tr, 4, babu={0, 1}, alisha=1, block=0)
-    np.testing.assert_array_equal(h.counts, [0, 1, 0, 0])
-    assert h.selector == "babu=D1+D2 alisha=D2' block=[0]"
+    np.testing.assert_array_equal(build_histogram(tr, 4, babu=0, alisha=1, block=0), [0, 1, 0, 0])
+    np.testing.assert_array_equal(build_histogram(tr, 4, babu=1, block=1), [0, 0, 0, 1])
+    with pytest.raises(TypeError):
+        build_histogram(tr, 4, babu={0, 1})  # one index per filter; a set is refused
 
 
 def test_histogram_rejects_out_of_range():
@@ -105,9 +105,7 @@ def test_fit_flat_input(geom):
 
 def test_fit_histogram_input(geom):
     counts = np.rint(cosine_counts(geom, 300.0)).astype(int)
-    from qeraser.analysis import Histogram
-
-    fit = fit_fringe(Histogram(counts=counts, selector="t"), geom)
+    fit = fit_fringe(counts, geom)
     assert fit.visibility > 0.99
 
 

@@ -1,5 +1,6 @@
 import hashlib
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -108,6 +109,17 @@ def test_patterns_single_mode(tmp_path):
     np.testing.assert_allclose(d1, ref, atol=EXACT)
 
 
+def test_patterns_failure_writes_nothing(tmp_path, capsys):
+    doc = config_to_dict(default_config(MODE_SINGLE))
+    doc["experiment"]["babu"]["tap_p"] = 1.0  # the tap takes every idler: no erased pattern
+    path = tmp_path / "all_tapped.json"
+    path.write_text(json.dumps(doc))
+    out = tmp_path / "out"
+    assert cli.main(["patterns", "--config", str(path), "--out", str(out)]) == 2
+    assert "no erased amplitude remains" in capsys.readouterr().err
+    assert not out.exists()
+
+
 # ---------------------------------------------------------------------------
 # config error handling
 # ---------------------------------------------------------------------------
@@ -213,7 +225,46 @@ def test_simulate_bad_window_writes_nothing(tmp_path, small_config_path, capsys)
     assert "window must be non-negative" in err
     assert err.count("\n") == 1
     assert not (out / "events.csv").exists()
-    assert list(out.iterdir()) == []
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "scale, window, code",
+    [(1.0, 5000, 2), (1.0, 501, 2), (1.0, 500, 0), (25.0, 21, 2), (25.0, 20, 0)],
+)
+def test_simulate_rejects_overlapping_windows(tmp_path, capsys, scale, window, code):
+    """A window wider than half the triple spacing lets one D0 claim another triple's idlers."""
+    import dataclasses
+
+    from qeraser.experiment import SwitchSchedule
+
+    cfg = dataclasses.replace(
+        default_config(),
+        schedule=SwitchSchedule(bits=(1, 0), block_size=200),
+        pair_rate_scale=scale,
+    )
+    path = tmp_path / "two_blocks.json"
+    save_config(cfg, path)
+    out = tmp_path / "sim"
+    argv = ["simulate", "--config", str(path), "--out", str(out), "--window-ns", str(window)]
+    argv += ["--background-rate", "1e-3"]
+    assert cli.main(argv) == code
+    if code == 0:
+        assert (out / "manifest.json").exists()
+        return
+    err = capsys.readouterr().err
+    spacing = 1000 if scale == 1.0 else 40
+    assert f"--window-ns {window} is more than half the triple spacing {spacing} ns" in err
+    assert err.count("\n") == 1
+    assert not out.exists()
+
+
+def test_simulate_single_mode_writes_nothing(tmp_path, capsys):
+    config = Path(__file__).resolve().parent.parent / "configs" / "single_default.json"
+    out = tmp_path / "sim"
+    assert cli.main(["simulate", "--config", str(config), "--out", str(out)]) == 2
+    assert "needs a double_delayed_choice config" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_decode_roundtrip(tmp_path, small_config_path, capsys):
@@ -355,6 +406,7 @@ def test_splitter_must_be_json_bool(tmp_path, capsys, arm, value):
         ("alisha", "tap_p", "0.5", "experiment.alisha.tap_p must be a number, got '0.5'"),
         ("geometry", "n_bins", 256.7, "experiment.geometry.n_bins must be an integer, got 256.7"),
         ("schedule", "block_size", "10000", "experiment.schedule.block_size must be an integer"),
+        ("schedule", "bits", [], "schedule bits must not be empty"),
     ],
 )
 def test_strict_config_exits_2(tmp_path, capsys, section, key, value, message):
@@ -428,6 +480,7 @@ def test_sweep_splitter_takes_only_0_and_1(config_path, tmp_path, capsys, value)
     assert "--splitter values must be 0 or 1" in err
     assert err.count("\n") == 1
     assert not (tmp_path / "s" / "sweep.csv").exists()
+    assert not (tmp_path / "s").exists()
 
 
 def test_sweep_needs_double_mode(tmp_path, capsys):

@@ -19,8 +19,9 @@ from qeraser.events import (
 )
 from qeraser.experiment import (
     MODE_SINGLE,
-    SwitchSchedule,
     config_digest,
+    config_from_dict,
+    config_to_dict,
     default_config,
     distribution_for,
 )
@@ -87,9 +88,13 @@ def test_sampling_shapes(small_config):
     assert tr.x_bin.max() < small_config.geometry.n_bins
 
 
-def test_sampling_empty_schedule():
-    cfg = make_config(bits=(), block_size=10)
-    assert len(sample_triples(cfg, seed=0)) == 0
+def test_schedule_rejects_empty_bits():
+    with pytest.raises(ValueError, match="must not be empty"):
+        make_config(bits=(), block_size=10)
+    doc = config_to_dict(default_config())
+    doc["experiment"]["schedule"]["bits"] = []
+    with pytest.raises(ValueError, match="must not be empty"):
+        config_from_dict(doc)
 
 
 def test_sampling_rejects_bad_requests(small_config):
@@ -195,22 +200,17 @@ def test_match_roundtrip_exact(small_config):
 def test_match_zero_window_orphans_everything(small_config):
     tr = sample_triples(small_config, seed=0)
     st = emit_events(tr, small_config, seed=0)
-    matched, orphans = match_coincidences(st, window_ns=0)
+    matched, orphans = match_coincidences(
+        st, window_ns=0, block_size=small_config.schedule.block_size, spacing_ns=1000
+    )
     assert len(matched) == 0
     assert orphans.total == len(st)
     assert orphans.by_detector["D0"] == len(tr)
 
 
-def test_match_sequence_blocks(small_config):
-    tr = sample_triples(small_config, seed=0)
-    st = emit_events(tr, small_config, seed=0)
-    matched, _ = match_coincidences(
-        st, block_size=small_config.schedule.block_size
-    )  # no spacing: fall back to sequence numbering
-    np.testing.assert_array_equal(matched.block_index, tr.block_index)
-
-
-@pytest.mark.parametrize("kw", [{"block_size": 0}, {"block_size": 5, "spacing_ns": 0}])
+@pytest.mark.parametrize(
+    "kw", [{"block_size": 0, "spacing_ns": 1000}, {"block_size": 5, "spacing_ns": 0}]
+)
 def test_match_rejects_nonpositive_block_period(small_config, kw):
     st = emit_events(sample_triples(small_config, seed=0), small_config, seed=0)
     with pytest.raises(ValueError, match="must be positive"):
@@ -226,7 +226,7 @@ def test_match_rejects_unsorted():
         n_bins=8,
     )
     with pytest.raises(ValueError, match="sorted"):
-        match_coincidences(st)
+        match_coincidences(st, block_size=5, spacing_ns=1000)
 
 
 # ---------------------------------------------------------------------------

@@ -102,13 +102,13 @@ def assert_streams_equal(got: EventStream, want: EventStream):
     rate=st.sampled_from([0.0, 1e-4, 1e-3, 1e-2]),
     n_cluster=st.integers(0, 20),
     window=st.integers(0, 40),
-    blocks=st.sampled_from(["none", "sequence", "time"]),
+    block_size=st.integers(1, 20),
 )
-def test_matcher_equals_loop(seed, n_triples, spacing, rate, n_cluster, window, blocks):
+def test_matcher_equals_loop(seed, n_triples, spacing, rate, n_cluster, window, block_size):
     stream = random_stream(seed, n_triples, spacing, rate, n_cluster)
-    kw = {"none": {}, "sequence": {"block_size": 7}, "time": {"block_size": 7, "spacing_ns": spacing}}
-    got, got_orphans = match_coincidences(stream, window, **kw[blocks])
-    want, want_orphans = oracles.match_coincidences_loop(stream, window, **kw[blocks])
+    kw = {"block_size": block_size, "spacing_ns": spacing}
+    got, got_orphans = match_coincidences(stream, window, **kw)
+    want, want_orphans = oracles.match_coincidences_loop(stream, window, **kw)
     assert_batches_equal(got, want)
     assert got_orphans.total == want_orphans.total
     assert list(got_orphans.by_detector.items()) == list(want_orphans.by_detector.items())
@@ -118,9 +118,10 @@ def test_matcher_equals_loop(seed, n_triples, spacing, rate, n_cluster, window, 
 def test_matcher_dense_clusters_equal_loop():
     """Every D0 clustered: the run walk carries pointers across whole runs."""
     stream = random_stream(5, 400, 40, 5e-2, 400)
+    kw = {"block_size": 7, "spacing_ns": 40}
     for window in (0, 1, 7, 20, 40):
-        got, got_orphans = match_coincidences(stream, window)
-        want, want_orphans = oracles.match_coincidences_loop(stream, window)
+        got, got_orphans = match_coincidences(stream, window, **kw)
+        want, want_orphans = oracles.match_coincidences_loop(stream, window, **kw)
         assert_batches_equal(got, want)
         np.testing.assert_array_equal(got_orphans.event_ids, want_orphans.event_ids)
 
@@ -207,7 +208,8 @@ def test_fuzzed_files_fail_only_with_value_error(tmp_path, seed, which, kind):
     path.write_bytes(_mutate(path.read_bytes(), rng, kind))
     try:
         got, got_hdr = read(path)
-    except ValueError:
+    except ValueError as exc:
+        assert "\n" not in str(exc), f"multi-line reader error: {exc}"
         return
     want, want_hdr = oracle(path)  # anything the strict grammar accepts, int() accepts
     assert got_hdr == want_hdr
