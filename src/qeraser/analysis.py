@@ -84,52 +84,94 @@ class FringeFit:
         return self.amplitude > AMPLITUDE_SIGMAS * self.standard_error
 
 
-def fit_fringe(counts, geom: SlitScreenGeometry) -> FringeFit:
-    """Fit counts to c0 + A cos(w x - phase) at the fixed fringe frequency.
+# A row whose 2-norm is at most this fits below 1 everywhere in the first pass
+# (a least-squares model is a projection, so no entry exceeds the row's
+# 2-norm), and its Poisson variances all clip to exactly 1.  Probability
+# tables always qualify; the margin below 1 absorbs lstsq's rounding.
+_FLOORED_NORM = 0.5
+
+
+def fit_fringes(rows, geom: SlitScreenGeometry) -> list[FringeFit]:
+    """Fit each row of counts to c0 + A cos(w x - phase) at the fixed fringe frequency.
 
     Plain least squares first; one reweighted pass with Poisson variances
     taken from the first-pass model (observed-count weights would bias the
     amplitude wherever bins run empty).  standard_error is the propagated
     error of the amplitude.  Noiseless model input is recovered exactly.
+
+    Every row is fitted exactly as it would be on its own.  Rows at most
+    _FLOORED_NORM in 2-norm skip the first pass, whose variances would all be
+    1; the rest run it row by row.  Each right-hand side is formed on the row
+    as passed, because a strided view rounds differently from a contiguous
+    copy.  The 3x3 solves and inverses and the 2x2 variance products then
+    run stacked, which rounds as the one-matrix calls do.
     """
-    y = np.asarray(counts, dtype=float)
-    if y.ndim != 1 or len(y) != geom.n_bins:
-        raise ValueError("histogram length does not match the screen binning")
-    total = float(y.sum())
-    if total <= 0.0:
+    ys = [np.asarray(row, dtype=float) for row in rows]
+    for y in ys:
+        if y.ndim != 1 or len(y) != geom.n_bins:
+            raise ValueError("histogram length does not match the screen binning")
+    totals = [float(y.sum()) for y in ys]
+    if any(total <= 0.0 for total in totals):
         raise ValueError("empty histogram; nothing to fit")
-    if total < nyquist_min_samples(geom):
-        warnings.warn(
-            f"{total:.0f} counts is below the sampling bound "
-            f"{nyquist_min_samples(geom)}; fringe fit is undersampled",
-            LowSampleWarning,
-            stacklevel=2,
-        )
+    bound = nyquist_min_samples(geom)
+    for total in totals:
+        if total < bound:
+            warnings.warn(
+                f"{total:.0f} counts is below the sampling bound "
+                f"{bound}; fringe fit is undersampled",
+                LowSampleWarning,
+                stacklevel=2,
+            )
+    if not ys:
+        return []
     u = geom.fringe_frequency * geom.bin_centers
     design = np.column_stack([np.ones_like(u), np.cos(u), np.sin(u)])
-    coeff = np.linalg.lstsq(design, y, rcond=None)[0]
-    var = np.clip(design @ coeff, 1.0, None)
-    weighted = design / var[:, None]
-    normal = design.T @ weighted
-    coeff = np.linalg.solve(normal, weighted.T @ y)
-    cov = np.linalg.inv(normal)
-
-    c0, c_cos, c_sin = (float(v) for v in coeff)
-    amplitude = math.hypot(c_cos, c_sin)
-    phase = math.atan2(c_sin, c_cos)
-    if amplitude > 0.0:
-        grad = np.array([c_cos / amplitude, c_sin / amplitude])
-        var_amp = float(grad @ cov[1:, 1:] @ grad)
-    else:
-        var_amp = float(0.5 * (cov[1, 1] + cov[2, 2]))
-    visibility = 0.0 if c0 <= 0.0 else min(max(amplitude / c0, 0.0), 1.0)
-    return FringeFit(
-        mean_level=c0,
-        amplitude=amplitude,
-        phase=phase,
-        visibility=visibility,
-        standard_error=math.sqrt(max(var_amp, 0.0)),
+    # design / var for var all 1, in its own buffer: design.T @ design would
+    # take numpy's symmetric-product path, which rounds differently
+    floored = design.copy()
+    floored_normal = design.T @ floored
+    normals, rhs = [], []
+    for y in ys:
+        if float(y @ y) <= _FLOORED_NORM**2:
+            weighted, normal = floored, floored_normal
+        else:
+            coeff = np.linalg.lstsq(design, y, rcond=None)[0]
+            var = np.clip(design @ coeff, 1.0, None)
+            weighted = design / var[:, None]
+            normal = design.T @ weighted
+        normals.append(normal)
+        rhs.append(weighted.T @ y)
+    normals = np.array(normals)
+    coeffs = np.linalg.solve(normals, np.array(rhs)[:, :, None])[:, :, 0]
+    covs = np.linalg.inv(normals)
+    amplitudes = np.array([math.hypot(c_cos, c_sin) for _, c_cos, c_sin in coeffs.tolist()])
+    resolved = amplitudes > 0.0
+    # amplitude variance grad . cov . grad along the unit fringe direction; a
+    # zero amplitude has no direction and takes the mean of the two variances
+    grad = np.zeros((len(ys), 2))
+    np.divide(coeffs[:, 1:], amplitudes[:, None], out=grad, where=resolved[:, None])
+    var_amp = np.where(
+        resolved,
+        (grad[:, None, :] @ covs[:, 1:, 1:] @ grad[:, :, None])[:, 0, 0],
+        0.5 * (covs[:, 1, 1] + covs[:, 2, 2]),
     )
+    return [
+        FringeFit(
+            mean_level=c0,
+            amplitude=amplitude,
+            phase=math.atan2(c_sin, c_cos),
+            visibility=0.0 if c0 <= 0.0 else min(max(amplitude / c0, 0.0), 1.0),
+            standard_error=math.sqrt(max(var, 0.0)),
+        )
+        for (c0, c_cos, c_sin), amplitude, var in zip(
+            coeffs.tolist(), amplitudes.tolist(), var_amp.tolist()
+        )
+    ]
+
+
+def fit_fringe(counts, geom: SlitScreenGeometry) -> FringeFit:
+    """fit_fringes on one row of counts."""
+    return fit_fringes([counts], geom)[0]
 
 
 def classify_pattern(fit: FringeFit, visibility_threshold: float = VISIBILITY_THRESHOLD) -> str:
@@ -189,19 +231,21 @@ def _decode(
         blocks[selected] * geom.n_bins + triples.x_bin[selected],
         minlength=n_blocks * geom.n_bins,
     ).reshape(n_blocks, geom.n_bins)
-    decoded, vis, err = [], [], []
+    lit = grid.any(axis=1)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", LowSampleWarning)
-        for counts_b in grid:
-            if not counts_b.any():
-                decoded.append(0)
-                vis.append(0.0)
-                err.append(float("inf"))
-                continue
-            fit = fit_fringe(counts_b, geom)
-            decoded.append(1 if classify_pattern(fit) == "interference" else 0)
-            vis.append(fit.visibility)
-            err.append(fit.standard_error)
+        fits = iter(fit_fringes(grid[lit], geom))
+    decoded, vis, err = [], [], []
+    for fitted in lit:
+        if not fitted:  # an empty block decodes as 0 with no error bar
+            decoded.append(0)
+            vis.append(0.0)
+            err.append(float("inf"))
+            continue
+        fit = next(fits)
+        decoded.append(1 if classify_pattern(fit) == "interference" else 0)
+        vis.append(fit.visibility)
+        err.append(fit.standard_error)
     true_bits = tuple(schedule.bits)
     errors = sum(1 for d, t in zip(decoded, true_bits) if d != t)
     return DecodeReport(

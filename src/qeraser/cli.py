@@ -61,7 +61,7 @@ from .analysis import (
     _write_table,
     decode_alisha_only,
     decode_omniscient,
-    fit_fringe,
+    fit_fringes,
     write_decode_csv,
 )
 from .events import (
@@ -496,16 +496,58 @@ _SWEEP_COLUMNS = (
 )
 
 
-def _visibility(pattern: np.ndarray, geom: SlitScreenGeometry) -> float:
-    return float("nan") if pattern.sum() <= 0.0 else fit_fringe(pattern, geom).visibility
+# grid points whose fringes go to one fit_fringes call: enough to amortise the
+# fit's setup, few enough that the joint tables held at once stay small
+_SWEEP_CHUNK = 16
+
+
+def _sweep_rows(points, geom: SlitScreenGeometry, envelope, references: dict) -> list[str]:
+    """sweep.csv rows for a run of grid points, every fringe fitted in one call.
+
+    An empty erasing slice is not fitted (visibility NaN), and the alisha
+    marginal's columns are fitted only where they hold probability.
+    references keeps the first marginal seen per alisha setting.
+    """
+    tables, histograms = [], []
+    for a_theta, a_chi, a_tap, theta, chi, tap, splitter in points:
+        alisha = ArmOptics(a_tap, True, a_theta, a_chi)
+        babu = ArmOptics(tap, splitter, theta, chi)
+        dist = joint_distribution(geom, envelope, babu, alisha)
+        slices = [dist.pattern(j, k) for j in ERASING_OUTCOMES for k in ERASING_OUTCOMES]
+        lit = [pattern.sum() > 0.0 for pattern in slices]
+        marg = dist.alisha_marginal()
+        columns = [col for col in marg.T if col.sum() > 0.0]
+        histograms += list(itertools.compress(slices, lit)) + columns
+        tables.append((dist, lit, marg, len(columns)))
+
+    fits = iter(fit_fringes(histograms, geom))
+    rows = []
+    for (a_theta, a_chi, a_tap, theta, chi, tap, splitter), (dist, lit, marg, n_columns) in zip(
+        points, tables
+    ):
+        vis = [next(fits).visibility if fitted else float("nan") for fitted in lit]
+        marg_vis = max([0.0] + [next(fits).visibility for _ in range(n_columns)])
+        ub = dist.babu.effective_unitary
+        ua = dist.alisha.effective_unitary
+        cancel = [
+            abs(interference_coefficient(D1, k, ub, ua) + interference_coefficient(D2, k, ub, ua))
+            for k in ERASING_OUTCOMES
+        ]
+        reference = references.setdefault((a_theta, a_chi, a_tap), marg)
+        marg_residual = float(np.abs(marg - reference).max())
+        rows.append(
+            ",".join(
+                [_fmt(theta), _fmt(chi), _fmt(tap), str(int(splitter))]
+                + [_fmt(v) for v in (a_theta, a_chi, a_tap, *vis, *cancel, marg_vis, marg_residual)]
+            )
+        )
+    return rows
 
 
 def cmd_sweep(args) -> int:
     config = _load_config_or_fail(args.config)
     if config.mode != MODE_DOUBLE:
         raise SystemExit("qeraser: sweep needs a double_delayed_choice config")
-    geom = config.geometry
-    envelope = config.envelope
 
     thetas = _parse_values(args.theta, "theta")
     chis = _parse_values(args.chi, "chi")
@@ -521,33 +563,8 @@ def cmd_sweep(args) -> int:
     references: dict = {}
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", LowSampleWarning)
-        for a_theta, a_chi, a_tap, theta, chi, tap, splitter in grid:
-            alisha = ArmOptics(a_tap, True, a_theta, a_chi)
-            babu = ArmOptics(tap, splitter, theta, chi)
-            dist = joint_distribution(geom, envelope, babu, alisha)
-            vis = [
-                _visibility(dist.pattern(j, k), geom)
-                for j in ERASING_OUTCOMES
-                for k in ERASING_OUTCOMES
-            ]
-            ub = babu.effective_unitary
-            ua = alisha.effective_unitary
-            cancel = [
-                abs(interference_coefficient(D1, k, ub, ua) + interference_coefficient(D2, k, ub, ua))
-                for k in ERASING_OUTCOMES
-            ]
-            marg = dist.alisha_marginal()
-            reference = references.setdefault((a_theta, a_chi, a_tap), marg)
-            marg_residual = float(np.abs(marg - reference).max())
-            marg_vis = max(
-                [0.0] + [fit_fringe(col, geom).visibility for col in marg.T if col.sum() > 0.0]
-            )
-            rows.append(
-                ",".join(
-                    [_fmt(theta), _fmt(chi), _fmt(tap), str(int(splitter))]
-                    + [_fmt(v) for v in (a_theta, a_chi, a_tap, *vis, *cancel, marg_vis, marg_residual)]
-                )
-            )
+        while points := list(itertools.islice(grid, _SWEEP_CHUNK)):
+            rows += _sweep_rows(points, config.geometry, config.envelope, references)
 
     digest = config_digest(config)
     out = Path(args.out)

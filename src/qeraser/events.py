@@ -485,7 +485,11 @@ def _read_stream(path, fmt: _Format) -> tuple[dict, SimStreamHeader]:
     pos = 0
     while data.startswith(b"#", pos) or data.startswith(b"\n", pos):
         eol = data.index(b"\n", pos)
-        body = data[pos + 1 : eol].decode("utf-8").strip()
+        try:
+            body = data[pos + 1 : eol].decode("utf-8").strip()
+        except UnicodeDecodeError:
+            line = data[pos:eol].decode("utf-8", errors="backslashreplace")
+            raise ValueError(f"header line is not UTF-8: {line!r}") from None
         if data[pos] == ord("#") and "=" in body:
             key, value = body.split("=", 1)
             meta[key.strip()] = value.strip()

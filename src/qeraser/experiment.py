@@ -117,13 +117,18 @@ def _envelope_to_dict(envelope) -> dict:
     raise ValueError(f"unsupported envelope {envelope!r}")
 
 
+def _unknown_key(path: str, key: str) -> ValueError:
+    name = key if key.isprintable() else repr(key)  # a newline would split the message
+    return ValueError(f"unknown key {path}{'.' if path else ''}{name}")
+
+
 def _fields(obj, path: str, required: tuple, optional: tuple = ()) -> dict:
     """obj as an object holding every required key and no key outside the schema."""
     if not isinstance(obj, dict):
         raise ValueError(f"{path} must be an object")
     for key in obj:
         if key not in required and key not in optional:
-            raise ValueError(f"unknown key {path}.{key}")
+            raise _unknown_key(path, key)
     for key in required:
         if key not in obj:
             raise ValueError(f"{path} section missing field {key!r}")
@@ -141,9 +146,15 @@ def _number(value, path: str) -> float:
 
 
 def _integer(value, path: str) -> int:
-    """A JSON integer; 256.0, "256" and true are refused, not coerced."""
+    """A JSON integer; 256.0, "256" and true are refused, not coerced.
+
+    At most 18 digits, the stream files' integer grammar, so every count a
+    config sets can be written to a stream header and read back.
+    """
     if isinstance(value, bool) or not isinstance(value, int):
         raise ValueError(f"{path} must be an integer, got {value!r}")
+    if abs(value) >= 10**18:
+        raise ValueError(f"{path} has more than 18 digits")
     return value
 
 
@@ -217,7 +228,7 @@ def config_from_dict(data: dict) -> ExperimentConfig:
         raise ValueError("config must contain a top-level 'experiment' object")
     for key in data:
         if key != "experiment":
-            raise ValueError(f"unknown key {key}")
+            raise _unknown_key("", key)
     doc = _fields(
         data["experiment"],
         "experiment",

@@ -14,11 +14,15 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 import numpy as np
 
 UNITARITY_TOL = 1e-12
+
+# Finest screen binning accepted; a pattern table at this size already holds
+# over a million rows, and far larger counts would not fit in memory.
+MAX_BINS = 65_536
 
 PATH_A = "A"
 PATH_B = "B"
@@ -153,9 +157,13 @@ class SlitScreenGeometry:
                 raise ValueError(f"{name} must be positive, got {v!r}")
             object.__setattr__(self, name, v)
         n = int(self.n_bins)
-        if n < 1:
-            raise ValueError("n_bins must be >= 1")
+        if not 1 <= n <= MAX_BINS:
+            raise ValueError(f"n_bins must be between 1 and {MAX_BINS}, got {n}")
         object.__setattr__(self, "n_bins", n)
+        # phase(L), in phase()'s order of operations, bounds every bin's phase
+        edge = 2.0 * math.pi * self.screen_width * self.slit_separation
+        if not math.isfinite(edge / (self.wavelength * self.focal_length)):
+            raise ValueError("screen phase overflows: d * L / (lambda * f) is too large")
 
     @cached_property
     def bin_centers(self) -> np.ndarray:
@@ -208,8 +216,13 @@ class GaussianEnvelope:
         return np.exp(-0.5 * (x / self.sigma) ** 2)
 
 
+@lru_cache(maxsize=32)
 def _signal_vectors(geom: SlitScreenGeometry, envelope) -> tuple[np.ndarray, np.ndarray]:
-    """Unit-norm per-bin amplitude vectors (psi_A, psi_B) at bin centres."""
+    """Unit-norm per-bin amplitude vectors (psi_A, psi_B) at bin centres.
+
+    Cached per (geometry, envelope), both frozen dataclasses, so a sweep or
+    the property suite builds them once; the arrays are read-only.
+    """
     xs = geom.bin_centers
     env = np.asarray(envelope.profile(xs), dtype=float)
     total = env.sum()
@@ -217,7 +230,10 @@ def _signal_vectors(geom: SlitScreenGeometry, envelope) -> tuple[np.ndarray, np.
         raise ValueError("envelope vanishes on every bin")
     mag = np.sqrt(env / total)
     rot = np.exp(1j * geom.phase(xs))
-    return mag * rot, mag * np.conjugate(rot)
+    vectors = mag * rot, mag * np.conjugate(rot)
+    for v in vectors:
+        v.flags.writeable = False
+    return vectors
 
 
 @dataclass(frozen=True, eq=False)

@@ -6,7 +6,8 @@ agree with them cell by cell.
 
 The rest are the line-by-line readers and the full greedy matcher loop that
 ``qeraser.events`` used before its numpy passes, and the per-block decode
-loop of ``qeraser.analysis``.  They are kept verbatim as differential
+loop of ``qeraser.analysis``, and ``fit_fringe_one``, the one-histogram
+fit ``analysis.fit_fringes`` replaced.  They are kept verbatim as differential
 oracles: the fast paths must return the same arrays, headers, floats and
 orphan reports.  The readers here are looser than the library's grammar
 (Python's ``int()`` accepts ``+5``, ``1_0`` and padded fields, and ``#`` lines
@@ -21,7 +22,7 @@ import warnings
 
 import numpy as np
 
-from qeraser.analysis import LowSampleWarning, build_histogram, classify_pattern, fit_fringe
+from qeraser.analysis import FringeFit, LowSampleWarning, build_histogram, classify_pattern
 from qeraser.events import (
     CODE_D0,
     DETECTOR_LABELS,
@@ -30,6 +31,7 @@ from qeraser.events import (
     SimStreamHeader,
     TripleBatch,
 )
+from qeraser.experiment import nyquist_min_samples
 from qeraser.optics import (
     ALISHA_LABELS,
     BABU_LABELS,
@@ -280,8 +282,54 @@ def decode_per_block(triples, schedule, geom, babu_filter, alisha_filter):
                 vis.append(0.0)
                 err.append(float("inf"))
                 continue
-            fit = fit_fringe(counts, geom)
+            fit = fit_fringe_one(counts, geom)
             decoded.append(1 if classify_pattern(fit) == "interference" else 0)
             vis.append(fit.visibility)
             err.append(fit.standard_error)
     return tuple(decoded), tuple(vis), tuple(err)
+
+
+def fit_fringe_one(counts, geom: SlitScreenGeometry) -> FringeFit:
+    """One histogram's fringe fit, as ``analysis.fit_fringe`` did it alone.
+
+    Always runs the first lstsq pass, forms every product on the row as
+    passed and solves one 3x3 system; ``fit_fringes`` must match it exactly.
+    """
+    y = np.asarray(counts, dtype=float)
+    if y.ndim != 1 or len(y) != geom.n_bins:
+        raise ValueError("histogram length does not match the screen binning")
+    total = float(y.sum())
+    if total <= 0.0:
+        raise ValueError("empty histogram; nothing to fit")
+    if total < nyquist_min_samples(geom):
+        warnings.warn(
+            f"{total:.0f} counts is below the sampling bound "
+            f"{nyquist_min_samples(geom)}; fringe fit is undersampled",
+            LowSampleWarning,
+            stacklevel=2,
+        )
+    u = geom.fringe_frequency * geom.bin_centers
+    design = np.column_stack([np.ones_like(u), np.cos(u), np.sin(u)])
+    coeff = np.linalg.lstsq(design, y, rcond=None)[0]
+    var = np.clip(design @ coeff, 1.0, None)
+    weighted = design / var[:, None]
+    normal = design.T @ weighted
+    coeff = np.linalg.solve(normal, weighted.T @ y)
+    cov = np.linalg.inv(normal)
+
+    c0, c_cos, c_sin = (float(v) for v in coeff)
+    amplitude = math.hypot(c_cos, c_sin)
+    phase = math.atan2(c_sin, c_cos)
+    if amplitude > 0.0:
+        grad = np.array([c_cos / amplitude, c_sin / amplitude])
+        var_amp = float(grad @ cov[1:, 1:] @ grad)
+    else:
+        var_amp = float(0.5 * (cov[1, 1] + cov[2, 2]))
+    visibility = 0.0 if c0 <= 0.0 else min(max(amplitude / c0, 0.0), 1.0)
+    return FringeFit(
+        mean_level=c0,
+        amplitude=amplitude,
+        phase=phase,
+        visibility=visibility,
+        standard_error=math.sqrt(max(var_amp, 0.0)),
+    )

@@ -15,6 +15,7 @@ from qeraser.analysis import (
     decode_alisha_only,
     decode_omniscient,
     fit_fringe,
+    fit_fringes,
     mutual_information,
     omniscient_observable_cells,
     schedule_bit_labels,
@@ -23,8 +24,10 @@ from qeraser.analysis import (
 )
 from qeraser.events import TripleBatch, sample_triples
 from qeraser.experiment import SwitchSchedule, default_geometry, nyquist_min_samples
+from qeraser.optics import ArmOptics, SlitScreenGeometry, UniformEnvelope, joint_distribution
 
 from conftest import make_config
+from oracles import fit_fringe_one
 
 EXACT = 1e-12
 
@@ -127,6 +130,91 @@ def test_fit_low_sample_warning(geom):
     with warnings.catch_warnings():
         warnings.simplefilter("error", LowSampleWarning)
         fit_fringe(enough, geom)  # exactly at the bound: no warning
+
+
+def fit_rows(geom, rng):
+    """Rows for the fit differential: strided views, copies, counts, probabilities."""
+    rows = []
+    for _ in range(12):
+        babu = ArmOptics(rng.uniform(), bool(rng.integers(2)), rng.uniform(0, 3), rng.uniform(0, 6))
+        alisha = ArmOptics(rng.uniform(), True, rng.uniform(0, 3), rng.uniform(0, 6))
+        dist = joint_distribution(geom, UniformEnvelope(), babu, alisha)
+        views = [dist.pattern(j, k) for j in range(2) for k in range(2)]
+        views += list(dist.alisha_marginal().T)
+        rows += [v for v in views if v.sum() > 0.0]
+    rows += [row.copy() for row in rows]
+    for scale in (0.3, 2.0, 40.0, 500.0):
+        counts = rng.poisson(cosine_counts(geom, scale, rng.uniform(-3, 3), rng.uniform()))
+        rows += [counts, counts.astype(float)] if counts.any() else []
+    return rows
+
+
+def assert_fits_equal(rows, geom):
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", LowSampleWarning)
+        fits = fit_fringes(rows, geom)
+        expected = [fit_fringe_one(row, geom) for row in rows]
+    assert len(fits) == len(rows)
+    for fit, ref in zip(fits, expected):
+        assert fit == ref  # every field, to the last bit
+
+
+@pytest.mark.parametrize("n_bins", [256, 32, 8])
+def test_fit_fringes_equals_one_row_fits(n_bins):
+    """Stacked fits equal the one-histogram oracle on both first-pass paths."""
+    geom = SlitScreenGeometry(1.0e-3, 7.0e-7, 1.0, 5.0e-3, n_bins)
+    rows = fit_rows(geom, np.random.default_rng(n_bins))
+    assert any(not row.flags.c_contiguous for row in rows)
+    assert_fits_equal(rows, geom)
+    assert_fits_equal(np.array(rows[-4:]), geom)  # rows of a 2-d array
+
+
+def test_fit_fringes_around_the_shortcut_norm():
+    """Rows just either side of the 2-norm below which the first pass is skipped.
+
+    On 3 bins the design is square, so the first-pass model is the row
+    itself: rows of norm just over 1 already hold a bin whose variance is
+    above 1, and a shortcut taken there would weight it wrongly.
+    """
+    geom = SlitScreenGeometry(1.0e-3, 7.0e-7, 1.0, 5.0e-3, 3)
+    unit = np.array([0.05, 1.0, 0.1])
+    unit /= np.linalg.norm(unit)
+    rows = []
+    for norm in (0.5, 1.0, 1.5, 4.0):
+        for step in (-2, -1, 0, 1, 2):
+            scale = norm
+            for _ in range(abs(step)):
+                scale = np.nextafter(scale, np.inf if step > 0 else -np.inf)
+            rows.append(unit * scale)
+    rows += [unit * f for f in (0.49, 0.51, 0.99, 1.01, 1.2)]
+    u = geom.fringe_frequency * geom.bin_centers
+    design = np.column_stack([np.ones_like(u), np.cos(u), np.sin(u)])
+    models = [design @ np.linalg.lstsq(design, row, rcond=None)[0] for row in rows]
+    assert sum(model.max() > 1.0 for model in models) >= 10
+    assert_fits_equal(rows, geom)
+
+
+def test_fit_fringes_input_checks(geom):
+    good = cosine_counts(geom, 5.0)
+    assert fit_fringes([], geom) == []
+    with pytest.raises(ValueError, match="^empty histogram; nothing to fit$"):
+        fit_fringes([good, np.zeros(geom.n_bins)], geom)
+    with pytest.raises(ValueError, match="^histogram length does not match the screen binning$"):
+        fit_fringes([good, np.ones(geom.n_bins + 1)], geom)
+    with pytest.raises(ValueError, match="length"):
+        fit_fringes([good, np.ones((2, geom.n_bins))], geom)
+    bound = nyquist_min_samples(geom)
+    thin = np.zeros(geom.n_bins)
+    thin[: bound - 1] = 1.0
+    enough = np.zeros(geom.n_bins)
+    enough[:bound] = 1.0
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always", LowSampleWarning)
+        fit_fringes([thin, enough, thin * 0.5, enough], geom)
+    assert [str(w.message) for w in caught] == [
+        f"{bound - 1} counts is below the sampling bound {bound}; fringe fit is undersampled",
+        f"{(bound - 1) / 2:.0f} counts is below the sampling bound {bound}; fringe fit is undersampled",
+    ]
 
 
 def test_fit_error_bar_calibration(geom):

@@ -356,6 +356,25 @@ def test_decode_bad_triples_field_exits_2(tmp_path, small_config_path, capsys, f
     assert err.count("\n") == 1  # one line, no traceback
 
 
+def test_decode_non_utf8_header_exits_2(tmp_path, small_config_path, capsys):
+    """A header byte that is not UTF-8 is named with its line, escaped."""
+    out = tmp_path / "run"
+    cli.main(["simulate", "--config", str(small_config_path), "--out", str(out)])
+    path = out / "triples.csv"
+    data = path.read_bytes()
+    assert b"\n# seed=0\n" in data
+    path.write_bytes(data.replace(b"\n# seed=0\n", b"\n# seed=0\xff\n", 1))
+    capsys.readouterr()
+    code = cli.main(
+        ["decode", "--config", str(small_config_path), "--triples", str(path), "--out", str(out)]
+    )
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err == (
+        f"qeraser: bad triples file {path}: header line is not UTF-8: '# seed=0\\\\xff'\n"
+    )
+
+
 # ---------------------------------------------------------------------------
 # verify
 # ---------------------------------------------------------------------------

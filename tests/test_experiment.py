@@ -1,10 +1,15 @@
+import contextlib
+import io
 import json
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from qeraser import cli
 from qeraser.experiment import (
     DEFAULT_BITS,
     ExperimentConfig,
@@ -299,6 +304,29 @@ def test_config_huge_integer_is_a_value_error():
         config_from_dict(mutated("experiment.geometry.L", 10**400))
 
 
+@pytest.mark.parametrize(
+    "path, value, message",
+    [
+        ("experiment.geometry.n_bins", 10**18, "experiment.geometry.n_bins has more than 18 digits"),
+        ("experiment.schedule.block_size", -(10**30), "experiment.schedule.block_size has more than 18 digits"),
+        ("experiment.geometry.n_bins", 65_537, "n_bins must be between 1 and 65536, got 65537"),
+        ("experiment.geometry.d", 10**308, "screen phase overflows: d * L / (lambda * f) is too large"),
+        ("experiment.babu.tapp\nx", 1, "unknown key experiment.babu.'tapp\\nx'"),
+    ],
+)
+def test_config_bounds_and_printable_messages(path, value, message):
+    with pytest.raises(ValueError) as caught:
+        config_from_dict(mutated(path, value))
+    assert str(caught.value) == message
+
+
+def test_config_largest_accepted_counts():
+    cfg = config_from_dict(mutated("experiment.geometry.n_bins", 65_536))
+    assert cfg.geometry.n_bins == 65_536
+    cfg = config_from_dict(mutated("experiment.schedule.block_size", 10**18 - 1))
+    assert cfg.schedule.block_size == 10**18 - 1
+
+
 def test_save_config_canonical_bytes(tmp_path):
     a, b = tmp_path / "a.json", tmp_path / "b.json"
     save_config(default_config(), a)
@@ -335,3 +363,136 @@ def test_experiment_config_validation():
             alisha=ArmOptics(0.5),
             pair_rate_scale=0.0,
         )
+
+
+# ---------------------------------------------------------------------------
+# config fuzz: every malformed document is one ValueError line, patterns exit 2
+# ---------------------------------------------------------------------------
+
+SECTIONS = {
+    "": ("experiment",),
+    "experiment": ("mode", "geometry", "envelope", "babu", "alisha", "schedule", "pair_rate_scale"),
+    "experiment.geometry": ("d", "lambda", "f", "L", "n_bins"),
+    "experiment.envelope": ("type", "sigma"),
+    "experiment.babu": ("tap_p", "splitter", "theta", "chi"),
+    "experiment.alisha": ("tap_p", "splitter", "theta", "chi"),
+    "experiment.schedule": ("bits", "block_size"),
+}
+ARM_NUMBERS = [f"experiment.{arm}.{key}" for arm in ("babu", "alisha") for key in ("tap_p", "theta", "chi")]
+GEOMETRY_NUMBERS = [f"experiment.geometry.{key}" for key in ("d", "lambda", "f", "L")]
+NUMBERS = GEOMETRY_NUMBERS + ARM_NUMBERS + ["experiment.pair_rate_scale", "experiment.envelope.sigma"]
+INTEGERS = ["experiment.geometry.n_bins", "experiment.schedule.block_size", "experiment.schedule.bits.3"]
+REQUIRED = ["experiment", "experiment.geometry", "experiment.babu.tap_p", "experiment.alisha.tap_p",
+            "experiment.schedule.bits", "experiment.schedule.block_size", "experiment.envelope.sigma"]
+REQUIRED += GEOMETRY_NUMBERS + ["experiment.geometry.n_bins"]
+
+json_leaf = st.one_of(
+    st.none(), st.booleans(), st.integers(), st.floats(allow_nan=False), st.text(max_size=8)
+)
+json_value = st.recursive(
+    json_leaf,
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=6), inner, max_size=3),
+    max_leaves=6,
+)
+not_a_number = st.one_of(
+    st.none(), st.booleans(), st.text(max_size=8), st.lists(json_leaf, max_size=2),
+    st.dictionaries(st.text(max_size=4), json_leaf, max_size=2),
+)
+huge = st.integers(min_value=10**18, max_value=10**1000)
+
+
+def fuzz_base():
+    """The default document with a Gaussian envelope, so every key path exists."""
+    doc = config_to_dict(default_config())
+    doc["experiment"]["envelope"] = {"type": "gaussian", "sigma": 2e-3}
+    return doc
+
+
+def node_at(doc, path: str):
+    """(container, key) of a dotted path; a digit part indexes a list."""
+    *parents, last = path.split(".")
+    node = doc
+    for key in parents:
+        node = node[int(key)] if isinstance(node, list) else node[key]
+    return node, int(last) if isinstance(node, list) else last
+
+
+@st.composite
+def malformed_documents(draw):
+    """A valid document with one change that makes it malformed."""
+    doc = fuzz_base()
+    kind = draw(st.sampled_from(
+        ["type", "integer_type", "bool_type", "mode", "section", "unknown", "huge_integer",
+         "huge_number", "nonfinite", "missing"]
+    ))
+    if kind == "type":
+        node, key = node_at(doc, draw(st.sampled_from(NUMBERS)))
+        node[key] = draw(not_a_number)
+    elif kind == "integer_type":
+        node, key = node_at(doc, draw(st.sampled_from(INTEGERS)))
+        node[key] = draw(not_a_number | st.floats())
+    elif kind == "bool_type":
+        node, key = node_at(doc, draw(st.sampled_from(["experiment.babu.splitter", "experiment.alisha.splitter"])))
+        node[key] = draw(st.one_of(st.integers(), st.floats(), st.text(max_size=6), st.none()))
+    elif kind == "mode":
+        doc["experiment"]["mode"] = draw(json_value.filter(lambda v: v not in (MODE_DOUBLE, MODE_SINGLE)))
+    elif kind == "section":
+        node, key = node_at(doc, draw(st.sampled_from(list(SECTIONS)[1:])))
+        allowed_none = key in ("envelope", "schedule", "babu", "alisha")
+        node[key] = draw(json_leaf.filter(lambda v: not (v is None and allowed_none) and v != "uniform")
+                         | st.lists(json_leaf, max_size=2))
+    elif kind == "unknown":
+        section = draw(st.sampled_from(list(SECTIONS)))
+        node = doc if section == "" else node_at(doc, section)[0][section.split(".")[-1]]
+        node[draw(st.text(max_size=10).filter(lambda k: k not in SECTIONS[section]))] = draw(json_value)
+    elif kind == "huge_integer":
+        node, key = node_at(doc, draw(st.sampled_from(INTEGERS + ARM_NUMBERS[:1] + ARM_NUMBERS[3:4])))
+        node[key] = draw(huge) * draw(st.sampled_from([1, -1]))
+    elif kind == "huge_number":
+        node, key = node_at(doc, draw(st.sampled_from(NUMBERS)))
+        node[key] = draw(st.integers(min_value=10**309, max_value=10**1000)) * draw(st.sampled_from([1, -1]))
+    elif kind == "nonfinite":
+        node, key = node_at(doc, draw(st.sampled_from(NUMBERS)))
+        node[key] = draw(st.sampled_from([float("nan"), float("inf"), float("-inf")]))
+    else:
+        node, key = node_at(doc, draw(st.sampled_from(REQUIRED)))
+        del node[key]
+    return doc
+
+
+@settings(max_examples=300, deadline=None)
+@given(doc=malformed_documents())
+def test_malformed_config_is_one_value_error_line(doc):
+    with pytest.raises(ValueError) as caught:
+        config_from_dict(doc)
+    message = str(caught.value)
+    assert message and "\n" not in message
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_any_json_value_anywhere_reads_or_is_one_value_error_line(data):
+    """Any JSON value put at any key path gives a config or a one-line ValueError."""
+    doc = fuzz_base()
+    paths = [f"{s}.{k}".lstrip(".") for s, keys in SECTIONS.items() for k in keys] + ["experiment.schedule.bits.0"]
+    node, key = node_at(doc, data.draw(st.sampled_from(paths)))
+    node[key] = data.draw(json_value | huge | st.floats())
+    try:
+        config_from_dict(doc)
+    except ValueError as exc:
+        assert str(exc) and "\n" not in str(exc)
+
+
+@settings(max_examples=40, deadline=None)
+@given(doc=malformed_documents())
+def test_patterns_exits_2_on_malformed_config(doc):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "bad.json"
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        stderr = io.StringIO()
+        with contextlib.redirect_stderr(stderr), contextlib.redirect_stdout(io.StringIO()):
+            code = cli.main(["patterns", "--config", str(path), "--out", str(Path(tmp) / "out")])
+        assert code == 2
+        assert stderr.getvalue().startswith(f"qeraser: invalid config {path}: ")
+        assert stderr.getvalue().count("\n") == 1
+        assert not (Path(tmp) / "out").exists()

@@ -28,6 +28,7 @@ GOLDEN = {
     "decode_alisha": "9b2aa565547658d8201673154902d1ac91fa1ccb4930d65fb72c04608de28787",
     "sweep": "6debce23537565716eba1491c14a92bfe1d0c50e123c8835a63fba8ff6ac3ecc",
     "verify_stdout": "7e394f2cc075334201d5566493700d5ec0d7f348ed4eee7ee9e4936476abf980",
+    "sweep_edges": "7e33dafabd2e7b2cd2b409c01993784f2a8da1efb3bf5cafd4ea024007e7b0ca",
 }
 
 
@@ -65,6 +66,24 @@ def test_sweep_golden(tmp_path):
     rows = [line for line in (tmp_path / "sweep.csv").read_text().splitlines() if not line.startswith("#")]
     assert len(rows) == 120
     assert manifest_sha(tmp_path) == GOLDEN["sweep"]
+
+
+def test_sweep_edges_golden(tmp_path):
+    """Taps of 0 and 1 on both arms reach every branch of the sweep.
+
+    babu tap 1 leaves the erasing slices empty (NaN visibility); alisha tap 0
+    empties the D3'/D4' marginal columns and tap 1 the D1'/D2' ones.
+    """
+    argv = [
+        "sweep", "--config", str(DOUBLE), "--out", str(tmp_path),
+        "--tap", "0,1", "--splitter", "0,1",
+        "--tap-alisha", "0,1", "--theta-alisha", "0.0,0.5235987755982988",
+    ]
+    assert cli.main(argv) == 0
+    rows = [line for line in (tmp_path / "sweep.csv").read_text().splitlines() if not line.startswith("#")]
+    assert len(rows) == 320
+    assert sum(",nan," in row for row in rows) > 0
+    assert manifest_sha(tmp_path) == GOLDEN["sweep_edges"]
 
 
 def test_verify_golden(capsys):

@@ -1,4 +1,5 @@
 import cmath
+import dataclasses
 import math
 
 import numpy as np
@@ -24,6 +25,7 @@ from qeraser.optics import (
     joint_distribution,
     screen_marginal,
     single_distribution,
+    _signal_vectors,
     unitary_from_angle,
 )
 
@@ -175,6 +177,21 @@ def test_signal_paths_conjugate(geom, envelope):
         a = signal_amplitude(x, PATH_A, geom, envelope)
         b = signal_amplitude(x, PATH_B, geom, envelope)
         assert abs(a - b.conjugate()) <= EXACT
+
+
+@pytest.mark.parametrize("envelope", [UniformEnvelope(), GaussianEnvelope(1.5e-3)])
+def test_signal_vectors_cached_read_only(geom, envelope):
+    """Equal (geometry, envelope) keys share one read-only pair of vectors."""
+    first = _signal_vectors(geom, envelope)
+    again = _signal_vectors(dataclasses.replace(geom), dataclasses.replace(envelope))
+    assert again[0] is first[0] and again[1] is first[1]
+    for vector in first:
+        assert not vector.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            vector[0] = 0.0
+    for x, psi_a in zip(geom.bin_centers[::37], first[0][::37]):
+        assert abs(psi_a - signal_amplitude(x, PATH_A, geom, envelope)) <= EXACT
+    assert len(_signal_vectors(dataclasses.replace(geom, n_bins=64), envelope)[0]) == 64
 
 
 def test_signal_amplitude_offscreen(geom, envelope):
