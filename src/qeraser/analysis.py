@@ -104,24 +104,15 @@ def fit_fringes(rows, geom: SlitScreenGeometry) -> list[FringeFit]:
     1; the rest run it row by row.  Each right-hand side is formed on the row
     as passed, because a strided view rounds differently from a contiguous
     copy.  The 3x3 solves and inverses and the 2x2 variance products then
-    run stacked, which rounds as the one-matrix calls do.
+    run stacked, which rounds as the one-matrix calls do.  Rows below the
+    sampling bound are fitted without a warning; fit_fringe warns for one.
     """
     ys = [np.asarray(row, dtype=float) for row in rows]
     for y in ys:
         if y.ndim != 1 or len(y) != geom.n_bins:
             raise ValueError("histogram length does not match the screen binning")
-    totals = [float(y.sum()) for y in ys]
-    if any(total <= 0.0 for total in totals):
+    if any(float(y.sum()) <= 0.0 for y in ys):
         raise ValueError("empty histogram; nothing to fit")
-    bound = nyquist_min_samples(geom)
-    for total in totals:
-        if total < bound:
-            warnings.warn(
-                f"{total:.0f} counts is below the sampling bound "
-                f"{bound}; fringe fit is undersampled",
-                LowSampleWarning,
-                stacklevel=2,
-            )
     if not ys:
         return []
     u = geom.fringe_frequency * geom.bin_centers
@@ -170,8 +161,20 @@ def fit_fringes(rows, geom: SlitScreenGeometry) -> list[FringeFit]:
 
 
 def fit_fringe(counts, geom: SlitScreenGeometry) -> FringeFit:
-    """fit_fringes on one row of counts."""
-    return fit_fringes([counts], geom)[0]
+    """fit_fringes on one row of counts, with a LowSampleWarning at the
+    caller's line when the row holds fewer counts than the sampling bound."""
+    y = np.asarray(counts, dtype=float)
+    fit = fit_fringes([y], geom)[0]
+    total = float(y.sum())
+    bound = nyquist_min_samples(geom)
+    if total < bound:
+        warnings.warn(
+            f"{total:.0f} counts is below the sampling bound {bound}; "
+            "fringe fit is undersampled",
+            LowSampleWarning,
+            stacklevel=2,
+        )
+    return fit
 
 
 def classify_pattern(fit: FringeFit, visibility_threshold: float = VISIBILITY_THRESHOLD) -> str:
@@ -232,9 +235,7 @@ def _decode(
         minlength=n_blocks * geom.n_bins,
     ).reshape(n_blocks, geom.n_bins)
     lit = grid.any(axis=1)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", LowSampleWarning)
-        fits = iter(fit_fringes(grid[lit], geom))
+    fits = iter(fit_fringes(grid[lit], geom))
     decoded, vis, err = [], [], []
     for fitted in lit:
         if not fitted:  # an empty block decodes as 0 with no error bar

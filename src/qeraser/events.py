@@ -503,7 +503,9 @@ def _read_stream(path, fmt: _Format) -> tuple[dict, SimStreamHeader]:
     if blank.any():
         start, end = start[~blank], end[~blank]
     n = len(start)
-    declared = _header_int("n_rows", meta["n_rows"]) if "n_rows" in meta else -1
+    if "n_rows" not in meta:
+        raise ValueError("stream header missing field 'n_rows'")
+    declared = _header_int("n_rows", meta["n_rows"])
     if declared != n:
         raise ValueError(
             f"{fmt.what} declares {declared} rows but contains {n}; "

@@ -18,15 +18,9 @@ from functools import cached_property, lru_cache
 
 import numpy as np
 
-UNITARITY_TOL = 1e-12
-
 # Finest screen binning accepted; a pattern table at this size already holds
 # over a million rows, and far larger counts would not fit in memory.
 MAX_BINS = 65_536
-
-PATH_A = "A"
-PATH_B = "B"
-PATHS = (PATH_A, PATH_B)
 
 # Arm outcome indices.  D1/D2 sit behind the recombining splitter (path label
 # erased); D3/D4 are the tap monitors, path-consistent by construction
@@ -37,47 +31,27 @@ BABU_LABELS = ("D1", "D2", "D3", "D4")
 ALISHA_LABELS = ("D1'", "D2'", "D3'", "D4'")
 
 
-@dataclass(frozen=True)
-class BeamSplitterUnitary:
-    """2x2 recombiner on the path basis.
+def _recombiner(alpha: complex, beta: complex) -> np.ndarray:
+    """Read-only 2x2 recombiner [[alpha, beta], [-conj(beta), conj(alpha)]].
 
-    Convention: path A maps to alpha*D1 + beta*D2, path B maps to
-    -conj(beta)*D1 + conj(alpha)*D2.  Any (alpha, beta) with
-    |alpha|^2 + |beta|^2 = 1 gives a unitary map.
+    Rows are the source paths A and B, columns the outcomes D1 and D2: path A
+    maps to alpha*D1 + beta*D2, path B to -conj(beta)*D1 + conj(alpha)*D2,
+    which is unitary whenever |alpha|^2 + |beta|^2 = 1.
     """
-
-    alpha: complex
-    beta: complex
-
-    def __post_init__(self):
-        a = complex(self.alpha)
-        b = complex(self.beta)
-        if not all(map(math.isfinite, (a.real, a.imag, b.real, b.imag))):
-            raise ValueError("beam splitter entries must be finite")
-        norm = abs(a) ** 2 + abs(b) ** 2
-        if abs(norm - 1.0) > UNITARITY_TOL:
-            raise ValueError(
-                f"|alpha|^2 + |beta|^2 = {norm!r} violates unitarity"
-            )
-        object.__setattr__(self, "alpha", a)
-        object.__setattr__(self, "beta", b)
-
-    def matrix(self) -> np.ndarray:
-        a, b = self.alpha, self.beta
-        return np.array([[a, b], [-b.conjugate(), a.conjugate()]])
+    matrix = np.array([[alpha, beta], [-beta.conjugate(), alpha.conjugate()]])
+    matrix.flags.writeable = False
+    return matrix
 
 
-def unitary_from_angle(theta: float, chi: float) -> BeamSplitterUnitary:
-    """Mixing angle and relative phase: alpha = cos(theta), beta = sin(theta) e^{i chi}.
+def unitary_from_angle(theta: float, chi: float) -> np.ndarray:
+    """Recombiner with alpha = cos(theta), beta = sin(theta) e^{i chi}.
 
     theta = pi/4, chi = 0 is the balanced splitter; theta = 0 is a pass-through.
     """
-    return BeamSplitterUnitary(
-        complex(math.cos(theta)), math.sin(theta) * cmath.exp(1j * chi)
-    )
+    return _recombiner(complex(math.cos(theta)), math.sin(theta) * cmath.exp(1j * chi))
 
 
-IDENTITY_SPLITTER = BeamSplitterUnitary(1.0 + 0j, 0.0 + 0j)
+IDENTITY_SPLITTER = _recombiner(1.0 + 0j, 0.0 + 0j)
 
 
 @dataclass(frozen=True)
@@ -85,7 +59,7 @@ class ArmOptics:
     """One observer's idler arm: which-path tap plus optional recombiner.
 
     The fields are the config schema's (tap_p, splitter, theta, chi); the
-    recombiner is unitary_from_angle(theta, chi), built once per arm.
+    recombiner and the amplitude table are built once per arm, read-only.
     """
 
     tap_probability: float
@@ -106,34 +80,26 @@ class ArmOptics:
         object.__setattr__(self, "splitter_present", bool(self.splitter_present))
 
     @cached_property
-    def unitary(self) -> BeamSplitterUnitary:
-        return unitary_from_angle(self.theta, self.chi)
+    def recombiner(self) -> np.ndarray:
+        """unitary_from_angle(theta, chi); removing the splitter hard-wires
+        D1 to path A and D2 to path B."""
+        if self.splitter_present:
+            return unitary_from_angle(self.theta, self.chi)
+        return IDENTITY_SPLITTER
 
-    @property
-    def effective_unitary(self) -> BeamSplitterUnitary:
-        """Removing the splitter hard-wires D1 to path A and D2 to path B."""
-        return self.unitary if self.splitter_present else IDENTITY_SPLITTER
+    @cached_property
+    def amplitudes(self) -> np.ndarray:
+        """(2, 4) amplitudes [D1, D2, D3, D4] the arm attaches to paths A and B.
 
-
-def arm_amplitudes(path: str, optics: ArmOptics) -> np.ndarray:
-    """Amplitudes [D1, D2, D3, D4] an arm attaches to one source path.
-
-    sqrt(p) goes to the path-consistent monitor, the remaining sqrt(1-p)
-    through the effective recombiner.  The two vectors returned for the two
-    paths of a fixed arm are orthonormal; that orthogonality is what kills
-    every cross term in the remote marginal.
-    """
-    if path not in PATHS:
-        raise ValueError(f"unknown path {path!r}")
-    u = optics.effective_unitary
-    tap = math.sqrt(optics.tap_probability)
-    keep = math.sqrt(1.0 - optics.tap_probability)
-    if path == PATH_A:
-        return np.array([keep * u.alpha, keep * u.beta, tap, 0.0], dtype=complex)
-    return np.array(
-        [-keep * u.beta.conjugate(), keep * u.alpha.conjugate(), 0.0, tap],
-        dtype=complex,
-    )
+        sqrt(1-p) goes through the recombiner, the remaining sqrt(p) to the
+        path-consistent monitor.  The two rows are orthonormal; that
+        orthogonality is what kills every cross term in the remote marginal.
+        """
+        table = np.zeros((2, 4), dtype=complex)
+        table[:, :2] = math.sqrt(1.0 - self.tap_probability) * self.recombiner
+        table[0, D3] = table[1, D4] = math.sqrt(self.tap_probability)
+        table.flags.writeable = False
+        return table
 
 
 @dataclass(frozen=True)
@@ -266,8 +232,8 @@ def _outcome_probabilities(geom: SlitScreenGeometry, envelope, arms) -> np.ndarr
     """
     amp_a, amp_b = _signal_vectors(geom, envelope)
     for arm in arms:
-        amp_a = amp_a[..., None] * arm_amplitudes(PATH_A, arm)
-        amp_b = amp_b[..., None] * arm_amplitudes(PATH_B, arm)
+        amp_a = amp_a[..., None] * arm.amplitudes[0]
+        amp_b = amp_b[..., None] * arm.amplitudes[1]
     amp = math.sqrt(0.5) * (amp_a + amp_b)
     return amp.real**2 + amp.imag**2
 
@@ -302,40 +268,31 @@ def screen_marginal(
     identity.
     """
     psi_a, psi_b = _signal_vectors(geom, envelope)
-    wa = np.abs(arm_amplitudes(PATH_A, alisha)) ** 2
-    wb = np.abs(arm_amplitudes(PATH_B, alisha)) ** 2
+    wa, wb = np.abs(alisha.amplitudes) ** 2
     ea = psi_a.real**2 + psi_a.imag**2
     eb = psi_b.real**2 + psi_b.imag**2
     return 0.5 * (ea[:, None] * wa[None, :] + eb[:, None] * wb[None, :])
 
 
-def _erasing_path_factors(j: int, unitary: BeamSplitterUnitary) -> tuple[complex, complex]:
-    """Unitary factors (path A, path B) attached to an erasing outcome."""
-    if j == D1:
-        return unitary.alpha, -unitary.beta.conjugate()
-    if j == D2:
-        return unitary.beta, unitary.alpha.conjugate()
-    raise ValueError(
-        f"outcome {j} is a which-path monitor; only D1/D2 carry a fringe term"
-    )
-
-
 def interference_coefficient(
-    j: int,
-    k: int,
-    babu_unitary: BeamSplitterUnitary,
-    alisha_unitary: BeamSplitterUnitary,
+    j: int, k: int, babu_recombiner: np.ndarray, alisha_recombiner: np.ndarray
 ) -> float:
     """Signed weight of the cos(2*phase) fringe in the (j, k) coincidence slice.
 
     Each erasing pair's slice is envelope * (|c_A|^2 + |c_B|^2
-    + 2 Re(c_A conj(c_B) e^{2 i phase})) with c_A, c_B the unitary factors on
-    the two source paths; this returns 2 Re(c_A conj(c_B)).  Equal-index
-    pairs come out as +(2 Re of the four-factor product), mixed pairs as the
-    same value negated, so the sum over j at fixed k cancels identically.
+    + 2 Re(c_A conj(c_B) e^{2 i phase})) with c_A, c_B the recombiner
+    columns j (babu) and k (alisha) multiplied path by path; this returns
+    2 Re(c_A conj(c_B)).  Equal-index pairs come out as +(2 Re of the
+    four-factor product), mixed pairs as the same value negated, so the sum
+    over j at fixed k cancels identically.
     """
-    bca, bcb = _erasing_path_factors(j, babu_unitary)
-    aca, acb = _erasing_path_factors(k, alisha_unitary)
+    for outcome in (j, k):
+        if outcome not in ERASING_OUTCOMES:
+            raise ValueError(
+                f"outcome {outcome} is a which-path monitor; only D1/D2 carry a fringe term"
+            )
+    bca, bcb = babu_recombiner[:, j].tolist()
+    aca, acb = alisha_recombiner[:, k].tolist()
     ca = bca * aca
     cb = bcb * acb
     return float(2.0 * (ca * cb.conjugate()).real)

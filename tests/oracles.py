@@ -2,7 +2,11 @@
 
 The scalar amplitude routes (``signal_amplitude``, ``joint_amplitude``) build
 one table cell at a time from closed forms; ``joint_distribution`` must
-agree with them cell by cell.
+agree with them cell by cell.  ``arm_amplitudes`` and
+``interference_coefficient_factors`` are the per-path routes that
+``ArmOptics.amplitudes`` and ``optics.interference_coefficient`` replaced:
+they write the recombiner convention out from (alpha, beta) as Python
+complex numbers, and the library's tables must equal them exactly.
 
 The rest are the line-by-line readers and the full greedy matcher loop that
 ``qeraser.events`` used before its numpy passes, and the per-block decode
@@ -32,18 +36,65 @@ from qeraser.events import (
     TripleBatch,
 )
 from qeraser.experiment import nyquist_min_samples
-from qeraser.optics import (
-    ALISHA_LABELS,
-    BABU_LABELS,
-    PATH_A,
-    PATH_B,
-    PATHS,
-    ArmOptics,
-    SlitScreenGeometry,
-    arm_amplitudes,
-)
+from qeraser.optics import D1, D2, ALISHA_LABELS, BABU_LABELS, ArmOptics, SlitScreenGeometry
 
 _CODE_BY_LABEL = {label: code for code, label in enumerate(DETECTOR_LABELS)}
+
+PATH_A = "A"
+PATH_B = "B"
+PATHS = (PATH_A, PATH_B)
+
+
+def splitter_entries(theta: float, chi: float) -> tuple[complex, complex]:
+    """(alpha, beta) = (cos(theta), sin(theta) e^{i chi}) as Python complex numbers."""
+    return complex(math.cos(theta)), math.sin(theta) * cmath.exp(1j * chi)
+
+
+def arm_entries(optics: ArmOptics) -> tuple[complex, complex]:
+    """(alpha, beta) of an arm's recombiner; a removed splitter is the identity."""
+    if optics.splitter_present:
+        return splitter_entries(optics.theta, optics.chi)
+    return 1.0 + 0j, 0.0 + 0j
+
+
+def arm_amplitudes(path: str, optics: ArmOptics) -> np.ndarray:
+    """Amplitudes [D1, D2, D3, D4] an arm attaches to one source path.
+
+    sqrt(p) goes to the path-consistent monitor, the remaining sqrt(1-p)
+    through the recombiner: path A maps to alpha*D1 + beta*D2, path B to
+    -conj(beta)*D1 + conj(alpha)*D2.
+    """
+    if path not in PATHS:
+        raise ValueError(f"unknown path {path!r}")
+    alpha, beta = arm_entries(optics)
+    tap = math.sqrt(optics.tap_probability)
+    keep = math.sqrt(1.0 - optics.tap_probability)
+    if path == PATH_A:
+        return np.array([keep * alpha, keep * beta, tap, 0.0], dtype=complex)
+    return np.array(
+        [-keep * beta.conjugate(), keep * alpha.conjugate(), 0.0, tap],
+        dtype=complex,
+    )
+
+
+def erasing_path_factors(j: int, alpha: complex, beta: complex) -> tuple[complex, complex]:
+    """Recombiner factors (path A, path B) attached to an erasing outcome."""
+    if j == D1:
+        return alpha, -beta.conjugate()
+    if j == D2:
+        return beta, alpha.conjugate()
+    raise ValueError(
+        f"outcome {j} is a which-path monitor; only D1/D2 carry a fringe term"
+    )
+
+
+def interference_coefficient_factors(j: int, k: int, babu: tuple, alisha: tuple) -> float:
+    """2 Re(c_A conj(c_B)) for the (j, k) slice, from (alpha, beta) pairs."""
+    bca, bcb = erasing_path_factors(j, *babu)
+    aca, acb = erasing_path_factors(k, *alisha)
+    ca = bca * aca
+    cb = bcb * acb
+    return float(2.0 * (ca * cb.conjugate()).real)
 
 
 def signal_amplitude(x: float, path: str, geom: SlitScreenGeometry, envelope) -> complex:

@@ -211,10 +211,29 @@ def test_fit_fringes_input_checks(geom):
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always", LowSampleWarning)
         fit_fringes([thin, enough, thin * 0.5, enough], geom)
+        assert not caught  # only fit_fringe warns, at its caller's line
+        fit_fringe(thin * 0.5, geom)
     assert [str(w.message) for w in caught] == [
-        f"{bound - 1} counts is below the sampling bound {bound}; fringe fit is undersampled",
         f"{(bound - 1) / 2:.0f} counts is below the sampling bound {bound}; fringe fit is undersampled",
     ]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", LowSampleWarning)
+        with pytest.raises(ValueError, match="empty"):
+            fit_fringe(np.zeros(geom.n_bins), geom)  # the row is checked before any warning
+
+
+def test_fit_fringe_warns_at_each_calling_line(geom):
+    """Under the default once-per-location filter, thin fits from two lines warn twice."""
+    thin = np.zeros(geom.n_bins)
+    thin[: nyquist_min_samples(geom) - 1] = 1.0
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.resetwarnings()
+        warnings.simplefilter("default")
+        fit_fringe(thin, geom)
+        fit_fringe(thin, geom)
+    assert [w.category for w in caught] == [LowSampleWarning, LowSampleWarning]
+    assert [w.filename for w in caught] == [__file__, __file__]
+    assert caught[0].lineno + 1 == caught[1].lineno
 
 
 def test_fit_error_bar_calibration(geom):

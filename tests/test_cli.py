@@ -142,6 +142,48 @@ def test_missing_config_file(tmp_path, capsys):
     assert "not found" in capsys.readouterr().err
 
 
+def one_line_error(capsys) -> str:
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1, err  # one line, no traceback
+    return err
+
+
+def test_config_directory_exits_2(tmp_path, capsys):
+    code = cli.main(["patterns", "--config", str(tmp_path), "--out", str(tmp_path / "o")])
+    assert code == 2
+    assert one_line_error(capsys) == f"qeraser: Is a directory: {tmp_path}\n"
+    assert not (tmp_path / "o").exists()
+
+
+def test_triples_directory_exits_2(tmp_path, small_config_path, capsys):
+    args = ["--config", str(small_config_path), "--triples", str(tmp_path), "--out", str(tmp_path / "o")]
+    assert cli.main(["decode", *args]) == 2
+    assert one_line_error(capsys) == f"qeraser: Is a directory: {tmp_path}\n"
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("content", ["", "\n\n", "0,0,1,D1,D1'\n"])
+def test_headerless_triples_exits_2(tmp_path, small_config_path, capsys, content):
+    path = tmp_path / "triples.csv"
+    path.write_text(content)
+    args = ["--config", str(small_config_path), "--triples", str(path), "--out", str(tmp_path / "o")]
+    assert cli.main(["decode", *args]) == 2
+    assert one_line_error(capsys) == (
+        f"qeraser: bad triples file {path}: stream header missing field 'n_rows'\n"
+    )
+
+
+def test_simulate_out_is_a_file_exits_2(tmp_path, small_config_path, capsys):
+    out = tmp_path / "taken"
+    out.write_text("keep me\n")
+    code = cli.main(["simulate", "--config", str(small_config_path), "--out", str(out)])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1
+    assert err.startswith("qeraser: File exists: ") and err.endswith(f"{out}\n")
+    assert out.read_text() == "keep me\n"
+
+
 def test_invalid_config_value(tmp_path, capsys):
     doc = config_to_dict(default_config())
     doc["experiment"]["babu"]["tap_p"] = 2.0
@@ -387,9 +429,14 @@ def test_verify_passes(capsys):
     assert "FAIL" not in out
 
 
-def test_verify_injection_hook_fails(capsys):
-    assert cli.main(["verify", "--trials", "20", "--inject-nonunitary"]) == 1
+def test_verify_fails_on_a_nonunitary_splitter(monkeypatch, capsys):
+    def broken(theta, chi):
+        return np.array([[0.8 + 0j, 0.7 + 0j], [-0.7 + 0j, 0.8 + 0j]])  # |a|^2+|b|^2 = 1.13
+
+    monkeypatch.setattr(cli, "unitary_from_angle", broken)
+    assert cli.main(["verify", "--trials", "20"]) == 1
     out = capsys.readouterr().out
+    assert "FAIL unitarity (max residual 1.300e-01" in out
     assert "FAIL unitarity" in out
     assert "PROPERTY VIOLATION" in out
 

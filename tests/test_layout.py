@@ -1,13 +1,20 @@
-"""Dead-code guard: every public function and class in ``src/qeraser`` has a user.
+"""Dead-code guard: every public definition in ``src/qeraser`` has a user.
 
-A public top-level name counts as used when some code refers to it, as a
-name or an attribute, outside its own definition.  The places that count are
-the package itself (except ``__init__.py``, which only re-exports), the
+A public top-level function or class counts as used when some code refers
+to it, as a name or an attribute, outside its own definition.  A public
+method or property of a public class counts as used when some code refers
+to an attribute of that name outside the method itself; the check goes by
+name, not by type.  The places that count are the package's modules, the
 study scripts, the benchmark and the acceptance tests.  Unit tests do not
 count: an API only they call belongs in ``tests/oracles.py`` or nowhere.
+The package root ``__init__.py`` holds only the version and re-exports
+nothing, so it is not read.
 """
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -38,6 +45,28 @@ def referenced(nodes) -> set[str]:
     return names
 
 
+def attributes(root, skip=None) -> set[str]:
+    """Attribute names referenced under root, leaving out the subtree skip."""
+    names = set()
+    stack = [root]
+    while stack:
+        node = stack.pop()
+        if node is skip:
+            continue
+        if isinstance(node, ast.Attribute):
+            names.add(node.attr)
+        stack.extend(ast.iter_child_nodes(node))
+    return names
+
+
+def public_members(cls: ast.ClassDef):
+    return [
+        node
+        for node in cls.body
+        if isinstance(node, ast.FunctionDef) and not node.name.startswith("_")
+    ]
+
+
 def test_every_public_definition_has_a_user():
     trees = {path: ast.parse(path.read_text(encoding="utf-8")) for path in users()}
     elsewhere = {path: referenced([tree]) for path, tree in trees.items()}
@@ -55,11 +84,54 @@ def test_every_public_definition_has_a_user():
     assert not unused, f"public names only unit tests use: {', '.join(unused)}"
 
 
+def test_every_public_method_has_a_user():
+    trees = {path: ast.parse(path.read_text(encoding="utf-8")) for path in users()}
+    elsewhere = {path: attributes(tree) for path, tree in trees.items()}
+    unused = []
+    for path in modules():
+        others = set().union(*(names for p, names in elsewhere.items() if p != path))
+        for cls in trees[path].body:
+            if not isinstance(cls, ast.ClassDef) or cls.name.startswith("_"):
+                continue
+            for method in public_members(cls):
+                # its own module counts only outside the method itself
+                if method.name not in others | attributes(trees[path], skip=method):
+                    unused.append(f"{path.stem}.{cls.name}.{method.name}")
+    assert not unused, f"public methods only unit tests use: {', '.join(unused)}"
+
+
 def test_guard_sees_the_package():
+    trees = [ast.parse(path.read_text(encoding="utf-8")) for path in modules()]
     names = {
         node.name
-        for path in modules()
-        for node in ast.parse(path.read_text(encoding="utf-8")).body
+        for tree in trees
+        for node in tree.body
         if isinstance(node, (ast.FunctionDef, ast.ClassDef))
     }
     assert {"joint_distribution", "match_coincidences", "cmd_sweep", "ArmOptics"} <= names
+    methods = {
+        f"{cls.name}.{method.name}"
+        for tree in trees
+        for cls in tree.body
+        if isinstance(cls, ast.ClassDef)
+        for method in public_members(cls)
+    }
+    assert {"ArmOptics.recombiner", "ArmOptics.amplitudes", "CoincidenceDistribution.pattern"} <= methods
+
+
+def test_package_root_reexports_nothing():
+    tree = ast.parse((PACKAGE / "__init__.py").read_text(encoding="utf-8"))
+    assert not [n for n in tree.body if isinstance(n, (ast.Import, ast.ImportFrom))]
+
+
+def test_stream_module_does_not_import_scipy():
+    """The stream layer needs numpy only; scipy.stats alone costs about a second."""
+    code = "import sys, qeraser.events; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    out = subprocess.run(
+        [sys.executable, "-c", code],
+        capture_output=True,
+        text=True,
+        check=True,
+        env={**os.environ, "PYTHONPATH": str(PACKAGE.parent)},
+    ).stdout
+    assert out == "[]\n"

@@ -9,18 +9,14 @@ from hypothesis import strategies as st
 
 from qeraser.optics import (
     ArmOptics,
-    BeamSplitterUnitary,
     D1,
     D2,
     D3,
     D4,
     GaussianEnvelope,
     IDENTITY_SPLITTER,
-    PATH_A,
-    PATH_B,
     SlitScreenGeometry,
     UniformEnvelope,
-    arm_amplitudes,
     interference_coefficient,
     joint_distribution,
     screen_marginal,
@@ -30,7 +26,16 @@ from qeraser.optics import (
 )
 
 from conftest import angle_pairs
-from oracles import joint_amplitude, signal_amplitude
+from oracles import (
+    PATH_A,
+    PATH_B,
+    arm_amplitudes,
+    arm_entries,
+    interference_coefficient_factors,
+    joint_amplitude,
+    signal_amplitude,
+    splitter_entries,
+)
 
 EXACT = 1e-12
 
@@ -48,39 +53,28 @@ taps = st.floats(min_value=0.0, max_value=1.0, allow_nan=False)
 @given(theta=angles, chi=angles)
 def test_angle_parameterisation_is_unitary(theta, chi):
     u = unitary_from_angle(theta, chi)
-    assert abs(abs(u.alpha) ** 2 + abs(u.beta) ** 2 - 1.0) <= EXACT
-    m = u.matrix()
-    np.testing.assert_allclose(m @ m.conj().T, np.eye(2), atol=EXACT)
+    alpha, beta = splitter_entries(theta, chi)
+    assert u.tolist() == [[alpha, beta], [-beta.conjugate(), alpha.conjugate()]]
+    assert abs(abs(alpha) ** 2 + abs(beta) ** 2 - 1.0) <= EXACT
+    np.testing.assert_allclose(u @ u.conj().T, np.eye(2), atol=EXACT)
 
 
 def test_known_splitters():
-    assert IDENTITY_SPLITTER.alpha == 1.0 + 0j
-    assert IDENTITY_SPLITTER.beta == 0.0 + 0j
-    balanced = ArmOptics(0.5).unitary  # the default arm's recombiner
+    assert IDENTITY_SPLITTER.tolist() == [[1.0 + 0j, 0.0 + 0j], [0.0 + 0j, 1.0 + 0j]]
+    balanced = ArmOptics(0.5).recombiner  # the default arm's recombiner
     r = math.sqrt(0.5)
-    assert abs(balanced.alpha - r) <= EXACT
-    assert abs(balanced.beta - r) <= EXACT
+    np.testing.assert_allclose(balanced, [[r, r], [-r, r]], atol=EXACT)
 
 
 def test_arm_unitary_from_its_angles():
     arm = ArmOptics(0.3, theta=1.1, chi=2.2)
-    assert arm.unitary == unitary_from_angle(1.1, 2.2)
-    assert arm.unitary is arm.unitary  # built once per arm
-    assert ArmOptics(0.3, splitter_present=False, theta=1.1).effective_unitary == IDENTITY_SPLITTER
-
-
-def test_nonunitary_entries_rejected():
-    with pytest.raises(ValueError, match="unitarity"):
-        BeamSplitterUnitary(0.8, 0.7)
-    with pytest.raises(ValueError, match="unitarity"):
-        BeamSplitterUnitary(1.0, 1e-6)
-
-
-def test_nonfinite_entries_rejected():
-    with pytest.raises(ValueError, match="finite"):
-        BeamSplitterUnitary(complex(math.nan), 0.0)
-    with pytest.raises(ValueError, match="finite"):
-        BeamSplitterUnitary(1.0, complex(0.0, math.inf))
+    np.testing.assert_array_equal(arm.recombiner, unitary_from_angle(1.1, 2.2))
+    assert arm.recombiner is arm.recombiner  # built once per arm
+    assert arm.amplitudes is arm.amplitudes
+    assert ArmOptics(0.3, splitter_present=False, theta=1.1).recombiner is IDENTITY_SPLITTER
+    for table in (arm.recombiner, arm.amplitudes, IDENTITY_SPLITTER):
+        with pytest.raises(ValueError, match="read-only"):
+            table[0, 0] = 0.0
 
 
 # ---------------------------------------------------------------------------
@@ -90,9 +84,7 @@ def test_nonfinite_entries_rejected():
 
 def test_arm_amplitudes_frozen_balanced():
     # hand values: keep = sqrt(1/2), alpha = beta = sqrt(1/2)
-    arm = ArmOptics(tap_probability=0.5)
-    va = arm_amplitudes(PATH_A, arm)
-    vb = arm_amplitudes(PATH_B, arm)
+    va, vb = ArmOptics(tap_probability=0.5).amplitudes
     r = math.sqrt(0.5)
     np.testing.assert_allclose(va, [0.5, 0.5, r, 0.0], atol=EXACT)
     np.testing.assert_allclose(vb, [-0.5, 0.5, 0.0, r], atol=EXACT)
@@ -101,26 +93,54 @@ def test_arm_amplitudes_frozen_balanced():
 def test_arm_amplitudes_frozen_passthrough():
     # no tap, no splitter: D1 is path A, D2 is path B, monitors dark
     arm = ArmOptics(tap_probability=0.0, splitter_present=False)
-    np.testing.assert_allclose(arm_amplitudes(PATH_A, arm), [1, 0, 0, 0], atol=EXACT)
-    np.testing.assert_allclose(arm_amplitudes(PATH_B, arm), [0, 1, 0, 0], atol=EXACT)
+    np.testing.assert_allclose(arm.amplitudes, [[1, 0, 0, 0], [0, 1, 0, 0]], atol=EXACT)
 
 
 def test_splitter_removal_ignores_angles():
     armed = ArmOptics(0.3, splitter_present=False, theta=1.1, chi=2.2)
     plain = ArmOptics(0.3, splitter_present=False)
-    for path in (PATH_A, PATH_B):
-        np.testing.assert_array_equal(
-            arm_amplitudes(path, armed), arm_amplitudes(path, plain)
-        )
+    np.testing.assert_array_equal(armed.amplitudes, plain.amplitudes)
+
+
+def differential_arms():
+    """Arms with taps 0 and 1 and in between, splitter in and out, random angles."""
+    rng = np.random.default_rng(11)
+    arms = [
+        ArmOptics(p, present, theta, chi)
+        for p in (0.0, 1.0, 0.5, 0.37)
+        for present in (True, False)
+        for theta, chi in ((math.pi / 4.0, 0.0), (0.0, 0.0), (1.1, 2.2))
+    ]
+    for theta, chi in angle_pairs(rng, 40):
+        arms.append(ArmOptics(rng.uniform(), bool(rng.integers(2)), theta, chi))
+    return arms
+
+
+def test_arm_amplitudes_equal_the_per_path_oracle():
+    """Each row of ArmOptics.amplitudes is the old per-path vector, to the last bit."""
+    for arm in differential_arms():
+        assert arm.amplitudes.shape == (2, 4)
+        assert (arm.amplitudes[0] == arm_amplitudes(PATH_A, arm)).all()
+        assert (arm.amplitudes[1] == arm_amplitudes(PATH_B, arm)).all()
+
+
+def test_interference_coefficient_equals_the_factor_route():
+    """Columns of the recombiner give the old (alpha, beta) factor route exactly."""
+    arms = differential_arms()
+    for babu, alisha in zip(arms, arms[1:] + arms[:1]):
+        for j in (D1, D2):
+            for k in (D1, D2):
+                coef = interference_coefficient(j, k, babu.recombiner, alisha.recombiner)
+                assert coef == interference_coefficient_factors(
+                    j, k, arm_entries(babu), arm_entries(alisha)
+                )
 
 
 @settings(max_examples=200)
 @given(p=taps, theta=angles, chi=angles, present=st.booleans())
 def test_arm_vectors_orthonormal(p, theta, chi, present):
     """The A/B image vectors form an isometry for every arm setting."""
-    arm = ArmOptics(p, splitter_present=present, theta=theta, chi=chi)
-    va = arm_amplitudes(PATH_A, arm)
-    vb = arm_amplitudes(PATH_B, arm)
+    va, vb = ArmOptics(p, splitter_present=present, theta=theta, chi=chi).amplitudes
     assert abs(np.vdot(va, va) - 1.0) <= EXACT
     assert abs(np.vdot(vb, vb) - 1.0) <= EXACT
     assert abs(np.vdot(va, vb)) <= EXACT
@@ -213,15 +233,15 @@ def brute_force_joint(geom, envelope, babu, alisha):
     """Direct per-cell expansion from scalar pieces, no vectorised code.
 
     Arm factors are written out from the (alpha, beta) convention by hand so
-    this route shares no arithmetic with arm_amplitudes.
+    this route shares no arithmetic with ArmOptics.amplitudes.
     """
 
     def factors(arm):
-        u = arm.unitary if arm.splitter_present else IDENTITY_SPLITTER
+        alpha, beta = arm_entries(arm)
         keep = math.sqrt(1.0 - arm.tap_probability)
         tap = math.sqrt(arm.tap_probability)
-        fa = [keep * u.alpha, keep * u.beta, tap, 0.0]
-        fb = [-keep * u.beta.conjugate(), keep * u.alpha.conjugate(), 0.0, tap]
+        fa = [keep * alpha, keep * beta, tap, 0.0]
+        fb = [-keep * beta.conjugate(), keep * alpha.conjugate(), 0.0, tap]
         return fa, fb
 
     ba, bb = factors(babu)
@@ -354,21 +374,22 @@ def test_coefficient_matches_joint_table(small_geom, envelope):
     u = 2.0 * small_geom.phase(small_geom.bin_centers)
     n = small_geom.n_bins
 
-    def hand_factors(unitary):
+    def hand_factors(arm):
+        alpha, beta = arm_entries(arm)
         return {
-            D1: (unitary.alpha, -unitary.beta.conjugate()),
-            D2: (unitary.beta, unitary.alpha.conjugate()),
+            D1: (alpha, -beta.conjugate()),
+            D2: (beta, alpha.conjugate()),
         }
 
-    bf = hand_factors(babu.unitary)
-    af = hand_factors(alisha.unitary)
+    bf = hand_factors(babu)
+    af = hand_factors(alisha)
     for j in (D1, D2):
         for k in (D1, D2):
             z = (bf[j][0] * af[k][0]) * (bf[j][1] * af[k][1]).conjugate()
             y = dist.pattern(j, k) * 2.0 * n
             design = np.column_stack([np.ones(n), np.cos(u), np.sin(u)])
             c0, ccos, csin = np.linalg.lstsq(design, y, rcond=None)[0]
-            coef = interference_coefficient(j, k, babu.unitary, alisha.unitary)
+            coef = interference_coefficient(j, k, babu.recombiner, alisha.recombiner)
             assert abs(ccos - coef) <= 1e-9
             assert abs(ccos - 2.0 * z.real) <= 1e-9
             assert abs(csin + 2.0 * z.imag) <= 1e-9
