@@ -15,12 +15,11 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 from scipy.stats import chi2 as _chi2_dist
 
-from .events import TripleBatch
+from .events import TripleBatch, _write_text
 from .experiment import SwitchSchedule, nyquist_min_samples
 from .optics import SlitScreenGeometry
 
@@ -395,18 +394,16 @@ def _fmt(v) -> str:
     return repr(float(v))
 
 
-def _write_table(path, header_pairs: dict, columns: str, rows: list[str]) -> None:
+def _write_table(path, header_pairs: dict, columns: str, rows: list[str]) -> str:
     from . import __version__
 
-    lines = [f"# tool_version={__version__}"]
-    for key, value in header_pairs.items():
-        lines.append(f"# {key}={value}")
-    lines.append(f"# columns={columns}")
-    lines.extend(rows)
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+    lines = [f"tool_version={__version__}"]
+    lines += [f"{key}={value}" for key, value in header_pairs.items()]
+    lines.append(f"columns={columns}")
+    return _write_text(path, lines, ["\n".join([*rows, ""])])  # each row ends in "\n"
 
 
-def write_decode_csv(path, report: DecodeReport, header: dict) -> None:
+def write_decode_csv(path, report: DecodeReport, header: dict) -> str:
     meta = dict(header)
     meta["selector"] = report.selector
     meta["bit_error_rate"] = _fmt(report.bit_error_rate)
@@ -418,4 +415,4 @@ def write_decode_csv(path, report: DecodeReport, header: dict) -> None:
             f"{_fmt(report.per_block_stderr[b])},"
             f"{report.decoded_bits[b]},{report.true_bits[b]}"
         )
-    _write_table(path, meta, "block,visibility,stderr,decoded,true", rows)
+    return _write_table(path, meta, "block,visibility,stderr,decoded,true", rows)

@@ -1,55 +1,22 @@
-"""Command-line front end.
+"""Command-line front end: patterns, simulate, verify, decode and sweep.
 
-Subcommands
------------
-patterns   write exact conditional pattern tables for a config
-simulate   sample triples, emit a time-tagged event log, match coincidences
-verify     run randomized exact-identity checks (unitarity, normalisation,
-           fringe cancellation, marginal invariance); exit 0 iff all hold
-decode     run a per-block decoder over a triples file
-sweep      grid over babu/alisha settings; visibilities and residuals per row
-
-Config file (JSON)::
-
-    {
-      "experiment": {
-        "mode": "double_delayed_choice",        # or "single_delayed_choice"
-        "geometry": {"d": 0.001, "lambda": 7e-07, "f": 1.0,
-                     "L": 0.005, "n_bins": 256},
-        "envelope": {"type": "uniform"},        # or {"type": "gaussian",
-                                                #     "sigma": 0.002}
-        "babu":   {"tap_p": 0.5, "splitter": true, "theta": 0.785398...,
-                   "chi": 0.0},
-        "alisha": {"tap_p": 0.5, "splitter": true, "theta": 0.785398...,
-                   "chi": 0.0},
-        "schedule": {"bits": [1, 0, ...], "block_size": 10000},
-        "pair_rate_scale": 1.0
-      }
-    }
-
-Geometry fields are metres; theta/chi parameterise the recombiner as
-alpha = cos(theta), beta = sin(theta) e^{i chi}.  Unknown keys and values
-of the wrong JSON type are refused, naming the key path.  Every output file
-embeds the sha256 digest of the canonical config serialisation so artifacts
-from different configs cannot be mixed up silently; marginal tables embed
-the digest of the screen-side config subset instead, because they provably
-do not depend on babu's settings.  A manifest.json written next to the
-outputs records command, seed, digest and the sha256 of every file;
-identical manifests mean byte-identical artifacts.
-
-Exit codes: 0 success, 1 verification failure, 2 bad usage/config/input.
+README.md documents each command, the config schema, the file formats, the
+manifest and the exit codes (0 success, 1 verification failure, 2 bad
+usage, config or input).
 """
 
 from __future__ import annotations
 
 import argparse
-import hashlib
+import errno
 import itertools
 import json
 import math
+import os
 import sys
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -70,6 +37,7 @@ from .events import (
 from .experiment import (
     MODE_DOUBLE,
     config_digest,
+    default_geometry,
     distribution_for,
     load_config,
     marginal_digest,
@@ -106,25 +74,28 @@ from .analysis import (
 EXACT_TOL = 1e-12
 
 
-def _sha256_file(path: Path) -> str:
-    return hashlib.sha256(path.read_bytes()).hexdigest()
+def _publish(args, details: dict, files) -> list[Path]:
+    """Write each (name, writer) of files into --out, then its manifest.json.
 
-
-def _write_manifest(out_dir: Path, command: str, details: dict, outputs: list[Path]) -> Path:
-    # input files appear by basename only; the digest fields carry identity,
-    # so identical runs stay byte-identical wherever they were produced
+    A writer takes the file's path and returns the sha256 of the bytes it
+    wrote; the manifest lists those digests with the command, the config and
+    details.  Input files appear by basename only; the digest fields carry
+    identity, so identical runs stay byte-identical wherever they were produced.
+    """
+    out = Path(args.out)
+    out.mkdir(parents=True, exist_ok=True)
+    digests = {name: write(out / name) for name, write in files}
     manifest = {
         "tool": "qeraser",
         "tool_version": __version__,
-        "command": command,
+        "command": args.command,
+        "config": Path(args.config).name,
         **details,
-        "outputs": {p.name: _sha256_file(p) for p in outputs},
+        "outputs": digests,
     }
-    path = out_dir / "manifest.json"
-    path.write_text(
-        json.dumps(manifest, indent=2, sort_keys=True) + "\n", encoding="utf-8"
-    )
-    return path
+    text = json.dumps(manifest, indent=2, sort_keys=True) + "\n"
+    (out / "manifest.json").write_bytes(text.encode("utf-8"))
+    return [out / name for name, _ in files]
 
 
 def _load_config_or_fail(path: str):
@@ -183,20 +154,11 @@ def cmd_patterns(args) -> int:
         ]
         tables.append(("single_patterns.csv", header, "babu,bin_center_m,probability", rows))
 
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    written: list[Path] = []
-    for name, table_header, columns, rows in tables:
-        written.append(out / name)
-        _write_table(written[-1], table_header, columns, rows)
-    _write_manifest(
-        out,
-        "patterns",
-        {"config": Path(args.config).name, "config_digest": digest},
-        written,
-    )
-    for p in written:
-        print(f"wrote {p}")
+    files = [
+        (name, partial(_write_table, header_pairs=h, columns=c, rows=r)) for name, h, c, r in tables
+    ]
+    for path in _publish(args, {"config_digest": digest}, files):
+        print(f"wrote {path}")
     return 0
 
 
@@ -225,9 +187,6 @@ def cmd_simulate(args) -> int:
     matched, orphans = match_coincidences(
         stream, window, block_size=schedule.block_size, spacing_ns=spacing
     )
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-
     header = SimStreamHeader(
         seed=seed,
         config_digest=config_digest(config),
@@ -238,11 +197,17 @@ def cmd_simulate(args) -> int:
         n_triples=schedule.n_triples,
         n_bins=config.geometry.n_bins,
     )
-
-    events_path = out / "events.csv"
-    write_event_log(events_path, stream, header)
-    triples_path = out / "triples.csv"
-    write_triples(triples_path, matched, header)
+    details = {
+        "config_digest": header.config_digest,
+        "seed": seed,
+        "window_ns": window,
+        "background_rate": float(args.background_rate),
+    }
+    files = [
+        ("events.csv", lambda path: write_event_log(path, stream, header)),
+        ("triples.csv", lambda path: write_triples(path, matched, header)),
+    ]
+    _publish(args, details, files)
 
     which_path = np.mean((matched.babu >= 2) | (matched.alisha >= 2)) if len(matched) else 0.0
     print(f"sampled {len(triples)} triples over {len(schedule.bits)} blocks")
@@ -250,18 +215,6 @@ def cmd_simulate(args) -> int:
     print(f"matched {len(matched)} triples in a +-{window} ns window")
     print(f"orphans {orphans.total}")
     print(f"which-path participation fraction {which_path:.6f}")
-    _write_manifest(
-        out,
-        "simulate",
-        {
-            "config": Path(args.config).name,
-            "config_digest": header.config_digest,
-            "seed": seed,
-            "window_ns": window,
-            "background_rate": float(args.background_rate),
-        },
-        [events_path, triples_path],
-    )
     return 0
 
 
@@ -286,13 +239,7 @@ def run_property_suite(
     """Randomized exact-identity checks, each against a 1e-12 residual budget."""
     rng = np.random.default_rng(seed)
     if geom is None:
-        geom = SlitScreenGeometry(
-            slit_separation=1.0e-3,
-            wavelength=7.0e-7,
-            focal_length=1.0,
-            screen_width=5.0e-3,
-            n_bins=64,
-        )
+        geom = replace(default_geometry(), n_bins=64)
     if envelope is None:
         envelope = UniformEnvelope()
     results: list[PropertyResult] = []
@@ -424,26 +371,15 @@ def cmd_decode(args) -> int:
         report = decoder(triples, config.schedule, config.geometry)
     for w in caught:
         print(f"warning: {w.message}", file=sys.stderr)
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    path = out / f"decode_{args.mode}.csv"
-    write_decode_csv(path, report, {"config_digest": digest, "seed": header.seed})
+    table_header = {"config_digest": digest, "seed": header.seed}
+    details = {"config_digest": digest, "triples": Path(args.triples).name, "mode": args.mode}
+    files = [(f"decode_{args.mode}.csv", lambda path: write_decode_csv(path, report, table_header))]
+    _publish(args, details, files)
     print(f"decoder={args.mode}")
     print(f"decoded_bits={''.join(str(b) for b in report.decoded_bits)}")
     print(f"true_bits={''.join(str(b) for b in report.true_bits)}")
     print(f"bit_error_rate={report.bit_error_rate:.4f}")
     print(f"confidence={report.confidence:.4f}")
-    _write_manifest(
-        out,
-        "decode",
-        {
-            "config": Path(args.config).name,
-            "config_digest": digest,
-            "triples": Path(args.triples).name,
-            "mode": args.mode,
-        },
-        [path],
-    )
     return 0
 
 
@@ -502,17 +438,15 @@ def _sweep_rows(points, geom: SlitScreenGeometry, envelope, references: dict) ->
         marg = dist.alisha_marginal()
         columns = [col for col in marg.T if col.sum() > 0.0]
         histograms += list(itertools.compress(slices, lit)) + columns
-        tables.append((dist, lit, marg, len(columns)))
+        tables.append((babu, alisha, lit, marg, len(columns)))
 
     fits = iter(fit_fringes(histograms, geom))
     rows = []
-    for (a_theta, a_chi, a_tap, theta, chi, tap, splitter), (dist, lit, marg, n_columns) in zip(
-        points, tables
-    ):
+    for point, (babu, alisha, lit, marg, n_columns) in zip(points, tables):
+        a_theta, a_chi, a_tap, theta, chi, tap, splitter = point
         vis = [next(fits).visibility if fitted else float("nan") for fitted in lit]
         marg_vis = max([0.0] + [next(fits).visibility for _ in range(n_columns)])
-        ub = dist.babu.recombiner
-        ua = dist.alisha.recombiner
+        ub, ua = babu.recombiner, alisha.recombiner
         cancel = [
             abs(interference_coefficient(D1, k, ub, ua) + interference_coefficient(D2, k, ub, ua))
             for k in ERASING_OUTCOMES
@@ -549,17 +483,10 @@ def cmd_sweep(args) -> int:
         rows += _sweep_rows(points, config.geometry, config.envelope, references)
 
     digest = config_digest(config)
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    path = out / "sweep.csv"
-    _write_table(path, {"config_digest": digest, "n_rows": len(rows)}, _SWEEP_COLUMNS, rows)
+    table_header = {"config_digest": digest, "n_rows": len(rows)}
+    files = [("sweep.csv", lambda path: _write_table(path, table_header, _SWEEP_COLUMNS, rows))]
+    [path] = _publish(args, {"config_digest": digest}, files)
     print(f"wrote {path} ({len(rows)} grid points)")
-    _write_manifest(
-        out,
-        "sweep",
-        {"config": Path(args.config).name, "config_digest": digest},
-        [path],
-    )
     return 0
 
 
@@ -626,6 +553,14 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        if hasattr(args, "out"):
+            # refuse an --out that is, or lies under, an existing non-directory
+            # before any work, with the error mkdir would raise at the end
+            out = Path(args.out)
+            found = next(p for p in (out, *out.parents) if p.exists())
+            if not found.is_dir():
+                code = errno.EEXIST if found == out else errno.ENOTDIR
+                raise OSError(code, os.strerror(code), str(out))
         return args.func(args)
     except SystemExit as exc:
         if isinstance(exc.code, str):

@@ -19,6 +19,8 @@ in every stream header.
 
 from __future__ import annotations
 
+import hashlib
+import itertools
 import math
 import re
 from dataclasses import dataclass
@@ -445,7 +447,23 @@ _TRIPLES = _Format(
 )
 
 
-def _write_stream(path, fmt: _Format, header: SimStreamHeader, record, format_rows) -> None:
+def _write_text(path, header_lines, chunks) -> str:
+    """Write header_lines as '# ' lines, then each text chunk; the sha256 hex of the bytes.
+
+    Every '#'-headered file goes through here.  Bytes are written in binary
+    mode, so line ends are '\n' on every platform, and hashed as they are
+    written, so no caller reads a file back to vouch for it.
+    """
+    digest = hashlib.sha256()
+    with open(path, "wb") as fh:
+        for text in itertools.chain(["".join(f"# {line}\n" for line in header_lines)], chunks):
+            data = text.encode("utf-8")
+            digest.update(data)
+            fh.write(data)
+    return digest.hexdigest()
+
+
+def _write_stream(path, fmt: _Format, header: SimStreamHeader, record, format_rows) -> str:
     """Header, then the record's columns in file order, _CHUNK_ROWS rows at a time.
 
     format_rows turns one chunk, an iterator of per-row value tuples, into text.
@@ -454,13 +472,14 @@ def _write_stream(path, fmt: _Format, header: SimStreamHeader, record, format_ro
 
     columns = [getattr(record, name) for name in fmt.names]
     n = len(columns[0])
-    lines = [f"# qeraser-{fmt.kind} v1", f"# tool_version={__version__}"]
-    lines += [f"# {key}={getattr(header, key)}" for key, _ in _HEADER_KEYS]
-    lines += [f"# n_rows={n}", f"# columns={','.join(fmt.names)}"]
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(lines) + "\n")
-        for lo in range(0, n, _CHUNK_ROWS):
-            fh.write(format_rows(zip(*(c[lo : lo + _CHUNK_ROWS].tolist() for c in columns))))
+    lines = [f"qeraser-{fmt.kind} v1", f"tool_version={__version__}"]
+    lines += [f"{key}={getattr(header, key)}" for key, _ in _HEADER_KEYS]
+    lines += [f"n_rows={n}", f"columns={','.join(fmt.names)}"]
+    chunks = (
+        format_rows(zip(*(c[lo : lo + _CHUNK_ROWS].tolist() for c in columns)))
+        for lo in range(0, n, _CHUNK_ROWS)
+    )
+    return _write_text(path, lines, chunks)
 
 
 def _header_int(key: str, value: str) -> int:
@@ -617,13 +636,13 @@ def _row_error(fmt: _Format, line: str) -> str:
     return f"malformed {fmt.noun} row: {line!r}"
 
 
-def write_event_log(path, stream: EventStream, header: SimStreamHeader) -> None:
+def write_event_log(path, stream: EventStream, header: SimStreamHeader) -> str:
     def rows(chunk) -> str:
         return "".join(
             f"{i},{DETECTOR_LABELS[d]},{t},{x if d == CODE_D0 else ''}\n" for i, d, t, x in chunk
         )
 
-    _write_stream(path, _EVENT_LOG, header, stream, rows)
+    return _write_stream(path, _EVENT_LOG, header, stream, rows)
 
 
 def read_event_log(path) -> tuple[EventStream, SimStreamHeader]:
@@ -631,13 +650,13 @@ def read_event_log(path) -> tuple[EventStream, SimStreamHeader]:
     return EventStream(**cols, n_bins=header.n_bins), header
 
 
-def write_triples(path, batch: TripleBatch, header: SimStreamHeader) -> None:
+def write_triples(path, batch: TripleBatch, header: SimStreamHeader) -> str:
     def rows(chunk) -> str:
         return "".join(
             f"{t},{b},{x},{BABU_LABELS[j]},{ALISHA_LABELS[k]}\n" for t, b, x, j, k in chunk
         )
 
-    _write_stream(path, _TRIPLES, header, batch, rows)
+    return _write_stream(path, _TRIPLES, header, batch, rows)
 
 
 def read_triples(path) -> tuple[TripleBatch, SimStreamHeader]:

@@ -105,7 +105,7 @@ def default_config(mode: str = MODE_DOUBLE) -> ExperimentConfig:
 
 # ---------------------------------------------------------------------------
 # Serialisation.  The on-disk schema uses the short conventional field names
-# (d, lambda, f, L, tap_p, ...); see the CLI module docstring for the layout.
+# (d, lambda, f, L, tap_p, ...); README's Configuration section shows the layout.
 # ---------------------------------------------------------------------------
 
 
@@ -182,16 +182,17 @@ def _arm_to_dict(arm: ArmOptics) -> dict:
 
 
 def _arm_from_dict(obj, path: str) -> ArmOptics:
+    """An arm from its config section; a key left out takes ArmOptics' default."""
     obj = _fields(obj, path, ("tap_p",), ("splitter", "theta", "chi"))
-    splitter = obj.get("splitter", True)
-    if not isinstance(splitter, bool):
-        raise ValueError(f"{path}.splitter must be true or false, got {splitter!r}")
-    return ArmOptics(
-        tap_probability=_number(obj["tap_p"], f"{path}.tap_p"),
-        splitter_present=splitter,
-        theta=_number(obj.get("theta", math.pi / 4.0), f"{path}.theta"),
-        chi=_number(obj.get("chi", 0.0), f"{path}.chi"),
-    )
+    if not isinstance(obj.get("splitter", True), bool):
+        raise ValueError(f"{path}.splitter must be true or false, got {obj['splitter']!r}")
+    fields = {"tap_probability": _number(obj["tap_p"], f"{path}.tap_p")}
+    if "splitter" in obj:
+        fields["splitter_present"] = obj["splitter"]
+    for key in ("theta", "chi"):
+        if key in obj:
+            fields[key] = _number(obj[key], f"{path}.{key}")
+    return ArmOptics(**fields)
 
 
 def config_to_dict(config: ExperimentConfig) -> dict:

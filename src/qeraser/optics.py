@@ -207,10 +207,6 @@ class CoincidenceDistribution:
     """Exact joint table P(screen bin, babu outcome, alisha outcome)."""
 
     probs: np.ndarray  # (n_bins, 4, 4) real, non-negative, sums to 1
-    geometry: SlitScreenGeometry
-    envelope: object
-    babu: ArmOptics
-    alisha: ArmOptics
 
     def pattern(self, j: int, k: int) -> np.ndarray:
         """Screen slice for one fixed (babu, alisha) outcome pair."""
@@ -244,9 +240,7 @@ def joint_distribution(
     """Exact (n_bins, 4, 4) coincidence table; entries sum to 1."""
     probs = _outcome_probabilities(geom, envelope, (babu, alisha))
     probs.flags.writeable = False
-    return CoincidenceDistribution(
-        probs=probs, geometry=geom, envelope=envelope, babu=babu, alisha=alisha
-    )
+    return CoincidenceDistribution(probs)
 
 
 def single_distribution(

@@ -77,16 +77,45 @@ def test_patterns_values_match_closed_form(tmp_path, config_path):
     assert max(by_pair[("D3", "D4'")]) == 0.0
 
 
+def manifest_of(out: Path) -> dict:
+    """out's manifest, checked to name exactly the other files in out, each
+    with the sha256 of its bytes as read back from disk."""
+    manifest = json.loads((out / "manifest.json").read_text())
+    on_disk = {
+        p.name: hashlib.sha256(p.read_bytes()).hexdigest()
+        for p in out.iterdir()
+        if p.name != "manifest.json"
+    }
+    assert manifest["outputs"] == on_disk
+    return manifest
+
+
 def test_patterns_manifest_hashes(tmp_path, config_path):
     out = tmp_path / "out"
     cli.main(["patterns", "--config", str(config_path), "--out", str(out)])
-    manifest = json.loads((out / "manifest.json").read_text())
+    manifest = manifest_of(out)
     assert manifest["tool"] == "qeraser"
     assert manifest["command"] == "patterns"
-    for name, digest in manifest["outputs"].items():
-        actual = hashlib.sha256((out / name).read_bytes()).hexdigest()
-        assert actual == digest
+    assert sorted(manifest["outputs"]) == ["marginal.csv", "patterns.csv"]
     assert "timestamp" not in json.dumps(manifest)
+
+
+def test_manifest_digests_are_the_written_bytes(tmp_path, small_config_path):
+    """Each writer's own digest, for the stream files and every small table."""
+    config = ["--config", str(small_config_path)]
+    sim, dec, swp = tmp_path / "sim", tmp_path / "dec", tmp_path / "swp"
+    assert cli.main(["simulate", *config, "--out", str(sim), "--background-rate", "1e-3"]) == 0
+    triples = ["--triples", str(sim / "triples.csv")]
+    assert cli.main(["decode", *config, *triples, "--mode", "alisha", "--out", str(dec)]) == 0
+    assert cli.main(["sweep", *config, "--tap", "0.5", "--splitter", "1", "--out", str(swp)]) == 0
+    for out, command, names in (
+        (sim, "simulate", ["events.csv", "triples.csv"]),
+        (dec, "decode", ["decode_alisha.csv"]),
+        (swp, "sweep", ["sweep.csv"]),
+    ):
+        manifest = manifest_of(out)
+        assert manifest["command"] == command
+        assert sorted(manifest["outputs"]) == names
 
 
 def test_marginal_file_blind_to_babu(tmp_path, config_path):
@@ -182,6 +211,36 @@ def test_simulate_out_is_a_file_exits_2(tmp_path, small_config_path, capsys):
     assert err.count("\n") == 1
     assert err.startswith("qeraser: File exists: ") and err.endswith(f"{out}\n")
     assert out.read_text() == "keep me\n"
+
+
+# each command's first expensive call; a bad --out must be refused before it
+FIRST_WORK = {
+    "patterns": "distribution_for",
+    "simulate": "sample_triples",
+    "decode": "read_triples",
+    "sweep": "_sweep_rows",
+}
+
+
+@pytest.mark.parametrize("under", [False, True], ids=["file", "under-file"])
+@pytest.mark.parametrize("command", sorted(FIRST_WORK))
+def test_bad_out_exits_2_before_any_work(
+    tmp_path, small_config_path, monkeypatch, capsys, command, under
+):
+    def work(*args, **kwargs):
+        raise AssertionError(f"{command} started work before checking --out")
+
+    monkeypatch.setattr(cli, FIRST_WORK[command], work)
+    taken = tmp_path / "taken"
+    taken.write_text("keep me\n")
+    out = taken / "sub" if under else taken
+    argv = [command, "--config", str(small_config_path), "--out", str(out)]
+    if command == "decode":
+        argv += ["--triples", str(tmp_path / "triples.csv")]
+    assert cli.main(argv) == 2
+    reason = "Not a directory" if under else "File exists"
+    assert one_line_error(capsys) == f"qeraser: {reason}: {out}\n"
+    assert taken.read_text() == "keep me\n"
 
 
 def test_invalid_config_value(tmp_path, capsys):
