@@ -31,17 +31,13 @@ class LowSampleWarning(UserWarning):
     """Fewer detections than the sampling bound 2L/d; fit is undersampled."""
 
 
-def _select(triples: TripleBatch, n_bins: int, babu=None, alisha=None, block=None) -> np.ndarray:
+def _select(triples: TripleBatch, n_bins: int, babu=None, alisha=None) -> np.ndarray:
     """Mask of the triples in one slice; None leaves that column unrestricted.
 
     Every selected x_bin must lie on the screen binning.
     """
     mask = np.ones(len(triples), dtype=bool)
-    for value, column in (
-        (babu, triples.babu),
-        (alisha, triples.alisha),
-        (block, triples.block_index),
-    ):
+    for value, column in ((babu, triples.babu), (alisha, triples.alisha)):
         if value is not None:
             mask &= column == int(value)  # int() refuses a set, which would select nothing
     x = triples.x_bin[mask]
@@ -50,22 +46,14 @@ def _select(triples: TripleBatch, n_bins: int, babu=None, alisha=None, block=Non
     return mask
 
 
-def build_histogram(
-    triples: TripleBatch,
-    n_bins: int,
-    babu=None,
-    alisha=None,
-    block=None,
-) -> np.ndarray:
+def build_histogram(triples: TripleBatch, n_bins: int, babu=None, alisha=None) -> np.ndarray:
     """Screen-position counts over a selected subset of triples.
 
-    babu/alisha/block take one index, or None for no restriction;
-    (babu=j, alisha=k) is the usual coincidence slice and alisha-only
-    selection is what a screen-side observer can actually form.
+    babu/alisha take one index, or None for no restriction; (babu=j,
+    alisha=k) is the usual coincidence slice and alisha-only selection is
+    what a screen-side observer can actually form.
     """
-    return np.bincount(
-        triples.x_bin[_select(triples, n_bins, babu, alisha, block)], minlength=n_bins
-    )
+    return np.bincount(triples.x_bin[_select(triples, n_bins, babu, alisha)], minlength=n_bins)
 
 
 @dataclass(frozen=True)
@@ -176,10 +164,10 @@ def fit_fringe(counts, geom: SlitScreenGeometry) -> FringeFit:
     return fit
 
 
-def classify_pattern(fit: FringeFit, visibility_threshold: float = VISIBILITY_THRESHOLD) -> str:
-    """'interference' only when visibility clears the threshold and the
+def classify_pattern(fit: FringeFit) -> str:
+    """'interference' only when visibility clears VISIBILITY_THRESHOLD and the
     amplitude is resolved above noise; everything else is a 'clump'."""
-    if fit.visibility > visibility_threshold and fit.significant:
+    if fit.visibility > VISIBILITY_THRESHOLD and fit.significant:
         return "interference"
     return "clump"
 
@@ -227,7 +215,7 @@ def _decode(
             stacklevel=3,
         )
     # (block, x_bin) counts of the selected slice in one pass; row b is the
-    # histogram build_histogram gives for block b
+    # slice's histogram over block b's triples
     selected = _select(triples, geom.n_bins, babu_filter, alisha_filter)
     grid = np.bincount(
         blocks[selected] * geom.n_bins + triples.x_bin[selected],

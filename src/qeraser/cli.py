@@ -15,8 +15,8 @@ import math
 import os
 import sys
 import warnings
-from dataclasses import dataclass, replace
-from functools import partial
+from dataclasses import replace
+from functools import partial, reduce
 from pathlib import Path
 
 import numpy as np
@@ -223,26 +223,24 @@ def cmd_simulate(args) -> int:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class PropertyResult:
-    name: str
-    passed: bool
-    max_residual: float
+def _pair_residual(k: int, babu_recombiner, alisha_recombiner) -> float:
+    """|fringe weight of (D1, k) + (D2, k)|: zero when babu's erased terms cancel."""
+    return abs(
+        interference_coefficient(D1, k, babu_recombiner, alisha_recombiner)
+        + interference_coefficient(D2, k, babu_recombiner, alisha_recombiner)
+    )
 
 
 def run_property_suite(
-    trials: int = 1000,
-    seed: int = 0,
-    geom: SlitScreenGeometry | None = None,
-    envelope=None,
-) -> list[PropertyResult]:
-    """Randomized exact-identity checks, each against a 1e-12 residual budget."""
+    trials: int, seed: int, geom: SlitScreenGeometry, envelope
+) -> list[tuple[str, float]]:
+    """Randomized exact-identity checks: (name, worst residual) per property.
+
+    Each check draws its own settings from one generator and returns one
+    trial's residual; the checks run in table order, and each one's worst is
+    folded by max from 0.0.
+    """
     rng = np.random.default_rng(seed)
-    if geom is None:
-        geom = replace(default_geometry(), n_bins=64)
-    if envelope is None:
-        envelope = UniformEnvelope()
-    results: list[PropertyResult] = []
 
     def rand_unitary():
         return unitary_from_angle(
@@ -258,16 +256,17 @@ def run_property_suite(
             rng.uniform(0.0, 2.0 * math.pi),
         )
 
-    # unitarity of angle-parameterised splitters
-    worst = 0.0
-    for _ in range(trials):
-        alpha, beta = rand_unitary()[0].tolist()
-        worst = max(worst, abs(abs(alpha) ** 2 + abs(beta) ** 2 - 1.0))
-    results.append(PropertyResult("unitarity", worst <= EXACT_TOL, worst))
+    def unitarity():
+        # both rows of an angle-parameterised splitter are unit and orthogonal
+        (a, b), (c, d) = rand_unitary().tolist()
+        return max(
+            abs(abs(a) ** 2 + abs(b) ** 2 - 1.0),
+            abs(abs(c) ** 2 + abs(d) ** 2 - 1.0),
+            abs(a * c.conjugate() + b * d.conjugate()),
+        )
 
-    # arm map isometry: the two path vectors stay orthonormal
-    worst = 0.0
-    for _ in range(trials):
+    def arm_isometry():
+        # the arm's two path vectors stay orthonormal
         va, vb = rand_arm().amplitudes
         gram = np.array(
             [
@@ -275,70 +274,56 @@ def run_property_suite(
                 [np.vdot(vb, va), np.vdot(vb, vb)],
             ]
         )
-        worst = max(worst, float(np.abs(gram - np.eye(2)).max()))
-    results.append(PropertyResult("arm-isometry", worst <= EXACT_TOL, worst))
+        return float(np.abs(gram - np.eye(2)).max())
 
-    # joint table normalisation over random settings
-    worst = 0.0
-    for _ in range(max(trials // 10, 50)):
-        dist = joint_distribution(geom, envelope, rand_arm(), rand_arm())
-        worst = max(worst, abs(dist.total() - 1.0))
-    results.append(PropertyResult("normalization", worst <= EXACT_TOL, worst))
+    def normalization():
+        return abs(joint_distribution(geom, envelope, rand_arm(), rand_arm()).total() - 1.0)
 
-    # fringe-coefficient cancellation over random unitary pairs
-    worst = 0.0
-    for _ in range(trials):
+    def pair_cancellation():
         ub, ua = rand_unitary(), rand_unitary()
-        for k in ERASING_OUTCOMES:
-            s = interference_coefficient(D1, k, ub, ua) + interference_coefficient(
-                D2, k, ub, ua
-            )
-            worst = max(worst, abs(s))
-    results.append(PropertyResult("pair-cancellation", worst <= EXACT_TOL, worst))
+        return max(0.0, *(_pair_residual(k, ub, ua) for k in ERASING_OUTCOMES))
 
-    # one-idler analogue: D1 + D2 patterns sum to the bare envelope
-    worst = 0.0
-    for _ in range(max(trials // 10, 50)):
+    def single_cancellation():
+        # one-idler analogue: D1 + D2 patterns sum to the bare envelope
         arm = rand_arm()
         table = single_distribution(geom, envelope, arm)
-        summed = table[:, D1] + table[:, D2]
-        flat = (1.0 - arm.tap_probability) * np.abs(
-            envelope.profile(geom.bin_centers)
-        ) / float(np.sum(envelope.profile(geom.bin_centers)))
-        worst = max(worst, float(np.abs(summed - flat).max()))
-    results.append(PropertyResult("single-cancellation", worst <= EXACT_TOL, worst))
+        profile = envelope.profile(geom.bin_centers)
+        flat = (1.0 - arm.tap_probability) * np.abs(profile) / float(np.sum(profile))
+        return float(np.abs(table[:, D1] + table[:, D2] - flat).max())
 
-    # screen-side marginal never moves when babu's arm changes
-    worst = 0.0
-    for _ in range(max(trials // 10, 50)):
+    def marginal_invariance():
+        # the screen-side marginal never moves when babu's arm changes
         alisha = rand_arm()
         reference = screen_marginal(geom, envelope, alisha)
-        for _ in range(2):
-            dist = joint_distribution(geom, envelope, rand_arm(), alisha)
-            worst = max(
-                worst, float(np.abs(dist.alisha_marginal() - reference).max())
-            )
-    results.append(PropertyResult("marginal-invariance", worst <= EXACT_TOL, worst))
-    return results
+        tables = [joint_distribution(geom, envelope, rand_arm(), alisha) for _ in range(2)]
+        return max(0.0, *(float(np.abs(t.alisha_marginal() - reference).max()) for t in tables))
+
+    few = max(trials // 10, 50)
+    checks = (
+        ("unitarity", trials, unitarity),
+        ("arm-isometry", trials, arm_isometry),
+        ("normalization", few, normalization),
+        ("pair-cancellation", trials, pair_cancellation),
+        ("single-cancellation", few, single_cancellation),
+        ("marginal-invariance", few, marginal_invariance),
+    )
+    return [(name, reduce(max, (check() for _ in range(n)), 0.0)) for name, n, check in checks]
 
 
 def cmd_verify(args) -> int:
     if args.trials < 1:
         raise SystemExit(f"qeraser: --trials must be at least 1, got {args.trials}")
-    config = _load_config_or_fail(args.config) if args.config else None
-    geom = config.geometry if config else None
-    envelope = config.envelope if config else None
-    results = run_property_suite(
-        trials=int(args.trials),
-        seed=int(args.seed),
-        geom=geom,
-        envelope=envelope,
-    )
+    if args.config:
+        config = _load_config_or_fail(args.config)
+        geom, envelope = config.geometry, config.envelope
+    else:
+        geom, envelope = replace(default_geometry(), n_bins=64), UniformEnvelope()
     all_passed = True
-    for r in results:
-        status = "PASS" if r.passed else "FAIL"
-        print(f"{status} {r.name} (max residual {r.max_residual:.3e}, tol {EXACT_TOL:.0e})")
-        all_passed &= r.passed
+    for name, worst in run_property_suite(int(args.trials), int(args.seed), geom, envelope):
+        passed = worst <= EXACT_TOL
+        status = "PASS" if passed else "FAIL"
+        print(f"{status} {name} (max residual {worst:.3e}, tol {EXACT_TOL:.0e})")
+        all_passed &= passed
     print("all properties hold" if all_passed else "PROPERTY VIOLATION")
     return 0 if all_passed else 1
 
@@ -447,10 +432,7 @@ def _sweep_rows(points, geom: SlitScreenGeometry, envelope, references: dict) ->
         vis = [next(fits).visibility if fitted else float("nan") for fitted in lit]
         marg_vis = max([0.0] + [next(fits).visibility for _ in range(n_columns)])
         ub, ua = babu.recombiner, alisha.recombiner
-        cancel = [
-            abs(interference_coefficient(D1, k, ub, ua) + interference_coefficient(D2, k, ub, ua))
-            for k in ERASING_OUTCOMES
-        ]
+        cancel = [_pair_residual(k, ub, ua) for k in ERASING_OUTCOMES]
         reference = references.setdefault((a_theta, a_chi, a_tap), marg)
         marg_residual = float(np.abs(marg - reference).max())
         rows.append(

@@ -23,7 +23,7 @@ import hashlib
 import itertools
 import math
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
 
 import numpy as np
@@ -95,19 +95,19 @@ class EventStream:
         return len(self.event_id)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, kw_only=True)
 class SimStreamHeader:
-    """Provenance block written at the top of event and triple files."""
+    """Provenance block at the top of event and triple files, fields in file order."""
 
     seed: int
     config_digest: str
     coincidence_window_ns: int
+    rng_algorithm: str = RNG_ALGORITHM
     bits: str
     block_size: int
     spacing_ns: int
     n_triples: int
     n_bins: int
-    rng_algorithm: str = RNG_ALGORITHM
 
 
 @dataclass(frozen=True)
@@ -388,18 +388,6 @@ def match_coincidences(
 # exact.  "\r\n" and "\r" line ends read as "\n".
 # ---------------------------------------------------------------------------
 
-# header keys in file order, each with the type it reads back as
-_HEADER_KEYS = (
-    ("seed", int),
-    ("config_digest", str),
-    ("coincidence_window_ns", int),
-    ("rng_algorithm", str),
-    ("bits", str),
-    ("block_size", int),
-    ("spacing_ns", int),
-    ("n_triples", int),
-    ("n_bins", int),
-)
 _INT_RE = re.compile(r"-?[0-9]{1,18}")
 _MAX_DIGITS = 18
 _CHUNK_ROWS = 65_536  # rows per write or parse pass: bounds memory, keeps temporaries in cache
@@ -473,7 +461,7 @@ def _write_stream(path, fmt: _Format, header: SimStreamHeader, record, format_ro
     columns = [getattr(record, name) for name in fmt.names]
     n = len(columns[0])
     lines = [f"qeraser-{fmt.kind} v1", f"tool_version={__version__}"]
-    lines += [f"{key}={getattr(header, key)}" for key, _ in _HEADER_KEYS]
+    lines += [f"{f.name}={getattr(header, f.name)}" for f in fields(header)]
     lines += [f"n_rows={n}", f"columns={','.join(fmt.names)}"]
     chunks = (
         format_rows(zip(*(c[lo : lo + _CHUNK_ROWS].tolist() for c in columns)))
@@ -566,10 +554,11 @@ def _read_stream(path, fmt: _Format) -> tuple[dict, SimStreamHeader]:
         if not good.all():
             raise bad_row(lo + int(np.argmin(good)))
     try:
+        # annotations are strings under postponed evaluation
         header = SimStreamHeader(
             **{
-                key: _header_int(key, meta[key]) if kind is int else meta[key]
-                for key, kind in _HEADER_KEYS
+                f.name: _header_int(f.name, meta[f.name]) if f.type == "int" else meta[f.name]
+                for f in fields(SimStreamHeader)
             }
         )
     except KeyError as exc:

@@ -325,8 +325,12 @@ def decode_per_block(triples, schedule, geom, babu_filter, alisha_filter):
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", LowSampleWarning)
         for b in range(len(schedule.bits)):
+            in_block = triples.block_index == b
             counts = build_histogram(
-                triples, geom.n_bins, babu=babu_filter, alisha=alisha_filter, block=b
+                TripleBatch(**{name: column[in_block] for name, column in vars(triples).items()}),
+                geom.n_bins,
+                babu=babu_filter,
+                alisha=alisha_filter,
             )
             if counts.sum() == 0:
                 decoded.append(0)

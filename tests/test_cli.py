@@ -488,14 +488,22 @@ def test_verify_passes(capsys):
     assert "FAIL" not in out
 
 
-def test_verify_fails_on_a_nonunitary_splitter(monkeypatch, capsys):
+@pytest.mark.parametrize(
+    "matrix, residual",
+    [
+        ([[0.8, 0.7], [-0.7, 0.8]], "1.300e-01"),  # rows of norm 1.13
+        ([[0.6, 0.8], [0.8, 0.6]], "9.600e-01"),  # unit rows, not orthogonal
+    ],
+    ids=["row-norm", "orthogonality"],
+)
+def test_verify_fails_on_a_nonunitary_splitter(monkeypatch, capsys, matrix, residual):
     def broken(theta, chi):
-        return np.array([[0.8 + 0j, 0.7 + 0j], [-0.7 + 0j, 0.8 + 0j]])  # |a|^2+|b|^2 = 1.13
+        return np.array(matrix, dtype=complex)
 
     monkeypatch.setattr(cli, "unitary_from_angle", broken)
     assert cli.main(["verify", "--trials", "20"]) == 1
     out = capsys.readouterr().out
-    assert "FAIL unitarity (max residual 1.300e-01" in out
+    assert f"FAIL unitarity (max residual {residual}" in out
     assert "FAIL unitarity" in out
     assert "PROPERTY VIOLATION" in out
 
