@@ -388,7 +388,8 @@ def _write_table(path, header_pairs: dict, columns: str, rows: list[str]) -> str
     lines = [f"tool_version={__version__}"]
     lines += [f"{key}={value}" for key, value in header_pairs.items()]
     lines.append(f"columns={columns}")
-    return _write_text(path, lines, ["\n".join([*rows, ""])])  # each row ends in "\n"
+    body = "\n".join([*rows, ""]).encode("utf-8")  # each row ends in "\n"
+    return _write_text(path, lines, [body])
 
 
 def write_decode_csv(path, report: DecodeReport, header: dict) -> str:

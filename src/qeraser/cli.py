@@ -73,17 +73,36 @@ from .analysis import (
 
 EXACT_TOL = 1e-12
 
+# the files each command writes into --out besides MANIFEST, in writing order;
+# {mode} is decode's --mode, and patterns writes the first two names for a
+# double_delayed_choice config and the third otherwise
+OUTPUTS = {
+    "patterns": ("patterns.csv", "marginal.csv", "single_patterns.csv"),
+    "simulate": ("events.csv", "triples.csv"),
+    "decode": ("decode_{mode}.csv",),
+    "sweep": ("sweep.csv",),
+}
+MANIFEST = "manifest.json"
 
-def _publish(args, details: dict, files) -> list[Path]:
-    """Write each (name, writer) of files into --out, then its manifest.json.
 
-    A writer takes the file's path and returns the sha256 of the bytes it
-    wrote; the manifest lists those digests with the command, the config and
-    details.  Input files appear by basename only; the digest fields carry
-    identity, so identical runs stay byte-identical wherever they were produced.
+def _outputs(args) -> list[str]:
+    """The OUTPUTS names of args.command, filled in from args."""
+    return [name.format(**vars(args)) for name in OUTPUTS[args.command]]
+
+
+def _publish(args, details: dict, writers) -> list[Path]:
+    """Write each of _outputs(args) into --out with its writer, then MANIFEST.
+
+    writers runs parallel to the names; a name whose writer is None is not
+    written.  A writer takes the file's path and returns the sha256 of the
+    bytes it wrote; the manifest lists those digests with the command, the
+    config and details.  Input files appear by basename only; the digest
+    fields carry identity, so identical runs stay byte-identical wherever
+    they were produced.
     """
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
+    files = [(n, w) for n, w in zip(_outputs(args), writers, strict=True) if w is not None]
     digests = {name: write(out / name) for name, write in files}
     manifest = {
         "tool": "qeraser",
@@ -94,7 +113,7 @@ def _publish(args, details: dict, files) -> list[Path]:
         "outputs": digests,
     }
     text = json.dumps(manifest, indent=2, sort_keys=True) + "\n"
-    (out / "manifest.json").write_bytes(text.encode("utf-8"))
+    (out / MANIFEST).write_bytes(text.encode("utf-8"))
     return [out / name for name, _ in files]
 
 
@@ -124,7 +143,7 @@ def cmd_patterns(args) -> int:
 
     xs = geom.bin_centers
     header = {"config_digest": digest, "mode": config.mode}
-    tables = []  # (file name, header, columns, rows), all built before the first write
+    writers = [None] * 3  # one per OUTPUTS name; every table is built before the first write
     if config.mode == MODE_DOUBLE:
         dist = distribution_for(config)
         rows = [
@@ -133,7 +152,8 @@ def cmd_patterns(args) -> int:
             for k in range(4)
             for x, p in zip(xs, dist.pattern(j, k))
         ]
-        tables.append(("patterns.csv", header, "babu,alisha,bin_center_m,probability", rows))
+        columns = "babu,alisha,bin_center_m,probability"
+        writers[0] = partial(_write_table, header_pairs=header, columns=columns, rows=rows)
 
         # written from the screen-side closed form and keyed to the screen-side
         # digest, so babu's settings cannot move a byte of this file; agreement
@@ -145,19 +165,18 @@ def cmd_patterns(args) -> int:
             for x, p in zip(xs, marg[:, k])
         ]
         marginal_header = {"marginal_digest": marginal_digest(config)}
-        tables.append(("marginal.csv", marginal_header, "alisha,bin_center_m,probability", rows))
+        columns = "alisha,bin_center_m,probability"
+        writers[1] = partial(_write_table, header_pairs=marginal_header, columns=columns, rows=rows)
     else:
         rows = [
             f"{BABU_LABELS[j]},{_fmt(x)},{_fmt(p)}"
             for j in ERASING_OUTCOMES
             for x, p in zip(xs, single_choice_pattern(j, config))
         ]
-        tables.append(("single_patterns.csv", header, "babu,bin_center_m,probability", rows))
+        columns = "babu,bin_center_m,probability"
+        writers[2] = partial(_write_table, header_pairs=header, columns=columns, rows=rows)
 
-    files = [
-        (name, partial(_write_table, header_pairs=h, columns=c, rows=r)) for name, h, c, r in tables
-    ]
-    for path in _publish(args, {"config_digest": digest}, files):
+    for path in _publish(args, {"config_digest": digest}, writers):
         print(f"wrote {path}")
     return 0
 
@@ -203,11 +222,11 @@ def cmd_simulate(args) -> int:
         "window_ns": window,
         "background_rate": float(args.background_rate),
     }
-    files = [
-        ("events.csv", lambda path: write_event_log(path, stream, header)),
-        ("triples.csv", lambda path: write_triples(path, matched, header)),
+    writers = [
+        lambda path: write_event_log(path, stream, header),
+        lambda path: write_triples(path, matched, header),
     ]
-    _publish(args, details, files)
+    _publish(args, details, writers)
 
     which_path = np.mean((matched.babu >= 2) | (matched.alisha >= 2)) if len(matched) else 0.0
     print(f"sampled {len(triples)} triples over {len(schedule.bits)} blocks")
@@ -358,8 +377,7 @@ def cmd_decode(args) -> int:
         print(f"warning: {w.message}", file=sys.stderr)
     table_header = {"config_digest": digest, "seed": header.seed}
     details = {"config_digest": digest, "triples": Path(args.triples).name, "mode": args.mode}
-    files = [(f"decode_{args.mode}.csv", lambda path: write_decode_csv(path, report, table_header))]
-    _publish(args, details, files)
+    _publish(args, details, [lambda path: write_decode_csv(path, report, table_header)])
     print(f"decoder={args.mode}")
     print(f"decoded_bits={''.join(str(b) for b in report.decoded_bits)}")
     print(f"true_bits={''.join(str(b) for b in report.true_bits)}")
@@ -466,8 +484,8 @@ def cmd_sweep(args) -> int:
 
     digest = config_digest(config)
     table_header = {"config_digest": digest, "n_rows": len(rows)}
-    files = [("sweep.csv", lambda path: _write_table(path, table_header, _SWEEP_COLUMNS, rows))]
-    [path] = _publish(args, {"config_digest": digest}, files)
+    writers = [lambda path: _write_table(path, table_header, _SWEEP_COLUMNS, rows)]
+    [path] = _publish(args, {"config_digest": digest}, writers)
     print(f"wrote {path} ({len(rows)} grid points)")
     return 0
 
@@ -536,13 +554,17 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         if hasattr(args, "out"):
-            # refuse an --out that is, or lies under, an existing non-directory
-            # before any work, with the error mkdir would raise at the end
+            # refuse an --out that is, or lies under, an existing non-directory,
+            # or that holds a directory under a name the command writes, before
+            # any work, with the error mkdir or open would raise at the end
             out = Path(args.out)
             found = next(p for p in (out, *out.parents) if p.exists())
             if not found.is_dir():
                 code = errno.EEXIST if found == out else errno.ENOTDIR
                 raise OSError(code, os.strerror(code), str(out))
+            for path in (out / name for name in (*_outputs(args), MANIFEST)):
+                if path.is_dir():
+                    raise OSError(errno.EISDIR, os.strerror(errno.EISDIR), str(path))
         return args.func(args)
     except SystemExit as exc:
         if isinstance(exc.code, str):

@@ -382,14 +382,16 @@ def match_coincidences(
 # Text formats.  '#'-prefixed key=value header, then one record per line.
 # Integers and fixed labels only, so identical runs are byte-identical.
 #
-# Row grammar, checked by the readers: header lines only before the first
-# data row; blank lines are skipped; fields are split on ',' with no padding;
-# an integer field is -?[0-9]{1,18}, so every value fits in int64; labels are
-# exact.  "\r\n" and "\r" line ends read as "\n".
+# Row grammar, checked by the readers and kept by the writers: header lines
+# only before the first data row; blank lines are skipped; fields are split on
+# ',' with no padding; an integer field is -?[0-9]{1,18}, so every value fits
+# in int64; labels are exact.  "\r\n" and "\r" line ends read as "\n".
 # ---------------------------------------------------------------------------
 
 _INT_RE = re.compile(r"-?[0-9]{1,18}")
 _MAX_DIGITS = 18
+_MAX_INT = 10**_MAX_DIGITS - 1
+_POW10 = 10 ** np.arange(1, _MAX_DIGITS, dtype=np.int64)  # a d-digit value reaches d - 1 of these
 _CHUNK_ROWS = 65_536  # rows per write or parse pass: bounds memory, keeps temporaries in cache
 
 
@@ -400,7 +402,7 @@ class _Format:
     A column is (name, None) for an integer, or (name, labels) for one of a
     fixed label tuple, held in memory as its index into the tuple.  With
     d0_x_bin, the x_bin field is present exactly on D0 rows and reads as -1
-    where it is empty.
+    where it is empty.  The reader and the writer both work from this record.
     """
 
     kind: str
@@ -436,38 +438,99 @@ _TRIPLES = _Format(
 
 
 def _write_text(path, header_lines, chunks) -> str:
-    """Write header_lines as '# ' lines, then each text chunk; the sha256 hex of the bytes.
+    """Write header_lines as '# ' lines, then each bytes chunk; the sha256 hex of the file.
 
     Every '#'-headered file goes through here.  Bytes are written in binary
     mode, so line ends are '\n' on every platform, and hashed as they are
     written, so no caller reads a file back to vouch for it.
     """
     digest = hashlib.sha256()
+    head = "".join(f"# {line}\n" for line in header_lines).encode("utf-8")
     with open(path, "wb") as fh:
-        for text in itertools.chain(["".join(f"# {line}\n" for line in header_lines)], chunks):
-            data = text.encode("utf-8")
+        for data in itertools.chain([head], chunks):
             digest.update(data)
             fh.write(data)
     return digest.hexdigest()
 
 
-def _write_stream(path, fmt: _Format, header: SimStreamHeader, record, format_rows) -> str:
+def _write_stream(path, fmt: _Format, header: SimStreamHeader, record) -> str:
     """Header, then the record's columns in file order, _CHUNK_ROWS rows at a time.
 
-    format_rows turns one chunk, an iterator of per-row value tuples, into text.
+    Every written field is checked against the row grammar before the file
+    is opened, so a value the reader would refuse leaves no file behind.
     """
     from . import __version__
 
     columns = [getattr(record, name) for name in fmt.names]
     n = len(columns[0])
+    written = _written_fields(fmt, columns)
+    for (name, labels), col, present in zip(fmt.columns, columns, written):
+        lo, hi = (0, len(labels) - 1) if labels is not None else (-_MAX_INT, _MAX_INT)
+        bad = np.flatnonzero(((col < lo) | (col > hi)) & present)
+        if len(bad):
+            i = int(bad[0])
+            raise ValueError(
+                f"cannot write {fmt.what}: {name} {int(col[i])} in row {i} is outside {lo}..{hi}"
+            )
     lines = [f"qeraser-{fmt.kind} v1", f"tool_version={__version__}"]
     lines += [f"{f.name}={getattr(header, f.name)}" for f in fields(header)]
     lines += [f"n_rows={n}", f"columns={','.join(fmt.names)}"]
     chunks = (
-        format_rows(zip(*(c[lo : lo + _CHUNK_ROWS].tolist() for c in columns)))
+        _format_rows(fmt, [c[lo : lo + _CHUNK_ROWS] for c in columns])
         for lo in range(0, n, _CHUNK_ROWS)
     )
     return _write_text(path, lines, chunks)
+
+
+def _written_fields(fmt: _Format, columns) -> list:
+    """Per column, where its field is written: every row, or with d0_x_bin, x_bin on D0 rows."""
+    present = [True] * len(columns)
+    if fmt.d0_x_bin:
+        present[fmt.names.index("x_bin")] = columns[fmt.names.index("detector")] == CODE_D0
+    return present
+
+
+def _format_rows(fmt: _Format, columns) -> np.ndarray:
+    """The bytes of the rows held in columns (int64 arrays in file order).
+
+    Each field's width per row lays the rows out in one exact-size buffer.
+    The fields are then written right to left: each puts its separator, then
+    its bytes from the right, byte j only into rows whose field is longer
+    than j.  An integer is its decimal digits after an optional '-'; a label
+    is its big-endian key (as _parse_labels packs it) in base 256.
+    """
+    parts = []  # per field: (value, digit count, base, zero digit, rows with a '-')
+    for (_, labels), col, present in zip(fmt.columns, columns, _written_fields(fmt, columns)):
+        if labels is None:
+            value = np.abs(col)
+            n_digits = (np.searchsorted(_POW10, value, side="right") + 1) * present
+            parts.append((value, n_digits, 10, ord("0"), (col < 0) & present))
+        else:
+            sizes = np.array([len(label) for label in labels], dtype=np.int64)
+            parts.append((_label_keys(labels)[col], sizes[col], 256, 0, np.zeros(len(col), bool)))
+    right = np.cumsum(sum(n_digits + neg + 1 for _, n_digits, _, _, neg in parts))
+    buf = np.empty(int(right[-1]), dtype=np.uint8)  # right: one past each row's '\n'
+    for f, (value, n_digits, base, zero, neg) in reversed(list(enumerate(parts))):
+        right -= 1
+        buf[right] = ord("\n" if f == len(parts) - 1 else ",")
+        _put_digits(buf, right, value, n_digits, base, zero)
+        right -= n_digits + neg
+        buf[right[neg]] = ord("-")
+    return buf
+
+
+def _put_digits(buf, end, value, n_digits, base: int, zero: int) -> None:
+    """buf[end - n_digits : end] = each value's last n_digits base-`base` digits, plus zero."""
+    at = end - 1
+    zero = np.uint8(zero)
+    for j in range(int(n_digits.max(initial=0))):
+        live = n_digits > j
+        if not live.all():
+            at, value, n_digits = at[live], value[live], n_digits[live]
+        rest = value // base  # np.divmod takes several times longer
+        buf[at] = (value - rest * base).astype(np.uint8) + zero
+        value = rest
+        at -= 1
 
 
 def _header_int(key: str, value: str) -> int:
@@ -589,11 +652,9 @@ def _parse_labels(buf, left, right, labels: tuple) -> tuple[np.ndarray, np.ndarr
     Each field packs big-endian into an int64 key, looked up among the
     labels' sorted keys.
     """
-    packed = sorted(
-        (int.from_bytes(label.encode("ascii"), "big"), i) for i, label in enumerate(labels)
-    )
-    keys = np.array([key for key, _ in packed], dtype=np.int64)
-    codes = np.array([i for _, i in packed], dtype=np.int64)
+    keys = _label_keys(labels)
+    codes = np.argsort(keys)
+    keys = keys[codes]
     longest = max(len(label) for label in labels)
     width = right - left
     key = np.zeros(len(left), dtype=np.int64)
@@ -602,6 +663,13 @@ def _parse_labels(buf, left, right, labels: tuple) -> tuple[np.ndarray, np.ndarr
     idx = np.minimum(np.searchsorted(keys, key), len(keys) - 1)
     good = (keys[idx] == key) & (width <= longest)  # an empty field packs to 0, no label
     return codes[idx], good
+
+
+def _label_keys(labels: tuple) -> np.ndarray:
+    """Each label's ASCII bytes packed big-endian into an int64, in label order."""
+    return np.array(
+        [int.from_bytes(label.encode("ascii"), "big") for label in labels], dtype=np.int64
+    )
 
 
 def _row_error(fmt: _Format, line: str) -> str:
@@ -626,12 +694,7 @@ def _row_error(fmt: _Format, line: str) -> str:
 
 
 def write_event_log(path, stream: EventStream, header: SimStreamHeader) -> str:
-    def rows(chunk) -> str:
-        return "".join(
-            f"{i},{DETECTOR_LABELS[d]},{t},{x if d == CODE_D0 else ''}\n" for i, d, t, x in chunk
-        )
-
-    return _write_stream(path, _EVENT_LOG, header, stream, rows)
+    return _write_stream(path, _EVENT_LOG, header, stream)
 
 
 def read_event_log(path) -> tuple[EventStream, SimStreamHeader]:
@@ -640,12 +703,7 @@ def read_event_log(path) -> tuple[EventStream, SimStreamHeader]:
 
 
 def write_triples(path, batch: TripleBatch, header: SimStreamHeader) -> str:
-    def rows(chunk) -> str:
-        return "".join(
-            f"{t},{b},{x},{BABU_LABELS[j]},{ALISHA_LABELS[k]}\n" for t, b, x, j, k in chunk
-        )
-
-    return _write_stream(path, _TRIPLES, header, batch, rows)
+    return _write_stream(path, _TRIPLES, header, batch)
 
 
 def read_triples(path) -> tuple[TripleBatch, SimStreamHeader]:

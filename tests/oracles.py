@@ -8,14 +8,15 @@ agree with them cell by cell.  ``arm_amplitudes`` and
 they write the recombiner convention out from (alpha, beta) as Python
 complex numbers, and the library's tables must equal them exactly.
 
-The rest are the line-by-line readers and the full greedy matcher loop that
-``qeraser.events`` used before its numpy passes, and the per-block decode
-loop of ``qeraser.analysis``, and ``fit_fringe_one``, the one-histogram
-fit ``analysis.fit_fringes`` replaced.  They are kept verbatim as differential
-oracles: the fast paths must return the same arrays, headers, floats and
-orphan reports.  The readers here are looser than the library's grammar
-(Python's ``int()`` accepts ``+5``, ``1_0`` and padded fields, and ``#`` lines
-anywhere), so they agree with the library on every file the writers produce.
+The rest are the line-by-line readers, the f-string row formatters and the
+full greedy matcher loop that ``qeraser.events`` used before its numpy
+passes, the per-block decode loop of ``qeraser.analysis``, and
+``fit_fringe_one``, the one-histogram fit ``analysis.fit_fringes`` replaced.
+They are kept verbatim as differential oracles: the fast paths must return
+the same arrays, headers, floats, orphan reports and file bytes.  The
+readers here are looser than the library's grammar (Python's ``int()``
+accepts ``+5``, ``1_0`` and padded fields, and ``#`` lines anywhere), so they
+agree with the library on every file the writers produce.
 """
 
 from __future__ import annotations
@@ -256,6 +257,24 @@ def _header_from_meta(meta: dict) -> SimStreamHeader:
         )
     except KeyError as exc:
         raise ValueError(f"stream header missing field {exc}") from exc
+
+
+def event_log_rows(stream: EventStream) -> str:
+    """Event-log data rows, one f-string per row."""
+    columns = (stream.event_id, stream.detector, stream.time_ns, stream.x_bin)
+    return "".join(
+        f"{i},{DETECTOR_LABELS[d]},{t},{x if d == CODE_D0 else ''}\n"
+        for i, d, t, x in zip(*(c.tolist() for c in columns))
+    )
+
+
+def triples_rows(batch: TripleBatch) -> str:
+    """Triples data rows, one f-string per row."""
+    columns = (batch.triple_id, batch.block_index, batch.x_bin, batch.babu, batch.alisha)
+    return "".join(
+        f"{t},{b},{x},{BABU_LABELS[j]},{ALISHA_LABELS[k]}\n"
+        for t, b, x, j, k in zip(*(c.tolist() for c in columns))
+    )
 
 
 def read_event_log_lines(path) -> tuple[EventStream, SimStreamHeader]:

@@ -243,6 +243,32 @@ def test_bad_out_exits_2_before_any_work(
     assert taken.read_text() == "keep me\n"
 
 
+# every (command, name) a command writes into --out, decode at its default mode
+WRITTEN = [
+    (command, name.format(mode="omniscient"))
+    for command, names in sorted(cli.OUTPUTS.items())
+    for name in (*names, cli.MANIFEST)
+]
+
+
+@pytest.mark.parametrize("command, name", WRITTEN, ids=["-".join(pair) for pair in WRITTEN])
+def test_out_name_taken_by_directory_exits_2_before_any_work(
+    tmp_path, small_config_path, monkeypatch, capsys, command, name
+):
+    def work(*args, **kwargs):
+        raise AssertionError(f"{command} started work before checking its output names")
+
+    monkeypatch.setattr(cli, FIRST_WORK[command], work)
+    out = tmp_path / "out"
+    (out / name).mkdir(parents=True)
+    argv = [command, "--config", str(small_config_path), "--out", str(out)]
+    if command == "decode":
+        argv += ["--triples", str(tmp_path / "triples.csv")]
+    assert cli.main(argv) == 2
+    assert one_line_error(capsys) == f"qeraser: Is a directory: {out / name}\n"
+    assert [p.name for p in out.iterdir()] == [name]
+
+
 def test_invalid_config_value(tmp_path, capsys):
     doc = config_to_dict(default_config())
     doc["experiment"]["babu"]["tap_p"] = 2.0

@@ -4,12 +4,15 @@ Streams and files are generated from a hypothesis-drawn seed and shape, so a
 failing case is reproducible from the printed example.
 """
 
+import hashlib
 import warnings
 
 import numpy as np
+import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from qeraser import events
 from qeraser.analysis import LowSampleWarning, decode_alisha_only, decode_omniscient
 from qeraser.events import (
     CODE_D0,
@@ -215,6 +218,115 @@ def test_fuzzed_files_fail_only_with_value_error(tmp_path, seed, which, kind):
     assert got_hdr == want_hdr
     for name in columns:
         np.testing.assert_array_equal(getattr(got, name), getattr(want, name))
+
+
+# ---------------------------------------------------------------------------
+# writers
+# ---------------------------------------------------------------------------
+
+# every digit count and sign, the largest magnitudes and the empty-x_bin sentinel
+field_ints = st.one_of(
+    st.sampled_from([0, -1, 9, 10, -10, 99, 100, BIG, -BIG]),
+    st.integers(-BIG, BIG),
+    st.integers(-BIG, BIG).map(lambda v: v // 10 ** (abs(v) % 18)),
+)
+
+
+def int_column(data, n):
+    return np.array(data.draw(st.lists(field_ints, min_size=n, max_size=n)), dtype=np.int64)
+
+
+def data_rows(path) -> bytes:
+    """The file's bytes after its '#' header lines."""
+    lines = path.read_bytes().splitlines(keepends=True)
+    return b"".join(line for line in lines if not line.startswith(b"#"))
+
+
+@fast
+@given(data=st.data(), n=st.integers(0, 40), chunk=st.sampled_from([1, 7, 65_536]))
+def test_writers_equal_fstring_rows(tmp_path, monkeypatch, data, n, chunk):
+    """Both writers' rows are the f-string formatters' rows byte for byte, at any chunking."""
+    monkeypatch.setattr(events, "_CHUNK_ROWS", chunk)
+    hdr = header()
+    codes = st.lists(st.integers(0, len(DETECTOR_LABELS) - 1), min_size=n, max_size=n)
+    # x_bin on non-D0 rows is drawn too: the writer must leave it out whatever it holds
+    stream = EventStream(
+        event_id=int_column(data, n),
+        detector=data.draw(codes),
+        time_ns=int_column(data, n),
+        x_bin=int_column(data, n),
+        n_bins=8,
+    )
+    outcomes = st.lists(st.integers(0, 3), min_size=n, max_size=n)
+    batch = TripleBatch(
+        triple_id=int_column(data, n),
+        x_bin=int_column(data, n),
+        babu=data.draw(outcomes),
+        alisha=data.draw(outcomes),
+        block_index=int_column(data, n),
+    )
+    for write, record, rows in (
+        (write_event_log, stream, oracles.event_log_rows),
+        (write_triples, batch, oracles.triples_rows),
+    ):
+        path = tmp_path / "stream.csv"
+        digest = write(path, record, hdr)
+        assert digest == hashlib.sha256(path.read_bytes()).hexdigest()
+        assert data_rows(path) == rows(record).encode("ascii")
+
+
+def test_writers_cover_every_label(tmp_path):
+    n = len(DETECTOR_LABELS)
+    every = np.arange(n)
+    stream = EventStream(
+        event_id=every, detector=every, time_ns=every, x_bin=np.full(n, -1), n_bins=8
+    )
+    write_event_log(tmp_path / "events.csv", stream, header())
+    assert data_rows(tmp_path / "events.csv") == oracles.event_log_rows(stream).encode("ascii")
+    assert b"0,D0,0,-1\n" in data_rows(tmp_path / "events.csv")
+    every = np.arange(4)
+    batch = TripleBatch(
+        triple_id=every, x_bin=every, babu=every, alisha=every[::-1], block_index=every * 0
+    )
+    write_triples(tmp_path / "triples.csv", batch, header())
+    assert data_rows(tmp_path / "triples.csv") == oracles.triples_rows(batch).encode("ascii")
+
+
+@pytest.mark.parametrize(
+    "which, column, value",
+    [
+        ("triples", "triple_id", 10**18),
+        ("triples", "x_bin", -(2**63)),
+        ("triples", "block_index", -(10**18)),
+        ("events", "time_ns", 2**63 - 1),
+        ("events", "x_bin", 10**18),
+        ("events", "detector", len(DETECTOR_LABELS)),
+        ("events", "detector", -1),
+    ],
+)
+def test_writers_refuse_what_readers_refuse(tmp_path, which, column, value):
+    """A field outside the row grammar fails in one line, naming column and row; no file."""
+    rng = np.random.default_rng(0)
+    path = tmp_path / "stream.csv"
+    if which == "triples":
+        record, write, what = random_batch(rng, 5, big=False), write_triples, "triples file"
+    else:
+        record, write, what = random_events(rng, 5, big=False), write_event_log, "event log"
+        record.detector[3] = CODE_D0  # so row 3 writes its x_bin
+    getattr(record, column)[3] = value
+    with pytest.raises(ValueError) as info:
+        write(path, record, header())
+    message = str(info.value)
+    assert "\n" not in message
+    assert message.startswith(f"cannot write {what}: {column} {value} in row 3 ")
+    assert not path.exists()
+
+
+def test_event_log_writer_ignores_x_bin_off_d0(tmp_path):
+    """x_bin is not written on non-D0 rows, so no value there is out of range."""
+    stream = EventStream(event_id=[0], detector=[1], time_ns=[5], x_bin=[-(2**63)], n_bins=8)
+    write_event_log(tmp_path / "events.csv", stream, header())
+    assert data_rows(tmp_path / "events.csv") == b"0,D1,5,\n"
 
 
 # ---------------------------------------------------------------------------
