@@ -71,11 +71,34 @@ class FringeFit:
         return self.amplitude > AMPLITUDE_SIGMAS * self.standard_error
 
 
-# A row whose 2-norm is at most this fits below 1 everywhere in the first pass
-# (a least-squares model is a projection, so no entry exceeds the row's
-# 2-norm), and its Poisson variances all clip to exactly 1.  Probability
-# tables always qualify; the margin below 1 absorbs lstsq's rounding.
-_FLOORED_NORM = 0.5
+def fringe_design(geom: SlitScreenGeometry) -> np.ndarray:
+    """(n_bins, 3) fringe model [1, cos u, sin u] at u = fringe_frequency * bin centre."""
+    u = geom.fringe_frequency * geom.bin_centers
+    return np.column_stack([np.ones_like(u), np.cos(u), np.sin(u)])
+
+
+def unit_variance_fit(columns, geom: SlitScreenGeometry) -> np.ndarray:
+    """(3, m) least-squares (c0, c_cos, c_sin) of each of m columns at unit variance.
+
+    fit_fringes' variances are its first-pass model clipped below at 1, so
+    it fits any probability row by these normal equations, and linearly:
+    the fit of columns @ c is this fit @ c, up to rounding.
+    """
+    design = fringe_design(geom)
+    return np.linalg.solve(design.T @ design, design.T @ columns)
+
+
+def fringe_shape(coeffs) -> tuple[np.ndarray, np.ndarray]:
+    """Amplitude and visibility of each (c0, c_cos, c_sin) row.
+
+    The amplitude is math.hypot(c_cos, c_sin) (np.hypot differs in the last
+    bit for some pairs); the visibility is amplitude / c0 clipped to [0, 1],
+    and 0 where c0 <= 0.
+    """
+    c0, c_cos, c_sin = np.asarray(coeffs, dtype=float).reshape(-1, 3).T
+    amplitudes = np.fromiter(map(math.hypot, c_cos, c_sin), dtype=float, count=len(c0))
+    ratio = np.divide(amplitudes, c0, out=np.zeros_like(c0), where=c0 > 0.0)
+    return amplitudes, np.clip(ratio, 0.0, 1.0)
 
 
 def fit_fringes(rows, geom: SlitScreenGeometry) -> list[FringeFit]:
@@ -86,10 +109,9 @@ def fit_fringes(rows, geom: SlitScreenGeometry) -> list[FringeFit]:
     amplitude wherever bins run empty).  standard_error is the propagated
     error of the amplitude.  Noiseless model input is recovered exactly.
 
-    Every row is fitted exactly as it would be on its own.  Rows at most
-    _FLOORED_NORM in 2-norm skip the first pass, whose variances would all be
-    1; the rest run it row by row.  Each right-hand side is formed on the row
-    as passed, because a strided view rounds differently from a contiguous
+    Every row is fitted exactly as it would be on its own.  The first pass
+    runs row by row, and each right-hand side is formed on the row as
+    passed, because a strided view rounds differently from a contiguous
     copy.  The 3x3 solves and inverses and the 2x2 variance products then
     run stacked, which rounds as the one-matrix calls do.  Rows below the
     sampling bound are fitted without a warning; fit_fringe warns for one.
@@ -102,27 +124,18 @@ def fit_fringes(rows, geom: SlitScreenGeometry) -> list[FringeFit]:
         raise ValueError("empty histogram; nothing to fit")
     if not ys:
         return []
-    u = geom.fringe_frequency * geom.bin_centers
-    design = np.column_stack([np.ones_like(u), np.cos(u), np.sin(u)])
-    # design / var for var all 1, in its own buffer: design.T @ design would
-    # take numpy's symmetric-product path, which rounds differently
-    floored = design.copy()
-    floored_normal = design.T @ floored
+    design = fringe_design(geom)
     normals, rhs = [], []
     for y in ys:
-        if float(y @ y) <= _FLOORED_NORM**2:
-            weighted, normal = floored, floored_normal
-        else:
-            coeff = np.linalg.lstsq(design, y, rcond=None)[0]
-            var = np.clip(design @ coeff, 1.0, None)
-            weighted = design / var[:, None]
-            normal = design.T @ weighted
-        normals.append(normal)
+        coeff = np.linalg.lstsq(design, y, rcond=None)[0]
+        var = np.clip(design @ coeff, 1.0, None)
+        weighted = design / var[:, None]
+        normals.append(design.T @ weighted)
         rhs.append(weighted.T @ y)
     normals = np.array(normals)
     coeffs = np.linalg.solve(normals, np.array(rhs)[:, :, None])[:, :, 0]
     covs = np.linalg.inv(normals)
-    amplitudes = np.array([math.hypot(c_cos, c_sin) for _, c_cos, c_sin in coeffs.tolist()])
+    amplitudes, visibilities = fringe_shape(coeffs)
     resolved = amplitudes > 0.0
     # amplitude variance grad . cov . grad along the unit fringe direction; a
     # zero amplitude has no direction and takes the mean of the two variances
@@ -138,11 +151,11 @@ def fit_fringes(rows, geom: SlitScreenGeometry) -> list[FringeFit]:
             mean_level=c0,
             amplitude=amplitude,
             phase=math.atan2(c_sin, c_cos),
-            visibility=0.0 if c0 <= 0.0 else min(max(amplitude / c0, 0.0), 1.0),
+            visibility=visibility,
             standard_error=math.sqrt(max(var, 0.0)),
         )
-        for (c0, c_cos, c_sin), amplitude, var in zip(
-            coeffs.tolist(), amplitudes.tolist(), var_amp.tolist()
+        for (c0, c_cos, c_sin), amplitude, visibility, var in zip(
+            coeffs.tolist(), amplitudes.tolist(), visibilities.tolist(), var_amp.tolist()
         )
     ]
 

@@ -23,6 +23,7 @@ import numpy as np
 
 from . import __version__
 from .events import (
+    _MAX_INT,
     DEFAULT_WINDOW_NS,
     SimStreamHeader,
     inject_background,
@@ -52,8 +53,10 @@ from .optics import (
     ERASING_OUTCOMES,
     SlitScreenGeometry,
     UniformEnvelope,
+    coefficients,
     interference_coefficient,
     joint_distribution,
+    screen_basis,
     screen_marginal,
     single_distribution,
     unitary_from_angle,
@@ -67,7 +70,8 @@ from .analysis import (
     _write_table,
     decode_alisha_only,
     decode_omniscient,
-    fit_fringes,
+    fringe_shape,
+    unit_variance_fit,
     write_decode_csv,
 )
 
@@ -200,12 +204,15 @@ def cmd_simulate(args) -> int:
             f"qeraser: --window-ns {window} is more than half the triple spacing {spacing} ns"
         )
 
-    triples = sample_triples(config, seed=seed)
-    stream = inject_background(emit_events(triples, config, seed), args.background_rate, seed)
-    # match before writing, so a bad window fails with no file written
-    matched, orphans = match_coincidences(
-        stream, window, block_size=schedule.block_size, spacing_ns=spacing
-    )
+    # dark counts are numbered from 3 n_triples on, over a run shorter than n_triples spacings
+    rate = float(args.background_rate)
+    expected = rate * schedule.n_triples * spacing
+    if 3 * schedule.n_triples + expected > _MAX_INT:
+        raise SystemExit(
+            f"qeraser: --background-rate {rate!r} expects {expected:.3g} dark counts, "
+            f"which would number events past {_MAX_INT}"
+        )
+    # built before any work: it refuses an integer the stream reader would refuse
     header = SimStreamHeader(
         seed=seed,
         config_digest=config_digest(config),
@@ -216,11 +223,17 @@ def cmd_simulate(args) -> int:
         n_triples=schedule.n_triples,
         n_bins=config.geometry.n_bins,
     )
+    triples = sample_triples(config, seed=seed)
+    stream = inject_background(emit_events(triples, config, seed), rate, seed)
+    # match before writing, so a bad window fails with no file written
+    matched, orphans = match_coincidences(
+        stream, window, block_size=schedule.block_size, spacing_ns=spacing
+    )
     details = {
         "config_digest": header.config_digest,
         "seed": seed,
         "window_ns": window,
-        "background_rate": float(args.background_rate),
+        "background_rate": rate,
     }
     writers = [
         lambda path: write_event_log(path, stream, header),
@@ -419,46 +432,39 @@ _SWEEP_COLUMNS = (
 )
 
 
-# grid points whose fringes go to one fit_fringes call: enough to amortise the
-# fit's setup, few enough that the joint tables held at once stay small
-_SWEEP_CHUNK = 16
+def _sweep_rows(geom: SlitScreenGeometry, envelope, babu_settings, alisha_settings) -> list[str]:
+    """sweep.csv rows over alisha's settings (outer) and babu's (inner).
 
-
-def _sweep_rows(points, geom: SlitScreenGeometry, envelope, references: dict) -> list[str]:
-    """sweep.csv rows for a run of grid points, every fringe fitted in one call.
-
-    An empty erasing slice is not fitted (visibility NaN), and the alisha
-    marginal's columns are fitted only where they hold probability.
-    references keeps the first marginal seen per alisha setting.
+    Each slice is screen_basis @ C, fitted at unit variance, so its
+    (c0, c_cos, c_sin) is the basis's unit-variance fit times its
+    coefficients: no table is built and no row is fitted.  An empty erasing
+    slice has visibility NaN; the marginal's visibility is the largest over
+    its columns that hold probability, and each point's marginal is compared
+    with the first one of its alisha setting.
     """
-    tables, histograms = [], []
-    for a_theta, a_chi, a_tap, theta, chi, tap, splitter in points:
-        alisha = ArmOptics(a_tap, True, a_theta, a_chi)
-        babu = ArmOptics(tap, splitter, theta, chi)
-        dist = joint_distribution(geom, envelope, babu, alisha)
-        slices = [dist.pattern(j, k) for j in ERASING_OUTCOMES for k in ERASING_OUTCOMES]
-        lit = [pattern.sum() > 0.0 for pattern in slices]
-        marg = dist.alisha_marginal()
-        columns = [col for col in marg.T if col.sum() > 0.0]
-        histograms += list(itertools.compress(slices, lit)) + columns
-        tables.append((babu, alisha, lit, marg, len(columns)))
-
-    fits = iter(fit_fringes(histograms, geom))
+    alisha_arms = [ArmOptics(tap, True, theta, chi) for theta, chi, tap in alisha_settings]
+    babu_arms = [ArmOptics(tap, split, theta, chi) for theta, chi, tap, split in babu_settings]
+    babu_amplitudes = np.array([arm.amplitudes for arm in babu_arms])
+    basis = screen_basis(geom, envelope)
+    totals, fit = basis.sum(axis=0), unit_variance_fit(basis, geom)
     rows = []
-    for point, (babu, alisha, lit, marg, n_columns) in zip(points, tables):
-        a_theta, a_chi, a_tap, theta, chi, tap, splitter = point
-        vis = [next(fits).visibility if fitted else float("nan") for fitted in lit]
-        marg_vis = max([0.0] + [next(fits).visibility for _ in range(n_columns)])
-        ub, ua = babu.recombiner, alisha.recombiner
-        cancel = [_pair_residual(k, ub, ua) for k in ERASING_OUTCOMES]
-        reference = references.setdefault((a_theta, a_chi, a_tap), marg)
-        marg_residual = float(np.abs(marg - reference).max())
-        rows.append(
-            ",".join(
-                [_fmt(theta), _fmt(chi), _fmt(tap), str(int(splitter))]
-                + [_fmt(v) for v in (a_theta, a_chi, a_tap, *vis, *cancel, marg_vis, marg_residual)]
-            )
-        )
+    for a_setting, alisha in zip(alisha_settings, alisha_arms):
+        coeffs = coefficients(babu_amplitudes, alisha.amplitudes)  # (4, babu setting, j, k)
+        marginals = coeffs.sum(axis=2)
+        # per babu setting: the erasing slices (j outer, k inner), then the marginal's columns
+        slices = np.concatenate([coeffs[..., :2, :2].reshape(4, -1, 4), marginals], axis=2)
+        lit = np.tensordot(totals, slices, axes=1) > 0.0
+        fitted = np.moveaxis(np.tensordot(fit, slices, axes=1), 0, -1)  # (babu setting, 8, 3)
+        vis = fringe_shape(fitted)[1].reshape(lit.shape)
+        erasing_vis = np.where(lit[:, :4], vis[:, :4], np.nan).tolist()
+        marginal_vis = np.where(lit[:, 4:], vis[:, 4:], 0.0).max(axis=1).tolist()
+        reference = basis @ marginals[:, 0]
+        for b, ((theta, chi, tap, splitter), babu) in enumerate(zip(babu_settings, babu_arms)):
+            residual = float(np.abs(basis @ marginals[:, b] - reference).max())
+            cancel = [_pair_residual(k, babu.recombiner, alisha.recombiner) for k in ERASING_OUTCOMES]
+            values = (*a_setting, *erasing_vis[b], *cancel, marginal_vis[b], residual)
+            settings = [_fmt(theta), _fmt(chi), _fmt(tap), str(int(splitter))]
+            rows.append(",".join(settings + [_fmt(v) for v in values]))
     return rows
 
 
@@ -475,12 +481,9 @@ def cmd_sweep(args) -> int:
     a_chis = _parse_values(args.chi_alisha, "chi-alisha") if args.chi_alisha else [config.alisha.chi]
     a_taps = _parse_values(args.tap_alisha, "tap-alisha") if args.tap_alisha else [config.alisha.tap_probability]
 
-    # alisha's setting is the outer key: rows of one setting share a reference marginal
-    grid = itertools.product(a_thetas, a_chis, a_taps, thetas, chis, taps, splitters)
-    rows = []
-    references: dict = {}
-    while points := list(itertools.islice(grid, _SWEEP_CHUNK)):
-        rows += _sweep_rows(points, config.geometry, config.envelope, references)
+    babu_settings = list(itertools.product(thetas, chis, taps, splitters))
+    alisha_settings = list(itertools.product(a_thetas, a_chis, a_taps))
+    rows = _sweep_rows(config.geometry, config.envelope, babu_settings, alisha_settings)
 
     digest = config_digest(config)
     table_header = {"config_digest": digest, "n_rows": len(rows)}
@@ -573,6 +576,9 @@ def main(argv=None) -> int:
         raise
     except ValueError as exc:
         print(f"qeraser: {exc}", file=sys.stderr)
+        return 2
+    except MemoryError as exc:
+        print(f"qeraser: {str(exc) or 'out of memory'}", file=sys.stderr)
         return 2
     except OSError as exc:
         # a path that exists but is the wrong kind: a directory given as a

@@ -109,6 +109,15 @@ class SimStreamHeader:
     n_triples: int
     n_bins: int
 
+    def __post_init__(self):
+        # the reader's rule for header integers, so a header written is one read back
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if f.type == "int" and not -_MAX_INT <= value <= _MAX_INT:
+                raise ValueError(
+                    f"stream header field {f.name}={value} is outside -{_MAX_INT}..{_MAX_INT}"
+                )
+
 
 @dataclass(frozen=True)
 class OrphanReport:

@@ -4,9 +4,10 @@ Everything here is closed-form linear algebra on small arrays: no sampling,
 no fitting.  A two-path source feeds a binned far-field screen, and each of
 up to two observers receives an idler that first passes a which-path tap and
 then, optionally, a recombining splitter that erases the path label.  The
-module builds the exact joint outcome table and exposes the signed fringe
-coefficients whose pairwise cancellation makes the screen marginal blind to
-everything done on the remote arm.
+module builds every exact outcome table as E @ C, a real per-bin screen basis
+times a real coefficient array of the arm settings, and exposes the signed
+fringe coefficients whose pairwise cancellation makes the screen marginal
+blind to everything done on the remote arm.
 """
 
 from __future__ import annotations
@@ -183,23 +184,41 @@ class GaussianEnvelope:
 
 
 @lru_cache(maxsize=32)
-def _signal_vectors(geom: SlitScreenGeometry, envelope) -> tuple[np.ndarray, np.ndarray]:
-    """Unit-norm per-bin amplitude vectors (psi_A, psi_B) at bin centres.
+def screen_basis(geom: SlitScreenGeometry, envelope) -> np.ndarray:
+    """Read-only (n_bins, 4) screen basis E of every exact table.
 
-    Cached per (geometry, envelope), both frozen dataclasses, so a sweep or
-    the property suite builds them once; the arrays are read-only.
+    E = [|psi_A|^2/2, |psi_B|^2/2, Re psi_A psi_B*, -Im psi_A psi_B*], where
+    psi_A, psi_B = sqrt(w) e^{+-i phase} are the unit-norm path amplitudes at
+    bin centres and w is the envelope normalised over the bins, so
+    psi_A psi_B* = w e^{2 i phase}.  Cached per (geometry, envelope).
     """
     xs = geom.bin_centers
     env = np.asarray(envelope.profile(xs), dtype=float)
     total = env.sum()
     if total <= 0.0:
         raise ValueError("envelope vanishes on every bin")
-    mag = np.sqrt(env / total)
-    rot = np.exp(1j * geom.phase(xs))
-    vectors = mag * rot, mag * np.conjugate(rot)
-    for v in vectors:
-        v.flags.writeable = False
-    return vectors
+    w, fringe = env / total, 2.0 * geom.phase(xs)
+    basis = np.column_stack([0.5 * w, 0.5 * w, w * np.cos(fringe), -w * np.sin(fringe)])
+    basis.flags.writeable = False
+    return basis
+
+
+def coefficients(babu: np.ndarray, alisha: np.ndarray | None = None) -> np.ndarray:
+    """Coefficient array C, so that screen_basis(...) @ C is the exact outcome table.
+
+    Takes babu's and optionally alisha's (..., 2, 4) path-amplitude tables,
+    whose leading axes broadcast.  c_A, c_B are the amplitudes the arms give
+    paths A and B per outcome (babu's j, then alisha's k), and C stacks
+    [|c_A|^2, |c_B|^2, Re c_A c_B*, Im c_A c_B*] on a new first axis.  Summed
+    over babu's j, the cross rows vanish: his path rows are orthogonal.
+    """
+    c_a, c_b = babu[..., 0, :], babu[..., 1, :]
+    if alisha is not None:
+        c_a = c_a[..., :, None] * alisha[..., 0, None, :]
+        c_b = c_b[..., :, None] * alisha[..., 1, None, :]
+    cross = c_a * c_b.conj()
+    weights = c_a.real**2 + c_a.imag**2, c_b.real**2 + c_b.imag**2
+    return np.stack([*weights, cross.real, cross.imag])
 
 
 @dataclass(frozen=True, eq=False)
@@ -220,25 +239,12 @@ class CoincidenceDistribution:
         return float(self.probs.sum())
 
 
-def _outcome_probabilities(geom: SlitScreenGeometry, envelope, arms) -> np.ndarray:
-    """|amplitude|^2 over (screen bin, outcome of each arm in turn).
-
-    The two source paths enter with equal weight 1/sqrt(2); per path the
-    amplitude is psi * arm_1 * arm_2 ..., multiplied in that order.
-    """
-    amp_a, amp_b = _signal_vectors(geom, envelope)
-    for arm in arms:
-        amp_a = amp_a[..., None] * arm.amplitudes[0]
-        amp_b = amp_b[..., None] * arm.amplitudes[1]
-    amp = math.sqrt(0.5) * (amp_a + amp_b)
-    return amp.real**2 + amp.imag**2
-
-
 def joint_distribution(
     geom: SlitScreenGeometry, envelope, babu: ArmOptics, alisha: ArmOptics
 ) -> CoincidenceDistribution:
-    """Exact (n_bins, 4, 4) coincidence table; entries sum to 1."""
-    probs = _outcome_probabilities(geom, envelope, (babu, alisha))
+    """Exact (n_bins, 4, 4) coincidence table E @ C; entries sum to 1."""
+    coeffs = coefficients(babu.amplitudes, alisha.amplitudes)
+    probs = np.tensordot(screen_basis(geom, envelope), coeffs, axes=1)
     probs.flags.writeable = False
     return CoincidenceDistribution(probs)
 
@@ -246,8 +252,8 @@ def joint_distribution(
 def single_distribution(
     geom: SlitScreenGeometry, envelope, babu: ArmOptics
 ) -> np.ndarray:
-    """Exact (n_bins, 4) outcome table for the one-idler experiment."""
-    return _outcome_probabilities(geom, envelope, (babu,))
+    """Exact (n_bins, 4) outcome table E @ C for the one-idler experiment."""
+    return screen_basis(geom, envelope) @ coefficients(babu.amplitudes)
 
 
 def screen_marginal(
@@ -255,17 +261,12 @@ def screen_marginal(
 ) -> np.ndarray:
     """Screen-side (n_bins, 4) marginal computed without reference to babu's arm.
 
-    Orthonormality of babu's two path vectors collapses his outcome sum to
-    (|psi_A|^2 |a_k^A|^2 + |psi_B|^2 |a_k^B|^2) / 2: no cross term survives,
-    whatever sits in the other arm.  Agreement with the joint table's
-    alisha_marginal() over arbitrary babu settings is the no-signalling
-    identity.
+    Summed over babu's outcomes, C keeps only alisha's |amplitude|^2 rows, so
+    the marginal is E's first two columns times those rows.  Agreement with
+    the joint table's alisha_marginal() over arbitrary babu settings is the
+    no-signalling identity.
     """
-    psi_a, psi_b = _signal_vectors(geom, envelope)
-    wa, wb = np.abs(alisha.amplitudes) ** 2
-    ea = psi_a.real**2 + psi_a.imag**2
-    eb = psi_b.real**2 + psi_b.imag**2
-    return 0.5 * (ea[:, None] * wa[None, :] + eb[:, None] * wb[None, :])
+    return screen_basis(geom, envelope)[:, :2] @ coefficients(alisha.amplitudes)[:2]
 
 
 def interference_coefficient(

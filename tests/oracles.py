@@ -2,7 +2,12 @@
 
 The scalar amplitude routes (``signal_amplitude``, ``joint_amplitude``) build
 one table cell at a time from closed forms; ``joint_distribution`` must
-agree with them cell by cell.  ``arm_amplitudes`` and
+agree with them cell by cell.  ``signal_vectors`` and
+``outcome_probabilities`` are the complex per-bin amplitude product the
+tables were built with before ``E @ C``; the real form must equal it to
+within a fixed bound per entry.  ``sweep_rows`` is the sweep that built a
+joint table per grid point and fitted its slices with ``fit_fringes``; the
+coefficient-space sweep is checked against it.  ``arm_amplitudes`` and
 ``interference_coefficient_factors`` are the per-path routes that
 ``ArmOptics.amplitudes`` and ``optics.interference_coefficient`` replaced:
 they write the recombiner convention out from (alpha, beta) as Python
@@ -22,12 +27,22 @@ agree with the library on every file the writers produce.
 from __future__ import annotations
 
 import cmath
+import itertools
 import math
 import warnings
+from functools import lru_cache
 
 import numpy as np
 
-from qeraser.analysis import FringeFit, LowSampleWarning, build_histogram, classify_pattern
+from qeraser.analysis import (
+    FringeFit,
+    LowSampleWarning,
+    _fmt,
+    build_histogram,
+    classify_pattern,
+    fit_fringes,
+)
+from qeraser.cli import _pair_residual
 from qeraser.events import (
     CODE_D0,
     DETECTOR_LABELS,
@@ -37,7 +52,16 @@ from qeraser.events import (
     TripleBatch,
 )
 from qeraser.experiment import nyquist_min_samples
-from qeraser.optics import D1, D2, ALISHA_LABELS, BABU_LABELS, ArmOptics, SlitScreenGeometry
+from qeraser.optics import (
+    D1,
+    D2,
+    ALISHA_LABELS,
+    BABU_LABELS,
+    ERASING_OUTCOMES,
+    ArmOptics,
+    SlitScreenGeometry,
+    joint_distribution,
+)
 
 _CODE_BY_LABEL = {label: code for code, label in enumerate(DETECTOR_LABELS)}
 
@@ -148,6 +172,78 @@ def joint_amplitude(
         amp_a *= arm_amplitudes(PATH_A, alisha)[k]
         amp_b *= arm_amplitudes(PATH_B, alisha)[k]
     return complex(math.sqrt(0.5) * (amp_a + amp_b))
+
+
+@lru_cache(maxsize=32)
+def signal_vectors(geom: SlitScreenGeometry, envelope) -> tuple[np.ndarray, np.ndarray]:
+    """Unit-norm per-bin amplitude vectors (psi_A, psi_B) at bin centres.
+
+    Cached per (geometry, envelope), both frozen dataclasses, so a sweep or
+    the property suite builds them once; the arrays are read-only.
+    """
+    xs = geom.bin_centers
+    env = np.asarray(envelope.profile(xs), dtype=float)
+    total = env.sum()
+    if total <= 0.0:
+        raise ValueError("envelope vanishes on every bin")
+    mag = np.sqrt(env / total)
+    rot = np.exp(1j * geom.phase(xs))
+    vectors = mag * rot, mag * np.conjugate(rot)
+    for v in vectors:
+        v.flags.writeable = False
+    return vectors
+
+
+def outcome_probabilities(geom: SlitScreenGeometry, envelope, arms) -> np.ndarray:
+    """|amplitude|^2 over (screen bin, outcome of each arm in turn).
+
+    The two source paths enter with equal weight 1/sqrt(2); per path the
+    amplitude is psi * arm_1 * arm_2 ..., multiplied in that order.
+    """
+    amp_a, amp_b = signal_vectors(geom, envelope)
+    for arm in arms:
+        amp_a = amp_a[..., None] * arm.amplitudes[0]
+        amp_b = amp_b[..., None] * arm.amplitudes[1]
+    amp = math.sqrt(0.5) * (amp_a + amp_b)
+    return amp.real**2 + amp.imag**2
+
+
+def sweep_rows(points, geom: SlitScreenGeometry, envelope, references: dict) -> list[str]:
+    """sweep.csv rows for a run of grid points, every fringe fitted in one call.
+
+    An empty erasing slice is not fitted (visibility NaN), and the alisha
+    marginal's columns are fitted only where they hold probability.
+    references keeps the first marginal seen per alisha setting.
+    """
+    tables, histograms = [], []
+    for a_theta, a_chi, a_tap, theta, chi, tap, splitter in points:
+        alisha = ArmOptics(a_tap, True, a_theta, a_chi)
+        babu = ArmOptics(tap, splitter, theta, chi)
+        dist = joint_distribution(geom, envelope, babu, alisha)
+        slices = [dist.pattern(j, k) for j in ERASING_OUTCOMES for k in ERASING_OUTCOMES]
+        lit = [pattern.sum() > 0.0 for pattern in slices]
+        marg = dist.alisha_marginal()
+        columns = [col for col in marg.T if col.sum() > 0.0]
+        histograms += list(itertools.compress(slices, lit)) + columns
+        tables.append((babu, alisha, lit, marg, len(columns)))
+
+    fits = iter(fit_fringes(histograms, geom))
+    rows = []
+    for point, (babu, alisha, lit, marg, n_columns) in zip(points, tables):
+        a_theta, a_chi, a_tap, theta, chi, tap, splitter = point
+        vis = [next(fits).visibility if fitted else float("nan") for fitted in lit]
+        marg_vis = max([0.0] + [next(fits).visibility for _ in range(n_columns)])
+        ub, ua = babu.recombiner, alisha.recombiner
+        cancel = [_pair_residual(k, ub, ua) for k in ERASING_OUTCOMES]
+        reference = references.setdefault((a_theta, a_chi, a_tap), marg)
+        marg_residual = float(np.abs(marg - reference).max())
+        rows.append(
+            ",".join(
+                [_fmt(theta), _fmt(chi), _fmt(tap), str(int(splitter))]
+                + [_fmt(v) for v in (a_theta, a_chi, a_tap, *vis, *cancel, marg_vis, marg_residual)]
+            )
+        )
+    return rows
 
 
 def match_coincidences_loop(

@@ -16,6 +16,7 @@ from qeraser.analysis import (
     decode_omniscient,
     fit_fringe,
     fit_fringes,
+    fringe_shape,
     mutual_information,
     omniscient_observable_cells,
     schedule_bit_labels,
@@ -159,7 +160,7 @@ def assert_fits_equal(rows, geom):
 
 @pytest.mark.parametrize("n_bins", [256, 32, 8])
 def test_fit_fringes_equals_one_row_fits(n_bins):
-    """Stacked fits equal the one-histogram oracle on both first-pass paths."""
+    """Stacked fits equal the one-histogram oracle, probability rows and counts alike."""
     geom = SlitScreenGeometry(1.0e-3, 7.0e-7, 1.0, 5.0e-3, n_bins)
     rows = fit_rows(geom, np.random.default_rng(n_bins))
     assert any(not row.flags.c_contiguous for row in rows)
@@ -167,12 +168,12 @@ def test_fit_fringes_equals_one_row_fits(n_bins):
     assert_fits_equal(np.array(rows[-4:]), geom)  # rows of a 2-d array
 
 
-def test_fit_fringes_around_the_shortcut_norm():
-    """Rows just either side of the 2-norm below which the first pass is skipped.
+def test_fit_fringes_where_variances_leave_1():
+    """Rows just either side of the norms at which Poisson variances start to exceed 1.
 
     On 3 bins the design is square, so the first-pass model is the row
     itself: rows of norm just over 1 already hold a bin whose variance is
-    above 1, and a shortcut taken there would weight it wrongly.
+    above 1, where a unit-variance fit would weight it wrongly.
     """
     geom = SlitScreenGeometry(1.0e-3, 7.0e-7, 1.0, 5.0e-3, 3)
     unit = np.array([0.05, 1.0, 0.1])
@@ -190,6 +191,15 @@ def test_fit_fringes_around_the_shortcut_norm():
     models = [design @ np.linalg.lstsq(design, row, rcond=None)[0] for row in rows]
     assert sum(model.max() > 1.0 for model in models) >= 10
     assert_fits_equal(rows, geom)
+
+
+def test_fringe_shape_rule():
+    """Amplitude hypot(c_cos, c_sin); visibility amplitude / c0 in [0, 1], 0 for c0 <= 0."""
+    amplitude, visibility = fringe_shape(
+        [[10.0, 3.0, 4.0], [2.0, 3.0, -4.0], [0.0, 1.0, 0.0], [-1.0, 0.0, 1.0], [1.0, 0.0, 0.0]]
+    )
+    assert amplitude.tolist() == [5.0, 5.0, 1.0, 1.0, 0.0]
+    assert visibility.tolist() == [0.5, 1.0, 0.0, 0.0, 0.0]
 
 
 def test_fit_fringes_input_checks(geom):

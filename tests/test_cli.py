@@ -1,4 +1,5 @@
 import hashlib
+import itertools
 import json
 from pathlib import Path
 
@@ -15,6 +16,8 @@ from qeraser.experiment import (
     single_choice_pattern,
 )
 from qeraser.optics import D1
+
+from oracles import sweep_rows
 
 EXACT = 1e-12
 
@@ -344,6 +347,57 @@ def test_simulate_rejects_bad_background_rate(tmp_path, small_config_path, capsy
     assert not (out / "manifest.json").exists()
 
 
+def no_work(command):
+    def work(*args, **kwargs):
+        raise AssertionError(f"{command} started work before checking its flags")
+
+    return work
+
+
+@pytest.mark.parametrize(
+    "flag, value",
+    [("--seed", "99999999999999999999"), ("--seed", "-99999999999999999999"),
+     ("--window-ns", "-1000000000000000000")],
+)
+def test_simulate_refuses_header_integers_the_reader_refuses(
+    tmp_path, small_config_path, monkeypatch, capsys, flag, value
+):
+    """A stream header integer past 18 digits would write a triples.csv decode refuses."""
+    monkeypatch.setattr(cli, "sample_triples", no_work("simulate"))
+    out = tmp_path / "sim"
+    argv = ["simulate", "--config", str(small_config_path), "--out", str(out), flag, value]
+    assert cli.main(argv) == 2
+    name = "seed" if flag == "--seed" else "coincidence_window_ns"
+    assert one_line_error(capsys) == (
+        f"qeraser: stream header field {name}={value} is outside "
+        "-999999999999999999..999999999999999999\n"
+    )
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("rate", ["1e30", "inf", "2e11"])
+def test_simulate_refuses_a_background_rate_past_the_event_ids(
+    tmp_path, small_config_path, monkeypatch, capsys, rate
+):
+    """8,000 triples 1000 ns apart: over 1.25e11 dark counts per ns would pass 10^18 - 1 ids."""
+    monkeypatch.setattr(cli, "sample_triples", no_work("simulate"))
+    out = tmp_path / "sim"
+    argv = ["simulate", "--config", str(small_config_path), "--out", str(out), "--background-rate", rate]
+    assert cli.main(argv) == 2
+    err = one_line_error(capsys)
+    assert err.startswith(f"qeraser: --background-rate {float(rate)!r} expects ")
+    assert not out.exists()
+
+
+def test_simulate_out_of_memory_exits_2(tmp_path, small_config_path, capsys):
+    """1e10 dark counts per ns over 8e6 ns is 8e16 events: numpy refuses the arrays up front."""
+    out = tmp_path / "sim"
+    argv = ["simulate", "--config", str(small_config_path), "--out", str(out), "--background-rate", "1e10"]
+    assert cli.main(argv) == 2
+    assert one_line_error(capsys).startswith("qeraser: Unable to allocate ")
+    assert not out.exists()
+
+
 def test_simulate_bad_window_writes_nothing(tmp_path, small_config_path, capsys):
     out = tmp_path / "win"
     argv = ["simulate", "--config", str(small_config_path), "--out", str(out), "--window-ns", "-5"]
@@ -613,6 +667,51 @@ def test_sweep_small_grid(tmp_path, config_path):
     for row in rows:
         assert max(float(row[11]), float(row[12])) <= EXACT  # cancellation
         assert float(row[14]) <= EXACT  # marginal pinned to the reference
+
+
+SWEEP_GRIDS = {
+    "default": [],
+    "edges": [
+        "--tap", "0,1", "--splitter", "0,1",
+        "--tap-alisha", "0,1", "--theta-alisha", "0.0,0.5235987755982988",
+    ],
+}
+
+
+@pytest.mark.parametrize("grid", sorted(SWEEP_GRIDS))
+def test_sweep_equals_the_per_table_fits(tmp_path, config_path, grid):
+    """The coefficient-space sweep against one joint table and fit_fringes per point."""
+    argv = ["sweep", "--config", str(config_path), "--out", str(tmp_path), *SWEEP_GRIDS[grid]]
+    assert cli.main(argv) == 0
+    rows = data_rows(tmp_path / "sweep.csv")
+
+    args = cli.build_parser().parse_args(argv)
+    config = default_config()
+
+    def axis(text, default):
+        return [float(v) for v in text.split(",")] if text else [default]
+
+    points = itertools.product(
+        axis(args.theta_alisha, config.alisha.theta),
+        axis(args.chi_alisha, config.alisha.chi),
+        axis(args.tap_alisha, config.alisha.tap_probability),
+        axis(args.theta, None),
+        axis(args.chi, None),
+        axis(args.tap, None),
+        [v == "1" for v in args.splitter.split(",")],
+    )
+    expected = [row.split(",") for row in sweep_rows(list(points), config.geometry, config.envelope, {})]
+    assert len(rows) == len(expected)
+    for row, ref in zip(rows, expected):
+        assert row[:7] == ref[:7] and row[11:13] == ref[11:13]  # settings, cancellation
+        for new, old in zip(row[7:11], ref[7:11]):
+            assert (new == "nan") == (old == "nan")
+            if new != "nan":
+                assert abs(float(new) - float(old)) <= 1e-14
+        assert max(float(row[13]), float(row[14])) <= EXACT
+        assert max(float(ref[13]), float(ref[14])) <= EXACT
+    # a tap of 1 on either arm empties every erasing slice: 3/4 of the edges grid
+    assert sum(row[7] == "nan" for row in rows) == (240 if grid == "edges" else 0)
 
 
 def test_sweep_rejects_bad_grid(config_path, tmp_path, capsys):

@@ -21,14 +21,14 @@ DOUBLE = CONFIGS / "double_default.json"
 SINGLE = CONFIGS / "single_default.json"
 
 GOLDEN = {
-    "patterns_double": "12680f9c30c1402faf9a04360e409f1726bef11a9dc79fa230e178f16eeeb5ab",
-    "patterns_single": "19437c73cb6a3ec317cbe1c76aa0a19a5c3870d30a3a867370ca259b83447306",
+    "patterns_double": "aadfa4d75d786d27e5bc2b043085a5f8b2a201b2859bfa7c99d78e4ec63ceb7c",
+    "patterns_single": "903b5a841db20eb0197f24a8a11601b64e4f3de74da9e982c52fd2e3fea57745",
     "simulate": "021e675dedf8668b1cc4bc5a3af5f60a1de6a795e8dbf550c5c03605a38eecb9",
     "decode_omniscient": "88345314bb35185afd067752f9e292b165f1520db3f2456df36c51b96df3356a",
     "decode_alisha": "9b2aa565547658d8201673154902d1ac91fa1ccb4930d65fb72c04608de28787",
-    "sweep": "6debce23537565716eba1491c14a92bfe1d0c50e123c8835a63fba8ff6ac3ecc",
-    "verify_stdout": "7e394f2cc075334201d5566493700d5ec0d7f348ed4eee7ee9e4936476abf980",
-    "sweep_edges": "7e33dafabd2e7b2cd2b409c01993784f2a8da1efb3bf5cafd4ea024007e7b0ca",
+    "sweep": "908792357c2dff9450b8c84b70ce41ac62e09369f6088eb4fa860f50a0bd7b1c",
+    "verify_stdout": "d88fb946ff9c3d182f5099472683de3e80bf4c16dd0a6b772b8157a2b151d8b4",
+    "sweep_edges": "8e9e12c6637d94ef0b680df34ba5d41d27978e1daf6f4c0787103db973bffaca",
 }
 
 
