@@ -53,13 +53,10 @@ from .optics import (
     ERASING_OUTCOMES,
     SlitScreenGeometry,
     UniformEnvelope,
+    arm_tables,
     coefficients,
-    interference_coefficient,
-    joint_distribution,
     screen_basis,
     screen_marginal,
-    single_distribution,
-    unitary_from_angle,
 )
 
 # imported last: loading the numpy-only layers before analysis's scipy.stats
@@ -255,12 +252,30 @@ def cmd_simulate(args) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _pair_residual(k: int, babu_recombiner, alisha_recombiner) -> float:
-    """|fringe weight of (D1, k) + (D2, k)|: zero when babu's erased terms cancel."""
-    return abs(
-        interference_coefficient(D1, k, babu_recombiner, alisha_recombiner)
-        + interference_coefficient(D2, k, babu_recombiner, alisha_recombiner)
-    )
+# the largest pass of the property suite: (bin, trial) cells for the checks
+# that build per-bin tables (at least one trial), trials for the per-arm ones
+_PASS_CELLS = 8_192
+_PASS_TRIALS = 1_024
+
+
+def _pair_residuals(babu_recombiners, alisha_recombiners) -> np.ndarray:
+    """(..., 2) |fringe weight of (D1, k) + (D2, k)| for alisha's k = D1', D2'.
+
+    Zero when babu's erased terms cancel.  The recombiner stacks broadcast;
+    the weights are interference_coefficient's 2 Re(c_A conj(c_B)), with every
+    complex product formed from real parts one rounding at a time, as that
+    scalar route rounds it (numpy's complex loops may fuse a multiply-add).
+    """
+    b, a = babu_recombiners[..., :, None], alisha_recombiners[..., None, :]
+    re = b.real * a.real - b.imag * a.imag  # (..., path, j, k)
+    im = b.real * a.imag + b.imag * a.real
+    weights = 2.0 * (re[..., 0, :, :] * re[..., 1, :, :] + im[..., 0, :, :] * im[..., 1, :, :])
+    return np.abs(weights[..., 0, :] + weights[..., 1, :])
+
+
+def _gram_residuals(rows: np.ndarray) -> np.ndarray:
+    """|G - I| of the Gram matrix G of each stacked pair of rows (..., 2, n)."""
+    return np.abs(rows @ rows.conj().swapaxes(-1, -2) - np.eye(2))
 
 
 def run_property_suite(
@@ -268,78 +283,74 @@ def run_property_suite(
 ) -> list[tuple[str, float]]:
     """Randomized exact-identity checks: (name, worst residual) per property.
 
-    Each check draws its own settings from one generator and returns one
-    trial's residual; the checks run in table order, and each one's worst is
-    folded by max from 0.0.
+    Each check takes a pass size n, draws n trials' settings in bulk from the
+    one generator and returns their residuals as an array.  The checks run in
+    table order, each in passes of at most its bound, and each one's worst is
+    the largest residual of any pass, NaN if any residual is NaN.
     """
     rng = np.random.default_rng(seed)
+    basis = screen_basis(geom, envelope)
+    profile = envelope.profile(geom.bin_centers)
+    bare = np.abs(profile) / float(np.sum(profile))
 
-    def rand_unitary():
-        return unitary_from_angle(
-            rng.uniform(0.0, 2.0 * math.pi), rng.uniform(0.0, 2.0 * math.pi)
-        )
+    def angles(*shape):
+        return rng.uniform(0.0, 2.0 * math.pi, (2, *shape))
 
-    def rand_arm():
-        # draws tap, splitter, theta, chi in that order; verify's output depends on it
-        return ArmOptics(
-            rng.uniform(0.0, 1.0),
-            bool(rng.integers(0, 2)),
-            rng.uniform(0.0, 2.0 * math.pi),
-            rng.uniform(0.0, 2.0 * math.pi),
-        )
+    def splitters(n):
+        return arm_tables(0.0, True, *angles(n))[1]
 
-    def unitarity():
+    def arms(*shape):
+        # draws tap, splitter, theta and chi in that order; verify's output depends on it
+        tap = rng.uniform(0.0, 1.0, shape)
+        present = rng.integers(0, 2, shape).astype(bool)
+        return tap, arm_tables(tap, present, *angles(*shape))[0]
+
+    def unitarity(n):
         # both rows of an angle-parameterised splitter are unit and orthogonal
-        (a, b), (c, d) = rand_unitary().tolist()
-        return max(
-            abs(abs(a) ** 2 + abs(b) ** 2 - 1.0),
-            abs(abs(c) ** 2 + abs(d) ** 2 - 1.0),
-            abs(a * c.conjugate() + b * d.conjugate()),
-        )
+        return _gram_residuals(splitters(n))
 
-    def arm_isometry():
+    def arm_isometry(n):
         # the arm's two path vectors stay orthonormal
-        va, vb = rand_arm().amplitudes
-        gram = np.array(
-            [
-                [np.vdot(va, va), np.vdot(va, vb)],
-                [np.vdot(vb, va), np.vdot(vb, vb)],
-            ]
-        )
-        return float(np.abs(gram - np.eye(2)).max())
+        return _gram_residuals(arms(n)[1])
 
-    def normalization():
-        return abs(joint_distribution(geom, envelope, rand_arm(), rand_arm()).total() - 1.0)
+    def normalization(n):
+        # E summed over bins, then contracted with babu's and alisha's C
+        coeffs = coefficients(arms(n)[1], arms(n)[1])
+        return np.abs(np.tensordot(basis.sum(axis=0), coeffs, axes=1).sum(axis=(-2, -1)) - 1.0)
 
-    def pair_cancellation():
-        ub, ua = rand_unitary(), rand_unitary()
-        return max(0.0, *(_pair_residual(k, ub, ua) for k in ERASING_OUTCOMES))
+    def pair_cancellation(n):
+        return _pair_residuals(splitters(n), splitters(n))
 
-    def single_cancellation():
+    def single_cancellation(n):
         # one-idler analogue: D1 + D2 patterns sum to the bare envelope
-        arm = rand_arm()
-        table = single_distribution(geom, envelope, arm)
-        profile = envelope.profile(geom.bin_centers)
-        flat = (1.0 - arm.tap_probability) * np.abs(profile) / float(np.sum(profile))
-        return float(np.abs(table[:, D1] + table[:, D2] - flat).max())
+        tap, amplitudes = arms(n)
+        table = np.tensordot(basis, coefficients(amplitudes), axes=1)  # (bin, trial, outcome)
+        return np.abs(table[..., D1] + table[..., D2] - bare[:, None] * (1.0 - tap))
 
-    def marginal_invariance():
-        # the screen-side marginal never moves when babu's arm changes
-        alisha = rand_arm()
-        reference = screen_marginal(geom, envelope, alisha)
-        tables = [joint_distribution(geom, envelope, rand_arm(), alisha) for _ in range(2)]
-        return max(0.0, *(float(np.abs(t.alisha_marginal() - reference).max()) for t in tables))
+    def marginal_invariance(n):
+        # the screen-side marginal never moves when babu's arm changes: two
+        # babu arms per alisha arm, babu's outcome summed out of C before E @ C
+        alisha = arms(n)[1]
+        reference = screen_marginal(geom, envelope, alisha)  # (bin, trial, k)
+        summed = coefficients(arms(2, n)[1], alisha).sum(axis=-2)  # (4, babu arm, trial, k)
+        return np.abs(np.tensordot(basis, summed, axes=1) - reference[:, None])
+
+    def worst(n, size, check):
+        # np.maximum carries a NaN residual through, where max(0.0, nan) drops it
+        passes = (check(min(size, n - start)).max() for start in range(0, n, size))
+        return float(reduce(np.maximum, passes, 0.0))
 
     few = max(trials // 10, 50)
+    per_bin = max(_PASS_CELLS // geom.n_bins, 1)
     checks = (
-        ("unitarity", trials, unitarity),
-        ("arm-isometry", trials, arm_isometry),
-        ("normalization", few, normalization),
-        ("pair-cancellation", trials, pair_cancellation),
-        ("single-cancellation", few, single_cancellation),
-        ("marginal-invariance", few, marginal_invariance),
+        ("unitarity", trials, _PASS_TRIALS, unitarity),
+        ("arm-isometry", trials, _PASS_TRIALS, arm_isometry),
+        ("normalization", few, per_bin, normalization),
+        ("pair-cancellation", trials, _PASS_TRIALS, pair_cancellation),
+        ("single-cancellation", few, per_bin, single_cancellation),
+        ("marginal-invariance", few, per_bin, marginal_invariance),
     )
-    return [(name, reduce(max, (check() for _ in range(n)), 0.0)) for name, n, check in checks]
+    return [(name, worst(n, size, check)) for name, n, size, check in checks]
 
 
 def cmd_verify(args) -> int:
@@ -442,14 +453,15 @@ def _sweep_rows(geom: SlitScreenGeometry, envelope, babu_settings, alisha_settin
     its columns that hold probability, and each point's marginal is compared
     with the first one of its alisha setting.
     """
-    alisha_arms = [ArmOptics(tap, True, theta, chi) for theta, chi, tap in alisha_settings]
-    babu_arms = [ArmOptics(tap, split, theta, chi) for theta, chi, tap, split in babu_settings]
-    babu_amplitudes = np.array([arm.amplitudes for arm in babu_arms])
+    b_theta, b_chi, b_tap, b_splitter = np.array(babu_settings, dtype=float).T
+    babu_amplitudes, babu_recombiners = arm_tables(b_tap, b_splitter == 1.0, b_theta, b_chi)
+    a_theta, a_chi, a_tap = np.array(alisha_settings, dtype=float).T
+    alisha_amplitudes, alisha_recombiners = arm_tables(a_tap, True, a_theta, a_chi)
     basis = screen_basis(geom, envelope)
     totals, fit = basis.sum(axis=0), unit_variance_fit(basis, geom)
     rows = []
-    for a_setting, alisha in zip(alisha_settings, alisha_arms):
-        coeffs = coefficients(babu_amplitudes, alisha.amplitudes)  # (4, babu setting, j, k)
+    for a, a_setting in enumerate(alisha_settings):
+        coeffs = coefficients(babu_amplitudes, alisha_amplitudes[a])  # (4, babu setting, j, k)
         marginals = coeffs.sum(axis=2)
         # per babu setting: the erasing slices (j outer, k inner), then the marginal's columns
         slices = np.concatenate([coeffs[..., :2, :2].reshape(4, -1, 4), marginals], axis=2)
@@ -459,10 +471,10 @@ def _sweep_rows(geom: SlitScreenGeometry, envelope, babu_settings, alisha_settin
         erasing_vis = np.where(lit[:, :4], vis[:, :4], np.nan).tolist()
         marginal_vis = np.where(lit[:, 4:], vis[:, 4:], 0.0).max(axis=1).tolist()
         reference = basis @ marginals[:, 0]
-        for b, ((theta, chi, tap, splitter), babu) in enumerate(zip(babu_settings, babu_arms)):
+        cancel = _pair_residuals(babu_recombiners, alisha_recombiners[a]).tolist()
+        for b, (theta, chi, tap, splitter) in enumerate(babu_settings):
             residual = float(np.abs(basis @ marginals[:, b] - reference).max())
-            cancel = [_pair_residual(k, babu.recombiner, alisha.recombiner) for k in ERASING_OUTCOMES]
-            values = (*a_setting, *erasing_vis[b], *cancel, marginal_vis[b], residual)
+            values = (*a_setting, *erasing_vis[b], *cancel[b], marginal_vis[b], residual)
             settings = [_fmt(theta), _fmt(chi), _fmt(tap), str(int(splitter))]
             rows.append(",".join(settings + [_fmt(v) for v in values]))
     return rows
@@ -480,6 +492,11 @@ def cmd_sweep(args) -> int:
     a_thetas = _parse_values(args.theta_alisha, "theta-alisha") if args.theta_alisha else [config.alisha.theta]
     a_chis = _parse_values(args.chi_alisha, "chi-alisha") if args.chi_alisha else [config.alisha.chi]
     a_taps = _parse_values(args.tap_alisha, "tap-alisha") if args.tap_alisha else [config.alisha.tap_probability]
+
+    # every axis value through ArmOptics' own checks, so a bad one exits 2 before any work
+    axes = (taps + a_taps, thetas + a_thetas, chis + a_chis)
+    for tap, theta, chi in itertools.zip_longest(*axes, fillvalue=0.0):
+        ArmOptics(tap, True, theta, chi)
 
     babu_settings = list(itertools.product(thetas, chis, taps, splitters))
     alisha_settings = list(itertools.product(a_thetas, a_chis, a_taps))

@@ -237,12 +237,18 @@ def config_from_dict(data: dict) -> ExperimentConfig:
         ("mode", "envelope", "babu", "alisha", "schedule", "pair_rate_scale"),
     )
     geo = _fields(doc["geometry"], "experiment.geometry", ("d", "lambda", "f", "L", "n_bins"))
+    n_bins = _integer(geo["n_bins"], "experiment.geometry.n_bins")
+    if n_bins < 3:
+        raise ValueError(
+            "experiment.geometry.n_bins must be at least 3 "
+            f"(the fringe fit has three parameters), got {n_bins}"
+        )
     geometry = SlitScreenGeometry(
         slit_separation=_number(geo["d"], "experiment.geometry.d"),
         wavelength=_number(geo["lambda"], "experiment.geometry.lambda"),
         focal_length=_number(geo["f"], "experiment.geometry.f"),
         screen_width=_number(geo["L"], "experiment.geometry.L"),
-        n_bins=_integer(geo["n_bins"], "experiment.geometry.n_bins"),
+        n_bins=n_bins,
     )
     schedule = None
     if doc.get("schedule") is not None:

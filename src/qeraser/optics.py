@@ -12,7 +12,6 @@ blind to everything done on the remote arm.
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
@@ -32,27 +31,47 @@ BABU_LABELS = ("D1", "D2", "D3", "D4")
 ALISHA_LABELS = ("D1'", "D2'", "D3'", "D4'")
 
 
-def _recombiner(alpha: complex, beta: complex) -> np.ndarray:
-    """Read-only 2x2 recombiner [[alpha, beta], [-conj(beta), conj(alpha)]].
+def _recombiner(alpha, beta) -> np.ndarray:
+    """Read-only (..., 2, 2) recombiners [[alpha, beta], [-conj(beta), conj(alpha)]].
 
     Rows are the source paths A and B, columns the outcomes D1 and D2: path A
     maps to alpha*D1 + beta*D2, path B to -conj(beta)*D1 + conj(alpha)*D2,
     which is unitary whenever |alpha|^2 + |beta|^2 = 1.
     """
-    matrix = np.array([[alpha, beta], [-beta.conjugate(), alpha.conjugate()]])
+    rows = [np.stack([alpha, beta], axis=-1), np.stack([-np.conj(beta), np.conj(alpha)], axis=-1)]
+    matrix = np.stack(rows, axis=-2)
     matrix.flags.writeable = False
     return matrix
 
 
-def unitary_from_angle(theta: float, chi: float) -> np.ndarray:
-    """Recombiner with alpha = cos(theta), beta = sin(theta) e^{i chi}.
+def arm_tables(tap, splitter, theta, chi) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only (..., 2, 4) amplitudes and (..., 2, 2) recombiners of stacked arms.
+
+    The arguments are the config schema's (tap_p, splitter, theta, chi),
+    array-valued and broadcast together, and taken as valid (ArmOptics checks
+    one arm's).  The recombiner has alpha = cos(theta) and
+    beta = sin(theta) e^{i chi}, or is the identity with the splitter out;
+    sqrt(1-p) goes through it, the remaining sqrt(p) to the path-consistent
+    monitor.  Every step is elementwise, so each arm of a stack gets the
+    values it gets alone (the 0-d case).
+    """
+    tap, splitter, theta, chi = np.broadcast_arrays(tap, splitter, theta, chi)
+    alpha = np.where(splitter, np.cos(theta), 1.0).astype(complex)
+    beta = np.where(splitter, np.sin(theta) * np.exp(1j * chi), 0.0)
+    recombiner = _recombiner(alpha, beta)
+    amplitudes = np.zeros((*tap.shape, 2, 4), dtype=complex)
+    amplitudes[..., :2] = np.sqrt(1.0 - tap)[..., None, None] * recombiner
+    amplitudes[..., 0, D3] = amplitudes[..., 1, D4] = np.sqrt(tap)
+    amplitudes.flags.writeable = False
+    return amplitudes, recombiner
+
+
+def unitary_from_angle(theta, chi) -> np.ndarray:
+    """Recombiner with alpha = cos(theta), beta = sin(theta) e^{i chi}; stacks over arrays.
 
     theta = pi/4, chi = 0 is the balanced splitter; theta = 0 is a pass-through.
     """
-    return _recombiner(complex(math.cos(theta)), math.sin(theta) * cmath.exp(1j * chi))
-
-
-IDENTITY_SPLITTER = _recombiner(1.0 + 0j, 0.0 + 0j)
+    return arm_tables(0.0, True, theta, chi)[1]
 
 
 @dataclass(frozen=True)
@@ -60,7 +79,7 @@ class ArmOptics:
     """One observer's idler arm: which-path tap plus optional recombiner.
 
     The fields are the config schema's (tap_p, splitter, theta, chi); the
-    recombiner and the amplitude table are built once per arm, read-only.
+    amplitude table is arm_tables' 0-d case, built once per arm, read-only.
     """
 
     tap_probability: float
@@ -81,26 +100,13 @@ class ArmOptics:
         object.__setattr__(self, "splitter_present", bool(self.splitter_present))
 
     @cached_property
-    def recombiner(self) -> np.ndarray:
-        """unitary_from_angle(theta, chi); removing the splitter hard-wires
-        D1 to path A and D2 to path B."""
-        if self.splitter_present:
-            return unitary_from_angle(self.theta, self.chi)
-        return IDENTITY_SPLITTER
-
-    @cached_property
     def amplitudes(self) -> np.ndarray:
         """(2, 4) amplitudes [D1, D2, D3, D4] the arm attaches to paths A and B.
 
-        sqrt(1-p) goes through the recombiner, the remaining sqrt(p) to the
-        path-consistent monitor.  The two rows are orthonormal; that
-        orthogonality is what kills every cross term in the remote marginal.
+        The two rows are orthonormal; that orthogonality is what kills every
+        cross term in the remote marginal.
         """
-        table = np.zeros((2, 4), dtype=complex)
-        table[:, :2] = math.sqrt(1.0 - self.tap_probability) * self.recombiner
-        table[0, D3] = table[1, D4] = math.sqrt(self.tap_probability)
-        table.flags.writeable = False
-        return table
+        return arm_tables(self.tap_probability, self.splitter_present, self.theta, self.chi)[0]
 
 
 @dataclass(frozen=True)
@@ -256,17 +262,18 @@ def single_distribution(
     return screen_basis(geom, envelope) @ coefficients(babu.amplitudes)
 
 
-def screen_marginal(
-    geom: SlitScreenGeometry, envelope, alisha: ArmOptics
-) -> np.ndarray:
-    """Screen-side (n_bins, 4) marginal computed without reference to babu's arm.
+def screen_marginal(geom: SlitScreenGeometry, envelope, alisha) -> np.ndarray:
+    """Screen-side (n_bins, ..., 4) marginal computed without reference to babu's arm.
 
+    alisha is an ArmOptics or a (..., 2, 4) stack of arm_tables amplitudes.
     Summed over babu's outcomes, C keeps only alisha's |amplitude|^2 rows, so
     the marginal is E's first two columns times those rows.  Agreement with
     the joint table's alisha_marginal() over arbitrary babu settings is the
     no-signalling identity.
     """
-    return screen_basis(geom, envelope)[:, :2] @ coefficients(alisha.amplitudes)[:2]
+    amplitudes = alisha.amplitudes if isinstance(alisha, ArmOptics) else alisha
+    weights = coefficients(amplitudes)[:2]
+    return np.tensordot(screen_basis(geom, envelope)[:, :2], weights, axes=1)
 
 
 def interference_coefficient(

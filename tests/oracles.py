@@ -17,6 +17,10 @@ The rest are the line-by-line readers, the f-string row formatters and the
 full greedy matcher loop that ``qeraser.events`` used before its numpy
 passes, the per-block decode loop of ``qeraser.analysis``, and
 ``fit_fringe_one``, the one-histogram fit ``analysis.fit_fringes`` replaced.
+``property_suite_loop`` is the property suite that drew and checked one
+trial at a time through ``ArmOptics`` and the per-trial tables, and
+``pair_residual`` its scalar cancellation residual; the stacked suite and
+the sweep's cancellation columns are checked against them.
 They are kept verbatim as differential oracles: the fast paths must return
 the same arrays, headers, floats, orphan reports and file bytes.  The
 readers here are looser than the library's grammar (Python's ``int()``
@@ -30,7 +34,7 @@ import cmath
 import itertools
 import math
 import warnings
-from functools import lru_cache
+from functools import lru_cache, reduce
 
 import numpy as np
 
@@ -42,7 +46,6 @@ from qeraser.analysis import (
     classify_pattern,
     fit_fringes,
 )
-from qeraser.cli import _pair_residual
 from qeraser.events import (
     CODE_D0,
     DETECTOR_LABELS,
@@ -60,7 +63,12 @@ from qeraser.optics import (
     ERASING_OUTCOMES,
     ArmOptics,
     SlitScreenGeometry,
+    arm_tables,
+    interference_coefficient,
     joint_distribution,
+    screen_marginal,
+    single_distribution,
+    unitary_from_angle,
 )
 
 _CODE_BY_LABEL = {label: code for code, label in enumerate(DETECTOR_LABELS)}
@@ -100,6 +108,11 @@ def arm_amplitudes(path: str, optics: ArmOptics) -> np.ndarray:
         [-keep * beta.conjugate(), keep * alpha.conjugate(), 0.0, tap],
         dtype=complex,
     )
+
+
+def arm_recombiner(optics: ArmOptics) -> np.ndarray:
+    """The arm's 2x2 recombiner: arm_tables' for its one setting."""
+    return arm_tables(optics.tap_probability, optics.splitter_present, optics.theta, optics.chi)[1]
 
 
 def erasing_path_factors(j: int, alpha: complex, beta: complex) -> tuple[complex, complex]:
@@ -208,6 +221,93 @@ def outcome_probabilities(geom: SlitScreenGeometry, envelope, arms) -> np.ndarra
     return amp.real**2 + amp.imag**2
 
 
+def pair_residual(k: int, babu_recombiner, alisha_recombiner) -> float:
+    """|fringe weight of (D1, k) + (D2, k)|: zero when babu's erased terms cancel."""
+    return abs(
+        interference_coefficient(D1, k, babu_recombiner, alisha_recombiner)
+        + interference_coefficient(D2, k, babu_recombiner, alisha_recombiner)
+    )
+
+
+def property_suite_loop(
+    trials: int, seed: int, geom: SlitScreenGeometry, envelope
+) -> list[tuple[str, float]]:
+    """Randomized exact-identity checks: (name, worst residual) per property.
+
+    Each check draws its own settings from one generator and returns one
+    trial's residual; the checks run in table order, and each one's worst is
+    folded by max from 0.0.
+    """
+    rng = np.random.default_rng(seed)
+
+    def rand_unitary():
+        return unitary_from_angle(
+            rng.uniform(0.0, 2.0 * math.pi), rng.uniform(0.0, 2.0 * math.pi)
+        )
+
+    def rand_arm():
+        # draws tap, splitter, theta, chi in that order; verify's output depends on it
+        return ArmOptics(
+            rng.uniform(0.0, 1.0),
+            bool(rng.integers(0, 2)),
+            rng.uniform(0.0, 2.0 * math.pi),
+            rng.uniform(0.0, 2.0 * math.pi),
+        )
+
+    def unitarity():
+        # both rows of an angle-parameterised splitter are unit and orthogonal
+        (a, b), (c, d) = rand_unitary().tolist()
+        return max(
+            abs(abs(a) ** 2 + abs(b) ** 2 - 1.0),
+            abs(abs(c) ** 2 + abs(d) ** 2 - 1.0),
+            abs(a * c.conjugate() + b * d.conjugate()),
+        )
+
+    def arm_isometry():
+        # the arm's two path vectors stay orthonormal
+        va, vb = rand_arm().amplitudes
+        gram = np.array(
+            [
+                [np.vdot(va, va), np.vdot(va, vb)],
+                [np.vdot(vb, va), np.vdot(vb, vb)],
+            ]
+        )
+        return float(np.abs(gram - np.eye(2)).max())
+
+    def normalization():
+        return abs(joint_distribution(geom, envelope, rand_arm(), rand_arm()).total() - 1.0)
+
+    def pair_cancellation():
+        ub, ua = rand_unitary(), rand_unitary()
+        return max(0.0, *(pair_residual(k, ub, ua) for k in ERASING_OUTCOMES))
+
+    def single_cancellation():
+        # one-idler analogue: D1 + D2 patterns sum to the bare envelope
+        arm = rand_arm()
+        table = single_distribution(geom, envelope, arm)
+        profile = envelope.profile(geom.bin_centers)
+        flat = (1.0 - arm.tap_probability) * np.abs(profile) / float(np.sum(profile))
+        return float(np.abs(table[:, D1] + table[:, D2] - flat).max())
+
+    def marginal_invariance():
+        # the screen-side marginal never moves when babu's arm changes
+        alisha = rand_arm()
+        reference = screen_marginal(geom, envelope, alisha)
+        tables = [joint_distribution(geom, envelope, rand_arm(), alisha) for _ in range(2)]
+        return max(0.0, *(float(np.abs(t.alisha_marginal() - reference).max()) for t in tables))
+
+    few = max(trials // 10, 50)
+    checks = (
+        ("unitarity", trials, unitarity),
+        ("arm-isometry", trials, arm_isometry),
+        ("normalization", few, normalization),
+        ("pair-cancellation", trials, pair_cancellation),
+        ("single-cancellation", few, single_cancellation),
+        ("marginal-invariance", few, marginal_invariance),
+    )
+    return [(name, reduce(max, (check() for _ in range(n)), 0.0)) for name, n, check in checks]
+
+
 def sweep_rows(points, geom: SlitScreenGeometry, envelope, references: dict) -> list[str]:
     """sweep.csv rows for a run of grid points, every fringe fitted in one call.
 
@@ -233,8 +333,8 @@ def sweep_rows(points, geom: SlitScreenGeometry, envelope, references: dict) -> 
         a_theta, a_chi, a_tap, theta, chi, tap, splitter = point
         vis = [next(fits).visibility if fitted else float("nan") for fitted in lit]
         marg_vis = max([0.0] + [next(fits).visibility for _ in range(n_columns)])
-        ub, ua = babu.recombiner, alisha.recombiner
-        cancel = [_pair_residual(k, ub, ua) for k in ERASING_OUTCOMES]
+        ub, ua = arm_recombiner(babu), arm_recombiner(alisha)
+        cancel = [pair_residual(k, ub, ua) for k in ERASING_OUTCOMES]
         reference = references.setdefault((a_theta, a_chi, a_tap), marg)
         marg_residual = float(np.abs(marg - reference).max())
         rows.append(

@@ -1,10 +1,14 @@
+import dataclasses
 import hashlib
 import itertools
 import json
+import math
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qeraser import cli
 from qeraser.experiment import (
@@ -15,9 +19,9 @@ from qeraser.experiment import (
     save_config,
     single_choice_pattern,
 )
-from qeraser.optics import D1
+from qeraser.optics import D1, GaussianEnvelope, UniformEnvelope, arm_tables
 
-from oracles import sweep_rows
+from oracles import property_suite_loop, sweep_rows
 
 EXACT = 1e-12
 
@@ -568,6 +572,19 @@ def test_verify_passes(capsys):
     assert "FAIL" not in out
 
 
+def break_splitters(monkeypatch, matrix, when=lambda trials: True):
+    """Patch verify's arm builder: each call for `trials` arms where when(trials)
+    holds returns every recombiner as matrix, its amplitudes untouched."""
+
+    def broken(tap, splitter, theta, chi):
+        amplitudes, recombiners = arm_tables(tap, splitter, theta, chi)
+        if when(np.size(theta)):
+            recombiners = np.broadcast_to(np.array(matrix, dtype=complex), recombiners.shape)
+        return amplitudes, recombiners
+
+    monkeypatch.setattr(cli, "arm_tables", broken)
+
+
 @pytest.mark.parametrize(
     "matrix, residual",
     [
@@ -577,15 +594,66 @@ def test_verify_passes(capsys):
     ids=["row-norm", "orthogonality"],
 )
 def test_verify_fails_on_a_nonunitary_splitter(monkeypatch, capsys, matrix, residual):
-    def broken(theta, chi):
-        return np.array(matrix, dtype=complex)
-
-    monkeypatch.setattr(cli, "unitary_from_angle", broken)
+    break_splitters(monkeypatch, matrix)
     assert cli.main(["verify", "--trials", "20"]) == 1
     out = capsys.readouterr().out
     assert f"FAIL unitarity (max residual {residual}" in out
     assert "FAIL unitarity" in out
     assert "PROPERTY VIOLATION" in out
+
+
+def test_verify_fails_on_a_nan_residual(monkeypatch, capsys):
+    """A NaN residual fails its check; a fold by Python's max would drop it."""
+    break_splitters(monkeypatch, [[math.nan, 0.0], [0.0, 1.0]])
+    assert cli.main(["verify", "--trials", "20"]) == 1
+    out = capsys.readouterr().out
+    assert "FAIL unitarity (max residual nan, tol 1e-12)" in out
+    assert "PROPERTY VIOLATION" in out
+
+
+@dataclasses.dataclass(frozen=True)
+class HoleyEnvelope:
+    """Flat illumination with a NaN in its first bin."""
+
+    def profile(self, x):
+        values = np.ones_like(np.asarray(x, dtype=float))
+        values.flat[0] = math.nan
+        return values
+
+
+def test_property_suite_carries_a_nan_residual():
+    geom = dataclasses.replace(default_config().geometry, n_bins=8)
+    worst = dict(cli.run_property_suite(20, 0, geom, HoleyEnvelope()))
+    for name in ("normalization", "single-cancellation", "marginal-invariance"):
+        assert math.isnan(worst[name])
+    assert max(worst["unitarity"], worst["arm-isometry"], worst["pair-cancellation"]) <= EXACT
+
+
+@pytest.mark.parametrize("trials, code", [(1025, 1), (1024, 0)])
+def test_verify_passes_cover_the_last_trial(monkeypatch, capsys, trials, code):
+    """1,025 trials leave one trial alone in the last per-arm pass; breaking
+    only single-arm calls fails verify there, and passes at 1,024 trials."""
+    break_splitters(monkeypatch, [[0.6, 0.8], [0.8, 0.6]], when=lambda n: n == 1)
+    assert cli.main(["verify", "--trials", str(trials)]) == code
+    out = capsys.readouterr().out
+    assert ("FAIL unitarity (max residual 9.600e-01" in out) == (code == 1)
+
+
+@settings(max_examples=12, deadline=None)
+@given(
+    trials=st.integers(min_value=1, max_value=1200),
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+    envelope=st.sampled_from([UniformEnvelope(), GaussianEnvelope(1.5e-3)]),
+    n_bins=st.sampled_from([3, 64, 256]),
+)
+def test_property_suite_equals_the_loop(trials, seed, envelope, n_bins):
+    """The stacked suite and the one-trial-at-a-time loop both hold every identity."""
+    geom = dataclasses.replace(default_config().geometry, n_bins=n_bins)
+    stacked = cli.run_property_suite(trials, seed, geom, envelope)
+    loop = property_suite_loop(trials, seed, geom, envelope)
+    assert [name for name, _ in stacked] == [name for name, _ in loop]
+    for (_, new), (_, old) in zip(stacked, loop):
+        assert 0.0 <= new <= EXACT and 0.0 <= old <= EXACT
 
 
 def test_verify_with_config(config_path, capsys):
@@ -738,6 +806,42 @@ def test_sweep_splitter_takes_only_0_and_1(config_path, tmp_path, capsys, value)
     assert "--splitter values must be 0 or 1" in err
     assert err.count("\n") == 1
     assert not (tmp_path / "s" / "sweep.csv").exists()
+    assert not (tmp_path / "s").exists()
+
+
+@pytest.mark.parametrize(
+    "flag, value, message",
+    [
+        ("--tap", "1.5", "tap probability 1.5 outside [0, 1]"),
+        ("--tap-alisha", "-0.1", "tap probability -0.1 outside [0, 1]"),
+        ("--theta", "nan", "theta must be finite"),
+        ("--chi-alisha", "inf", "chi must be finite"),
+    ],
+)
+def test_sweep_refuses_an_arm_setting_before_any_work(
+    config_path, tmp_path, monkeypatch, capsys, flag, value, message
+):
+    def work(*args, **kwargs):
+        raise AssertionError("sweep started work before checking its settings")
+
+    monkeypatch.setattr(cli, "_sweep_rows", work)
+    argv = ["sweep", "--config", str(config_path), "--out", str(tmp_path / "s"), flag, value]
+    assert cli.main(argv) == 2
+    assert one_line_error(capsys) == f"qeraser: {message}\n"
+    assert not (tmp_path / "s").exists()
+
+
+@pytest.mark.parametrize("n_bins", [1, 2])
+def test_sweep_refuses_fewer_bins_than_fringe_parameters(tmp_path, capsys, n_bins):
+    doc = config_to_dict(default_config())
+    doc["experiment"]["geometry"]["n_bins"] = n_bins
+    path = tmp_path / "few.json"
+    path.write_text(json.dumps(doc))
+    assert cli.main(["sweep", "--config", str(path), "--out", str(tmp_path / "s")]) == 2
+    assert one_line_error(capsys) == (
+        f"qeraser: invalid config {path}: experiment.geometry.n_bins must be at least 3 "
+        f"(the fringe fit has three parameters), got {n_bins}\n"
+    )
     assert not (tmp_path / "s").exists()
 
 

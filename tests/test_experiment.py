@@ -320,6 +320,19 @@ def test_config_bounds_and_printable_messages(path, value, message):
     assert str(caught.value) == message
 
 
+@pytest.mark.parametrize("n_bins", [1, 2])
+def test_config_refuses_fewer_bins_than_fringe_parameters(tmp_path, n_bins):
+    path = tmp_path / "few.json"
+    path.write_text(json.dumps(mutated("experiment.geometry.n_bins", n_bins)))
+    with pytest.raises(ValueError) as caught:
+        load_config(path)
+    assert str(caught.value) == (
+        "experiment.geometry.n_bins must be at least 3 "
+        f"(the fringe fit has three parameters), got {n_bins}"
+    )
+    assert config_from_dict(mutated("experiment.geometry.n_bins", 3)).geometry.n_bins == 3
+
+
 def test_config_largest_accepted_counts():
     cfg = config_from_dict(mutated("experiment.geometry.n_bins", 65_536))
     assert cfg.geometry.n_bins == 65_536

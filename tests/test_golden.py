@@ -27,7 +27,7 @@ GOLDEN = {
     "decode_omniscient": "88345314bb35185afd067752f9e292b165f1520db3f2456df36c51b96df3356a",
     "decode_alisha": "9b2aa565547658d8201673154902d1ac91fa1ccb4930d65fb72c04608de28787",
     "sweep": "908792357c2dff9450b8c84b70ce41ac62e09369f6088eb4fa860f50a0bd7b1c",
-    "verify_stdout": "d88fb946ff9c3d182f5099472683de3e80bf4c16dd0a6b772b8157a2b151d8b4",
+    "verify_stdout": "2fbf819c74c5220f4d960dcc795da3e6e1847c14d3d79a4fdbfe3c4f7837a1d0",
     "sweep_edges": "8e9e12c6637d94ef0b680df34ba5d41d27978e1daf6f4c0787103db973bffaca",
 }
 

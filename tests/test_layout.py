@@ -116,7 +116,7 @@ def test_guard_sees_the_package():
         if isinstance(cls, ast.ClassDef)
         for method in public_members(cls)
     }
-    assert {"ArmOptics.recombiner", "ArmOptics.amplitudes", "CoincidenceDistribution.pattern"} <= methods
+    assert {"ArmOptics.amplitudes", "CoincidenceDistribution.pattern"} <= methods
 
 
 def test_package_root_reexports_nothing():

@@ -14,9 +14,9 @@ from qeraser.optics import (
     D3,
     D4,
     GaussianEnvelope,
-    IDENTITY_SPLITTER,
     SlitScreenGeometry,
     UniformEnvelope,
+    arm_tables,
     coefficients,
     interference_coefficient,
     joint_distribution,
@@ -32,6 +32,7 @@ from oracles import (
     PATH_B,
     arm_amplitudes,
     arm_entries,
+    arm_recombiner,
     interference_coefficient_factors,
     joint_amplitude,
     outcome_probabilities,
@@ -71,19 +72,20 @@ def test_angle_parameterisation_is_unitary(theta, chi):
 
 
 def test_known_splitters():
-    assert IDENTITY_SPLITTER.tolist() == [[1.0 + 0j, 0.0 + 0j], [0.0 + 0j, 1.0 + 0j]]
-    balanced = ArmOptics(0.5).recombiner  # the default arm's recombiner
+    removed = arm_tables(0.3, False, 1.1, 2.2)[1]  # a removed splitter ignores its angles
+    assert removed.tolist() == [[1.0 + 0j, 0.0 + 0j], [0.0 + 0j, 1.0 + 0j]]
+    balanced = arm_recombiner(ArmOptics(0.5))  # the default arm's recombiner
     r = math.sqrt(0.5)
     np.testing.assert_allclose(balanced, [[r, r], [-r, r]], atol=EXACT)
 
 
 def test_arm_unitary_from_its_angles():
     arm = ArmOptics(0.3, theta=1.1, chi=2.2)
-    np.testing.assert_array_equal(arm.recombiner, unitary_from_angle(1.1, 2.2))
-    assert arm.recombiner is arm.recombiner  # built once per arm
-    assert arm.amplitudes is arm.amplitudes
-    assert ArmOptics(0.3, splitter_present=False, theta=1.1).recombiner is IDENTITY_SPLITTER
-    for table in (arm.recombiner, arm.amplitudes, IDENTITY_SPLITTER):
+    amplitudes, recombiner = arm_tables(0.3, True, 1.1, 2.2)
+    np.testing.assert_array_equal(recombiner, unitary_from_angle(1.1, 2.2))
+    np.testing.assert_array_equal(arm.amplitudes, amplitudes)
+    assert arm.amplitudes is arm.amplitudes  # built once per arm
+    for table in (recombiner, arm.amplitudes, amplitudes, unitary_from_angle(1.1, 2.2)):
         with pytest.raises(ValueError, match="read-only"):
             table[0, 0] = 0.0
 
@@ -135,13 +137,41 @@ def test_arm_amplitudes_equal_the_per_path_oracle():
         assert (arm.amplitudes[1] == arm_amplitudes(PATH_B, arm)).all()
 
 
+arm_settings = st.tuples(st.one_of(st.sampled_from([0.0, 1.0]), taps), st.booleans(), angles, angles)
+
+
+@settings(max_examples=300)
+@given(stack=st.lists(arm_settings, min_size=1, max_size=8))
+def test_arm_tables_equal_the_closed_form_exactly(stack):
+    """A stack of arms, and each arm alone (the 0-d case), against math and cmath.
+
+    The oracles write each entry out from (alpha, beta) as Python complex
+    numbers.  Every float must be equal, compared with == so that a zero's
+    sign is not: numpy may fuse a real-times-complex multiply-add in a long
+    stack, which keeps every value but can flip the sign of an underflowed 0.
+    """
+    tap, present, theta, chi = (np.array(column) for column in zip(*stack))
+    stacked = arm_tables(tap, present, theta, chi)
+    assert stacked[0].shape == (len(stack), 2, 4) and stacked[1].shape == (len(stack), 2, 2)
+    for i, setting in enumerate(stack):
+        arm = ArmOptics(*setting)
+        alpha, beta = arm_entries(arm)
+        if arm.splitter_present:
+            assert (alpha, beta) == splitter_entries(arm.theta, arm.chi)
+        recombiner = [[alpha, beta], [-beta.conjugate(), alpha.conjugate()]]
+        amplitudes = [arm_amplitudes(PATH_A, arm).tolist(), arm_amplitudes(PATH_B, arm).tolist()]
+        alone = arm_tables(*setting)
+        assert stacked[0][i].tolist() == alone[0].tolist() == arm.amplitudes.tolist() == amplitudes
+        assert stacked[1][i].tolist() == alone[1].tolist() == recombiner
+
+
 def test_interference_coefficient_equals_the_factor_route():
     """Columns of the recombiner give the old (alpha, beta) factor route exactly."""
     arms = differential_arms()
     for babu, alisha in zip(arms, arms[1:] + arms[:1]):
         for j in (D1, D2):
             for k in (D1, D2):
-                coef = interference_coefficient(j, k, babu.recombiner, alisha.recombiner)
+                coef = interference_coefficient(j, k, arm_recombiner(babu), arm_recombiner(alisha))
                 assert coef == interference_coefficient_factors(
                     j, k, arm_entries(babu), arm_entries(alisha)
                 )
@@ -444,7 +474,7 @@ def test_coefficient_matches_joint_table(small_geom, envelope):
             y = dist.pattern(j, k) * 2.0 * n
             design = np.column_stack([np.ones(n), np.cos(u), np.sin(u)])
             c0, ccos, csin = np.linalg.lstsq(design, y, rcond=None)[0]
-            coef = interference_coefficient(j, k, babu.recombiner, alisha.recombiner)
+            coef = interference_coefficient(j, k, arm_recombiner(babu), arm_recombiner(alisha))
             assert abs(ccos - coef) <= 1e-9
             assert abs(ccos - 2.0 * z.real) <= 1e-9
             assert abs(csin + 2.0 * z.imag) <= 1e-9
