@@ -220,8 +220,9 @@ def cmd_simulate(args) -> int:
         n_triples=schedule.n_triples,
         n_bins=config.geometry.n_bins,
     )
-    triples = sample_triples(config, seed=seed)
-    stream = inject_background(emit_events(triples, config, seed), rate, seed)
+    # no name holds the triples, so they are freed once their records are emitted
+    stream = emit_events(sample_triples(config, seed=seed), config, seed)
+    stream = inject_background(stream, rate, seed)
     # match before writing, so a bad window fails with no file written
     matched, orphans = match_coincidences(
         stream, window, block_size=schedule.block_size, spacing_ns=spacing
@@ -239,7 +240,7 @@ def cmd_simulate(args) -> int:
     _publish(args, details, writers)
 
     which_path = np.mean((matched.babu >= 2) | (matched.alisha >= 2)) if len(matched) else 0.0
-    print(f"sampled {len(triples)} triples over {len(schedule.bits)} blocks")
+    print(f"sampled {schedule.n_triples} triples over {len(schedule.bits)} blocks")
     print(f"emitted {len(stream)} event records (spacing {spacing} ns)")
     print(f"matched {len(matched)} triples in a +-{window} ns window")
     print(f"orphans {orphans.total}")

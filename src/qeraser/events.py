@@ -174,7 +174,8 @@ def sample_triples(config: ExperimentConfig, seed: int = 0) -> TripleBatch:
         cond_cum[int(bit)] = cum
 
     n = schedule.block_size
-    xs, js, ks, blocks = [], [], [], []
+    n_blocks = len(schedule.bits)
+    x_bin, babu, alisha = (np.empty((n_blocks, n), dtype=np.int64) for _ in range(3))
     for b, bit in enumerate(schedule.bits):
         rng_m = np.random.default_rng(
             np.random.SeedSequence(seed, spawn_key=(_DOMAIN_MARGINAL, b))
@@ -185,20 +186,17 @@ def sample_triples(config: ExperimentConfig, seed: int = 0) -> TripleBatch:
         flat = np.searchsorted(marg_cum, rng_m.random(n), side="right")
         np.clip(flat, 0, marg_flat.size - 1, out=flat)
         rows = cond_cum[int(bit)][flat]
-        j = (rows <= rng_c.random(n)[:, None]).sum(axis=1)
-        np.clip(j, 0, 3, out=j)
-        xs.append(flat // 4)
-        ks.append(flat % 4)
-        js.append(j)
-        blocks.append(np.full(n, b, dtype=np.int64))
+        np.sum(rows <= rng_c.random(n)[:, None], axis=1, out=babu[b])
+        np.clip(babu[b], 0, 3, out=babu[b])
+        np.floor_divide(flat, 4, out=x_bin[b])
+        np.remainder(flat, 4, out=alisha[b])
 
-    x_bin = np.concatenate(xs)
     return TripleBatch(
-        triple_id=np.arange(len(x_bin), dtype=np.int64),
-        x_bin=x_bin,
-        babu=np.concatenate(js),
-        alisha=np.concatenate(ks),
-        block_index=np.concatenate(blocks),
+        triple_id=np.arange(n_blocks * n, dtype=np.int64),
+        x_bin=x_bin.ravel(),
+        babu=babu.ravel(),
+        alisha=alisha.ravel(),
+        block_index=np.repeat(np.arange(n_blocks, dtype=np.int64), n),
     )
 
 
@@ -206,48 +204,59 @@ def emit_events(triples: TripleBatch, config: ExperimentConfig, seed: int = 0) -
     """Unroll triples into a time-sorted stream of single detections.
 
     Triple t sits at t * spacing; its screen record comes first and the two
-    idler records lag by independent integer delays in [1, 10] ns.  Delay
-    draws depend only on (seed, triple position), never on outcomes, so two
-    runs differing only in babu's settings share identical timestamps.
+    idler records lag by independent integer delays in [1, 10] ns, the
+    earlier first and babu's first on a tie.  Spacings of MIN_SPACING_NS and
+    up keep triples from interleaving, so row t of an (n, 3) layout holds
+    triple t's records in time order and no sort over the stream is needed.
+    Delay draws depend only on (seed, triple position), never on outcomes,
+    so two runs differing only in babu's settings share identical timestamps.
     """
     n = len(triples)
     spacing = triple_spacing_ns(config.pair_rate_scale)
     rng = np.random.default_rng(
         np.random.SeedSequence(int(seed), spawn_key=(_DOMAIN_DELAYS, 0))
     )
-    delays = rng.integers(1, 11, size=(n, 2))
-    base = np.arange(n, dtype=np.int64) * spacing
-    times = np.concatenate([base, base + delays[:, 0], base + delays[:, 1]])
-    codes = np.concatenate(
-        [
-            np.zeros(n, dtype=np.int64),
-            triples.babu + 1,
-            triples.alisha + 5,
-        ]
-    )
-    x_bin = np.concatenate([triples.x_bin, np.full(2 * n, -1, dtype=np.int64)])
-    rank = np.concatenate(
-        [np.zeros(n, dtype=np.int64), np.ones(n, dtype=np.int64), np.full(n, 2, dtype=np.int64)]
-    )
-    order = np.lexsort((rank, times))
+    # each idler as delay * 16 + detector code: babu's codes (1-4) lie below
+    # alisha's (5-8), so sorting a triple's pair puts babu first on a tie
+    idlers = rng.integers(1, 11, size=(n, 2))
+    idlers *= 16
+    idlers[:, 0] += triples.babu
+    idlers[:, 1] += triples.alisha
+    idlers += (1, 5)
+    idlers.sort(axis=1)
+    time_ns = np.empty((n, 3), dtype=np.int64)
+    time_ns[:, 0] = np.arange(n, dtype=np.int64) * spacing
+    time_ns[:, 1:] = time_ns[:, :1] + idlers // 16
+    detector = np.empty((n, 3), dtype=np.int64)
+    detector[:, 0] = CODE_D0
+    detector[:, 1:] = idlers % 16
+    del idlers
+    x_bin = np.full((n, 3), -1, dtype=np.int64)
+    x_bin[:, 0] = triples.x_bin
     return EventStream(
         event_id=np.arange(3 * n, dtype=np.int64),
-        detector=codes[order],
-        time_ns=times[order],
-        x_bin=x_bin[order],
+        detector=detector.ravel(),
+        time_ns=time_ns.ravel(),
+        x_bin=x_bin.ravel(),
         n_bins=config.geometry.n_bins,
     )
 
 
 def inject_background(stream: EventStream, rate_per_ns: float, seed: int = 0) -> EventStream:
-    """Overlay Poisson dark counts on an existing stream.
+    """Overlay Poisson dark counts on a time-sorted stream.
 
-    Original records keep their ids and content; background records get
-    fresh ids past the current maximum.  Rate 0 returns the stream as is.
+    Original records keep their ids, content and order; background records
+    get fresh ids past the current maximum, in draw order.  Each dark count
+    goes after every original record at its time, and dark counts at one
+    time keep draw order, so the result is sorted by (time, background,
+    id) whenever the stream's records at each time are in id order, as
+    emit_events' are.  Rate 0 returns the stream as is.  Raises ValueError
+    for an unsorted stream.
     """
     rate = float(rate_per_ns)
     if not (math.isfinite(rate) and rate >= 0.0):
         raise ValueError(f"background rate must be finite and non-negative, got {rate!r}")
+    _require_sorted(stream.time_ns)
     if rate == 0.0 or len(stream) < 2:
         return stream
     rng = np.random.default_rng(
@@ -258,26 +267,36 @@ def inject_background(stream: EventStream, rate_per_ns: float, seed: int = 0) ->
     n_bg = int(rng.poisson(rate * (t1 - t0)))
     bg_times = rng.integers(t0, t1 + 1, size=n_bg)
     bg_codes = rng.integers(0, len(DETECTOR_LABELS), size=n_bg)
-    bg_x_all = rng.integers(0, stream.n_bins, size=n_bg)
-    bg_x = np.where(bg_codes == CODE_D0, bg_x_all, -1)
+    bg_x = rng.integers(0, stream.n_bins, size=n_bg)
+    bg_x[bg_codes != CODE_D0] = -1
     next_id = int(stream.event_id.max()) + 1
-    bg_ids = next_id + np.arange(n_bg, dtype=np.int64)
 
-    all_t = np.concatenate([stream.time_ns, bg_times])
-    all_code = np.concatenate([stream.detector, bg_codes])
-    all_x = np.concatenate([stream.x_bin, bg_x])
-    all_id = np.concatenate([stream.event_id, bg_ids])
-    is_bg = np.concatenate(
-        [np.zeros(len(stream), dtype=np.int64), np.ones(n_bg, dtype=np.int64)]
-    )
-    order = np.lexsort((all_id, is_bg, all_t))
+    order = np.argsort(bg_times, kind="stable")  # ties stay in draw order, which is id order
+    bg_times = bg_times[order]
+    at = np.searchsorted(stream.time_ns, bg_times, side="right")
+    at += np.arange(n_bg)  # each earlier dark count shifts the next one place on
+    original = np.ones(len(stream) + n_bg, dtype=bool)
+    original[at] = False
+
+    def merged(column, dark):
+        out = np.empty(len(original), dtype=np.int64)
+        out[original] = column
+        out[at] = dark
+        return out
+
     return EventStream(
-        event_id=all_id[order],
-        detector=all_code[order],
-        time_ns=all_t[order],
-        x_bin=all_x[order],
+        event_id=merged(stream.event_id, order + next_id),
+        detector=merged(stream.detector, bg_codes[order]),
+        time_ns=merged(stream.time_ns, bg_times),
+        x_bin=merged(stream.x_bin, bg_x[order]),
         n_bins=stream.n_bins,
     )
+
+
+def _require_sorted(time_ns: np.ndarray) -> None:
+    """Refuse times that ever decrease, with no full-length integer temporary."""
+    if (time_ns[1:] < time_ns[:-1]).any():
+        raise ValueError("event stream is not time-sorted")
 
 
 def match_coincidences(
@@ -308,8 +327,7 @@ def match_coincidences(
         if int(value) < 1:
             raise ValueError(f"{name} must be positive, got {value}")
     t = stream.time_ns
-    if len(t) > 1 and np.any(np.diff(t) < 0):
-        raise ValueError("event stream is not time-sorted")
+    _require_sorted(t)
 
     codes = stream.detector
     d0_pos = np.flatnonzero(codes == CODE_D0)

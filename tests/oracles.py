@@ -15,8 +15,11 @@ complex numbers, and the library's tables must equal them exactly.
 
 The rest are the line-by-line readers, the f-string row formatters and the
 full greedy matcher loop that ``qeraser.events`` used before its numpy
-passes, the per-block decode loop of ``qeraser.analysis``, and
-``fit_fringe_one``, the one-histogram fit ``analysis.fit_fringes`` replaced.
+passes, the stream builders that concatenated per-block draws
+(``sample_triples_concat``) and ordered whole streams with ``lexsort``
+(``emit_events_lexsort``, ``inject_background_lexsort``), the per-block
+decode loop of ``qeraser.analysis``, and ``fit_fringe_one``, the
+one-histogram fit ``analysis.fit_fringes`` replaced.
 ``property_suite_loop`` is the property suite that drew and checked one
 trial at a time through ``ArmOptics`` and the per-trial tables, and
 ``pair_residual`` its scalar cancellation residual; the stacked suite and
@@ -47,14 +50,19 @@ from qeraser.analysis import (
     fit_fringes,
 )
 from qeraser.events import (
+    _DOMAIN_BACKGROUND,
+    _DOMAIN_CONDITIONAL,
+    _DOMAIN_DELAYS,
+    _DOMAIN_MARGINAL,
     CODE_D0,
     DETECTOR_LABELS,
     EventStream,
     OrphanReport,
     SimStreamHeader,
     TripleBatch,
+    triple_spacing_ns,
 )
-from qeraser.experiment import nyquist_min_samples
+from qeraser.experiment import MODE_DOUBLE, ExperimentConfig, distribution_for, nyquist_min_samples
 from qeraser.optics import (
     D1,
     D2,
@@ -344,6 +352,144 @@ def sweep_rows(points, geom: SlitScreenGeometry, envelope, references: dict) -> 
             )
         )
     return rows
+
+
+def sample_triples_concat(config: ExperimentConfig, seed: int = 0) -> TripleBatch:
+    """Draw block_size triples per schedule bit from the exact joint table.
+
+    Deterministic for a given (config, seed): block b consumes the spawned
+    streams (0, b) and (1, b) only, so blocks could be generated in any order
+    with identical output.
+    """
+    if config.mode != MODE_DOUBLE:
+        raise ValueError("triple sampling needs a double_delayed_choice config")
+    schedule = config.schedule
+    if schedule is None:
+        raise ValueError("no switch schedule given")
+    if int(seed) < 0:
+        raise ValueError("seed must be a non-negative integer")
+    seed = int(seed)
+
+    marg_flat = screen_marginal(config.geometry, config.envelope, config.alisha).ravel()
+    marg_cum = np.cumsum(marg_flat)
+    marg_cum /= marg_cum[-1]
+
+    cond_cum = {}
+    for bit in sorted(set(schedule.bits)):
+        probs = distribution_for(config, splitter_present=bool(bit)).probs
+        cond = probs.transpose(0, 2, 1).reshape(-1, 4).copy()  # row = (bin, k)
+        rowsum = cond.sum(axis=1, keepdims=True)
+        np.divide(cond, rowsum, out=cond, where=rowsum > 0)
+        cond[rowsum[:, 0] == 0] = 0.25  # rows with zero marginal are never drawn
+        cum = np.cumsum(cond, axis=1)
+        cum[:, -1] = 1.0
+        cond_cum[int(bit)] = cum
+
+    n = schedule.block_size
+    xs, js, ks, blocks = [], [], [], []
+    for b, bit in enumerate(schedule.bits):
+        rng_m = np.random.default_rng(
+            np.random.SeedSequence(seed, spawn_key=(_DOMAIN_MARGINAL, b))
+        )
+        rng_c = np.random.default_rng(
+            np.random.SeedSequence(seed, spawn_key=(_DOMAIN_CONDITIONAL, b))
+        )
+        flat = np.searchsorted(marg_cum, rng_m.random(n), side="right")
+        np.clip(flat, 0, marg_flat.size - 1, out=flat)
+        rows = cond_cum[int(bit)][flat]
+        j = (rows <= rng_c.random(n)[:, None]).sum(axis=1)
+        np.clip(j, 0, 3, out=j)
+        xs.append(flat // 4)
+        ks.append(flat % 4)
+        js.append(j)
+        blocks.append(np.full(n, b, dtype=np.int64))
+
+    x_bin = np.concatenate(xs)
+    return TripleBatch(
+        triple_id=np.arange(len(x_bin), dtype=np.int64),
+        x_bin=x_bin,
+        babu=np.concatenate(js),
+        alisha=np.concatenate(ks),
+        block_index=np.concatenate(blocks),
+    )
+
+
+def emit_events_lexsort(triples: TripleBatch, config: ExperimentConfig, seed: int = 0) -> EventStream:
+    """Unroll triples into a time-sorted stream of single detections.
+
+    Triple t sits at t * spacing; its screen record comes first and the two
+    idler records lag by independent integer delays in [1, 10] ns.  Delay
+    draws depend only on (seed, triple position), never on outcomes, so two
+    runs differing only in babu's settings share identical timestamps.
+    """
+    n = len(triples)
+    spacing = triple_spacing_ns(config.pair_rate_scale)
+    rng = np.random.default_rng(
+        np.random.SeedSequence(int(seed), spawn_key=(_DOMAIN_DELAYS, 0))
+    )
+    delays = rng.integers(1, 11, size=(n, 2))
+    base = np.arange(n, dtype=np.int64) * spacing
+    times = np.concatenate([base, base + delays[:, 0], base + delays[:, 1]])
+    codes = np.concatenate(
+        [
+            np.zeros(n, dtype=np.int64),
+            triples.babu + 1,
+            triples.alisha + 5,
+        ]
+    )
+    x_bin = np.concatenate([triples.x_bin, np.full(2 * n, -1, dtype=np.int64)])
+    rank = np.concatenate(
+        [np.zeros(n, dtype=np.int64), np.ones(n, dtype=np.int64), np.full(n, 2, dtype=np.int64)]
+    )
+    order = np.lexsort((rank, times))
+    return EventStream(
+        event_id=np.arange(3 * n, dtype=np.int64),
+        detector=codes[order],
+        time_ns=times[order],
+        x_bin=x_bin[order],
+        n_bins=config.geometry.n_bins,
+    )
+
+
+def inject_background_lexsort(stream: EventStream, rate_per_ns: float, seed: int = 0) -> EventStream:
+    """Overlay Poisson dark counts on an existing stream.
+
+    Original records keep their ids and content; background records get
+    fresh ids past the current maximum.  Rate 0 returns the stream as is.
+    """
+    rate = float(rate_per_ns)
+    if not (math.isfinite(rate) and rate >= 0.0):
+        raise ValueError(f"background rate must be finite and non-negative, got {rate!r}")
+    if rate == 0.0 or len(stream) < 2:
+        return stream
+    rng = np.random.default_rng(
+        np.random.SeedSequence(int(seed), spawn_key=(_DOMAIN_BACKGROUND, 0))
+    )
+    t0 = int(stream.time_ns[0])
+    t1 = int(stream.time_ns[-1])
+    n_bg = int(rng.poisson(rate * (t1 - t0)))
+    bg_times = rng.integers(t0, t1 + 1, size=n_bg)
+    bg_codes = rng.integers(0, len(DETECTOR_LABELS), size=n_bg)
+    bg_x_all = rng.integers(0, stream.n_bins, size=n_bg)
+    bg_x = np.where(bg_codes == CODE_D0, bg_x_all, -1)
+    next_id = int(stream.event_id.max()) + 1
+    bg_ids = next_id + np.arange(n_bg, dtype=np.int64)
+
+    all_t = np.concatenate([stream.time_ns, bg_times])
+    all_code = np.concatenate([stream.detector, bg_codes])
+    all_x = np.concatenate([stream.x_bin, bg_x])
+    all_id = np.concatenate([stream.event_id, bg_ids])
+    is_bg = np.concatenate(
+        [np.zeros(len(stream), dtype=np.int64), np.ones(n_bg, dtype=np.int64)]
+    )
+    order = np.lexsort((all_id, is_bg, all_t))
+    return EventStream(
+        event_id=all_id[order],
+        detector=all_code[order],
+        time_ns=all_t[order],
+        x_bin=all_x[order],
+        n_bins=stream.n_bins,
+    )
 
 
 def match_coincidences_loop(

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -271,6 +273,20 @@ def test_background_preserves_original_records(small_config):
     assert np.all(noisy.x_bin[bg & (noisy.detector == CODE_D0)] >= 0)
 
 
+def test_background_refuses_an_unsorted_stream(small_config):
+    st = emit_events(sample_triples(small_config, seed=0), small_config, seed=0)
+    backwards = EventStream(
+        event_id=st.event_id[::-1],
+        detector=st.detector[::-1],
+        time_ns=st.time_ns[::-1],
+        x_bin=st.x_bin[::-1],
+        n_bins=st.n_bins,
+    )
+    for rate in (0.0, 1e-4):
+        with pytest.raises(ValueError, match="event stream is not time-sorted"):
+            inject_background(backwards, rate, seed=0)
+
+
 def test_matching_survives_light_background(small_config):
     """Dark counts corrupt a bounded sliver of triples, nothing more."""
     tr = sample_triples(small_config, seed=0)
@@ -424,3 +440,37 @@ def test_grammar_keeps_blank_lines_and_crlf(tmp_path, small_config):
     path.write_bytes(text.replace("\n", "\r\n").replace("# columns", "\r\n# columns").encode())
     again, _ = read_triples(path)
     np.testing.assert_array_equal(again.x_bin, tr.x_bin)
+
+
+# ---------------------------------------------------------------------------
+# memory: each stream step's traced peak against the columns it returns
+# ---------------------------------------------------------------------------
+
+
+def _peak_over_returned(step, *args):
+    """(result, traced peak allocation during step / bytes of its int64 columns)."""
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        result = step(*args)
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    held = sum(v.nbytes for v in vars(result).values() if isinstance(v, np.ndarray))
+    return result, peak / held
+
+
+def test_stream_steps_hold_each_record_about_once():
+    """Bounds on the stream steps' temporaries; a whole-stream sort or concat breaks them.
+
+    A lexsort build held 2.05x (sampling), 2.50x (emission) and 3.00x
+    (background) of its output at this size.
+    """
+    config = make_config(bits=(1, 0) * 20, block_size=500)
+    triples, sampled = _peak_over_returned(sample_triples, config, 0)
+    stream, emitted = _peak_over_returned(emit_events, triples, config, 0)
+    noisy, merged = _peak_over_returned(inject_background, stream, 2e-3, 0)
+    assert len(noisy) > len(stream) + 30_000
+    assert sampled <= 1.6
+    assert emitted <= 1.25
+    assert merged <= 2.0

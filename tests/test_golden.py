@@ -24,6 +24,7 @@ GOLDEN = {
     "patterns_double": "aadfa4d75d786d27e5bc2b043085a5f8b2a201b2859bfa7c99d78e4ec63ceb7c",
     "patterns_single": "903b5a841db20eb0197f24a8a11601b64e4f3de74da9e982c52fd2e3fea57745",
     "simulate": "021e675dedf8668b1cc4bc5a3af5f60a1de6a795e8dbf550c5c03605a38eecb9",
+    "simulate_background": "9d76929b25052efb48bef6277d1f7faf1203f08143f1de04981822f2396d551f",
     "decode_omniscient": "88345314bb35185afd067752f9e292b165f1520db3f2456df36c51b96df3356a",
     "decode_alisha": "9b2aa565547658d8201673154902d1ac91fa1ccb4930d65fb72c04608de28787",
     "sweep": "908792357c2dff9450b8c84b70ce41ac62e09369f6088eb4fa860f50a0bd7b1c",
@@ -51,6 +52,16 @@ def test_patterns_golden(tmp_path, name, config):
 
 def test_simulate_golden(simulated):
     assert manifest_sha(simulated) == GOLDEN["simulate"]
+
+
+def test_simulate_background_golden(tmp_path):
+    """Dark counts at 2e-3 per ns pin inject_background's merge byte for byte."""
+    argv = [
+        "simulate", "--config", str(DOUBLE), "--out", str(tmp_path), "--seed", "0",
+        "--background-rate", "2e-3",
+    ]
+    assert cli.main(argv) == 0
+    assert manifest_sha(tmp_path) == GOLDEN["simulate_background"]
 
 
 @pytest.mark.parametrize("mode", ["omniscient", "alisha"])

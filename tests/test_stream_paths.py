@@ -4,6 +4,7 @@ Streams and files are generated from a hypothesis-drawn seed and shape, so a
 failing case is reproducible from the printed example.
 """
 
+import dataclasses
 import hashlib
 import warnings
 
@@ -20,15 +21,19 @@ from qeraser.events import (
     EventStream,
     SimStreamHeader,
     TripleBatch,
+    emit_events,
+    inject_background,
     match_coincidences,
     read_event_log,
     read_triples,
+    sample_triples,
     write_event_log,
     write_triples,
 )
 from qeraser.experiment import SwitchSchedule, default_geometry
 
 import oracles
+from conftest import make_config
 
 TRIPLE_COLUMNS = ("triple_id", "x_bin", "babu", "alisha", "block_index")
 EVENT_COLUMNS = ("event_id", "detector", "time_ns", "x_bin")
@@ -90,6 +95,56 @@ def assert_streams_equal(got: EventStream, want: EventStream):
     for name in EVENT_COLUMNS:
         np.testing.assert_array_equal(getattr(got, name), getattr(want, name), err_msg=name)
     assert got.n_bins == want.n_bins
+
+
+# ---------------------------------------------------------------------------
+# stream builders
+# ---------------------------------------------------------------------------
+
+# dark-count rates up to one per 2 ns, so dark counts often share a
+# nanosecond with each other and with signal records
+dark_rates = st.one_of(st.sampled_from([0.0, 1e-3, 0.5]), st.floats(0.0, 0.5))
+
+
+@fast
+@given(
+    seed=seeds,
+    bits=st.lists(st.integers(0, 1), min_size=1, max_size=6),
+    block_size=st.integers(1, 100),
+    pair_rate_scale=st.one_of(st.just(25.0), st.floats(0.5, 25.0)),
+    taps=st.tuples(st.floats(0.0, 1.0), st.floats(0.0, 1.0)),
+    rate=dark_rates,
+)
+def test_stream_build_equals_lexsort_build(seed, bits, block_size, pair_rate_scale, taps, rate):
+    config = dataclasses.replace(
+        make_config(bits, block_size, *taps), pair_rate_scale=pair_rate_scale
+    )
+    triples = sample_triples(config, seed)
+    assert_batches_equal(triples, oracles.sample_triples_concat(config, seed))
+    stream = emit_events(triples, config, seed)
+    assert_streams_equal(stream, oracles.emit_events_lexsort(triples, config, seed))
+    noisy = inject_background(stream, rate, seed)
+    assert_streams_equal(noisy, oracles.inject_background_lexsort(stream, rate, seed))
+
+
+@fast
+@given(seed=seeds, n=st.integers(0, 80), span=st.integers(0, 60), rate=dark_rates)
+def test_background_merge_equals_lexsort_on_any_sorted_stream(seed, n, span, rate):
+    """Any stream sorted by (time, id), ties and id gaps included."""
+    rng = np.random.default_rng(seed)
+    t = rng.integers(0, span + 1, n)
+    ids = rng.choice(3 * n + 1, n, replace=False)
+    order = np.lexsort((ids, t))
+    code = rng.integers(0, len(DETECTOR_LABELS), n)
+    stream = EventStream(
+        event_id=ids[order],
+        detector=code,
+        time_ns=t[order],
+        x_bin=np.where(code == CODE_D0, rng.integers(0, 8, n), -1),
+        n_bins=8,
+    )
+    noisy = inject_background(stream, rate, seed)
+    assert_streams_equal(noisy, oracles.inject_background_lexsort(stream, rate, seed))
 
 
 # ---------------------------------------------------------------------------
