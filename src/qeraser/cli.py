@@ -220,10 +220,18 @@ def cmd_simulate(args) -> int:
         n_triples=schedule.n_triples,
         n_bins=config.geometry.n_bins,
     )
+    # the matcher's and the merge's own refusals, before any work and naming the flag;
+    # a nan or negative rate passes the dark-count limit above
+    if window < 0:
+        raise SystemExit(f"qeraser: --window-ns {window}: the window must be non-negative")
+    if not rate >= 0.0:
+        raise SystemExit(
+            f"qeraser: --background-rate {rate!r}: "
+            "the background rate must be finite and non-negative"
+        )
     # no name holds the triples, so they are freed once their records are emitted
     stream = emit_events(sample_triples(config, seed=seed), config, seed)
     stream = inject_background(stream, rate, seed)
-    # match before writing, so a bad window fails with no file written
     matched, orphans = match_coincidences(
         stream, window, block_size=schedule.block_size, spacing_ns=spacing
     )

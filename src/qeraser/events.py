@@ -90,6 +90,8 @@ class EventStream:
         n = len(self.event_id)
         if any(len(getattr(self, name)) != n for name in ("detector", "time_ns", "x_bin")):
             raise ValueError("event columns must share one length")
+        if n and (self.detector.min() < 0 or self.detector.max() >= len(DETECTOR_LABELS)):
+            raise ValueError("detector codes out of range")
 
     def __len__(self) -> int:
         return len(self.event_id)
@@ -265,30 +267,41 @@ def inject_background(stream: EventStream, rate_per_ns: float, seed: int = 0) ->
     t0 = int(stream.time_ns[0])
     t1 = int(stream.time_ns[-1])
     n_bg = int(rng.poisson(rate * (t1 - t0)))
+    # made before the dark columns, so the heap can hand their pages back once they are freed
+    original = np.ones(len(stream) + n_bg, dtype=bool)
+    # drawn as int64, so the values are the same; held narrow (n_bins <= MAX_BINS)
     bg_times = rng.integers(t0, t1 + 1, size=n_bg)
-    bg_codes = rng.integers(0, len(DETECTOR_LABELS), size=n_bg)
-    bg_x = rng.integers(0, stream.n_bins, size=n_bg)
+    bg_codes = rng.integers(0, len(DETECTOR_LABELS), size=n_bg).astype(np.int8)
+    bg_x = rng.integers(0, stream.n_bins, size=n_bg).astype(np.int32)
     bg_x[bg_codes != CODE_D0] = -1
     next_id = int(stream.event_id.max()) + 1
 
-    order = np.argsort(bg_times, kind="stable")  # ties stay in draw order, which is id order
-    bg_times = bg_times[order]
+    ids = np.argsort(bg_times, kind="stable")  # ties stay in draw order, which is id order
+    bg_times = bg_times[ids]
+    bg_codes = bg_codes[ids]
+    bg_x = bg_x[ids]
+    ids += next_id
     at = np.searchsorted(stream.time_ns, bg_times, side="right")
     at += np.arange(n_bg)  # each earlier dark count shifts the next one place on
-    original = np.ones(len(stream) + n_bg, dtype=bool)
     original[at] = False
+    del at
 
     def merged(column, dark):
         out = np.empty(len(original), dtype=np.int64)
         out[original] = column
-        out[at] = dark
+        out[~original] = dark
         return out
 
+    # the int64 dark columns first, each freed once merged
+    event_id = merged(stream.event_id, ids)
+    del ids
+    time_ns = merged(stream.time_ns, bg_times)
+    del bg_times
     return EventStream(
-        event_id=merged(stream.event_id, order + next_id),
-        detector=merged(stream.detector, bg_codes[order]),
-        time_ns=merged(stream.time_ns, bg_times),
-        x_bin=merged(stream.x_bin, bg_x[order]),
+        event_id=event_id,
+        detector=merged(stream.detector, bg_codes),
+        time_ns=time_ns,
+        x_bin=merged(stream.x_bin, bg_x),
         n_bins=stream.n_bins,
     )
 
@@ -330,59 +343,81 @@ def match_coincidences(
     _require_sorted(t)
 
     codes = stream.detector
-    d0_pos = np.flatnonzero(codes == CODE_D0)
-    b_pos = np.flatnonzero((codes >= 1) & (codes <= 4))
-    a_pos = np.flatnonzero(codes >= 5)
-    td, tb, ta = t[d0_pos], t[b_pos], t[a_pos]
-    nb, na = len(tb), len(ta)
+    index = np.int32 if len(codes) < 2**31 else np.int64  # record positions
+    d0_pos = np.flatnonzero(codes == CODE_D0).astype(index)
+    b_pos = np.flatnonzero((codes >= 1) & (codes <= 4)).astype(index)
+    a_pos = np.flatnonzero(codes >= 5).astype(index)
+    nb, na = len(b_pos), len(a_pos)
+    td = t[d0_pos]
 
-    # first idler at or after t - w on each arm, per D0
-    first_b = np.searchsorted(tb, td - w)
-    first_a = np.searchsorted(ta, td - w)
+    # per D0, each arm's first idler at or after t - w, as an index into the arm;
+    # each arm's times are held only for its own search
+    lo = td - w
+    first_b = np.searchsorted(t[b_pos], lo).astype(index)
+    first_a = np.searchsorted(t[a_pos], lo).astype(index)
+    del lo
     hit = (first_b < nb) & (first_a < na)
-    hit[hit] = (tb[first_b[hit]] <= td[hit] + w) & (ta[first_a[hit]] <= td[hit] + w)
-    pick_b = np.where(hit, first_b, -1)
-    pick_a = np.where(hit, first_a, -1)
+    if nb and na:
+        hit &= t[b_pos.take(first_b, mode="clip")] <= td + w
+        hit &= t[a_pos.take(first_a, mode="clip")] <= td + w
 
-    far = np.diff(td) > 2 * w
+    far = td[1:] - td[:-1] > 2 * w
     isolated = np.ones(len(td), dtype=bool)
     isolated[1:] &= far
     isolated[:-1] &= far
     clustered = np.flatnonzero(~isolated)
-    if len(clustered):
-        tb_at, ta_at = tb.item, ta.item
-        pb = pa = 0
-        for i, t0, sb, sa in zip(
-            clustered.tolist(),
-            td[clustered].tolist(),
-            first_b[clustered].tolist(),
-            first_a[clustered].tolist(),
-        ):
-            # pointers carried over from an earlier run never pass sb, sa
-            pb = max(pb, sb)
-            pa = max(pa, sa)
-            if pb < nb and pa < na and tb_at(pb) <= t0 + w and ta_at(pa) <= t0 + w:
-                pick_b[i] = pb
-                pick_a[i] = pa
-                pb += 1
-                pa += 1
-            else:
-                pick_b[i] = pick_a[i] = -1
+    walk = zip(
+        clustered.tolist(),
+        td[clustered].tolist(),
+        first_b[clustered].tolist(),
+        first_a[clustered].tolist(),
+    )
+    del far, isolated, clustered
+    # the first idlers become the picks: -1 where none is in the window
+    pick_b, pick_a = first_b, first_a
+    del first_b, first_a
+    np.logical_not(hit, out=hit)
+    pick_b[hit] = pick_a[hit] = -1
+    del hit
+    t_at, b_at, a_at = t.item, b_pos.item, a_pos.item
+    pb = pa = 0
+    for i, t0, sb, sa in walk:
+        # pointers carried over from an earlier run never pass sb, sa
+        pb = max(pb, sb)
+        pa = max(pa, sa)
+        if pb < nb and pa < na and t_at(b_at(pb)) <= t0 + w and t_at(a_at(pa)) <= t0 + w:
+            pick_b[i] = pb
+            pick_a[i] = pa
+            pb += 1
+            pa += 1
+        else:
+            pick_b[i] = pick_a[i] = -1
+    del walk, b_at, a_at
 
     used_d = pick_b >= 0
-    pick_b = pick_b[used_d]
-    pick_a = pick_a[used_d]
-    matched = len(pick_b)
     # |t| < 10**18 for any parseable log, so clamping keeps Python's floor
     period = min(int(spacing_ns) * int(block_size), np.iinfo(np.int64).max)
     blocks = td[used_d] // period
+    del td
+    d0_pos = d0_pos[used_d]
+    b_pos = b_pos[pick_b[used_d]]
+    a_pos = a_pos[pick_a[used_d]]
+    del used_d, pick_b, pick_a
+    batch = TripleBatch(
+        triple_id=np.arange(len(d0_pos), dtype=np.int64),
+        x_bin=stream.x_bin[d0_pos],
+        babu=codes[b_pos] - 1,
+        alisha=codes[a_pos] - 5,
+        block_index=blocks,
+    )
 
     orphan = np.ones(len(codes), dtype=bool)
-    orphan[d0_pos[used_d]] = False
-    orphan[b_pos[pick_b]] = False
-    orphan[a_pos[pick_a]] = False
+    for pos in (d0_pos, b_pos, a_pos):
+        orphan[pos] = False
+    del d0_pos, b_pos, a_pos, pos
     orphan_pos = np.flatnonzero(orphan)
-    orphan_codes = codes[orphan_pos]
+    del orphan
+    orphan_codes = codes.astype(np.int8)[orphan_pos]
     counts = np.bincount(orphan_codes, minlength=len(DETECTOR_LABELS))
     present = np.flatnonzero(counts)
     first_seen = [int(np.argmax(orphan_codes == code)) for code in present]
@@ -391,16 +426,9 @@ def match_coincidences(
         DETECTOR_LABELS[present[i]]: int(counts[present[i]]) for i in np.argsort(first_seen)
     }
     report = OrphanReport(
-        total=int(orphan_pos.size),
+        total=len(orphan_pos),
         by_detector=by_detector,
         event_ids=stream.event_id[orphan_pos],
-    )
-    batch = TripleBatch(
-        triple_id=np.arange(matched, dtype=np.int64),
-        x_bin=stream.x_bin[d0_pos[used_d]],
-        babu=codes[b_pos[pick_b]] - 1,
-        alisha=codes[a_pos[pick_a]] - 5,
-        block_index=blocks,
     )
     return batch, report
 
@@ -569,9 +597,13 @@ def _header_int(key: str, value: str) -> int:
 def _read_stream(path, fmt: _Format) -> tuple[dict, SimStreamHeader]:
     """A stream file's columns (name -> int64 array) and its header.
 
-    Checks the declared row count and the field count of every row, then
-    parses the fields chunk by chunk; the first row that fails is re-checked
-    by _row_error for the message.
+    One pass over the data rows, _CHUNK_ROWS lines at a time: each block's
+    separators are indexed and its fields parsed into columns sized from
+    n_rows.  Past the columns' end, or past a row with the wrong field count,
+    rows are only counted.  The file's faults are reported in the order the
+    row grammar ranks them, whichever block they sit in: the row count, then
+    the first row with the wrong field count, then the first row whose fields
+    fail to parse, re-checked by _row_error for the message.
     """
     data = Path(path).read_bytes()
     if b"\r" in data:
@@ -592,57 +624,41 @@ def _read_stream(path, fmt: _Format) -> tuple[dict, SimStreamHeader]:
             meta[key.strip()] = value.strip()
         pos = eol + 1
     buf = np.frombuffer(data, dtype=np.uint8)[pos:]  # data rows, each ending in b"\n"
-    end = np.flatnonzero(buf == ord("\n"))
-    start = np.empty_like(end)
-    start[:1] = 0
-    start[1:] = end[:-1] + 1
-    blank = end == start
-    if blank.any():
-        start, end = start[~blank], end[~blank]
-    n = len(start)
     if "n_rows" not in meta:
         raise ValueError("stream header missing field 'n_rows'")
     declared = _header_int("n_rows", meta["n_rows"])
+
+    k = len(fmt.columns) - 1
+    # a row takes two bytes or more, so a larger count cannot be the file's
+    cols = np.empty((k + 1, declared if 0 <= declared <= len(buf) // 2 else 0), dtype=np.int64)
+    n = 0
+    bad = {}  # "fields", "grammar": (start, end) of the first row breaking that rule
+    for start, end in _line_blocks(buf):
+        lo, n = n, n + len(start)
+        if n > cols.shape[1] or "fields" in bad:
+            continue
+        comma = np.flatnonzero(buf[start[0] : end[-1]] == ord(",")) + start[0]
+        # m * k separators sit k to a row iff each row's first and last fall inside it
+        if len(comma) != len(start) * k or not (
+            (comma[::k] >= start).all() and (comma[k - 1 :: k] < end).all()
+        ):
+            per_row = np.bincount(np.searchsorted(end, comma), minlength=len(start))
+            i = int(np.argmax(per_row != k))
+            bad["fields"] = start[i], end[i]
+        elif "grammar" not in bad:
+            good = _parse_rows(buf, fmt, start, end, comma.reshape(-1, k), cols[:, lo:n])
+            if not good.all():
+                i = int(np.argmin(good))
+                bad["grammar"] = start[i], end[i]
     if declared != n:
         raise ValueError(
             f"{fmt.what} declares {declared} rows but contains {n}; "
             "file is truncated or corrupt"
         )
-
-    def bad_row(i: int) -> ValueError:
-        line = buf[start[i] : end[i]].tobytes().decode("utf-8", errors="backslashreplace")
-        return ValueError(_row_error(fmt, line))
-
-    k = len(fmt.columns) - 1
-    comma = np.flatnonzero(buf == ord(","))
-    # n * k separators sit k to a row iff each row's first and last fall inside it
-    if len(comma) != n * k or (
-        n and not ((comma[::k] >= start).all() and (comma[k - 1 :: k] < end).all())
-    ):
-        per_row = np.bincount(np.searchsorted(end, comma), minlength=n)
-        raise bad_row(int(np.argmax(per_row != k)))
-    comma = comma.reshape(n, k)
-
-    cols = np.empty((k + 1, n), dtype=np.int64)
-    for lo in range(0, n, _CHUNK_ROWS):
-        span = slice(lo, min(lo + _CHUNK_ROWS, n))
-        good = np.ones(span.stop - lo, dtype=bool)
-        for f, (name, labels) in enumerate(fmt.columns):
-            left = start[span] if f == 0 else comma[span, f - 1] + 1
-            right = end[span] if f == k else comma[span, f]
-            if labels is not None:
-                cols[f, span], ok = _parse_labels(buf, left, right, labels)
-            elif fmt.d0_x_bin and name == "x_bin":
-                value, ok = _parse_ints(buf, left, right)
-                present = right > left
-                is_d0 = cols[fmt.names.index("detector"), span] == CODE_D0
-                ok = (ok | ~present) & (present == is_d0)
-                cols[f, span] = np.where(present, value, -1)
-            else:
-                cols[f, span], ok = _parse_ints(buf, left, right)
-            good &= ok
-        if not good.all():
-            raise bad_row(lo + int(np.argmin(good)))
+    if bad:
+        left, right = bad.get("fields") or bad["grammar"]
+        line = buf[left:right].tobytes().decode("utf-8", errors="backslashreplace")
+        raise ValueError(_row_error(fmt, line))
     try:
         # annotations are strings under postponed evaluation
         header = SimStreamHeader(
@@ -654,6 +670,56 @@ def _read_stream(path, fmt: _Format) -> tuple[dict, SimStreamHeader]:
     except KeyError as exc:
         raise ValueError(f"stream header missing field {exc}") from exc
     return dict(zip(fmt.names, cols)), header
+
+
+def _line_blocks(buf):
+    """(start, end) of buf's non-blank lines, up to _CHUNK_ROWS lines at a time.
+
+    buf ends in b"\n".  Each block's line ends are found in a window of the
+    bytes after the last block, sized from that block and doubled while it
+    holds fewer than _CHUNK_ROWS line ends short of the end of buf.
+    """
+    cur, span = 0, 64 * _CHUNK_ROWS
+    while cur < len(buf):
+        end = np.flatnonzero(buf[cur : cur + span] == ord("\n"))[:_CHUNK_ROWS]
+        if len(end) < _CHUNK_ROWS and cur + span < len(buf):
+            span *= 2
+            continue
+        end += cur
+        start = np.empty_like(end)
+        start[0] = cur
+        start[1:] = end[:-1] + 1
+        span = (int(end[-1]) + 1 - cur) * 5 // 4 + 64
+        cur = int(end[-1]) + 1
+        blank = end == start
+        if blank.any():
+            start, end = start[~blank], end[~blank]
+        if len(start):
+            yield start, end
+
+
+def _parse_rows(buf, fmt: _Format, start, end, comma, out) -> np.ndarray:
+    """Parse rows buf[start:end], split at comma (rows, k), into out (fields, rows).
+
+    Returns which rows are well-formed.
+    """
+    k = comma.shape[1]
+    good = np.ones(len(start), dtype=bool)
+    for f, (name, labels) in enumerate(fmt.columns):
+        left = start if f == 0 else comma[:, f - 1] + 1
+        right = end if f == k else comma[:, f]
+        if labels is not None:
+            out[f], ok = _parse_labels(buf, left, right, labels)
+        elif fmt.d0_x_bin and name == "x_bin":
+            value, ok = _parse_ints(buf, left, right)
+            present = right > left
+            is_d0 = out[fmt.names.index("detector")] == CODE_D0
+            ok = (ok | ~present) & (present == is_d0)
+            out[f] = np.where(present, value, -1)
+        else:
+            out[f], ok = _parse_ints(buf, left, right)
+        good &= ok
+    return good
 
 
 def _parse_ints(buf, left, right) -> tuple[np.ndarray, np.ndarray]:

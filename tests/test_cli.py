@@ -340,22 +340,27 @@ def test_simulate_with_background(tmp_path, small_config_path, capsys):
     assert len(stream) > 3 * header.n_triples  # dark counts landed in the log
 
 
-@pytest.mark.parametrize("rate", ["-1", "nan"])
-def test_simulate_rejects_bad_background_rate(tmp_path, small_config_path, capsys, rate):
-    out = tmp_path / "bg"
-    argv = ["simulate", "--config", str(small_config_path), "--out", str(out), "--background-rate", rate]
-    assert cli.main(argv) == 2
-    err = capsys.readouterr().err
-    assert "background rate must be finite and non-negative" in err
-    assert err.count("\n") == 1
-    assert not (out / "manifest.json").exists()
-
-
 def no_work(command):
     def work(*args, **kwargs):
         raise AssertionError(f"{command} started work before checking its flags")
 
     return work
+
+
+@pytest.mark.parametrize("rate", ["-1", "-0.001", "nan"])
+def test_simulate_rejects_bad_background_rate(
+    tmp_path, small_config_path, monkeypatch, capsys, rate
+):
+    """A nan or negative rate passes the dark-count limit; it is refused before sampling."""
+    monkeypatch.setattr(cli, "sample_triples", no_work("simulate"))
+    out = tmp_path / "bg"
+    argv = ["simulate", "--config", str(small_config_path), "--out", str(out), "--background-rate", rate]
+    assert cli.main(argv) == 2
+    assert one_line_error(capsys) == (
+        f"qeraser: --background-rate {float(rate)!r}: "
+        "the background rate must be finite and non-negative\n"
+    )
+    assert not out.exists()
 
 
 @pytest.mark.parametrize(
@@ -402,14 +407,13 @@ def test_simulate_out_of_memory_exits_2(tmp_path, small_config_path, capsys):
     assert not out.exists()
 
 
-def test_simulate_bad_window_writes_nothing(tmp_path, small_config_path, capsys):
+def test_simulate_bad_window_writes_nothing(tmp_path, small_config_path, monkeypatch, capsys):
+    """A negative window is refused before sampling, not by the matcher after the build."""
+    monkeypatch.setattr(cli, "sample_triples", no_work("simulate"))
     out = tmp_path / "win"
-    argv = ["simulate", "--config", str(small_config_path), "--out", str(out), "--window-ns", "-5"]
+    argv = ["simulate", "--config", str(small_config_path), "--out", str(out), "--window-ns", "-1"]
     assert cli.main(argv) == 2
-    err = capsys.readouterr().err
-    assert "window must be non-negative" in err
-    assert err.count("\n") == 1
-    assert not (out / "events.csv").exists()
+    assert one_line_error(capsys) == "qeraser: --window-ns -1: the window must be non-negative\n"
     assert not out.exists()
 
 

@@ -212,9 +212,14 @@ def random_events(rng, n, big) -> EventStream:
     )
 
 
+# 1 and 7 rows per block put a block boundary between (nearly) every two rows
+chunks = st.sampled_from([1, 7, 65_536])
+
+
 @fast
-@given(seed=seeds, n=st.integers(0, 40), big=st.booleans())
-def test_readers_roundtrip_equal_line_readers(tmp_path, seed, n, big):
+@given(seed=seeds, n=st.integers(0, 40), big=st.booleans(), chunk=chunks)
+def test_readers_roundtrip_equal_line_readers(tmp_path, monkeypatch, seed, n, big, chunk):
+    monkeypatch.setattr(events, "_CHUNK_ROWS", chunk)
     rng = np.random.default_rng(seed)
     hdr = header()
     path = tmp_path / "triples.csv"
@@ -252,9 +257,11 @@ def _mutate(data: bytes, rng, kind: str) -> bytes:
     seed=seeds,
     which=st.sampled_from(["triples", "events"]),
     kind=st.sampled_from(["truncate", "flip", "label", "oversized"]),
+    chunk=chunks,
 )
-def test_fuzzed_files_fail_only_with_value_error(tmp_path, seed, which, kind):
+def test_fuzzed_files_fail_only_with_value_error(tmp_path, monkeypatch, seed, which, kind, chunk):
     """A damaged file either reads as the line reader reads it, or raises ValueError."""
+    monkeypatch.setattr(events, "_CHUNK_ROWS", chunk)
     rng = np.random.default_rng(seed)
     path = tmp_path / "stream.csv"
     if which == "triples":
@@ -273,6 +280,111 @@ def test_fuzzed_files_fail_only_with_value_error(tmp_path, seed, which, kind):
     assert got_hdr == want_hdr
     for name in columns:
         np.testing.assert_array_equal(getattr(got, name), getattr(want, name))
+
+
+@fast
+@given(seed=seeds, n=st.integers(1, 30), which=st.sampled_from(["triples", "events"]), chunk=chunks)
+def test_readers_take_any_line_ends_and_blank_lines(tmp_path, monkeypatch, seed, n, which, chunk):
+    """CRLF and CR line ends and runs of blank lines anywhere, so across block boundaries."""
+    monkeypatch.setattr(events, "_CHUNK_ROWS", chunk)
+    rng = np.random.default_rng(seed)
+    path = tmp_path / "stream.csv"
+    if which == "triples":
+        record = random_batch(rng, n, big=False)
+        write_triples(path, record, header())
+        read, oracle, columns = read_triples, oracles.read_triples_lines, TRIPLE_COLUMNS
+    else:
+        record = random_events(rng, n, big=False)
+        write_event_log(path, record, header())
+        read, oracle, columns = read_event_log, oracles.read_event_log_lines, EVENT_COLUMNS
+    ends = [b"\n", b"\r\n", b"\r"]
+    lines = []
+    for line in path.read_bytes().splitlines():
+        lines.append(line + ends[rng.integers(3)])
+        lines += [ends[i] for i in rng.integers(0, 3, rng.integers(0, 3))]
+    data = b"".join(lines)
+    path.write_bytes(data.rstrip(b"\r\n") if rng.random() < 0.3 else data)
+    got, got_hdr = read(path)
+    want, want_hdr = oracle(path)
+    assert got_hdr == want_hdr == header()
+    for name in columns:
+        np.testing.assert_array_equal(getattr(got, name), getattr(want, name), err_msg=name)
+        np.testing.assert_array_equal(getattr(got, name), getattr(record, name), err_msg=name)
+
+
+def _late_bad_integer(head, rows):
+    rows[30] = "1_0" + rows[30][rows[30].index(",") :]
+    return f"bad integer '1_0' in triple row (want -?[0-9]{{1,18}}): {rows[30]!r}"
+
+
+def _late_field_count_before_early_grammar(head, rows):
+    rows[3] = "1_0" + rows[3][rows[3].index(",") :]
+    rows[30] = rows[30].rsplit(",", 1)[0]
+    return f"malformed triple row: {rows[30]!r}"
+
+
+def _late_header_line(head, rows):
+    rows[30] = "# late=1"
+    return "header line after the first data row: '# late=1'"
+
+
+def _late_unknown_label(head, rows):
+    rows[30] = rows[30].rsplit(",", 1)[0] + ",D9'"
+    return f"unknown alisha \"D9'\" in triple row (labels D1' D2' D3' D4'): {rows[30]!r}"
+
+
+def _extra_row_before_field_count(head, rows):
+    rows[3] = rows[3].rsplit(",", 1)[0]
+    rows.append(rows[0])
+    return "triples file declares 40 rows but contains 41; file is truncated or corrupt"
+
+
+def _missing_rows(head, rows):
+    del rows[20:22]
+    return "triples file declares 40 rows but contains 38; file is truncated or corrupt"
+
+
+def _n_rows(declared):
+    def edit(head, rows):
+        head.append(f"# n_rows={declared}")  # a later n_rows line overrides the first
+        return (
+            f"triples file declares {declared} rows but contains 40; file is truncated or corrupt"
+        )
+
+    return edit
+
+
+ROW_FAULTS = {
+    "late bad integer": _late_bad_integer,
+    "late field count before early grammar": _late_field_count_before_early_grammar,
+    "late header line": _late_header_line,
+    "late unknown label": _late_unknown_label,
+    "extra row before field count": _extra_row_before_field_count,
+    "missing rows": _missing_rows,
+    "n_rows past the file": _n_rows(BIG),
+    "n_rows negative": _n_rows(-1),
+}
+
+
+@pytest.mark.parametrize("chunk", [1, 7, 65_536])
+@pytest.mark.parametrize("fault", sorted(ROW_FAULTS))
+def test_reader_faults_in_any_block_keep_their_message(tmp_path, monkeypatch, fault, chunk):
+    """The row count, then field counts, then the grammar, wherever the faulty rows sit."""
+    monkeypatch.setattr(events, "_CHUNK_ROWS", chunk)
+    n = np.arange(40)
+    batch = TripleBatch(
+        triple_id=n, x_bin=n * 3, babu=n % 4, alisha=n // 4 % 4, block_index=n // 5
+    )
+    path = tmp_path / "triples.csv"
+    write_triples(path, batch, header())
+    text = path.read_text()
+    head = [line for line in text.splitlines() if line.startswith("#")]
+    rows = [line for line in text.splitlines() if not line.startswith("#")]
+    message = ROW_FAULTS[fault](head, rows)
+    path.write_text("\n".join(head + rows) + "\n")
+    with pytest.raises(ValueError) as info:
+        read_triples(path)
+    assert str(info.value) == message
 
 
 # ---------------------------------------------------------------------------
