@@ -332,13 +332,16 @@ def schedule_bit_labels(triples: TripleBatch, schedule: SwitchSchedule) -> np.nd
 
 
 def alisha_observable_cells(triples: TripleBatch) -> np.ndarray:
-    """Flattened (x_bin, alisha outcome) cell ids: all a screen-side decoder has."""
-    return triples.x_bin * 4 + triples.alisha
+    """Flattened (x_bin, alisha outcome) cell ids: all a screen-side decoder has.
+
+    In int64, so no int32 x_bin wraps.
+    """
+    return triples.x_bin.astype(np.int64) * 4 + triples.alisha
 
 
 def omniscient_observable_cells(triples: TripleBatch) -> np.ndarray:
-    """Flattened (x_bin, babu outcome, alisha outcome) cell ids."""
-    return (triples.x_bin * 4 + triples.babu) * 4 + triples.alisha
+    """Flattened (x_bin, babu outcome, alisha outcome) cell ids, in int64."""
+    return (triples.x_bin.astype(np.int64) * 4 + triples.babu) * 4 + triples.alisha
 
 
 @dataclass(frozen=True)

@@ -22,9 +22,10 @@ from __future__ import annotations
 import hashlib
 import itertools
 import math
+import os
 import re
+import stat
 from dataclasses import dataclass, fields
-from pathlib import Path
 
 import numpy as np
 
@@ -45,10 +46,43 @@ _DOMAIN_BACKGROUND = 3
 DETECTOR_LABELS = ("D0",) + BABU_LABELS + ALISHA_LABELS
 CODE_D0 = 0
 
+# Each record column's dtype, the one declaration the record constructors, the
+# producers and the readers go by: detector codes and idler outcomes fit int8,
+# screen bins int32 (n_bins <= MAX_BINS), ids, times and block indexes int64.
+_DTYPE = {
+    "event_id": np.dtype(np.int64),
+    "time_ns": np.dtype(np.int64),
+    "triple_id": np.dtype(np.int64),
+    "block_index": np.dtype(np.int64),
+    "x_bin": np.dtype(np.int32),
+    "detector": np.dtype(np.int8),
+    "babu": np.dtype(np.int8),
+    "alisha": np.dtype(np.int8),
+}
+
+
+def _set_columns(record, ranges: dict) -> None:
+    """Cast each of record's columns to its _DTYPE, checking the values as given first.
+
+    A column's values must lie in ranges[name] where given, else in its
+    dtype's range, so no value wraps in the cast.  An array already of its
+    dtype is kept, not copied.
+    """
+    for name in (f.name for f in fields(record) if f.name in _DTYPE):
+        values = np.asarray(getattr(record, name))
+        dtype = _DTYPE[name]
+        info = np.iinfo(dtype)
+        lo, hi = ranges.get(name, (info.min, info.max))
+        if values.size:
+            low, high = int(values.min()), int(values.max())  # exact for any integer dtype
+            if low < lo or high > hi:
+                raise ValueError(f"{name} {low if low < lo else high} is outside {lo}..{hi}")
+        setattr(record, name, values.astype(dtype, copy=False))
+
 
 @dataclass(eq=False)
 class TripleBatch:
-    """Column-oriented batch of coincidence triples (int64 arrays)."""
+    """Column-oriented batch of coincidence triples, each column of its _DTYPE."""
 
     triple_id: np.ndarray
     x_bin: np.ndarray
@@ -57,18 +91,13 @@ class TripleBatch:
     block_index: np.ndarray
 
     def __post_init__(self):
-        for name in ("triple_id", "x_bin", "babu", "alisha", "block_index"):
-            setattr(self, name, np.asarray(getattr(self, name), dtype=np.int64))
+        _set_columns(self, {"babu": (0, 3), "alisha": (0, 3)})
         n = len(self.triple_id)
         if any(
             len(getattr(self, name)) != n
             for name in ("x_bin", "babu", "alisha", "block_index")
         ):
             raise ValueError("triple columns must share one length")
-        if n and (self.babu.min() < 0 or self.babu.max() > 3):
-            raise ValueError("babu outcomes out of range")
-        if n and (self.alisha.min() < 0 or self.alisha.max() > 3):
-            raise ValueError("alisha outcomes out of range")
 
     def __len__(self) -> int:
         return len(self.triple_id)
@@ -85,13 +114,10 @@ class EventStream:
     n_bins: int
 
     def __post_init__(self):
-        for name in ("event_id", "detector", "time_ns", "x_bin"):
-            setattr(self, name, np.asarray(getattr(self, name), dtype=np.int64))
+        _set_columns(self, {"detector": (0, len(DETECTOR_LABELS) - 1)})
         n = len(self.event_id)
         if any(len(getattr(self, name)) != n for name in ("detector", "time_ns", "x_bin")):
             raise ValueError("event columns must share one length")
-        if n and (self.detector.min() < 0 or self.detector.max() >= len(DETECTOR_LABELS)):
-            raise ValueError("detector codes out of range")
 
     def __len__(self) -> int:
         return len(self.event_id)
@@ -177,7 +203,9 @@ def sample_triples(config: ExperimentConfig, seed: int = 0) -> TripleBatch:
 
     n = schedule.block_size
     n_blocks = len(schedule.bits)
-    x_bin, babu, alisha = (np.empty((n_blocks, n), dtype=np.int64) for _ in range(3))
+    x_bin, babu, alisha = (
+        np.empty((n_blocks, n), dtype=_DTYPE[name]) for name in ("x_bin", "babu", "alisha")
+    )
     for b, bit in enumerate(schedule.bits):
         rng_m = np.random.default_rng(
             np.random.SeedSequence(seed, spawn_key=(_DOMAIN_MARGINAL, b))
@@ -194,11 +222,11 @@ def sample_triples(config: ExperimentConfig, seed: int = 0) -> TripleBatch:
         np.remainder(flat, 4, out=alisha[b])
 
     return TripleBatch(
-        triple_id=np.arange(n_blocks * n, dtype=np.int64),
+        triple_id=np.arange(n_blocks * n, dtype=_DTYPE["triple_id"]),
         x_bin=x_bin.ravel(),
         babu=babu.ravel(),
         alisha=alisha.ravel(),
-        block_index=np.repeat(np.arange(n_blocks, dtype=np.int64), n),
+        block_index=np.repeat(np.arange(n_blocks, dtype=_DTYPE["block_index"]), n),
     )
 
 
@@ -226,17 +254,18 @@ def emit_events(triples: TripleBatch, config: ExperimentConfig, seed: int = 0) -
     idlers[:, 1] += triples.alisha
     idlers += (1, 5)
     idlers.sort(axis=1)
-    time_ns = np.empty((n, 3), dtype=np.int64)
-    time_ns[:, 0] = np.arange(n, dtype=np.int64) * spacing
-    time_ns[:, 1:] = time_ns[:, :1] + idlers // 16
-    detector = np.empty((n, 3), dtype=np.int64)
+    detector = np.empty((n, 3), dtype=_DTYPE["detector"])
     detector[:, 0] = CODE_D0
-    detector[:, 1:] = idlers % 16
+    np.remainder(idlers, 16, out=detector[:, 1:])
+    idlers //= 16
+    time_ns = np.empty((n, 3), dtype=_DTYPE["time_ns"])
+    time_ns[:, 0] = np.arange(n, dtype=_DTYPE["time_ns"]) * spacing
+    np.add(time_ns[:, :1], idlers, out=time_ns[:, 1:])
     del idlers
-    x_bin = np.full((n, 3), -1, dtype=np.int64)
+    x_bin = np.full((n, 3), -1, dtype=_DTYPE["x_bin"])
     x_bin[:, 0] = triples.x_bin
     return EventStream(
-        event_id=np.arange(3 * n, dtype=np.int64),
+        event_id=np.arange(3 * n, dtype=_DTYPE["event_id"]),
         detector=detector.ravel(),
         time_ns=time_ns.ravel(),
         x_bin=x_bin.ravel(),
@@ -269,10 +298,10 @@ def inject_background(stream: EventStream, rate_per_ns: float, seed: int = 0) ->
     n_bg = int(rng.poisson(rate * (t1 - t0)))
     # made before the dark columns, so the heap can hand their pages back once they are freed
     original = np.ones(len(stream) + n_bg, dtype=bool)
-    # drawn as int64, so the values are the same; held narrow (n_bins <= MAX_BINS)
+    # drawn as int64, so the values are the same; held in their columns' dtypes
     bg_times = rng.integers(t0, t1 + 1, size=n_bg)
-    bg_codes = rng.integers(0, len(DETECTOR_LABELS), size=n_bg).astype(np.int8)
-    bg_x = rng.integers(0, stream.n_bins, size=n_bg).astype(np.int32)
+    bg_codes = rng.integers(0, len(DETECTOR_LABELS), size=n_bg).astype(_DTYPE["detector"])
+    bg_x = rng.integers(0, stream.n_bins, size=n_bg).astype(_DTYPE["x_bin"])
     bg_x[bg_codes != CODE_D0] = -1
     next_id = int(stream.event_id.max()) + 1
 
@@ -287,7 +316,7 @@ def inject_background(stream: EventStream, rate_per_ns: float, seed: int = 0) ->
     del at
 
     def merged(column, dark):
-        out = np.empty(len(original), dtype=np.int64)
+        out = np.empty(len(original), dtype=column.dtype)
         out[original] = column
         out[~original] = dark
         return out
@@ -404,7 +433,7 @@ def match_coincidences(
     a_pos = a_pos[pick_a[used_d]]
     del used_d, pick_b, pick_a
     batch = TripleBatch(
-        triple_id=np.arange(len(d0_pos), dtype=np.int64),
+        triple_id=np.arange(len(d0_pos), dtype=_DTYPE["triple_id"]),
         x_bin=stream.x_bin[d0_pos],
         babu=codes[b_pos] - 1,
         alisha=codes[a_pos] - 5,
@@ -417,7 +446,7 @@ def match_coincidences(
     del d0_pos, b_pos, a_pos, pos
     orphan_pos = np.flatnonzero(orphan)
     del orphan
-    orphan_codes = codes.astype(np.int8)[orphan_pos]
+    orphan_codes = codes[orphan_pos]
     counts = np.bincount(orphan_codes, minlength=len(DETECTOR_LABELS))
     present = np.flatnonzero(counts)
     first_seen = [int(np.argmax(orphan_codes == code)) for code in present]
@@ -439,8 +468,9 @@ def match_coincidences(
 #
 # Row grammar, checked by the readers and kept by the writers: header lines
 # only before the first data row; blank lines are skipped; fields are split on
-# ',' with no padding; an integer field is -?[0-9]{1,18}, so every value fits
-# in int64; labels are exact.  "\r\n" and "\r" line ends read as "\n".
+# ',' with no padding; an integer field is -?[0-9]{1,18} and fits its
+# column's dtype (int64 for every integer column but x_bin, which is int32);
+# labels are exact.  "\r\n" and "\r" line ends read as "\n".
 # ---------------------------------------------------------------------------
 
 _INT_RE = re.compile(r"-?[0-9]{1,18}")
@@ -448,6 +478,7 @@ _MAX_DIGITS = 18
 _MAX_INT = 10**_MAX_DIGITS - 1
 _POW10 = 10 ** np.arange(1, _MAX_DIGITS, dtype=np.int64)  # a d-digit value reaches d - 1 of these
 _CHUNK_ROWS = 65_536  # rows per write or parse pass: bounds memory, keeps temporaries in cache
+_READ_BYTES = 1 << 20  # bytes per read of a stream file, about one parse pass of rows
 
 
 @dataclass(frozen=True)
@@ -546,7 +577,7 @@ def _written_fields(fmt: _Format, columns) -> list:
 
 
 def _format_rows(fmt: _Format, columns) -> np.ndarray:
-    """The bytes of the rows held in columns (int64 arrays in file order).
+    """The bytes of the rows held in columns (integer arrays in file order).
 
     Each field's width per row lays the rows out in one exact-size buffer.
     The fields are then written right to left: each puts its separator, then
@@ -557,7 +588,7 @@ def _format_rows(fmt: _Format, columns) -> np.ndarray:
     parts = []  # per field: (value, digit count, base, zero digit, rows with a '-')
     for (_, labels), col, present in zip(fmt.columns, columns, _written_fields(fmt, columns)):
         if labels is None:
-            value = np.abs(col)
+            value = np.abs(col.astype(np.int64))  # an int32 minimum stays negative in np.abs
             n_digits = (np.searchsorted(_POW10, value, side="right") + 1) * present
             parts.append((value, n_digits, 10, ord("0"), (col < 0) & present))
         else:
@@ -595,70 +626,57 @@ def _header_int(key: str, value: str) -> int:
 
 
 def _read_stream(path, fmt: _Format) -> tuple[dict, SimStreamHeader]:
-    """A stream file's columns (name -> int64 array) and its header.
+    """A stream file's columns (name -> array of the column's _DTYPE) and its header.
 
-    One pass over the data rows, _CHUNK_ROWS lines at a time: each block's
-    separators are indexed and its fields parsed into columns sized from
-    n_rows.  Past the columns' end, or past a row with the wrong field count,
-    rows are only counted.  The file's faults are reported in the order the
-    row grammar ranks them, whichever block they sit in: the row count, then
-    the first row with the wrong field count, then the first row whose fields
+    One pass over the file, read _READ_BYTES at a time: the header lines,
+    then each read's data rows, _CHUNK_ROWS lines at a time, whose separators
+    are indexed and whose fields are parsed into columns sized from n_rows.
+    Past the columns' end, or past a row with the wrong field count, rows are
+    only counted.  The file's faults are reported in the order the row
+    grammar ranks them, whichever read they sit in: the row count, then the
+    first row with the wrong field count, then the first row whose fields
     fail to parse, re-checked by _row_error for the message.
     """
-    data = Path(path).read_bytes()
-    if b"\r" in data:
-        data = data.replace(b"\r\n", b"\n").replace(b"\r", b"\n")
-    if data and not data.endswith(b"\n"):
-        data += b"\n"
-    meta: dict = {}
-    pos = 0
-    while data.startswith(b"#", pos) or data.startswith(b"\n", pos):
-        eol = data.index(b"\n", pos)
-        try:
-            body = data[pos + 1 : eol].decode("utf-8").strip()
-        except UnicodeDecodeError:
-            line = data[pos:eol].decode("utf-8", errors="backslashreplace")
-            raise ValueError(f"header line is not UTF-8: {line!r}") from None
-        if data[pos] == ord("#") and "=" in body:
-            key, value = body.split("=", 1)
-            meta[key.strip()] = value.strip()
-        pos = eol + 1
-    buf = np.frombuffer(data, dtype=np.uint8)[pos:]  # data rows, each ending in b"\n"
-    if "n_rows" not in meta:
-        raise ValueError("stream header missing field 'n_rows'")
-    declared = _header_int("n_rows", meta["n_rows"])
-
-    k = len(fmt.columns) - 1
-    # a row takes two bytes or more, so a larger count cannot be the file's
-    cols = np.empty((k + 1, declared if 0 <= declared <= len(buf) // 2 else 0), dtype=np.int64)
-    n = 0
-    bad = {}  # "fields", "grammar": (start, end) of the first row breaking that rule
-    for start, end in _line_blocks(buf):
-        lo, n = n, n + len(start)
-        if n > cols.shape[1] or "fields" in bad:
-            continue
-        comma = np.flatnonzero(buf[start[0] : end[-1]] == ord(",")) + start[0]
-        # m * k separators sit k to a row iff each row's first and last fall inside it
-        if len(comma) != len(start) * k or not (
-            (comma[::k] >= start).all() and (comma[k - 1 :: k] < end).all()
-        ):
-            per_row = np.bincount(np.searchsorted(end, comma), minlength=len(start))
-            i = int(np.argmax(per_row != k))
-            bad["fields"] = start[i], end[i]
-        elif "grammar" not in bad:
-            good = _parse_rows(buf, fmt, start, end, comma.reshape(-1, k), cols[:, lo:n])
-            if not good.all():
-                i = int(np.argmin(good))
-                bad["grammar"] = start[i], end[i]
+    with open(path, "rb") as fh:
+        st = os.fstat(fh.fileno())
+        meta, rows = _read_header(_read_lines(fh))
+        if "n_rows" not in meta:
+            raise ValueError("stream header missing field 'n_rows'")
+        declared = _header_int("n_rows", meta["n_rows"])
+        # a row takes two bytes or more, so a larger count cannot be a regular file's
+        limit = st.st_size // 2 if stat.S_ISREG(st.st_mode) else declared
+        k = len(fmt.columns) - 1
+        capacity = declared if 0 <= declared <= limit else 0
+        cols = [np.empty(capacity, dtype=_DTYPE[name]) for name in fmt.names]
+        n = 0
+        bad = {}  # "fields", "grammar": the first row breaking that rule
+        for buf in rows:
+            for start, end in _line_blocks(buf):
+                lo, n = n, n + len(start)
+                if n > capacity or "fields" in bad:
+                    continue
+                comma = np.flatnonzero(buf[start[0] : end[-1]] == ord(",")) + start[0]
+                # m * k separators sit k to a row iff each row's first and last fall inside it
+                if len(comma) != len(start) * k or not (
+                    (comma[::k] >= start).all() and (comma[k - 1 :: k] < end).all()
+                ):
+                    per_row = np.bincount(np.searchsorted(end, comma), minlength=len(start))
+                    i = int(np.argmax(per_row != k))
+                    bad["fields"] = buf[start[i] : end[i]].tobytes()
+                elif "grammar" not in bad:
+                    out = [c[lo:n] for c in cols]
+                    good = _parse_rows(buf, fmt, start, end, comma.reshape(-1, k), out)
+                    if not good.all():
+                        i = int(np.argmin(good))
+                        bad["grammar"] = buf[start[i] : end[i]].tobytes()
     if declared != n:
         raise ValueError(
             f"{fmt.what} declares {declared} rows but contains {n}; "
             "file is truncated or corrupt"
         )
     if bad:
-        left, right = bad.get("fields") or bad["grammar"]
-        line = buf[left:right].tobytes().decode("utf-8", errors="backslashreplace")
-        raise ValueError(_row_error(fmt, line))
+        line = bad.get("fields") or bad["grammar"]
+        raise ValueError(_row_error(fmt, line.decode("utf-8", errors="backslashreplace")))
     try:
         # annotations are strings under postponed evaluation
         header = SimStreamHeader(
@@ -672,36 +690,75 @@ def _read_stream(path, fmt: _Format) -> tuple[dict, SimStreamHeader]:
     return dict(zip(fmt.names, cols)), header
 
 
-def _line_blocks(buf):
-    """(start, end) of buf's non-blank lines, up to _CHUNK_ROWS lines at a time.
+def _read_lines(fh):
+    """fh's bytes from here on, _READ_BYTES at a time, as whole lines each ending in b"\n".
 
-    buf ends in b"\n".  Each block's line ends are found in a window of the
-    bytes after the last block, sized from that block and doubled while it
-    holds fewer than _CHUNK_ROWS line ends short of the end of buf.
+    A partial last line is carried into the next read, and so is a final
+    b"\r", which a b"\n" may follow.  "\r\n" and "\r" line ends read as "\n",
+    and the file's last line gets a "\n" if it has none.
     """
-    cur, span = 0, 64 * _CHUNK_ROWS
-    while cur < len(buf):
-        end = np.flatnonzero(buf[cur : cur + span] == ord("\n"))[:_CHUNK_ROWS]
-        if len(end) < _CHUNK_ROWS and cur + span < len(buf):
-            span *= 2
-            continue
-        end += cur
-        start = np.empty_like(end)
-        start[0] = cur
-        start[1:] = end[:-1] + 1
-        span = (int(end[-1]) + 1 - cur) * 5 // 4 + 64
-        cur = int(end[-1]) + 1
-        blank = end == start
-        if blank.any():
-            start, end = start[~blank], end[~blank]
-        if len(start):
-            yield start, end
+    carry = b""
+    while True:
+        more = fh.read(_READ_BYTES)
+        data = carry + more
+        cut = len(data)
+        if more:  # up to the last line end, short of a final "\r"
+            cut = max(data.rfind(b"\n"), data.rfind(b"\r", 0, len(data) - 1)) + 1
+        lines, carry = data[:cut], data[cut:]
+        if b"\r" in lines:
+            lines = lines.replace(b"\r\n", b"\n").replace(b"\r", b"\n")
+        if lines and not lines.endswith(b"\n"):  # only at the end of the file
+            lines += b"\n"
+        if lines:
+            yield lines
+        if not more:
+            return
+
+
+def _read_header(reads) -> tuple:
+    """The header's key=value pairs, and the data rows' reads as uint8 arrays.
+
+    The header is the '#' and blank lines before the first data row; it is
+    parsed from the reads, and the data rows start in the read that holds
+    the first of them.
+    """
+    meta: dict = {}
+    for data in reads:
+        pos = 0
+        while data.startswith(b"#", pos) or data.startswith(b"\n", pos):
+            eol = data.index(b"\n", pos)
+            try:
+                body = data[pos + 1 : eol].decode("utf-8").strip()
+            except UnicodeDecodeError:
+                line = data[pos:eol].decode("utf-8", errors="backslashreplace")
+                raise ValueError(f"header line is not UTF-8: {line!r}") from None
+            if data[pos] == ord("#") and "=" in body:
+                key, value = body.split("=", 1)
+                meta[key.strip()] = value.strip()
+            pos = eol + 1
+        if pos < len(data):
+            rest = (np.frombuffer(more, dtype=np.uint8) for more in reads)
+            return meta, itertools.chain([np.frombuffer(data, dtype=np.uint8, offset=pos)], rest)
+    return meta, iter(())
+
+
+def _line_blocks(buf):
+    """(start, end) of buf's non-blank lines, _CHUNK_ROWS at a time; buf ends in b"\n"."""
+    end = np.flatnonzero(buf == ord("\n"))
+    start = np.empty_like(end)
+    start[:1] = 0
+    start[1:] = end[:-1] + 1
+    lit = end > start
+    if not lit.all():
+        start, end = start[lit], end[lit]
+    for lo in range(0, len(end), _CHUNK_ROWS):
+        yield start[lo : lo + _CHUNK_ROWS], end[lo : lo + _CHUNK_ROWS]
 
 
 def _parse_rows(buf, fmt: _Format, start, end, comma, out) -> np.ndarray:
-    """Parse rows buf[start:end], split at comma (rows, k), into out (fields, rows).
+    """Parse rows buf[start:end], split at comma (rows, k), into out (one array per field).
 
-    Returns which rows are well-formed.
+    Returns which rows are well-formed: an integer must also fit its column.
     """
     k = comma.shape[1]
     good = np.ones(len(start), dtype=bool)
@@ -709,15 +766,17 @@ def _parse_rows(buf, fmt: _Format, start, end, comma, out) -> np.ndarray:
         left = start if f == 0 else comma[:, f - 1] + 1
         right = end if f == k else comma[:, f]
         if labels is not None:
-            out[f], ok = _parse_labels(buf, left, right, labels)
-        elif fmt.d0_x_bin and name == "x_bin":
-            value, ok = _parse_ints(buf, left, right)
-            present = right > left
-            is_d0 = out[fmt.names.index("detector")] == CODE_D0
-            ok = (ok | ~present) & (present == is_d0)
-            out[f] = np.where(present, value, -1)
+            value, ok = _parse_labels(buf, left, right, labels)
         else:
-            out[f], ok = _parse_ints(buf, left, right)
+            value, ok = _parse_ints(buf, left, right)
+            info = np.iinfo(out[f].dtype)
+            ok &= (value >= info.min) & (value <= info.max)
+            if fmt.d0_x_bin and name == "x_bin":
+                present = right > left
+                is_d0 = out[fmt.names.index("detector")] == CODE_D0
+                ok = (ok | ~present) & (present == is_d0)
+                value[~present] = -1
+        out[f][:] = value
         good &= ok
     return good
 
@@ -780,9 +839,13 @@ def _row_error(fmt: _Format, line: str) -> str:
     if fmt.d0_x_bin and (row["x_bin"] != "") != (row["detector"] == DETECTOR_LABELS[CODE_D0]):
         return f"x_bin presence inconsistent with detector: {line!r}"
     for (name, labels), field in zip(fmt.columns, fields):
-        absent = fmt.d0_x_bin and name == "x_bin" and field == ""
-        if labels is None and not absent and not _INT_RE.fullmatch(field):
+        if labels is not None or (fmt.d0_x_bin and name == "x_bin" and field == ""):
+            continue
+        if not _INT_RE.fullmatch(field):
             return f"bad integer {field!r} in {fmt.noun} row (want -?[0-9]{{1,18}}): {line!r}"
+        info = np.iinfo(_DTYPE[name])
+        if not info.min <= int(field) <= info.max:
+            return f"{name} {field} is outside {info.min}..{info.max} in {fmt.noun} row: {line!r}"
     return f"malformed {fmt.noun} row: {line!r}"
 
 

@@ -522,6 +522,9 @@ def test_decode_truncated_triples(tmp_path, small_config_path, capsys):
     "field, value, message",
     [
         (2, "12345678901234567890", "bad integer '12345678901234567890'"),
+        # 2**32 + 1: an int32 cast would wrap it to bin 1
+        (2, "4294967297", "x_bin 4294967297 is outside -2147483648..2147483647 in triple row"),
+        (2, "2147483648", "x_bin 2147483648 is outside -2147483648..2147483647 in triple row"),
         (1, "4", "block index 4 is outside the schedule's 4 blocks"),
         (1, "-1", "block index -1 is outside the schedule's 4 blocks"),
     ],
@@ -543,6 +546,7 @@ def test_decode_bad_triples_field_exits_2(tmp_path, small_config_path, capsys, f
     err = capsys.readouterr().err
     assert message in err
     assert err.count("\n") == 1  # one line, no traceback
+    assert not (out / "decode_omniscient.csv").exists()
 
 
 def test_decode_non_utf8_header_exits_2(tmp_path, small_config_path, capsys):

@@ -1,4 +1,6 @@
+import dataclasses
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -22,14 +24,25 @@ from qeraser.events import (
 )
 from qeraser.experiment import (
     MODE_SINGLE,
+    SwitchSchedule,
     config_digest,
     config_from_dict,
     config_to_dict,
     default_config,
+    default_geometry,
     distribution_for,
 )
-from qeraser.analysis import chi_square_fit
+from qeraser.analysis import (
+    LowSampleWarning,
+    alisha_observable_cells,
+    chi_square_fit,
+    decode_alisha_only,
+    decode_omniscient,
+    omniscient_observable_cells,
+)
+from qeraser.optics import MAX_BINS
 
+import oracles
 from conftest import make_config
 
 
@@ -106,8 +119,6 @@ def test_sampling_rejects_bad_requests(small_config):
     with pytest.raises(ValueError, match="seed"):
         sample_triples(small_config, seed=-1)
     cfg = make_config(bits=(1,), block_size=10)
-    import dataclasses
-
     bare = dataclasses.replace(cfg, schedule=None)
     with pytest.raises(ValueError, match="schedule"):
         sample_triples(bare, seed=0)
@@ -319,9 +330,130 @@ def test_triple_batch_validation():
 
 @pytest.mark.parametrize("code", [-1, len(DETECTOR_LABELS), 256])
 def test_event_stream_refuses_unknown_detector_codes(code):
-    """The matcher narrows codes to int8, so 256 must not pass as D0."""
-    with pytest.raises(ValueError, match="detector codes out of range"):
+    """Codes are held as int8, so 256 must not pass as D0."""
+    with pytest.raises(ValueError, match=rf"^detector {code} is outside 0\.\.8$"):
         EventStream(event_id=[0, 1], detector=[0, code], time_ns=[0, 1], x_bin=[3, -1], n_bins=8)
+
+
+def _event(**columns):
+    row = {"event_id": [0], "detector": [CODE_D0], "time_ns": [0], "x_bin": [3], **columns}
+    return EventStream(**row, n_bins=8)
+
+
+def _triple(**columns):
+    row = {"triple_id": [0], "x_bin": [3], "babu": [0], "alisha": [0], "block_index": [0]}
+    return TripleBatch(**{**row, **columns})
+
+
+INT32 = "-2147483648..2147483647"
+INT64 = "-9223372036854775808..9223372036854775807"
+
+
+@pytest.mark.parametrize(
+    "build, column, values, message",
+    [
+        (_event, "detector", [256], "detector 256 is outside 0..8"),
+        (_event, "detector", np.array([256], dtype=np.int64), "detector 256 is outside 0..8"),
+        (_triple, "babu", [260], "babu 260 is outside 0..3"),
+        (_triple, "alisha", np.array([-252], dtype=np.int16), "alisha -252 is outside 0..3"),
+        (_triple, "x_bin", [2**31], f"x_bin 2147483648 is outside {INT32}"),
+        (_triple, "x_bin", np.array([-(2**31) - 1]), f"x_bin -2147483649 is outside {INT32}"),
+        (_event, "x_bin", [2**31], f"x_bin 2147483648 is outside {INT32}"),
+        (_event, "x_bin", np.array([2**32 + 1], np.uint64), f"x_bin 4294967297 is outside {INT32}"),
+        (_event, "time_ns", np.array([2**63], np.uint64), f"time_ns {2**63} is outside {INT64}"),
+        (_triple, "triple_id", [2**64], f"triple_id {2**64} is outside {INT64}"),
+    ],
+)
+def test_records_refuse_a_value_their_column_cannot_hold(build, column, values, message):
+    """Ranges are checked on the values as given, before the cast, so nothing wraps."""
+    with pytest.raises(ValueError) as info:
+        build(**{column: values})
+    assert str(info.value) == message
+
+
+EVENT_DTYPES = {"event_id": np.int64, "detector": np.int8, "time_ns": np.int64, "x_bin": np.int32}
+TRIPLE_DTYPES = {
+    "triple_id": np.int64,
+    "x_bin": np.int32,
+    "babu": np.int8,
+    "alisha": np.int8,
+    "block_index": np.int64,
+}
+
+
+def assert_layout(record):
+    want = EVENT_DTYPES if isinstance(record, EventStream) else TRIPLE_DTYPES
+    assert {name: getattr(record, name).dtype for name in want} == want
+
+
+def test_every_step_returns_the_declared_column_dtypes(tmp_path, small_config):
+    triples = sample_triples(small_config, seed=0)
+    stream = emit_events(triples, small_config, seed=0)
+    noisy = inject_background(stream, 1e-4, seed=0)
+    assert len(noisy) > len(stream)
+    matched, orphans = match_coincidences(
+        noisy, block_size=small_config.schedule.block_size, spacing_ns=1000
+    )
+    assert orphans.event_ids.dtype == np.int64
+    hdr = header_for(small_config)
+    write_event_log(tmp_path / "events.csv", noisy, hdr)
+    write_triples(tmp_path / "triples.csv", matched, hdr)
+    for record in (
+        triples,
+        stream,
+        noisy,
+        matched,
+        read_event_log(tmp_path / "events.csv")[0],
+        read_triples(tmp_path / "triples.csv")[0],
+    ):
+        assert_layout(record)
+
+
+def test_records_keep_an_array_of_its_column_dtype():
+    columns = {name: np.zeros(3, dtype=dtype) for name, dtype in TRIPLE_DTYPES.items()}
+    batch = TripleBatch(**columns)
+    assert all(getattr(batch, name) is columns[name] for name in columns)
+    wide = TripleBatch(**{name: np.zeros(3, dtype=np.int64) for name in TRIPLE_DTYPES})
+    assert_layout(wide)
+
+
+def test_narrow_column_arithmetic_at_the_largest_bin():
+    """Cell ids, the decode grid and the idler packing at x_bin = MAX_BINS - 1 equal int64 math."""
+    top = MAX_BINS - 1
+    x = np.array([top, top, 0, top - 1])
+    babu = np.array([3, 0, 3, 2])
+    alisha = np.array([3, 3, 0, 1])
+    batch = TripleBatch(
+        triple_id=np.arange(4), x_bin=x, babu=babu, alisha=alisha, block_index=[0, 1, 1, 2]
+    )
+    assert batch.x_bin.dtype == np.int32 and batch.babu.dtype == np.int8
+    for column in (x, np.array([2**31 - 1, -(2**31), top, -1])):  # and at the int32 extremes
+        cells = dataclasses.replace(batch, x_bin=column)
+        np.testing.assert_array_equal(alisha_observable_cells(cells), column * 4 + alisha)
+        want = (column * 4 + babu) * 4 + alisha
+        np.testing.assert_array_equal(omniscient_observable_cells(cells), want)
+    assert omniscient_observable_cells(batch).max() == top * 16 + 15
+
+    config = make_config(bits=(1, 0, 1), block_size=1)
+    stream = emit_events(batch, config, seed=2)
+    want = oracles.emit_events_lexsort(batch, config, seed=2)
+    for name in EVENT_DTYPES:
+        np.testing.assert_array_equal(getattr(stream, name), getattr(want, name), err_msg=name)
+    assert stream.x_bin[stream.detector == CODE_D0].tolist() == x.tolist()
+    assert sorted(stream.detector[stream.detector >= 5].tolist()) == sorted((alisha + 5).tolist())
+
+    geom = dataclasses.replace(default_geometry(), n_bins=MAX_BINS)
+    schedule = SwitchSchedule(bits=(1, 0, 1), block_size=1)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", LowSampleWarning)
+        for decode, babu_filter, alisha_filter in (
+            (decode_omniscient, 0, 0),
+            (decode_alisha_only, None, 0),
+        ):
+            report = decode(batch, schedule, geom)
+            got = (report.decoded_bits, report.per_block_visibility, report.per_block_stderr)
+            want = oracles.decode_per_block(batch, schedule, geom, babu_filter, alisha_filter)
+            assert got == want
 
 
 def test_event_log_roundtrip(tmp_path, small_config):
@@ -405,6 +537,7 @@ def _replace_row(path, row):
         ("5,0,,D1,D1'", "bad integer ''"),
         ("5,0,-,D1,D1'", "bad integer '-'"),
         ("5,0,1234567890123456789,D1,D1'", "bad integer '1234567890123456789'"),
+        ("5,0,-2147483649,D1,D1'", "x_bin -2147483649 is outside -2147483648..2147483647"),
         ("5,0,3,D1 ,D1'", "labels"),
         ("5,0,3,D1,D1'x", "labels"),
         ("5,0,3,D1", "malformed triple row"),
@@ -425,6 +558,7 @@ def test_triples_grammar_rejects(tmp_path, small_config, row, message):
         ("5,D0,10,1_0", "bad integer '1_0'"),
         ("5,D0,+10,3", "bad integer '\\+10'"),
         ("5,D0,-12345678901234567890,3", "bad integer"),
+        ("5,D0,10,2147483648", "x_bin 2147483648 is outside -2147483648..2147483647"),
         ("5,D1,10,3", "x_bin presence"),
         ("5,D0,10,", "x_bin presence"),
         ("5,D9,10,", "unknown detector 'D9'"),
@@ -451,7 +585,9 @@ def test_grammar_keeps_blank_lines_and_crlf(tmp_path, small_config):
 
 
 # ---------------------------------------------------------------------------
-# memory: each stream step's traced peak against the columns it returns
+# memory: each stream step's traced peak in bytes per record.  The columns
+# take 21 bytes per event record (8 id, 1 detector, 8 time, 4 x_bin) and 22
+# per triple (8 id, 4 x_bin, 1 + 1 outcomes, 8 block).
 # ---------------------------------------------------------------------------
 
 
@@ -467,14 +603,10 @@ def _traced(step, *args, **kwargs):
     return result, peak
 
 
-def _column_bytes(record) -> int:
-    return sum(v.nbytes for v in vars(record).values() if isinstance(v, np.ndarray))
-
-
-def _peak_over_returned(step, *args):
-    """(result, traced peak allocation during step / bytes of its int64 columns)."""
+def _peak_per_record(step, *args):
+    """(result, traced peak allocation during step / records it returns)."""
     result, peak = _traced(step, *args)
-    return result, peak / _column_bytes(result)
+    return result, peak / len(result)
 
 
 def _noisy_stream(config):
@@ -487,53 +619,57 @@ MEMORY_CONFIG = make_config(bits=(1, 0) * 20, block_size=500)
 def test_stream_steps_hold_each_record_about_once():
     """Bounds on the stream steps' temporaries; a whole-stream sort or concat breaks them.
 
-    A lexsort build held 2.05x (sampling), 2.50x (emission) and 3.00x
-    (background) of its output at this size.  A merge that kept its dark
-    columns int64 and its insertion index to the end held 1.63x; one that
-    freed the insertion index but held every dark column to the end, 1.33x.
+    Measured here: 32 bytes per triple sampled, 21.1 per record emitted and
+    25.0 per record out of the merge.  With int64 columns the same steps
+    took 50, 32 and 36; a lexsort build 82, 80 and 96 (int64); a merge that
+    held every dark column to the end, 43 (int64).
     """
-    triples, sampled = _peak_over_returned(sample_triples, MEMORY_CONFIG, 0)
-    stream, emitted = _peak_over_returned(emit_events, triples, MEMORY_CONFIG, 0)
-    noisy, merged = _peak_over_returned(inject_background, stream, 2e-3, 0)
+    triples, sampled = _peak_per_record(sample_triples, MEMORY_CONFIG, 0)
+    stream, emitted = _peak_per_record(emit_events, triples, MEMORY_CONFIG, 0)
+    noisy, merged = _peak_per_record(inject_background, stream, 2e-3, 0)
     assert len(noisy) > len(stream) + 30_000
-    assert sampled <= 1.6
-    assert emitted <= 1.25
-    assert merged <= 1.25
+    assert sampled <= 36
+    assert emitted <= 24
+    assert merged <= 28
 
 
 def test_matcher_holds_less_than_its_input():
     """The matcher's temporaries and outputs stay well below the stream it reads.
 
+    Measured here: 13.9 bytes per input record (14.9 with int64 columns).
     int64 record positions, first idlers and picks all held to the end took
-    1.39x the input at this size; int32 positions with a copy of each arm's
-    times held through the walk, 0.78x.
+    44; int32 positions with a copy of each arm's times held through the
+    walk, 25.
     """
     noisy = _noisy_stream(MEMORY_CONFIG)
     spacing = triple_spacing_ns(MEMORY_CONFIG.pair_rate_scale)
     _, peak = _traced(match_coincidences, noisy, 20, block_size=500, spacing_ns=spacing)
-    assert peak <= 0.75 * _column_bytes(noisy)
+    assert peak <= 16 * len(noisy)
 
 
 @pytest.mark.parametrize("which", ["events", "triples"])
 def test_readers_hold_each_record_about_once(tmp_path, monkeypatch, which):
-    """A reader peaks at its file's bytes, its columns and one block's indexes.
+    """A reader peaks at its columns plus one read's bytes and one block's indexes.
 
-    Newline and separator indexes over the whole file took 2.8-2.9x the
-    returned columns here (3.8-3.9x with the file in one block).
+    Measured here: 22.8 bytes per event record and 31.2 per triple.  The
+    whole file held beside int64 columns took 53 and 65; newline and
+    separator indexes over the whole file, 90 and 115.
     """
-    monkeypatch.setattr(events, "_CHUNK_ROWS", 1024)  # so the file spans several blocks
+    # so the file spans many reads and blocks
+    monkeypatch.setattr(events, "_READ_BYTES", 1 << 14)
+    monkeypatch.setattr(events, "_CHUNK_ROWS", 1024)
     noisy = _noisy_stream(MEMORY_CONFIG)
     hdr = header_for(MEMORY_CONFIG)
     path = tmp_path / "stream.csv"
     if which == "events":
         write_event_log(path, noisy, hdr)
-        read = read_event_log
+        read, bound = read_event_log, 25
     else:
         spacing = triple_spacing_ns(MEMORY_CONFIG.pair_rate_scale)
         batch, _ = match_coincidences(noisy, 20, block_size=500, spacing_ns=spacing)
         write_triples(path, batch, hdr)
-        read = read_triples
+        read, bound = read_triples, 35
     del noisy
     (record, _), peak = _traced(read, path)
-    assert len(record) > 4 * events._CHUNK_ROWS
-    assert peak <= 2.0 * _column_bytes(record)
+    assert path.stat().st_size > 20 * events._READ_BYTES
+    assert peak <= bound * len(record)

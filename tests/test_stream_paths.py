@@ -6,6 +6,9 @@ failing case is reproducible from the printed example.
 
 import dataclasses
 import hashlib
+import io
+import os
+import threading
 import warnings
 
 import numpy as np
@@ -37,7 +40,8 @@ from conftest import make_config
 
 TRIPLE_COLUMNS = ("triple_id", "x_bin", "babu", "alisha", "block_index")
 EVENT_COLUMNS = ("event_id", "detector", "time_ns", "x_bin")
-BIG = 10**18 - 1  # the largest magnitude an integer field may hold
+BIG = 10**18 - 1  # the largest magnitude an int64 field may hold
+X_MIN, X_MAX = -(2**31), 2**31 - 1  # x_bin is int32
 
 seeds = st.integers(min_value=0, max_value=2**32 - 1)
 fast = settings(
@@ -189,11 +193,19 @@ def test_matcher_dense_clusters_equal_loop():
 # ---------------------------------------------------------------------------
 
 
+def random_x_bin(rng, n, big):
+    """x_bin values, with big: any int32, the extremes included."""
+    if not big:
+        return rng.integers(-1000, 1001, n)
+    extreme = rng.choice([X_MIN, X_MAX], n)
+    return np.where(rng.random(n) < 0.2, extreme, rng.integers(X_MIN, X_MAX + 1, n))
+
+
 def random_batch(rng, n, big) -> TripleBatch:
     hi = BIG if big else 1000
     return TripleBatch(
         triple_id=rng.integers(-hi, hi + 1, n),
-        x_bin=rng.integers(-hi, hi + 1, n),
+        x_bin=random_x_bin(rng, n, big),
         babu=rng.integers(0, 4, n),
         alisha=rng.integers(0, 4, n),
         block_index=rng.integers(-hi, hi + 1, n),
@@ -207,19 +219,22 @@ def random_events(rng, n, big) -> EventStream:
         event_id=rng.integers(-hi, hi + 1, n),
         detector=code,
         time_ns=rng.integers(-hi, hi + 1, n),
-        x_bin=np.where(code == CODE_D0, rng.integers(-hi, hi + 1, n), -1),
+        x_bin=np.where(code == CODE_D0, random_x_bin(rng, n, big), -1),
         n_bins=8,
     )
 
 
 # 1 and 7 rows per block put a block boundary between (nearly) every two rows
 chunks = st.sampled_from([1, 7, 65_536])
+# reads of 1 to 16 bytes split (nearly) every line across reads, at any byte
+reads = st.one_of(st.integers(1, 16), st.just(1 << 20))
 
 
 @fast
-@given(seed=seeds, n=st.integers(0, 40), big=st.booleans(), chunk=chunks)
-def test_readers_roundtrip_equal_line_readers(tmp_path, monkeypatch, seed, n, big, chunk):
+@given(seed=seeds, n=st.integers(0, 40), big=st.booleans(), chunk=chunks, read=reads)
+def test_readers_roundtrip_equal_line_readers(tmp_path, monkeypatch, seed, n, big, chunk, read):
     monkeypatch.setattr(events, "_CHUNK_ROWS", chunk)
+    monkeypatch.setattr(events, "_READ_BYTES", read)
     rng = np.random.default_rng(seed)
     hdr = header()
     path = tmp_path / "triples.csv"
@@ -258,10 +273,14 @@ def _mutate(data: bytes, rng, kind: str) -> bytes:
     which=st.sampled_from(["triples", "events"]),
     kind=st.sampled_from(["truncate", "flip", "label", "oversized"]),
     chunk=chunks,
+    read=reads,
 )
-def test_fuzzed_files_fail_only_with_value_error(tmp_path, monkeypatch, seed, which, kind, chunk):
+def test_fuzzed_files_fail_only_with_value_error(
+    tmp_path, monkeypatch, seed, which, kind, chunk, read
+):
     """A damaged file either reads as the line reader reads it, or raises ValueError."""
     monkeypatch.setattr(events, "_CHUNK_ROWS", chunk)
+    monkeypatch.setattr(events, "_READ_BYTES", read)
     rng = np.random.default_rng(seed)
     path = tmp_path / "stream.csv"
     if which == "triples":
@@ -283,10 +302,19 @@ def test_fuzzed_files_fail_only_with_value_error(tmp_path, monkeypatch, seed, wh
 
 
 @fast
-@given(seed=seeds, n=st.integers(1, 30), which=st.sampled_from(["triples", "events"]), chunk=chunks)
-def test_readers_take_any_line_ends_and_blank_lines(tmp_path, monkeypatch, seed, n, which, chunk):
-    """CRLF and CR line ends and runs of blank lines anywhere, so across block boundaries."""
+@given(
+    seed=seeds,
+    n=st.integers(1, 30),
+    which=st.sampled_from(["triples", "events"]),
+    chunk=chunks,
+    read=reads,
+)
+def test_readers_take_any_line_ends_and_blank_lines(
+    tmp_path, monkeypatch, seed, n, which, chunk, read
+):
+    """CRLF and CR line ends and runs of blank lines anywhere, across block and read boundaries."""
     monkeypatch.setattr(events, "_CHUNK_ROWS", chunk)
+    monkeypatch.setattr(events, "_READ_BYTES", read)
     rng = np.random.default_rng(seed)
     path = tmp_path / "stream.csv"
     if which == "triples":
@@ -312,6 +340,56 @@ def test_readers_take_any_line_ends_and_blank_lines(tmp_path, monkeypatch, seed,
         np.testing.assert_array_equal(getattr(got, name), getattr(record, name), err_msg=name)
 
 
+def test_read_lines_yield_whole_lines_at_any_read_size(monkeypatch):
+    """Each read's lines end in "\n"; a "\r" at a read's end waits for a "\n" after it."""
+    data = b"# a=1\r\n\r\n1,2\r3,4\n\r\r\n5,6\r\n7"
+    want = data.replace(b"\r\n", b"\n").replace(b"\r", b"\n") + b"\n"
+    for read in range(1, len(data) + 2):
+        monkeypatch.setattr(events, "_READ_BYTES", read)
+        got = list(events._read_lines(io.BytesIO(data)))
+        assert all(lines.endswith(b"\n") for lines in got)
+        assert b"".join(got) == want, read
+
+
+def numbered_batch(n) -> TripleBatch:
+    n = np.arange(n)
+    return TripleBatch(triple_id=n, x_bin=n * 3, babu=n % 4, alisha=n // 4 % 4, block_index=n // 5)
+
+
+@pytest.mark.parametrize("read", [1, 2, 3, 5, 8])
+@pytest.mark.parametrize("chunk", [1, 2, 65_536])
+def test_reader_joins_lines_split_across_reads(tmp_path, monkeypatch, read, chunk):
+    """Every line end kind, blank lines included, straddles a read boundary at 1 byte a read."""
+    monkeypatch.setattr(events, "_READ_BYTES", read)
+    monkeypatch.setattr(events, "_CHUNK_ROWS", chunk)
+    batch = numbered_batch(12)
+    path = tmp_path / "triples.csv"
+    write_triples(path, batch, header())
+    # "\r\n", a lone "\r", and a blank line after "\n", "\r" and "\r\n"
+    ends = [b"\r\n", b"\r", b"\n\n", b"\r\r\n", b"\n\r\n"]
+    lines = path.read_bytes().splitlines()
+    path.write_bytes(b"".join(line + ends[i % len(ends)] for i, line in enumerate(lines)))
+    got, hdr = read_triples(path)
+    assert hdr == header()
+    assert_batches_equal(got, batch)
+
+
+@pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")
+def test_reader_takes_a_pipe(tmp_path):
+    """A pipe has no size to bound n_rows by; its rows are read all the same."""
+    batch = numbered_batch(40)
+    path = tmp_path / "triples.csv"
+    write_triples(path, batch, header())
+    pipe = tmp_path / "pipe"
+    os.mkfifo(pipe)
+    writer = threading.Thread(target=lambda: pipe.write_bytes(path.read_bytes()), daemon=True)
+    writer.start()
+    got, hdr = read_triples(pipe)
+    writer.join(timeout=10)
+    assert hdr == header()
+    assert_batches_equal(got, batch)
+
+
 def _late_bad_integer(head, rows):
     rows[30] = "1_0" + rows[30][rows[30].index(",") :]
     return f"bad integer '1_0' in triple row (want -?[0-9]{{1,18}}): {rows[30]!r}"
@@ -321,6 +399,29 @@ def _late_field_count_before_early_grammar(head, rows):
     rows[3] = "1_0" + rows[3][rows[3].index(",") :]
     rows[30] = rows[30].rsplit(",", 1)[0]
     return f"malformed triple row: {rows[30]!r}"
+
+
+def _set_x_bin(rows, i, value):
+    parts = rows[i].split(",")
+    parts[2] = value
+    rows[i] = ",".join(parts)
+
+
+def _late_x_bin_past_int32(head, rows):
+    _set_x_bin(rows, 30, "4294967297")
+    return f"x_bin 4294967297 is outside -2147483648..2147483647 in triple row: {rows[30]!r}"
+
+
+def _late_field_count_before_early_x_bin(head, rows):
+    _set_x_bin(rows, 3, "-2147483649")
+    rows[30] = rows[30].rsplit(",", 1)[0]
+    return f"malformed triple row: {rows[30]!r}"
+
+
+def _early_x_bin_before_late_bad_integer(head, rows):
+    _set_x_bin(rows, 3, "2147483648")
+    rows[30] = "1_0" + rows[30][rows[30].index(",") :]
+    return f"x_bin 2147483648 is outside -2147483648..2147483647 in triple row: {rows[3]!r}"
 
 
 def _late_header_line(head, rows):
@@ -358,6 +459,9 @@ ROW_FAULTS = {
     "late bad integer": _late_bad_integer,
     "late field count before early grammar": _late_field_count_before_early_grammar,
     "late header line": _late_header_line,
+    "late x_bin past int32": _late_x_bin_past_int32,
+    "late field count before early x_bin": _late_field_count_before_early_x_bin,
+    "early x_bin before late bad integer": _early_x_bin_before_late_bad_integer,
     "late unknown label": _late_unknown_label,
     "extra row before field count": _extra_row_before_field_count,
     "missing rows": _missing_rows,
@@ -366,17 +470,8 @@ ROW_FAULTS = {
 }
 
 
-@pytest.mark.parametrize("chunk", [1, 7, 65_536])
-@pytest.mark.parametrize("fault", sorted(ROW_FAULTS))
-def test_reader_faults_in_any_block_keep_their_message(tmp_path, monkeypatch, fault, chunk):
-    """The row count, then field counts, then the grammar, wherever the faulty rows sit."""
-    monkeypatch.setattr(events, "_CHUNK_ROWS", chunk)
-    n = np.arange(40)
-    batch = TripleBatch(
-        triple_id=n, x_bin=n * 3, babu=n % 4, alisha=n // 4 % 4, block_index=n // 5
-    )
-    path = tmp_path / "triples.csv"
-    write_triples(path, batch, header())
+def assert_fault_message(path, fault):
+    write_triples(path, numbered_batch(40), header())
     text = path.read_text()
     head = [line for line in text.splitlines() if line.startswith("#")]
     rows = [line for line in text.splitlines() if not line.startswith("#")]
@@ -385,6 +480,22 @@ def test_reader_faults_in_any_block_keep_their_message(tmp_path, monkeypatch, fa
     with pytest.raises(ValueError) as info:
         read_triples(path)
     assert str(info.value) == message
+
+
+@pytest.mark.parametrize("chunk", [1, 7, 65_536])
+@pytest.mark.parametrize("fault", sorted(ROW_FAULTS))
+def test_reader_faults_in_any_block_keep_their_message(tmp_path, monkeypatch, fault, chunk):
+    """The row count, then field counts, then the grammar, wherever the faulty rows sit."""
+    monkeypatch.setattr(events, "_CHUNK_ROWS", chunk)
+    assert_fault_message(tmp_path / "triples.csv", fault)
+
+
+@pytest.mark.parametrize("read", [1, 7])
+@pytest.mark.parametrize("fault", sorted(ROW_FAULTS))
+def test_reader_faults_across_reads_keep_their_message(tmp_path, monkeypatch, fault, read):
+    """The same order and messages when each faulty row straddles read boundaries."""
+    monkeypatch.setattr(events, "_READ_BYTES", read)
+    assert_fault_message(tmp_path / "triples.csv", fault)
 
 
 # ---------------------------------------------------------------------------
@@ -399,8 +510,14 @@ field_ints = st.one_of(
 )
 
 
-def int_column(data, n):
-    return np.array(data.draw(st.lists(field_ints, min_size=n, max_size=n)), dtype=np.int64)
+x_bin_ints = st.one_of(
+    st.sampled_from([0, -1, 9, 10, -10, X_MIN, X_MAX, X_MIN + 1, X_MAX - 1]),
+    st.integers(X_MIN, X_MAX),
+)
+
+
+def int_column(data, n, ints=field_ints):
+    return np.array(data.draw(st.lists(ints, min_size=n, max_size=n)), dtype=np.int64)
 
 
 def data_rows(path) -> bytes:
@@ -421,13 +538,13 @@ def test_writers_equal_fstring_rows(tmp_path, monkeypatch, data, n, chunk):
         event_id=int_column(data, n),
         detector=data.draw(codes),
         time_ns=int_column(data, n),
-        x_bin=int_column(data, n),
+        x_bin=int_column(data, n, x_bin_ints),
         n_bins=8,
     )
     outcomes = st.lists(st.integers(0, 3), min_size=n, max_size=n)
     batch = TripleBatch(
         triple_id=int_column(data, n),
-        x_bin=int_column(data, n),
+        x_bin=int_column(data, n, x_bin_ints),
         babu=data.draw(outcomes),
         alisha=data.draw(outcomes),
         block_index=int_column(data, n),
@@ -463,10 +580,10 @@ def test_writers_cover_every_label(tmp_path):
     "which, column, value",
     [
         ("triples", "triple_id", 10**18),
-        ("triples", "x_bin", -(2**63)),
+        ("triples", "block_index", -(2**63)),
         ("triples", "block_index", -(10**18)),
         ("events", "time_ns", 2**63 - 1),
-        ("events", "x_bin", 10**18),
+        ("events", "event_id", 10**18),
         ("events", "detector", len(DETECTOR_LABELS)),
         ("events", "detector", -1),
     ],
@@ -490,10 +607,31 @@ def test_writers_refuse_what_readers_refuse(tmp_path, which, column, value):
 
 
 def test_event_log_writer_ignores_x_bin_off_d0(tmp_path):
-    """x_bin is not written on non-D0 rows, so no value there is out of range."""
-    stream = EventStream(event_id=[0], detector=[1], time_ns=[5], x_bin=[-(2**63)], n_bins=8)
+    """x_bin is not written on non-D0 rows, whatever int32 it holds there."""
+    for x in (X_MIN, X_MAX):
+        stream = EventStream(event_id=[0], detector=[1], time_ns=[5], x_bin=[x], n_bins=8)
+        write_event_log(tmp_path / "events.csv", stream, header())
+        assert data_rows(tmp_path / "events.csv") == b"0,D1,5,\n"
+
+
+def test_x_bin_extremes_round_trip(tmp_path):
+    """x_bin at both int32 extremes through both writers and readers; np.abs(X_MIN) < 0."""
+    x = np.array([X_MIN, X_MAX, X_MIN + 1, X_MAX - 1, -1, 0], dtype=np.int32)
+    n = len(x)
+    zeros = np.zeros(n)
+    batch = TripleBatch(
+        triple_id=np.arange(n), x_bin=x, babu=np.arange(n) % 4, alisha=zeros, block_index=zeros
+    )
+    stream = EventStream(
+        event_id=np.arange(n), detector=np.zeros(n), time_ns=np.arange(n), x_bin=x, n_bins=8
+    )
+    write_triples(tmp_path / "triples.csv", batch, header())
     write_event_log(tmp_path / "events.csv", stream, header())
-    assert data_rows(tmp_path / "events.csv") == b"0,D1,5,\n"
+    assert data_rows(tmp_path / "triples.csv") == oracles.triples_rows(batch).encode("ascii")
+    assert data_rows(tmp_path / "events.csv") == oracles.event_log_rows(stream).encode("ascii")
+    assert b"0,0,-2147483648,D1,D1'\n1,0,2147483647,D2,D1'\n" in data_rows(tmp_path / "triples.csv")
+    assert_batches_equal(read_triples(tmp_path / "triples.csv")[0], batch)
+    assert_streams_equal(read_event_log(tmp_path / "events.csv")[0], stream)
 
 
 # ---------------------------------------------------------------------------
