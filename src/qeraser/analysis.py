@@ -21,7 +21,7 @@ from scipy.stats import chi2 as _chi2_dist
 
 from .events import TripleBatch, _write_text
 from .experiment import SwitchSchedule, nyquist_min_samples
-from .optics import SlitScreenGeometry
+from .optics import SlitScreenGeometry, table
 
 VISIBILITY_THRESHOLD = 0.5
 AMPLITUDE_SIGMAS = 3.0
@@ -72,20 +72,39 @@ class FringeFit:
 
 
 def fringe_design(geom: SlitScreenGeometry) -> np.ndarray:
-    """(n_bins, 3) fringe model [1, cos u, sin u] at u = fringe_frequency * bin centre."""
+    """(3, n_bins) fringe model rows [1, cos u, sin u] at u = fringe_frequency * bin centre."""
     u = geom.fringe_frequency * geom.bin_centers
-    return np.column_stack([np.ones_like(u), np.cos(u), np.sin(u)])
+    return np.stack([np.ones_like(u), np.cos(u), np.sin(u)])
 
 
-def unit_variance_fit(columns, geom: SlitScreenGeometry) -> np.ndarray:
-    """(3, m) least-squares (c0, c_cos, c_sin) of each of m columns at unit variance.
+def solve_normal(normal, rhs) -> np.ndarray:
+    """x on a new first axis, where normal @ x = rhs, for stacked 3x3 positive definite systems.
 
-    fit_fringes' variances are its first-pass model clipped below at 1, so
-    it fits any probability row by these normal equations, and linearly:
-    the fit of columns @ c is this fit @ c, up to rounding.
+    Entries are scalars or arrays that broadcast.  Gaussian elimination in
+    column order, elementwise, no pivoting: each system rounds as if alone.
     """
-    design = fringe_design(geom)
-    return np.linalg.solve(design.T @ design, design.T @ columns)
+    a, b = [list(row) for row in normal], list(rhs)
+    for col in range(3):
+        for row in range(col + 1, 3):
+            factor = a[row][col] / a[col][col]
+            for j in range(col + 1, 3):
+                a[row][j] = a[row][j] - factor * a[col][j]
+            b[row] = b[row] - factor * b[col]
+    x2 = b[2] / a[2][2]
+    x1 = (b[1] - a[1][2] * x2) / a[1][1]
+    x0 = (b[0] - a[0][1] * x1 - a[0][2] * x2) / a[0][0]
+    return np.stack(np.broadcast_arrays(x0, x1, x2))
+
+
+def unit_variance_fit(rows, geom: SlitScreenGeometry) -> np.ndarray:
+    """(3, m) least-squares (c0, c_cos, c_sin) of each of m rows at unit variance.
+
+    fit_fringes' first pass, and its whole fit of a probability row.  It is
+    linear: the fit of table(rows.T, c) is table(this fit, c), up to rounding.
+    """
+    y, design = np.ascontiguousarray(rows, dtype=float), fringe_design(geom)
+    normal = [[(d * e).sum() for e in design] for d in design]
+    return solve_normal(normal, [(d * y).sum(axis=-1) for d in design])
 
 
 def fringe_shape(coeffs) -> tuple[np.ndarray, np.ndarray]:
@@ -109,12 +128,9 @@ def fit_fringes(rows, geom: SlitScreenGeometry) -> list[FringeFit]:
     amplitude wherever bins run empty).  standard_error is the propagated
     error of the amplitude.  Noiseless model input is recovered exactly.
 
-    Every row is fitted exactly as it would be on its own.  The first pass
-    runs row by row, and each right-hand side is formed on the row as
-    passed, because a strided view rounds differently from a contiguous
-    copy.  The 3x3 solves and inverses and the 2x2 variance products then
-    run stacked, which rounds as the one-matrix calls do.  Rows below the
-    sampling bound are fitted without a warning; fit_fringe warns for one.
+    Both passes run stacked, every sum along a row's contiguous last axis,
+    so each row is fitted to the last bit as it would be alone.  Rows below
+    the sampling bound are fitted without a warning; fit_fringe warns.
     """
     ys = [np.asarray(row, dtype=float) for row in rows]
     for y in ys:
@@ -124,28 +140,20 @@ def fit_fringes(rows, geom: SlitScreenGeometry) -> list[FringeFit]:
         raise ValueError("empty histogram; nothing to fit")
     if not ys:
         return []
-    design = fringe_design(geom)
-    normals, rhs = [], []
-    for y in ys:
-        coeff = np.linalg.lstsq(design, y, rcond=None)[0]
-        var = np.clip(design @ coeff, 1.0, None)
-        weighted = design / var[:, None]
-        normals.append(design.T @ weighted)
-        rhs.append(weighted.T @ y)
-    normals = np.array(normals)
-    coeffs = np.linalg.solve(normals, np.array(rhs)[:, :, None])[:, :, 0]
-    covs = np.linalg.inv(normals)
-    amplitudes, visibilities = fringe_shape(coeffs)
+    y, design = np.array(ys), fringe_design(geom)
+    var = np.clip(table(unit_variance_fit(y, geom).T, design), 1.0, None)
+    weighted = [d / var for d in design]
+    normal = [[(w * d).sum(axis=-1) for d in design] for w in weighted]
+    coeffs = solve_normal(normal, [(w * y).sum(axis=-1) for w in weighted])
+    # columns 1 and 2 of each normal matrix's inverse: the fringe block of the covariance
+    (i11, i12), (i21, i22) = solve_normal(normal, np.eye(3)[:, 1:, None])[1:]
+    amplitudes, visibilities = fringe_shape(coeffs.T)
     resolved = amplitudes > 0.0
     # amplitude variance grad . cov . grad along the unit fringe direction; a
     # zero amplitude has no direction and takes the mean of the two variances
-    grad = np.zeros((len(ys), 2))
-    np.divide(coeffs[:, 1:], amplitudes[:, None], out=grad, where=resolved[:, None])
-    var_amp = np.where(
-        resolved,
-        (grad[:, None, :] @ covs[:, 1:, 1:] @ grad[:, :, None])[:, 0, 0],
-        0.5 * (covs[:, 1, 1] + covs[:, 2, 2]),
-    )
+    g_cos, g_sin = (np.divide(c, amplitudes, out=np.zeros_like(c), where=resolved) for c in coeffs[1:])
+    along = (g_cos * i11 + g_sin * i21) * g_cos + (g_cos * i12 + g_sin * i22) * g_sin
+    var_amp = np.where(resolved, along, 0.5 * (i11 + i22))
     return [
         FringeFit(
             mean_level=c0,
@@ -155,7 +163,7 @@ def fit_fringes(rows, geom: SlitScreenGeometry) -> list[FringeFit]:
             standard_error=math.sqrt(max(var, 0.0)),
         )
         for (c0, c_cos, c_sin), amplitude, visibility, var in zip(
-            coeffs.tolist(), amplitudes.tolist(), visibilities.tolist(), var_amp.tolist()
+            coeffs.T.tolist(), amplitudes.tolist(), visibilities.tolist(), var_amp.tolist()
         )
     ]
 
@@ -314,7 +322,7 @@ def mutual_information(labels, cells) -> MIEstimate:
     pl = joint.sum(axis=1, keepdims=True)
     pc = joint.sum(axis=0, keepdims=True)
     nz = joint > 0
-    mi = float(np.sum(joint[nz] * np.log2(joint[nz] / (pl @ pc)[nz])))
+    mi = float(np.sum(joint[nz] * np.log2(joint[nz] / (pl * pc)[nz])))
     return MIEstimate(
         mi_bits=max(mi, 0.0),
         bias_bound=(k - 1) * (m - 1) / (2.0 * n * math.log(2.0)),

@@ -57,6 +57,7 @@ from .optics import (
     coefficients,
     screen_basis,
     screen_marginal,
+    table,
 )
 
 # imported last: loading the numpy-only layers before analysis's scipy.stats
@@ -194,7 +195,7 @@ def cmd_simulate(args) -> int:
     seed = int(args.seed)
     window = int(args.window_ns)
     schedule = config.schedule
-    spacing = triple_spacing_ns(config.pair_rate_scale)
+    spacing = triple_spacing_ns(config.pair_rate_scale, schedule.n_triples)
     if 2 * window > spacing:
         # wider windows overlap, and one D0 could claim a neighbouring triple's idlers
         raise SystemExit(
@@ -270,21 +271,17 @@ _PASS_TRIALS = 1_024
 def _pair_residuals(babu_recombiners, alisha_recombiners) -> np.ndarray:
     """(..., 2) |fringe weight of (D1, k) + (D2, k)| for alisha's k = D1', D2'.
 
-    Zero when babu's erased terms cancel.  The recombiner stacks broadcast;
-    the weights are interference_coefficient's 2 Re(c_A conj(c_B)), with every
-    complex product formed from real parts one rounding at a time, as that
-    scalar route rounds it (numpy's complex loops may fuse a multiply-add).
+    Zero when babu's erased terms cancel.  As in interference_coefficient, the
+    weights are twice the cross row of C of the recombiner stacks, which broadcast.
     """
-    b, a = babu_recombiners[..., :, None], alisha_recombiners[..., None, :]
-    re = b.real * a.real - b.imag * a.imag  # (..., path, j, k)
-    im = b.real * a.imag + b.imag * a.real
-    weights = 2.0 * (re[..., 0, :, :] * re[..., 1, :, :] + im[..., 0, :, :] * im[..., 1, :, :])
+    weights = 2.0 * coefficients(babu_recombiners, alisha_recombiners)[2]  # (..., j, k)
     return np.abs(weights[..., 0, :] + weights[..., 1, :])
 
 
 def _gram_residuals(rows: np.ndarray) -> np.ndarray:
-    """|G - I| of the Gram matrix G of each stacked pair of rows (..., 2, n)."""
-    return np.abs(rows @ rows.conj().swapaxes(-1, -2) - np.eye(2))
+    """|G - I| of the Gram matrix G of each stacked pair of rows (..., 2, n): C summed over n."""
+    norm_a, norm_b, cross_re, cross_im = coefficients(rows).sum(axis=-1)
+    return np.stack([np.abs(norm_a - 1.0), np.abs(norm_b - 1.0), np.sqrt(cross_re**2 + cross_im**2)])
 
 
 def run_property_suite(
@@ -325,7 +322,7 @@ def run_property_suite(
     def normalization(n):
         # E summed over bins, then contracted with babu's and alisha's C
         coeffs = coefficients(arms(n)[1], arms(n)[1])
-        return np.abs(np.tensordot(basis.sum(axis=0), coeffs, axes=1).sum(axis=(-2, -1)) - 1.0)
+        return np.abs(table(basis.sum(axis=0)[None], coeffs)[0].sum(axis=(-2, -1)) - 1.0)
 
     def pair_cancellation(n):
         return _pair_residuals(splitters(n), splitters(n))
@@ -333,16 +330,16 @@ def run_property_suite(
     def single_cancellation(n):
         # one-idler analogue: D1 + D2 patterns sum to the bare envelope
         tap, amplitudes = arms(n)
-        table = np.tensordot(basis, coefficients(amplitudes), axes=1)  # (bin, trial, outcome)
-        return np.abs(table[..., D1] + table[..., D2] - bare[:, None] * (1.0 - tap))
+        probs = table(basis, coefficients(amplitudes))  # (bin, trial, outcome)
+        return np.abs(probs[..., D1] + probs[..., D2] - bare[:, None] * (1.0 - tap))
 
     def marginal_invariance(n):
         # the screen-side marginal never moves when babu's arm changes: two
-        # babu arms per alisha arm, babu's outcome summed out of C before E @ C
+        # babu arms per alisha arm, babu's outcome summed out of C before the table
         alisha = arms(n)[1]
         reference = screen_marginal(geom, envelope, alisha)  # (bin, trial, k)
         summed = coefficients(arms(2, n)[1], alisha).sum(axis=-2)  # (4, babu arm, trial, k)
-        return np.abs(np.tensordot(basis, summed, axes=1) - reference[:, None])
+        return np.abs(table(basis, summed) - reference[:, None])
 
     def worst(n, size, check):
         # np.maximum carries a NaN residual through, where max(0.0, nan) drops it
@@ -455,35 +452,37 @@ _SWEEP_COLUMNS = (
 def _sweep_rows(geom: SlitScreenGeometry, envelope, babu_settings, alisha_settings) -> list[str]:
     """sweep.csv rows over alisha's settings (outer) and babu's (inner).
 
-    Each slice is screen_basis @ C, fitted at unit variance, so its
-    (c0, c_cos, c_sin) is the basis's unit-variance fit times its
-    coefficients: no table is built and no row is fitted.  An empty erasing
-    slice has visibility NaN; the marginal's visibility is the largest over
-    its columns that hold probability, and each point's marginal is compared
-    with the first one of its alisha setting.
+    Each slice is table(screen_basis, C), fitted at unit variance, so its
+    (c0, c_cos, c_sin) is table(the basis's unit-variance fit, C): no table
+    is built and no row is fitted.  An empty erasing slice has visibility
+    NaN; the marginal's visibility is the largest over its columns that hold
+    probability, and each point's marginal is compared with the first one of
+    its alisha setting, in passes of at most _PASS_CELLS (bin, setting) cells.
     """
     b_theta, b_chi, b_tap, b_splitter = np.array(babu_settings, dtype=float).T
     babu_amplitudes, babu_recombiners = arm_tables(b_tap, b_splitter == 1.0, b_theta, b_chi)
     a_theta, a_chi, a_tap = np.array(alisha_settings, dtype=float).T
     alisha_amplitudes, alisha_recombiners = arm_tables(a_tap, True, a_theta, a_chi)
     basis = screen_basis(geom, envelope)
-    totals, fit = basis.sum(axis=0), unit_variance_fit(basis, geom)
+    totals, fit = basis.sum(axis=0)[None], unit_variance_fit(basis.T, geom)
+    per_pass = max(_PASS_CELLS // geom.n_bins, 1)
     rows = []
     for a, a_setting in enumerate(alisha_settings):
         coeffs = coefficients(babu_amplitudes, alisha_amplitudes[a])  # (4, babu setting, j, k)
         marginals = coeffs.sum(axis=2)
         # per babu setting: the erasing slices (j outer, k inner), then the marginal's columns
         slices = np.concatenate([coeffs[..., :2, :2].reshape(4, -1, 4), marginals], axis=2)
-        lit = np.tensordot(totals, slices, axes=1) > 0.0
-        fitted = np.moveaxis(np.tensordot(fit, slices, axes=1), 0, -1)  # (babu setting, 8, 3)
+        lit = table(totals, slices)[0] > 0.0
+        fitted = np.moveaxis(table(fit, slices), 0, -1)  # (babu setting, 8, 3)
         vis = fringe_shape(fitted)[1].reshape(lit.shape)
         erasing_vis = np.where(lit[:, :4], vis[:, :4], np.nan).tolist()
         marginal_vis = np.where(lit[:, 4:], vis[:, 4:], 0.0).max(axis=1).tolist()
-        reference = basis @ marginals[:, 0]
+        reference, starts = table(basis, marginals[:, :1]), range(0, len(babu_settings), per_pass)
+        passes = (table(basis, marginals[:, s : s + per_pass]) - reference for s in starts)
+        residuals = np.concatenate([np.abs(p).max(axis=0).max(axis=-1) for p in passes]).tolist()
         cancel = _pair_residuals(babu_recombiners, alisha_recombiners[a]).tolist()
         for b, (theta, chi, tap, splitter) in enumerate(babu_settings):
-            residual = float(np.abs(basis @ marginals[:, b] - reference).max())
-            values = (*a_setting, *erasing_vis[b], *cancel[b], marginal_vis[b], residual)
+            values = (*a_setting, *erasing_vis[b], *cancel[b], marginal_vis[b], residuals[b])
             settings = [_fmt(theta), _fmt(chi), _fmt(tap), str(int(splitter))]
             rows.append(",".join(settings + [_fmt(v) for v in values]))
     return rows

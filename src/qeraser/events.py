@@ -156,16 +156,27 @@ class OrphanReport:
     event_ids: np.ndarray
 
 
-def triple_spacing_ns(pair_rate_scale: float) -> int:
-    """Inter-triple gap; scale 1 means one triple per microsecond."""
+def triple_spacing_ns(pair_rate_scale: float, n_triples: int = 1) -> int:
+    """Inter-triple gap; scale 1 means one triple per microsecond.
+
+    Refuses a gap below MIN_SPACING_NS, and one at which n_triples triples
+    would time their last idler, at most 10 ns after its D0, past _MAX_INT ns.
+    """
     s = float(pair_rate_scale)
     if not (math.isfinite(s) and s > 0.0):
         raise ValueError("pair_rate_scale must be positive")
+    if BASE_SPACING_NS / s > _MAX_INT:
+        raise ValueError(f"pair_rate_scale {s!r} spaces triples more than {_MAX_INT} ns apart")
     spacing = int(round(BASE_SPACING_NS / s))
     if spacing < MIN_SPACING_NS:
         raise ValueError(
             f"pair rate scale {s!r} packs triples closer than {MIN_SPACING_NS} ns; "
             "coincidence windows would overlap"
+        )
+    if (n_triples - 1) * spacing + 10 > _MAX_INT:
+        raise ValueError(
+            f"pair_rate_scale {s!r} spaces triples {spacing} ns apart, "
+            f"so {n_triples} triples would time records past {_MAX_INT} ns"
         )
     return spacing
 
@@ -240,9 +251,10 @@ def emit_events(triples: TripleBatch, config: ExperimentConfig, seed: int = 0) -
     triple t's records in time order and no sort over the stream is needed.
     Delay draws depend only on (seed, triple position), never on outcomes,
     so two runs differing only in babu's settings share identical timestamps.
+    Raises ValueError for a run triple_spacing_ns refuses.
     """
     n = len(triples)
-    spacing = triple_spacing_ns(config.pair_rate_scale)
+    spacing = triple_spacing_ns(config.pair_rate_scale, n)
     rng = np.random.default_rng(
         np.random.SeedSequence(int(seed), spawn_key=(_DOMAIN_DELAYS, 0))
     )

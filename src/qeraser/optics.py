@@ -7,7 +7,8 @@ then, optionally, a recombining splitter that erases the path label.  The
 module builds every exact outcome table as E @ C, a real per-bin screen basis
 times a real coefficient array of the arm settings, and exposes the signed
 fringe coefficients whose pairwise cancellation makes the screen marginal
-blind to everything done on the remote arm.
+blind to everything done on the remote arm.  Every step is a float64
+ufunc in a fixed order, so each table rounds the same on every CPU.
 """
 
 from __future__ import annotations
@@ -185,8 +186,8 @@ class GaussianEnvelope:
         object.__setattr__(self, "sigma", s)
 
     def profile(self, x):
-        x = np.asarray(x, dtype=float)
-        return np.exp(-0.5 * (x / self.sigma) ** 2)
+        # math.exp per value: numpy's exp loop rounds differently on some CPUs
+        return np.vectorize(math.exp, otypes=[float])(-0.5 * (np.asarray(x, dtype=float) / self.sigma) ** 2)
 
 
 @lru_cache(maxsize=32)
@@ -210,21 +211,36 @@ def screen_basis(geom: SlitScreenGeometry, envelope) -> np.ndarray:
 
 
 def coefficients(babu: np.ndarray, alisha: np.ndarray | None = None) -> np.ndarray:
-    """Coefficient array C, so that screen_basis(...) @ C is the exact outcome table.
+    """Coefficient array C, so that table(screen_basis(...), C) is the exact outcome table.
 
-    Takes babu's and optionally alisha's (..., 2, 4) path-amplitude tables,
-    whose leading axes broadcast.  c_A, c_B are the amplitudes the arms give
-    paths A and B per outcome (babu's j, then alisha's k), and C stacks
-    [|c_A|^2, |c_B|^2, Re c_A c_B*, Im c_A c_B*] on a new first axis.  Summed
-    over babu's j, the cross rows vanish: his path rows are orthogonal.
+    Takes babu's and optionally alisha's (..., 2, n) amplitude tables or
+    recombiners, whose leading axes broadcast.  c_A, c_B are the amplitudes
+    the arms give paths A and B per outcome (babu's j, then alisha's k), and
+    C stacks [|c_A|^2, |c_B|^2, Re c_A c_B*, Im c_A c_B*] on a new first
+    axis, every complex product formed from real parts.  Summed over babu's
+    j, the cross rows vanish: his path rows are orthogonal.
     """
-    c_a, c_b = babu[..., 0, :], babu[..., 1, :]
-    if alisha is not None:
-        c_a = c_a[..., :, None] * alisha[..., 0, None, :]
-        c_b = c_b[..., :, None] * alisha[..., 1, None, :]
-    cross = c_a * c_b.conj()
-    weights = c_a.real**2 + c_a.imag**2, c_b.real**2 + c_b.imag**2
-    return np.stack([*weights, cross.real, cross.imag])
+    re, im, path = babu.real, babu.imag, -2
+    if alisha is not None:  # babu's j on a new axis before alisha's k
+        k_re, k_im = alisha.real[..., None, :], alisha.imag[..., None, :]
+        re, im = re[..., None], im[..., None]
+        re, im, path = re * k_re - im * k_im, re * k_im + im * k_re, -3
+    (a_re, b_re), (a_im, b_im) = np.moveaxis(re, path, 0), np.moveaxis(im, path, 0)
+    norms = a_re * a_re + a_im * a_im, b_re * b_re + b_im * b_im
+    return np.stack([*norms, a_re * b_re + a_im * b_im, a_im * b_re - a_re * b_im])
+
+
+def table(basis: np.ndarray, coeffs: np.ndarray) -> np.ndarray:
+    """(r, ...) sum over t of basis[:, t] * coeffs[t], for an (r, T) basis: basis @ coeffs.
+
+    The terms are added left to right, one rounding per product and per sum,
+    so an entry rounds the same in any stack and on any CPU.
+    """
+    column = (slice(None),) + (None,) * (np.ndim(coeffs) - 1)
+    out = basis[:, 0][column] * coeffs[0]
+    for t in range(1, len(coeffs)):
+        out += basis[:, t][column] * coeffs[t]
+    return out
 
 
 @dataclass(frozen=True, eq=False)
@@ -249,8 +265,7 @@ def joint_distribution(
     geom: SlitScreenGeometry, envelope, babu: ArmOptics, alisha: ArmOptics
 ) -> CoincidenceDistribution:
     """Exact (n_bins, 4, 4) coincidence table E @ C; entries sum to 1."""
-    coeffs = coefficients(babu.amplitudes, alisha.amplitudes)
-    probs = np.tensordot(screen_basis(geom, envelope), coeffs, axes=1)
+    probs = table(screen_basis(geom, envelope), coefficients(babu.amplitudes, alisha.amplitudes))
     probs.flags.writeable = False
     return CoincidenceDistribution(probs)
 
@@ -259,7 +274,7 @@ def single_distribution(
     geom: SlitScreenGeometry, envelope, babu: ArmOptics
 ) -> np.ndarray:
     """Exact (n_bins, 4) outcome table E @ C for the one-idler experiment."""
-    return screen_basis(geom, envelope) @ coefficients(babu.amplitudes)
+    return table(screen_basis(geom, envelope), coefficients(babu.amplitudes))
 
 
 def screen_marginal(geom: SlitScreenGeometry, envelope, alisha) -> np.ndarray:
@@ -272,8 +287,7 @@ def screen_marginal(geom: SlitScreenGeometry, envelope, alisha) -> np.ndarray:
     no-signalling identity.
     """
     amplitudes = alisha.amplitudes if isinstance(alisha, ArmOptics) else alisha
-    weights = coefficients(amplitudes)[:2]
-    return np.tensordot(screen_basis(geom, envelope)[:, :2], weights, axes=1)
+    return table(screen_basis(geom, envelope)[:, :2], coefficients(amplitudes)[:2])
 
 
 def interference_coefficient(
@@ -284,17 +298,14 @@ def interference_coefficient(
     Each erasing pair's slice is envelope * (|c_A|^2 + |c_B|^2
     + 2 Re(c_A conj(c_B) e^{2 i phase})) with c_A, c_B the recombiner
     columns j (babu) and k (alisha) multiplied path by path; this returns
-    2 Re(c_A conj(c_B)).  Equal-index pairs come out as +(2 Re of the
-    four-factor product), mixed pairs as the same value negated, so the sum
-    over j at fixed k cancels identically.
+    2 Re(c_A conj(c_B)), twice the cross row of the recombiners' C.
+    Equal-index pairs come out as +(2 Re of the four-factor product), mixed
+    pairs as the same value negated, so the sum over j at fixed k cancels
+    identically.
     """
     for outcome in (j, k):
         if outcome not in ERASING_OUTCOMES:
             raise ValueError(
                 f"outcome {outcome} is a which-path monitor; only D1/D2 carry a fringe term"
             )
-    bca, bcb = babu_recombiner[:, j].tolist()
-    aca, acb = alisha_recombiner[:, k].tolist()
-    ca = bca * aca
-    cb = bcb * acb
-    return float(2.0 * (ca * cb.conjugate()).real)
+    return 2.0 * float(coefficients(babu_recombiner, alisha_recombiner)[2, j, k])

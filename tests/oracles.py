@@ -19,7 +19,11 @@ passes, the stream builders that concatenated per-block draws
 (``sample_triples_concat``) and ordered whole streams with ``lexsort``
 (``emit_events_lexsort``, ``inject_background_lexsort``), the per-block
 decode loop of ``qeraser.analysis``, and ``fit_fringe_one``, the
-one-histogram fit ``analysis.fit_fringes`` replaced.
+one-histogram LAPACK fit that ``analysis.fit_fringes`` replaced; the
+stacked fit rounds differently and is held to it within a tolerance.
+``table_floats`` and ``solve_normal_floats`` write ``optics.table`` and
+``analysis.solve_normal`` out in Python floats, step by step in the same
+order, and the library must equal them bit for bit.
 ``property_suite_loop`` is the property suite that drew and checked one
 trial at a time through ``ArmOptics`` and the per-trial tables, and
 ``pair_residual`` its scalar cancellation residual; the stacked suite and
@@ -47,6 +51,7 @@ from qeraser.analysis import (
     _fmt,
     build_histogram,
     classify_pattern,
+    fit_fringe,
     fit_fringes,
 )
 from qeraser.events import (
@@ -681,7 +686,7 @@ def read_triples_lines(path) -> tuple[TripleBatch, SimStreamHeader]:
 
 
 def decode_per_block(triples, schedule, geom, babu_filter, alisha_filter):
-    """(decoded, visibility, stderr) tuples from one build_histogram per block."""
+    """(decoded, visibility, stderr) tuples from one build_histogram and fit_fringe per block."""
     decoded, vis, err = [], [], []
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", LowSampleWarning)
@@ -698,7 +703,7 @@ def decode_per_block(triples, schedule, geom, babu_filter, alisha_filter):
                 vis.append(0.0)
                 err.append(float("inf"))
                 continue
-            fit = fit_fringe_one(counts, geom)
+            fit = fit_fringe(counts, geom)
             decoded.append(1 if classify_pattern(fit) == "interference" else 0)
             vis.append(fit.visibility)
             err.append(fit.standard_error)
@@ -706,10 +711,10 @@ def decode_per_block(triples, schedule, geom, babu_filter, alisha_filter):
 
 
 def fit_fringe_one(counts, geom: SlitScreenGeometry) -> FringeFit:
-    """One histogram's fringe fit, as ``analysis.fit_fringe`` did it alone.
+    """One histogram's fringe fit by LAPACK, as ``analysis.fit_fringe`` once did it.
 
-    Always runs the first lstsq pass, forms every product on the row as
-    passed and solves one 3x3 system; ``fit_fringes`` must match it exactly.
+    A first lstsq pass, then one 3x3 solve and inverse; ``fit_fringes``
+    must agree with it to within rounding.
     """
     y = np.asarray(counts, dtype=float)
     if y.ndim != 1 or len(y) != geom.n_bins:
@@ -749,3 +754,37 @@ def fit_fringe_one(counts, geom: SlitScreenGeometry) -> FringeFit:
         visibility=visibility,
         standard_error=math.sqrt(max(var_amp, 0.0)),
     )
+
+
+def table_floats(basis, coeffs) -> list[list[float]]:
+    """``optics.table`` of an (r, T) basis and (T, c) coefficients in Python floats.
+
+    Entry (i, c) is basis[i][0] * coeffs[0][c] + basis[i][1] * coeffs[1][c]
+    + ..., added left to right.
+    """
+    rows = []
+    for b in basis:
+        row = []
+        for c in range(len(coeffs[0])):
+            total = b[0] * coeffs[0][c]
+            for t in range(1, len(coeffs)):
+                total = total + b[t] * coeffs[t][c]
+            row.append(total)
+        rows.append(row)
+    return rows
+
+
+def solve_normal_floats(normal, rhs) -> tuple[float, float, float]:
+    """One 3x3 system by Gaussian elimination in column order, in Python floats."""
+    (a00, a01, a02), (a10, a11, a12), (a20, a21, a22) = normal
+    b0, b1, b2 = rhs
+    f = a10 / a00
+    a11, a12, b1 = a11 - f * a01, a12 - f * a02, b1 - f * b0
+    f = a20 / a00
+    a21, a22, b2 = a21 - f * a01, a22 - f * a02, b2 - f * b0
+    f = a21 / a11
+    a22, b2 = a22 - f * a12, b2 - f * b1
+    x2 = b2 / a22
+    x1 = (b1 - a12 * x2) / a11
+    x0 = (b0 - a01 * x1 - a02 * x2) / a00
+    return x0, x1, x2

@@ -448,6 +448,45 @@ def test_simulate_rejects_overlapping_windows(tmp_path, capsys, scale, window, c
     assert not out.exists()
 
 
+@pytest.mark.parametrize("block_size, code", [(1000, 0), (1001, 2)])
+def test_simulate_refuses_times_past_the_limit(tmp_path, monkeypatch, capsys, block_size, code):
+    """pair_rate_scale 1e-12 spaces triples 10**15 ns apart: 1,000 triples end within
+    10**18 - 1 ns, and 1,001 are refused before any work, where they used to wrap time_ns."""
+    from qeraser.experiment import SwitchSchedule
+
+    cfg = dataclasses.replace(
+        default_config(), schedule=SwitchSchedule(bits=(1,), block_size=block_size), pair_rate_scale=1e-12
+    )
+    path = tmp_path / "sparse.json"
+    save_config(cfg, path)
+    out = tmp_path / "sim"
+    if code == 2:
+        monkeypatch.setattr(cli, "sample_triples", no_work("simulate"))
+    assert cli.main(["simulate", "--config", str(path), "--out", str(out)]) == code
+    if code == 0:
+        assert (out / "manifest.json").exists()
+        return
+    assert one_line_error(capsys) == (
+        "qeraser: pair_rate_scale 1e-12 spaces triples 1000000000000000 ns apart, "
+        "so 1001 triples would time records past 999999999999999999 ns\n"
+    )
+    assert not out.exists()
+
+
+def test_simulate_refuses_an_infinite_spacing(tmp_path, capsys):
+    """1000 / 1e-320 overflows to inf; it is one line, not an OverflowError traceback."""
+    doc = config_to_dict(default_config())
+    doc["experiment"]["pair_rate_scale"] = 1e-320
+    path = tmp_path / "tiny.json"
+    path.write_text(json.dumps(doc))
+    out = tmp_path / "sim"
+    assert cli.main(["simulate", "--config", str(path), "--out", str(out)]) == 2
+    assert one_line_error(capsys) == (
+        "qeraser: pair_rate_scale 1e-320 spaces triples more than 999999999999999999 ns apart\n"
+    )
+    assert not out.exists()
+
+
 def test_simulate_single_mode_writes_nothing(tmp_path, capsys):
     config = Path(__file__).resolve().parent.parent / "configs" / "single_default.json"
     out = tmp_path / "sim"

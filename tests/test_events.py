@@ -78,6 +78,29 @@ def test_spacing_rejects_overlap():
         triple_spacing_ns(0.0)
 
 
+@pytest.mark.parametrize("scale", [1e-320, 1e-16])
+def test_spacing_rejects_a_spacing_past_the_time_limit(scale):
+    """1000 / 1e-320 is inf and 1000 / 1e-16 is 1e19: neither is a time the stream files hold."""
+    with pytest.raises(ValueError, match=r"^pair_rate_scale .* spaces triples more than 999999999999999999 ns apart$"):
+        triple_spacing_ns(scale)
+    assert triple_spacing_ns(1e-14) == 10**17
+
+
+@pytest.mark.parametrize("n, refused", [(1000, False), (1001, True)])
+def test_emit_refuses_times_past_the_limit(n, refused):
+    """Triples 10**15 ns apart: 1,000 end at 999 * 10**15 + 10 ns at most, 1,001 would pass 10**18 - 1."""
+    config = dataclasses.replace(make_config(bits=(1,), block_size=n), pair_rate_scale=1e-12)
+    zeros = np.zeros(n, dtype=np.int64)
+    triples = TripleBatch(triple_id=np.arange(n), x_bin=zeros, babu=zeros, alisha=zeros, block_index=zeros)
+    if refused:
+        with pytest.raises(ValueError, match="^pair_rate_scale 1e-12 spaces triples 1000000000000000 ns apart"):
+            emit_events(triples, config, seed=0)
+        return
+    stream = emit_events(triples, config, seed=0)
+    assert stream.time_ns[-3] == 999 * 10**15
+    assert 999 * 10**15 < stream.time_ns[-1] <= 999 * 10**15 + 10
+
+
 # ---------------------------------------------------------------------------
 # sampling
 # ---------------------------------------------------------------------------

@@ -119,6 +119,38 @@ def test_guard_sees_the_package():
     assert {"ArmOptics.amplitudes", "CoincidenceDistribution.pattern"} <= methods
 
 
+# numpy entry points that may hand a product or a solve to BLAS or LAPACK,
+# whose rounding depends on the CPU kernel the library picks at run time
+BLAS_ATTRIBUTES = {"linalg", "tensordot", "matmul", "dot", "vdot", "inner", "einsum"}
+
+
+def blas_calls(source: str) -> list[str]:
+    """'line: what' of each `@` and each BLAS-backed numpy attribute in source."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(node.op, ast.MatMult):
+            found.append(f"{node.lineno}: @")
+        elif isinstance(node, ast.Attribute) and node.attr in BLAS_ATTRIBUTES:
+            found.append(f"{node.lineno}: {node.attr}")
+    return sorted(found)
+
+
+def test_no_blas_in_the_package():
+    """No `@` and no BLAS-backed numpy call anywhere in src/qeraser.
+
+    Every table, fit and residual is a fixed-order float64 step
+    (optics.table, analysis.solve_normal), so the artifacts round the same
+    on every CPU; tests/test_golden.py checks that under other kernels.
+    """
+    found = [f"{p.name}:{hit}" for p in modules() + [PACKAGE / "__init__.py"] for hit in blas_calls(p.read_text())]
+    assert not found, f"BLAS-backed calls: {', '.join(found)}"
+
+
+def test_blas_guard_sees_each_form():
+    code = "@dataclass\nclass A:\n    pass\na @ b\nc @= d\nnp.linalg.solve(a, b)\nx.dot(y)\nnp.einsum('i', a)\n"
+    assert blas_calls(code) == ["4: @", "5: @", "6: linalg", "7: dot", "8: einsum"]
+
+
 def test_package_root_reexports_nothing():
     tree = ast.parse((PACKAGE / "__init__.py").read_text(encoding="utf-8"))
     assert not [n for n in tree.body if isinstance(n, (ast.Import, ast.ImportFrom))]
