@@ -26,13 +26,10 @@ from .events import (
     _MAX_INT,
     DEFAULT_WINDOW_NS,
     SimStreamHeader,
-    inject_background,
-    match_coincidences,
+    event_chunks,
     read_triples,
-    sample_triples,
-    emit_events,
     triple_spacing_ns,
-    write_event_log,
+    write_and_match,
     write_triples,
 )
 from .experiment import (
@@ -230,27 +227,28 @@ def cmd_simulate(args) -> int:
             f"qeraser: --background-rate {rate!r}: "
             "the background rate must be finite and non-negative"
         )
-    # no name holds the triples, so they are freed once their records are emitted
-    stream = emit_events(sample_triples(config, seed=seed), config, seed)
-    stream = inject_background(stream, rate, seed)
-    matched, orphans = match_coincidences(
-        stream, window, block_size=schedule.block_size, spacing_ns=spacing
-    )
+    # the delays and dark counts are drawn whole here, before --out is touched; the
+    # triples and records are then sampled, emitted, merged, matched and written to
+    # events.csv one chunk at a time, and only the matched triples are held to the end
+    records, chunks = event_chunks(config, seed, rate)
+    matched = orphans = None
+
+    def write_events(path):
+        nonlocal matched, orphans
+        digest, matched, orphans = write_and_match(path, header, records, chunks)
+        return digest
+
     details = {
         "config_digest": header.config_digest,
         "seed": seed,
         "window_ns": window,
         "background_rate": rate,
     }
-    writers = [
-        lambda path: write_event_log(path, stream, header),
-        lambda path: write_triples(path, matched, header),
-    ]
-    _publish(args, details, writers)
+    _publish(args, details, [write_events, lambda path: write_triples(path, matched, header)])
 
     which_path = np.mean((matched.babu >= 2) | (matched.alisha >= 2)) if len(matched) else 0.0
     print(f"sampled {schedule.n_triples} triples over {len(schedule.bits)} blocks")
-    print(f"emitted {len(stream)} event records (spacing {spacing} ns)")
+    print(f"emitted {records} event records (spacing {spacing} ns)")
     print(f"matched {len(matched)} triples in a +-{window} ns window")
     print(f"orphans {orphans.total}")
     print(f"which-path participation fraction {which_path:.6f}")

@@ -149,11 +149,10 @@ class SimStreamHeader:
 
 @dataclass(frozen=True)
 class OrphanReport:
-    """Records left over by the matcher, counted per detector."""
+    """Records the matcher left over: their count, and per detector label in order of appearance."""
 
     total: int
     by_detector: dict
-    event_ids: np.ndarray
 
 
 def triple_spacing_ns(pair_rate_scale: float, n_triples: int = 1) -> int:
@@ -181,12 +180,34 @@ def triple_spacing_ns(pair_rate_scale: float, n_triples: int = 1) -> int:
     return spacing
 
 
+# ---------------------------------------------------------------------------
+# The stream path.  simulate builds, matches and writes the run _CHUNK_TRIPLES
+# triples at a time (event_chunks, write_and_match); sample_triples,
+# emit_events, inject_background and match_coincidences run the same chunk
+# code over a whole run or stream.
+# ---------------------------------------------------------------------------
+
+_CHUNK_TRIPLES = 8_192  # triples per chunk of the stream path: bounds what a run holds at once
+
+
 def sample_triples(config: ExperimentConfig, seed: int = 0) -> TripleBatch:
     """Draw block_size triples per schedule bit from the exact joint table.
 
     Deterministic for a given (config, seed): block b consumes the spawned
     streams (0, b) and (1, b) only, so blocks could be generated in any order
     with identical output.
+    """
+    [batch] = _triple_chunks(config, seed, None)
+    return batch
+
+
+def _triple_chunks(config: ExperimentConfig, seed: int, size):
+    """The run's triples as consecutive TripleBatch chunks of size triples (None: one chunk).
+
+    The request is checked and the sampling tables built at once; each chunk
+    is drawn when it is asked for.  A block cut by a chunk's end carries its
+    two generators into the next chunk: uniform draws taken in pieces equal
+    one whole draw, so any chunking gives sample_triples' triples.
     """
     if config.mode != MODE_DOUBLE:
         raise ValueError("triple sampling needs a double_delayed_choice config")
@@ -212,33 +233,54 @@ def sample_triples(config: ExperimentConfig, seed: int = 0) -> TripleBatch:
         cum[:, -1] = 1.0
         cond_cum[int(bit)] = cum
 
-    n = schedule.block_size
-    n_blocks = len(schedule.bits)
-    x_bin, babu, alisha = (
-        np.empty((n_blocks, n), dtype=_DTYPE[name]) for name in ("x_bin", "babu", "alisha")
-    )
-    for b, bit in enumerate(schedule.bits):
-        rng_m = np.random.default_rng(
-            np.random.SeedSequence(seed, spawn_key=(_DOMAIN_MARGINAL, b))
-        )
-        rng_c = np.random.default_rng(
-            np.random.SeedSequence(seed, spawn_key=(_DOMAIN_CONDITIONAL, b))
-        )
-        flat = np.searchsorted(marg_cum, rng_m.random(n), side="right")
-        np.clip(flat, 0, marg_flat.size - 1, out=flat)
-        rows = cond_cum[int(bit)][flat]
-        np.sum(rows <= rng_c.random(n)[:, None], axis=1, out=babu[b])
-        np.clip(babu[b], 0, 3, out=babu[b])
-        np.floor_divide(flat, 4, out=x_bin[b])
-        np.remainder(flat, 4, out=alisha[b])
+    n, total = schedule.block_size, schedule.n_triples
 
-    return TripleBatch(
-        triple_id=np.arange(n_blocks * n, dtype=_DTYPE["triple_id"]),
-        x_bin=x_bin.ravel(),
-        babu=babu.ravel(),
-        alisha=alisha.ravel(),
-        block_index=np.repeat(np.arange(n_blocks, dtype=_DTYPE["block_index"]), n),
-    )
+    def chunks():
+        for lo in range(0, total, size or total):
+            hi = min(lo + (size or total), total)
+            x_bin, babu, alisha = (
+                np.empty(hi - lo, dtype=_DTYPE[name]) for name in ("x_bin", "babu", "alisha")
+            )
+            at = lo
+            while at < hi:  # one piece per block the chunk reaches into
+                b, end = at // n, min(hi, (at // n + 1) * n)
+                if at == b * n:
+                    rng_m, rng_c = (
+                        np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(domain, b)))
+                        for domain in (_DOMAIN_MARGINAL, _DOMAIN_CONDITIONAL)
+                    )
+                piece = slice(at - lo, end - lo)
+                flat = np.searchsorted(marg_cum, rng_m.random(end - at), side="right")
+                np.clip(flat, 0, marg_flat.size - 1, out=flat)
+                rows = cond_cum[int(schedule.bits[b])][flat]
+                np.sum(rows <= rng_c.random(end - at)[:, None], axis=1, out=babu[piece])
+                np.clip(babu[piece], 0, 3, out=babu[piece])
+                np.floor_divide(flat, 4, out=x_bin[piece])
+                np.remainder(flat, 4, out=alisha[piece])
+                at = end
+            yield TripleBatch(
+                triple_id=np.arange(lo, hi, dtype=_DTYPE["triple_id"]),
+                x_bin=x_bin,
+                babu=babu,
+                alisha=alisha,
+                block_index=np.arange(lo, hi, dtype=_DTYPE["block_index"]) // n,
+            )
+
+    return chunks()
+
+
+def _draw_delays(n: int, seed: int) -> np.ndarray:
+    """The (n, 2) idler delays in ns, held as int8, drawn _CHUNK_TRIPLES rows at a time.
+
+    Each piece is an int64 draw from the one delay generator; pieces equal
+    one whole draw, so the delays do not depend on the chunking.
+    """
+    rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(_DOMAIN_DELAYS, 0)))
+    delays = np.empty((n, 2), dtype=np.int8)
+    for lo in range(0, n, _CHUNK_TRIPLES):
+        k = min(_CHUNK_TRIPLES, n - lo)
+        delays[lo : lo + k] = rng.integers(1, 11, size=(k, 2))
+    return delays
 
 
 def emit_events(triples: TripleBatch, config: ExperimentConfig, seed: int = 0) -> EventStream:
@@ -255,12 +297,15 @@ def emit_events(triples: TripleBatch, config: ExperimentConfig, seed: int = 0) -
     """
     n = len(triples)
     spacing = triple_spacing_ns(config.pair_rate_scale, n)
-    rng = np.random.default_rng(
-        np.random.SeedSequence(int(seed), spawn_key=(_DOMAIN_DELAYS, 0))
-    )
+    return _emit(triples, _draw_delays(n, int(seed)), 0, spacing, config.geometry.n_bins)
+
+
+def _emit(triples: TripleBatch, delays, first: int, spacing: int, n_bins: int) -> EventStream:
+    """The records of triples first, first + 1, ...: emit_events' rows first .. first + len - 1."""
+    n = len(triples)
     # each idler as delay * 16 + detector code: babu's codes (1-4) lie below
     # alisha's (5-8), so sorting a triple's pair puts babu first on a tie
-    idlers = rng.integers(1, 11, size=(n, 2))
+    idlers = delays.astype(np.int16)
     idlers *= 16
     idlers[:, 0] += triples.babu
     idlers[:, 1] += triples.alisha
@@ -271,17 +316,17 @@ def emit_events(triples: TripleBatch, config: ExperimentConfig, seed: int = 0) -
     np.remainder(idlers, 16, out=detector[:, 1:])
     idlers //= 16
     time_ns = np.empty((n, 3), dtype=_DTYPE["time_ns"])
-    time_ns[:, 0] = np.arange(n, dtype=_DTYPE["time_ns"]) * spacing
+    time_ns[:, 0] = np.arange(first, first + n, dtype=_DTYPE["time_ns"]) * spacing
     np.add(time_ns[:, :1], idlers, out=time_ns[:, 1:])
     del idlers
     x_bin = np.full((n, 3), -1, dtype=_DTYPE["x_bin"])
     x_bin[:, 0] = triples.x_bin
     return EventStream(
-        event_id=np.arange(3 * n, dtype=_DTYPE["event_id"]),
+        event_id=np.arange(3 * first, 3 * (first + n), dtype=_DTYPE["event_id"]),
         detector=detector.ravel(),
         time_ns=time_ns.ravel(),
         x_bin=x_bin.ravel(),
-        n_bins=config.geometry.n_bins,
+        n_bins=n_bins,
     )
 
 
@@ -296,53 +341,74 @@ def inject_background(stream: EventStream, rate_per_ns: float, seed: int = 0) ->
     emit_events' are.  Rate 0 returns the stream as is.  Raises ValueError
     for an unsorted stream.
     """
-    rate = float(rate_per_ns)
-    if not (math.isfinite(rate) and rate >= 0.0):
-        raise ValueError(f"background rate must be finite and non-negative, got {rate!r}")
+    rate = _background_rate(rate_per_ns)
     _require_sorted(stream.time_ns)
     if rate == 0.0 or len(stream) < 2:
         return stream
-    rng = np.random.default_rng(
-        np.random.SeedSequence(int(seed), spawn_key=(_DOMAIN_BACKGROUND, 0))
-    )
-    t0 = int(stream.time_ns[0])
-    t1 = int(stream.time_ns[-1])
-    n_bg = int(rng.poisson(rate * (t1 - t0)))
-    # made before the dark columns, so the heap can hand their pages back once they are freed
-    original = np.ones(len(stream) + n_bg, dtype=bool)
-    # drawn as int64, so the values are the same; held in their columns' dtypes
-    bg_times = rng.integers(t0, t1 + 1, size=n_bg)
-    bg_codes = rng.integers(0, len(DETECTOR_LABELS), size=n_bg).astype(_DTYPE["detector"])
-    bg_x = rng.integers(0, stream.n_bins, size=n_bg).astype(_DTYPE["x_bin"])
-    bg_x[bg_codes != CODE_D0] = -1
+    t0, t1 = int(stream.time_ns[0]), int(stream.time_ns[-1])
     next_id = int(stream.event_id.max()) + 1
+    return _merge(stream, _draw_dark(rate, t0, t1, stream.n_bins, next_id, int(seed)))
 
-    ids = np.argsort(bg_times, kind="stable")  # ties stay in draw order, which is id order
-    bg_times = bg_times[ids]
-    bg_codes = bg_codes[ids]
-    bg_x = bg_x[ids]
-    ids += next_id
-    at = np.searchsorted(stream.time_ns, bg_times, side="right")
+
+def _background_rate(rate_per_ns) -> float:
+    rate = float(rate_per_ns)
+    if not (math.isfinite(rate) and rate >= 0.0):
+        raise ValueError(f"background rate must be finite and non-negative, got {rate!r}")
+    return rate
+
+
+def _draw_dark(rate: float, t0: int, t1: int, n_bins: int, next_id: int, seed: int) -> dict:
+    """Poisson(rate * (t1 - t0)) dark counts on [t0, t1], sorted by time: column name -> array.
+
+    Drawn whole from the background generator, count, times, codes, then
+    screen bins, each as int64 and narrowed to its column's dtype.  The sort
+    is stable, so ties keep draw order, which is id order; ids count from
+    next_id in draw order.  The four columns take 21 bytes per dark count.
+    """
+    rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(_DOMAIN_BACKGROUND, 0)))
+    n_bg = int(rng.poisson(rate * (t1 - t0)))
+    time_ns = rng.integers(t0, t1 + 1, size=n_bg)
+    detector = rng.integers(0, len(DETECTOR_LABELS), size=n_bg).astype(_DTYPE["detector"])
+    x_bin = rng.integers(0, n_bins, size=n_bg).astype(_DTYPE["x_bin"])
+    x_bin[detector != CODE_D0] = -1
+    event_id = np.argsort(time_ns, kind="stable")
+    time_ns.sort()  # the same values as time_ns[event_id], sorted in place
+    detector = detector[event_id]
+    x_bin = x_bin[event_id]
+    event_id += next_id
+    return {"event_id": event_id, "detector": detector, "time_ns": time_ns, "x_bin": x_bin}
+
+
+def _merge(stream: EventStream, dark: dict) -> EventStream:
+    """stream with the time-sorted dark columns merged in, each after every record at its time.
+
+    Each dark column is taken out of dark as it is merged, the int64 ones
+    first, so a caller that holds the columns only in dark has each freed
+    once merged.  No dark counts: the stream as is.
+    """
+    n_bg = len(dark["time_ns"])
+    if not n_bg:
+        return stream
+    original = np.ones(len(stream) + n_bg, dtype=bool)
+    at = np.searchsorted(stream.time_ns, dark["time_ns"], side="right")
     at += np.arange(n_bg)  # each earlier dark count shifts the next one place on
     original[at] = False
     del at
 
-    def merged(column, dark):
+    def merged(name):
+        column = getattr(stream, name)
         out = np.empty(len(original), dtype=column.dtype)
         out[original] = column
-        out[~original] = dark
+        out[~original] = dark.pop(name)
         return out
 
-    # the int64 dark columns first, each freed once merged
-    event_id = merged(stream.event_id, ids)
-    del ids
-    time_ns = merged(stream.time_ns, bg_times)
-    del bg_times
+    event_id = merged("event_id")
+    time_ns = merged("time_ns")
     return EventStream(
         event_id=event_id,
-        detector=merged(stream.detector, bg_codes),
+        detector=merged("detector"),
         time_ns=time_ns,
-        x_bin=merged(stream.x_bin, bg_x),
+        x_bin=merged("x_bin"),
         n_bins=stream.n_bins,
     )
 
@@ -351,6 +417,196 @@ def _require_sorted(time_ns: np.ndarray) -> None:
     """Refuse times that ever decrease, with no full-length integer temporary."""
     if (time_ns[1:] < time_ns[:-1]).any():
         raise ValueError("event stream is not time-sorted")
+
+
+def event_chunks(config: ExperimentConfig, seed: int, rate_per_ns: float) -> tuple:
+    """(records, chunks): the run's stream as emit_events and inject_background build it, in chunks.
+
+    records is the stream's length, 3 n_triples plus the dark counts.  chunks
+    iterates over consecutive EventStream pieces of the stream: piece c holds
+    triples c K .. (c + 1) K - 1 (K = _CHUNK_TRIPLES) and the dark counts
+    timed before the next piece's first D0, which the merge puts after that
+    D0.  The checks, the delays and the dark counts are done and drawn here,
+    whole: the dark counts' Poisson mean needs the last triple's delays.
+    Each piece is sampled, emitted and merged when it is asked for, and the
+    iterator frees the draws when it ends.
+    """
+    rate = _background_rate(rate_per_ns)
+    seed = int(seed)
+    batches = _triple_chunks(config, seed, _CHUNK_TRIPLES)
+    n = config.schedule.n_triples
+    spacing = triple_spacing_ns(config.pair_rate_scale, n)
+    delays = _draw_delays(n, seed)
+    # emit_events' stream runs from 0 to the last triple's later idler, ids up to 3n - 1
+    t_end = (n - 1) * spacing + int(delays[-1].max())
+    n_bins = config.geometry.n_bins
+    dark = _draw_dark(rate, 0, t_end, n_bins, 3 * n, seed) if rate > 0.0 else None
+    records = 3 * n + (0 if dark is None else len(dark["time_ns"]))
+    return records, _stream_chunks(batches, delays, dark, spacing, n_bins)
+
+
+def _stream_chunks(batches, delays, dark, spacing: int, n_bins: int):
+    """event_chunks' pieces: each batch emitted with its delays, and its share of dark merged."""
+    taken, n = 0, len(delays)
+    for batch in batches:
+        lo = int(batch.triple_id[0])
+        hi = lo + len(batch)
+        stream = _emit(batch, delays[lo:hi], lo, spacing, n_bins)
+        if dark is not None:
+            # a dark count timed at the next piece's first D0 goes after it
+            times = dark["time_ns"]
+            end = len(times) if hi == n else int(np.searchsorted(times, hi * spacing))
+            stream = _merge(stream, {name: column[taken:end] for name, column in dark.items()})
+            taken = end
+        yield stream
+
+
+class _Matcher:
+    """match_coincidences' greedy matcher, fed one time-sorted slice of a stream at a time.
+
+    Each feed decides the D0s whose window closes before the slice's last
+    time, since every later record comes at or after it.  It carries into
+    the next feed what an undecided D0 may still claim: the records from the
+    first undecided D0, and from each arm's first idler at or after its
+    pointer and the last time less 2w.  With them go which carried records
+    are matched, how many carried D0s are decided, and the arm pointers.
+    Every record before the carry is final, so its orphans are counted then.
+    result decides the rest and joins the matched pieces.
+    """
+
+    def __init__(self, window_ns: int, block_size: int, spacing_ns: int):
+        self.w = int(window_ns)
+        if self.w < 0:
+            raise ValueError("window must be non-negative")
+        for name, value in (("block_size", block_size), ("spacing_ns", spacing_ns)):
+            if int(value) < 1:
+                raise ValueError(f"{name} must be positive, got {value}")
+        # |t| < 10**18 for any parseable log, so clamping keeps Python's floor
+        self.period = min(int(spacing_ns) * int(block_size), np.iinfo(np.int64).max)
+        self.carry = [np.empty(0, dtype=_DTYPE[name]) for name in ("time_ns", "detector", "x_bin")]
+        self.used = np.empty(0, dtype=bool)
+        self.decided = self.pb = self.pa = 0
+        self.last = None  # the last time fed
+        self.pieces = []  # (x_bin, babu, alisha, block_index) matched per feed
+        self.orphans = np.zeros(len(DETECTOR_LABELS), dtype=np.int64)
+        self.first_seen = []  # orphan detector codes in order of first appearance
+
+    def feed(self, time_ns, detector, x_bin) -> None:
+        if not len(time_ns):
+            return
+        if (self.last is not None and time_ns[0] < self.last) or (time_ns[1:] < time_ns[:-1]).any():
+            raise ValueError("event stream is not time-sorted")
+        self.last = int(time_ns[-1])
+        columns = [np.concatenate(pair) for pair in zip(self.carry, (time_ns, detector, x_bin))]
+        used = np.concatenate([self.used, np.zeros(len(time_ns), dtype=bool)])
+        self._step(*columns, used, final=False)
+
+    def result(self) -> tuple[TripleBatch, OrphanReport]:
+        self._step(*self.carry, self.used, final=True)
+        columns = []
+        for _ in range(4):  # one column at a time, each piece freed once joined
+            columns.append(np.concatenate([piece[0] for piece in self.pieces]))
+            self.pieces = [piece[1:] for piece in self.pieces]
+        x_bin, babu, alisha, block_index = columns
+        batch = TripleBatch(
+            triple_id=np.arange(len(x_bin), dtype=_DTYPE["triple_id"]),
+            x_bin=x_bin,
+            babu=babu,
+            alisha=alisha,
+            block_index=block_index,
+        )
+        by_detector = {DETECTOR_LABELS[code]: int(self.orphans[code]) for code in self.first_seen}
+        return batch, OrphanReport(total=int(self.orphans.sum()), by_detector=by_detector)
+
+    def _step(self, t, codes, x_bin, used, final: bool) -> None:
+        """Decide what t's records allow (all of them if final), then set the carry.
+
+        A D0 more than 2w after the previous D0 can only meet idlers that no
+        earlier D0 could reach (every idler an earlier D0 consumed or skipped
+        lies below its t - w), so its greedy pointers are the searchsorted
+        positions of t - w.  D0s with both neighbours that far away are
+        decided in one array pass; only runs of closer D0s, and the first D0
+        of the step, which takes the carried pointers, are walked one by one.
+        """
+        w = self.w
+        d0_pos = np.flatnonzero(codes == CODE_D0)
+        b_pos = np.flatnonzero((codes >= 1) & (codes <= 4))
+        a_pos = np.flatnonzero(codes >= 5)
+        tb, ta = t[b_pos], t[a_pos]
+        nb, na = len(b_pos), len(a_pos)
+        td = t[d0_pos]
+        cut = len(td) if final else int(np.searchsorted(td, int(t[-1]) - w))
+        todo = d0_pos[self.decided : cut]
+        td = td[self.decided : cut]
+
+        # per D0, each arm's first idler at or after t - w, as an index into the arm
+        first_b = np.searchsorted(tb, td - w)
+        first_a = np.searchsorted(ta, td - w)
+        hit = (first_b < nb) & (first_a < na)
+        if nb and na:
+            hit &= tb.take(first_b, mode="clip") <= td + w
+            hit &= ta.take(first_a, mode="clip") <= td + w
+        far = td[1:] - td[:-1] > 2 * w
+        isolated = np.ones(len(td), dtype=bool)
+        isolated[1:] &= far
+        isolated[:-1] &= far
+        isolated[:1] = False
+        clustered = np.flatnonzero(~isolated)
+        walk = zip(
+            clustered.tolist(),
+            td[clustered].tolist(),
+            first_b[clustered].tolist(),
+            first_a[clustered].tolist(),
+        )
+        del far, isolated, clustered
+        # the first idlers become the picks: -1 where none is in the window
+        pick_b, pick_a = first_b, first_a
+        np.logical_not(hit, out=hit)
+        pick_b[hit] = pick_a[hit] = -1
+        tb_at, ta_at = tb.item, ta.item
+        pb, pa = self.pb, self.pa
+        for i, t0, sb, sa in walk:
+            # pointers carried over from an earlier run never pass sb, sa
+            pb = max(pb, sb)
+            pa = max(pa, sa)
+            if pb < nb and pa < na and tb_at(pb) <= t0 + w and ta_at(pa) <= t0 + w:
+                pick_b[i] = pb
+                pick_a[i] = pa
+                pb += 1
+                pa += 1
+            else:
+                pick_b[i] = pick_a[i] = -1
+
+        got = pick_b >= 0
+        todo, td, pick_b, pick_a = todo[got], td[got], pick_b[got], pick_a[got]
+        if len(todo):  # the pointers go past the last match, as the greedy walk leaves them
+            pb = max(pb, int(pick_b[-1]) + 1)
+            pa = max(pa, int(pick_a[-1]) + 1)
+        pick_b, pick_a = b_pos[pick_b], a_pos[pick_a]
+        self.pieces.append((x_bin[todo], codes[pick_b] - 1, codes[pick_a] - 5, td // self.period))
+        for pos in (todo, pick_b, pick_a):
+            used[pos] = True
+
+        keep = len(t)
+        if not final:
+            # an undecided D0 lies at t[-1] - w or later, so it claims no idler before t[-1] - 2w
+            since = int(t[-1]) - 2 * w
+            kb = max(pb, int(np.searchsorted(tb, since)))
+            ka = max(pa, int(np.searchsorted(ta, since)))
+            for pos, k in ((d0_pos, cut), (b_pos, kb), (a_pos, ka)):
+                if k < len(pos):
+                    keep = min(keep, int(pos[k]))
+        orphan_codes = codes[:keep][~used[:keep]]
+        counts = np.bincount(orphan_codes, minlength=len(DETECTOR_LABELS))
+        new = [code for code in np.flatnonzero(counts).tolist() if code not in self.first_seen]
+        # labels in order of first appearance, as a record-by-record count gives them
+        self.first_seen += sorted(new, key=lambda code: int(np.argmax(orphan_codes == code)))
+        self.orphans += counts
+        self.carry = [column[keep:].copy() for column in (t, codes, x_bin)]
+        self.used = used[keep:].copy()
+        self.decided = cut - int(np.searchsorted(d0_pos, keep))
+        self.pb = max(0, pb - int(np.searchsorted(b_pos, keep)))
+        self.pa = max(0, pa - int(np.searchsorted(a_pos, keep)))
 
 
 def match_coincidences(
@@ -366,112 +622,36 @@ def match_coincidences(
     record from each idler arm within window_ns, or becomes an orphan.  The
     block index is recovered from the D0 timestamp (spacing_ns and block_size
     normally come from the stream header), which stays correct even when
-    background events distort the matched sequence numbering.
-
-    A D0 more than 2w after the previous D0 can only meet idlers that no
-    earlier D0 could reach (every idler an earlier D0 consumed or skipped lies
-    below its t - w), so its greedy pointers are the searchsorted positions of
-    t - w.  D0s with both neighbours that far away are decided in one array
-    pass; only runs of closer D0s are walked one by one.
+    background events distort the matched sequence numbering.  The stream is
+    fed to the matcher 3 _CHUNK_TRIPLES records at a time, so its
+    temporaries are bounded by a slice and the records a slice carries over.
     """
-    w = int(window_ns)
-    if w < 0:
-        raise ValueError("window must be non-negative")
-    for name, value in (("block_size", block_size), ("spacing_ns", spacing_ns)):
-        if int(value) < 1:
-            raise ValueError(f"{name} must be positive, got {value}")
-    t = stream.time_ns
-    _require_sorted(t)
+    matcher = _Matcher(window_ns, block_size, spacing_ns)
+    step = 3 * _CHUNK_TRIPLES
+    for lo in range(0, len(stream), step):
+        part = slice(lo, lo + step)
+        matcher.feed(stream.time_ns[part], stream.detector[part], stream.x_bin[part])
+    return matcher.result()
 
-    codes = stream.detector
-    index = np.int32 if len(codes) < 2**31 else np.int64  # record positions
-    d0_pos = np.flatnonzero(codes == CODE_D0).astype(index)
-    b_pos = np.flatnonzero((codes >= 1) & (codes <= 4)).astype(index)
-    a_pos = np.flatnonzero(codes >= 5).astype(index)
-    nb, na = len(b_pos), len(a_pos)
-    td = t[d0_pos]
 
-    # per D0, each arm's first idler at or after t - w, as an index into the arm;
-    # each arm's times are held only for its own search
-    lo = td - w
-    first_b = np.searchsorted(t[b_pos], lo).astype(index)
-    first_a = np.searchsorted(t[a_pos], lo).astype(index)
-    del lo
-    hit = (first_b < nb) & (first_a < na)
-    if nb and na:
-        hit &= t[b_pos.take(first_b, mode="clip")] <= td + w
-        hit &= t[a_pos.take(first_a, mode="clip")] <= td + w
+def write_and_match(path, header: SimStreamHeader, records: int, chunks) -> tuple:
+    """(sha256, triples, orphans): write chunks as the event log at path, matching each as it goes.
 
-    far = td[1:] - td[:-1] > 2 * w
-    isolated = np.ones(len(td), dtype=bool)
-    isolated[1:] &= far
-    isolated[:-1] &= far
-    clustered = np.flatnonzero(~isolated)
-    walk = zip(
-        clustered.tolist(),
-        td[clustered].tolist(),
-        first_b[clustered].tolist(),
-        first_a[clustered].tolist(),
-    )
-    del far, isolated, clustered
-    # the first idlers become the picks: -1 where none is in the window
-    pick_b, pick_a = first_b, first_a
-    del first_b, first_a
-    np.logical_not(hit, out=hit)
-    pick_b[hit] = pick_a[hit] = -1
-    del hit
-    t_at, b_at, a_at = t.item, b_pos.item, a_pos.item
-    pb = pa = 0
-    for i, t0, sb, sa in walk:
-        # pointers carried over from an earlier run never pass sb, sa
-        pb = max(pb, sb)
-        pa = max(pa, sa)
-        if pb < nb and pa < na and t_at(b_at(pb)) <= t0 + w and t_at(a_at(pa)) <= t0 + w:
-            pick_b[i] = pb
-            pick_a[i] = pa
-            pb += 1
-            pa += 1
-        else:
-            pick_b[i] = pick_a[i] = -1
-    del walk, b_at, a_at
+    chunks are consecutive pieces of one time-sorted stream of records
+    records, as event_chunks gives them.  The matcher takes the header's
+    window, block size and spacing, as match_coincidences would on the log
+    read back.  A piece is matched, then checked and written; a refused
+    field leaves no file (see _write_stream).
+    """
+    matcher = _Matcher(header.coincidence_window_ns, header.block_size, header.spacing_ns)
 
-    used_d = pick_b >= 0
-    # |t| < 10**18 for any parseable log, so clamping keeps Python's floor
-    period = min(int(spacing_ns) * int(block_size), np.iinfo(np.int64).max)
-    blocks = td[used_d] // period
-    del td
-    d0_pos = d0_pos[used_d]
-    b_pos = b_pos[pick_b[used_d]]
-    a_pos = a_pos[pick_a[used_d]]
-    del used_d, pick_b, pick_a
-    batch = TripleBatch(
-        triple_id=np.arange(len(d0_pos), dtype=_DTYPE["triple_id"]),
-        x_bin=stream.x_bin[d0_pos],
-        babu=codes[b_pos] - 1,
-        alisha=codes[a_pos] - 5,
-        block_index=blocks,
-    )
+    def matched(chunks):
+        for chunk in chunks:
+            matcher.feed(chunk.time_ns, chunk.detector, chunk.x_bin)
+            yield chunk
 
-    orphan = np.ones(len(codes), dtype=bool)
-    for pos in (d0_pos, b_pos, a_pos):
-        orphan[pos] = False
-    del d0_pos, b_pos, a_pos, pos
-    orphan_pos = np.flatnonzero(orphan)
-    del orphan
-    orphan_codes = codes[orphan_pos]
-    counts = np.bincount(orphan_codes, minlength=len(DETECTOR_LABELS))
-    present = np.flatnonzero(counts)
-    first_seen = [int(np.argmax(orphan_codes == code)) for code in present]
-    # labels in order of first appearance, as a record-by-record count gives them
-    by_detector = {
-        DETECTOR_LABELS[present[i]]: int(counts[present[i]]) for i in np.argsort(first_seen)
-    }
-    report = OrphanReport(
-        total=len(orphan_pos),
-        by_detector=by_detector,
-        event_ids=stream.event_id[orphan_pos],
-    )
-    return batch, report
+    digest = write_event_log(path, matched(chunks), header, records)
+    return (digest, *matcher.result())
 
 
 # ---------------------------------------------------------------------------
@@ -540,44 +720,69 @@ def _write_text(path, header_lines, chunks) -> str:
 
     Every '#'-headered file goes through here.  Bytes are written in binary
     mode, so line ends are '\n' on every platform, and hashed as they are
-    written, so no caller reads a file back to vouch for it.
+    written, so no caller reads a file back to vouch for it.  The first
+    chunk is made before the file is opened, and a file whose chunks fail
+    part way is removed, so a failing writer leaves no file behind.
     """
     digest = hashlib.sha256()
     head = "".join(f"# {line}\n" for line in header_lines).encode("utf-8")
-    with open(path, "wb") as fh:
-        for data in itertools.chain([head], chunks):
-            digest.update(data)
-            fh.write(data)
+    chunks = iter(chunks)
+    first = next(chunks, b"")
+    fh = open(path, "wb")
+    try:
+        with fh:
+            for data in itertools.chain([head, first], chunks):
+                digest.update(data)
+                fh.write(data)
+    except BaseException:
+        os.unlink(path)
+        raise
     return digest.hexdigest()
 
 
-def _write_stream(path, fmt: _Format, header: SimStreamHeader, record) -> str:
-    """Header, then the record's columns in file order, _CHUNK_ROWS rows at a time.
+def _write_stream(path, fmt: _Format, header: SimStreamHeader, n_rows: int, parts) -> str:
+    """Header, then the rows of each part (a record holding fmt's columns), _CHUNK_ROWS at a time.
 
-    Every written field is checked against the row grammar before the file
-    is opened, so a value the reader would refuse leaves no file behind.
+    Every field of a part is checked against the row grammar before any of
+    its rows is written, the first part's before the file is opened, so a
+    value the reader would refuse raises a one-line ValueError naming its
+    row in the file and leaves no file behind.  n_rows goes in the header;
+    parts holding another number of rows are refused the same way.
     """
     from . import __version__
 
-    columns = [getattr(record, name) for name in fmt.names]
-    n = len(columns[0])
-    written = _written_fields(fmt, columns)
-    for (name, labels), col, present in zip(fmt.columns, columns, written):
+    lines = [f"qeraser-{fmt.kind} v1", f"tool_version={__version__}"]
+    lines += [f"{f.name}={getattr(header, f.name)}" for f in fields(header)]
+    lines += [f"n_rows={n_rows}", f"columns={','.join(fmt.names)}"]
+
+    def chunks():
+        row = 0
+        for part in parts:
+            columns = [getattr(part, name) for name in fmt.names]
+            _check_fields(fmt, columns, row)
+            n = len(columns[0])
+            for lo in range(0, n, _CHUNK_ROWS):
+                yield _format_rows(fmt, [c[lo : lo + _CHUNK_ROWS] for c in columns])
+            row += n
+        if row != n_rows:
+            raise ValueError(
+                f"cannot write {fmt.what}: {row} rows where the header declares {n_rows}"
+            )
+
+    return _write_text(path, lines, chunks())
+
+
+def _check_fields(fmt: _Format, columns, first_row: int) -> None:
+    """Refuse a field outside the row grammar, naming its column and its row (first_row on)."""
+    for (name, labels), col, present in zip(fmt.columns, columns, _written_fields(fmt, columns)):
         lo, hi = (0, len(labels) - 1) if labels is not None else (-_MAX_INT, _MAX_INT)
         bad = np.flatnonzero(((col < lo) | (col > hi)) & present)
         if len(bad):
             i = int(bad[0])
             raise ValueError(
-                f"cannot write {fmt.what}: {name} {int(col[i])} in row {i} is outside {lo}..{hi}"
+                f"cannot write {fmt.what}: {name} {int(col[i])} in row {first_row + i} "
+                f"is outside {lo}..{hi}"
             )
-    lines = [f"qeraser-{fmt.kind} v1", f"tool_version={__version__}"]
-    lines += [f"{f.name}={getattr(header, f.name)}" for f in fields(header)]
-    lines += [f"n_rows={n}", f"columns={','.join(fmt.names)}"]
-    chunks = (
-        _format_rows(fmt, [c[lo : lo + _CHUNK_ROWS] for c in columns])
-        for lo in range(0, n, _CHUNK_ROWS)
-    )
-    return _write_text(path, lines, chunks)
 
 
 def _written_fields(fmt: _Format, columns) -> list:
@@ -861,8 +1066,11 @@ def _row_error(fmt: _Format, line: str) -> str:
     return f"malformed {fmt.noun} row: {line!r}"
 
 
-def write_event_log(path, stream: EventStream, header: SimStreamHeader) -> str:
-    return _write_stream(path, _EVENT_LOG, header, stream)
+def write_event_log(path, stream, header: SimStreamHeader, n_rows: int | None = None) -> str:
+    """Write stream, an EventStream or consecutive EventStream pieces of n_rows records in all."""
+    if isinstance(stream, EventStream):
+        stream, n_rows = [stream], len(stream)
+    return _write_stream(path, _EVENT_LOG, header, n_rows, stream)
 
 
 def read_event_log(path) -> tuple[EventStream, SimStreamHeader]:
@@ -871,7 +1079,7 @@ def read_event_log(path) -> tuple[EventStream, SimStreamHeader]:
 
 
 def write_triples(path, batch: TripleBatch, header: SimStreamHeader) -> str:
-    return _write_stream(path, _TRIPLES, header, batch)
+    return _write_stream(path, _TRIPLES, header, len(batch), [batch])
 
 
 def read_triples(path) -> tuple[TripleBatch, SimStreamHeader]:

@@ -17,7 +17,9 @@ The rest are the line-by-line readers, the f-string row formatters and the
 full greedy matcher loop that ``qeraser.events`` used before its numpy
 passes, the stream builders that concatenated per-block draws
 (``sample_triples_concat``) and ordered whole streams with ``lexsort``
-(``emit_events_lexsort``, ``inject_background_lexsort``), the per-block
+(``emit_events_lexsort``, ``inject_background_lexsort``),
+``simulate_whole``, the whole-run pipeline that ``simulate`` ran before it
+built, matched and wrote the stream one chunk at a time, the per-block
 decode loop of ``qeraser.analysis``, and ``fit_fringe_one``, the
 one-histogram LAPACK fit that ``analysis.fit_fringes`` replaced; the
 stacked fit rounds differently and is held to it within a tolerance.
@@ -557,11 +559,7 @@ def match_coincidences_loop(
     for code in codes[orphan_pos]:
         label = DETECTOR_LABELS[int(code)]
         by_detector[label] = by_detector.get(label, 0) + 1
-    report = OrphanReport(
-        total=int(orphan_pos.size),
-        by_detector=by_detector,
-        event_ids=stream.event_id[orphan_pos],
-    )
+    report = OrphanReport(total=int(orphan_pos.size), by_detector=by_detector)
     batch = TripleBatch(
         triple_id=np.arange(matched, dtype=np.int64),
         x_bin=np.array(xs, dtype=np.int64),
@@ -570,6 +568,45 @@ def match_coincidences_loop(
         block_index=np.array(blocks, dtype=np.int64),
     )
     return batch, report
+
+
+def simulate_whole(config: ExperimentConfig, header: SimStreamHeader, rate_per_ns: float):
+    """The whole-run simulate that the chunked stream path replaced.
+
+    Samples, emits, injects and matches the whole run at once, through the
+    whole-run oracles above, at the header's seed, window, block size and
+    spacing, and writes both files with the f-string formatters.  Returns
+    (events.csv bytes, triples.csv bytes, simulate's stdout, orphans).
+    """
+    from dataclasses import fields
+
+    from qeraser import __version__
+
+    seed, window = header.seed, header.coincidence_window_ns
+    triples = sample_triples_concat(config, seed)
+    stream = inject_background_lexsort(emit_events_lexsort(triples, config, seed), rate_per_ns, seed)
+    matched, orphans = match_coincidences_loop(
+        stream, window, block_size=header.block_size, spacing_ns=header.spacing_ns
+    )
+
+    def text(kind, columns, n_rows, rows):
+        lines = [f"qeraser-{kind} v1", f"tool_version={__version__}"]
+        lines += [f"{f.name}={getattr(header, f.name)}" for f in fields(header)]
+        lines += [f"n_rows={n_rows}", f"columns={columns}"]
+        return ("".join(f"# {line}\n" for line in lines) + rows).encode("utf-8")
+
+    events_csv = text("event-log", "event_id,detector,time_ns,x_bin", len(stream), event_log_rows(stream))
+    columns = "triple_id,block_index,x_bin,babu,alisha"
+    triples_csv = text("triples", columns, len(matched), triples_rows(matched))
+    which_path = np.mean((matched.babu >= 2) | (matched.alisha >= 2)) if len(matched) else 0.0
+    stdout = (
+        f"sampled {len(triples)} triples over {len(config.schedule.bits)} blocks\n"
+        f"emitted {len(stream)} event records (spacing {header.spacing_ns} ns)\n"
+        f"matched {len(matched)} triples in a +-{window} ns window\n"
+        f"orphans {orphans.total}\n"
+        f"which-path participation fraction {which_path:.6f}\n"
+    )
+    return events_csv, triples_csv, stdout, orphans
 
 
 def _parse_header(fh) -> tuple[dict, list[str]]:

@@ -223,7 +223,7 @@ def test_simulate_out_is_a_file_exits_2(tmp_path, small_config_path, capsys):
 # each command's first expensive call; a bad --out must be refused before it
 FIRST_WORK = {
     "patterns": "distribution_for",
-    "simulate": "sample_triples",
+    "simulate": "event_chunks",
     "decode": "read_triples",
     "sweep": "_sweep_rows",
 }
@@ -340,6 +340,41 @@ def test_simulate_with_background(tmp_path, small_config_path, capsys):
     assert len(stream) > 3 * header.n_triples  # dark counts landed in the log
 
 
+@pytest.mark.parametrize("chunk, rate", [(1000, "0"), (999, "1e-4")])
+def test_simulate_refuses_a_bad_field_in_a_middle_chunk(
+    tmp_path, small_config_path, monkeypatch, capsys, chunk, rate
+):
+    """Each chunk of events.csv is checked before it is written; a refusal removes the file.
+
+    The fourth chunk's fifth record gets an id past the row grammar, after
+    three chunks have been written: exit 2, the writer's one-line message
+    naming the record's row in the file, and no file in --out.
+    """
+    from qeraser import events
+
+    monkeypatch.setattr(events, "_CHUNK_TRIPLES", chunk)
+    stream_chunks = events._stream_chunks
+
+    def bad_chunks(*args):
+        row = 0
+        for i, piece in enumerate(stream_chunks(*args)):
+            if i == 3:
+                piece.event_id[4] = 10**18
+                bad_chunks.row = row + 4
+            row += len(piece)
+            yield piece
+
+    monkeypatch.setattr(events, "_stream_chunks", bad_chunks)
+    out = tmp_path / "sim"
+    argv = ["simulate", "--config", str(small_config_path), "--out", str(out), "--background-rate", rate]
+    assert cli.main(argv) == 2
+    assert one_line_error(capsys) == (
+        f"qeraser: cannot write event log: event_id 1000000000000000000 in row {bad_chunks.row} "
+        "is outside -999999999999999999..999999999999999999\n"
+    )
+    assert list(out.iterdir()) == []
+
+
 def no_work(command):
     def work(*args, **kwargs):
         raise AssertionError(f"{command} started work before checking its flags")
@@ -352,7 +387,7 @@ def test_simulate_rejects_bad_background_rate(
     tmp_path, small_config_path, monkeypatch, capsys, rate
 ):
     """A nan or negative rate passes the dark-count limit; it is refused before sampling."""
-    monkeypatch.setattr(cli, "sample_triples", no_work("simulate"))
+    monkeypatch.setattr(cli, "event_chunks", no_work("simulate"))
     out = tmp_path / "bg"
     argv = ["simulate", "--config", str(small_config_path), "--out", str(out), "--background-rate", rate]
     assert cli.main(argv) == 2
@@ -372,7 +407,7 @@ def test_simulate_refuses_header_integers_the_reader_refuses(
     tmp_path, small_config_path, monkeypatch, capsys, flag, value
 ):
     """A stream header integer past 18 digits would write a triples.csv decode refuses."""
-    monkeypatch.setattr(cli, "sample_triples", no_work("simulate"))
+    monkeypatch.setattr(cli, "event_chunks", no_work("simulate"))
     out = tmp_path / "sim"
     argv = ["simulate", "--config", str(small_config_path), "--out", str(out), flag, value]
     assert cli.main(argv) == 2
@@ -389,7 +424,7 @@ def test_simulate_refuses_a_background_rate_past_the_event_ids(
     tmp_path, small_config_path, monkeypatch, capsys, rate
 ):
     """8,000 triples 1000 ns apart: over 1.25e11 dark counts per ns would pass 10^18 - 1 ids."""
-    monkeypatch.setattr(cli, "sample_triples", no_work("simulate"))
+    monkeypatch.setattr(cli, "event_chunks", no_work("simulate"))
     out = tmp_path / "sim"
     argv = ["simulate", "--config", str(small_config_path), "--out", str(out), "--background-rate", rate]
     assert cli.main(argv) == 2
@@ -409,7 +444,7 @@ def test_simulate_out_of_memory_exits_2(tmp_path, small_config_path, capsys):
 
 def test_simulate_bad_window_writes_nothing(tmp_path, small_config_path, monkeypatch, capsys):
     """A negative window is refused before sampling, not by the matcher after the build."""
-    monkeypatch.setattr(cli, "sample_triples", no_work("simulate"))
+    monkeypatch.setattr(cli, "event_chunks", no_work("simulate"))
     out = tmp_path / "win"
     argv = ["simulate", "--config", str(small_config_path), "--out", str(out), "--window-ns", "-1"]
     assert cli.main(argv) == 2
@@ -461,7 +496,7 @@ def test_simulate_refuses_times_past_the_limit(tmp_path, monkeypatch, capsys, bl
     save_config(cfg, path)
     out = tmp_path / "sim"
     if code == 2:
-        monkeypatch.setattr(cli, "sample_triples", no_work("simulate"))
+        monkeypatch.setattr(cli, "event_chunks", no_work("simulate"))
     assert cli.main(["simulate", "--config", str(path), "--out", str(out)]) == code
     if code == 0:
         assert (out / "manifest.json").exists()

@@ -1,4 +1,5 @@
 import dataclasses
+import itertools
 import tracemalloc
 import warnings
 
@@ -13,12 +14,14 @@ from qeraser.events import (
     SimStreamHeader,
     TripleBatch,
     emit_events,
+    event_chunks,
     inject_background,
     match_coincidences,
     read_event_log,
     read_triples,
     sample_triples,
     triple_spacing_ns,
+    write_and_match,
     write_event_log,
     write_triples,
 )
@@ -417,7 +420,6 @@ def test_every_step_returns_the_declared_column_dtypes(tmp_path, small_config):
     matched, orphans = match_coincidences(
         noisy, block_size=small_config.schedule.block_size, spacing_ns=1000
     )
-    assert orphans.event_ids.dtype == np.int64
     hdr = header_for(small_config)
     write_event_log(tmp_path / "events.csv", noisy, hdr)
     write_triples(tmp_path / "triples.csv", matched, hdr)
@@ -656,18 +658,83 @@ def test_stream_steps_hold_each_record_about_once():
     assert merged <= 28
 
 
-def test_matcher_holds_less_than_its_input():
-    """The matcher's temporaries and outputs stay well below the stream it reads.
+def test_matcher_holds_less_than_its_input(monkeypatch):
+    """The matcher holds its outputs, 22 bytes per matched triple, plus one slice's temporaries.
 
-    Measured here: 13.9 bytes per input record (14.9 with int64 columns).
-    int64 record positions, first idlers and picks all held to the end took
-    44; int32 positions with a copy of each arm's times held through the
-    walk, 25.
+    It reads the stream 3 _CHUNK_TRIPLES records at a time.  Measured here:
+    a 450 kB peak for 20,005 triples out of 99,857 records in 3,000-record
+    slices, and 27 to 37 bytes per slice record over the outputs at 3,000 to
+    30,000 records a slice.  Matching the whole stream at once took 13.9
+    bytes per input record (1.4 MB here).
     """
+    monkeypatch.setattr(events, "_CHUNK_TRIPLES", 1000)
     noisy = _noisy_stream(MEMORY_CONFIG)
     spacing = triple_spacing_ns(MEMORY_CONFIG.pair_rate_scale)
-    _, peak = _traced(match_coincidences, noisy, 20, block_size=500, spacing_ns=spacing)
-    assert peak <= 16 * len(noisy)
+    (batch, _), peak = _traced(match_coincidences, noisy, 20, block_size=500, spacing_ns=spacing)
+    assert peak <= 22 * len(batch) + 48 * 3 * events._CHUNK_TRIPLES
+
+
+def _simulated(config, path):
+    """simulate's stream path at seed 0 and 2e-3 dark counts per ns.
+
+    Returns (records, sha256, triples, orphans).
+    """
+    records, chunks = event_chunks(config, 0, 2e-3)
+    return (records, *write_and_match(path, header_for(config), records, chunks))
+
+
+def test_simulate_holds_one_chunk_beside_the_dark_counts_and_the_matches(tmp_path, monkeypatch):
+    """simulate's traced peak, less 21 bytes a dark count and 22 a matched triple, is one chunk's.
+
+    Between chunks the stream path holds the dark counts, the delays (2
+    bytes per triple) and the matched triples' columns (14 of their 22
+    bytes; the ids are made at the end, once the dark counts are freed).
+    What is left over is bounded per chunk, and it does not grow when the
+    run doubles.  Measured here with 1,000-triple chunks: 990 and 873 bytes
+    per chunk triple over 40 and 80 blocks of 500 triples.  Building,
+    matching and writing the whole run at once left 11.2 and 13.8 MB.
+    """
+    monkeypatch.setattr(events, "_CHUNK_TRIPLES", 1000)
+    left = []
+    for repeat in (20, 40):
+        config = make_config(bits=(1, 0) * repeat, block_size=500)
+        (records, _, batch, _), peak = _traced(_simulated, config, tmp_path / "events.csv")
+        dark = records - 3 * config.schedule.n_triples
+        assert dark > config.schedule.n_triples
+        left.append(peak - 21 * dark - 22 * len(batch))
+    assert left[0] <= 1200 * events._CHUNK_TRIPLES
+    assert left[1] <= left[0]
+
+
+def test_chunked_draws_equal_one_whole_draw(monkeypatch):
+    """Draws from one generator taken in pieces equal one whole draw.
+
+    The stream path draws the idler delays _CHUNK_TRIPLES rows at a time
+    and each block's uniforms in pieces cut by chunk ends, and relies on
+    numpy's Generator carrying its state between calls.
+    """
+    n = 500_000
+    sizes = itertools.cycle([1, 7, 2500, 65536, 131071, 3])
+
+    def in_pieces(draw):
+        pieces, done = [], 0
+        while done < n:
+            pieces.append(draw(min(next(sizes), n - done)))
+            done += len(pieces[-1])
+        return np.concatenate(pieces)
+
+    def generator():
+        return np.random.default_rng(np.random.SeedSequence(5, spawn_key=(2, 0)))
+
+    delays = generator().integers(1, 11, size=(n, 2))
+    rng = generator()
+    np.testing.assert_array_equal(in_pieces(lambda k: rng.integers(1, 11, size=(k, 2))), delays)
+    uniforms = generator().random(n)
+    rng = generator()
+    np.testing.assert_array_equal(in_pieces(rng.random), uniforms)
+    for chunk in (1, 7, 8192, n):
+        monkeypatch.setattr(events, "_CHUNK_TRIPLES", chunk)
+        np.testing.assert_array_equal(events._draw_delays(20_000, 5), delays[:20_000])
 
 
 @pytest.mark.parametrize("which", ["events", "triples"])

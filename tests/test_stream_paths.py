@@ -1,4 +1,4 @@
-"""Differential tests: whole-array stream paths against their loop references.
+"""Differential tests: whole-array and chunked stream paths against their loop references.
 
 Streams and files are generated from a hypothesis-drawn seed and shape, so a
 failing case is reproducible from the printed example.
@@ -16,7 +16,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from qeraser import events
+from qeraser import cli, events
 from qeraser.analysis import LowSampleWarning, decode_alisha_only, decode_omniscient
 from qeraser.events import (
     CODE_D0,
@@ -33,7 +33,7 @@ from qeraser.events import (
     write_event_log,
     write_triples,
 )
-from qeraser.experiment import SwitchSchedule, default_geometry
+from qeraser.experiment import SwitchSchedule, default_geometry, save_config
 
 import oracles
 from conftest import make_config
@@ -156,6 +156,10 @@ def test_background_merge_equals_lexsort_on_any_sorted_stream(seed, n, span, rat
 # ---------------------------------------------------------------------------
 
 
+# one triple per chunk (3-record matcher slices), a prime, and the whole run
+chunk_triples = st.sampled_from([1, 13, 10**9])
+
+
 @fast
 @given(
     seed=seeds,
@@ -165,8 +169,13 @@ def test_background_merge_equals_lexsort_on_any_sorted_stream(seed, n, span, rat
     n_cluster=st.integers(0, 20),
     window=st.integers(0, 40),
     block_size=st.integers(1, 20),
+    chunk=chunk_triples,
 )
-def test_matcher_equals_loop(seed, n_triples, spacing, rate, n_cluster, window, block_size):
+def test_matcher_equals_loop(
+    monkeypatch, seed, n_triples, spacing, rate, n_cluster, window, block_size, chunk
+):
+    """At any slicing: D0s whose windows and clusters straddle a slice's end take the carry."""
+    monkeypatch.setattr(events, "_CHUNK_TRIPLES", chunk)
     stream = random_stream(seed, n_triples, spacing, rate, n_cluster)
     kw = {"block_size": block_size, "spacing_ns": spacing}
     got, got_orphans = match_coincidences(stream, window, **kw)
@@ -174,18 +183,121 @@ def test_matcher_equals_loop(seed, n_triples, spacing, rate, n_cluster, window, 
     assert_batches_equal(got, want)
     assert got_orphans.total == want_orphans.total
     assert list(got_orphans.by_detector.items()) == list(want_orphans.by_detector.items())
-    np.testing.assert_array_equal(got_orphans.event_ids, want_orphans.event_ids)
 
 
-def test_matcher_dense_clusters_equal_loop():
-    """Every D0 clustered: the run walk carries pointers across whole runs."""
+@pytest.mark.parametrize("chunk", [1, 13, 10**9])
+def test_matcher_dense_clusters_equal_loop(monkeypatch, chunk):
+    """Every D0 clustered: the run walk carries pointers across whole runs and slices."""
+    monkeypatch.setattr(events, "_CHUNK_TRIPLES", chunk)
     stream = random_stream(5, 400, 40, 5e-2, 400)
     kw = {"block_size": 7, "spacing_ns": 40}
     for window in (0, 1, 7, 20, 40):
         got, got_orphans = match_coincidences(stream, window, **kw)
         want, want_orphans = oracles.match_coincidences_loop(stream, window, **kw)
         assert_batches_equal(got, want)
-        np.testing.assert_array_equal(got_orphans.event_ids, want_orphans.event_ids)
+        assert got_orphans.total == want_orphans.total
+        assert list(got_orphans.by_detector.items()) == list(want_orphans.by_detector.items())
+
+
+def test_matcher_carries_its_pointers_past_a_match_of_the_array_pass(monkeypatch):
+    """A slice's last decided D0, matched by the array pass, leaves its idlers behind it.
+
+    With 9-record slices and w = 10, the first slice decides the D0s at 0
+    (walked, as a step's first D0) and 100 (isolated, so matched in the
+    array pass) and defers the D0 at 112, whose window reaches back to 100's
+    idlers at 105 and 106.  The carried pointers must pass them, so 112
+    takes the idlers at 115 and 116.
+    """
+    monkeypatch.setattr(events, "_CHUNK_TRIPLES", 3)
+    stream = EventStream(
+        event_id=np.arange(9),
+        detector=[CODE_D0, 1, 5, CODE_D0, 2, 6, CODE_D0, 3, 7],
+        time_ns=[0, 3, 4, 100, 105, 106, 112, 115, 116],
+        x_bin=[0, -1, -1, 1, -1, -1, 2, -1, -1],
+        n_bins=8,
+    )
+    got, orphans = match_coincidences(stream, 10, block_size=1, spacing_ns=1000)
+    want, _ = oracles.match_coincidences_loop(stream, 10, block_size=1, spacing_ns=1000)
+    assert_batches_equal(got, want)
+    assert got.babu.tolist() == [0, 1, 2] and got.alisha.tolist() == [0, 1, 2]
+    assert orphans.total == 0
+
+
+# ---------------------------------------------------------------------------
+# simulate's chunked stream path against the whole-run pipeline
+# ---------------------------------------------------------------------------
+
+
+def assert_simulate_equals_whole_run(tmp_path, capsys, config, seed, window, rate):
+    """simulate's files and stdout, and the library path's orphans, equal simulate_whole's."""
+    path = tmp_path / "config.json"
+    save_config(config, path)
+    out = tmp_path / "out"
+    argv = ["simulate", "--config", str(path), "--out", str(out), "--seed", str(seed)]
+    argv += ["--window-ns", str(window), "--background-rate", repr(rate)]
+    assert cli.main(argv) == 0
+    header = read_triples(out / "triples.csv")[1]
+    events_csv, triples_csv, stdout, orphans = oracles.simulate_whole(config, header, rate)
+    assert capsys.readouterr().out == stdout
+    assert (out / "events.csv").read_bytes() == events_csv
+    assert (out / "triples.csv").read_bytes() == triples_csv
+    records, chunks = events.event_chunks(config, seed, rate)
+    _, _, got_orphans = events.write_and_match(tmp_path / "events.csv", header, records, chunks)
+    assert got_orphans.total == orphans.total
+    assert list(got_orphans.by_detector.items()) == list(orphans.by_detector.items())
+
+
+@settings(
+    max_examples=40, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture]
+)
+@given(
+    seed=seeds,
+    bits=st.lists(st.integers(0, 1), min_size=1, max_size=4),
+    block_size=st.integers(1, 40),
+    pair_rate_scale=st.one_of(st.just(25.0), st.floats(5.0, 25.0)),  # 40 to 200 ns apart
+    rate=st.one_of(st.sampled_from([0.0, 0.02, 0.5]), st.floats(0.0, 0.1)),
+    window_share=st.one_of(st.sampled_from([0.0, 0.5]), st.floats(0.0, 0.5)),
+    chunk=chunk_triples,
+)
+def test_simulate_chunks_equal_the_whole_run(
+    tmp_path, monkeypatch, capsys, seed, bits, block_size, pair_rate_scale, rate, window_share,
+    chunk,
+):
+    """Any chunking, dark-count rate (0 included), window (0 to half the spacing), block size."""
+    monkeypatch.setattr(events, "_CHUNK_TRIPLES", chunk)
+    config = dataclasses.replace(make_config(bits, block_size), pair_rate_scale=pair_rate_scale)
+    window = int(window_share * events.triple_spacing_ns(pair_rate_scale))
+    assert_simulate_equals_whole_run(tmp_path, capsys, config, seed, window, rate)
+
+
+@pytest.mark.parametrize("chunk", [1, 13])
+def test_simulate_chunk_cuts_meet_dark_counts_and_open_windows(
+    tmp_path, monkeypatch, capsys, chunk
+):
+    """Dark counts timed exactly at a cut, and D0s within w before a cut with idlers past it.
+
+    A cut is the next chunk's first D0 time; a dark count there goes after
+    that D0, into the next chunk.  A D0 less than w before a cut is decided
+    only once the records past the cut are in.
+    """
+    monkeypatch.setattr(events, "_CHUNK_TRIPLES", chunk)
+    seed, window, rate = 3, 20, 0.5
+    config = dataclasses.replace(make_config((1, 0, 1), 30), pair_rate_scale=25.0)  # 40 ns apart
+    n = config.schedule.n_triples
+    triples = oracles.sample_triples_concat(config, seed)
+    stream = oracles.emit_events_lexsort(triples, config, seed)
+    stream = oracles.inject_background_lexsort(stream, rate, seed)
+    cuts = np.arange(chunk, n, chunk) * 40
+    dark = stream.event_id >= 3 * n
+    assert np.isin(stream.time_ns[dark], cuts).any()
+    d0 = stream.time_ns[stream.detector == CODE_D0]
+    idlers = stream.time_ns[stream.detector != CODE_D0]
+    straddling = [
+        t0 for t0 in d0.tolist() for cut in cuts.tolist()
+        if cut - window <= t0 < cut and ((idlers >= cut) & (idlers <= t0 + window)).any()
+    ]
+    assert straddling
+    assert_simulate_equals_whole_run(tmp_path, capsys, config, seed, window, rate)
 
 
 # ---------------------------------------------------------------------------
@@ -604,6 +716,25 @@ def test_writers_refuse_what_readers_refuse(tmp_path, which, column, value):
     assert "\n" not in message
     assert message.startswith(f"cannot write {what}: {column} {value} in row 3 ")
     assert not path.exists()
+
+
+@pytest.mark.parametrize("declared", [11, 13])
+def test_event_log_pieces_must_hold_the_declared_rows(tmp_path, monkeypatch, declared):
+    """Pieces written under an n_rows they do not add up to are refused, and the file removed."""
+    monkeypatch.setattr(events, "_CHUNK_ROWS", 5)
+    stream = random_events(np.random.default_rng(0), 12, big=False)
+    pieces = [
+        EventStream(**{name: getattr(stream, name)[lo : lo + 4] for name in EVENT_COLUMNS}, n_bins=8)
+        for lo in (0, 4, 8)
+    ]
+    path = tmp_path / "events.csv"
+    with pytest.raises(ValueError) as info:
+        write_event_log(path, iter(pieces), header(), declared)
+    assert str(info.value) == f"cannot write event log: 12 rows where the header declares {declared}"
+    assert not path.exists()
+    write_event_log(path, iter(pieces), header(), 12)
+    write_event_log(tmp_path / "whole.csv", stream, header())
+    assert path.read_bytes() == (tmp_path / "whole.csv").read_bytes()
 
 
 def test_event_log_writer_ignores_x_bin_off_d0(tmp_path):
