@@ -26,6 +26,7 @@ from .events import (
     _MAX_INT,
     DEFAULT_WINDOW_NS,
     SimStreamHeader,
+    _write_text,
     event_chunks,
     read_triples,
     triple_spacing_ns,
@@ -98,22 +99,35 @@ def _publish(args, details: dict, writers) -> list[Path]:
     config and details.  Input files appear by basename only; the digest
     fields carry identity, so identical runs stay byte-identical wherever
     they were produced.
+
+    If a writer fails, the files this call wrote go, then the directories
+    it made, deepest first, and the error is raised again.
     """
     out = Path(args.out)
+    made = [d for d in (out, *out.parents) if not d.exists()]  # deepest first
     out.mkdir(parents=True, exist_ok=True)
     files = [(n, w) for n, w in zip(_outputs(args), writers, strict=True) if w is not None]
-    digests = {name: write(out / name) for name, write in files}
-    manifest = {
-        "tool": "qeraser",
-        "tool_version": __version__,
-        "command": args.command,
-        "config": Path(args.config).name,
-        **details,
-        "outputs": digests,
-    }
-    text = json.dumps(manifest, indent=2, sort_keys=True) + "\n"
-    (out / MANIFEST).write_bytes(text.encode("utf-8"))
-    return [out / name for name, _ in files]
+    digests = {}
+    try:
+        for name, write in files:
+            digests[name] = write(out / name)
+        manifest = {
+            "tool": "qeraser",
+            "tool_version": __version__,
+            "command": args.command,
+            "config": Path(args.config).name,
+            **details,
+            "outputs": digests,
+        }
+        text = json.dumps(manifest, indent=2, sort_keys=True) + "\n"
+        _write_text(out / MANIFEST, [], [text.encode("utf-8")])  # a failed write leaves no file
+    except BaseException:
+        for name in digests:
+            (out / name).unlink()
+        for directory in made:
+            directory.rmdir()
+        raise
+    return [out / name for name in digests]
 
 
 def _load_config_or_fail(path: str):

@@ -149,7 +149,7 @@ class SimStreamHeader:
 
 @dataclass(frozen=True)
 class OrphanReport:
-    """Records the matcher left over: their count, and per detector label in order of appearance."""
+    """Records no triple took: their count, and per label that has any, in DETECTOR_LABELS order."""
 
     total: int
     by_detector: dict
@@ -464,14 +464,14 @@ def _stream_chunks(batches, delays, dark, spacing: int, n_bins: int):
 class _Matcher:
     """match_coincidences' greedy matcher, fed one time-sorted slice of a stream at a time.
 
-    Each feed decides the D0s whose window closes before the slice's last
-    time, since every later record comes at or after it.  It carries into
-    the next feed what an undecided D0 may still claim: the records from the
-    first undecided D0, and from each arm's first idler at or after its
-    pointer and the last time less 2w.  With them go which carried records
-    are matched, how many carried D0s are decided, and the arm pointers.
-    Every record before the carry is final, so its orphans are counted then.
-    result decides the rest and joins the matched pieces.
+    Between feeds it holds only unclaimed records, in three queues by kind:
+    D0s as (time, x_bin), babu's and alisha's idlers as (time, code).  Each
+    feed appends a slice to the queues and decides the D0s whose window
+    closes before its last time, since every later record comes at or after
+    it.  An idler queue then drops what the undecided D0s (at the last time
+    less w or later) cannot claim: the records before its greedy pointer or
+    the last time less 2w.  Dropped records that matched nothing are
+    orphans.  result decides the rest and joins the matched pieces.
     """
 
     def __init__(self, window_ns: int, block_size: int, spacing_ns: int):
@@ -483,61 +483,57 @@ class _Matcher:
                 raise ValueError(f"{name} must be positive, got {value}")
         # |t| < 10**18 for any parseable log, so clamping keeps Python's floor
         self.period = min(int(spacing_ns) * int(block_size), np.iinfo(np.int64).max)
-        self.carry = [np.empty(0, dtype=_DTYPE[name]) for name in ("time_ns", "detector", "x_bin")]
-        self.used = np.empty(0, dtype=bool)
-        self.decided = self.pb = self.pa = 0
+        self.queues = [
+            (np.empty(0, dtype=_DTYPE["time_ns"]), np.empty(0, dtype=_DTYPE[name]))
+            for name in ("x_bin", "detector", "detector")
+        ]
         self.last = None  # the last time fed
         self.pieces = []  # (x_bin, babu, alisha, block_index) matched per feed
         self.orphans = np.zeros(len(DETECTOR_LABELS), dtype=np.int64)
-        self.first_seen = []  # orphan detector codes in order of first appearance
 
     def feed(self, time_ns, detector, x_bin) -> None:
         if not len(time_ns):
             return
-        if (self.last is not None and time_ns[0] < self.last) or (time_ns[1:] < time_ns[:-1]).any():
+        if self.last is not None and time_ns[0] < self.last:
             raise ValueError("event stream is not time-sorted")
+        _require_sorted(time_ns)
         self.last = int(time_ns[-1])
-        columns = [np.concatenate(pair) for pair in zip(self.carry, (time_ns, detector, x_bin))]
-        used = np.concatenate([self.used, np.zeros(len(time_ns), dtype=bool)])
-        self._step(*columns, used, final=False)
+        kinds = (detector == CODE_D0, (detector >= 1) & (detector <= 4), detector >= 5)
+        for i, (kind, other) in enumerate(zip(kinds, (x_bin, detector, detector))):
+            pos = np.flatnonzero(kind)
+            times, values = self.queues[i]
+            self.queues[i] = (
+                np.concatenate([times, time_ns.take(pos)]),
+                np.concatenate([values, other.take(pos)]),
+            )
+        self._step(final=False)
 
     def result(self) -> tuple[TripleBatch, OrphanReport]:
-        self._step(*self.carry, self.used, final=True)
-        columns = []
-        for _ in range(4):  # one column at a time, each piece freed once joined
-            columns.append(np.concatenate([piece[0] for piece in self.pieces]))
+        self._step(final=True)
+        columns = {}
+        for name in ("x_bin", "babu", "alisha", "block_index"):  # each piece freed once joined
+            columns[name] = np.concatenate([piece[0] for piece in self.pieces])
             self.pieces = [piece[1:] for piece in self.pieces]
-        x_bin, babu, alisha, block_index = columns
-        batch = TripleBatch(
-            triple_id=np.arange(len(x_bin), dtype=_DTYPE["triple_id"]),
-            x_bin=x_bin,
-            babu=babu,
-            alisha=alisha,
-            block_index=block_index,
-        )
-        by_detector = {DETECTOR_LABELS[code]: int(self.orphans[code]) for code in self.first_seen}
+        matched = len(columns["x_bin"])
+        batch = TripleBatch(triple_id=np.arange(matched, dtype=_DTYPE["triple_id"]), **columns)
+        by_detector = {label: int(n) for label, n in zip(DETECTOR_LABELS, self.orphans) if n}
         return batch, OrphanReport(total=int(self.orphans.sum()), by_detector=by_detector)
 
-    def _step(self, t, codes, x_bin, used, final: bool) -> None:
-        """Decide what t's records allow (all of them if final), then set the carry.
+    def _step(self, final: bool) -> None:
+        """Decide the queued D0s before the last time less w (all of them if final), then drop.
 
-        A D0 more than 2w after the previous D0 can only meet idlers that no
-        earlier D0 could reach (every idler an earlier D0 consumed or skipped
-        lies below its t - w), so its greedy pointers are the searchsorted
-        positions of t - w.  D0s with both neighbours that far away are
-        decided in one array pass; only runs of closer D0s, and the first D0
-        of the step, which takes the carried pointers, are walked one by one.
+        Each arm's greedy pointer starts at its queue's head.  A D0 more than
+        2w after the previous D0 can only meet idlers that no earlier D0
+        could reach (every idler an earlier D0 consumed or skipped lies below
+        its t - w), so its greedy pointers are the searchsorted positions of
+        t - w.  D0s with both neighbours that far away are decided in one
+        array pass; only runs of closer D0s are walked one by one.
         """
         w = self.w
-        d0_pos = np.flatnonzero(codes == CODE_D0)
-        b_pos = np.flatnonzero((codes >= 1) & (codes <= 4))
-        a_pos = np.flatnonzero(codes >= 5)
-        tb, ta = t[b_pos], t[a_pos]
-        nb, na = len(b_pos), len(a_pos)
-        td = t[d0_pos]
-        cut = len(td) if final else int(np.searchsorted(td, int(t[-1]) - w))
-        todo = d0_pos[self.decided : cut]
-        td = td[self.decided : cut]
+        (td, xd), (tb, cb), (ta, ca) = self.queues
+        nb, na = len(tb), len(ta)
+        cut = len(td) if final else int(np.searchsorted(td, self.last - w))
+        td = td[:cut]
 
         # per D0, each arm's first idler at or after t - w, as an index into the arm
         first_b = np.searchsorted(tb, td - w)
@@ -547,10 +543,9 @@ class _Matcher:
             hit &= tb.take(first_b, mode="clip") <= td + w
             hit &= ta.take(first_a, mode="clip") <= td + w
         far = td[1:] - td[:-1] > 2 * w
-        isolated = np.ones(len(td), dtype=bool)
+        isolated = np.ones(cut, dtype=bool)
         isolated[1:] &= far
         isolated[:-1] &= far
-        isolated[:1] = False
         clustered = np.flatnonzero(~isolated)
         walk = zip(
             clustered.tolist(),
@@ -564,9 +559,9 @@ class _Matcher:
         np.logical_not(hit, out=hit)
         pick_b[hit] = pick_a[hit] = -1
         tb_at, ta_at = tb.item, ta.item
-        pb, pa = self.pb, self.pa
+        pb = pa = 0
         for i, t0, sb, sa in walk:
-            # pointers carried over from an earlier run never pass sb, sa
+            # pointers left by an earlier run never pass sb, sa
             pb = max(pb, sb)
             pa = max(pa, sa)
             if pb < nb and pa < na and tb_at(pb) <= t0 + w and ta_at(pa) <= t0 + w:
@@ -577,36 +572,24 @@ class _Matcher:
             else:
                 pick_b[i] = pick_a[i] = -1
 
-        got = pick_b >= 0
-        todo, td, pick_b, pick_a = todo[got], td[got], pick_b[got], pick_a[got]
-        if len(todo):  # the pointers go past the last match, as the greedy walk leaves them
-            pb = max(pb, int(pick_b[-1]) + 1)
-            pa = max(pa, int(pick_a[-1]) + 1)
-        pick_b, pick_a = b_pos[pick_b], a_pos[pick_a]
-        self.pieces.append((x_bin[todo], codes[pick_b] - 1, codes[pick_a] - 5, td // self.period))
-        for pos in (todo, pick_b, pick_a):
-            used[pos] = True
-
-        keep = len(t)
-        if not final:
-            # an undecided D0 lies at t[-1] - w or later, so it claims no idler before t[-1] - 2w
-            since = int(t[-1]) - 2 * w
-            kb = max(pb, int(np.searchsorted(tb, since)))
-            ka = max(pa, int(np.searchsorted(ta, since)))
-            for pos, k in ((d0_pos, cut), (b_pos, kb), (a_pos, ka)):
-                if k < len(pos):
-                    keep = min(keep, int(pos[k]))
-        orphan_codes = codes[:keep][~used[:keep]]
-        counts = np.bincount(orphan_codes, minlength=len(DETECTOR_LABELS))
-        new = [code for code in np.flatnonzero(counts).tolist() if code not in self.first_seen]
-        # labels in order of first appearance, as a record-by-record count gives them
-        self.first_seen += sorted(new, key=lambda code: int(np.argmax(orphan_codes == code)))
-        self.orphans += counts
-        self.carry = [column[keep:].copy() for column in (t, codes, x_bin)]
-        self.used = used[keep:].copy()
-        self.decided = cut - int(np.searchsorted(d0_pos, keep))
-        self.pb = max(0, pb - int(np.searchsorted(b_pos, keep)))
-        self.pa = max(0, pa - int(np.searchsorted(a_pos, keep)))
+        got = np.flatnonzero(pick_b >= 0)
+        pick_b, pick_a = pick_b[got], pick_a[got]
+        self.pieces.append((xd[got], cb[pick_b] - 1, ca[pick_a] - 5, td[got] // self.period))
+        self.orphans[CODE_D0] += cut - len(got)
+        drop = [cut]
+        for (t, codes), picks in zip(self.queues[1:], (pick_b, pick_a)):
+            k = len(t)
+            if not final:
+                # an undecided D0 lies at last - w or later, so it claims no idler before
+                # last - 2w, nor one the greedy pointer passed, up to the last match
+                k = max(np.searchsorted(t, self.last - 2 * w), picks.max(initial=-1) + 1)
+            # a dropped idler that was not picked is an orphan
+            self.orphans += np.bincount(codes[:k], minlength=len(DETECTOR_LABELS))
+            self.orphans -= np.bincount(codes[picks], minlength=len(DETECTOR_LABELS))
+            drop.append(k)
+        self.queues = [
+            tuple(column[k:].copy() for column in queue) for queue, k in zip(self.queues, drop)
+        ]
 
 
 def match_coincidences(
@@ -624,7 +607,7 @@ def match_coincidences(
     normally come from the stream header), which stays correct even when
     background events distort the matched sequence numbering.  The stream is
     fed to the matcher 3 _CHUNK_TRIPLES records at a time, so its
-    temporaries are bounded by a slice and the records a slice carries over.
+    temporaries are bounded by a slice and the records the matcher queues.
     """
     matcher = _Matcher(window_ns, block_size, spacing_ns)
     step = 3 * _CHUNK_TRIPLES

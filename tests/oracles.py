@@ -551,14 +551,13 @@ def match_coincidences_loop(
             pb += 1
             pa += 1
 
-    orphan_pos = np.concatenate(
-        [d0_pos[~used_d], b_pos[~used_b], a_pos[~used_a]]
-    ).astype(np.int64)
-    orphan_pos.sort()
-    by_detector: dict = {}
+    orphan_pos = np.concatenate([d0_pos[~used_d], b_pos[~used_b], a_pos[~used_a]])
+    counts: dict = {}
     for code in codes[orphan_pos]:
         label = DETECTOR_LABELS[int(code)]
-        by_detector[label] = by_detector.get(label, 0) + 1
+        counts[label] = counts.get(label, 0) + 1
+    # the labels that have orphans, in DETECTOR_LABELS order
+    by_detector = {label: counts[label] for label in DETECTOR_LABELS if label in counts}
     report = OrphanReport(total=int(orphan_pos.size), by_detector=by_detector)
     batch = TripleBatch(
         triple_id=np.arange(matched, dtype=np.int64),

@@ -1,4 +1,5 @@
 import dataclasses
+import errno
 import hashlib
 import itertools
 import json
@@ -348,7 +349,7 @@ def test_simulate_refuses_a_bad_field_in_a_middle_chunk(
 
     The fourth chunk's fifth record gets an id past the row grammar, after
     three chunks have been written: exit 2, the writer's one-line message
-    naming the record's row in the file, and no file in --out.
+    naming the record's row in the file, and no --out, which the run made.
     """
     from qeraser import events
 
@@ -372,7 +373,46 @@ def test_simulate_refuses_a_bad_field_in_a_middle_chunk(
         f"qeraser: cannot write event log: event_id 1000000000000000000 in row {bad_chunks.row} "
         "is outside -999999999999999999..999999999999999999\n"
     )
-    assert list(out.iterdir()) == []
+    assert not out.exists()
+
+
+def failing_triples_writer(monkeypatch):
+    """Make simulate's triples.csv writer fail for want of space, once events.csv is written."""
+
+    def write_triples(path, batch, header):
+        assert (path.parent / "events.csv").is_file()
+        raise OSError(errno.ENOSPC, "No space left on device", str(path))
+
+    monkeypatch.setattr(cli, "write_triples", write_triples)
+
+
+def test_simulate_removes_what_it_wrote_when_a_later_writer_fails(
+    tmp_path, small_config_path, monkeypatch, capsys
+):
+    """events.csv, written before triples.csv fails, goes, and so do the directories made."""
+    failing_triples_writer(monkeypatch)
+    out = tmp_path / "new" / "sim"
+    argv = ["simulate", "--config", str(small_config_path), "--out", str(out)]
+    assert cli.main(argv) == 2
+    assert one_line_error(capsys) == f"qeraser: No space left on device: {out / 'triples.csv'}\n"
+    assert not (tmp_path / "new").exists()
+
+
+def test_a_failed_simulate_keeps_an_existing_out_and_its_files(
+    tmp_path, small_config_path, monkeypatch, capsys
+):
+    """An --out that existed before the run keeps the files the run did not write."""
+    failing_triples_writer(monkeypatch)
+    out = tmp_path / "sim"
+    (out / "notes").mkdir(parents=True)
+    (out / "notes" / "run.txt").write_text("earlier run\n")
+    (out / "README").write_text("kept\n")
+    argv = ["simulate", "--config", str(small_config_path), "--out", str(out)]
+    assert cli.main(argv) == 2
+    one_line_error(capsys)
+    assert sorted(p.name for p in out.iterdir()) == ["README", "notes"]
+    assert (out / "README").read_text() == "kept\n"
+    assert (out / "notes" / "run.txt").read_text() == "earlier run\n"
 
 
 def no_work(command):

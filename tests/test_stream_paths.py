@@ -174,7 +174,7 @@ chunk_triples = st.sampled_from([1, 13, 10**9])
 def test_matcher_equals_loop(
     monkeypatch, seed, n_triples, spacing, rate, n_cluster, window, block_size, chunk
 ):
-    """At any slicing: D0s whose windows and clusters straddle a slice's end take the carry."""
+    """At any slicing: D0s whose windows and clusters straddle a slice's end stay queued."""
     monkeypatch.setattr(events, "_CHUNK_TRIPLES", chunk)
     stream = random_stream(seed, n_triples, spacing, rate, n_cluster)
     kw = {"block_size": block_size, "spacing_ns": spacing}
@@ -199,14 +199,52 @@ def test_matcher_dense_clusters_equal_loop(monkeypatch, chunk):
         assert list(got_orphans.by_detector.items()) == list(want_orphans.by_detector.items())
 
 
+@pytest.mark.parametrize("size", [1, 13])
+@pytest.mark.parametrize(
+    "kept",
+    [
+        pytest.param(lambda code: code <= 4, id="alisha-never-fires"),
+        pytest.param(lambda code: code == CODE_D0, id="d0s-only"),
+        pytest.param(lambda code: code != CODE_D0, id="idlers-only"),
+    ],
+)
+def test_matcher_queues_hold_only_what_a_later_record_can_meet(kept, size):
+    """A one-sided stream cannot grow what the matcher holds between feeds.
+
+    After each feed every queued D0 lies at or after the last time less w,
+    and every queued idler at or after the last time less 2w, whatever the
+    stream lacks; the result still equals the loop matcher's.
+    """
+    full = random_stream(11, 300, 40, 2e-2, 100)
+    keep = kept(full.detector)
+    stream = EventStream(
+        **{name: getattr(full, name)[keep] for name in EVENT_COLUMNS}, n_bins=full.n_bins
+    )
+    for window in (0, 7, 20):
+        matcher = events._Matcher(window, 7, 40)
+        for lo in range(0, len(stream), size):
+            part = slice(lo, lo + size)
+            matcher.feed(stream.time_ns[part], stream.detector[part], stream.x_bin[part])
+            (td, _), *arms = matcher.queues
+            assert (td >= matcher.last - window).all()
+            for ti, _ in arms:
+                assert (ti >= matcher.last - 2 * window).all()
+        got, got_orphans = matcher.result()
+        want, want_orphans = oracles.match_coincidences_loop(
+            stream, window, block_size=7, spacing_ns=40
+        )
+        assert_batches_equal(got, want)
+        assert list(got_orphans.by_detector.items()) == list(want_orphans.by_detector.items())
+
+
 def test_matcher_carries_its_pointers_past_a_match_of_the_array_pass(monkeypatch):
     """A slice's last decided D0, matched by the array pass, leaves its idlers behind it.
 
     With 9-record slices and w = 10, the first slice decides the D0s at 0
-    (walked, as a step's first D0) and 100 (isolated, so matched in the
-    array pass) and defers the D0 at 112, whose window reaches back to 100's
-    idlers at 105 and 106.  The carried pointers must pass them, so 112
-    takes the idlers at 115 and 116.
+    and 100 (both isolated, so matched in the array pass) and defers the D0
+    at 112, whose window reaches back to 100's idlers at 105 and 106.  The
+    idler queues must drop everything up to the last match, so 112 takes
+    the idlers at 115 and 116.
     """
     monkeypatch.setattr(events, "_CHUNK_TRIPLES", 3)
     stream = EventStream(
