@@ -13,6 +13,7 @@ import itertools
 import json
 import math
 import os
+import shutil
 import sys
 import warnings
 from dataclasses import replace
@@ -130,6 +131,11 @@ def _publish(args, details: dict, writers) -> list[Path]:
     return [out / name for name in digests]
 
 
+def _nearest_existing(path: Path) -> Path:
+    """path, or its nearest parent that exists."""
+    return next(p for p in (path, *path.parents) if p.exists())
+
+
 def _load_config_or_fail(path: str):
     try:
         return load_config(path)
@@ -199,6 +205,10 @@ def cmd_patterns(args) -> int:
 # ---------------------------------------------------------------------------
 
 
+# the shortest events.csv row: a one-digit id and time, a two-letter label, no x_bin
+_MIN_EVENT_ROW_BYTES = len("0,D1,0,\n")
+
+
 def cmd_simulate(args) -> int:
     config = _load_config_or_fail(args.config)
     if config.schedule is None:
@@ -241,7 +251,18 @@ def cmd_simulate(args) -> int:
             f"qeraser: --background-rate {rate!r}: "
             "the background rate must be finite and non-negative"
         )
-    # the delays and dark counts are drawn whole here, before --out is touched; the
+    # the dark counts are drawn a window at a time, so only the disk bounds a run: refuse
+    # one whose events.csv alone could not fit where --out will be, before any draw
+    rows = 3 * schedule.n_triples + expected
+    where = _nearest_existing(Path(args.out))
+    free = shutil.disk_usage(where).free
+    if rows * _MIN_EVENT_ROW_BYTES > free:
+        raise SystemExit(
+            f"qeraser: the run expects {rows:.3g} event records at --background-rate {rate!r}, "
+            f"at least {rows * _MIN_EVENT_ROW_BYTES:.3g} bytes of events.csv, "
+            f"but {where} has {free} bytes free"
+        )
+    # the delays and the dark-count total are drawn here, before --out is touched; the
     # triples and records are then sampled, emitted, merged, matched and written to
     # events.csv one chunk at a time, and only the matched triples are held to the end
     records, chunks = event_chunks(config, seed, rate)
@@ -598,7 +619,7 @@ def main(argv=None) -> int:
             # or that holds a directory under a name the command writes, before
             # any work, with the error mkdir or open would raise at the end
             out = Path(args.out)
-            found = next(p for p in (out, *out.parents) if p.exists())
+            found = _nearest_existing(out)
             if not found.is_dir():
                 code = errno.EEXIST if found == out else errno.ENOTDIR
                 raise OSError(code, os.strerror(code), str(out))

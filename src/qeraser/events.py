@@ -334,12 +334,14 @@ def inject_background(stream: EventStream, rate_per_ns: float, seed: int = 0) ->
     """Overlay Poisson dark counts on a time-sorted stream.
 
     Original records keep their ids, content and order; background records
-    get fresh ids past the current maximum, in draw order.  Each dark count
-    goes after every original record at its time, and dark counts at one
-    time keep draw order, so the result is sorted by (time, background,
-    id) whenever the stream's records at each time are in id order, as
-    emit_events' are.  Rate 0 returns the stream as is.  Raises ValueError
-    for an unsorted stream.
+    get fresh ids past the current maximum, in draw order.  The dark counts
+    on [first time, last time] are drawn window by window (_dark_windows),
+    the same draws event_chunks makes, so the result does not depend on
+    how a run is chunked.  Each dark count goes after every original record
+    at its time, and dark counts at one time keep draw order, so the result
+    is sorted by (time, background, id) whenever the stream's records at
+    each time are in id order, as emit_events' are.  Rate 0 returns the
+    stream as is.  Raises ValueError for an unsorted stream.
     """
     rate = _background_rate(rate_per_ns)
     _require_sorted(stream.time_ns)
@@ -347,7 +349,9 @@ def inject_background(stream: EventStream, rate_per_ns: float, seed: int = 0) ->
         return stream
     t0, t1 = int(stream.time_ns[0]), int(stream.time_ns[-1])
     next_id = int(stream.event_id.max()) + 1
-    return _merge(stream, _draw_dark(rate, t0, t1, stream.n_bins, next_id, int(seed)))
+    _, windows = _dark_windows(rate, t0, t1, stream.n_bins, next_id, int(seed))
+    [dark] = _dark_shares(windows, [None])
+    return _merge(stream, dark)
 
 
 def _background_rate(rate_per_ns) -> float:
@@ -357,26 +361,74 @@ def _background_rate(rate_per_ns) -> float:
     return rate
 
 
-def _draw_dark(rate: float, t0: int, t1: int, n_bins: int, next_id: int, seed: int) -> dict:
-    """Poisson(rate * (t1 - t0)) dark counts on [t0, t1], sorted by time: column name -> array.
+# dark counts per background window, on average: part of the stream's
+# definition, like the spawn domains, since the windows' draws depend on it
+_DARK_WINDOW = 1 << 14
 
-    Drawn whole from the background generator, count, times, codes, then
-    screen bins, each as int64 and narrowed to its column's dtype.  The sort
-    is stable, so ties keep draw order, which is id order; ids count from
-    next_id in draw order.  The four columns take 21 bytes per dark count.
+
+def _dark_windows(rate: float, t0: int, t1: int, n_bins: int, next_id: int, seed: int) -> tuple:
+    """(count, windows): Poisson(rate * (t1 - t0)) dark counts on [t0, t1], drawn window by window.
+
+    The background generator draws the count N at once.  [t0, t1] is cut
+    into J = max(1, ceil(N / _DARK_WINDOW)) near-equal windows, and windows
+    iterates over them in time order, each drawn when it is asked for: its
+    count, a binomial share of the dark counts left by its share of the
+    time left, then its times, codes and screen bins, each as int64 and
+    narrowed to its column's dtype.  A window's sort is stable, so ties keep
+    draw order, which is id order; ids count from next_id in draw order.
+    Each window is (end, columns): end is one past its last ns, columns the
+    four event columns, which take 21 bytes per dark count.
     """
     rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(_DOMAIN_BACKGROUND, 0)))
-    n_bg = int(rng.poisson(rate * (t1 - t0)))
-    time_ns = rng.integers(t0, t1 + 1, size=n_bg)
-    detector = rng.integers(0, len(DETECTOR_LABELS), size=n_bg).astype(_DTYPE["detector"])
-    x_bin = rng.integers(0, n_bins, size=n_bg).astype(_DTYPE["x_bin"])
-    x_bin[detector != CODE_D0] = -1
-    event_id = np.argsort(time_ns, kind="stable")
-    time_ns.sort()  # the same values as time_ns[event_id], sorted in place
-    detector = detector[event_id]
-    x_bin = x_bin[event_id]
-    event_id += next_id
-    return {"event_id": event_id, "detector": detector, "time_ns": time_ns, "x_bin": x_bin}
+    total = int(rng.poisson(rate * (t1 - t0)))
+    n_windows = max(1, -(-total // _DARK_WINDOW))
+
+    def windows():
+        left, lo, first_id = total, t0, next_id
+        for j in range(1, n_windows + 1):
+            hi = t0 + j * (t1 + 1 - t0) // n_windows
+            n = int(rng.binomial(left, (hi - lo) / (t1 + 1 - lo)))
+            time_ns = rng.integers(lo, hi, size=n)
+            detector = rng.integers(0, len(DETECTOR_LABELS), size=n).astype(_DTYPE["detector"])
+            x_bin = rng.integers(0, n_bins, size=n).astype(_DTYPE["x_bin"])
+            x_bin[detector != CODE_D0] = -1
+            event_id = np.argsort(time_ns, kind="stable")
+            time_ns.sort()  # the same values as time_ns[event_id], sorted in place
+            detector = detector[event_id]
+            x_bin = x_bin[event_id]
+            event_id += first_id
+            yield hi, {"event_id": event_id, "detector": detector, "time_ns": time_ns, "x_bin": x_bin}
+            left, lo, first_id = left - n, hi, first_id + n
+
+    return total, windows()
+
+
+def _dark_shares(windows, cuts):
+    """Per cut, the dark counts of windows timed before it and in no earlier share.
+
+    cuts ascend, and None takes every dark count left.  Windows are drawn
+    as the cuts reach them, and only the last drawn window's remainder is
+    held from one share to the next.  A share is a dict of the four event
+    columns: views into one window where it lies in one, else joined.
+    """
+    end, rest = next(windows)
+    for cut in cuts:
+        parts = []
+        while True:
+            times = rest["time_ns"]
+            k = len(times) if cut is None else int(np.searchsorted(times, cut))
+            parts.append({name: column[:k] for name, column in rest.items()})
+            rest = {name: column[k:] for name, column in rest.items()}
+            if k < len(times) or cut is not None and end >= cut:
+                break  # the rest of this window, and every later one, lies at cut or after
+            window = next(windows, None)
+            if window is None:
+                break
+            end, rest = window
+        if len(parts) == 1:
+            yield parts[0]
+        else:  # each part's column freed once joined
+            yield {name: np.concatenate([part.pop(name) for part in parts]) for name in tuple(parts[0])}
 
 
 def _merge(stream: EventStream, dark: dict) -> EventStream:
@@ -426,10 +478,11 @@ def event_chunks(config: ExperimentConfig, seed: int, rate_per_ns: float) -> tup
     iterates over consecutive EventStream pieces of the stream: piece c holds
     triples c K .. (c + 1) K - 1 (K = _CHUNK_TRIPLES) and the dark counts
     timed before the next piece's first D0, which the merge puts after that
-    D0.  The checks, the delays and the dark counts are done and drawn here,
-    whole: the dark counts' Poisson mean needs the last triple's delays.
-    Each piece is sampled, emitted and merged when it is asked for, and the
-    iterator frees the draws when it ends.
+    D0.  The checks, the delays and the dark-count total are done and drawn
+    here: the background's span needs the last triple's delays.  Each piece
+    is sampled, emitted and merged when it is asked for, with the dark-count
+    windows it reaches (_dark_windows), and the iterator frees the draws
+    when it ends.
     """
     rate = _background_rate(rate_per_ns)
     seed = int(seed)
@@ -440,25 +493,18 @@ def event_chunks(config: ExperimentConfig, seed: int, rate_per_ns: float) -> tup
     # emit_events' stream runs from 0 to the last triple's later idler, ids up to 3n - 1
     t_end = (n - 1) * spacing + int(delays[-1].max())
     n_bins = config.geometry.n_bins
-    dark = _draw_dark(rate, 0, t_end, n_bins, 3 * n, seed) if rate > 0.0 else None
-    records = 3 * n + (0 if dark is None else len(dark["time_ns"]))
-    return records, _stream_chunks(batches, delays, dark, spacing, n_bins)
+    n_dark, windows = _dark_windows(rate, 0, t_end, n_bins, 3 * n, seed)
+    # a dark count timed at the next piece's first D0 goes after it, into that piece
+    step = _CHUNK_TRIPLES * spacing
+    shares = _dark_shares(windows, itertools.chain(range(step, n * spacing, step), [None]))
+    return 3 * n + n_dark, _stream_chunks(batches, delays, shares, spacing, n_bins)
 
 
-def _stream_chunks(batches, delays, dark, spacing: int, n_bins: int):
-    """event_chunks' pieces: each batch emitted with its delays, and its share of dark merged."""
-    taken, n = 0, len(delays)
-    for batch in batches:
+def _stream_chunks(batches, delays, shares, spacing: int, n_bins: int):
+    """event_chunks' pieces: each batch emitted with its delays, and its share of the dark counts merged."""
+    for batch, dark in zip(batches, shares):
         lo = int(batch.triple_id[0])
-        hi = lo + len(batch)
-        stream = _emit(batch, delays[lo:hi], lo, spacing, n_bins)
-        if dark is not None:
-            # a dark count timed at the next piece's first D0 goes after it
-            times = dark["time_ns"]
-            end = len(times) if hi == n else int(np.searchsorted(times, hi * spacing))
-            stream = _merge(stream, {name: column[taken:end] for name, column in dark.items()})
-            taken = end
-        yield stream
+        yield _merge(_emit(batch, delays[lo : lo + len(batch)], lo, spacing, n_bins), dark)
 
 
 class _Matcher:
@@ -652,8 +698,8 @@ _INT_RE = re.compile(r"-?[0-9]{1,18}")
 _MAX_DIGITS = 18
 _MAX_INT = 10**_MAX_DIGITS - 1
 _POW10 = 10 ** np.arange(1, _MAX_DIGITS, dtype=np.int64)  # a d-digit value reaches d - 1 of these
-_CHUNK_ROWS = 65_536  # rows per write or parse pass: bounds memory, keeps temporaries in cache
-_READ_BYTES = 1 << 20  # bytes per read of a stream file, about one parse pass of rows
+_CHUNK_ROWS = 16_384  # rows per write or parse pass: bounds its temporaries (about 80 B a row to write)
+_READ_BYTES = 1 << 18  # bytes per read of a stream file, about one parse pass of rows
 
 
 @dataclass(frozen=True)
@@ -779,34 +825,56 @@ def _written_fields(fmt: _Format, columns) -> list:
 def _format_rows(fmt: _Format, columns) -> np.ndarray:
     """The bytes of the rows held in columns (integer arrays in file order).
 
-    Each field's width per row lays the rows out in one exact-size buffer.
-    The fields are then written right to left: each puts its separator, then
-    its bytes from the right, byte j only into rows whose field is longer
-    than j.  An integer is its decimal digits after an optional '-'; a label
-    is its big-endian key (as _parse_labels packs it) in base 256.
+    Each field's width per row lays the rows out in one exact-size buffer;
+    only the widths, a byte or two per field, are held for every field.
+    The fields are then written right to left: each puts its separator,
+    then its bytes from the right, byte j only into rows whose field is
+    longer than j.  An integer is its decimal digits after an optional '-';
+    a label is its big-endian key (as _parse_labels packs it) in base 256.
     """
-    parts = []  # per field: (value, digit count, base, zero digit, rows with a '-')
-    for (_, labels), col, present in zip(fmt.columns, columns, _written_fields(fmt, columns)):
+    fields = list(zip(fmt.columns, columns, _written_fields(fmt, columns)))
+    right = np.full(len(columns[0]), len(fields), dtype=np.int64)  # a separator per field
+    widths = []  # per field: (digit count, rows with a '-')
+    for (_, labels), col, present in fields:
         if labels is None:
-            value = np.abs(col.astype(np.int64))  # an int32 minimum stays negative in np.abs
-            n_digits = (np.searchsorted(_POW10, value, side="right") + 1) * present
-            parts.append((value, n_digits, 10, ord("0"), (col < 0) & present))
+            value = _magnitudes(col)
+            n_digits = np.searchsorted(_POW10, value, side="right").astype(np.uint8)
+            n_digits += 1
+            n_digits *= present
+            widths.append((n_digits, (col < 0) & present))
         else:
-            sizes = np.array([len(label) for label in labels], dtype=np.int64)
-            parts.append((_label_keys(labels)[col], sizes[col], 256, 0, np.zeros(len(col), bool)))
-    right = np.cumsum(sum(n_digits + neg + 1 for _, n_digits, _, _, neg in parts))
-    buf = np.empty(int(right[-1]), dtype=np.uint8)  # right: one past each row's '\n'
-    for f, (value, n_digits, base, zero, neg) in reversed(list(enumerate(parts))):
+            sizes = np.array([len(label) for label in labels], dtype=np.uint8)
+            widths.append((sizes[col], np.zeros(len(col), dtype=bool)))
+        right += widths[-1][0]
+        right += widths[-1][1]
+    np.cumsum(right, out=right)  # one past each row's '\n'
+    buf = np.empty(int(right[-1]), dtype=np.uint8)
+    for f in reversed(range(len(fields))):
+        (_, labels), col, _ = fields[f]
+        n_digits, neg = widths.pop()
         right -= 1
-        buf[right] = ord("\n" if f == len(parts) - 1 else ",")
-        _put_digits(buf, right, value, n_digits, base, zero)
-        right -= n_digits + neg
+        buf[right] = ord("\n" if f == len(fields) - 1 else ",")
+        if labels is None:
+            _put_digits(buf, right, _magnitudes(col), n_digits, 10, ord("0"))
+        else:
+            _put_digits(buf, right, _label_keys(labels)[col], n_digits, 256, 0)
+        right -= n_digits
+        right -= neg
         buf[right[neg]] = ord("-")
     return buf
 
 
+def _magnitudes(col) -> np.ndarray:
+    """|col| as a new int64 array; an int32 minimum would stay negative in np.abs."""
+    value = col.astype(np.int64)
+    return np.abs(value, out=value)
+
+
 def _put_digits(buf, end, value, n_digits, base: int, zero: int) -> None:
-    """buf[end - n_digits : end] = each value's last n_digits base-`base` digits, plus zero."""
+    """buf[end - n_digits : end] = each value's last n_digits base-`base` digits, plus zero.
+
+    value is overwritten.
+    """
     at = end - 1
     zero = np.uint8(zero)
     for j in range(int(n_digits.max(initial=0))):
@@ -814,7 +882,8 @@ def _put_digits(buf, end, value, n_digits, base: int, zero: int) -> None:
         if not live.all():
             at, value, n_digits = at[live], value[live], n_digits[live]
         rest = value // base  # np.divmod takes several times longer
-        buf[at] = (value - rest * base).astype(np.uint8) + zero
+        value -= rest * base  # the digit
+        buf[at] = value.astype(np.uint8) + zero
         value = rest
         at -= 1
 
@@ -900,18 +969,21 @@ def _read_lines(fh):
     carry = b""
     while True:
         more = fh.read(_READ_BYTES)
+        end = not more
         data = carry + more
+        del more  # so that only lines and carry are held while lines is parsed
         cut = len(data)
-        if more:  # up to the last line end, short of a final "\r"
+        if not end:  # up to the last line end, short of a final "\r"
             cut = max(data.rfind(b"\n"), data.rfind(b"\r", 0, len(data) - 1)) + 1
         lines, carry = data[:cut], data[cut:]
+        del data
         if b"\r" in lines:
             lines = lines.replace(b"\r\n", b"\n").replace(b"\r", b"\n")
         if lines and not lines.endswith(b"\n"):  # only at the end of the file
             lines += b"\n"
         if lines:
             yield lines
-        if not more:
+        if end:
             return
 
 

@@ -463,7 +463,13 @@ def inject_background_lexsort(stream: EventStream, rate_per_ns: float, seed: int
 
     Original records keep their ids and content; background records get
     fresh ids past the current maximum.  Rate 0 returns the stream as is.
+    The dark counts are drawn as the library draws them: the total, then
+    per window of the span (as many as the total fills at
+    ``events._DARK_WINDOW`` apiece) a binomial share of what is left, its
+    times, codes and bins.  Ids follow draw order; one lexsort merges all.
     """
+    from qeraser import events
+
     rate = float(rate_per_ns)
     if not (math.isfinite(rate) and rate >= 0.0):
         raise ValueError(f"background rate must be finite and non-negative, got {rate!r}")
@@ -475,9 +481,18 @@ def inject_background_lexsort(stream: EventStream, rate_per_ns: float, seed: int
     t0 = int(stream.time_ns[0])
     t1 = int(stream.time_ns[-1])
     n_bg = int(rng.poisson(rate * (t1 - t0)))
-    bg_times = rng.integers(t0, t1 + 1, size=n_bg)
-    bg_codes = rng.integers(0, len(DETECTOR_LABELS), size=n_bg)
-    bg_x_all = rng.integers(0, stream.n_bins, size=n_bg)
+    n_windows = max(1, math.ceil(n_bg / events._DARK_WINDOW))
+    edges = [t0 + j * (t1 - t0 + 1) // n_windows for j in range(n_windows + 1)]
+    bg_times, bg_codes, bg_x_all = [], [], []
+    left = n_bg
+    for lo, hi in zip(edges, edges[1:]):
+        k = int(rng.binomial(left, (hi - lo) / (t1 + 1 - lo)))
+        left -= k
+        bg_times.append(rng.integers(lo, hi, size=k))
+        bg_codes.append(rng.integers(0, len(DETECTOR_LABELS), size=k))
+        bg_x_all.append(rng.integers(0, stream.n_bins, size=k))
+    assert left == 0
+    bg_times, bg_codes, bg_x_all = map(np.concatenate, (bg_times, bg_codes, bg_x_all))
     bg_x = np.where(bg_codes == CODE_D0, bg_x_all, -1)
     next_id = int(stream.event_id.max()) + 1
     bg_ids = next_id + np.arange(n_bg, dtype=np.int64)

@@ -473,13 +473,58 @@ def test_simulate_refuses_a_background_rate_past_the_event_ids(
     assert not out.exists()
 
 
-def test_simulate_out_of_memory_exits_2(tmp_path, small_config_path, capsys):
-    """1e10 dark counts per ns over 8e6 ns is 8e16 events: numpy refuses the arrays up front."""
+def test_simulate_refuses_a_run_larger_than_the_free_disk(
+    tmp_path, small_config_path, monkeypatch, capsys
+):
+    """1e10 dark counts per ns over 8e6 ns is 8e16 events: 6.4e17 bytes of events.csv or more.
+
+    The dark counts are drawn a window at a time, so no allocation refuses
+    such a run; the disk check does, before any draw.
+    """
+    monkeypatch.setattr(cli, "event_chunks", no_work("simulate"))
     out = tmp_path / "sim"
     argv = ["simulate", "--config", str(small_config_path), "--out", str(out), "--background-rate", "1e10"]
     assert cli.main(argv) == 2
-    assert one_line_error(capsys).startswith("qeraser: Unable to allocate ")
+    assert one_line_error(capsys).startswith(
+        "qeraser: the run expects 8e+16 event records at --background-rate 10000000000.0, "
+        "at least 6.4e+17 bytes of events.csv, but "
+    )
     assert not out.exists()
+
+
+@pytest.mark.parametrize("spare, code", [(-1, 2), (0, 0)])
+def test_simulate_checks_the_free_disk_where_out_will_be(
+    tmp_path, small_config_path, monkeypatch, capsys, spare, code
+):
+    """8,000 triples 1000 ns apart at 1e-3 per ns expect 32,000 rows, 8 bytes each at least.
+
+    The free bytes are read on --out's nearest existing parent; a run that
+    needs one byte more than that is refused before any draw, with one line.
+    """
+    import shutil
+    from types import SimpleNamespace
+
+    asked = []
+
+    def disk_usage(path):
+        asked.append(Path(path))
+        return SimpleNamespace(total=10**12, used=0, free=32_000 * 8 + spare)
+
+    monkeypatch.setattr(shutil, "disk_usage", disk_usage)
+    if code:
+        monkeypatch.setattr(cli, "event_chunks", no_work("simulate"))
+    out = tmp_path / "a" / "b" / "sim"
+    argv = ["simulate", "--config", str(small_config_path), "--out", str(out), "--background-rate", "1e-3"]
+    assert cli.main(argv) == code
+    assert asked == [tmp_path]
+    if code:
+        assert one_line_error(capsys) == (
+            "qeraser: the run expects 3.2e+04 event records at --background-rate 0.001, "
+            f"at least 2.56e+05 bytes of events.csv, but {tmp_path} has 255999 bytes free\n"
+        )
+        assert not (tmp_path / "a").exists()
+    else:
+        assert (out / "events.csv").exists()
 
 
 def test_simulate_bad_window_writes_nothing(tmp_path, small_config_path, monkeypatch, capsys):

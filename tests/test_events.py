@@ -674,36 +674,44 @@ def test_matcher_holds_less_than_its_input(monkeypatch):
     assert peak <= 22 * len(batch) + 48 * 3 * events._CHUNK_TRIPLES
 
 
-def _simulated(config, path):
-    """simulate's stream path at seed 0 and 2e-3 dark counts per ns.
+def _simulated(config, path, rate=2e-3):
+    """simulate's stream path at seed 0 and rate dark counts per ns.
 
     Returns (records, sha256, triples, orphans).
     """
-    records, chunks = event_chunks(config, 0, 2e-3)
+    records, chunks = event_chunks(config, 0, rate)
     return (records, *write_and_match(path, header_for(config), records, chunks))
 
 
-def test_simulate_holds_one_chunk_beside_the_dark_counts_and_the_matches(tmp_path, monkeypatch):
-    """simulate's traced peak, less 21 bytes a dark count and 22 a matched triple, is one chunk's.
+def test_simulate_holds_one_chunk_and_one_dark_window_beside_the_matches(tmp_path, monkeypatch):
+    """simulate's traced peak, less 22 bytes a matched triple, is one chunk's and one window's.
 
-    Between chunks the stream path holds the dark counts, the delays (2
-    bytes per triple) and the matched triples' columns (14 of their 22
-    bytes; the ids are made at the end, once the dark counts are freed).
-    What is left over is bounded per chunk, and it does not grow when the
-    run doubles.  Measured here with 1,000-triple chunks: 990 and 873 bytes
-    per chunk triple over 40 and 80 blocks of 500 triples.  Building,
-    matching and writing the whole run at once left 11.2 and 13.8 MB.
+    Between chunks the stream path holds the delays (2 bytes per triple),
+    the matched triples' columns (14 of their 22 bytes; the ids are made at
+    the end) and what is left of the last dark-count window drawn (at most
+    _DARK_WINDOW dark counts on average, 21 bytes each).  What is left over
+    is bounded per chunk: it does not grow when the run doubles, and per
+    record of a chunk it does not grow when the rate doubles, which puts
+    twice the dark counts in the run and more records in each chunk.
+    Measured here with 1,000-triple chunks over 40 blocks of 500 triples:
+    1,023 bytes per chunk triple at 2e-3 dark counts per ns, 978 over 80
+    blocks; 205 and 190 bytes per chunk record at 2e-3 and 4e-3.  Drawing
+    and holding every dark count at once left 1,893 and 2,636 bytes per
+    chunk triple, and 379 and 446 per chunk record.
     """
     monkeypatch.setattr(events, "_CHUNK_TRIPLES", 1000)
-    left = []
-    for repeat in (20, 40):
+    left, per_record = {}, {}
+    for repeat, rate in ((20, 2e-3), (40, 2e-3), (20, 4e-3)):
         config = make_config(bits=(1, 0) * repeat, block_size=500)
-        (records, _, batch, _), peak = _traced(_simulated, config, tmp_path / "events.csv")
-        dark = records - 3 * config.schedule.n_triples
-        assert dark > config.schedule.n_triples
-        left.append(peak - 21 * dark - 22 * len(batch))
-    assert left[0] <= 1200 * events._CHUNK_TRIPLES
-    assert left[1] <= left[0]
+        path = tmp_path / "events.csv"
+        (records, _, batch, _), peak = _traced(_simulated, config, path, rate)
+        n_chunks = config.schedule.n_triples / events._CHUNK_TRIPLES
+        assert records - 3 * config.schedule.n_triples > config.schedule.n_triples
+        left[repeat, rate] = peak - 22 * len(batch)
+        per_record[repeat, rate] = left[repeat, rate] / (records / n_chunks)
+    assert left[20, 2e-3] <= 1200 * events._CHUNK_TRIPLES
+    assert left[40, 2e-3] <= left[20, 2e-3]
+    assert per_record[20, 4e-3] <= per_record[20, 2e-3]
 
 
 def test_chunked_draws_equal_one_whole_draw(monkeypatch):

@@ -32,3 +32,18 @@ def test_run_protocol(tmp_path, capsys):
     assert load("run_protocol").main(["--block-size", "500", "--out", str(out)]) == 0
     assert sorted(p.name for p in out.iterdir()) == ["decode_alisha_only.csv", "decode_omniscient.csv"]
     assert "bit error rate" in capsys.readouterr().out
+
+
+def test_ber_vs_background(tmp_path, capsys):
+    """One row per (rate, seed); no decoder misses more bits than the schedule holds."""
+    csv = tmp_path / "ber.csv"
+    argv = ["--seeds", "3:5", "--rates", "0,0.05", "--block-size", "300", "--repeat", "1", "--csv", str(csv)]
+    assert load("ber_vs_background").main(argv) == 0
+    rate, seed, omniscient, alisha = np.loadtxt(csv, delimiter=",", skiprows=1, ndmin=2).T
+    assert rate.tolist() == [0.0, 0.0, 0.05, 0.05]
+    assert seed.tolist() == [3, 4, 3, 4]
+    bits = 20  # the default schedule's
+    assert ((0 <= omniscient) & (omniscient <= bits) & (0 <= alisha) & (alisha <= bits)).all()
+    out = capsys.readouterr().out
+    assert "20 blocks x 300 triples" in out
+    assert f"wrote {csv}" in out

@@ -109,6 +109,10 @@ def assert_streams_equal(got: EventStream, want: EventStream):
 # nanosecond with each other and with signal records
 dark_rates = st.one_of(st.sampled_from([0.0, 1e-3, 0.5]), st.floats(0.0, 0.5))
 
+# dark-count window targets: one window, a few, and about one dark count a
+# window, so that many windows are empty
+window_targets = [10**9, 400, 1]
+
 
 @fast
 @given(
@@ -132,9 +136,16 @@ def test_stream_build_equals_lexsort_build(seed, bits, block_size, pair_rate_sca
 
 
 @fast
-@given(seed=seeds, n=st.integers(0, 80), span=st.integers(0, 60), rate=dark_rates)
-def test_background_merge_equals_lexsort_on_any_sorted_stream(seed, n, span, rate):
-    """Any stream sorted by (time, id), ties and id gaps included."""
+@given(
+    seed=seeds,
+    n=st.integers(0, 80),
+    span=st.integers(0, 60),
+    rate=dark_rates,
+    target=st.sampled_from(window_targets),
+)
+def test_background_merge_equals_lexsort_on_any_sorted_stream(monkeypatch, seed, n, span, rate, target):
+    """Any stream sorted by (time, id), ties and id gaps included, in any number of windows."""
+    monkeypatch.setattr(events, "_DARK_WINDOW", target)
     rng = np.random.default_rng(seed)
     t = rng.integers(0, span + 1, n)
     ids = rng.choice(3 * n + 1, n, replace=False)
@@ -149,6 +160,48 @@ def test_background_merge_equals_lexsort_on_any_sorted_stream(seed, n, span, rat
     )
     noisy = inject_background(stream, rate, seed)
     assert_streams_equal(noisy, oracles.inject_background_lexsort(stream, rate, seed))
+
+
+@pytest.mark.parametrize("target", window_targets)
+@pytest.mark.parametrize("chunk", [1, 13, 10**9])
+def test_event_chunks_join_to_the_whole_stream_build(monkeypatch, chunk, target):
+    """event_chunks' pieces, joined, are inject_background(emit_events(...)) at any chunking.
+
+    Both draw the dark counts window by window from one generator; the
+    pieces take them as the chunk cuts reach them, carrying the rest of a
+    window cut by a chunk's edge into the next piece.
+    """
+    monkeypatch.setattr(events, "_CHUNK_TRIPLES", chunk)
+    monkeypatch.setattr(events, "_DARK_WINDOW", target)
+    seed = 7
+    config = dataclasses.replace(make_config((1, 0, 1), 30), pair_rate_scale=25.0)  # 40 ns apart
+    n = config.schedule.n_triples
+    cuts = np.arange(chunk, n, chunk) * 40
+    for rate in (0.0, 1e-3, 0.5):
+        stream = emit_events(sample_triples(config, seed), config, seed)
+        whole = inject_background(stream, rate, seed)
+        assert_streams_equal(whole, oracles.inject_background_lexsort(stream, rate, seed))
+        records, chunks = events.event_chunks(config, seed, rate)
+        pieces = list(chunks)
+        assert records == len(whole)
+        joined = {name: np.concatenate([getattr(p, name) for p in pieces]) for name in EVENT_COLUMNS}
+        assert_streams_equal(EventStream(**joined, n_bins=whole.n_bins), whole)
+        if rate != 0.5:
+            continue
+        # the windows themselves: empty ones where a window holds about one dark
+        # count, and windows that hold dark counts on both sides of a chunk's edge
+        t1 = int(stream.time_ns[-1])
+        total, windows = events._dark_windows(rate, 0, t1, stream.n_bins, 3 * n, seed)
+        counts, straddled = [], 0
+        for _, columns in windows:
+            times = columns["time_ns"]
+            counts.append(len(times))
+            straddled += int(((times.min(initial=t1) < cuts) & (cuts <= times.max(initial=0))).sum())
+        assert sum(counts) == total == len(whole) - 3 * n
+        assert len(counts) == max(1, -(-total // target))
+        assert (0 in counts) == (target == 1)
+        if target > 1 and chunk < n:
+            assert straddled
 
 
 # ---------------------------------------------------------------------------
@@ -296,13 +349,15 @@ def assert_simulate_equals_whole_run(tmp_path, capsys, config, seed, window, rat
     rate=st.one_of(st.sampled_from([0.0, 0.02, 0.5]), st.floats(0.0, 0.1)),
     window_share=st.one_of(st.sampled_from([0.0, 0.5]), st.floats(0.0, 0.5)),
     chunk=chunk_triples,
+    target=st.sampled_from(window_targets),
 )
 def test_simulate_chunks_equal_the_whole_run(
     tmp_path, monkeypatch, capsys, seed, bits, block_size, pair_rate_scale, rate, window_share,
-    chunk,
+    chunk, target,
 ):
-    """Any chunking, dark-count rate (0 included), window (0 to half the spacing), block size."""
+    """Any chunking, dark-count rate (0 included) and window count, window (0 to half the spacing)."""
     monkeypatch.setattr(events, "_CHUNK_TRIPLES", chunk)
+    monkeypatch.setattr(events, "_DARK_WINDOW", target)
     config = dataclasses.replace(make_config(bits, block_size), pair_rate_scale=pair_rate_scale)
     window = int(window_share * events.triple_spacing_ns(pair_rate_scale))
     assert_simulate_equals_whole_run(tmp_path, capsys, config, seed, window, rate)
