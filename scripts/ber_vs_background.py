@@ -14,7 +14,7 @@ missed a bit.
 Run from the repo root (the defaults are the noisy_fine benchmark's size):
 
     PYTHONPATH=src python3 scripts/ber_vs_background.py --seeds 0:10 --rates 0,2e-3,1e-2
-    PYTHONPATH=src python3 scripts/ber_vs_background.py --block-size 500 --csv ber.csv
+    PYTHONPATH=src python3 scripts/ber_vs_background.py --block-size 500
 """
 
 import argparse
@@ -50,8 +50,6 @@ def main(argv=None) -> int:
     parser.add_argument("--rates", default="0,1e-3,2e-3,5e-3", help="dark counts per ns, comma-separated")
     parser.add_argument("--block-size", type=int, default=2500)
     parser.add_argument("--repeat", type=int, default=10, help="copies of the default schedule's bits")
-    parser.add_argument("--window-ns", type=int, default=DEFAULT_WINDOW_NS)
-    parser.add_argument("--csv", default="", help="also write rate,seed,omniscient,alisha rows here")
     args = parser.parse_args(argv)
     rates = [float(r) for r in args.rates.split(",") if r]
     if not rates or not len(args.seeds):
@@ -62,11 +60,10 @@ def main(argv=None) -> int:
     config = replace(config, schedule=schedule)
     spacing = triple_spacing_ns(config.pair_rate_scale, schedule.n_triples)
     n_bits = len(schedule.bits)
-    print(f"{n_bits} blocks x {schedule.block_size} triples, window +-{args.window_ns} ns, "
+    print(f"{n_bits} blocks x {schedule.block_size} triples, window +-{DEFAULT_WINDOW_NS} ns, "
           f"seeds {args.seeds.start}..{args.seeds.stop - 1}")
     print(f"{'rate/ns':>10} {'omniscient':>12} {'alisha':>12}  omniscient misses at seeds")
 
-    rows = []
     for rate in rates:
         omni_total = alisha_total = 0
         missed = []
@@ -74,7 +71,7 @@ def main(argv=None) -> int:
             stream = emit_events(sample_triples(config, seed), config, seed)
             stream = inject_background(stream, rate, seed)
             matched, _ = match_coincidences(
-                stream, args.window_ns, block_size=schedule.block_size, spacing_ns=spacing
+                stream, DEFAULT_WINDOW_NS, block_size=schedule.block_size, spacing_ns=spacing
             )
             del stream
             with warnings.catch_warnings():
@@ -85,16 +82,9 @@ def main(argv=None) -> int:
             alisha_total += alisha
             if omni:
                 missed.append(seed)
-            rows.append(f"{rate!r},{seed},{omni},{alisha}")
         bits = n_bits * len(args.seeds)
         print(f"{rate:>10.3g} {omni_total:>5}/{bits:<6} {alisha_total:>5}/{bits:<6}  "
               f"{' '.join(map(str, missed)) or '-'}")
-
-    if args.csv:
-        with open(args.csv, "w", encoding="utf-8") as fh:
-            fh.write("rate_per_ns,seed,omniscient_bit_errors,alisha_bit_errors\n")
-            fh.write("".join(row + "\n" for row in rows))
-        print(f"wrote {args.csv}")
     return 0
 
 

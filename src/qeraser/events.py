@@ -350,8 +350,11 @@ def inject_background(stream: EventStream, rate_per_ns: float, seed: int = 0) ->
     t0, t1 = int(stream.time_ns[0]), int(stream.time_ns[-1])
     next_id = int(stream.event_id.max()) + 1
     _, windows = _dark_windows(rate, t0, t1, stream.n_bins, next_id, int(seed))
-    [dark] = _dark_shares(windows, [None])
-    return _merge(stream, dark)
+    pieces = [dark for _, dark in _dark_pieces(windows, [None]) if len(dark["time_ns"])]
+    if len(pieces) > 1:  # each piece's column freed once joined
+        columns = _EVENT_LOG.names
+        pieces = [{name: np.concatenate([piece.pop(name) for piece in pieces]) for name in columns}]
+    return _merge(stream, pieces.pop()) if pieces else stream
 
 
 def _background_rate(rate_per_ns) -> float:
@@ -398,37 +401,39 @@ def _dark_windows(rate: float, t0: int, t1: int, n_bins: int, next_id: int, seed
             x_bin = x_bin[event_id]
             event_id += first_id
             yield hi, {"event_id": event_id, "detector": detector, "time_ns": time_ns, "x_bin": x_bin}
+            del event_id, detector, time_ns, x_bin  # the next window is drawn without this one
             left, lo, first_id = left - n, hi, first_id + n
 
     return total, windows()
 
 
-def _dark_shares(windows, cuts):
-    """Per cut, the dark counts of windows timed before it and in no earlier share.
+def _dark_pieces(windows, cuts):
+    """The dark counts in time order, one piece of at most one window at a time.
 
-    cuts ascend, and None takes every dark count left.  Windows are drawn
-    as the cuts reach them, and only the last drawn window's remainder is
-    held from one share to the next.  A share is a dict of the four event
-    columns: views into one window where it lies in one, else joined.
+    cuts ascend and end with None, which takes every dark count left.
+    Yields (end, dark) per piece: dark the dark counts of one window timed
+    before the current cut and in no earlier piece, as views of the
+    window's four event columns.  end is None on the last piece before
+    each cut, else the end of dark's window, which the piece takes all of;
+    the next piece starts there.  Windows are drawn as the pieces reach
+    them, and a window is let go before the next one is drawn, so only the
+    window being cut is held.
     """
-    end, rest = next(windows)
-    for cut in cuts:
-        parts = []
+    cuts = iter(cuts)
+    cut = next(cuts)
+    for end, rest in windows:
         while True:
-            times = rest["time_ns"]
-            k = len(times) if cut is None else int(np.searchsorted(times, cut))
-            parts.append({name: column[:k] for name, column in rest.items()})
+            n = len(rest["time_ns"])
+            k = n if cut is None else int(np.searchsorted(rest["time_ns"], cut))
+            if k == n and (cut is None or end < cut):
+                break  # the rest of this window lies before the cut
+            yield None, {name: column[:k] for name, column in rest.items()}
             rest = {name: column[k:] for name, column in rest.items()}
-            if k < len(times) or cut is not None and end >= cut:
-                break  # the rest of this window, and every later one, lies at cut or after
-            window = next(windows, None)
-            if window is None:
-                break
-            end, rest = window
-        if len(parts) == 1:
-            yield parts[0]
-        else:  # each part's column freed once joined
-            yield {name: np.concatenate([part.pop(name) for part in parts]) for name in tuple(parts[0])}
+            cut = next(cuts)
+        yield end, rest
+        del rest
+    for cut in itertools.chain([cut], cuts):  # no dark counts are left for these cuts
+        yield None, {name: np.empty(0, dtype=_DTYPE[name]) for name in _EVENT_LOG.names}
 
 
 def _merge(stream: EventStream, dark: dict) -> EventStream:
@@ -436,10 +441,11 @@ def _merge(stream: EventStream, dark: dict) -> EventStream:
 
     Each dark column is taken out of dark as it is merged, the int64 ones
     first, so a caller that holds the columns only in dark has each freed
-    once merged.  No dark counts: the stream as is.
+    once merged.  No dark counts: the stream as is, and dark emptied.
     """
     n_bg = len(dark["time_ns"])
     if not n_bg:
+        dark.clear()
         return stream
     original = np.ones(len(stream) + n_bg, dtype=bool)
     at = np.searchsorted(stream.time_ns, dark["time_ns"], side="right")
@@ -475,13 +481,15 @@ def event_chunks(config: ExperimentConfig, seed: int, rate_per_ns: float) -> tup
     """(records, chunks): the run's stream as emit_events and inject_background build it, in chunks.
 
     records is the stream's length, 3 n_triples plus the dark counts.  chunks
-    iterates over consecutive EventStream pieces of the stream: piece c holds
-    triples c K .. (c + 1) K - 1 (K = _CHUNK_TRIPLES) and the dark counts
-    timed before the next piece's first D0, which the merge puts after that
-    D0.  The checks, the delays and the dark-count total are done and drawn
-    here: the background's span needs the last triple's delays.  Each piece
-    is sampled, emitted and merged when it is asked for, with the dark-count
-    windows it reaches (_dark_windows), and the iterator frees the draws
+    iterates over consecutive EventStream pieces of the stream.  Batch c of
+    triples c K .. (c + 1) K - 1 (K = _CHUNK_TRIPLES) goes with the dark
+    counts timed before the next batch's first D0, which the merge puts
+    after that D0, and is cut where a dark-count window (_dark_windows)
+    ends, so a piece holds at most K triples' records and one window's dark
+    counts, whatever the rate.  The checks, the delays and the dark-count
+    total are done and drawn here: the background's span needs the last
+    triple's delays.  Each batch is sampled and emitted, and each window
+    drawn, when a piece first needs it, and the iterator frees the draws
     when it ends.
     """
     rate = _background_rate(rate_per_ns)
@@ -494,17 +502,36 @@ def event_chunks(config: ExperimentConfig, seed: int, rate_per_ns: float) -> tup
     t_end = (n - 1) * spacing + int(delays[-1].max())
     n_bins = config.geometry.n_bins
     n_dark, windows = _dark_windows(rate, 0, t_end, n_bins, 3 * n, seed)
-    # a dark count timed at the next piece's first D0 goes after it, into that piece
+    # a dark count timed at the next batch's first D0 goes after it, with that batch
     step = _CHUNK_TRIPLES * spacing
-    shares = _dark_shares(windows, itertools.chain(range(step, n * spacing, step), [None]))
-    return 3 * n + n_dark, _stream_chunks(batches, delays, shares, spacing, n_bins)
+    pieces = _dark_pieces(windows, itertools.chain(range(step, n * spacing, step), [None]))
+    return 3 * n + n_dark, _stream_chunks(batches, delays, pieces, spacing, n_bins)
 
 
-def _stream_chunks(batches, delays, shares, spacing: int, n_bins: int):
-    """event_chunks' pieces: each batch emitted with its delays, and its share of the dark counts merged."""
-    for batch, dark in zip(batches, shares):
+def _stream_chunks(batches, delays, pieces, spacing: int, n_bins: int):
+    """event_chunks' pieces: each batch emitted with its delays and cut where its dark pieces end.
+
+    A dark piece that ends at end takes its window's dark counts before
+    end, so the batch's records before end, merged with it, precede every
+    later record of the stream.
+    """
+    for batch in batches:
         lo = int(batch.triple_id[0])
-        yield _merge(_emit(batch, delays[lo : lo + len(batch)], lo, spacing, n_bins), dark)
+        stream = _emit(batch, delays[lo : lo + len(batch)], lo, spacing, n_bins)
+        for end, dark in pieces:
+            k = len(stream) if end is None else int(np.searchsorted(stream.time_ns, end))
+            piece = _merge(_rows(stream, slice(None, k)), dark)
+            if len(piece):
+                yield piece
+            if end is None:
+                break
+            stream = _rows(stream, slice(k, None))
+
+
+def _rows(stream: EventStream, rows: slice) -> EventStream:
+    """stream's records in rows, as views of its columns."""
+    columns = {name: getattr(stream, name)[rows] for name in _EVENT_LOG.names}
+    return EventStream(**columns, n_bins=stream.n_bins)
 
 
 class _Matcher:

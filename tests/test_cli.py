@@ -473,6 +473,32 @@ def test_simulate_refuses_a_background_rate_past_the_event_ids(
     assert not out.exists()
 
 
+def test_simulate_out_of_memory_exits_2(tmp_path, small_config_path, monkeypatch, capsys):
+    """An allocation numpy refuses part way through the run exits 2 with its one line.
+
+    The first chunk is written before the refusal, so --out and events.csv
+    exist by then; both are removed.
+    """
+    build = cli.event_chunks
+    reason = "Unable to allocate 64.0 PiB for an array with shape (9007199254740992,) and data type int64"
+
+    def event_chunks(config, seed, rate):
+        records, chunks = build(config, seed, rate)
+
+        def refused():
+            yield next(chunks)
+            raise MemoryError(reason)
+
+        return records, refused()
+
+    monkeypatch.setattr(cli, "event_chunks", event_chunks)
+    out = tmp_path / "sim"
+    argv = ["simulate", "--config", str(small_config_path), "--out", str(out), "--background-rate", "1e-3"]
+    assert cli.main(argv) == 2
+    assert one_line_error(capsys) == f"qeraser: {reason}\n"
+    assert not out.exists()
+
+
 def test_simulate_refuses_a_run_larger_than_the_free_disk(
     tmp_path, small_config_path, monkeypatch, capsys
 ):

@@ -686,32 +686,34 @@ def _simulated(config, path, rate=2e-3):
 def test_simulate_holds_one_chunk_and_one_dark_window_beside_the_matches(tmp_path, monkeypatch):
     """simulate's traced peak, less 22 bytes a matched triple, is one chunk's and one window's.
 
-    Between chunks the stream path holds the delays (2 bytes per triple),
+    Between pieces the stream path holds the delays (2 bytes per triple),
     the matched triples' columns (14 of their 22 bytes; the ids are made at
-    the end) and what is left of the last dark-count window drawn (at most
-    _DARK_WINDOW dark counts on average, 21 bytes each).  What is left over
-    is bounded per chunk: it does not grow when the run doubles, and per
-    record of a chunk it does not grow when the rate doubles, which puts
-    twice the dark counts in the run and more records in each chunk.
-    Measured here with 1,000-triple chunks over 40 blocks of 500 triples:
-    1,023 bytes per chunk triple at 2e-3 dark counts per ns, 978 over 80
-    blocks; 205 and 190 bytes per chunk record at 2e-3 and 4e-3.  Drawing
-    and holding every dark count at once left 1,893 and 2,636 bytes per
-    chunk triple, and 379 and 446 per chunk record.
+    the end) and what is left of the dark-count window being cut (at most
+    _DARK_WINDOW dark counts on average, 21 bytes each); a piece holds at
+    most one chunk's records and one window's dark counts.  What is left
+    over does not grow when the run doubles, and once the windows are full
+    it does not grow when the rate doubles, and doubles again, which puts
+    several windows in each chunk.  Measured here with 1,000-triple chunks:
+    1,094 bytes per chunk triple at 2e-3 dark counts per ns over 40 blocks
+    of 500 triples, 1,052 over 80 blocks; over 10 blocks, 2,438, 2,422 and
+    2,312 at 16e-3, 32e-3 and 64e-3.  Drawing and holding every dark count
+    at once left 1,893 and 2,637 at 2e-3, and 5,585, 10,516 and 18,768 at
+    the three high rates; joining a chunk's windows before the merge left
+    2,414, 3,167 and 5,462 there.
     """
     monkeypatch.setattr(events, "_CHUNK_TRIPLES", 1000)
-    left, per_record = {}, {}
-    for repeat, rate in ((20, 2e-3), (40, 2e-3), (20, 4e-3)):
+    left = {}
+    for repeat, rate in ((20, 2e-3), (40, 2e-3), (5, 16e-3), (5, 32e-3), (5, 64e-3)):
         config = make_config(bits=(1, 0) * repeat, block_size=500)
         path = tmp_path / "events.csv"
         (records, _, batch, _), peak = _traced(_simulated, config, path, rate)
-        n_chunks = config.schedule.n_triples / events._CHUNK_TRIPLES
         assert records - 3 * config.schedule.n_triples > config.schedule.n_triples
         left[repeat, rate] = peak - 22 * len(batch)
-        per_record[repeat, rate] = left[repeat, rate] / (records / n_chunks)
     assert left[20, 2e-3] <= 1200 * events._CHUNK_TRIPLES
     assert left[40, 2e-3] <= left[20, 2e-3]
-    assert per_record[20, 4e-3] <= per_record[20, 2e-3]
+    # 64e-3 per ns puts about 64,000 dark counts, four windows, in each chunk
+    assert left[5, 64e-3] <= left[5, 32e-3] <= left[5, 16e-3]
+    assert left[5, 16e-3] <= 1200 * events._CHUNK_TRIPLES + 100 * events._DARK_WINDOW
 
 
 def test_chunked_draws_equal_one_whole_draw(monkeypatch):

@@ -34,16 +34,18 @@ def test_run_protocol(tmp_path, capsys):
     assert "bit error rate" in capsys.readouterr().out
 
 
-def test_ber_vs_background(tmp_path, capsys):
-    """One row per (rate, seed); no decoder misses more bits than the schedule holds."""
-    csv = tmp_path / "ber.csv"
-    argv = ["--seeds", "3:5", "--rates", "0,0.05", "--block-size", "300", "--repeat", "1", "--csv", str(csv)]
+def test_ber_vs_background(capsys):
+    """One row per rate; no decoder misses more bits than the seeds' schedules hold."""
+    argv = ["--seeds", "3:5", "--rates", "0,0.05", "--block-size", "300", "--repeat", "1"]
     assert load("ber_vs_background").main(argv) == 0
-    rate, seed, omniscient, alisha = np.loadtxt(csv, delimiter=",", skiprows=1, ndmin=2).T
-    assert rate.tolist() == [0.0, 0.0, 0.05, 0.05]
-    assert seed.tolist() == [3, 4, 3, 4]
-    bits = 20  # the default schedule's
-    assert ((0 <= omniscient) & (omniscient <= bits) & (0 <= alisha) & (alisha <= bits)).all()
-    out = capsys.readouterr().out
-    assert "20 blocks x 300 triples" in out
-    assert f"wrote {csv}" in out
+    head, columns, *rows = capsys.readouterr().out.splitlines()
+    assert head == "20 blocks x 300 triples, window +-20 ns, seeds 3..4"
+    assert columns.split() == ["rate/ns", "omniscient", "alisha", "omniscient", "misses", "at", "seeds"]
+    assert [row.split()[0] for row in rows] == ["0", "0.05"]
+    bits = 2 * 20  # two seeds of the default schedule's 20 bits
+    for row in rows:
+        rate, omniscient, alisha, *missed = row.split()
+        for errors in (omniscient, alisha):
+            wrong, total = map(int, errors.split("/"))
+            assert total == bits and 0 <= wrong <= bits
+        assert missed == ["-"] or set(missed) <= {"3", "4"}
