@@ -31,18 +31,12 @@ class LowSampleWarning(UserWarning):
     """Fewer detections than the sampling bound 2L/d; fit is undersampled."""
 
 
-def _select(triples: TripleBatch, n_bins: int, babu=None, alisha=None) -> np.ndarray:
-    """Mask of the triples in one slice; None leaves that column unrestricted.
-
-    Every selected x_bin must lie on the screen binning.
-    """
+def _select(triples: TripleBatch, babu=None, alisha=None) -> np.ndarray:
+    """Mask of the triples in one slice; None leaves that column unrestricted."""
     mask = np.ones(len(triples), dtype=bool)
     for value, column in ((babu, triples.babu), (alisha, triples.alisha)):
         if value is not None:
             mask &= column == int(value)  # int() refuses a set, which would select nothing
-    x = triples.x_bin[mask]
-    if len(x) and (x.min() < 0 or x.max() >= n_bins):
-        raise ValueError("x_bin outside the screen binning")
     return mask
 
 
@@ -53,7 +47,10 @@ def build_histogram(triples: TripleBatch, n_bins: int, babu=None, alisha=None) -
     alisha=k) is the usual coincidence slice and alisha-only selection is
     what a screen-side observer can actually form.
     """
-    return np.bincount(triples.x_bin[_select(triples, n_bins, babu, alisha)], minlength=n_bins)
+    x = triples.x_bin[_select(triples, babu, alisha)]
+    if len(x) and (x.min() < 0 or x.max() >= n_bins):
+        raise ValueError("x_bin outside the screen binning")
+    return np.bincount(x, minlength=n_bins)
 
 
 @dataclass(frozen=True)
@@ -215,18 +212,40 @@ class DecodeReport:
 
 
 def _decode(
-    triples: TripleBatch,
+    triples,
     schedule: SwitchSchedule,
     geom: SlitScreenGeometry,
     babu_filter,
     alisha_filter,
     selector: str,
 ) -> DecodeReport:
-    n_blocks = len(schedule.bits)
-    blocks = triples.block_index
-    _check_blocks(blocks, n_blocks)
+    """The per-block fringe test on one coincidence slice of triples.
+
+    triples is a TripleBatch, or consecutive TripleBatch passes of one set
+    of triples, such as triple_passes reads.  Each pass is reduced to the
+    per-block triple totals and the slice's (block, x_bin) count grid, whose
+    row b is the slice's histogram over block b; only those sums are held.
+    A bad block or x_bin is refused once every pass is in, a block first,
+    as over the whole set.
+    """
+    n_blocks, n_bins = len(schedule.bits), geom.n_bins
+    counts = np.zeros(n_blocks, dtype=np.int64)
+    grid = np.zeros(n_blocks * n_bins, dtype=np.int64)
+    bad_blocks, bad_bin = None, False  # the first pass with a bad block; a bad selected x_bin
+    for part in [triples] if isinstance(triples, TripleBatch) else triples:
+        blocks, x = part.block_index, part.x_bin
+        known = (blocks >= 0) & (blocks < n_blocks)
+        if bad_blocks is None and not known.all():
+            bad_blocks = blocks
+        counts += np.bincount(blocks[known], minlength=n_blocks)
+        selected = _select(part, babu_filter, alisha_filter)
+        on_screen = (x >= 0) & (x < n_bins)
+        bad_bin |= bool((selected & ~on_screen).any())
+        selected &= known & on_screen
+        grid += np.bincount(blocks[selected] * n_bins + x[selected], minlength=n_blocks * n_bins)
+    if bad_blocks is not None:
+        _check_blocks(bad_blocks, n_blocks)
     bound = nyquist_min_samples(geom)
-    counts = np.bincount(blocks, minlength=n_blocks)
     low = [b for b in range(n_blocks) if counts[b] < bound]
     if low:
         warnings.warn(
@@ -235,13 +254,9 @@ def _decode(
             LowSampleWarning,
             stacklevel=3,
         )
-    # (block, x_bin) counts of the selected slice in one pass; row b is the
-    # slice's histogram over block b's triples
-    selected = _select(triples, geom.n_bins, babu_filter, alisha_filter)
-    grid = np.bincount(
-        blocks[selected] * geom.n_bins + triples.x_bin[selected],
-        minlength=n_blocks * geom.n_bins,
-    ).reshape(n_blocks, geom.n_bins)
+    if bad_bin:
+        raise ValueError("x_bin outside the screen binning")
+    grid = grid.reshape(n_blocks, n_bins)
     lit = grid.any(axis=1)
     fits = iter(fit_fringes(grid[lit], geom))
     decoded, vis, err = [], [], []
@@ -269,18 +284,21 @@ def _decode(
 
 
 def decode_omniscient(
-    triples: TripleBatch, schedule: SwitchSchedule, geom: SlitScreenGeometry
+    triples, schedule: SwitchSchedule, geom: SlitScreenGeometry
 ) -> DecodeReport:
     """Per-block fringe test on the (D1, D1') coincidence slice.
 
-    Needs both idler outcomes, i.e. classical records from both arms."""
+    Needs both idler outcomes, i.e. classical records from both arms.
+    triples is a TripleBatch or its passes, as _decode takes them."""
     return _decode(triples, schedule, geom, 0, 0, "omniscient")
 
 
 def decode_alisha_only(
-    triples: TripleBatch, schedule: SwitchSchedule, geom: SlitScreenGeometry
+    triples, schedule: SwitchSchedule, geom: SlitScreenGeometry
 ) -> DecodeReport:
-    """Same per-block test on what the screen side alone can select: D1'."""
+    """Same per-block test on what the screen side alone can select: D1'.
+
+    triples is a TripleBatch or its passes, as _decode takes them."""
     return _decode(triples, schedule, geom, None, 0, "alisha_only")
 
 

@@ -15,6 +15,7 @@ import math
 import os
 import shutil
 import sys
+import tempfile
 import warnings
 from dataclasses import replace
 from functools import partial, reduce
@@ -29,10 +30,10 @@ from .events import (
     SimStreamHeader,
     _write_text,
     event_chunks,
-    read_triples,
+    triple_passes,
     triple_spacing_ns,
     write_and_match,
-    write_triples,
+    write_spilled_triples,
 )
 from .experiment import (
     MODE_DOUBLE,
@@ -207,6 +208,8 @@ def cmd_patterns(args) -> int:
 
 # the shortest events.csv row: a one-digit id and time, a two-letter label, no x_bin
 _MIN_EVENT_ROW_BYTES = len("0,D1,0,\n")
+# the shortest triples.csv row, which simulate writes twice: to its spill, then to triples.csv
+_MIN_TRIPLE_ROW_BYTES = len("0,0,0,D1,D1'\n")
 
 
 def cmd_simulate(args) -> int:
@@ -252,41 +255,49 @@ def cmd_simulate(args) -> int:
             "the background rate must be finite and non-negative"
         )
     # the dark counts are drawn a window at a time, so only the disk bounds a run: refuse
-    # one whose events.csv alone could not fit where --out will be, before any draw
+    # one whose events.csv, triples.csv and spill could not fit where --out will be, before
+    # any draw
     rows = 3 * schedule.n_triples + expected
+    need = rows * _MIN_EVENT_ROW_BYTES + 2 * schedule.n_triples * _MIN_TRIPLE_ROW_BYTES
     where = _nearest_existing(Path(args.out))
     free = shutil.disk_usage(where).free
-    if rows * _MIN_EVENT_ROW_BYTES > free:
+    if need > free:
         raise SystemExit(
-            f"qeraser: the run expects {rows:.3g} event records at --background-rate {rate!r}, "
-            f"at least {rows * _MIN_EVENT_ROW_BYTES:.3g} bytes of events.csv, "
-            f"but {where} has {free} bytes free"
+            f"qeraser: the run expects {rows:.3g} event records at --background-rate {rate!r} "
+            f"and {schedule.n_triples} triples, at least {need:.3g} bytes of events.csv, "
+            f"triples.csv and their spill, but {where} has {free} bytes free"
         )
     # the delays and the dark-count total are drawn here, before --out is touched; the
     # triples and records are then sampled, emitted, merged, matched and written to
-    # events.csv one chunk at a time, and only the matched triples are held to the end
+    # events.csv one chunk at a time, and the matched triples' rows to a spill, an
+    # unlinked file where the free bytes were counted, which triples.csv is copied from
     records, chunks = event_chunks(config, seed, rate)
-    matched = orphans = None
-
-    def write_events(path):
-        nonlocal matched, orphans
-        digest, matched, orphans = write_and_match(path, header, records, chunks)
-        return digest
-
+    matched = which_path = orphans = None
     details = {
         "config_digest": header.config_digest,
         "seed": seed,
         "window_ns": window,
         "background_rate": rate,
     }
-    _publish(args, details, [write_events, lambda path: write_triples(path, matched, header)])
+    with tempfile.TemporaryFile(dir=where) as spill:
 
-    which_path = np.mean((matched.babu >= 2) | (matched.alisha >= 2)) if len(matched) else 0.0
+        def write_events(path):
+            nonlocal matched, which_path, orphans
+            digest, matched, which_path, orphans = write_and_match(
+                path, header, records, chunks, spill
+            )
+            return digest
+
+        def write_triples(path):
+            return write_spilled_triples(path, spill, header, matched)
+
+        _publish(args, details, [write_events, write_triples])
+
     print(f"sampled {schedule.n_triples} triples over {len(schedule.bits)} blocks")
     print(f"emitted {records} event records (spacing {spacing} ns)")
-    print(f"matched {len(matched)} triples in a +-{window} ns window")
+    print(f"matched {matched} triples in a +-{window} ns window")
     print(f"orphans {orphans.total}")
-    print(f"which-path participation fraction {which_path:.6f}")
+    print(f"which-path participation fraction {which_path / matched if matched else 0.0:.6f}")
     return 0
 
 
@@ -419,26 +430,31 @@ def cmd_decode(args) -> int:
     config = _load_config_or_fail(args.config)
     if config.schedule is None:
         raise SystemExit("qeraser: config has no schedule to decode against")
-    try:
-        triples, header = read_triples(args.triples)
-    except FileNotFoundError:
-        raise SystemExit(f"qeraser: triples file not found: {args.triples}")
-    except ValueError as exc:
-        raise SystemExit(f"qeraser: bad triples file {args.triples}: {exc}")
     digest = config_digest(config)
-    if header.config_digest != digest:
-        raise SystemExit(
-            "qeraser: triples file was produced under a different config "
-            f"(file digest {header.config_digest[:12]}..., "
-            f"config digest {digest[:12]}...)"
-        )
+    triples = triple_passes(args.triples)
+
+    def passes():
+        # the file's faults, then its config digest, before anything the decoder refuses
+        try:
+            yield from triples
+        except FileNotFoundError:
+            raise SystemExit(f"qeraser: triples file not found: {args.triples}")
+        except ValueError as exc:
+            raise SystemExit(f"qeraser: bad triples file {args.triples}: {exc}")
+        if triples.header.config_digest != digest:
+            raise SystemExit(
+                "qeraser: triples file was produced under a different config "
+                f"(file digest {triples.header.config_digest[:12]}..., "
+                f"config digest {digest[:12]}...)"
+            )
+
     decoder = decode_omniscient if args.mode == "omniscient" else decode_alisha_only
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always", LowSampleWarning)
-        report = decoder(triples, config.schedule, config.geometry)
+        report = decoder(passes(), config.schedule, config.geometry)
     for w in caught:
         print(f"warning: {w.message}", file=sys.stderr)
-    table_header = {"config_digest": digest, "seed": header.seed}
+    table_header = {"config_digest": digest, "seed": triples.header.seed}
     details = {"config_digest": digest, "triples": Path(args.triples).name, "mode": args.mode}
     _publish(args, details, [lambda path: write_decode_csv(path, report, table_header)])
     print(f"decoder={args.mode}")

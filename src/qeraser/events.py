@@ -539,12 +539,15 @@ class _Matcher:
 
     Between feeds it holds only unclaimed records, in three queues by kind:
     D0s as (time, x_bin), babu's and alisha's idlers as (time, code).  Each
-    feed appends a slice to the queues and decides the D0s whose window
-    closes before its last time, since every later record comes at or after
-    it.  An idler queue then drops what the undecided D0s (at the last time
-    less w or later) cannot claim: the records before its greedy pointer or
-    the last time less 2w.  Dropped records that matched nothing are
-    orphans.  result decides the rest and joins the matched pieces.
+    feed appends a slice to the queues, decides the D0s whose window closes
+    before its last time, since every later record comes at or after it,
+    and returns the triples they matched.  An idler queue then drops what
+    the undecided D0s (at the last time less w or later) cannot claim: the
+    records before its greedy pointer or the last time less 2w.  Dropped
+    records that matched nothing are orphans.  finish decides the rest and
+    returns its triples with the orphan report.  The matcher keeps no
+    matched triple: it only counts them, so each piece's triple ids run on
+    from the last piece's.
     """
 
     def __init__(self, window_ns: int, block_size: int, spacing_ns: int):
@@ -561,12 +564,13 @@ class _Matcher:
             for name in ("x_bin", "detector", "detector")
         ]
         self.last = None  # the last time fed
-        self.pieces = []  # (x_bin, babu, alisha, block_index) matched per feed
+        self.matched = 0  # triples matched so far
         self.orphans = np.zeros(len(DETECTOR_LABELS), dtype=np.int64)
 
-    def feed(self, time_ns, detector, x_bin) -> None:
+    def feed(self, time_ns, detector, x_bin) -> TripleBatch:
+        """Queue a slice that starts at or after the last time fed; the triples it decided."""
         if not len(time_ns):
-            return
+            return TripleBatch(**{name: np.empty(0, dtype=_DTYPE[name]) for name in _TRIPLES.names})
         if self.last is not None and time_ns[0] < self.last:
             raise ValueError("event stream is not time-sorted")
         _require_sorted(time_ns)
@@ -579,20 +583,15 @@ class _Matcher:
                 np.concatenate([times, time_ns.take(pos)]),
                 np.concatenate([values, other.take(pos)]),
             )
-        self._step(final=False)
+        return self._step(final=False)
 
-    def result(self) -> tuple[TripleBatch, OrphanReport]:
-        self._step(final=True)
-        columns = {}
-        for name in ("x_bin", "babu", "alisha", "block_index"):  # each piece freed once joined
-            columns[name] = np.concatenate([piece[0] for piece in self.pieces])
-            self.pieces = [piece[1:] for piece in self.pieces]
-        matched = len(columns["x_bin"])
-        batch = TripleBatch(triple_id=np.arange(matched, dtype=_DTYPE["triple_id"]), **columns)
+    def finish(self) -> tuple[TripleBatch, OrphanReport]:
+        """The triples of every D0 still queued, and the orphans of the whole stream."""
+        rest = self._step(final=True)
         by_detector = {label: int(n) for label, n in zip(DETECTOR_LABELS, self.orphans) if n}
-        return batch, OrphanReport(total=int(self.orphans.sum()), by_detector=by_detector)
+        return rest, OrphanReport(total=int(self.orphans.sum()), by_detector=by_detector)
 
-    def _step(self, final: bool) -> None:
+    def _step(self, final: bool) -> TripleBatch:
         """Decide the queued D0s before the last time less w (all of them if final), then drop.
 
         Each arm's greedy pointer starts at its queue's head.  A D0 more than
@@ -647,7 +646,14 @@ class _Matcher:
 
         got = np.flatnonzero(pick_b >= 0)
         pick_b, pick_a = pick_b[got], pick_a[got]
-        self.pieces.append((xd[got], cb[pick_b] - 1, ca[pick_a] - 5, td[got] // self.period))
+        first, self.matched = self.matched, self.matched + len(got)
+        decided = TripleBatch(
+            triple_id=np.arange(first, self.matched, dtype=_DTYPE["triple_id"]),
+            x_bin=xd[got],
+            babu=cb[pick_b] - 1,
+            alisha=ca[pick_a] - 5,
+            block_index=td[got] // self.period,
+        )
         self.orphans[CODE_D0] += cut - len(got)
         drop = [cut]
         for (t, codes), picks in zip(self.queues[1:], (pick_b, pick_a)):
@@ -663,6 +669,7 @@ class _Matcher:
         self.queues = [
             tuple(column[k:].copy() for column in queue) for queue, k in zip(self.queues, drop)
         ]
+        return decided
 
 
 def match_coincidences(
@@ -679,35 +686,79 @@ def match_coincidences(
     block index is recovered from the D0 timestamp (spacing_ns and block_size
     normally come from the stream header), which stays correct even when
     background events distort the matched sequence numbering.  The stream is
-    fed to the matcher 3 _CHUNK_TRIPLES records at a time, so its
-    temporaries are bounded by a slice and the records the matcher queues.
+    fed to the matcher 3 _CHUNK_TRIPLES records at a time, and each slice's
+    triples are put into columns sized for one triple per D0, the most
+    there can be, so beyond the slice's temporaries it holds its output.
+    At the end the columns are cut to the matched count in place and the
+    triple ids, 0 on, are made.
     """
     matcher = _Matcher(window_ns, block_size, spacing_ns)
+    most = int(np.count_nonzero(stream.detector == CODE_D0))
+    columns = {
+        name: np.empty(most, dtype=_DTYPE[name]) for name in _TRIPLES.names if name != "triple_id"
+    }
+    n = 0
+
+    def put(piece):
+        nonlocal n
+        for name, column in columns.items():
+            column[n : n + len(piece)] = getattr(piece, name)
+        n += len(piece)
+
     step = 3 * _CHUNK_TRIPLES
     for lo in range(0, len(stream), step):
         part = slice(lo, lo + step)
-        matcher.feed(stream.time_ns[part], stream.detector[part], stream.x_bin[part])
-    return matcher.result()
+        put(matcher.feed(stream.time_ns[part], stream.detector[part], stream.x_bin[part]))
+    rest, orphans = matcher.finish()
+    put(rest)
+    for column in columns.values():
+        column.resize(n, refcheck=False)  # no view of it is left, so no D0 without a match is kept
+    return TripleBatch(triple_id=np.arange(n, dtype=_DTYPE["triple_id"]), **columns), orphans
 
 
-def write_and_match(path, header: SimStreamHeader, records: int, chunks) -> tuple:
-    """(sha256, triples, orphans): write chunks as the event log at path, matching each as it goes.
+def write_and_match(path, header: SimStreamHeader, records: int, chunks, spill) -> tuple:
+    """(sha256, matched, which_path, orphans): write chunks as the event log at path, matching each.
 
     chunks are consecutive pieces of one time-sorted stream of records
     records, as event_chunks gives them.  The matcher takes the header's
     window, block size and spacing, as match_coincidences would on the log
     read back.  A piece is matched, then checked and written; a refused
-    field leaves no file (see _write_stream).
+    field leaves no event log (see _write_stream).  The triples each piece
+    decides are checked and written, as triples.csv rows, to spill, an
+    open binary file, and only counted: matched in all, and which_path,
+    those with an idler at D3 or D4.  write_spilled_triples then writes
+    triples.csv from spill.
     """
     matcher = _Matcher(header.coincidence_window_ns, header.block_size, header.spacing_ns)
+    which_path = 0
+    orphans = None
+
+    def spill_rows(piece):
+        nonlocal which_path
+        spill.writelines(_row_bytes(_TRIPLES, piece, matcher.matched - len(piece)))
+        which_path += int(np.count_nonzero((piece.babu >= 2) | (piece.alisha >= 2)))
 
     def matched(chunks):
+        nonlocal orphans
         for chunk in chunks:
-            matcher.feed(chunk.time_ns, chunk.detector, chunk.x_bin)
+            spill_rows(matcher.feed(chunk.time_ns, chunk.detector, chunk.x_bin))
             yield chunk
+        rest, orphans = matcher.finish()
+        spill_rows(rest)  # in the writer's loop, so a failure here leaves no event log either
 
     digest = write_event_log(path, matched(chunks), header, records)
-    return (digest, *matcher.result())
+    return digest, matcher.matched, which_path, orphans
+
+
+def write_spilled_triples(path, spill, header: SimStreamHeader, n_rows: int) -> str:
+    """Write the triples file at path: its header for n_rows rows, then spill's bytes from its start.
+
+    spill holds the rows, as write_and_match writes them; it is copied
+    _READ_BYTES at a time.
+    """
+    spill.seek(0)
+    rows = iter(lambda: spill.read(_READ_BYTES), b"")
+    return _write_text(path, _stream_header(_TRIPLES, header, n_rows), rows)
 
 
 # ---------------------------------------------------------------------------
@@ -805,27 +856,39 @@ def _write_stream(path, fmt: _Format, header: SimStreamHeader, n_rows: int, part
     row in the file and leaves no file behind.  n_rows goes in the header;
     parts holding another number of rows are refused the same way.
     """
-    from . import __version__
-
-    lines = [f"qeraser-{fmt.kind} v1", f"tool_version={__version__}"]
-    lines += [f"{f.name}={getattr(header, f.name)}" for f in fields(header)]
-    lines += [f"n_rows={n_rows}", f"columns={','.join(fmt.names)}"]
 
     def chunks():
         row = 0
         for part in parts:
-            columns = [getattr(part, name) for name in fmt.names]
-            _check_fields(fmt, columns, row)
-            n = len(columns[0])
-            for lo in range(0, n, _CHUNK_ROWS):
-                yield _format_rows(fmt, [c[lo : lo + _CHUNK_ROWS] for c in columns])
-            row += n
+            yield from _row_bytes(fmt, part, row)
+            row += len(part)
         if row != n_rows:
             raise ValueError(
                 f"cannot write {fmt.what}: {row} rows where the header declares {n_rows}"
             )
 
-    return _write_text(path, lines, chunks())
+    return _write_text(path, _stream_header(fmt, header, n_rows), chunks())
+
+
+def _stream_header(fmt: _Format, header: SimStreamHeader, n_rows: int) -> list:
+    """The header lines of a stream file of fmt's kind holding n_rows rows."""
+    from . import __version__
+
+    lines = [f"qeraser-{fmt.kind} v1", f"tool_version={__version__}"]
+    lines += [f"{f.name}={getattr(header, f.name)}" for f in fields(header)]
+    return lines + [f"n_rows={n_rows}", f"columns={','.join(fmt.names)}"]
+
+
+def _row_bytes(fmt: _Format, part, first_row: int):
+    """The bytes of part's rows, _CHUNK_ROWS at a time, once its fields are checked.
+
+    part is a record holding fmt's columns; its rows are first_row on in
+    their file, which a refused field's message names.
+    """
+    columns = [getattr(part, name) for name in fmt.names]
+    _check_fields(fmt, columns, first_row)
+    for lo in range(0, len(columns[0]), _CHUNK_ROWS):
+        yield _format_rows(fmt, [c[lo : lo + _CHUNK_ROWS] for c in columns])
 
 
 def _check_fields(fmt: _Format, columns, first_row: int) -> None:
@@ -921,69 +984,97 @@ def _header_int(key: str, value: str) -> int:
     return int(value)
 
 
-def _read_stream(path, fmt: _Format) -> tuple[dict, SimStreamHeader]:
-    """A stream file's columns (name -> array of the column's _DTYPE) and its header.
+class _StreamPasses:
+    """A stream file's data rows, one parse pass at a time; iterate over it once.
 
-    One pass over the file, read _READ_BYTES at a time: the header lines,
-    then each read's data rows, _CHUNK_ROWS lines at a time, whose separators
-    are indexed and whose fields are parsed into columns sized from n_rows.
-    Past the columns' end, or past a row with the wrong field count, rows are
-    only counted.  The file's faults are reported in the order the row
-    grammar ranks them, whichever read they sit in: the row count, then the
+    The file is read _READ_BYTES at a time: the header lines, which set
+    n_rows, the row count the header declares, then each read's data rows,
+    _CHUNK_ROWS lines at a time, whose separators are indexed and whose
+    fields are parsed.  Each such pass is yielded as record(**columns), its
+    rows' columns (name -> array of the column's _DTYPE) in file order,
+    while no fault is certain: passes stop at a row with the wrong field
+    count or one whose fields fail to parse, and past n_rows rows or the
+    rows a regular file of its size could hold.  Later rows are only
+    counted, and checked for their field count up to the first wrong one.
+    After the last read the file's faults are raised in the order the row
+    grammar ranks them, whichever pass they sit in: the row count, then the
     first row with the wrong field count, then the first row whose fields
-    fail to parse, re-checked by _row_error for the message.
+    fail to parse, re-checked by _row_error for the message.  A good file
+    sets header.
     """
-    with open(path, "rb") as fh:
-        st = os.fstat(fh.fileno())
-        meta, rows = _read_header(_read_lines(fh))
-        if "n_rows" not in meta:
-            raise ValueError("stream header missing field 'n_rows'")
-        declared = _header_int("n_rows", meta["n_rows"])
-        # a row takes two bytes or more, so a larger count cannot be a regular file's
-        limit = st.st_size // 2 if stat.S_ISREG(st.st_mode) else declared
-        k = len(fmt.columns) - 1
-        capacity = declared if 0 <= declared <= limit else 0
-        cols = [np.empty(capacity, dtype=_DTYPE[name]) for name in fmt.names]
-        n = 0
-        bad = {}  # "fields", "grammar": the first row breaking that rule
-        for buf in rows:
-            for start, end in _line_blocks(buf):
-                lo, n = n, n + len(start)
-                if n > capacity or "fields" in bad:
-                    continue
-                comma = np.flatnonzero(buf[start[0] : end[-1]] == ord(",")) + start[0]
-                # m * k separators sit k to a row iff each row's first and last fall inside it
-                if len(comma) != len(start) * k or not (
-                    (comma[::k] >= start).all() and (comma[k - 1 :: k] < end).all()
-                ):
-                    per_row = np.bincount(np.searchsorted(end, comma), minlength=len(start))
-                    i = int(np.argmax(per_row != k))
-                    bad["fields"] = buf[start[i] : end[i]].tobytes()
-                elif "grammar" not in bad:
-                    out = [c[lo:n] for c in cols]
-                    good = _parse_rows(buf, fmt, start, end, comma.reshape(-1, k), out)
-                    if not good.all():
-                        i = int(np.argmin(good))
-                        bad["grammar"] = buf[start[i] : end[i]].tobytes()
-    if declared != n:
-        raise ValueError(
-            f"{fmt.what} declares {declared} rows but contains {n}; "
-            "file is truncated or corrupt"
-        )
-    if bad:
-        line = bad.get("fields") or bad["grammar"]
-        raise ValueError(_row_error(fmt, line.decode("utf-8", errors="backslashreplace")))
-    try:
-        # annotations are strings under postponed evaluation
-        header = SimStreamHeader(
-            **{
-                f.name: _header_int(f.name, meta[f.name]) if f.type == "int" else meta[f.name]
-                for f in fields(SimStreamHeader)
-            }
-        )
-    except KeyError as exc:
-        raise ValueError(f"stream header missing field {exc}") from exc
-    return dict(zip(fmt.names, cols)), header
+
+    def __init__(self, path, fmt: _Format, record=dict):
+        self.path, self.fmt, self.record = path, fmt, record
+        self.n_rows = self.header = None
+
+    def __iter__(self):
+        fmt = self.fmt
+        with open(self.path, "rb") as fh:
+            st = os.fstat(fh.fileno())
+            meta, rows = _read_header(_read_lines(fh))
+            if "n_rows" not in meta:
+                raise ValueError("stream header missing field 'n_rows'")
+            declared = self.n_rows = _header_int("n_rows", meta["n_rows"])
+            # a row takes two bytes or more, so a larger count cannot be a regular file's
+            limit = st.st_size // 2 if stat.S_ISREG(st.st_mode) else declared
+            capacity = declared if 0 <= declared <= limit else 0
+            k = len(fmt.columns) - 1
+            n = 0
+            bad = {}  # "fields", "grammar": the first row breaking that rule
+            for buf in rows:
+                for start, end in _line_blocks(buf):
+                    n += len(start)
+                    if n > capacity or "fields" in bad:
+                        continue
+                    comma = np.flatnonzero(buf[start[0] : end[-1]] == ord(",")) + start[0]
+                    # m * k separators sit k to a row iff each row's first and last fall inside it
+                    if len(comma) != len(start) * k or not (
+                        (comma[::k] >= start).all() and (comma[k - 1 :: k] < end).all()
+                    ):
+                        per_row = np.bincount(np.searchsorted(end, comma), minlength=len(start))
+                        i = int(np.argmax(per_row != k))
+                        bad["fields"] = buf[start[i] : end[i]].tobytes()
+                    elif "grammar" not in bad:
+                        out = [np.empty(len(start), dtype=_DTYPE[name]) for name in fmt.names]
+                        good = _parse_rows(buf, fmt, start, end, comma.reshape(-1, k), out)
+                        if good.all():
+                            yield self.record(**dict(zip(fmt.names, out)))
+                        else:
+                            i = int(np.argmin(good))
+                            bad["grammar"] = buf[start[i] : end[i]].tobytes()
+        if declared != n:
+            raise ValueError(
+                f"{fmt.what} declares {declared} rows but contains {n}; "
+                "file is truncated or corrupt"
+            )
+        if bad:
+            line = bad.get("fields") or bad["grammar"]
+            raise ValueError(_row_error(fmt, line.decode("utf-8", errors="backslashreplace")))
+        try:
+            # annotations are strings under postponed evaluation
+            self.header = SimStreamHeader(
+                **{
+                    f.name: _header_int(f.name, meta[f.name]) if f.type == "int" else meta[f.name]
+                    for f in fields(SimStreamHeader)
+                }
+            )
+        except KeyError as exc:
+            raise ValueError(f"stream header missing field {exc}") from exc
+
+
+def _read_columns(path, fmt: _Format) -> tuple[dict, SimStreamHeader]:
+    """A stream file's columns and its header: each pass copied into columns sized from n_rows."""
+    passes = _StreamPasses(path, fmt)
+    columns = {name: np.empty(0, dtype=_DTYPE[name]) for name in fmt.names}
+    n = 0
+    for part in passes:
+        if not n:  # a pass comes only once n_rows is known to be a count the file can hold
+            columns = {name: np.empty(passes.n_rows, dtype=_DTYPE[name]) for name in fmt.names}
+        k = len(part[fmt.names[0]])
+        for name, column in columns.items():
+            column[n : n + k] = part[name]
+        n += k
+    return columns, passes.header
 
 
 def _read_lines(fh):
@@ -1156,7 +1247,7 @@ def write_event_log(path, stream, header: SimStreamHeader, n_rows: int | None = 
 
 
 def read_event_log(path) -> tuple[EventStream, SimStreamHeader]:
-    cols, header = _read_stream(path, _EVENT_LOG)
+    cols, header = _read_columns(path, _EVENT_LOG)
     return EventStream(**cols, n_bins=header.n_bins), header
 
 
@@ -1165,5 +1256,14 @@ def write_triples(path, batch: TripleBatch, header: SimStreamHeader) -> str:
 
 
 def read_triples(path) -> tuple[TripleBatch, SimStreamHeader]:
-    cols, header = _read_stream(path, _TRIPLES)
+    cols, header = _read_columns(path, _TRIPLES)
     return TripleBatch(**cols), header
+
+
+def triple_passes(path) -> _StreamPasses:
+    """The triples file at path, read one pass at a time: TripleBatch passes, then its header.
+
+    Iterating gives read_triples' batch in consecutive pieces, and raises
+    what read_triples would after the last; header is then set.
+    """
+    return _StreamPasses(path, _TRIPLES, TripleBatch)

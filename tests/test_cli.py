@@ -11,12 +11,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qeraser import cli
+from qeraser import cli, events
+from qeraser.analysis import decode_alisha_only, decode_omniscient, write_decode_csv
+from qeraser.events import read_triples
 from qeraser.experiment import (
     MODE_SINGLE,
     config_to_dict,
     default_config,
     ideal_rate,
+    load_config,
     save_config,
     single_choice_pattern,
 )
@@ -225,7 +228,7 @@ def test_simulate_out_is_a_file_exits_2(tmp_path, small_config_path, capsys):
 FIRST_WORK = {
     "patterns": "distribution_for",
     "simulate": "event_chunks",
-    "decode": "read_triples",
+    "decode": "triple_passes",
     "sweep": "_sweep_rows",
 }
 
@@ -379,11 +382,11 @@ def test_simulate_refuses_a_bad_field_in_a_middle_chunk(
 def failing_triples_writer(monkeypatch):
     """Make simulate's triples.csv writer fail for want of space, once events.csv is written."""
 
-    def write_triples(path, batch, header):
+    def write_spilled_triples(path, spill, header, n_rows):
         assert (path.parent / "events.csv").is_file()
         raise OSError(errno.ENOSPC, "No space left on device", str(path))
 
-    monkeypatch.setattr(cli, "write_triples", write_triples)
+    monkeypatch.setattr(cli, "write_spilled_triples", write_spilled_triples)
 
 
 def test_simulate_removes_what_it_wrote_when_a_later_writer_fails(
@@ -512,8 +515,8 @@ def test_simulate_refuses_a_run_larger_than_the_free_disk(
     argv = ["simulate", "--config", str(small_config_path), "--out", str(out), "--background-rate", "1e10"]
     assert cli.main(argv) == 2
     assert one_line_error(capsys).startswith(
-        "qeraser: the run expects 8e+16 event records at --background-rate 10000000000.0, "
-        "at least 6.4e+17 bytes of events.csv, but "
+        "qeraser: the run expects 8e+16 event records at --background-rate 10000000000.0 "
+        "and 8000 triples, at least 6.4e+17 bytes of events.csv, triples.csv and their spill, but "
     )
     assert not out.exists()
 
@@ -524,8 +527,10 @@ def test_simulate_checks_the_free_disk_where_out_will_be(
 ):
     """8,000 triples 1000 ns apart at 1e-3 per ns expect 32,000 rows, 8 bytes each at least.
 
-    The free bytes are read on --out's nearest existing parent; a run that
-    needs one byte more than that is refused before any draw, with one line.
+    The triples take 13 bytes each at least, twice: in the spill and in
+    triples.csv.  The free bytes are read on --out's nearest existing
+    parent; a run that needs one byte more than that is refused before any
+    draw, with one line.
     """
     import shutil
     from types import SimpleNamespace
@@ -534,7 +539,7 @@ def test_simulate_checks_the_free_disk_where_out_will_be(
 
     def disk_usage(path):
         asked.append(Path(path))
-        return SimpleNamespace(total=10**12, used=0, free=32_000 * 8 + spare)
+        return SimpleNamespace(total=10**12, used=0, free=32_000 * 8 + 2 * 8_000 * 13 + spare)
 
     monkeypatch.setattr(shutil, "disk_usage", disk_usage)
     if code:
@@ -545,8 +550,9 @@ def test_simulate_checks_the_free_disk_where_out_will_be(
     assert asked == [tmp_path]
     if code:
         assert one_line_error(capsys) == (
-            "qeraser: the run expects 3.2e+04 event records at --background-rate 0.001, "
-            f"at least 2.56e+05 bytes of events.csv, but {tmp_path} has 255999 bytes free\n"
+            "qeraser: the run expects 3.2e+04 event records at --background-rate 0.001 "
+            "and 8000 triples, at least 4.64e+05 bytes of events.csv, triples.csv and their "
+            f"spill, but {tmp_path} has 463999 bytes free\n"
         )
         assert not (tmp_path / "a").exists()
     else:
@@ -751,6 +757,120 @@ def test_decode_non_utf8_header_exits_2(tmp_path, small_config_path, capsys):
     assert err == (
         f"qeraser: bad triples file {path}: header line is not UTF-8: '# seed=0\\\\xff'\n"
     )
+
+
+def simulated_triples(tmp_path, config_path):
+    """triples.csv of a default simulate run under the config at config_path."""
+    out = tmp_path / "run"
+    assert cli.main(["simulate", "--config", str(config_path), "--out", str(out)]) == 0
+    return out / "triples.csv"
+
+
+def decode_argv(config_path, path, out, mode="omniscient"):
+    return ["decode", "--config", str(config_path), "--triples", str(path), "--mode", mode, "--out", str(out)]
+
+
+@pytest.mark.parametrize(
+    "read, rows", [(16, 1), (4099, 97), (None, None)], ids=["one-row", "prime", "whole-file"]
+)
+@pytest.mark.parametrize("mode", ["omniscient", "alisha"])
+def test_decode_passes_equal_the_whole_batch_decoders(
+    tmp_path, small_config_path, monkeypatch, capsys, mode, read, rows
+):
+    """decode's file and stdout are the whole-batch decoder's on the file read whole.
+
+    decode sums the reader's passes: one row (a read of about one row's
+    bytes), 97 rows in 4,099-byte reads, or the whole file in one read.
+    """
+    path = simulated_triples(tmp_path, small_config_path)
+    triples, header = read_triples(path)
+    config = load_config(small_config_path)
+    decoder = decode_omniscient if mode == "omniscient" else decode_alisha_only
+    report = decoder(triples, config.schedule, config.geometry)
+    want = tmp_path / "want.csv"
+    write_decode_csv(want, report, {"config_digest": header.config_digest, "seed": header.seed})
+    monkeypatch.setattr(events, "_READ_BYTES", read or path.stat().st_size)
+    monkeypatch.setattr(events, "_CHUNK_ROWS", rows or len(triples))
+    capsys.readouterr()
+    out = tmp_path / "dec"
+    assert cli.main(decode_argv(small_config_path, path, out, mode)) == 0
+    assert (out / f"decode_{mode}.csv").read_bytes() == want.read_bytes()
+    printed = capsys.readouterr()
+    assert printed.err == ""
+    assert printed.out.splitlines()[1:] == [
+        f"decoded_bits={''.join(map(str, report.decoded_bits))}",
+        f"true_bits={''.join(map(str, report.true_bits))}",
+        f"bit_error_rate={report.bit_error_rate:.4f}",
+        f"confidence={report.confidence:.4f}",
+    ]
+
+
+def set_field(path, row, field, value):
+    """Set one field of a data row of the file at path (rows count from the first, or back from -1)."""
+    lines = path.read_text().splitlines()
+    first = next(i for i, line in enumerate(lines) if not line.startswith("#"))
+    at = first + row if row >= 0 else len(lines) + row
+    parts = lines[at].split(",")
+    parts[field] = value
+    lines[at] = ",".join(parts)
+    path.write_text("\n".join(lines) + "\n")
+
+
+def test_decode_reports_truncation_before_the_config_digest(
+    tmp_path, small_config_path, config_path, monkeypatch, capsys
+):
+    """A truncated file made under another config: the truncation's message, as when read whole."""
+    path = simulated_triples(tmp_path, small_config_path)
+    path.write_text("".join(path.read_text().splitlines(keepends=True)[:-10]))
+    with pytest.raises(ValueError) as whole:
+        read_triples(path)
+    monkeypatch.setattr(events, "_CHUNK_ROWS", 7)
+    capsys.readouterr()
+    assert cli.main(decode_argv(config_path, path, tmp_path / "dec")) == 2
+    assert "truncated" in str(whole.value)
+    assert one_line_error(capsys) == f"qeraser: bad triples file {path}: {whole.value}\n"
+    assert not (tmp_path / "dec").exists()
+
+
+@pytest.mark.parametrize(
+    "faults",
+    [
+        # (row, field, value): x_bin -2 is off the screen, block 4 outside the 4 blocks
+        [(3, 2, "-2"), (-5, 1, "4")],
+        [(3, 1, "4"), (-5, 2, "-2")],
+        [(3, 1, "-1"), (-5, 2, "x")],
+    ],
+    ids=["bin-then-block", "block-then-bin", "block-then-bad-integer"],
+)
+@pytest.mark.parametrize("mode", ["omniscient", "alisha"])
+def test_decode_faults_in_different_passes_keep_their_first_message(
+    tmp_path, small_config_path, monkeypatch, capsys, faults, mode
+):
+    """Two faults in different passes: the message the whole-batch read and decode gives.
+
+    The reader's faults come first, then a block outside the schedule, then
+    an x_bin off the screen, whichever pass each sits in.
+    """
+    path = simulated_triples(tmp_path, small_config_path)
+    for row, field, value in faults:
+        set_field(path, row, 3, "D1")  # so both decoders select the row
+        set_field(path, row, 4, "D1'")
+        set_field(path, row, field, value)
+    config = load_config(small_config_path)
+    decoder = decode_omniscient if mode == "omniscient" else decode_alisha_only
+    try:
+        triples = read_triples(path)[0]
+    except ValueError as exc:
+        want = f"qeraser: bad triples file {path}: {exc}\n"
+    else:
+        with pytest.raises(ValueError) as exc:
+            decoder(triples, config.schedule, config.geometry)
+        want = f"qeraser: {exc.value}\n"
+    monkeypatch.setattr(events, "_CHUNK_ROWS", 7)
+    capsys.readouterr()
+    assert cli.main(decode_argv(small_config_path, path, tmp_path / "dec", mode)) == 2
+    assert one_line_error(capsys) == want
+    assert not (tmp_path / "dec").exists()
 
 
 # ---------------------------------------------------------------------------

@@ -1,12 +1,13 @@
 import dataclasses
 import itertools
+import tempfile
 import tracemalloc
 import warnings
 
 import numpy as np
 import pytest
 
-from qeraser import events
+from qeraser import cli, events
 from qeraser.events import (
     CODE_D0,
     DETECTOR_LABELS,
@@ -23,6 +24,7 @@ from qeraser.events import (
     triple_spacing_ns,
     write_and_match,
     write_event_log,
+    write_spilled_triples,
     write_triples,
 )
 from qeraser.experiment import (
@@ -34,6 +36,7 @@ from qeraser.experiment import (
     default_config,
     default_geometry,
     distribution_for,
+    save_config,
 )
 from qeraser.analysis import (
     LowSampleWarning,
@@ -674,46 +677,111 @@ def test_matcher_holds_less_than_its_input(monkeypatch):
     assert peak <= 22 * len(batch) + 48 * 3 * events._CHUNK_TRIPLES
 
 
-def _simulated(config, path, rate=2e-3):
-    """simulate's stream path at seed 0 and rate dark counts per ns.
+def test_matched_columns_hold_only_the_matched_triples():
+    """match_coincidences' columns are cut to the matched count, not views of longer ones.
 
-    Returns (records, sha256, triples, orphans).
+    Its columns are sized from the D0 count, and the dark counts here bring
+    D0s that match nothing, so a view of them would keep those D0s' bytes.
+    """
+    noisy = _noisy_stream(MEMORY_CONFIG)
+    spacing = triple_spacing_ns(MEMORY_CONFIG.pair_rate_scale)
+    batch, _ = match_coincidences(noisy, 20, block_size=500, spacing_ns=spacing)
+    assert np.count_nonzero(noisy.detector == CODE_D0) > len(batch)
+    for name in ("triple_id", "x_bin", "babu", "alisha", "block_index"):
+        column = getattr(batch, name)
+        assert column.base is None and column.nbytes == len(batch) * column.itemsize
+
+
+def _simulated(config, out, rate=2e-3):
+    """simulate's stream path at seed 0 and rate dark counts per ns, into out.
+
+    Writes events.csv, and triples.csv from a spill, as simulate does.
+    Returns (records, matched triples).
     """
     records, chunks = event_chunks(config, 0, rate)
-    return (records, *write_and_match(path, header_for(config), records, chunks))
+    header = header_for(config)
+    with tempfile.TemporaryFile(dir=out) as spill:
+        _, matched, _, _ = write_and_match(out / "events.csv", header, records, chunks, spill)
+        write_spilled_triples(out / "triples.csv", spill, header, matched)
+    return records, matched
 
 
-def test_simulate_holds_one_chunk_and_one_dark_window_beside_the_matches(tmp_path, monkeypatch):
-    """simulate's traced peak, less 22 bytes a matched triple, is one chunk's and one window's.
+def test_simulate_holds_one_chunk_and_one_dark_window(tmp_path, monkeypatch):
+    """simulate's traced peak, less 2 bytes a triple, is one chunk's and one window's.
 
     Between pieces the stream path holds the delays (2 bytes per triple),
-    the matched triples' columns (14 of their 22 bytes; the ids are made at
-    the end) and what is left of the dark-count window being cut (at most
-    _DARK_WINDOW dark counts on average, 21 bytes each); a piece holds at
-    most one chunk's records and one window's dark counts.  What is left
-    over does not grow when the run doubles, and once the windows are full
-    it does not grow when the rate doubles, and doubles again, which puts
-    several windows in each chunk.  Measured here with 1,000-triple chunks:
-    1,094 bytes per chunk triple at 2e-3 dark counts per ns over 40 blocks
-    of 500 triples, 1,052 over 80 blocks; over 10 blocks, 2,438, 2,422 and
-    2,312 at 16e-3, 32e-3 and 64e-3.  Drawing and holding every dark count
-    at once left 1,893 and 2,637 at 2e-3, and 5,585, 10,516 and 18,768 at
-    the three high rates; joining a chunk's windows before the merge left
-    2,414, 3,167 and 5,462 there.
+    what is left of the dark-count window being cut (at most _DARK_WINDOW
+    dark counts on average, 21 bytes each) and the matcher's queues; the
+    matched triples go to the spill as rows, so none is held.  A piece
+    holds at most one chunk's records and one window's dark counts, and a
+    write pass the text of at most _CHUNK_ROWS rows.  So the peak less the
+    delays stays level when the run doubles, and once the windows are full
+    when the rate doubles, and doubles again, which puts several windows in
+    each chunk.  Level within two things: where the window edges cut the
+    chunks sets the largest piece, which moves the peak by up to 10% from
+    one run length to the next with no trend; and a write pass is one byte
+    a row longer once the record ids reach six digits, which they do
+    between 16e-3 and 32e-3 here (94,785 and 174,687 records).  Measured
+    here with 1,000-triple chunks, less the delays: 1,225, 1,294 and 1,337
+    bytes per chunk triple at 2e-3 dark counts per ns over 40, 80 and 160
+    blocks of 500 triples (the window grows from 13,286 to 15,960 dark
+    counts between 40 and 80 blocks and is full from there on), then 1,448
+    over 320 blocks and 1,313 over 640; 2,475, 2,479 and 2,465 over 10
+    blocks at 16e-3, 32e-3 and 64e-3.  Run after the rest of the suite, in
+    one process, the same cases read 1,183, 1,256, 1,260, 2,466, 2,467 and
+    2,443: the small objects the interpreter keeps for reuse are then
+    already made.  Holding the matched triples to write triples.csv at the
+    end took 1,729, 2,452 and 3,631 at 2e-3, and 2,550, 2,593 and 2,755 at
+    the high rates: 14 to 22 bytes a matched triple.
     """
     monkeypatch.setattr(events, "_CHUNK_TRIPLES", 1000)
     left = {}
-    for repeat, rate in ((20, 2e-3), (40, 2e-3), (5, 16e-3), (5, 32e-3), (5, 64e-3)):
+    for repeat, rate in ((20, 2e-3), (40, 2e-3), (80, 2e-3), (5, 16e-3), (5, 32e-3), (5, 64e-3)):
         config = make_config(bits=(1, 0) * repeat, block_size=500)
-        path = tmp_path / "events.csv"
-        (records, _, batch, _), peak = _traced(_simulated, config, path, rate)
-        assert records - 3 * config.schedule.n_triples > config.schedule.n_triples
-        left[repeat, rate] = peak - 22 * len(batch)
-    assert left[20, 2e-3] <= 1200 * events._CHUNK_TRIPLES
-    assert left[40, 2e-3] <= left[20, 2e-3]
+        n = config.schedule.n_triples
+        (records, matched), peak = _traced(_simulated, config, tmp_path, rate)
+        assert records - 3 * n > n
+        assert read_triples(tmp_path / "triples.csv")[0].triple_id.tolist() == list(range(matched))
+        left[repeat, rate] = peak - 2 * n
+    assert left[20, 2e-3] <= 1300 * events._CHUNK_TRIPLES
+    assert left[40, 2e-3] <= 1.1 * left[20, 2e-3]
+    assert left[80, 2e-3] <= 1.1 * left[40, 2e-3]
     # 64e-3 per ns puts about 64,000 dark counts, four windows, in each chunk
-    assert left[5, 64e-3] <= left[5, 32e-3] <= left[5, 16e-3]
+    assert left[5, 64e-3] <= left[5, 32e-3] <= left[5, 16e-3] + events._CHUNK_ROWS
     assert left[5, 16e-3] <= 1200 * events._CHUNK_TRIPLES + 100 * events._DARK_WINDOW
+
+
+def test_decode_holds_one_pass_not_the_triples(tmp_path):
+    """decode's traced peak stays level when the triples file doubles.
+
+    It sums each pass of the reader into per-block totals and one count
+    grid, so it holds one read of the file and one pass's parse, not the
+    triples.  Measured here: 2.77 MB at 100,000, 200,000 and 400,000
+    triples in 4 blocks (1.8, 3.8 and 7.7 MB files); reading the triples
+    whole took 4.4, 6.6 and 11.0 MB.
+    """
+    rng = np.random.default_rng(1)
+    peak = {}
+    for block_size in (50_000, 100_000):
+        config = make_config(bits=(1, 0, 1, 0), block_size=block_size)
+        n = config.schedule.n_triples
+        run = tmp_path / str(block_size)
+        run.mkdir()
+        save_config(config, run / "config.json")
+        batch = TripleBatch(
+            triple_id=np.arange(n),
+            x_bin=rng.integers(0, config.geometry.n_bins, n),
+            babu=rng.integers(0, 4, n),
+            alisha=rng.integers(0, 4, n),
+            block_index=np.arange(n) // block_size,
+        )
+        write_triples(run / "triples.csv", batch, header_for(config))
+        del batch
+        argv = ["--config", str(run / "config.json"), "--triples", str(run / "triples.csv")]
+        code, peak[n] = _traced(cli.main, ["decode", *argv, "--out", str(run / "decode")])
+        assert code == 0
+    assert peak[400_000] <= 1.05 * peak[200_000]
+    assert peak[400_000] <= 22 * 400_000 / 2  # half the columns of the triples read whole
 
 
 def test_chunked_draws_equal_one_whole_draw(monkeypatch):

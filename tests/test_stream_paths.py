@@ -8,6 +8,7 @@ import dataclasses
 import hashlib
 import io
 import os
+import tempfile
 import threading
 import warnings
 
@@ -59,6 +60,13 @@ def header():
         spacing_ns=100,
         n_triples=20,
         n_bins=8,
+    )
+
+
+def joined_batch(pieces) -> TripleBatch:
+    """One TripleBatch of consecutive pieces."""
+    return TripleBatch(
+        **{name: np.concatenate([getattr(p, name) for p in pieces]) for name in TRIPLE_COLUMNS}
     )
 
 
@@ -275,14 +283,16 @@ def test_matcher_queues_hold_only_what_a_later_record_can_meet(kept, size):
     )
     for window in (0, 7, 20):
         matcher = events._Matcher(window, 7, 40)
+        pieces = []
         for lo in range(0, len(stream), size):
             part = slice(lo, lo + size)
-            matcher.feed(stream.time_ns[part], stream.detector[part], stream.x_bin[part])
+            pieces.append(matcher.feed(stream.time_ns[part], stream.detector[part], stream.x_bin[part]))
             (td, _), *arms = matcher.queues
             assert (td >= matcher.last - window).all()
             for ti, _ in arms:
                 assert (ti >= matcher.last - 2 * window).all()
-        got, got_orphans = matcher.result()
+        rest, got_orphans = matcher.finish()
+        got = joined_batch([*pieces, rest])
         want, want_orphans = oracles.match_coincidences_loop(
             stream, window, block_size=7, spacing_ns=40
         )
@@ -333,7 +343,13 @@ def assert_simulate_equals_whole_run(tmp_path, capsys, config, seed, window, rat
     assert (out / "events.csv").read_bytes() == events_csv
     assert (out / "triples.csv").read_bytes() == triples_csv
     records, chunks = events.event_chunks(config, seed, rate)
-    _, _, got_orphans = events.write_and_match(tmp_path / "events.csv", header, records, chunks)
+    with tempfile.TemporaryFile() as spill:
+        _, matched, _, got_orphans = events.write_and_match(
+            tmp_path / "events.csv", header, records, chunks, spill
+        )
+        spill.seek(0)
+        rows = spill.read()
+    assert triples_csv.endswith(rows) and rows.count(b"\n") == matched
     assert got_orphans.total == orphans.total
     assert list(got_orphans.by_detector.items()) == list(orphans.by_detector.items())
 
