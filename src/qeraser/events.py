@@ -350,7 +350,7 @@ def inject_background(stream: EventStream, rate_per_ns: float, seed: int = 0) ->
     t0, t1 = int(stream.time_ns[0]), int(stream.time_ns[-1])
     next_id = int(stream.event_id.max()) + 1
     _, windows = _dark_windows(rate, t0, t1, stream.n_bins, next_id, int(seed))
-    pieces = [dark for _, dark in _dark_pieces(windows, [None]) if len(dark["time_ns"])]
+    pieces = [dark for _, dark in windows if len(dark["time_ns"])]
     if len(pieces) > 1:  # each piece's column freed once joined
         columns = _EVENT_LOG.names
         pieces = [{name: np.concatenate([piece.pop(name) for piece in pieces]) for name in columns}]
@@ -407,35 +407,6 @@ def _dark_windows(rate: float, t0: int, t1: int, n_bins: int, next_id: int, seed
     return total, windows()
 
 
-def _dark_pieces(windows, cuts):
-    """The dark counts in time order, one piece of at most one window at a time.
-
-    cuts ascend and end with None, which takes every dark count left.
-    Yields (end, dark) per piece: dark the dark counts of one window timed
-    before the current cut and in no earlier piece, as views of the
-    window's four event columns.  end is None on the last piece before
-    each cut, else the end of dark's window, which the piece takes all of;
-    the next piece starts there.  Windows are drawn as the pieces reach
-    them, and a window is let go before the next one is drawn, so only the
-    window being cut is held.
-    """
-    cuts = iter(cuts)
-    cut = next(cuts)
-    for end, rest in windows:
-        while True:
-            n = len(rest["time_ns"])
-            k = n if cut is None else int(np.searchsorted(rest["time_ns"], cut))
-            if k == n and (cut is None or end < cut):
-                break  # the rest of this window lies before the cut
-            yield None, {name: column[:k] for name, column in rest.items()}
-            rest = {name: column[k:] for name, column in rest.items()}
-            cut = next(cuts)
-        yield end, rest
-        del rest
-    for cut in itertools.chain([cut], cuts):  # no dark counts are left for these cuts
-        yield None, {name: np.empty(0, dtype=_DTYPE[name]) for name in _EVENT_LOG.names}
-
-
 def _merge(stream: EventStream, dark: dict) -> EventStream:
     """stream with the time-sorted dark columns merged in, each after every record at its time.
 
@@ -481,16 +452,13 @@ def event_chunks(config: ExperimentConfig, seed: int, rate_per_ns: float) -> tup
     """(records, chunks): the run's stream as emit_events and inject_background build it, in chunks.
 
     records is the stream's length, 3 n_triples plus the dark counts.  chunks
-    iterates over consecutive EventStream pieces of the stream.  Batch c of
-    triples c K .. (c + 1) K - 1 (K = _CHUNK_TRIPLES) goes with the dark
-    counts timed before the next batch's first D0, which the merge puts
-    after that D0, and is cut where a dark-count window (_dark_windows)
-    ends, so a piece holds at most K triples' records and one window's dark
-    counts, whatever the rate.  The checks, the delays and the dark-count
-    total are done and drawn here: the background's span needs the last
-    triple's delays.  Each batch is sampled and emitted, and each window
-    drawn, when a piece first needs it, and the iterator frees the draws
-    when it ends.
+    iterates over consecutive EventStream pieces of the stream, cut by
+    _stream_chunks, so a piece holds at most one batch's records
+    (_CHUNK_TRIPLES triples) and one window's dark counts, whatever the
+    rate.  The checks, the delays and the dark-count total are done and
+    drawn here: the background's span needs the last triple's delays.  Each
+    batch is sampled and emitted, and each window drawn, when a piece first
+    needs it, and the iterator frees the draws when it ends.
     """
     rate = _background_rate(rate_per_ns)
     seed = int(seed)
@@ -502,30 +470,36 @@ def event_chunks(config: ExperimentConfig, seed: int, rate_per_ns: float) -> tup
     t_end = (n - 1) * spacing + int(delays[-1].max())
     n_bins = config.geometry.n_bins
     n_dark, windows = _dark_windows(rate, 0, t_end, n_bins, 3 * n, seed)
-    # a dark count timed at the next batch's first D0 goes after it, with that batch
-    step = _CHUNK_TRIPLES * spacing
-    pieces = _dark_pieces(windows, itertools.chain(range(step, n * spacing, step), [None]))
-    return 3 * n + n_dark, _stream_chunks(batches, delays, pieces, spacing, n_bins)
+    return 3 * n + n_dark, _stream_chunks(batches, delays, windows, spacing, n_bins)
 
 
-def _stream_chunks(batches, delays, pieces, spacing: int, n_bins: int):
-    """event_chunks' pieces: each batch emitted with its delays and cut where its dark pieces end.
+def _stream_chunks(batches, delays, windows, spacing: int, n_bins: int):
+    """The stream's pieces: each ends at the next batch's first D0 or its window's end, the earlier.
 
-    A dark piece that ends at end takes its window's dark counts before
-    end, so the batch's records before end, merged with it, precede every
-    later record of the stream.
+    A piece merges the batch's records and the window's dark counts timed
+    before its end, and every later record comes at or after that end, so a
+    dark count timed at a batch's first D0 goes after that D0.  A window is
+    drawn when a piece first reaches it, once the one before is let go.
+    The last window ends past the last record, so its end ends the stream.
     """
+    windows = iter(windows)
+    end, dark = next(windows)
     for batch in batches:
         lo = int(batch.triple_id[0])
+        stop = (lo + len(batch)) * spacing  # the next batch's first D0
         stream = _emit(batch, delays[lo : lo + len(batch)], lo, spacing, n_bins)
-        for end, dark in pieces:
-            k = len(stream) if end is None else int(np.searchsorted(stream.time_ns, end))
-            piece = _merge(_rows(stream, slice(None, k)), dark)
+        while dark is not None:
+            cut = min(stop, end)
+            k, j = (int(np.searchsorted(t, cut)) for t in (stream.time_ns, dark["time_ns"]))
+            piece = _merge(_rows(stream, slice(None, k)), {name: c[:j] for name, c in dark.items()})
             if len(piece):
                 yield piece
-            if end is None:
+            if stop < end:  # the rest of the window goes with the next batch
+                dark = {name: c[j:] for name, c in dark.items()}
                 break
             stream = _rows(stream, slice(k, None))
+            del dark  # so the next window is drawn without this one
+            end, dark = next(windows, (None, None))
 
 
 def _rows(stream: EventStream, rows: slice) -> EventStream:
@@ -723,7 +697,7 @@ def write_and_match(path, header: SimStreamHeader, records: int, chunks, spill) 
     records, as event_chunks gives them.  The matcher takes the header's
     window, block size and spacing, as match_coincidences would on the log
     read back.  A piece is matched, then checked and written; a refused
-    field leaves no event log (see _write_stream).  The triples each piece
+    field leaves no event log (see write_event_log).  The triples each piece
     decides are checked and written, as triples.csv rows, to spill, an
     open binary file, and only counted: matched in all, and which_path,
     those with an idler at D3 or D4.  write_spilled_triples then writes
@@ -845,29 +819,6 @@ def _write_text(path, header_lines, chunks) -> str:
         os.unlink(path)
         raise
     return digest.hexdigest()
-
-
-def _write_stream(path, fmt: _Format, header: SimStreamHeader, n_rows: int, parts) -> str:
-    """Header, then the rows of each part (a record holding fmt's columns), _CHUNK_ROWS at a time.
-
-    Every field of a part is checked against the row grammar before any of
-    its rows is written, the first part's before the file is opened, so a
-    value the reader would refuse raises a one-line ValueError naming its
-    row in the file and leaves no file behind.  n_rows goes in the header;
-    parts holding another number of rows are refused the same way.
-    """
-
-    def chunks():
-        row = 0
-        for part in parts:
-            yield from _row_bytes(fmt, part, row)
-            row += len(part)
-        if row != n_rows:
-            raise ValueError(
-                f"cannot write {fmt.what}: {row} rows where the header declares {n_rows}"
-            )
-
-    return _write_text(path, _stream_header(fmt, header, n_rows), chunks())
 
 
 def _stream_header(fmt: _Format, header: SimStreamHeader, n_rows: int) -> list:
@@ -1240,19 +1191,33 @@ def _row_error(fmt: _Format, line: str) -> str:
 
 
 def write_event_log(path, stream, header: SimStreamHeader, n_rows: int | None = None) -> str:
-    """Write stream, an EventStream or consecutive EventStream pieces of n_rows records in all."""
+    """Write stream, an EventStream or consecutive EventStream pieces of n_rows records in all.
+
+    Every field of a piece is checked against the row grammar before any of
+    its rows is written, the first piece's before the file is opened, so a
+    value the reader would refuse raises a one-line ValueError naming its
+    row in the file and leaves no file behind.  n_rows goes in the header;
+    pieces holding another number of records are refused the same way.
+    """
     if isinstance(stream, EventStream):
         stream, n_rows = [stream], len(stream)
-    return _write_stream(path, _EVENT_LOG, header, n_rows, stream)
+
+    def chunks():
+        row = 0
+        for piece in stream:
+            yield from _row_bytes(_EVENT_LOG, piece, row)
+            row += len(piece)
+        if row != n_rows:
+            raise ValueError(
+                f"cannot write event log: {row} rows where the header declares {n_rows}"
+            )
+
+    return _write_text(path, _stream_header(_EVENT_LOG, header, n_rows), chunks())
 
 
 def read_event_log(path) -> tuple[EventStream, SimStreamHeader]:
     cols, header = _read_columns(path, _EVENT_LOG)
     return EventStream(**cols, n_bins=header.n_bins), header
-
-
-def write_triples(path, batch: TripleBatch, header: SimStreamHeader) -> str:
-    return _write_stream(path, _TRIPLES, header, len(batch), [batch])
 
 
 def read_triples(path) -> tuple[TripleBatch, SimStreamHeader]:

@@ -35,6 +35,9 @@ the same arrays, headers, floats, orphan reports and file bytes.  The
 readers here are looser than the library's grammar (Python's ``int()``
 accepts ``+5``, ``1_0`` and padded fields, and ``#`` lines anywhere), so they
 agree with the library on every file the writers produce.
+
+``write_triples`` is no oracle: tests that need a triples file write a
+whole batch through it, and so through ``simulate``'s own spill path.
 """
 
 from __future__ import annotations
@@ -42,6 +45,7 @@ from __future__ import annotations
 import cmath
 import itertools
 import math
+import tempfile
 import warnings
 from functools import lru_cache, reduce
 
@@ -61,13 +65,16 @@ from qeraser.events import (
     _DOMAIN_CONDITIONAL,
     _DOMAIN_DELAYS,
     _DOMAIN_MARGINAL,
+    _TRIPLES,
     CODE_D0,
     DETECTOR_LABELS,
     EventStream,
     OrphanReport,
     SimStreamHeader,
     TripleBatch,
+    _row_bytes,
     triple_spacing_ns,
+    write_spilled_triples,
 )
 from qeraser.experiment import MODE_DOUBLE, ExperimentConfig, distribution_for, nyquist_min_samples
 from qeraser.optics import (
@@ -673,6 +680,17 @@ def triples_rows(batch: TripleBatch) -> str:
         f"{t},{b},{x},{BABU_LABELS[j]},{ALISHA_LABELS[k]}\n"
         for t, b, x, j, k in zip(*(c.tolist() for c in columns))
     )
+
+
+def write_triples(path, batch: TripleBatch, header: SimStreamHeader) -> str:
+    """Write batch as the triples file at path as simulate does: rows to a spill, then copied.
+
+    A field outside the row grammar is refused before the file is opened.
+    Returns the file's sha256 hex.
+    """
+    with tempfile.TemporaryFile() as spill:
+        spill.writelines(_row_bytes(_TRIPLES, batch, 0))
+        return write_spilled_triples(path, spill, header, len(batch))
 
 
 def read_event_log_lines(path) -> tuple[EventStream, SimStreamHeader]:

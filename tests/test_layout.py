@@ -1,7 +1,9 @@
 """Dead-code guard: every public definition in ``src/qeraser`` has a user.
 
 A public top-level function or class counts as used when some code refers
-to it, as a name or an attribute, outside its own definition.  A public
+to it, as a name or an attribute, outside its own definition.  A name does
+not count where the referring module binds it itself, as a def, an argument
+or an assignment target: that reference is to the module's own name.  A public
 method or property of a public class counts as used when some code refers
 to an attribute of that name outside the method itself; the check goes by
 name, not by type.  The places that count are the package's modules, the
@@ -35,14 +37,24 @@ def users() -> list[Path]:
 
 
 def referenced(nodes) -> set[str]:
-    names = set()
+    """Names and attribute names the nodes refer to, less the names they bind themselves.
+
+    A name the nodes bind, as a def or class at any depth, an argument or an
+    assignment target, is their own, so a reference to it uses no package
+    name.  An attribute always counts.
+    """
+    names, bound, attrs = set(), set(), set()
     for root in nodes:
         for node in ast.walk(root):
             if isinstance(node, ast.Name):
-                names.add(node.id)
+                (names if isinstance(node.ctx, ast.Load) else bound).add(node.id)
             elif isinstance(node, ast.Attribute):
-                names.add(node.attr)
-    return names
+                attrs.add(node.attr)
+            elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                bound.add(node.name)
+            elif isinstance(node, ast.arg):
+                bound.add(node.arg)
+    return (names - bound) | attrs
 
 
 def attributes(root, skip=None) -> set[str]:
@@ -149,6 +161,17 @@ def test_no_blas_in_the_package():
 def test_blas_guard_sees_each_form():
     code = "@dataclass\nclass A:\n    pass\na @ b\nc @= d\nnp.linalg.solve(a, b)\nx.dot(y)\nnp.einsum('i', a)\n"
     assert blas_calls(code) == ["4: @", "5: @", "6: linalg", "7: dot", "8: einsum"]
+
+
+def test_use_guard_skips_names_a_module_binds():
+    code = (
+        "def run(arg):\n"
+        "    def write_triples(path):\n"
+        "        return path\n"
+        "    kept = [write_triples, arg]\n"
+        "    return kept, used, events.read_triples\n"
+    )
+    assert referenced([ast.parse(code)]) == {"used", "events", "read_triples"}
 
 
 def test_package_root_reexports_nothing():

@@ -32,7 +32,6 @@ from qeraser.events import (
     read_triples,
     sample_triples,
     write_event_log,
-    write_triples,
 )
 from qeraser.experiment import SwitchSchedule, default_geometry, save_config
 
@@ -175,9 +174,10 @@ def test_background_merge_equals_lexsort_on_any_sorted_stream(monkeypatch, seed,
 def test_event_chunks_join_to_the_whole_stream_build(monkeypatch, chunk, target):
     """event_chunks' pieces, joined, are inject_background(emit_events(...)) at any chunking.
 
-    Both draw the dark counts window by window from one generator; the
-    pieces take them as the chunk cuts reach them, carrying the rest of a
-    window cut by a chunk's edge into the next piece.
+    Both draw the dark counts window by window from one generator.  A piece
+    ends at the next batch's first D0 or at its window's end, whichever
+    comes first, so each piece is non-empty, its signal records (ids below
+    3n) come from one batch and its dark counts from one window.
     """
     monkeypatch.setattr(events, "_CHUNK_TRIPLES", chunk)
     monkeypatch.setattr(events, "_DARK_WINDOW", target)
@@ -194,8 +194,6 @@ def test_event_chunks_join_to_the_whole_stream_build(monkeypatch, chunk, target)
         assert records == len(whole)
         joined = {name: np.concatenate([getattr(p, name) for p in pieces]) for name in EVENT_COLUMNS}
         assert_streams_equal(EventStream(**joined, n_bins=whole.n_bins), whole)
-        if rate != 0.5:
-            continue
         # the windows themselves: empty ones where a window holds about one dark
         # count, and windows that hold dark counts on both sides of a chunk's edge
         t1 = int(stream.time_ns[-1])
@@ -207,6 +205,14 @@ def test_event_chunks_join_to_the_whole_stream_build(monkeypatch, chunk, target)
             straddled += int(((times.min(initial=t1) < cuts) & (cuts <= times.max(initial=0))).sum())
         assert sum(counts) == total == len(whole) - 3 * n
         assert len(counts) == max(1, -(-total // target))
+        ends = 3 * n + np.cumsum(counts)  # one past each window's last dark id
+        for piece in pieces:
+            signal = piece.event_id < 3 * n
+            assert len(piece)
+            assert len(np.unique(piece.event_id[signal] // 3 // chunk)) <= 1
+            assert len(np.unique(np.searchsorted(ends, piece.event_id[~signal], side="right"))) <= 1
+        if rate != 0.5:
+            continue
         assert (0 in counts) == (target == 1)
         if target > 1 and chunk < n:
             assert straddled
@@ -459,7 +465,7 @@ def test_readers_roundtrip_equal_line_readers(tmp_path, monkeypatch, seed, n, bi
     rng = np.random.default_rng(seed)
     hdr = header()
     path = tmp_path / "triples.csv"
-    write_triples(path, random_batch(rng, n, big), hdr)
+    oracles.write_triples(path, random_batch(rng, n, big), hdr)
     got, got_hdr = read_triples(path)
     want, want_hdr = oracles.read_triples_lines(path)
     assert got_hdr == want_hdr == hdr
@@ -505,7 +511,7 @@ def test_fuzzed_files_fail_only_with_value_error(
     rng = np.random.default_rng(seed)
     path = tmp_path / "stream.csv"
     if which == "triples":
-        write_triples(path, random_batch(rng, 6, big=False), header())
+        oracles.write_triples(path, random_batch(rng, 6, big=False), header())
         read, oracle, columns = read_triples, oracles.read_triples_lines, TRIPLE_COLUMNS
     else:
         write_event_log(path, random_events(rng, 6, big=False), header())
@@ -540,7 +546,7 @@ def test_readers_take_any_line_ends_and_blank_lines(
     path = tmp_path / "stream.csv"
     if which == "triples":
         record = random_batch(rng, n, big=False)
-        write_triples(path, record, header())
+        oracles.write_triples(path, record, header())
         read, oracle, columns = read_triples, oracles.read_triples_lines, TRIPLE_COLUMNS
     else:
         record = random_events(rng, n, big=False)
@@ -585,7 +591,7 @@ def test_reader_joins_lines_split_across_reads(tmp_path, monkeypatch, read, chun
     monkeypatch.setattr(events, "_CHUNK_ROWS", chunk)
     batch = numbered_batch(12)
     path = tmp_path / "triples.csv"
-    write_triples(path, batch, header())
+    oracles.write_triples(path, batch, header())
     # "\r\n", a lone "\r", and a blank line after "\n", "\r" and "\r\n"
     ends = [b"\r\n", b"\r", b"\n\n", b"\r\r\n", b"\n\r\n"]
     lines = path.read_bytes().splitlines()
@@ -600,7 +606,7 @@ def test_reader_takes_a_pipe(tmp_path):
     """A pipe has no size to bound n_rows by; its rows are read all the same."""
     batch = numbered_batch(40)
     path = tmp_path / "triples.csv"
-    write_triples(path, batch, header())
+    oracles.write_triples(path, batch, header())
     pipe = tmp_path / "pipe"
     os.mkfifo(pipe)
     writer = threading.Thread(target=lambda: pipe.write_bytes(path.read_bytes()), daemon=True)
@@ -692,7 +698,7 @@ ROW_FAULTS = {
 
 
 def assert_fault_message(path, fault):
-    write_triples(path, numbered_batch(40), header())
+    oracles.write_triples(path, numbered_batch(40), header())
     text = path.read_text()
     head = [line for line in text.splitlines() if line.startswith("#")]
     rows = [line for line in text.splitlines() if not line.startswith("#")]
@@ -772,7 +778,7 @@ def test_writers_equal_fstring_rows(tmp_path, monkeypatch, data, n, chunk):
     )
     for write, record, rows in (
         (write_event_log, stream, oracles.event_log_rows),
-        (write_triples, batch, oracles.triples_rows),
+        (oracles.write_triples, batch, oracles.triples_rows),
     ):
         path = tmp_path / "stream.csv"
         digest = write(path, record, hdr)
@@ -793,7 +799,7 @@ def test_writers_cover_every_label(tmp_path):
     batch = TripleBatch(
         triple_id=every, x_bin=every, babu=every, alisha=every[::-1], block_index=every * 0
     )
-    write_triples(tmp_path / "triples.csv", batch, header())
+    oracles.write_triples(tmp_path / "triples.csv", batch, header())
     assert data_rows(tmp_path / "triples.csv") == oracles.triples_rows(batch).encode("ascii")
 
 
@@ -814,7 +820,7 @@ def test_writers_refuse_what_readers_refuse(tmp_path, which, column, value):
     rng = np.random.default_rng(0)
     path = tmp_path / "stream.csv"
     if which == "triples":
-        record, write, what = random_batch(rng, 5, big=False), write_triples, "triples file"
+        record, write, what = random_batch(rng, 5, big=False), oracles.write_triples, "triples file"
     else:
         record, write, what = random_events(rng, 5, big=False), write_event_log, "event log"
         record.detector[3] = CODE_D0  # so row 3 writes its x_bin
@@ -865,7 +871,7 @@ def test_x_bin_extremes_round_trip(tmp_path):
     stream = EventStream(
         event_id=np.arange(n), detector=np.zeros(n), time_ns=np.arange(n), x_bin=x, n_bins=8
     )
-    write_triples(tmp_path / "triples.csv", batch, header())
+    oracles.write_triples(tmp_path / "triples.csv", batch, header())
     write_event_log(tmp_path / "events.csv", stream, header())
     assert data_rows(tmp_path / "triples.csv") == oracles.triples_rows(batch).encode("ascii")
     assert data_rows(tmp_path / "events.csv") == oracles.event_log_rows(stream).encode("ascii")
