@@ -267,10 +267,11 @@ def cmd_simulate(args) -> int:
             f"and {schedule.n_triples} triples, at least {need:.3g} bytes of events.csv, "
             f"triples.csv and their spill, but {where} has {free} bytes free"
         )
-    # the delays and the dark-count total are drawn here, before --out is touched; the
-    # triples and records are then sampled, emitted, merged, matched and written to
-    # events.csv one chunk at a time, and the matched triples' rows to a spill, an
-    # unlinked file where the free bytes were counted, which triples.csv is copied from
+    # the dark-count total is drawn here, before --out is touched, after one pass over
+    # the delays that keeps only the last; the triples, delays and records are then
+    # sampled, drawn, emitted, merged, matched and written to events.csv one chunk at a
+    # time, and the matched triples' rows to a spill, an unlinked file where the free
+    # bytes were counted, which triples.csv is copied from
     records, chunks = event_chunks(config, seed, rate)
     matched = which_path = orphans = None
     details = {

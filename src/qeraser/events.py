@@ -269,18 +269,15 @@ def _triple_chunks(config: ExperimentConfig, seed: int, size):
     return chunks()
 
 
-def _draw_delays(n: int, seed: int) -> np.ndarray:
-    """The (n, 2) idler delays in ns, held as int8, drawn _CHUNK_TRIPLES rows at a time.
+def _delay_chunks(n: int, seed: int, size: int):
+    """The (n, 2) idler delays in ns, as int8 pieces of size rows, each drawn when it is asked for.
 
     Each piece is an int64 draw from the one delay generator; pieces equal
     one whole draw, so the delays do not depend on the chunking.
     """
     rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(_DOMAIN_DELAYS, 0)))
-    delays = np.empty((n, 2), dtype=np.int8)
-    for lo in range(0, n, _CHUNK_TRIPLES):
-        k = min(_CHUNK_TRIPLES, n - lo)
-        delays[lo : lo + k] = rng.integers(1, 11, size=(k, 2))
-    return delays
+    for lo in range(0, n, size):
+        yield rng.integers(1, 11, size=(min(size, n - lo), 2)).astype(np.int8)
 
 
 def emit_events(triples: TripleBatch, config: ExperimentConfig, seed: int = 0) -> EventStream:
@@ -293,11 +290,15 @@ def emit_events(triples: TripleBatch, config: ExperimentConfig, seed: int = 0) -
     triple t's records in time order and no sort over the stream is needed.
     Delay draws depend only on (seed, triple position), never on outcomes,
     so two runs differing only in babu's settings share identical timestamps.
-    Raises ValueError for a run triple_spacing_ns refuses.
+    The delays are _delay_chunks' pieces joined, the draws event_chunks
+    makes one chunk at a time.  Raises ValueError for a run
+    triple_spacing_ns refuses.
     """
     n = len(triples)
     spacing = triple_spacing_ns(config.pair_rate_scale, n)
-    return _emit(triples, _draw_delays(n, int(seed)), 0, spacing, config.geometry.n_bins)
+    pieces = _delay_chunks(n, int(seed), _CHUNK_TRIPLES)
+    delays = np.concatenate([np.empty((0, 2), np.int8), *pieces])  # no piece when n is 0
+    return _emit(triples, delays, 0, spacing, config.geometry.n_bins)
 
 
 def _emit(triples: TripleBatch, delays, first: int, spacing: int, n_bins: int) -> EventStream:
@@ -455,39 +456,45 @@ def event_chunks(config: ExperimentConfig, seed: int, rate_per_ns: float) -> tup
     iterates over consecutive EventStream pieces of the stream, cut by
     _stream_chunks, so a piece holds at most one batch's records
     (_CHUNK_TRIPLES triples) and one window's dark counts, whatever the
-    rate.  The checks, the delays and the dark-count total are done and
-    drawn here: the background's span needs the last triple's delays.  Each
-    batch is sampled and emitted, and each window drawn, when a piece first
-    needs it, and the iterator frees the draws when it ends.
+    rate.  The checks and the dark-count total are done and drawn here.
+    The background's span needs the last triple's delays, so the delays are
+    drawn here once, a chunk at a time, and each chunk dropped; the pieces
+    draw them again, a chunk at a time.  Each batch is sampled and emitted,
+    and each window drawn, when a piece first needs it, and the iterator
+    frees the draws when it ends.
     """
     rate = _background_rate(rate_per_ns)
     seed = int(seed)
-    batches = _triple_chunks(config, seed, _CHUNK_TRIPLES)
+    size = _CHUNK_TRIPLES
+    batches = _triple_chunks(config, seed, size)
     n = config.schedule.n_triples
     spacing = triple_spacing_ns(config.pair_rate_scale, n)
-    delays = _draw_delays(n, seed)
+    for last in _delay_chunks(n, seed, size):
+        pass
     # emit_events' stream runs from 0 to the last triple's later idler, ids up to 3n - 1
-    t_end = (n - 1) * spacing + int(delays[-1].max())
+    t_end = (n - 1) * spacing + int(last[-1].max())
     n_bins = config.geometry.n_bins
     n_dark, windows = _dark_windows(rate, 0, t_end, n_bins, 3 * n, seed)
+    delays = _delay_chunks(n, seed, size)
     return 3 * n + n_dark, _stream_chunks(batches, delays, windows, spacing, n_bins)
 
 
 def _stream_chunks(batches, delays, windows, spacing: int, n_bins: int):
     """The stream's pieces: each ends at the next batch's first D0 or its window's end, the earlier.
 
-    A piece merges the batch's records and the window's dark counts timed
-    before its end, and every later record comes at or after that end, so a
-    dark count timed at a batch's first D0 goes after that D0.  A window is
+    delays gives each batch's idler delays, one piece per batch.  A piece
+    merges the batch's records and the window's dark counts timed before
+    its end, and every later record comes at or after that end, so a dark
+    count timed at a batch's first D0 goes after that D0.  A window is
     drawn when a piece first reaches it, once the one before is let go.
     The last window ends past the last record, so its end ends the stream.
     """
     windows = iter(windows)
     end, dark = next(windows)
-    for batch in batches:
+    for batch, batch_delays in zip(batches, delays, strict=True):
         lo = int(batch.triple_id[0])
         stop = (lo + len(batch)) * spacing  # the next batch's first D0
-        stream = _emit(batch, delays[lo : lo + len(batch)], lo, spacing, n_bins)
+        stream = _emit(batch, batch_delays, lo, spacing, n_bins)
         while dark is not None:
             cut = min(stop, end)
             k, j = (int(np.searchsorted(t, cut)) for t in (stream.time_ns, dark["time_ns"]))
@@ -801,20 +808,26 @@ def _write_text(path, header_lines, chunks) -> str:
 
     Every '#'-headered file goes through here.  Bytes are written in binary
     mode, so line ends are '\n' on every platform, and hashed as they are
-    written, so no caller reads a file back to vouch for it.  The first
-    chunk is made before the file is opened, and a file whose chunks fail
-    part way is removed, so a failing writer leaves no file behind.
+    written, so no caller reads a file back to vouch for it.  Each chunk is
+    let go once written, before the next is made, so one is held at a time.
+    The first chunk is made before the file is opened, and a file whose
+    chunks fail part way is removed, so a failing writer leaves no file
+    behind.
     """
     digest = hashlib.sha256()
     head = "".join(f"# {line}\n" for line in header_lines).encode("utf-8")
     chunks = iter(chunks)
-    first = next(chunks, b"")
+    data = next(chunks, b"")
     fh = open(path, "wb")
     try:
         with fh:
-            for data in itertools.chain([head, first], chunks):
+            digest.update(head)
+            fh.write(head)
+            while data is not None:
                 digest.update(data)
                 fh.write(data)
+                del data
+                data = next(chunks, None)
     except BaseException:
         os.unlink(path)
         raise

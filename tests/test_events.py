@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import itertools
 import tempfile
 import tracemalloc
@@ -706,51 +707,67 @@ def _simulated(config, out, rate=2e-3):
 
 
 def test_simulate_holds_one_chunk_and_one_dark_window(tmp_path, monkeypatch):
-    """simulate's traced peak, less 2 bytes a triple, is one chunk's and one window's.
+    """simulate's traced peak is one chunk's and one window's, whatever the run's length.
 
-    Between pieces the stream path holds the delays (2 bytes per triple),
-    what is left of the dark-count window being cut (at most _DARK_WINDOW
-    dark counts on average, 21 bytes each) and the matcher's queues; the
-    matched triples go to the spill as rows, so none is held.  A piece ends
-    at the next chunk's first D0 or at its window's end, whichever comes
-    first, so it holds at most one chunk's records and one window's dark
-    counts, and a write pass the text of at most _CHUNK_ROWS rows.  So the
-    peak less the delays stays level when the run doubles, and once the
-    windows are full when the rate doubles, and doubles again, which puts
-    several windows in each chunk.  Level within two things: where the
-    window edges cut the chunks sets the largest piece, which moves the
-    peak by up to 8% from one run length to the next with no trend; and a
-    write pass is one byte a row longer once the record ids reach six
-    digits, which they do between 16e-3 and 32e-3 here (94,785 and 174,687
-    records).  Measured here with 1,000-triple chunks, less the delays:
-    1,224, 1,294 and 1,337 bytes per chunk triple at 2e-3 dark counts per
-    ns over 40, 80 and 160 blocks of 500 triples (the window grows from
-    13,286 to 15,960 dark counts between 40 and 80 blocks and is full from
-    there on), then 1,412 over 320 blocks and 1,300 over 640; 2,475, 2,479
-    and 2,465 over 10 blocks at 16e-3, 32e-3 and 64e-3.  Run after the
-    tests before it in the suite, in one process, the same cases read
-    1,183 to 1,202, 1,255 to 1,292, 1,260 to 1,336, 2,465 to 2,475, 2,466
-    to 2,477 and 2,442 to 2,464 over two runs: the small objects the
-    interpreter keeps for reuse are then already made.  Holding the
-    matched triples to write triples.csv at the end took 1,729, 2,452 and
-    3,631 at 2e-3, and 2,550, 2,593 and 2,755 at the high rates: 14 to 22
-    bytes a matched triple.
+    Between pieces the stream path holds what is left of the dark-count
+    window being cut (at most _DARK_WINDOW dark counts on average, 21 bytes
+    each) and the matcher's queues; the idler delays are drawn chunk by
+    chunk and the matched triples go to the spill as rows, so nothing is
+    held per triple.  A piece ends at the next chunk's first D0 or at its
+    window's end, whichever comes first, so it holds at most one chunk's
+    records and one window's dark counts, and a write pass the text of at
+    most _CHUNK_ROWS rows.  So the peak stays level when the run doubles,
+    and once the windows are full it does not grow when the rate doubles,
+    and doubles again, which puts several windows in each chunk: a window
+    then spans less of a chunk, so its pieces carry fewer signal records.
+    Each case runs once before it is traced, so the small objects the
+    interpreter keeps for reuse are already made; the tests run before it
+    then move a reading by at most 7%.  Measured here with 1,000-triple
+    chunks: 1,016, 1,102 and 1,146 bytes per chunk triple at 2e-3 dark
+    counts per ns over 40, 80 and 160 blocks of 500 triples, then 1,076
+    over 320 and 640 blocks; 2,192, 2,166 and 2,155 over 10 blocks at 16e-3,
+    32e-3 and 64e-3.  The first doubling adds 7% to 9%, 5.5% of it the
+    window growing from 13,286 to 15,960 dark counts (56 kB); the window is
+    full from 80 blocks on, and the second doubling adds -1% to 4.1%.  Run
+    after the tests before it in the suite, the same cases read 996 to
+    1,015, 1,065 to 1,102, 1,068 to 1,106, 2,190, 2,165 and 2,155 over
+    three runs.  Traced without the run before, the test alone read 2,178
+    at 64e-3 against 2,177 at 32e-3.  Holding the whole run's delays (2
+    bytes a triple) took 1,239, 1,372, 1,496, 1,589 and 1,915 over 40 to
+    640 blocks, and holding the matched triples to write triples.csv at the
+    end took 14 to 22 bytes a matched triple more.
     """
     monkeypatch.setattr(events, "_CHUNK_TRIPLES", 1000)
-    left = {}
+    peak = {}
     for repeat, rate in ((20, 2e-3), (40, 2e-3), (80, 2e-3), (5, 16e-3), (5, 32e-3), (5, 64e-3)):
         config = make_config(bits=(1, 0) * repeat, block_size=500)
         n = config.schedule.n_triples
-        (records, matched), peak = _traced(_simulated, config, tmp_path, rate)
+        _simulated(config, tmp_path, rate)  # so the interpreter's reusable objects are made
+        (records, matched), peak[repeat, rate] = _traced(_simulated, config, tmp_path, rate)
         assert records - 3 * n > n
         assert read_triples(tmp_path / "triples.csv")[0].triple_id.tolist() == list(range(matched))
-        left[repeat, rate] = peak - 2 * n
-    assert left[20, 2e-3] <= 1250 * events._CHUNK_TRIPLES
-    assert left[40, 2e-3] <= 1.1 * left[20, 2e-3]
-    assert left[80, 2e-3] <= 1.1 * left[40, 2e-3]
+    assert peak[20, 2e-3] <= 1100 * events._CHUNK_TRIPLES
+    assert peak[40, 2e-3] <= 1.1 * peak[20, 2e-3]  # the window grows by 2,674 dark counts
+    assert peak[80, 2e-3] <= 1.06 * peak[40, 2e-3]
     # 64e-3 per ns puts about 64,000 dark counts, four windows, in each chunk
-    assert left[5, 64e-3] <= left[5, 32e-3] <= left[5, 16e-3] + events._CHUNK_ROWS
-    assert left[5, 16e-3] <= 1200 * events._CHUNK_TRIPLES + 90 * events._DARK_WINDOW
+    assert peak[5, 64e-3] <= peak[5, 32e-3] <= peak[5, 16e-3]
+    assert peak[5, 16e-3] <= 1100 * events._CHUNK_TRIPLES + 75 * events._DARK_WINDOW
+
+
+def test_write_text_holds_one_chunk(tmp_path):
+    """The text writer lets go of each chunk once it is hashed and written.
+
+    So it holds one chunk at a time, also while the next is made.  Measured
+    here for sixteen 1 MB chunks: 1.0 MB traced; holding the first chunk
+    to the end, and the one before while the next was made, took 3.0 MB.
+    """
+    size = 1 << 20
+    chunks = (np.full(size, 48 + i, dtype=np.uint8) for i in range(16))
+    digest, peak = _traced(events._write_text, tmp_path / "out.csv", ["kind v1"], chunks)
+    data = (tmp_path / "out.csv").read_bytes()
+    assert len(data) == len(b"# kind v1\n") + 16 * size
+    assert digest == hashlib.sha256(data).hexdigest()
+    assert peak <= 1.5 * size
 
 
 def test_decode_holds_one_pass_not_the_triples(tmp_path):
@@ -791,7 +808,9 @@ def test_chunked_draws_equal_one_whole_draw(monkeypatch):
 
     The stream path draws the idler delays _CHUNK_TRIPLES rows at a time
     and each block's uniforms in pieces cut by chunk ends, and relies on
-    numpy's Generator carrying its state between calls.
+    numpy's Generator carrying its state between calls.  _delay_chunks'
+    pieces, and the delays emit_events gives each triple's idlers, equal one
+    whole draw at every chunk size.
     """
     n = 500_000
     sizes = itertools.cycle([1, 7, 2500, 65536, 131071, 3])
@@ -812,9 +831,25 @@ def test_chunked_draws_equal_one_whole_draw(monkeypatch):
     uniforms = generator().random(n)
     rng = generator()
     np.testing.assert_array_equal(in_pieces(rng.random), uniforms)
+    m = 20_000
+    config = make_config(bits=(1, 0), block_size=m // 2)
+    # every triple's outcomes 0: babu's idler is detector code 1 and alisha's 5
+    zeros = np.zeros(m, dtype=np.int64)
+    triples = TripleBatch(
+        triple_id=np.arange(m), x_bin=zeros, babu=zeros, alisha=zeros, block_index=zeros
+    )
     for chunk in (1, 7, 8192, n):
+        rows = n if chunk >= 8192 else m
+        pieces = list(events._delay_chunks(rows, 5, chunk))
+        assert [len(p) for p in pieces[:-1]] == [chunk] * (len(pieces) - 1)
+        assert {p.dtype for p in pieces} == {np.dtype(np.int8)}
+        np.testing.assert_array_equal(np.concatenate(pieces), delays[:rows])
         monkeypatch.setattr(events, "_CHUNK_TRIPLES", chunk)
-        np.testing.assert_array_equal(events._draw_delays(20_000, 5), delays[:20_000])
+        stream = emit_events(triples, config, 5)
+        lag = (stream.time_ns.reshape(m, 3) - stream.time_ns[::3, None])[:, 1:]
+        code = stream.detector.reshape(m, 3)[:, 1:]
+        emitted = np.stack([lag[code == 1], lag[code == 5]], axis=1)
+        np.testing.assert_array_equal(emitted, delays[:m])
 
 
 @pytest.mark.parametrize("which", ["events", "triples"])

@@ -170,14 +170,17 @@ def test_background_merge_equals_lexsort_on_any_sorted_stream(monkeypatch, seed,
 
 
 @pytest.mark.parametrize("target", window_targets)
-@pytest.mark.parametrize("chunk", [1, 13, 10**9])
+@pytest.mark.parametrize("chunk", [1, 13, 45, 89, 10**9])
 def test_event_chunks_join_to_the_whole_stream_build(monkeypatch, chunk, target):
     """event_chunks' pieces, joined, are inject_background(emit_events(...)) at any chunking.
 
     Both draw the dark counts window by window from one generator.  A piece
     ends at the next batch's first D0 or at its window's end, whichever
     comes first, so each piece is non-empty, its signal records (ids below
-    3n) come from one batch and its dark counts from one window.
+    3n) come from one batch and its dark counts from one window.  The
+    background's span ends at the last triple's later idler, which
+    event_chunks reads off the last chunk of its pass over the delays: 89
+    leaves that chunk one triple, and 45 makes two full chunks.
     """
     monkeypatch.setattr(events, "_CHUNK_TRIPLES", chunk)
     monkeypatch.setattr(events, "_DARK_WINDOW", target)
