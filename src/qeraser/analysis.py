@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.stats import chi2 as _chi2_dist
 
-from .events import TripleBatch, _write_text
+from .events import TripleBatch, _header_lines, _write_text
 from .experiment import SwitchSchedule, nyquist_min_samples
 from .optics import SlitScreenGeometry, table
 
@@ -208,7 +208,7 @@ class DecodeReport:
     bit_error_rate: float
     per_block_visibility: tuple
     per_block_stderr: tuple
-    confidence: float  # fraction of blocks meeting the sampling bound
+    confidence: float  # fraction of blocks whose decoded slice meets the sampling bound
 
 
 def _decode(
@@ -223,13 +223,13 @@ def _decode(
 
     triples is a TripleBatch, or consecutive TripleBatch passes of one set
     of triples, such as triple_passes reads.  Each pass is reduced to the
-    per-block triple totals and the slice's (block, x_bin) count grid, whose
-    row b is the slice's histogram over block b; only those sums are held.
-    A bad block or x_bin is refused once every pass is in, a block first,
-    as over the whole set.
+    slice's (block, x_bin) count grid, whose row b is the slice's histogram
+    over block b; only that sum is held.  A block's row total is the count
+    the fit rests on, which confidence and the LowSampleWarning weigh
+    against the sampling bound.  A bad block or x_bin is refused once every
+    pass is in, a block first, as over the whole set.
     """
     n_blocks, n_bins = len(schedule.bits), geom.n_bins
-    counts = np.zeros(n_blocks, dtype=np.int64)
     grid = np.zeros(n_blocks * n_bins, dtype=np.int64)
     bad_blocks, bad_bin = None, False  # the first pass with a bad block; a bad selected x_bin
     for part in [triples] if isinstance(triples, TripleBatch) else triples:
@@ -237,7 +237,6 @@ def _decode(
         known = (blocks >= 0) & (blocks < n_blocks)
         if bad_blocks is None and not known.all():
             bad_blocks = blocks
-        counts += np.bincount(blocks[known], minlength=n_blocks)
         selected = _select(part, babu_filter, alisha_filter)
         on_screen = (x >= 0) & (x < n_bins)
         bad_bin |= bool((selected & ~on_screen).any())
@@ -245,40 +244,33 @@ def _decode(
         grid += np.bincount(blocks[selected] * n_bins + x[selected], minlength=n_blocks * n_bins)
     if bad_blocks is not None:
         _check_blocks(bad_blocks, n_blocks)
+    grid = grid.reshape(n_blocks, n_bins)
+    counts = grid.sum(axis=1)
     bound = nyquist_min_samples(geom)
     low = [b for b in range(n_blocks) if counts[b] < bound]
     if low:
         warnings.warn(
-            f"blocks {low} hold fewer than {bound} triples; "
+            f"blocks {low} hold fewer than {bound} triples in the decoded slice; "
             "decoded bits there are low-confidence",
             LowSampleWarning,
             stacklevel=3,
         )
     if bad_bin:
         raise ValueError("x_bin outside the screen binning")
-    grid = grid.reshape(n_blocks, n_bins)
-    lit = grid.any(axis=1)
+    lit = counts > 0
     fits = iter(fit_fringes(grid[lit], geom))
-    decoded, vis, err = [], [], []
-    for fitted in lit:
-        if not fitted:  # an empty block decodes as 0 with no error bar
-            decoded.append(0)
-            vis.append(0.0)
-            err.append(float("inf"))
-            continue
-        fit = next(fits)
-        decoded.append(1 if classify_pattern(fit) == "interference" else 0)
-        vis.append(fit.visibility)
-        err.append(fit.standard_error)
+    # an empty block has no fit: it decodes as 0, with no error bar
+    blocks = [next(fits) if fitted else None for fitted in lit]
+    decoded = tuple(int(f is not None and classify_pattern(f) == "interference") for f in blocks)
     true_bits = tuple(schedule.bits)
     errors = sum(1 for d, t in zip(decoded, true_bits) if d != t)
     return DecodeReport(
         selector=selector,
-        decoded_bits=tuple(decoded),
+        decoded_bits=decoded,
         true_bits=true_bits,
         bit_error_rate=errors / n_blocks,
-        per_block_visibility=tuple(vis),
-        per_block_stderr=tuple(err),
+        per_block_visibility=tuple(0.0 if f is None else f.visibility for f in blocks),
+        per_block_stderr=tuple(float("inf") if f is None else f.standard_error for f in blocks),
         confidence=float(np.mean(counts >= bound)),
     )
 
@@ -425,25 +417,13 @@ def _fmt(v) -> str:
 
 
 def _write_table(path, header_pairs: dict, columns: str, rows: list[str]) -> str:
-    from . import __version__
-
-    lines = [f"tool_version={__version__}"]
-    lines += [f"{key}={value}" for key, value in header_pairs.items()]
-    lines.append(f"columns={columns}")
     body = "\n".join([*rows, ""]).encode("utf-8")  # each row ends in "\n"
-    return _write_text(path, lines, [body])
+    return _write_text(path, _header_lines(header_pairs, columns), [body])
 
 
 def write_decode_csv(path, report: DecodeReport, header: dict) -> str:
-    meta = dict(header)
-    meta["selector"] = report.selector
-    meta["bit_error_rate"] = _fmt(report.bit_error_rate)
+    meta = {**header, "selector": report.selector, "bit_error_rate": _fmt(report.bit_error_rate)}
     meta["confidence"] = _fmt(report.confidence)
-    rows = []
-    for b in range(len(report.true_bits)):
-        rows.append(
-            f"{b},{_fmt(report.per_block_visibility[b])},"
-            f"{_fmt(report.per_block_stderr[b])},"
-            f"{report.decoded_bits[b]},{report.true_bits[b]}"
-        )
+    blocks = zip(report.per_block_visibility, report.per_block_stderr, report.decoded_bits, report.true_bits)
+    rows = [f"{b},{_fmt(v)},{_fmt(e)},{d},{t}" for b, (v, e, d, t) in enumerate(blocks)]
     return _write_table(path, meta, "block,visibility,stderr,decoded,true", rows)

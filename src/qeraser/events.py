@@ -25,12 +25,13 @@ import math
 import os
 import re
 import stat
-from dataclasses import dataclass, fields
+from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
+from . import __version__
 from .experiment import MODE_DOUBLE, ExperimentConfig, distribution_for
-from .optics import ALISHA_LABELS, BABU_LABELS, screen_marginal
+from .optics import ALISHA_LABELS, BABU_LABELS, D3, screen_marginal
 
 RNG_ALGORITHM = "numpy-pcg64-seedseq"
 DEFAULT_WINDOW_NS = 20
@@ -45,6 +46,9 @@ _DOMAIN_BACKGROUND = 3
 
 DETECTOR_LABELS = ("D0",) + BABU_LABELS + ALISHA_LABELS
 CODE_D0 = 0
+# babu's outcome j is detector code _BABU_CODE + j, alisha's k is _ALISHA_CODE + k
+_BABU_CODE = 1
+_ALISHA_CODE = _BABU_CODE + len(BABU_LABELS)
 
 # Each record column's dtype, the one declaration the record constructors, the
 # producers and the readers go by: detector codes and idler outcomes fit int8,
@@ -61,23 +65,25 @@ _DTYPE = {
 }
 
 
-def _set_columns(record, ranges: dict) -> None:
-    """Cast each of record's columns to its _DTYPE, checking the values as given first.
+def _set_columns(record, fmt: _Format) -> None:
+    """Cast each of record's fmt columns to its _DTYPE, checking the values as given first.
 
-    A column's values must lie in ranges[name] where given, else in its
-    dtype's range, so no value wraps in the cast.  An array already of its
-    dtype is kept, not copied.
+    A labelled column's values must index its labels, any other's lie in
+    its dtype's range, so no value wraps in the cast; then the columns must
+    share one length.  An array already of its dtype is kept, not copied.
     """
-    for name in (f.name for f in fields(record) if f.name in _DTYPE):
+    for name, labels in fmt.columns:
         values = np.asarray(getattr(record, name))
         dtype = _DTYPE[name]
         info = np.iinfo(dtype)
-        lo, hi = ranges.get(name, (info.min, info.max))
+        lo, hi = (0, len(labels) - 1) if labels is not None else (info.min, info.max)
         if values.size:
             low, high = int(values.min()), int(values.max())  # exact for any integer dtype
             if low < lo or high > hi:
                 raise ValueError(f"{name} {low if low < lo else high} is outside {lo}..{hi}")
         setattr(record, name, values.astype(dtype, copy=False))
+    if len({len(getattr(record, name)) for name in fmt.names}) > 1:
+        raise ValueError(f"{fmt.noun} columns must share one length")
 
 
 @dataclass(eq=False)
@@ -91,13 +97,7 @@ class TripleBatch:
     block_index: np.ndarray
 
     def __post_init__(self):
-        _set_columns(self, {"babu": (0, 3), "alisha": (0, 3)})
-        n = len(self.triple_id)
-        if any(
-            len(getattr(self, name)) != n
-            for name in ("x_bin", "babu", "alisha", "block_index")
-        ):
-            raise ValueError("triple columns must share one length")
+        _set_columns(self, _TRIPLES)
 
     def __len__(self) -> int:
         return len(self.triple_id)
@@ -114,10 +114,7 @@ class EventStream:
     n_bins: int
 
     def __post_init__(self):
-        _set_columns(self, {"detector": (0, len(DETECTOR_LABELS) - 1)})
-        n = len(self.event_id)
-        if any(len(getattr(self, name)) != n for name in ("detector", "time_ns", "x_bin")):
-            raise ValueError("event columns must share one length")
+        _set_columns(self, _EVENT_LOG)
 
     def __len__(self) -> int:
         return len(self.event_id)
@@ -254,7 +251,6 @@ def _triple_chunks(config: ExperimentConfig, seed: int, size):
                 np.clip(flat, 0, marg_flat.size - 1, out=flat)
                 rows = cond_cum[int(schedule.bits[b])][flat]
                 np.sum(rows <= rng_c.random(end - at)[:, None], axis=1, out=babu[piece])
-                np.clip(babu[piece], 0, 3, out=babu[piece])
                 np.floor_divide(flat, 4, out=x_bin[piece])
                 np.remainder(flat, 4, out=alisha[piece])
                 at = end
@@ -304,13 +300,13 @@ def emit_events(triples: TripleBatch, config: ExperimentConfig, seed: int = 0) -
 def _emit(triples: TripleBatch, delays, first: int, spacing: int, n_bins: int) -> EventStream:
     """The records of triples first, first + 1, ...: emit_events' rows first .. first + len - 1."""
     n = len(triples)
-    # each idler as delay * 16 + detector code: babu's codes (1-4) lie below
-    # alisha's (5-8), so sorting a triple's pair puts babu first on a tie
+    # each idler as delay * 16 + detector code: babu's codes lie below
+    # alisha's, so sorting a triple's pair puts babu first on a tie
     idlers = delays.astype(np.int16)
     idlers *= 16
     idlers[:, 0] += triples.babu
     idlers[:, 1] += triples.alisha
-    idlers += (1, 5)
+    idlers += (_BABU_CODE, _ALISHA_CODE)
     idlers.sort(axis=1)
     detector = np.empty((n, 3), dtype=_DTYPE["detector"])
     detector[:, 0] = CODE_D0
@@ -381,28 +377,31 @@ def _dark_windows(rate: float, t0: int, t1: int, n_bins: int, next_id: int, seed
     narrowed to its column's dtype.  A window's sort is stable, so ties keep
     draw order, which is id order; ids count from next_id in draw order.
     Each window is (end, columns): end is one past its last ns, columns the
-    four event columns, which take 21 bytes per dark count.
+    four event columns, which take 21 bytes per dark count.  A window is
+    drawn in a helper's frame, so the generator holds none between windows.
     """
     rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(_DOMAIN_BACKGROUND, 0)))
     total = int(rng.poisson(rate * (t1 - t0)))
     n_windows = max(1, -(-total // _DARK_WINDOW))
+
+    def window(lo, hi, n, first_id):
+        time_ns = rng.integers(lo, hi, size=n)
+        detector = rng.integers(0, len(DETECTOR_LABELS), size=n).astype(_DTYPE["detector"])
+        x_bin = rng.integers(0, n_bins, size=n).astype(_DTYPE["x_bin"])
+        x_bin[detector != CODE_D0] = -1
+        event_id = np.argsort(time_ns, kind="stable")
+        time_ns.sort()  # the same values as time_ns[event_id], sorted in place
+        detector = detector[event_id]
+        x_bin = x_bin[event_id]
+        event_id += first_id
+        return {"event_id": event_id, "detector": detector, "time_ns": time_ns, "x_bin": x_bin}
 
     def windows():
         left, lo, first_id = total, t0, next_id
         for j in range(1, n_windows + 1):
             hi = t0 + j * (t1 + 1 - t0) // n_windows
             n = int(rng.binomial(left, (hi - lo) / (t1 + 1 - lo)))
-            time_ns = rng.integers(lo, hi, size=n)
-            detector = rng.integers(0, len(DETECTOR_LABELS), size=n).astype(_DTYPE["detector"])
-            x_bin = rng.integers(0, n_bins, size=n).astype(_DTYPE["x_bin"])
-            x_bin[detector != CODE_D0] = -1
-            event_id = np.argsort(time_ns, kind="stable")
-            time_ns.sort()  # the same values as time_ns[event_id], sorted in place
-            detector = detector[event_id]
-            x_bin = x_bin[event_id]
-            event_id += first_id
-            yield hi, {"event_id": event_id, "detector": detector, "time_ns": time_ns, "x_bin": x_bin}
-            del event_id, detector, time_ns, x_bin  # the next window is drawn without this one
+            yield hi, window(lo, hi, n, first_id)
             left, lo, first_id = left - n, hi, first_id + n
 
     return total, windows()
@@ -432,15 +431,8 @@ def _merge(stream: EventStream, dark: dict) -> EventStream:
         out[~original] = dark.pop(name)
         return out
 
-    event_id = merged("event_id")
-    time_ns = merged("time_ns")
-    return EventStream(
-        event_id=event_id,
-        detector=merged("detector"),
-        time_ns=time_ns,
-        x_bin=merged("x_bin"),
-        n_bins=stream.n_bins,
-    )
+    columns = {name: merged(name) for name in ("event_id", "time_ns", "detector", "x_bin")}
+    return EventStream(**columns, n_bins=stream.n_bins)
 
 
 def _require_sorted(time_ns: np.ndarray) -> None:
@@ -485,9 +477,10 @@ def _stream_chunks(batches, delays, windows, spacing: int, n_bins: int):
     delays gives each batch's idler delays, one piece per batch.  A piece
     merges the batch's records and the window's dark counts timed before
     its end, and every later record comes at or after that end, so a dark
-    count timed at a batch's first D0 goes after that D0.  A window is
-    drawn when a piece first reaches it, once the one before is let go.
-    The last window ends past the last record, so its end ends the stream.
+    count timed at a batch's first D0 goes after that D0.  The piece that
+    takes a window's last dark counts is made once the window is let go,
+    and the next window is drawn when that piece has been taken.  The last
+    window ends past the last record, so its end ends the stream.
     """
     windows = iter(windows)
     end, dark = next(windows)
@@ -498,14 +491,15 @@ def _stream_chunks(batches, delays, windows, spacing: int, n_bins: int):
         while dark is not None:
             cut = min(stop, end)
             k, j = (int(np.searchsorted(t, cut)) for t in (stream.time_ns, dark["time_ns"]))
-            piece = _merge(_rows(stream, slice(None, k)), {name: c[:j] for name, c in dark.items()})
+            head = {name: c[:j] for name, c in dark.items()}
+            # the rest of the window goes with the next batch, or none is left
+            dark = {name: c[j:] for name, c in dark.items()} if stop < end else None
+            piece = _merge(_rows(stream, slice(None, k)), head)  # empties head
             if len(piece):
                 yield piece
-            if stop < end:  # the rest of the window goes with the next batch
-                dark = {name: c[j:] for name, c in dark.items()}
+            if dark is not None:
                 break
             stream = _rows(stream, slice(k, None))
-            del dark  # so the next window is drawn without this one
             end, dark = next(windows, (None, None))
 
 
@@ -556,7 +550,8 @@ class _Matcher:
             raise ValueError("event stream is not time-sorted")
         _require_sorted(time_ns)
         self.last = int(time_ns[-1])
-        kinds = (detector == CODE_D0, (detector >= 1) & (detector <= 4), detector >= 5)
+        babu = (detector >= _BABU_CODE) & (detector < _ALISHA_CODE)
+        kinds = (detector == CODE_D0, babu, detector >= _ALISHA_CODE)
         for i, (kind, other) in enumerate(zip(kinds, (x_bin, detector, detector))):
             pos = np.flatnonzero(kind)
             times, values = self.queues[i]
@@ -631,8 +626,8 @@ class _Matcher:
         decided = TripleBatch(
             triple_id=np.arange(first, self.matched, dtype=_DTYPE["triple_id"]),
             x_bin=xd[got],
-            babu=cb[pick_b] - 1,
-            alisha=ca[pick_a] - 5,
+            babu=cb[pick_b] - _BABU_CODE,
+            alisha=ca[pick_a] - _ALISHA_CODE,
             block_index=td[got] // self.period,
         )
         self.orphans[CODE_D0] += cut - len(got)
@@ -717,7 +712,7 @@ def write_and_match(path, header: SimStreamHeader, records: int, chunks, spill) 
     def spill_rows(piece):
         nonlocal which_path
         spill.writelines(_row_bytes(_TRIPLES, piece, matcher.matched - len(piece)))
-        which_path += int(np.count_nonzero((piece.babu >= 2) | (piece.alisha >= 2)))
+        which_path += int(np.count_nonzero((piece.babu >= D3) | (piece.alisha >= D3)))
 
     def matched(chunks):
         nonlocal orphans
@@ -834,13 +829,15 @@ def _write_text(path, header_lines, chunks) -> str:
     return digest.hexdigest()
 
 
+def _header_lines(pairs: dict, columns: str) -> list:
+    """A '#'-headered file's header lines: tool_version, each key=value of pairs, then columns."""
+    return [f"tool_version={__version__}", *(f"{k}={v}" for k, v in pairs.items()), f"columns={columns}"]
+
+
 def _stream_header(fmt: _Format, header: SimStreamHeader, n_rows: int) -> list:
     """The header lines of a stream file of fmt's kind holding n_rows rows."""
-    from . import __version__
-
-    lines = [f"qeraser-{fmt.kind} v1", f"tool_version={__version__}"]
-    lines += [f"{f.name}={getattr(header, f.name)}" for f in fields(header)]
-    return lines + [f"n_rows={n_rows}", f"columns={','.join(fmt.names)}"]
+    pairs = {**asdict(header), "n_rows": n_rows}
+    return [f"qeraser-{fmt.kind} v1", *_header_lines(pairs, ",".join(fmt.names))]
 
 
 def _row_bytes(fmt: _Format, part, first_row: int):
@@ -1203,8 +1200,8 @@ def _row_error(fmt: _Format, line: str) -> str:
     return f"malformed {fmt.noun} row: {line!r}"
 
 
-def write_event_log(path, stream, header: SimStreamHeader, n_rows: int | None = None) -> str:
-    """Write stream, an EventStream or consecutive EventStream pieces of n_rows records in all.
+def write_event_log(path, pieces, header: SimStreamHeader, n_rows: int) -> str:
+    """Write pieces, consecutive EventStream pieces of n_rows records in all, as the event log at path.
 
     Every field of a piece is checked against the row grammar before any of
     its rows is written, the first piece's before the file is opened, so a
@@ -1212,12 +1209,10 @@ def write_event_log(path, stream, header: SimStreamHeader, n_rows: int | None = 
     row in the file and leaves no file behind.  n_rows goes in the header;
     pieces holding another number of records are refused the same way.
     """
-    if isinstance(stream, EventStream):
-        stream, n_rows = [stream], len(stream)
 
     def chunks():
         row = 0
-        for piece in stream:
+        for piece in pieces:
             yield from _row_bytes(_EVENT_LOG, piece, row)
             row += len(piece)
         if row != n_rows:

@@ -11,7 +11,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
@@ -108,6 +108,25 @@ def default_config(mode: str = MODE_DOUBLE) -> ExperimentConfig:
 # (d, lambda, f, L, tap_p, ...); README's Configuration section shows the layout.
 # ---------------------------------------------------------------------------
 
+# each section's file keys, in file order, and the fields they hold: what
+# config_to_dict writes and config_from_dict reads; the experiment section's
+# keys are ExperimentConfig's fields
+_GEOMETRY_KEYS = {
+    "d": "slit_separation",
+    "lambda": "wavelength",
+    "f": "focal_length",
+    "L": "screen_width",
+    "n_bins": "n_bins",
+}
+_ARM_KEYS = {"tap_p": "tap_probability", "splitter": "splitter_present", "theta": "theta", "chi": "chi"}
+_SCHEDULE_KEYS = {"bits": "bits", "block_size": "block_size"}
+
+
+def _section(obj, keys: dict) -> dict:
+    """obj's config section: each file key with its field's value, a tuple as a list."""
+    values = ((key, getattr(obj, field)) for key, field in keys.items())
+    return {key: list(value) if isinstance(value, tuple) else value for key, value in values}
+
 
 def _envelope_to_dict(envelope) -> dict:
     if isinstance(envelope, UniformEnvelope):
@@ -122,7 +141,7 @@ def _unknown_key(path: str, key: str) -> ValueError:
     return ValueError(f"unknown key {path}{'.' if path else ''}{name}")
 
 
-def _fields(obj, path: str, required: tuple, optional: tuple = ()) -> dict:
+def _fields(obj, path: str, required, optional=()) -> dict:
     """obj as an object holding every required key and no key outside the schema."""
     if not isinstance(obj, dict):
         raise ValueError(f"{path} must be an object")
@@ -172,50 +191,31 @@ def _envelope_from_obj(obj):
     raise ValueError(f"unsupported envelope description {obj!r}")
 
 
-def _arm_to_dict(arm: ArmOptics) -> dict:
-    return {
-        "tap_p": arm.tap_probability,
-        "splitter": arm.splitter_present,
-        "theta": arm.theta,
-        "chi": arm.chi,
-    }
-
-
 def _arm_from_dict(obj, path: str) -> ArmOptics:
     """An arm from its config section; a key left out takes ArmOptics' default."""
-    obj = _fields(obj, path, ("tap_p",), ("splitter", "theta", "chi"))
+    obj = _fields(obj, path, ("tap_p",), _ARM_KEYS)
     if not isinstance(obj.get("splitter", True), bool):
         raise ValueError(f"{path}.splitter must be true or false, got {obj['splitter']!r}")
-    fields = {"tap_probability": _number(obj["tap_p"], f"{path}.tap_p")}
-    if "splitter" in obj:
-        fields["splitter_present"] = obj["splitter"]
-    for key in ("theta", "chi"):
-        if key in obj:
-            fields[key] = _number(obj[key], f"{path}.{key}")
-    return ArmOptics(**fields)
+    return ArmOptics(
+        **{
+            field: obj[key] if key == "splitter" else _number(obj[key], f"{path}.{key}")
+            for key, field in _ARM_KEYS.items()
+            if key in obj
+        }
+    )
 
 
 def config_to_dict(config: ExperimentConfig) -> dict:
-    g = config.geometry
     doc = {
         "mode": config.mode,
-        "geometry": {
-            "d": g.slit_separation,
-            "lambda": g.wavelength,
-            "f": g.focal_length,
-            "L": g.screen_width,
-            "n_bins": g.n_bins,
-        },
+        "geometry": _section(config.geometry, _GEOMETRY_KEYS),
         "envelope": _envelope_to_dict(config.envelope),
-        "babu": _arm_to_dict(config.babu),
-        "alisha": _arm_to_dict(config.alisha),
+        "babu": _section(config.babu, _ARM_KEYS),
+        "alisha": _section(config.alisha, _ARM_KEYS),
         "pair_rate_scale": config.pair_rate_scale,
     }
     if config.schedule is not None:
-        doc["schedule"] = {
-            "bits": list(config.schedule.bits),
-            "block_size": config.schedule.block_size,
-        }
+        doc["schedule"] = _section(config.schedule, _SCHEDULE_KEYS)
     return {"experiment": doc}
 
 
@@ -230,13 +230,9 @@ def config_from_dict(data: dict) -> ExperimentConfig:
     for key in data:
         if key != "experiment":
             raise _unknown_key("", key)
-    doc = _fields(
-        data["experiment"],
-        "experiment",
-        ("geometry",),
-        ("mode", "envelope", "babu", "alisha", "schedule", "pair_rate_scale"),
-    )
-    geo = _fields(doc["geometry"], "experiment.geometry", ("d", "lambda", "f", "L", "n_bins"))
+    keys = [f.name for f in fields(ExperimentConfig)]
+    doc = _fields(data["experiment"], "experiment", ("geometry",), keys)
+    geo = _fields(doc["geometry"], "experiment.geometry", _GEOMETRY_KEYS)
     n_bins = _integer(geo["n_bins"], "experiment.geometry.n_bins")
     if n_bins < 3:
         raise ValueError(
@@ -244,15 +240,14 @@ def config_from_dict(data: dict) -> ExperimentConfig:
             f"(the fringe fit has three parameters), got {n_bins}"
         )
     geometry = SlitScreenGeometry(
-        slit_separation=_number(geo["d"], "experiment.geometry.d"),
-        wavelength=_number(geo["lambda"], "experiment.geometry.lambda"),
-        focal_length=_number(geo["f"], "experiment.geometry.f"),
-        screen_width=_number(geo["L"], "experiment.geometry.L"),
-        n_bins=n_bins,
+        **{
+            field: n_bins if key == "n_bins" else _number(geo[key], f"experiment.geometry.{key}")
+            for key, field in _GEOMETRY_KEYS.items()
+        }
     )
     schedule = None
     if doc.get("schedule") is not None:
-        sch = _fields(doc["schedule"], "experiment.schedule", ("bits", "block_size"))
+        sch = _fields(doc["schedule"], "experiment.schedule", _SCHEDULE_KEYS)
         if not isinstance(sch["bits"], list):
             raise ValueError("experiment.schedule.bits must be a list")
         schedule = SwitchSchedule(

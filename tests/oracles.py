@@ -36,8 +36,10 @@ readers here are looser than the library's grammar (Python's ``int()``
 accepts ``+5``, ``1_0`` and padded fields, and ``#`` lines anywhere), so they
 agree with the library on every file the writers produce.
 
-``write_triples`` is no oracle: tests that need a triples file write a
-whole batch through it, and so through ``simulate``'s own spill path.
+``write_triples`` and ``write_event_log`` are no oracles: tests that need a
+triples file or an event log write a whole batch or stream through them,
+and so through ``simulate``'s own spill path and the library's one
+event-log writer, which takes pieces.
 """
 
 from __future__ import annotations
@@ -76,6 +78,7 @@ from qeraser.events import (
     triple_spacing_ns,
     write_spilled_triples,
 )
+from qeraser.events import write_event_log as write_event_log_pieces
 from qeraser.experiment import MODE_DOUBLE, ExperimentConfig, distribution_for, nyquist_min_samples
 from qeraser.optics import (
     D1,
@@ -691,6 +694,11 @@ def write_triples(path, batch: TripleBatch, header: SimStreamHeader) -> str:
     with tempfile.TemporaryFile() as spill:
         spill.writelines(_row_bytes(_TRIPLES, batch, 0))
         return write_spilled_triples(path, spill, header, len(batch))
+
+
+def write_event_log(path, stream: EventStream, header: SimStreamHeader) -> str:
+    """Write stream whole as the event log at path, as one piece; the file's sha256 hex."""
+    return write_event_log_pieces(path, [stream], header, len(stream))
 
 
 def read_event_log_lines(path) -> tuple[EventStream, SimStreamHeader]:

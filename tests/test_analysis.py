@@ -402,6 +402,27 @@ def test_decode_warns_on_thin_blocks(geom):
     assert report.confidence == 0.0
 
 
+def test_decode_counts_the_slice_it_fits(geom):
+    """confidence and the LowSampleWarning weigh a block's triples in the decoded slice only.
+
+    Both blocks hold twice the sampling bound in all; block 0 holds one
+    short of it in the (D1, D1') slice that decode_omniscient fits, block 1
+    exactly the bound.
+    """
+    bound = nyquist_min_samples(geom)
+    sch = SwitchSchedule(bits=(1, 1), block_size=2 * bound)
+    babu = [0] * (bound - 1) + [2] * (bound + 1) + [0] * bound + [3] * bound
+    n = len(babu)
+    tr = batch(x=np.arange(n) % geom.n_bins, j=babu, k=[0] * n, blocks=np.repeat([0, 1], n // 2))
+    with pytest.warns(LowSampleWarning) as caught:
+        report = decode_omniscient(tr, sch, geom)
+    assert [str(w.message) for w in caught] == [
+        f"blocks [0] hold fewer than {bound} triples in the decoded slice; "
+        "decoded bits there are low-confidence"
+    ]
+    assert report.confidence == 0.5
+
+
 def test_decode_empty_block_is_zero_bit(geom):
     sch = SwitchSchedule(bits=(1, 1), block_size=100)
     x = np.arange(100) % geom.n_bins

@@ -24,7 +24,6 @@ from qeraser.events import (
     sample_triples,
     triple_spacing_ns,
     write_and_match,
-    write_event_log,
     write_spilled_triples,
 )
 from qeraser.experiment import (
@@ -424,7 +423,7 @@ def test_every_step_returns_the_declared_column_dtypes(tmp_path, small_config):
         noisy, block_size=small_config.schedule.block_size, spacing_ns=1000
     )
     hdr = header_for(small_config)
-    write_event_log(tmp_path / "events.csv", noisy, hdr)
+    oracles.write_event_log(tmp_path / "events.csv", noisy, hdr)
     oracles.write_triples(tmp_path / "triples.csv", matched, hdr)
     for record in (
         triples,
@@ -489,14 +488,14 @@ def test_event_log_roundtrip(tmp_path, small_config):
     st = emit_events(tr, small_config, seed=0)
     hdr = header_for(small_config)
     path = tmp_path / "events.csv"
-    write_event_log(path, st, hdr)
+    oracles.write_event_log(path, st, hdr)
     again, hdr2 = read_event_log(path)
     assert hdr2 == hdr
     for name in ("event_id", "detector", "time_ns", "x_bin"):
         np.testing.assert_array_equal(getattr(again, name), getattr(st, name))
     # a second write of the re-read stream is byte-identical
     path2 = tmp_path / "events2.csv"
-    write_event_log(path2, again, hdr2)
+    oracles.write_event_log(path2, again, hdr2)
     assert path.read_bytes() == path2.read_bytes()
 
 
@@ -504,7 +503,7 @@ def test_event_log_truncation_detected(tmp_path, small_config):
     tr = sample_triples(small_config, seed=0)
     st = emit_events(tr, small_config, seed=0)
     path = tmp_path / "events.csv"
-    write_event_log(path, st, header_for(small_config))
+    oracles.write_event_log(path, st, header_for(small_config))
     lines = path.read_text().splitlines()
     path.write_text("\n".join(lines[:-3]) + "\n")
     with pytest.raises(ValueError, match="truncated"):
@@ -596,7 +595,7 @@ def test_triples_grammar_rejects(tmp_path, small_config, row, message):
 def test_event_log_grammar_rejects(tmp_path, small_config, row, message):
     path = tmp_path / "events.csv"
     tr = sample_triples(small_config, seed=0)
-    write_event_log(path, emit_events(tr, small_config, seed=0), header_for(small_config))
+    oracles.write_event_log(path, emit_events(tr, small_config, seed=0), header_for(small_config))
     _replace_row(path, row)
     with pytest.raises(ValueError, match=message):
         read_event_log(path)
@@ -723,19 +722,20 @@ def test_simulate_holds_one_chunk_and_one_dark_window(tmp_path, monkeypatch):
     Each case runs once before it is traced, so the small objects the
     interpreter keeps for reuse are already made; the tests run before it
     then move a reading by at most 7%.  Measured here with 1,000-triple
-    chunks: 1,016, 1,102 and 1,146 bytes per chunk triple at 2e-3 dark
-    counts per ns over 40, 80 and 160 blocks of 500 triples, then 1,076
-    over 320 and 640 blocks; 2,192, 2,166 and 2,155 over 10 blocks at 16e-3,
-    32e-3 and 64e-3.  The first doubling adds 7% to 9%, 5.5% of it the
-    window growing from 13,286 to 15,960 dark counts (56 kB); the window is
-    full from 80 blocks on, and the second doubling adds -1% to 4.1%.  Run
-    after the tests before it in the suite, the same cases read 996 to
-    1,015, 1,065 to 1,102, 1,068 to 1,106, 2,190, 2,165 and 2,155 over
-    three runs.  Traced without the run before, the test alone read 2,178
-    at 64e-3 against 2,177 at 32e-3.  Holding the whole run's delays (2
-    bytes a triple) took 1,239, 1,372, 1,496, 1,589 and 1,915 over 40 to
-    640 blocks, and holding the matched triples to write triples.csv at the
-    end took 14 to 22 bytes a matched triple more.
+    chunks: 1,016, 1,102 and 1,086 bytes per chunk triple at 2e-3 dark
+    counts per ns over 40, 80 and 160 blocks of 500 triples; 1,852, 1,830
+    and 1,821 over 10 blocks at 16e-3, 32e-3 and 64e-3.  The first doubling
+    adds 8.4%, 5.5% of it the window growing from 13,286 to 15,960 dark
+    counts (56 kB); the window is full from 80 blocks on.  A window is let
+    go before the piece that takes its last dark counts is made, and the
+    background generator holds none between windows: holding the spent
+    window until the next was drawn took 1,146 at 160 blocks and 2,192,
+    2,166 and 2,155 at the high rates, and, run after the tests before it
+    in the suite, 996 to 1,015, 1,065 to 1,102 and 1,068 to 1,106 at 2e-3
+    over three runs.  Holding the whole run's delays (2 bytes a
+    triple) took 1,239, 1,372, 1,496, 1,589 and 1,915 over 40 to 640
+    blocks, and holding the matched triples to write triples.csv at the end
+    took 14 to 22 bytes a matched triple more.
     """
     monkeypatch.setattr(events, "_CHUNK_TRIPLES", 1000)
     peak = {}
@@ -751,7 +751,7 @@ def test_simulate_holds_one_chunk_and_one_dark_window(tmp_path, monkeypatch):
     assert peak[80, 2e-3] <= 1.06 * peak[40, 2e-3]
     # 64e-3 per ns puts about 64,000 dark counts, four windows, in each chunk
     assert peak[5, 64e-3] <= peak[5, 32e-3] <= peak[5, 16e-3]
-    assert peak[5, 16e-3] <= 1100 * events._CHUNK_TRIPLES + 75 * events._DARK_WINDOW
+    assert peak[5, 16e-3] <= 1100 * events._CHUNK_TRIPLES + 55 * events._DARK_WINDOW
 
 
 def test_write_text_holds_one_chunk(tmp_path):
@@ -867,7 +867,7 @@ def test_readers_hold_each_record_about_once(tmp_path, monkeypatch, which):
     hdr = header_for(MEMORY_CONFIG)
     path = tmp_path / "stream.csv"
     if which == "events":
-        write_event_log(path, noisy, hdr)
+        oracles.write_event_log(path, noisy, hdr)
         read, bound = read_event_log, 25
     else:
         spacing = triple_spacing_ns(MEMORY_CONFIG.pair_rate_scale)

@@ -1,7 +1,8 @@
-"""Dead-code guard: every public definition in ``src/qeraser`` has a user.
+"""Dead-code guard: every definition in ``src/qeraser`` has a user.
 
-A public top-level function or class counts as used when some code refers
-to it, as a name or an attribute, outside its own definition.  A name does
+A top-level function or class, public or private, and a private top-level
+constant count as used when some code refers to them, as a name or an
+attribute, outside their own definition.  A name does
 not count where the referring module binds it itself, as a def, an argument
 or an assignment target: that reference is to the module's own name.  A public
 method or property of a public class counts as used when some code refers
@@ -79,21 +80,71 @@ def public_members(cls: ast.ClassDef):
     ]
 
 
-def test_every_public_definition_has_a_user():
-    trees = {path: ast.parse(path.read_text(encoding="utf-8")) for path in users()}
+def definitions(body, private: bool):
+    """(index, name) of body's top-level functions and classes, private ones or public ones.
+
+    With private, also each private constant: a plain name a top-level
+    statement assigns to.  Dunder names are not definitions.
+    """
+    for i, node in enumerate(body):
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            names = [node.name]
+        elif private and isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names = [target.id for target in targets if isinstance(target, ast.Name)]
+        else:
+            names = []
+        for name in names:
+            if name.startswith("_") == private and not name.startswith("__"):
+                yield i, name
+
+
+def unused(trees: dict, defining, private: bool) -> list[str]:
+    """'module.name' of each definition in the defining paths that no tree refers to.
+
+    Its own module counts only outside the definition itself.
+    """
     elsewhere = {path: referenced([tree]) for path, tree in trees.items()}
-    unused = []
-    for path in modules():
+    found = []
+    for path in defining:
         body = trees[path].body
-        for i, node in enumerate(body):
-            if not isinstance(node, (ast.FunctionDef, ast.ClassDef)) or node.name.startswith("_"):
-                continue
-            # its own module counts only outside the definition itself
-            own = referenced(body[:i] + body[i + 1 :])
-            others = (names for p, names in elsewhere.items() if p != path)
-            if node.name not in own and not any(node.name in names for names in others):
-                unused.append(f"{path.stem}.{node.name}")
-    assert not unused, f"public names only unit tests use: {', '.join(unused)}"
+        others = [names for p, names in elsewhere.items() if p != path]
+        for i, name in definitions(body, private):
+            if name not in referenced(body[:i] + body[i + 1 :]) and not any(name in n for n in others):
+                found.append(f"{path.stem}.{name}")
+    return found
+
+
+def parsed(paths) -> dict:
+    return {path: ast.parse(path.read_text(encoding="utf-8")) for path in paths}
+
+
+def test_every_public_definition_has_a_user():
+    found = unused(parsed(users()), modules(), private=False)
+    assert not found, f"public names only unit tests use: {', '.join(found)}"
+
+
+def test_every_private_definition_has_a_user():
+    found = unused(parsed(users()), modules(), private=True)
+    assert not found, f"private names only unit tests use: {', '.join(found)}"
+
+
+def test_private_guard_sees_functions_classes_and_constants():
+    code = (
+        "_USED = 1\n"
+        "_UNUSED: int = 2\n"
+        "__dunder__ = 3\n"
+        "public = _USED\n"
+        "def _helper():\n"
+        "    return _Kept()\n"
+        "def _dead():\n"
+        "    return _dead()\n"
+        "class _Kept:\n"
+        "    pass\n"
+    )
+    trees = {Path("snippet.py"): ast.parse(code)}
+    assert unused(trees, trees, private=True) == ["snippet._UNUSED", "snippet._helper", "snippet._dead"]
+    assert unused(trees, trees, private=False) == []
 
 
 def test_every_public_method_has_a_user():

@@ -31,7 +31,6 @@ from qeraser.events import (
     read_event_log,
     read_triples,
     sample_triples,
-    write_event_log,
 )
 from qeraser.experiment import SwitchSchedule, default_geometry, save_config
 
@@ -475,7 +474,7 @@ def test_readers_roundtrip_equal_line_readers(tmp_path, monkeypatch, seed, n, bi
     assert_batches_equal(got, want)
 
     path = tmp_path / "events.csv"
-    write_event_log(path, random_events(rng, n, big), hdr)
+    oracles.write_event_log(path, random_events(rng, n, big), hdr)
     got, got_hdr = read_event_log(path)
     want, want_hdr = oracles.read_event_log_lines(path)
     assert got_hdr == want_hdr == hdr
@@ -517,7 +516,7 @@ def test_fuzzed_files_fail_only_with_value_error(
         oracles.write_triples(path, random_batch(rng, 6, big=False), header())
         read, oracle, columns = read_triples, oracles.read_triples_lines, TRIPLE_COLUMNS
     else:
-        write_event_log(path, random_events(rng, 6, big=False), header())
+        oracles.write_event_log(path, random_events(rng, 6, big=False), header())
         read, oracle, columns = read_event_log, oracles.read_event_log_lines, EVENT_COLUMNS
     path.write_bytes(_mutate(path.read_bytes(), rng, kind))
     try:
@@ -553,7 +552,7 @@ def test_readers_take_any_line_ends_and_blank_lines(
         read, oracle, columns = read_triples, oracles.read_triples_lines, TRIPLE_COLUMNS
     else:
         record = random_events(rng, n, big=False)
-        write_event_log(path, record, header())
+        oracles.write_event_log(path, record, header())
         read, oracle, columns = read_event_log, oracles.read_event_log_lines, EVENT_COLUMNS
     ends = [b"\n", b"\r\n", b"\r"]
     lines = []
@@ -780,7 +779,7 @@ def test_writers_equal_fstring_rows(tmp_path, monkeypatch, data, n, chunk):
         block_index=int_column(data, n),
     )
     for write, record, rows in (
-        (write_event_log, stream, oracles.event_log_rows),
+        (oracles.write_event_log, stream, oracles.event_log_rows),
         (oracles.write_triples, batch, oracles.triples_rows),
     ):
         path = tmp_path / "stream.csv"
@@ -795,7 +794,7 @@ def test_writers_cover_every_label(tmp_path):
     stream = EventStream(
         event_id=every, detector=every, time_ns=every, x_bin=np.full(n, -1), n_bins=8
     )
-    write_event_log(tmp_path / "events.csv", stream, header())
+    oracles.write_event_log(tmp_path / "events.csv", stream, header())
     assert data_rows(tmp_path / "events.csv") == oracles.event_log_rows(stream).encode("ascii")
     assert b"0,D0,0,-1\n" in data_rows(tmp_path / "events.csv")
     every = np.arange(4)
@@ -825,7 +824,7 @@ def test_writers_refuse_what_readers_refuse(tmp_path, which, column, value):
     if which == "triples":
         record, write, what = random_batch(rng, 5, big=False), oracles.write_triples, "triples file"
     else:
-        record, write, what = random_events(rng, 5, big=False), write_event_log, "event log"
+        record, write, what = random_events(rng, 5, big=False), oracles.write_event_log, "event log"
         record.detector[3] = CODE_D0  # so row 3 writes its x_bin
     getattr(record, column)[3] = value
     with pytest.raises(ValueError) as info:
@@ -847,11 +846,11 @@ def test_event_log_pieces_must_hold_the_declared_rows(tmp_path, monkeypatch, dec
     ]
     path = tmp_path / "events.csv"
     with pytest.raises(ValueError) as info:
-        write_event_log(path, iter(pieces), header(), declared)
+        events.write_event_log(path, iter(pieces), header(), declared)
     assert str(info.value) == f"cannot write event log: 12 rows where the header declares {declared}"
     assert not path.exists()
-    write_event_log(path, iter(pieces), header(), 12)
-    write_event_log(tmp_path / "whole.csv", stream, header())
+    events.write_event_log(path, iter(pieces), header(), 12)
+    oracles.write_event_log(tmp_path / "whole.csv", stream, header())
     assert path.read_bytes() == (tmp_path / "whole.csv").read_bytes()
 
 
@@ -859,7 +858,7 @@ def test_event_log_writer_ignores_x_bin_off_d0(tmp_path):
     """x_bin is not written on non-D0 rows, whatever int32 it holds there."""
     for x in (X_MIN, X_MAX):
         stream = EventStream(event_id=[0], detector=[1], time_ns=[5], x_bin=[x], n_bins=8)
-        write_event_log(tmp_path / "events.csv", stream, header())
+        oracles.write_event_log(tmp_path / "events.csv", stream, header())
         assert data_rows(tmp_path / "events.csv") == b"0,D1,5,\n"
 
 
@@ -875,7 +874,7 @@ def test_x_bin_extremes_round_trip(tmp_path):
         event_id=np.arange(n), detector=np.zeros(n), time_ns=np.arange(n), x_bin=x, n_bins=8
     )
     oracles.write_triples(tmp_path / "triples.csv", batch, header())
-    write_event_log(tmp_path / "events.csv", stream, header())
+    oracles.write_event_log(tmp_path / "events.csv", stream, header())
     assert data_rows(tmp_path / "triples.csv") == oracles.triples_rows(batch).encode("ascii")
     assert data_rows(tmp_path / "events.csv") == oracles.event_log_rows(stream).encode("ascii")
     assert b"0,0,-2147483648,D1,D1'\n1,0,2147483647,D2,D1'\n" in data_rows(tmp_path / "triples.csv")
