@@ -245,8 +245,10 @@ def cmd_simulate(args) -> int:
         n_triples=schedule.n_triples,
         n_bins=config.geometry.n_bins,
     )
-    # the matcher's and the merge's own refusals, before any work and naming the flag;
-    # a nan or negative rate passes the dark-count limit above
+    # the sampler's, the matcher's and the merge's own refusals, before any work and
+    # naming the flag; a nan or negative rate passes the dark-count limit above
+    if seed < 0:
+        raise SystemExit(f"qeraser: --seed {seed}: the seed must be a non-negative integer")
     if window < 0:
         raise SystemExit(f"qeraser: --window-ns {window}: the window must be non-negative")
     if not rate >= 0.0:
@@ -407,6 +409,8 @@ def run_property_suite(
 def cmd_verify(args) -> int:
     if args.trials < 1:
         raise SystemExit(f"qeraser: --trials must be at least 1, got {args.trials}")
+    if args.seed < 0:
+        raise SystemExit(f"qeraser: --seed {args.seed}: the seed must be a non-negative integer")
     if args.config:
         config = _load_config_or_fail(args.config)
         geom, envelope = config.geometry, config.envelope

@@ -68,15 +68,15 @@ _DTYPE = {
 def _set_columns(record, fmt: _Format) -> None:
     """Cast each of record's fmt columns to its _DTYPE, checking the values as given first.
 
-    A labelled column's values must index its labels, any other's lie in
+    A labelled column's values must lie in its fmt range, any other's in
     its dtype's range, so no value wraps in the cast; then the columns must
     share one length.  An array already of its dtype is kept, not copied.
     """
-    for name, labels in fmt.columns:
+    for (name, labels), (lo, hi) in zip(fmt.columns, fmt.ranges):
         values = np.asarray(getattr(record, name))
         dtype = _DTYPE[name]
-        info = np.iinfo(dtype)
-        lo, hi = (0, len(labels) - 1) if labels is not None else (info.min, info.max)
+        if labels is None:  # in memory an integer may take its dtype's whole range
+            lo, hi = np.iinfo(dtype).min, np.iinfo(dtype).max
         if values.size:
             low, high = int(values.min()), int(values.max())  # exact for any integer dtype
             if low < lo or high > hi:
@@ -346,12 +346,8 @@ def inject_background(stream: EventStream, rate_per_ns: float, seed: int = 0) ->
         return stream
     t0, t1 = int(stream.time_ns[0]), int(stream.time_ns[-1])
     next_id = int(stream.event_id.max()) + 1
-    _, windows = _dark_windows(rate, t0, t1, stream.n_bins, next_id, int(seed))
-    pieces = [dark for _, dark in windows if len(dark["time_ns"])]
-    if len(pieces) > 1:  # each piece's column freed once joined
-        columns = _EVENT_LOG.names
-        pieces = [{name: np.concatenate([piece.pop(name) for piece in pieces]) for name in columns}]
-    return _merge(stream, pieces.pop()) if pieces else stream
+    total, windows = _dark_windows(rate, t0, t1, stream.n_bins, next_id, int(seed))
+    return _merge(stream, _gather((dark for _, dark in windows), _EVENT_LOG.names, lambda: total))
 
 
 def _background_rate(rate_per_ns) -> float:
@@ -509,8 +505,28 @@ def _rows(stream: EventStream, rows: slice) -> EventStream:
     return EventStream(**columns, n_bins=stream.n_bins)
 
 
+def _gather(parts, names, size) -> dict:
+    """parts, mappings of columns, joined into one column per name, each of its _DTYPE.
+
+    The columns are allocated size() rows long when the first part arrives;
+    each part is copied in and let go, and the columns are cut to fit.
+    """
+    columns, n = {}, 0
+    for part in parts:
+        if not columns:
+            rows = size()
+            columns = {name: np.empty(rows, dtype=_DTYPE[name]) for name in names}
+        for name, column in columns.items():
+            column[n : n + len(part[name])] = part[name]
+        n += len(part[names[0]])
+        del part  # before the next part is made
+    for name in names:  # no view of a column is left, so it is cut in place
+        columns.setdefault(name, np.empty(0, dtype=_DTYPE[name])).resize(n, refcheck=False)
+    return columns
+
+
 class _Matcher:
-    """match_coincidences' greedy matcher, fed one time-sorted slice of a stream at a time.
+    """match_coincidences' greedy matcher, fed one time-sorted EventStream piece at a time.
 
     Between feeds it holds only unclaimed records, in three queues by kind:
     D0s as (time, x_bin), babu's and alisha's idlers as (time, code).  Each
@@ -519,10 +535,10 @@ class _Matcher:
     and returns the triples they matched.  An idler queue then drops what
     the undecided D0s (at the last time less w or later) cannot claim: the
     records before its greedy pointer or the last time less 2w.  Dropped
-    records that matched nothing are orphans.  finish decides the rest and
-    returns its triples with the orphan report.  The matcher keeps no
-    matched triple: it only counts them, so each piece's triple ids run on
-    from the last piece's.
+    records that matched nothing are orphans.  finish decides the rest,
+    returns its triples and leaves the orphan report in report.  The matcher
+    keeps no matched triple: it only counts them, so each piece's triple ids
+    run on from the last piece's.
     """
 
     def __init__(self, window_ns: int, block_size: int, spacing_ns: int):
@@ -541,18 +557,18 @@ class _Matcher:
         self.last = None  # the last time fed
         self.matched = 0  # triples matched so far
         self.orphans = np.zeros(len(DETECTOR_LABELS), dtype=np.int64)
+        self.report = None  # the OrphanReport, once finished
 
-    def feed(self, time_ns, detector, x_bin) -> TripleBatch:
-        """Queue a slice that starts at or after the last time fed; the triples it decided."""
-        if not len(time_ns):
-            return TripleBatch(**{name: np.empty(0, dtype=_DTYPE[name]) for name in _TRIPLES.names})
+    def feed(self, piece: EventStream) -> TripleBatch:
+        """Queue a piece (not empty) starting at or after the last time fed; the triples decided."""
+        time_ns, detector = piece.time_ns, piece.detector
         if self.last is not None and time_ns[0] < self.last:
             raise ValueError("event stream is not time-sorted")
         _require_sorted(time_ns)
         self.last = int(time_ns[-1])
         babu = (detector >= _BABU_CODE) & (detector < _ALISHA_CODE)
         kinds = (detector == CODE_D0, babu, detector >= _ALISHA_CODE)
-        for i, (kind, other) in enumerate(zip(kinds, (x_bin, detector, detector))):
+        for i, (kind, other) in enumerate(zip(kinds, (piece.x_bin, detector, detector))):
             pos = np.flatnonzero(kind)
             times, values = self.queues[i]
             self.queues[i] = (
@@ -561,11 +577,12 @@ class _Matcher:
             )
         return self._step(final=False)
 
-    def finish(self) -> tuple[TripleBatch, OrphanReport]:
-        """The triples of every D0 still queued, and the orphans of the whole stream."""
+    def finish(self) -> TripleBatch:
+        """The triples of every D0 still queued; report then holds the whole stream's orphans."""
         rest = self._step(final=True)
         by_detector = {label: int(n) for label, n in zip(DETECTOR_LABELS, self.orphans) if n}
-        return rest, OrphanReport(total=int(self.orphans.sum()), by_detector=by_detector)
+        self.report = OrphanReport(total=int(self.orphans.sum()), by_detector=by_detector)
+        return rest
 
     def _step(self, final: bool) -> TripleBatch:
         """Decide the queued D0s before the last time less w (all of them if final), then drop.
@@ -662,34 +679,22 @@ def match_coincidences(
     block index is recovered from the D0 timestamp (spacing_ns and block_size
     normally come from the stream header), which stays correct even when
     background events distort the matched sequence numbering.  The stream is
-    fed to the matcher 3 _CHUNK_TRIPLES records at a time, and each slice's
-    triples are put into columns sized for one triple per D0, the most
-    there can be, so beyond the slice's temporaries it holds its output.
-    At the end the columns are cut to the matched count in place and the
-    triple ids, 0 on, are made.
+    fed to the matcher 3 _CHUNK_TRIPLES records at a time, as _rows views;
+    _gather puts the triples into columns sized for one per D0, the most
+    there can be, so beyond a slice's temporaries it holds its output.
     """
     matcher = _Matcher(window_ns, block_size, spacing_ns)
-    most = int(np.count_nonzero(stream.detector == CODE_D0))
-    columns = {
-        name: np.empty(most, dtype=_DTYPE[name]) for name in _TRIPLES.names if name != "triple_id"
-    }
-    n = 0
-
-    def put(piece):
-        nonlocal n
-        for name, column in columns.items():
-            column[n : n + len(piece)] = getattr(piece, name)
-        n += len(piece)
-
     step = 3 * _CHUNK_TRIPLES
-    for lo in range(0, len(stream), step):
-        part = slice(lo, lo + step)
-        put(matcher.feed(stream.time_ns[part], stream.detector[part], stream.x_bin[part]))
-    rest, orphans = matcher.finish()
-    put(rest)
-    for column in columns.values():
-        column.resize(n, refcheck=False)  # no view of it is left, so no D0 without a match is kept
-    return TripleBatch(triple_id=np.arange(n, dtype=_DTYPE["triple_id"]), **columns), orphans
+
+    def decided():
+        for lo in range(0, len(stream), step):
+            yield vars(matcher.feed(_rows(stream, slice(lo, lo + step))))
+        yield vars(matcher.finish())
+
+    names = [name for name in _TRIPLES.names if name != "triple_id"]
+    columns = _gather(decided(), names, lambda: int(np.count_nonzero(stream.detector == CODE_D0)))
+    n = len(columns["x_bin"])
+    return TripleBatch(triple_id=np.arange(n, dtype=_DTYPE["triple_id"]), **columns), matcher.report
 
 
 def write_and_match(path, header: SimStreamHeader, records: int, chunks, spill) -> tuple:
@@ -707,7 +712,6 @@ def write_and_match(path, header: SimStreamHeader, records: int, chunks, spill) 
     """
     matcher = _Matcher(header.coincidence_window_ns, header.block_size, header.spacing_ns)
     which_path = 0
-    orphans = None
 
     def spill_rows(piece):
         nonlocal which_path
@@ -715,15 +719,13 @@ def write_and_match(path, header: SimStreamHeader, records: int, chunks, spill) 
         which_path += int(np.count_nonzero((piece.babu >= D3) | (piece.alisha >= D3)))
 
     def matched(chunks):
-        nonlocal orphans
         for chunk in chunks:
-            spill_rows(matcher.feed(chunk.time_ns, chunk.detector, chunk.x_bin))
+            spill_rows(matcher.feed(chunk))
             yield chunk
-        rest, orphans = matcher.finish()
-        spill_rows(rest)  # in the writer's loop, so a failure here leaves no event log either
+        spill_rows(matcher.finish())  # in the writer's loop: a failure here leaves no event log
 
     digest = write_event_log(path, matched(chunks), header, records)
-    return digest, matcher.matched, which_path, orphans
+    return digest, matcher.matched, which_path, matcher.report
 
 
 def write_spilled_triples(path, spill, header: SimStreamHeader, n_rows: int) -> str:
@@ -762,8 +764,8 @@ class _Format:
 
     A column is (name, None) for an integer, or (name, labels) for one of a
     fixed label tuple, held in memory as its index into the tuple.  With
-    d0_x_bin, the x_bin field is present exactly on D0 rows and reads as -1
-    where it is empty.  The reader and the writer both work from this record.
+    d0_x_bin, the x_bin field is present exactly on D0 rows, else empty (-1).
+    Reader and writer both work from this record, its header and its ranges.
     """
 
     kind: str
@@ -775,6 +777,19 @@ class _Format:
     @property
     def names(self) -> tuple:
         return tuple(name for name, _ in self.columns)
+
+    @property
+    def header(self) -> tuple:
+        return f"qeraser-{self.kind} v1", ",".join(self.names)
+
+    @property
+    def ranges(self) -> tuple:
+        """Per column, (lo, hi): a label's index range, else its dtype's range within ±_MAX_INT."""
+        ints = [np.iinfo(_DTYPE[name]) for name in self.names]
+        return tuple(
+            (0, len(labels) - 1) if labels else (max(i.min, -_MAX_INT), min(i.max, _MAX_INT))
+            for (_, labels), i in zip(self.columns, ints)
+        )
 
 
 _EVENT_LOG = _Format(
@@ -836,8 +851,8 @@ def _header_lines(pairs: dict, columns: str) -> list:
 
 def _stream_header(fmt: _Format, header: SimStreamHeader, n_rows: int) -> list:
     """The header lines of a stream file of fmt's kind holding n_rows rows."""
-    pairs = {**asdict(header), "n_rows": n_rows}
-    return [f"qeraser-{fmt.kind} v1", *_header_lines(pairs, ",".join(fmt.names))]
+    tag, columns = fmt.header
+    return [tag, *_header_lines({**asdict(header), "n_rows": n_rows}, columns)]
 
 
 def _row_bytes(fmt: _Format, part, first_row: int):
@@ -854,8 +869,8 @@ def _row_bytes(fmt: _Format, part, first_row: int):
 
 def _check_fields(fmt: _Format, columns, first_row: int) -> None:
     """Refuse a field outside the row grammar, naming its column and its row (first_row on)."""
-    for (name, labels), col, present in zip(fmt.columns, columns, _written_fields(fmt, columns)):
-        lo, hi = (0, len(labels) - 1) if labels is not None else (-_MAX_INT, _MAX_INT)
+    written = _written_fields(fmt, columns)
+    for name, (lo, hi), col, present in zip(fmt.names, fmt.ranges, columns, written):
         bad = np.flatnonzero(((col < lo) | (col > hi)) & present)
         if len(bad):
             i = int(bad[0])
@@ -949,14 +964,15 @@ class _StreamPasses:
     """A stream file's data rows, one parse pass at a time; iterate over it once.
 
     The file is read _READ_BYTES at a time: the header lines, which set
-    n_rows, the row count the header declares, then each read's data rows,
-    _CHUNK_ROWS lines at a time, whose separators are indexed and whose
-    fields are parsed.  Each such pass is yielded as record(**columns), its
-    rows' columns (name -> array of the column's _DTYPE) in file order,
-    while no fault is certain: passes stop at a row with the wrong field
-    count or one whose fields fail to parse, and past n_rows rows or the
-    rows a regular file of its size could hold.  Later rows are only
-    counted, and checked for their field count up to the first wrong one.
+    n_rows, the row count the header declares, and must then carry fmt's
+    tag and columns= line, then each read's data rows, _CHUNK_ROWS lines at
+    a time, whose separators are indexed and whose fields are parsed.  Each
+    such pass is yielded as record(**columns), its rows' columns (name ->
+    array of the column's _DTYPE) in file order, while no fault is certain:
+    passes stop at a row with the wrong field count or one whose fields fail
+    to parse, and past n_rows rows or the rows a regular file of its size
+    could hold.  Later rows are only counted, and checked for their field
+    count up to the first wrong one.
     After the last read the file's faults are raised in the order the row
     grammar ranks them, whichever pass they sit in: the row count, then the
     first row with the wrong field count, then the first row whose fields
@@ -972,10 +988,13 @@ class _StreamPasses:
         fmt = self.fmt
         with open(self.path, "rb") as fh:
             st = os.fstat(fh.fileno())
-            meta, rows = _read_header(_read_lines(fh))
+            tag, meta, rows = _read_header(_read_lines(fh))
             if "n_rows" not in meta:
                 raise ValueError("stream header missing field 'n_rows'")
             declared = self.n_rows = _header_int("n_rows", meta["n_rows"])
+            for key, got, want in zip(("tag", "columns"), (tag, meta.get("columns")), fmt.header):
+                if got != want:
+                    raise ValueError(f"stream header {key} {got!r} is not {want!r}")
             # a row takes two bytes or more, so a larger count cannot be a regular file's
             limit = st.st_size // 2 if stat.S_ISREG(st.st_mode) else declared
             capacity = declared if 0 <= declared <= limit else 0
@@ -1024,18 +1043,9 @@ class _StreamPasses:
 
 
 def _read_columns(path, fmt: _Format) -> tuple[dict, SimStreamHeader]:
-    """A stream file's columns and its header: each pass copied into columns sized from n_rows."""
+    """A stream file's columns and its header: each pass gathered into columns sized from n_rows."""
     passes = _StreamPasses(path, fmt)
-    columns = {name: np.empty(0, dtype=_DTYPE[name]) for name in fmt.names}
-    n = 0
-    for part in passes:
-        if not n:  # a pass comes only once n_rows is known to be a count the file can hold
-            columns = {name: np.empty(passes.n_rows, dtype=_DTYPE[name]) for name in fmt.names}
-        k = len(part[fmt.names[0]])
-        for name, column in columns.items():
-            column[n : n + k] = part[name]
-        n += k
-    return columns, passes.header
+    return _gather(passes, fmt.names, lambda: passes.n_rows), passes.header
 
 
 def _read_lines(fh):
@@ -1067,13 +1077,13 @@ def _read_lines(fh):
 
 
 def _read_header(reads) -> tuple:
-    """The header's key=value pairs, and the data rows' reads as uint8 arrays.
+    """The header's first '#' line (its tag) and key=value pairs, and the data rows' reads as uint8.
 
     The header is the '#' and blank lines before the first data row; it is
     parsed from the reads, and the data rows start in the read that holds
-    the first of them.
+    the first of them.  With no '#' line the tag is None.
     """
-    meta: dict = {}
+    tag, meta = None, {}
     for data in reads:
         pos = 0
         while data.startswith(b"#", pos) or data.startswith(b"\n", pos):
@@ -1083,14 +1093,15 @@ def _read_header(reads) -> tuple:
             except UnicodeDecodeError:
                 line = data[pos:eol].decode("utf-8", errors="backslashreplace")
                 raise ValueError(f"header line is not UTF-8: {line!r}") from None
+            tag = body if tag is None and data[pos] == ord("#") else tag
             if data[pos] == ord("#") and "=" in body:
                 key, value = body.split("=", 1)
                 meta[key.strip()] = value.strip()
             pos = eol + 1
         if pos < len(data):
             rest = (np.frombuffer(more, dtype=np.uint8) for more in reads)
-            return meta, itertools.chain([np.frombuffer(data, dtype=np.uint8, offset=pos)], rest)
-    return meta, iter(())
+            return tag, meta, itertools.chain([np.frombuffer(data, dtype=np.uint8, offset=pos)], rest)
+    return tag, meta, iter(())
 
 
 def _line_blocks(buf):
@@ -1113,15 +1124,14 @@ def _parse_rows(buf, fmt: _Format, start, end, comma, out) -> np.ndarray:
     """
     k = comma.shape[1]
     good = np.ones(len(start), dtype=bool)
-    for f, (name, labels) in enumerate(fmt.columns):
+    for f, ((name, labels), (lo, hi)) in enumerate(zip(fmt.columns, fmt.ranges)):
         left = start if f == 0 else comma[:, f - 1] + 1
         right = end if f == k else comma[:, f]
         if labels is not None:
             value, ok = _parse_labels(buf, left, right, labels)
         else:
             value, ok = _parse_ints(buf, left, right)
-            info = np.iinfo(out[f].dtype)
-            ok &= (value >= info.min) & (value <= info.max)
+            ok &= (value >= lo) & (value <= hi)
             if fmt.d0_x_bin and name == "x_bin":
                 present = right > left
                 is_d0 = out[fmt.names.index("detector")] == CODE_D0
@@ -1189,14 +1199,13 @@ def _row_error(fmt: _Format, line: str) -> str:
     row = dict(zip(fmt.names, fields))
     if fmt.d0_x_bin and (row["x_bin"] != "") != (row["detector"] == DETECTOR_LABELS[CODE_D0]):
         return f"x_bin presence inconsistent with detector: {line!r}"
-    for (name, labels), field in zip(fmt.columns, fields):
+    for (name, labels), (lo, hi), field in zip(fmt.columns, fmt.ranges, fields):
         if labels is not None or (fmt.d0_x_bin and name == "x_bin" and field == ""):
             continue
         if not _INT_RE.fullmatch(field):
             return f"bad integer {field!r} in {fmt.noun} row (want -?[0-9]{{1,18}}): {line!r}"
-        info = np.iinfo(_DTYPE[name])
-        if not info.min <= int(field) <= info.max:
-            return f"{name} {field} is outside {info.min}..{info.max} in {fmt.noun} row: {line!r}"
+        if not lo <= int(field) <= hi:
+            return f"{name} {field} is outside {lo}..{hi} in {fmt.noun} row: {line!r}"
     return f"malformed {fmt.noun} row: {line!r}"
 
 

@@ -462,6 +462,22 @@ def test_simulate_refuses_header_integers_the_reader_refuses(
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command", ["simulate", "verify"])
+def test_a_negative_seed_is_refused_naming_the_flag_before_any_work(
+    tmp_path, small_config_path, monkeypatch, capsys, command
+):
+    monkeypatch.setattr(cli, "event_chunks", no_work("simulate"))
+    monkeypatch.setattr(cli, "run_property_suite", no_work("verify"))
+    out = tmp_path / "sim"
+    argv = {
+        "simulate": ["simulate", "--config", str(small_config_path), "--out", str(out)],
+        "verify": ["verify"],
+    }[command]
+    assert cli.main([*argv, "--seed", "-1"]) == 2
+    assert one_line_error(capsys) == "qeraser: --seed -1: the seed must be a non-negative integer\n"
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("rate", ["1e30", "inf", "2e11"])
 def test_simulate_refuses_a_background_rate_past_the_event_ids(
     tmp_path, small_config_path, monkeypatch, capsys, rate
@@ -830,6 +846,56 @@ def test_decode_reports_truncation_before_the_config_digest(
     assert "truncated" in str(whole.value)
     assert one_line_error(capsys) == f"qeraser: bad triples file {path}: {whole.value}\n"
     assert not (tmp_path / "dec").exists()
+
+
+TRIPLES_COLUMNS = "triple_id,block_index,x_bin,babu,alisha"
+PERMUTED_COLUMNS = "block_index,triple_id,x_bin,alisha,babu"
+
+
+@pytest.mark.parametrize(
+    "edits, message",
+    [
+        (
+            [("qeraser-triples v1", "qeraser-event-log v7"), (TRIPLES_COLUMNS, PERMUTED_COLUMNS)],
+            "stream header tag 'qeraser-event-log v7' is not 'qeraser-triples v1'",
+        ),
+        (
+            [("qeraser-triples v1", "qeraser-triples v2")],
+            "stream header tag 'qeraser-triples v2' is not 'qeraser-triples v1'",
+        ),
+        (
+            [(TRIPLES_COLUMNS, PERMUTED_COLUMNS)],
+            f"stream header columns {PERMUTED_COLUMNS!r} is not {TRIPLES_COLUMNS!r}",
+        ),
+    ],
+    ids=["mis-tagged", "v2", "permuted-columns"],
+)
+def test_decode_refuses_a_wrong_tag_or_columns_line_before_any_pass(
+    tmp_path, small_config_path, monkeypatch, capsys, edits, message
+):
+    """The header's tag and columns= line must be the triples file's own, rows read or not."""
+    path = simulated_triples(tmp_path, small_config_path)
+    text = path.read_text()
+    for old, new in edits:
+        assert f"# {old}\n" in text or f"# columns={old}\n" in text
+        text = text.replace(old, new, 1)
+    path.write_text(text)
+    monkeypatch.setattr(events, "_parse_rows", no_work("decode"))
+    capsys.readouterr()
+    assert cli.main(decode_argv(small_config_path, path, tmp_path / "dec")) == 2
+    assert one_line_error(capsys) == f"qeraser: bad triples file {path}: {message}\n"
+    assert not (tmp_path / "dec").exists()
+
+
+def test_decode_refuses_an_event_log(tmp_path, small_config_path, capsys):
+    simulated_triples(tmp_path, small_config_path)
+    path = tmp_path / "run" / "events.csv"
+    capsys.readouterr()
+    assert cli.main(decode_argv(small_config_path, path, tmp_path / "dec")) == 2
+    assert one_line_error(capsys) == (
+        f"qeraser: bad triples file {path}: "
+        "stream header tag 'qeraser-event-log v1' is not 'qeraser-triples v1'\n"
+    )
 
 
 @pytest.mark.parametrize(

@@ -1,6 +1,7 @@
 import dataclasses
 import hashlib
 import itertools
+import re
 import tempfile
 import tracemalloc
 import warnings
@@ -8,7 +9,7 @@ import warnings
 import numpy as np
 import pytest
 
-from qeraser import cli, events
+from qeraser import __version__, cli, events
 from qeraser.events import (
     CODE_D0,
     DETECTOR_LABELS,
@@ -507,6 +508,32 @@ def test_event_log_truncation_detected(tmp_path, small_config):
     lines = path.read_text().splitlines()
     path.write_text("\n".join(lines[:-3]) + "\n")
     with pytest.raises(ValueError, match="truncated"):
+        read_event_log(path)
+
+
+@pytest.mark.parametrize(
+    "write, drop, message",
+    [
+        ("triples", None, "tag 'qeraser-triples v1' is not 'qeraser-event-log v1'"),
+        ("events", "# qeraser-event-log v1", f"tag 'tool_version={__version__}' is not"),
+        ("events", "# columns=", "columns None is not 'event_id,detector,time_ns,x_bin'"),
+    ],
+    ids=["triples-file", "no-tag", "no-columns"],
+)
+def test_event_log_reader_checks_the_tag_and_columns_line(
+    tmp_path, small_config, write, drop, message
+):
+    """The header's first line names the file kind, and its columns= line the layout."""
+    path = tmp_path / "file.csv"
+    triples = sample_triples(small_config, seed=0)
+    if write == "triples":
+        oracles.write_triples(path, triples, header_for(small_config))
+    else:
+        stream = emit_events(triples, small_config, seed=0)
+        oracles.write_event_log(path, stream, header_for(small_config))
+    lines = path.read_text().splitlines(keepends=True)
+    path.write_text("".join(line for line in lines if not (drop and line.startswith(drop))))
+    with pytest.raises(ValueError, match=f"^stream header {re.escape(message)}"):
         read_event_log(path)
 
 

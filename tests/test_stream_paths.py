@@ -293,19 +293,17 @@ def test_matcher_queues_hold_only_what_a_later_record_can_meet(kept, size):
         matcher = events._Matcher(window, 7, 40)
         pieces = []
         for lo in range(0, len(stream), size):
-            part = slice(lo, lo + size)
-            pieces.append(matcher.feed(stream.time_ns[part], stream.detector[part], stream.x_bin[part]))
+            pieces.append(matcher.feed(events._rows(stream, slice(lo, lo + size))))
             (td, _), *arms = matcher.queues
             assert (td >= matcher.last - window).all()
             for ti, _ in arms:
                 assert (ti >= matcher.last - 2 * window).all()
-        rest, got_orphans = matcher.finish()
-        got = joined_batch([*pieces, rest])
+        got = joined_batch([*pieces, matcher.finish()])
         want, want_orphans = oracles.match_coincidences_loop(
             stream, window, block_size=7, spacing_ns=40
         )
         assert_batches_equal(got, want)
-        assert list(got_orphans.by_detector.items()) == list(want_orphans.by_detector.items())
+        assert list(matcher.report.by_detector.items()) == list(want_orphans.by_detector.items())
 
 
 def test_matcher_carries_its_pointers_past_a_match_of_the_array_pass(monkeypatch):
