@@ -19,6 +19,7 @@ in every stream header.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import itertools
 import math
@@ -68,27 +69,27 @@ _DTYPE = {
 def _set_columns(record, fmt: _Format) -> None:
     """Cast each of record's fmt columns to its _DTYPE, checking the values as given first.
 
-    A labelled column's values must lie in its fmt range, any other's in
-    its dtype's range, so no value wraps in the cast; then the columns must
-    share one length.  An array already of its dtype is kept, not copied.
+    Each column's values must lie in its fmt limits, so no value wraps in
+    the cast; then the columns must share one length.  An array already of
+    its dtype is kept, not copied.
     """
-    for (name, labels), (lo, hi) in zip(fmt.columns, fmt.ranges):
+    for name, (lo, hi) in fmt.limits.items():
         values = np.asarray(getattr(record, name))
-        dtype = _DTYPE[name]
-        if labels is None:  # in memory an integer may take its dtype's whole range
-            lo, hi = np.iinfo(dtype).min, np.iinfo(dtype).max
         if values.size:
             low, high = int(values.min()), int(values.max())  # exact for any integer dtype
             if low < lo or high > hi:
                 raise ValueError(f"{name} {low if low < lo else high} is outside {lo}..{hi}")
-        setattr(record, name, values.astype(dtype, copy=False))
-    if len({len(getattr(record, name)) for name in fmt.names}) > 1:
+        setattr(record, name, values.astype(_DTYPE[name], copy=False))
+    if len({len(getattr(record, name)) for name in fmt.limits}) > 1:
         raise ValueError(f"{fmt.noun} columns must share one length")
 
 
 @dataclass(eq=False)
 class TripleBatch:
-    """Column-oriented batch of coincidence triples, each column of its _DTYPE."""
+    """Column-oriented batch of coincidence triples, each column of its _DTYPE.
+
+    triple_id is held in memory only: a triples file numbers its rows from 0.
+    """
 
     triple_id: np.ndarray
     x_bin: np.ndarray
@@ -691,8 +692,9 @@ def match_coincidences(
             yield vars(matcher.feed(_rows(stream, slice(lo, lo + step))))
         yield vars(matcher.finish())
 
-    names = [name for name in _TRIPLES.names if name != "triple_id"]
-    columns = _gather(decided(), names, lambda: int(np.count_nonzero(stream.detector == CODE_D0)))
+    columns = _gather(
+        decided(), _TRIPLES.names, lambda: int(np.count_nonzero(stream.detector == CODE_D0))
+    )
     n = len(columns["x_bin"])
     return TripleBatch(triple_id=np.arange(n, dtype=_DTYPE["triple_id"]), **columns), matcher.report
 
@@ -765,24 +767,32 @@ class _Format:
     A column is (name, None) for an integer, or (name, labels) for one of a
     fixed label tuple, held in memory as its index into the tuple.  With
     d0_x_bin, the x_bin field is present exactly on D0 rows, else empty (-1).
-    Reader and writer both work from this record, its header and its ranges.
+    row_id, if given, names an integer column that a record holds but the
+    file does not: each row's number in the file, from 0.  Reader and
+    writer both work from this record, its header and its ranges.
     """
 
-    kind: str
+    tag: str
     what: str
     noun: str
     columns: tuple
     d0_x_bin: bool = False
+    row_id: str | None = None
 
     @property
     def names(self) -> tuple:
         return tuple(name for name, _ in self.columns)
 
     @property
-    def header(self) -> tuple:
-        return f"qeraser-{self.kind} v1", ",".join(self.names)
+    def held(self) -> tuple:
+        """The names of a record's columns: the file's, then row_id's."""
+        return self.names + ((self.row_id,) if self.row_id else ())
 
     @property
+    def header(self) -> tuple:
+        return self.tag, ",".join(self.names)
+
+    @functools.cached_property
     def ranges(self) -> tuple:
         """Per column, (lo, hi): a label's index range, else its dtype's range within ±_MAX_INT."""
         ints = [np.iinfo(_DTYPE[name]) for name in self.names]
@@ -791,25 +801,28 @@ class _Format:
             for (_, labels), i in zip(self.columns, ints)
         )
 
+    @functools.cached_property
+    def limits(self) -> dict:
+        """Per held column, (lo, hi) in memory: a label's range, else its dtype's whole range."""
+        ints = {name: np.iinfo(_DTYPE[name]) for name in self.held}
+        limits = {name: (i.min, i.max) for name, i in ints.items()}
+        limits.update((name, r) for (name, labels), r in zip(self.columns, self.ranges) if labels)
+        return limits
+
 
 _EVENT_LOG = _Format(
-    "event-log",
+    "qeraser-event-log v1",
     "event log",
     "event",
     (("event_id", None), ("detector", DETECTOR_LABELS), ("time_ns", None), ("x_bin", None)),
     d0_x_bin=True,
 )
 _TRIPLES = _Format(
-    "triples",
+    "qeraser-triples v2",
     "triples file",
     "triple",
-    (
-        ("triple_id", None),
-        ("block_index", None),
-        ("x_bin", None),
-        ("babu", BABU_LABELS),
-        ("alisha", ALISHA_LABELS),
-    ),
+    (("block_index", None), ("x_bin", None), ("babu", BABU_LABELS), ("alisha", ALISHA_LABELS)),
+    row_id="triple_id",
 )
 
 
@@ -968,7 +981,8 @@ class _StreamPasses:
     tag and columns= line, then each read's data rows, _CHUNK_ROWS lines at
     a time, whose separators are indexed and whose fields are parsed.  Each
     such pass is yielded as record(**columns), its rows' columns (name ->
-    array of the column's _DTYPE) in file order, while no fault is certain:
+    array of the column's _DTYPE; with row_id, also the rows' numbers, which
+    run on from the pass before) in file order, while no fault is certain:
     passes stop at a row with the wrong field count or one whose fields fail
     to parse, and past n_rows rows or the rows a regular file of its size
     could hold.  Later rows are only counted, and checked for their field
@@ -1018,7 +1032,11 @@ class _StreamPasses:
                         out = [np.empty(len(start), dtype=_DTYPE[name]) for name in fmt.names]
                         good = _parse_rows(buf, fmt, start, end, comma.reshape(-1, k), out)
                         if good.all():
-                            yield self.record(**dict(zip(fmt.names, out)))
+                            columns = dict(zip(fmt.names, out))
+                            if fmt.row_id:
+                                rows = np.arange(n - len(start), n, dtype=_DTYPE[fmt.row_id])
+                                columns[fmt.row_id] = rows
+                            yield self.record(**columns)
                         else:
                             i = int(np.argmin(good))
                             bad["grammar"] = buf[start[i] : end[i]].tobytes()
@@ -1045,7 +1063,7 @@ class _StreamPasses:
 def _read_columns(path, fmt: _Format) -> tuple[dict, SimStreamHeader]:
     """A stream file's columns and its header: each pass gathered into columns sized from n_rows."""
     passes = _StreamPasses(path, fmt)
-    return _gather(passes, fmt.names, lambda: passes.n_rows), passes.header
+    return _gather(passes, fmt.held, lambda: passes.n_rows), passes.header
 
 
 def _read_lines(fh):

@@ -613,15 +613,17 @@ def simulate_whole(config: ExperimentConfig, header: SimStreamHeader, rate_per_n
         stream, window, block_size=header.block_size, spacing_ns=header.spacing_ns
     )
 
-    def text(kind, columns, n_rows, rows):
-        lines = [f"qeraser-{kind} v1", f"tool_version={__version__}"]
+    def text(tag, columns, n_rows, rows):
+        lines = [tag, f"tool_version={__version__}"]
         lines += [f"{f.name}={getattr(header, f.name)}" for f in fields(header)]
         lines += [f"n_rows={n_rows}", f"columns={columns}"]
         return ("".join(f"# {line}\n" for line in lines) + rows).encode("utf-8")
 
-    events_csv = text("event-log", "event_id,detector,time_ns,x_bin", len(stream), event_log_rows(stream))
-    columns = "triple_id,block_index,x_bin,babu,alisha"
-    triples_csv = text("triples", columns, len(matched), triples_rows(matched))
+    events_csv = text(
+        "qeraser-event-log v1", "event_id,detector,time_ns,x_bin", len(stream), event_log_rows(stream)
+    )
+    columns = "block_index,x_bin,babu,alisha"
+    triples_csv = text("qeraser-triples v2", columns, len(matched), triples_rows(matched))
     which_path = np.mean((matched.babu >= 2) | (matched.alisha >= 2)) if len(matched) else 0.0
     stdout = (
         f"sampled {len(triples)} triples over {len(config.schedule.bits)} blocks\n"
@@ -677,11 +679,11 @@ def event_log_rows(stream: EventStream) -> str:
 
 
 def triples_rows(batch: TripleBatch) -> str:
-    """Triples data rows, one f-string per row."""
-    columns = (batch.triple_id, batch.block_index, batch.x_bin, batch.babu, batch.alisha)
+    """Triples data rows, one f-string per row; triple_id is not written."""
+    columns = (batch.block_index, batch.x_bin, batch.babu, batch.alisha)
     return "".join(
-        f"{t},{b},{x},{BABU_LABELS[j]},{ALISHA_LABELS[k]}\n"
-        for t, b, x, j, k in zip(*(c.tolist() for c in columns))
+        f"{b},{x},{BABU_LABELS[j]},{ALISHA_LABELS[k]}\n"
+        for b, x, j, k in zip(*(c.tolist() for c in columns))
     )
 
 
@@ -734,7 +736,7 @@ def read_event_log_lines(path) -> tuple[EventStream, SimStreamHeader]:
 
 
 def read_triples_lines(path) -> tuple[TripleBatch, SimStreamHeader]:
-    """Triples reader with one split and three int() calls per row."""
+    """Triples reader with one split and two int() calls per row; triple_id is the row number."""
     with open(path, "r", encoding="utf-8") as fh:
         meta, data = _parse_header(fh)
     header = _header_from_meta(meta)
@@ -746,18 +748,18 @@ def read_triples_lines(path) -> tuple[TripleBatch, SimStreamHeader]:
         )
     babu_code = {label: i for i, label in enumerate(BABU_LABELS)}
     alisha_code = {label: i for i, label in enumerate(ALISHA_LABELS)}
-    tid, blk, xb, jj, kk = [], [], [], [], []
+    blk, xb, jj, kk = [], [], [], []
     for line in data:
         parts = line.split(",")
-        if len(parts) != 5:
+        if len(parts) != 4:
             raise ValueError(f"malformed triple row: {line!r}")
-        if parts[3] not in babu_code or parts[4] not in alisha_code:
+        if parts[2] not in babu_code or parts[3] not in alisha_code:
             raise ValueError(f"unknown outcome labels in row: {line!r}")
-        tid.append(int(parts[0]))
-        blk.append(int(parts[1]))
-        xb.append(int(parts[2]))
-        jj.append(babu_code[parts[3]])
-        kk.append(alisha_code[parts[4]])
+        blk.append(int(parts[0]))
+        xb.append(int(parts[1]))
+        jj.append(babu_code[parts[2]])
+        kk.append(alisha_code[parts[3]])
+    tid = np.arange(len(data))
     batch = TripleBatch(triple_id=tid, x_bin=xb, babu=jj, alisha=kk, block_index=blk)
     return batch, header
 

@@ -543,7 +543,7 @@ def test_simulate_checks_the_free_disk_where_out_will_be(
 ):
     """8,000 triples 1000 ns apart at 1e-3 per ns expect 32,000 rows, 8 bytes each at least.
 
-    The triples take 13 bytes each at least, twice: in the spill and in
+    The triples take 11 bytes each at least, twice: in the spill and in
     triples.csv.  The free bytes are read on --out's nearest existing
     parent; a run that needs one byte more than that is refused before any
     draw, with one line.
@@ -555,7 +555,7 @@ def test_simulate_checks_the_free_disk_where_out_will_be(
 
     def disk_usage(path):
         asked.append(Path(path))
-        return SimpleNamespace(total=10**12, used=0, free=32_000 * 8 + 2 * 8_000 * 13 + spare)
+        return SimpleNamespace(total=10**12, used=0, free=32_000 * 8 + 2 * 8_000 * 11 + spare)
 
     monkeypatch.setattr(shutil, "disk_usage", disk_usage)
     if code:
@@ -567,8 +567,8 @@ def test_simulate_checks_the_free_disk_where_out_will_be(
     if code:
         assert one_line_error(capsys) == (
             "qeraser: the run expects 3.2e+04 event records at --background-rate 0.001 "
-            "and 8000 triples, at least 4.64e+05 bytes of events.csv, triples.csv and their "
-            f"spill, but {tmp_path} has 463999 bytes free\n"
+            "and 8000 triples, at least 4.32e+05 bytes of events.csv, triples.csv and their "
+            f"spill, but {tmp_path} has 431999 bytes free\n"
         )
         assert not (tmp_path / "a").exists()
     else:
@@ -728,12 +728,12 @@ def test_decode_truncated_triples(tmp_path, small_config_path, capsys):
 @pytest.mark.parametrize(
     "field, value, message",
     [
-        (2, "12345678901234567890", "bad integer '12345678901234567890'"),
+        (1, "12345678901234567890", "bad integer '12345678901234567890'"),
         # 2**32 + 1: an int32 cast would wrap it to bin 1
-        (2, "4294967297", "x_bin 4294967297 is outside -2147483648..2147483647 in triple row"),
-        (2, "2147483648", "x_bin 2147483648 is outside -2147483648..2147483647 in triple row"),
-        (1, "4", "block index 4 is outside the schedule's 4 blocks"),
-        (1, "-1", "block index -1 is outside the schedule's 4 blocks"),
+        (1, "4294967297", "x_bin 4294967297 is outside -2147483648..2147483647 in triple row"),
+        (1, "2147483648", "x_bin 2147483648 is outside -2147483648..2147483647 in triple row"),
+        (0, "4", "block index 4 is outside the schedule's 4 blocks"),
+        (0, "-1", "block index -1 is outside the schedule's 4 blocks"),
     ],
 )
 def test_decode_bad_triples_field_exits_2(tmp_path, small_config_path, capsys, field, value, message):
@@ -848,38 +848,55 @@ def test_decode_reports_truncation_before_the_config_digest(
     assert not (tmp_path / "dec").exists()
 
 
-TRIPLES_COLUMNS = "triple_id,block_index,x_bin,babu,alisha"
-PERMUTED_COLUMNS = "block_index,triple_id,x_bin,alisha,babu"
+TRIPLES_COLUMNS = "block_index,x_bin,babu,alisha"
+PERMUTED_COLUMNS = "x_bin,block_index,alisha,babu"
+
+
+def edited(*edits):
+    """A rewrite of a triples file's text: each (old, new) replaced once in its header lines."""
+
+    def rewrite(text):
+        for old, new in edits:
+            assert f"# {old}\n" in text or f"# columns={old}\n" in text
+            text = text.replace(old, new, 1)
+        return text
+
+    return rewrite
+
+
+def as_v1(text):
+    """The triples file in the v1 layout: its tag, a triple_id column first, each row's number."""
+    lines = text.splitlines(keepends=True)
+    n_head = sum(line.startswith("#") for line in lines)
+    tag = ("qeraser-triples v2", "qeraser-triples v1")
+    head = edited(tag, (TRIPLES_COLUMNS, "triple_id," + TRIPLES_COLUMNS))("".join(lines[:n_head]))
+    return head + "".join(f"{i},{row}" for i, row in enumerate(lines[n_head:]))
 
 
 @pytest.mark.parametrize(
-    "edits, message",
+    "rewrite, message",
     [
         (
-            [("qeraser-triples v1", "qeraser-event-log v7"), (TRIPLES_COLUMNS, PERMUTED_COLUMNS)],
-            "stream header tag 'qeraser-event-log v7' is not 'qeraser-triples v1'",
+            edited(("qeraser-triples v2", "qeraser-event-log v7"), (TRIPLES_COLUMNS, PERMUTED_COLUMNS)),
+            "stream header tag 'qeraser-event-log v7' is not 'qeraser-triples v2'",
         ),
+        (as_v1, "stream header tag 'qeraser-triples v1' is not 'qeraser-triples v2'"),
         (
-            [("qeraser-triples v1", "qeraser-triples v2")],
-            "stream header tag 'qeraser-triples v2' is not 'qeraser-triples v1'",
-        ),
-        (
-            [(TRIPLES_COLUMNS, PERMUTED_COLUMNS)],
+            edited((TRIPLES_COLUMNS, PERMUTED_COLUMNS)),
             f"stream header columns {PERMUTED_COLUMNS!r} is not {TRIPLES_COLUMNS!r}",
         ),
     ],
-    ids=["mis-tagged", "v2", "permuted-columns"],
+    ids=["mis-tagged", "v1", "permuted-columns"],
 )
 def test_decode_refuses_a_wrong_tag_or_columns_line_before_any_pass(
-    tmp_path, small_config_path, monkeypatch, capsys, edits, message
+    tmp_path, small_config_path, monkeypatch, capsys, rewrite, message
 ):
-    """The header's tag and columns= line must be the triples file's own, rows read or not."""
+    """The header's tag and columns= line must be the triples file's own, rows read or not.
+
+    A v1 file, whose rows lead with triple_id, is refused by its tag.
+    """
     path = simulated_triples(tmp_path, small_config_path)
-    text = path.read_text()
-    for old, new in edits:
-        assert f"# {old}\n" in text or f"# columns={old}\n" in text
-        text = text.replace(old, new, 1)
-    path.write_text(text)
+    path.write_text(rewrite(path.read_text()))
     monkeypatch.setattr(events, "_parse_rows", no_work("decode"))
     capsys.readouterr()
     assert cli.main(decode_argv(small_config_path, path, tmp_path / "dec")) == 2
@@ -894,7 +911,7 @@ def test_decode_refuses_an_event_log(tmp_path, small_config_path, capsys):
     assert cli.main(decode_argv(small_config_path, path, tmp_path / "dec")) == 2
     assert one_line_error(capsys) == (
         f"qeraser: bad triples file {path}: "
-        "stream header tag 'qeraser-event-log v1' is not 'qeraser-triples v1'\n"
+        "stream header tag 'qeraser-event-log v1' is not 'qeraser-triples v2'\n"
     )
 
 
@@ -902,9 +919,9 @@ def test_decode_refuses_an_event_log(tmp_path, small_config_path, capsys):
     "faults",
     [
         # (row, field, value): x_bin -2 is off the screen, block 4 outside the 4 blocks
-        [(3, 2, "-2"), (-5, 1, "4")],
-        [(3, 1, "4"), (-5, 2, "-2")],
-        [(3, 1, "-1"), (-5, 2, "x")],
+        [(3, 1, "-2"), (-5, 0, "4")],
+        [(3, 0, "4"), (-5, 1, "-2")],
+        [(3, 0, "-1"), (-5, 1, "x")],
     ],
     ids=["bin-then-block", "block-then-bin", "block-then-bad-integer"],
 )
@@ -919,8 +936,8 @@ def test_decode_faults_in_different_passes_keep_their_first_message(
     """
     path = simulated_triples(tmp_path, small_config_path)
     for row, field, value in faults:
-        set_field(path, row, 3, "D1")  # so both decoders select the row
-        set_field(path, row, 4, "D1'")
+        set_field(path, row, 2, "D1")  # so both decoders select the row
+        set_field(path, row, 3, "D1'")
         set_field(path, row, field, value)
     config = load_config(small_config_path)
     decoder = decode_omniscient if mode == "omniscient" else decode_alisha_only

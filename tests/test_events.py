@@ -23,6 +23,7 @@ from qeraser.events import (
     read_event_log,
     read_triples,
     sample_triples,
+    triple_passes,
     triple_spacing_ns,
     write_and_match,
     write_spilled_triples,
@@ -514,7 +515,7 @@ def test_event_log_truncation_detected(tmp_path, small_config):
 @pytest.mark.parametrize(
     "write, drop, message",
     [
-        ("triples", None, "tag 'qeraser-triples v1' is not 'qeraser-event-log v1'"),
+        ("triples", None, "tag 'qeraser-triples v2' is not 'qeraser-event-log v1'"),
         ("events", "# qeraser-event-log v1", f"tag 'tool_version={__version__}' is not"),
         ("events", "# columns=", "columns None is not 'event_id,detector,time_ns,x_bin'"),
     ],
@@ -555,7 +556,7 @@ def test_triples_bad_rows_detected(tmp_path, small_config):
     path = tmp_path / "triples.csv"
     oracles.write_triples(path, tr, header_for(small_config))
     lines = path.read_text().splitlines()
-    lines[-1] = "0,0,0,D7,D1'"
+    lines[-1] = "0,0,D7,D1'"
     path.write_text("\n".join(lines) + "\n")
     with pytest.raises(ValueError, match="labels"):
         read_triples(path)
@@ -584,17 +585,17 @@ def _replace_row(path, row):
 @pytest.mark.parametrize(
     "row, message",
     [
-        ("1_0,0,3,D1,D1'", "bad integer '1_0'"),
-        ("+5,0,3,D1,D1'", "bad integer '\\+5'"),
-        (" 5,0,3,D1,D1'", "bad integer ' 5'"),
-        ("5,0 ,3,D1,D1'", "bad integer '0 '"),
-        ("5,0,,D1,D1'", "bad integer ''"),
-        ("5,0,-,D1,D1'", "bad integer '-'"),
-        ("5,0,1234567890123456789,D1,D1'", "bad integer '1234567890123456789'"),
-        ("5,0,-2147483649,D1,D1'", "x_bin -2147483649 is outside -2147483648..2147483647"),
-        ("5,0,3,D1 ,D1'", "labels"),
-        ("5,0,3,D1,D1'x", "labels"),
-        ("5,0,3,D1", "malformed triple row"),
+        ("1_0,3,D1,D1'", "bad integer '1_0'"),
+        ("+5,3,D1,D1'", "bad integer '\\+5'"),
+        (" 5,3,D1,D1'", "bad integer ' 5'"),
+        ("0 ,3,D1,D1'", "bad integer '0 '"),
+        ("0,,D1,D1'", "bad integer ''"),
+        ("0,-,D1,D1'", "bad integer '-'"),
+        ("0,1234567890123456789,D1,D1'", "bad integer '1234567890123456789'"),
+        ("0,-2147483649,D1,D1'", "x_bin -2147483649 is outside -2147483648..2147483647"),
+        ("0,3,D1 ,D1'", "labels"),
+        ("0,3,D1,D1'x", "labels"),
+        ("0,3,D1", "malformed triple row"),
         ("# late=1", "header line after the first data row"),
     ],
 )
@@ -781,6 +782,38 @@ def test_simulate_holds_one_chunk_and_one_dark_window(tmp_path, monkeypatch):
     assert peak[5, 16e-3] <= 1100 * events._CHUNK_TRIPLES + 55 * events._DARK_WINDOW
 
 
+def test_triple_ids_are_row_numbers_across_passes(tmp_path, monkeypatch):
+    """A triples file's rows are numbered from 0 on, pass after pass, as the matcher numbers them.
+
+    simulate's triples.csv, spanning many reads and parse passes: the ids of
+    triple_passes run on from pass to pass, read_triples' are arange(n), and
+    match_coincidences on the event log written beside it gives the same
+    ids and columns.  The benchmark's rematch digest, which hashes triple_id
+    with the other columns, rests on this.
+    """
+    monkeypatch.setattr(events, "_CHUNK_TRIPLES", 1000)
+    monkeypatch.setattr(events, "_READ_BYTES", 1 << 12)
+    monkeypatch.setattr(events, "_CHUNK_ROWS", 100)
+    _, matched = _simulated(make_config(bits=(1, 0) * 3, block_size=500), tmp_path)
+    path = tmp_path / "triples.csv"
+    assert path.stat().st_size > 8 * events._READ_BYTES
+    passes = list(triple_passes(path))
+    assert len(passes) > 8
+    ids = np.concatenate([batch.triple_id for batch in passes])
+    np.testing.assert_array_equal(ids, np.arange(matched))
+    triples, header = read_triples(path)
+    np.testing.assert_array_equal(triples.triple_id, np.arange(matched))
+    stream, header = read_event_log(tmp_path / "events.csv")
+    rematched, _ = match_coincidences(
+        stream,
+        header.coincidence_window_ns,
+        block_size=header.block_size,
+        spacing_ns=header.spacing_ns,
+    )
+    for name in ("triple_id", "block_index", "x_bin", "babu", "alisha"):
+        np.testing.assert_array_equal(getattr(rematched, name), getattr(triples, name), name)
+
+
 def test_write_text_holds_one_chunk(tmp_path):
     """The text writer lets go of each chunk once it is hashed and written.
 
@@ -883,12 +916,13 @@ def test_chunked_draws_equal_one_whole_draw(monkeypatch):
 def test_readers_hold_each_record_about_once(tmp_path, monkeypatch, which):
     """A reader peaks at its columns plus one read's bytes and one block's indexes.
 
-    Measured here: 22.8 bytes per event record and 31.2 per triple.  The
-    whole file held beside int64 columns took 53 and 65; newline and
-    separator indexes over the whole file, 90 and 115.
+    Measured here at 8 kB reads: 22.0 bytes per event record and 28.1 per
+    triple (at 16 kB reads, 22.9 and 30.9).  The whole file held beside
+    int64 columns took 53 and 65; newline and separator indexes over the
+    whole file, 90 and 115.
     """
-    # so the file spans many reads and blocks
-    monkeypatch.setattr(events, "_READ_BYTES", 1 << 14)
+    # so the file spans many reads and blocks: 32 of them for the triples file
+    monkeypatch.setattr(events, "_READ_BYTES", 1 << 13)
     monkeypatch.setattr(events, "_CHUNK_ROWS", 1024)
     noisy = _noisy_stream(MEMORY_CONFIG)
     hdr = header_for(MEMORY_CONFIG)

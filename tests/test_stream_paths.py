@@ -429,9 +429,10 @@ def random_x_bin(rng, n, big):
 
 
 def random_batch(rng, n, big) -> TripleBatch:
+    """Random columns but triple_id, which a triples file holds as its row numbers."""
     hi = BIG if big else 1000
     return TripleBatch(
-        triple_id=rng.integers(-hi, hi + 1, n),
+        triple_id=np.arange(n),
         x_bin=random_x_bin(rng, n, big),
         babu=rng.integers(0, 4, n),
         alisha=rng.integers(0, 4, n),
@@ -630,7 +631,7 @@ def _late_field_count_before_early_grammar(head, rows):
 
 def _set_x_bin(rows, i, value):
     parts = rows[i].split(",")
-    parts[2] = value
+    parts[1] = value
     rows[i] = ",".join(parts)
 
 
@@ -806,7 +807,7 @@ def test_writers_cover_every_label(tmp_path):
 @pytest.mark.parametrize(
     "which, column, value",
     [
-        ("triples", "triple_id", 10**18),
+        ("triples", "block_index", 10**18),
         ("triples", "block_index", -(2**63)),
         ("triples", "block_index", -(10**18)),
         ("events", "time_ns", 2**63 - 1),
@@ -875,7 +876,7 @@ def test_x_bin_extremes_round_trip(tmp_path):
     oracles.write_event_log(tmp_path / "events.csv", stream, header())
     assert data_rows(tmp_path / "triples.csv") == oracles.triples_rows(batch).encode("ascii")
     assert data_rows(tmp_path / "events.csv") == oracles.event_log_rows(stream).encode("ascii")
-    assert b"0,0,-2147483648,D1,D1'\n1,0,2147483647,D2,D1'\n" in data_rows(tmp_path / "triples.csv")
+    assert b"0,-2147483648,D1,D1'\n0,2147483647,D2,D1'\n" in data_rows(tmp_path / "triples.csv")
     assert_batches_equal(read_triples(tmp_path / "triples.csv")[0], batch)
     assert_streams_equal(read_event_log(tmp_path / "events.csv")[0], stream)
 
