@@ -206,8 +206,8 @@ def cmd_patterns(args) -> int:
 # ---------------------------------------------------------------------------
 
 
-# the shortest events.csv row: a one-digit id and time, a two-letter label, no x_bin
-_MIN_EVENT_ROW_BYTES = len("0,D1,0,\n")
+# the shortest events.csv row: a two-letter label, a one-digit time, no x_bin
+_MIN_EVENT_ROW_BYTES = len("D1,0,\n")
 # the shortest triples.csv row, which simulate writes twice: to its spill, then to triples.csv
 _MIN_TRIPLE_ROW_BYTES = len("0,0,D1,D1'\n")
 
@@ -226,13 +226,14 @@ def cmd_simulate(args) -> int:
             f"qeraser: --window-ns {window} is more than half the triple spacing {spacing} ns"
         )
 
-    # dark counts are numbered from 3 n_triples on, over a run shorter than n_triples spacings
+    # events.csv's n_rows declares the 3 n_triples records and the dark counts, which
+    # fall on a run shorter than n_triples spacings
     rate = float(args.background_rate)
     expected = rate * schedule.n_triples * spacing
     if 3 * schedule.n_triples + expected > _MAX_INT:
         raise SystemExit(
             f"qeraser: --background-rate {rate!r} expects {expected:.3g} dark counts, "
-            f"which would number events past {_MAX_INT}"
+            f"more event records than the header's n_rows can declare ({_MAX_INT})"
         )
     # built before any work: it refuses an integer the stream reader would refuse
     header = SimStreamHeader(
@@ -246,7 +247,7 @@ def cmd_simulate(args) -> int:
         n_bins=config.geometry.n_bins,
     )
     # the sampler's, the matcher's and the merge's own refusals, before any work and
-    # naming the flag; a nan or negative rate passes the dark-count limit above
+    # naming the flag; a nan or negative rate passes the row limit above
     if seed < 0:
         raise SystemExit(f"qeraser: --seed {seed}: the seed must be a non-negative integer")
     if window < 0:

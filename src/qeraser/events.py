@@ -53,9 +53,8 @@ _ALISHA_CODE = _BABU_CODE + len(BABU_LABELS)
 
 # Each record column's dtype, the one declaration the record constructors, the
 # producers and the readers go by: detector codes and idler outcomes fit int8,
-# screen bins int32 (n_bins <= MAX_BINS), ids, times and block indexes int64.
+# screen bins int32 (n_bins <= MAX_BINS), triple ids, times and block indexes int64.
 _DTYPE = {
-    "event_id": np.dtype(np.int64),
     "time_ns": np.dtype(np.int64),
     "triple_id": np.dtype(np.int64),
     "block_index": np.dtype(np.int64),
@@ -106,9 +105,8 @@ class TripleBatch:
 
 @dataclass(eq=False)
 class EventStream:
-    """Time-sorted detection stream; detector held as codes into DETECTOR_LABELS."""
+    """Time-sorted detection stream, what a time tagger reports; detector as codes into DETECTOR_LABELS."""
 
-    event_id: np.ndarray
     detector: np.ndarray
     time_ns: np.ndarray
     x_bin: np.ndarray  # -1 for records without a screen position
@@ -118,7 +116,7 @@ class EventStream:
         _set_columns(self, _EVENT_LOG)
 
     def __len__(self) -> int:
-        return len(self.event_id)
+        return len(self.time_ns)
 
 
 @dataclass(frozen=True, kw_only=True)
@@ -299,7 +297,7 @@ def emit_events(triples: TripleBatch, config: ExperimentConfig, seed: int = 0) -
 
 
 def _emit(triples: TripleBatch, delays, first: int, spacing: int, n_bins: int) -> EventStream:
-    """The records of triples first, first + 1, ...: emit_events' rows first .. first + len - 1."""
+    """The records of triples first, first + 1, ...: emit_events' rows from 3 first on."""
     n = len(triples)
     # each idler as delay * 16 + detector code: babu's codes lie below
     # alisha's, so sorting a triple's pair puts babu first on a tie
@@ -320,7 +318,6 @@ def _emit(triples: TripleBatch, delays, first: int, spacing: int, n_bins: int) -
     x_bin = np.full((n, 3), -1, dtype=_DTYPE["x_bin"])
     x_bin[:, 0] = triples.x_bin
     return EventStream(
-        event_id=np.arange(3 * first, 3 * (first + n), dtype=_DTYPE["event_id"]),
         detector=detector.ravel(),
         time_ns=time_ns.ravel(),
         x_bin=x_bin.ravel(),
@@ -331,23 +328,19 @@ def _emit(triples: TripleBatch, delays, first: int, spacing: int, n_bins: int) -
 def inject_background(stream: EventStream, rate_per_ns: float, seed: int = 0) -> EventStream:
     """Overlay Poisson dark counts on a time-sorted stream.
 
-    Original records keep their ids, content and order; background records
-    get fresh ids past the current maximum, in draw order.  The dark counts
-    on [first time, last time] are drawn window by window (_dark_windows),
-    the same draws event_chunks makes, so the result does not depend on
-    how a run is chunked.  Each dark count goes after every original record
-    at its time, and dark counts at one time keep draw order, so the result
-    is sorted by (time, background, id) whenever the stream's records at
-    each time are in id order, as emit_events' are.  Rate 0 returns the
-    stream as is.  Raises ValueError for an unsorted stream.
+    Original records keep their content and order.  The dark counts on
+    [first time, last time] are drawn window by window (_dark_windows), the
+    same draws event_chunks makes, so the result does not depend on how a
+    run is chunked.  Each dark count goes after every original record at
+    its time, and dark counts at one time keep draw order.  Rate 0 returns
+    the stream as is.  Raises ValueError for an unsorted stream.
     """
     rate = _background_rate(rate_per_ns)
     _require_sorted(stream.time_ns)
     if rate == 0.0 or len(stream) < 2:
         return stream
     t0, t1 = int(stream.time_ns[0]), int(stream.time_ns[-1])
-    next_id = int(stream.event_id.max()) + 1
-    total, windows = _dark_windows(rate, t0, t1, stream.n_bins, next_id, int(seed))
+    total, windows = _dark_windows(rate, t0, t1, stream.n_bins, int(seed))
     return _merge(stream, _gather((dark for _, dark in windows), _EVENT_LOG.names, lambda: total))
 
 
@@ -363,7 +356,7 @@ def _background_rate(rate_per_ns) -> float:
 _DARK_WINDOW = 1 << 14
 
 
-def _dark_windows(rate: float, t0: int, t1: int, n_bins: int, next_id: int, seed: int) -> tuple:
+def _dark_windows(rate: float, t0: int, t1: int, n_bins: int, seed: int) -> tuple:
     """(count, windows): Poisson(rate * (t1 - t0)) dark counts on [t0, t1], drawn window by window.
 
     The background generator draws the count N at once.  [t0, t1] is cut
@@ -372,34 +365,31 @@ def _dark_windows(rate: float, t0: int, t1: int, n_bins: int, next_id: int, seed
     count, a binomial share of the dark counts left by its share of the
     time left, then its times, codes and screen bins, each as int64 and
     narrowed to its column's dtype.  A window's sort is stable, so ties keep
-    draw order, which is id order; ids count from next_id in draw order.
-    Each window is (end, columns): end is one past its last ns, columns the
-    four event columns, which take 21 bytes per dark count.  A window is
-    drawn in a helper's frame, so the generator holds none between windows.
+    draw order.  Each window is (end, columns): end is one past its last ns,
+    columns the three event columns, which take 13 bytes per dark count.  A
+    window is drawn in a helper's frame, so the generator holds none
+    between windows.
     """
     rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(_DOMAIN_BACKGROUND, 0)))
     total = int(rng.poisson(rate * (t1 - t0)))
     n_windows = max(1, -(-total // _DARK_WINDOW))
 
-    def window(lo, hi, n, first_id):
+    def window(lo, hi, n):
         time_ns = rng.integers(lo, hi, size=n)
         detector = rng.integers(0, len(DETECTOR_LABELS), size=n).astype(_DTYPE["detector"])
         x_bin = rng.integers(0, n_bins, size=n).astype(_DTYPE["x_bin"])
         x_bin[detector != CODE_D0] = -1
-        event_id = np.argsort(time_ns, kind="stable")
-        time_ns.sort()  # the same values as time_ns[event_id], sorted in place
-        detector = detector[event_id]
-        x_bin = x_bin[event_id]
-        event_id += first_id
-        return {"event_id": event_id, "detector": detector, "time_ns": time_ns, "x_bin": x_bin}
+        order = np.argsort(time_ns, kind="stable")
+        time_ns.sort()  # the same values as time_ns[order], sorted in place
+        return {"detector": detector[order], "time_ns": time_ns, "x_bin": x_bin[order]}
 
     def windows():
-        left, lo, first_id = total, t0, next_id
+        left, lo = total, t0
         for j in range(1, n_windows + 1):
             hi = t0 + j * (t1 + 1 - t0) // n_windows
             n = int(rng.binomial(left, (hi - lo) / (t1 + 1 - lo)))
-            yield hi, window(lo, hi, n, first_id)
-            left, lo, first_id = left - n, hi, first_id + n
+            yield hi, window(lo, hi, n)
+            left, lo = left - n, hi
 
     return total, windows()
 
@@ -407,7 +397,7 @@ def _dark_windows(rate: float, t0: int, t1: int, n_bins: int, next_id: int, seed
 def _merge(stream: EventStream, dark: dict) -> EventStream:
     """stream with the time-sorted dark columns merged in, each after every record at its time.
 
-    Each dark column is taken out of dark as it is merged, the int64 ones
+    Each dark column is taken out of dark as it is merged, the int64 one
     first, so a caller that holds the columns only in dark has each freed
     once merged.  No dark counts: the stream as is, and dark emptied.
     """
@@ -428,7 +418,7 @@ def _merge(stream: EventStream, dark: dict) -> EventStream:
         out[~original] = dark.pop(name)
         return out
 
-    columns = {name: merged(name) for name in ("event_id", "time_ns", "detector", "x_bin")}
+    columns = {name: merged(name) for name in ("time_ns", "detector", "x_bin")}
     return EventStream(**columns, n_bins=stream.n_bins)
 
 
@@ -460,10 +450,10 @@ def event_chunks(config: ExperimentConfig, seed: int, rate_per_ns: float) -> tup
     spacing = triple_spacing_ns(config.pair_rate_scale, n)
     for last in _delay_chunks(n, seed, size):
         pass
-    # emit_events' stream runs from 0 to the last triple's later idler, ids up to 3n - 1
+    # emit_events' stream runs from 0 to the last triple's later idler
     t_end = (n - 1) * spacing + int(last[-1].max())
     n_bins = config.geometry.n_bins
-    n_dark, windows = _dark_windows(rate, 0, t_end, n_bins, 3 * n, seed)
+    n_dark, windows = _dark_windows(rate, 0, t_end, n_bins, seed)
     delays = _delay_chunks(n, seed, size)
     return 3 * n + n_dark, _stream_chunks(batches, delays, windows, spacing, n_bins)
 
@@ -811,10 +801,10 @@ class _Format:
 
 
 _EVENT_LOG = _Format(
-    "qeraser-event-log v1",
+    "qeraser-event-log v2",
     "event log",
     "event",
-    (("event_id", None), ("detector", DETECTOR_LABELS), ("time_ns", None), ("x_bin", None)),
+    (("detector", DETECTOR_LABELS), ("time_ns", None), ("x_bin", None)),
     d0_x_bin=True,
 )
 _TRIPLES = _Format(

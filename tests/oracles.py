@@ -460,7 +460,6 @@ def emit_events_lexsort(triples: TripleBatch, config: ExperimentConfig, seed: in
     )
     order = np.lexsort((rank, times))
     return EventStream(
-        event_id=np.arange(3 * n, dtype=np.int64),
         detector=codes[order],
         time_ns=times[order],
         x_bin=x_bin[order],
@@ -469,14 +468,20 @@ def emit_events_lexsort(triples: TripleBatch, config: ExperimentConfig, seed: in
 
 
 def inject_background_lexsort(stream: EventStream, rate_per_ns: float, seed: int = 0) -> EventStream:
-    """Overlay Poisson dark counts on an existing stream.
+    """Overlay Poisson dark counts on an existing stream; see background_lexsort."""
+    return background_lexsort(stream, rate_per_ns, seed)[0]
 
-    Original records keep their ids and content; background records get
-    fresh ids past the current maximum.  Rate 0 returns the stream as is.
-    The dark counts are drawn as the library draws them: the total, then
-    per window of the span (as many as the total fills at
+
+def background_lexsort(stream: EventStream, rate_per_ns: float, seed: int = 0) -> tuple:
+    """(stream with Poisson dark counts overlaid, which of its records are dark counts).
+
+    Original records keep their content and order.  Rate 0 returns the
+    stream as is.  The dark counts are drawn as the library draws them: the
+    total, then per window of the span (as many as the total fills at
     ``events._DARK_WINDOW`` apiece) a binomial share of what is left, its
-    times, codes and bins.  Ids follow draw order; one lexsort merges all.
+    times, codes and bins.  One stable lexsort by (time, dark) merges all,
+    so at each time the originals keep their order and the dark counts
+    follow in draw order.
     """
     from qeraser import events
 
@@ -484,7 +489,7 @@ def inject_background_lexsort(stream: EventStream, rate_per_ns: float, seed: int
     if not (math.isfinite(rate) and rate >= 0.0):
         raise ValueError(f"background rate must be finite and non-negative, got {rate!r}")
     if rate == 0.0 or len(stream) < 2:
-        return stream
+        return stream, np.zeros(len(stream), dtype=bool)
     rng = np.random.default_rng(
         np.random.SeedSequence(int(seed), spawn_key=(_DOMAIN_BACKGROUND, 0))
     )
@@ -504,24 +509,19 @@ def inject_background_lexsort(stream: EventStream, rate_per_ns: float, seed: int
     assert left == 0
     bg_times, bg_codes, bg_x_all = map(np.concatenate, (bg_times, bg_codes, bg_x_all))
     bg_x = np.where(bg_codes == CODE_D0, bg_x_all, -1)
-    next_id = int(stream.event_id.max()) + 1
-    bg_ids = next_id + np.arange(n_bg, dtype=np.int64)
 
     all_t = np.concatenate([stream.time_ns, bg_times])
     all_code = np.concatenate([stream.detector, bg_codes])
     all_x = np.concatenate([stream.x_bin, bg_x])
-    all_id = np.concatenate([stream.event_id, bg_ids])
-    is_bg = np.concatenate(
-        [np.zeros(len(stream), dtype=np.int64), np.ones(n_bg, dtype=np.int64)]
-    )
-    order = np.lexsort((all_id, is_bg, all_t))
-    return EventStream(
-        event_id=all_id[order],
+    is_bg = np.concatenate([np.zeros(len(stream), dtype=bool), np.ones(n_bg, dtype=bool)])
+    order = np.lexsort((is_bg, all_t))
+    noisy = EventStream(
         detector=all_code[order],
         time_ns=all_t[order],
         x_bin=all_x[order],
         n_bins=stream.n_bins,
     )
+    return noisy, is_bg[order]
 
 
 def match_coincidences_loop(
@@ -620,7 +620,7 @@ def simulate_whole(config: ExperimentConfig, header: SimStreamHeader, rate_per_n
         return ("".join(f"# {line}\n" for line in lines) + rows).encode("utf-8")
 
     events_csv = text(
-        "qeraser-event-log v1", "event_id,detector,time_ns,x_bin", len(stream), event_log_rows(stream)
+        "qeraser-event-log v2", "detector,time_ns,x_bin", len(stream), event_log_rows(stream)
     )
     columns = "block_index,x_bin,babu,alisha"
     triples_csv = text("qeraser-triples v2", columns, len(matched), triples_rows(matched))
@@ -671,10 +671,10 @@ def _header_from_meta(meta: dict) -> SimStreamHeader:
 
 def event_log_rows(stream: EventStream) -> str:
     """Event-log data rows, one f-string per row."""
-    columns = (stream.event_id, stream.detector, stream.time_ns, stream.x_bin)
+    columns = (stream.detector, stream.time_ns, stream.x_bin)
     return "".join(
-        f"{i},{DETECTOR_LABELS[d]},{t},{x if d == CODE_D0 else ''}\n"
-        for i, d, t, x in zip(*(c.tolist() for c in columns))
+        f"{DETECTOR_LABELS[d]},{t},{x if d == CODE_D0 else ''}\n"
+        for d, t, x in zip(*(c.tolist() for c in columns))
     )
 
 
@@ -704,7 +704,7 @@ def write_event_log(path, stream: EventStream, header: SimStreamHeader) -> str:
 
 
 def read_event_log_lines(path) -> tuple[EventStream, SimStreamHeader]:
-    """Event-log reader with one split and three int() calls per row."""
+    """Event-log reader with one split and two int() calls per row."""
     with open(path, "r", encoding="utf-8") as fh:
         meta, data = _parse_header(fh)
     header = _header_from_meta(meta)
@@ -714,25 +714,21 @@ def read_event_log_lines(path) -> tuple[EventStream, SimStreamHeader]:
             f"event log declares {declared} rows but contains {len(data)}; "
             "file is truncated or corrupt"
         )
-    ids, det, ts, xs = [], [], [], []
+    det, ts, xs = [], [], []
     for line in data:
         parts = line.split(",")
-        if len(parts) != 4:
+        if len(parts) != 3:
             raise ValueError(f"malformed event row: {line!r}")
-        code = _CODE_BY_LABEL.get(parts[1])
+        code = _CODE_BY_LABEL.get(parts[0])
         if code is None:
-            raise ValueError(f"unknown detector {parts[1]!r}")
-        has_x = parts[3] != ""
+            raise ValueError(f"unknown detector {parts[0]!r}")
+        has_x = parts[2] != ""
         if has_x != (code == CODE_D0):
             raise ValueError(f"x_bin presence inconsistent with detector: {line!r}")
-        ids.append(int(parts[0]))
         det.append(code)
-        ts.append(int(parts[2]))
-        xs.append(int(parts[3]) if has_x else -1)
-    stream = EventStream(
-        event_id=ids, detector=det, time_ns=ts, x_bin=xs, n_bins=header.n_bins
-    )
-    return stream, header
+        ts.append(int(parts[1]))
+        xs.append(int(parts[2]) if has_x else -1)
+    return EventStream(detector=det, time_ns=ts, x_bin=xs, n_bins=header.n_bins), header
 
 
 def read_triples_lines(path) -> tuple[TripleBatch, SimStreamHeader]:

@@ -350,9 +350,10 @@ def test_simulate_refuses_a_bad_field_in_a_middle_chunk(
 ):
     """Each chunk of events.csv is checked before it is written; a refusal removes the file.
 
-    The fourth chunk's fifth record gets an id past the row grammar, after
-    three chunks have been written: exit 2, the writer's one-line message
-    naming the record's row in the file, and no --out, which the run made.
+    The fourth chunk's last record gets a time past the row grammar, after
+    three chunks have been written; the matcher takes it, as the chunk is
+    still time-sorted.  Exit 2, the writer's one-line message naming the
+    record's row in the file, and no --out, which the run made.
     """
     from qeraser import events
 
@@ -363,8 +364,8 @@ def test_simulate_refuses_a_bad_field_in_a_middle_chunk(
         row = 0
         for i, piece in enumerate(stream_chunks(*args)):
             if i == 3:
-                piece.event_id[4] = 10**18
-                bad_chunks.row = row + 4
+                piece.time_ns[-1] = 10**18
+                bad_chunks.row = row + len(piece) - 1
             row += len(piece)
             yield piece
 
@@ -373,7 +374,7 @@ def test_simulate_refuses_a_bad_field_in_a_middle_chunk(
     argv = ["simulate", "--config", str(small_config_path), "--out", str(out), "--background-rate", rate]
     assert cli.main(argv) == 2
     assert one_line_error(capsys) == (
-        f"qeraser: cannot write event log: event_id 1000000000000000000 in row {bad_chunks.row} "
+        f"qeraser: cannot write event log: time_ns 1000000000000000000 in row {bad_chunks.row} "
         "is outside -999999999999999999..999999999999999999\n"
     )
     assert not out.exists()
@@ -479,10 +480,13 @@ def test_a_negative_seed_is_refused_naming_the_flag_before_any_work(
 
 
 @pytest.mark.parametrize("rate", ["1e30", "inf", "2e11"])
-def test_simulate_refuses_a_background_rate_past_the_event_ids(
+def test_simulate_refuses_a_background_rate_past_the_declarable_rows(
     tmp_path, small_config_path, monkeypatch, capsys, rate
 ):
-    """8,000 triples 1000 ns apart: over 1.25e11 dark counts per ns would pass 10^18 - 1 ids."""
+    """8,000 triples 1000 ns apart: over 1.25e11 dark counts per ns would pass 10^18 - 1 rows.
+
+    events.csv's header declares its row count, n_rows, which must fit the row grammar.
+    """
     monkeypatch.setattr(cli, "event_chunks", no_work("simulate"))
     out = tmp_path / "sim"
     argv = ["simulate", "--config", str(small_config_path), "--out", str(out), "--background-rate", rate]
@@ -521,7 +525,7 @@ def test_simulate_out_of_memory_exits_2(tmp_path, small_config_path, monkeypatch
 def test_simulate_refuses_a_run_larger_than_the_free_disk(
     tmp_path, small_config_path, monkeypatch, capsys
 ):
-    """1e10 dark counts per ns over 8e6 ns is 8e16 events: 6.4e17 bytes of events.csv or more.
+    """1e10 dark counts per ns over 8e6 ns is 8e16 events: 4.8e17 bytes of events.csv or more.
 
     The dark counts are drawn a window at a time, so no allocation refuses
     such a run; the disk check does, before any draw.
@@ -532,7 +536,7 @@ def test_simulate_refuses_a_run_larger_than_the_free_disk(
     assert cli.main(argv) == 2
     assert one_line_error(capsys).startswith(
         "qeraser: the run expects 8e+16 event records at --background-rate 10000000000.0 "
-        "and 8000 triples, at least 6.4e+17 bytes of events.csv, triples.csv and their spill, but "
+        "and 8000 triples, at least 4.8e+17 bytes of events.csv, triples.csv and their spill, but "
     )
     assert not out.exists()
 
@@ -541,7 +545,7 @@ def test_simulate_refuses_a_run_larger_than_the_free_disk(
 def test_simulate_checks_the_free_disk_where_out_will_be(
     tmp_path, small_config_path, monkeypatch, capsys, spare, code
 ):
-    """8,000 triples 1000 ns apart at 1e-3 per ns expect 32,000 rows, 8 bytes each at least.
+    """8,000 triples 1000 ns apart at 1e-3 per ns expect 32,000 rows, 6 bytes each at least.
 
     The triples take 11 bytes each at least, twice: in the spill and in
     triples.csv.  The free bytes are read on --out's nearest existing
@@ -555,7 +559,7 @@ def test_simulate_checks_the_free_disk_where_out_will_be(
 
     def disk_usage(path):
         asked.append(Path(path))
-        return SimpleNamespace(total=10**12, used=0, free=32_000 * 8 + 2 * 8_000 * 11 + spare)
+        return SimpleNamespace(total=10**12, used=0, free=32_000 * 6 + 2 * 8_000 * 11 + spare)
 
     monkeypatch.setattr(shutil, "disk_usage", disk_usage)
     if code:
@@ -567,8 +571,8 @@ def test_simulate_checks_the_free_disk_where_out_will_be(
     if code:
         assert one_line_error(capsys) == (
             "qeraser: the run expects 3.2e+04 event records at --background-rate 0.001 "
-            "and 8000 triples, at least 4.32e+05 bytes of events.csv, triples.csv and their "
-            f"spill, but {tmp_path} has 431999 bytes free\n"
+            "and 8000 triples, at least 3.68e+05 bytes of events.csv, triples.csv and their "
+            f"spill, but {tmp_path} has 367999 bytes free\n"
         )
         assert not (tmp_path / "a").exists()
     else:
@@ -911,7 +915,7 @@ def test_decode_refuses_an_event_log(tmp_path, small_config_path, capsys):
     assert cli.main(decode_argv(small_config_path, path, tmp_path / "dec")) == 2
     assert one_line_error(capsys) == (
         f"qeraser: bad triples file {path}: "
-        "stream header tag 'qeraser-event-log v1' is not 'qeraser-triples v2'\n"
+        "stream header tag 'qeraser-event-log v2' is not 'qeraser-triples v2'\n"
     )
 
 

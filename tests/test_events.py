@@ -202,7 +202,6 @@ def test_emit_structure(small_config):
     n = len(tr)
     assert len(st) == 3 * n
     assert np.all(np.diff(st.time_ns) >= 0)
-    assert len(np.unique(st.event_id)) == 3 * n
     is_d0 = st.detector == CODE_D0
     assert is_d0.sum() == n
     assert np.all(st.x_bin[is_d0] >= 0)
@@ -263,7 +262,6 @@ def test_match_rejects_nonpositive_block_period(small_config, kw):
 
 def test_match_rejects_unsorted():
     st = EventStream(
-        event_id=[0, 1],
         detector=[CODE_D0, 1],
         time_ns=[50, 10],
         x_bin=[3, -1],
@@ -297,20 +295,15 @@ def test_background_poisson_count(small_config):
 
 
 def test_background_preserves_original_records(small_config):
+    """The lexsort oracle's merge, whose dark mask leaves the original records, in order."""
     st = emit_events(sample_triples(small_config, seed=0), small_config, seed=0)
     noisy = inject_background(st, 5e-5, seed=1)
-    original = {
-        int(i): (int(d), int(t), int(x))
-        for i, d, t, x in zip(st.event_id, st.detector, st.time_ns, st.x_bin)
-    }
-    kept = 0
-    for i, d, t, x in zip(noisy.event_id, noisy.detector, noisy.time_ns, noisy.x_bin):
-        if int(i) in original:
-            assert original[int(i)] == (int(d), int(t), int(x))
-            kept += 1
-    assert kept == len(st)
-    # background ids are fresh and x_bin follows the D0 rule
-    bg = ~np.isin(noisy.event_id, st.event_id)
+    want, bg = oracles.background_lexsort(st, 5e-5, seed=1)
+    assert bg.any()
+    for name in EVENT_DTYPES:
+        np.testing.assert_array_equal(getattr(noisy, name), getattr(want, name), err_msg=name)
+        np.testing.assert_array_equal(getattr(noisy, name)[~bg], getattr(st, name), err_msg=name)
+    # the dark counts' x_bin follows the D0 rule
     assert np.all(noisy.x_bin[bg & (noisy.detector != CODE_D0)] == -1)
     assert np.all(noisy.x_bin[bg & (noisy.detector == CODE_D0)] >= 0)
 
@@ -318,7 +311,6 @@ def test_background_preserves_original_records(small_config):
 def test_background_refuses_an_unsorted_stream(small_config):
     st = emit_events(sample_triples(small_config, seed=0), small_config, seed=0)
     backwards = EventStream(
-        event_id=st.event_id[::-1],
         detector=st.detector[::-1],
         time_ns=st.time_ns[::-1],
         x_bin=st.x_bin[::-1],
@@ -362,11 +354,11 @@ def test_triple_batch_validation():
 def test_event_stream_refuses_unknown_detector_codes(code):
     """Codes are held as int8, so 256 must not pass as D0."""
     with pytest.raises(ValueError, match=rf"^detector {code} is outside 0\.\.8$"):
-        EventStream(event_id=[0, 1], detector=[0, code], time_ns=[0, 1], x_bin=[3, -1], n_bins=8)
+        EventStream(detector=[0, code], time_ns=[0, 1], x_bin=[3, -1], n_bins=8)
 
 
 def _event(**columns):
-    row = {"event_id": [0], "detector": [CODE_D0], "time_ns": [0], "x_bin": [3], **columns}
+    row = {"detector": [CODE_D0], "time_ns": [0], "x_bin": [3], **columns}
     return EventStream(**row, n_bins=8)
 
 
@@ -401,7 +393,7 @@ def test_records_refuse_a_value_their_column_cannot_hold(build, column, values, 
     assert str(info.value) == message
 
 
-EVENT_DTYPES = {"event_id": np.int64, "detector": np.int8, "time_ns": np.int64, "x_bin": np.int32}
+EVENT_DTYPES = {"detector": np.int8, "time_ns": np.int64, "x_bin": np.int32}
 TRIPLE_DTYPES = {
     "triple_id": np.int64,
     "x_bin": np.int32,
@@ -493,7 +485,7 @@ def test_event_log_roundtrip(tmp_path, small_config):
     oracles.write_event_log(path, st, hdr)
     again, hdr2 = read_event_log(path)
     assert hdr2 == hdr
-    for name in ("event_id", "detector", "time_ns", "x_bin"):
+    for name in EVENT_DTYPES:
         np.testing.assert_array_equal(getattr(again, name), getattr(st, name))
     # a second write of the re-read stream is byte-identical
     path2 = tmp_path / "events2.csv"
@@ -515,9 +507,9 @@ def test_event_log_truncation_detected(tmp_path, small_config):
 @pytest.mark.parametrize(
     "write, drop, message",
     [
-        ("triples", None, "tag 'qeraser-triples v2' is not 'qeraser-event-log v1'"),
-        ("events", "# qeraser-event-log v1", f"tag 'tool_version={__version__}' is not"),
-        ("events", "# columns=", "columns None is not 'event_id,detector,time_ns,x_bin'"),
+        ("triples", None, "tag 'qeraser-triples v2' is not 'qeraser-event-log v2'"),
+        ("events", "# qeraser-event-log v2", f"tag 'tool_version={__version__}' is not"),
+        ("events", "# columns=", "columns None is not 'detector,time_ns,x_bin'"),
     ],
     ids=["triples-file", "no-tag", "no-columns"],
 )
@@ -536,6 +528,26 @@ def test_event_log_reader_checks_the_tag_and_columns_line(
     path.write_text("".join(line for line in lines if not (drop and line.startswith(drop))))
     with pytest.raises(ValueError, match=f"^stream header {re.escape(message)}"):
         read_event_log(path)
+
+
+def test_event_log_reader_refuses_a_v1_log(tmp_path, small_config):
+    """A v1 log, with an event_id column first, is refused by its tag, in one line."""
+    path = tmp_path / "events.csv"
+    stream = emit_events(sample_triples(small_config, seed=0), small_config, seed=0)
+    oracles.write_event_log(path, stream, header_for(small_config))
+    v1 = []
+    for i, line in enumerate(path.read_text().splitlines(keepends=True)):
+        if line.startswith("# qeraser-event-log"):
+            line = "# qeraser-event-log v1\n"
+        elif line.startswith("# columns="):
+            line = "# columns=event_id,detector,time_ns,x_bin\n"
+        elif not line.startswith("#"):
+            line = f"{i},{line}"
+        v1.append(line)
+    path.write_text("".join(v1))
+    with pytest.raises(ValueError) as info:
+        read_event_log(path)
+    assert str(info.value) == "stream header tag 'qeraser-event-log v1' is not 'qeraser-event-log v2'"
 
 
 def test_triples_roundtrip(tmp_path, small_config):
@@ -610,14 +622,15 @@ def test_triples_grammar_rejects(tmp_path, small_config, row, message):
 @pytest.mark.parametrize(
     "row, message",
     [
-        ("5,D0,10,1_0", "bad integer '1_0'"),
-        ("5,D0,+10,3", "bad integer '\\+10'"),
-        ("5,D0,-12345678901234567890,3", "bad integer"),
-        ("5,D0,10,2147483648", "x_bin 2147483648 is outside -2147483648..2147483647"),
-        ("5,D1,10,3", "x_bin presence"),
-        ("5,D0,10,", "x_bin presence"),
-        ("5,D9,10,", "unknown detector 'D9'"),
-        ("5,D0,10,3,4", "malformed event row"),
+        ("D0,10,1_0", "bad integer '1_0'"),
+        ("D0,+10,3", "bad integer '\\+10'"),
+        ("D0,-12345678901234567890,3", "bad integer"),
+        ("D0,10,2147483648", "x_bin 2147483648 is outside -2147483648..2147483647"),
+        ("D1,10,3", "x_bin presence"),
+        ("D0,10,", "x_bin presence"),
+        ("D9,10,", "unknown detector 'D9'"),
+        ("D0,10,3,4", "malformed event row"),
+        ("5,D0,10,3", "malformed event row"),
     ],
 )
 def test_event_log_grammar_rejects(tmp_path, small_config, row, message):
@@ -641,8 +654,8 @@ def test_grammar_keeps_blank_lines_and_crlf(tmp_path, small_config):
 
 # ---------------------------------------------------------------------------
 # memory: each stream step's traced peak in bytes per record.  The columns
-# take 21 bytes per event record (8 id, 1 detector, 8 time, 4 x_bin) and 22
-# per triple (8 id, 4 x_bin, 1 + 1 outcomes, 8 block).
+# take 13 bytes per event record (1 detector, 8 time, 4 x_bin) and 22 per
+# triple (8 id, 4 x_bin, 1 + 1 outcomes, 8 block).
 # ---------------------------------------------------------------------------
 
 
@@ -659,7 +672,12 @@ def _traced(step, *args, **kwargs):
 
 
 def _peak_per_record(step, *args):
-    """(result, traced peak allocation during step / records it returns)."""
+    """(result, traced peak allocation during step / records it returns).
+
+    step runs once untraced first, so the small objects the interpreter
+    keeps for reuse are already made, whatever ran before.
+    """
+    step(*args)
     result, peak = _traced(step, *args)
     return result, peak / len(result)
 
@@ -671,23 +689,26 @@ def _noisy_stream(config):
 MEMORY_CONFIG = make_config(bits=(1, 0) * 20, block_size=500)
 
 
+@pytest.mark.traced
 def test_stream_steps_hold_each_record_about_once():
     """Bounds on the stream steps' temporaries; a whole-stream sort or concat breaks them.
 
-    Measured here: 32 bytes per triple sampled, 21.1 per record emitted and
-    25.0 per record out of the merge.  With int64 columns the same steps
-    took 50, 32 and 36; a lexsort build 82, 80 and 96 (int64); a merge that
-    held every dark column to the end, 43 (int64).
+    Measured here: 35.4 bytes per triple sampled, 16.4 per record emitted
+    and 16.6 per record out of the merge; with an int64 record id column,
+    21.7 and 24.6.  With int64 columns and the id the same steps took 50, 32
+    and 36; a lexsort build 82, 80 and 96 (int64); a merge that held every
+    dark column to the end, 43 (int64).
     """
     triples, sampled = _peak_per_record(sample_triples, MEMORY_CONFIG, 0)
     stream, emitted = _peak_per_record(emit_events, triples, MEMORY_CONFIG, 0)
     noisy, merged = _peak_per_record(inject_background, stream, 2e-3, 0)
     assert len(noisy) > len(stream) + 30_000
     assert sampled <= 36
-    assert emitted <= 24
-    assert merged <= 28
+    assert emitted <= 18
+    assert merged <= 19
 
 
+@pytest.mark.traced
 def test_matcher_holds_less_than_its_input(monkeypatch):
     """The matcher holds its outputs, 22 bytes per matched triple, plus one slice's temporaries.
 
@@ -733,11 +754,12 @@ def _simulated(config, out, rate=2e-3):
     return records, matched
 
 
+@pytest.mark.traced
 def test_simulate_holds_one_chunk_and_one_dark_window(tmp_path, monkeypatch):
     """simulate's traced peak is one chunk's and one window's, whatever the run's length.
 
     Between pieces the stream path holds what is left of the dark-count
-    window being cut (at most _DARK_WINDOW dark counts on average, 21 bytes
+    window being cut (at most _DARK_WINDOW dark counts on average, 13 bytes
     each) and the matcher's queues; the idler delays are drawn chunk by
     chunk and the matched triples go to the spill as rows, so nothing is
     held per triple.  A piece ends at the next chunk's first D0 or at its
@@ -750,11 +772,13 @@ def test_simulate_holds_one_chunk_and_one_dark_window(tmp_path, monkeypatch):
     Each case runs once before it is traced, so the small objects the
     interpreter keeps for reuse are already made; the tests run before it
     then move a reading by at most 7%.  Measured here with 1,000-triple
-    chunks: 1,016, 1,102 and 1,086 bytes per chunk triple at 2e-3 dark
-    counts per ns over 40, 80 and 160 blocks of 500 triples; 1,852, 1,830
-    and 1,821 over 10 blocks at 16e-3, 32e-3 and 64e-3.  The first doubling
-    adds 8.4%, 5.5% of it the window growing from 13,286 to 15,960 dark
-    counts (56 kB); the window is full from 80 blocks on.  A window is let
+    chunks: 798, 852 and 871 bytes per chunk triple at 2e-3 dark counts per
+    ns over 40, 80 and 160 blocks of 500 triples; 1,547, 1,525 and 1,514
+    over 10 blocks at 16e-3, 32e-3 and 64e-3.  The first doubling adds
+    6.8%, 4.4% of it the window growing from 13,286 to 15,960 dark counts
+    (35 kB); the window is full from 80 blocks on.  The figures below were
+    taken with an int64 record id column, which took 1,016, 1,102 and 1,086
+    and 1,852, 1,830 and 1,821 in the same cases.  A window is let
     go before the piece that takes its last dark counts is made, and the
     background generator holds none between windows: holding the spent
     window until the next was drawn took 1,146 at 160 blocks and 2,192,
@@ -774,12 +798,12 @@ def test_simulate_holds_one_chunk_and_one_dark_window(tmp_path, monkeypatch):
         (records, matched), peak[repeat, rate] = _traced(_simulated, config, tmp_path, rate)
         assert records - 3 * n > n
         assert read_triples(tmp_path / "triples.csv")[0].triple_id.tolist() == list(range(matched))
-    assert peak[20, 2e-3] <= 1100 * events._CHUNK_TRIPLES
+    assert peak[20, 2e-3] <= 900 * events._CHUNK_TRIPLES
     assert peak[40, 2e-3] <= 1.1 * peak[20, 2e-3]  # the window grows by 2,674 dark counts
     assert peak[80, 2e-3] <= 1.06 * peak[40, 2e-3]
     # 64e-3 per ns puts about 64,000 dark counts, four windows, in each chunk
     assert peak[5, 64e-3] <= peak[5, 32e-3] <= peak[5, 16e-3]
-    assert peak[5, 16e-3] <= 1100 * events._CHUNK_TRIPLES + 55 * events._DARK_WINDOW
+    assert peak[5, 16e-3] <= 900 * events._CHUNK_TRIPLES + 55 * events._DARK_WINDOW
 
 
 def test_triple_ids_are_row_numbers_across_passes(tmp_path, monkeypatch):
@@ -814,6 +838,7 @@ def test_triple_ids_are_row_numbers_across_passes(tmp_path, monkeypatch):
         np.testing.assert_array_equal(getattr(rematched, name), getattr(triples, name), name)
 
 
+@pytest.mark.traced
 def test_write_text_holds_one_chunk(tmp_path):
     """The text writer lets go of each chunk once it is hashed and written.
 
@@ -830,6 +855,7 @@ def test_write_text_holds_one_chunk(tmp_path):
     assert peak <= 1.5 * size
 
 
+@pytest.mark.traced
 def test_decode_holds_one_pass_not_the_triples(tmp_path):
     """decode's traced peak stays level when the triples file doubles.
 
@@ -912,14 +938,16 @@ def test_chunked_draws_equal_one_whole_draw(monkeypatch):
         np.testing.assert_array_equal(emitted, delays[:m])
 
 
+@pytest.mark.traced
 @pytest.mark.parametrize("which", ["events", "triples"])
 def test_readers_hold_each_record_about_once(tmp_path, monkeypatch, which):
     """A reader peaks at its columns plus one read's bytes and one block's indexes.
 
-    Measured here at 8 kB reads: 22.0 bytes per event record and 28.1 per
-    triple (at 16 kB reads, 22.9 and 30.9).  The whole file held beside
-    int64 columns took 53 and 65; newline and separator indexes over the
-    whole file, 90 and 115.
+    Measured here at 8 kB reads: 14.4 bytes per event record and 28.1 per
+    triple (at 16 kB reads, 14.9 and 30.9); 22.0 per event record with an
+    int64 record id column.  The whole file held beside int64 columns took
+    53 and 65; newline and separator indexes over the whole file, 90 and
+    115 (both with the id column).
     """
     # so the file spans many reads and blocks: 32 of them for the triples file
     monkeypatch.setattr(events, "_READ_BYTES", 1 << 13)
@@ -929,7 +957,7 @@ def test_readers_hold_each_record_about_once(tmp_path, monkeypatch, which):
     path = tmp_path / "stream.csv"
     if which == "events":
         oracles.write_event_log(path, noisy, hdr)
-        read, bound = read_event_log, 25
+        read, bound = read_event_log, 17
     else:
         spacing = triple_spacing_ns(MEMORY_CONFIG.pair_rate_scale)
         batch, _ = match_coincidences(noisy, 20, block_size=500, spacing_ns=spacing)

@@ -36,8 +36,8 @@ SINGLE = CONFIGS / "single_default.json"
 GOLDEN = {
     "patterns_double": "4a15a9b456194e0e25b2e8ca43cd41fa44bc5ae4dfb7dccf37181b6f907fbbe0",
     "patterns_single": "eb07e2e8b43095c6ea8e84d8d272c2fc971bf49bdc418ef3d57b28f4501e80b0",
-    "simulate": "f7dc5c18a2faedb429550ef7d0661204ca73b5b6af5d0488a5d469a3a8221a25",
-    "simulate_background": "1dfeec5ddce0d9652795257beb21c72093e98e4c253ef85fd865d8977f25c866",
+    "simulate": "61cadcfaaf3b74d6fff60f6588420f726010ab7b55123ce2560ece812101d35a",
+    "simulate_background": "7e68eaa3b8d1148ac2a7bc6788bf9bcbb88aefd4d1fe24f495969e3370288246",
     "decode_omniscient": "6a1a0605a72bbcbd5ab04bb14f132cd5b2046e79f3571118ea723471e9e88a03",
     "decode_alisha": "30af981c16de8dc38faf89bec9bdc26f2085c9fe8b5d49fc08ac33ac32d9a766",
     "sweep": "79a4c4fd4ee3cef607f0032eeb8708680652746aa5119770d967425259b149d5",

@@ -38,7 +38,7 @@ import oracles
 from conftest import make_config
 
 TRIPLE_COLUMNS = ("triple_id", "x_bin", "babu", "alisha", "block_index")
-EVENT_COLUMNS = ("event_id", "detector", "time_ns", "x_bin")
+EVENT_COLUMNS = ("detector", "time_ns", "x_bin")
 BIG = 10**18 - 1  # the largest magnitude an int64 field may hold
 X_MIN, X_MAX = -(2**31), 2**31 - 1  # x_bin is int32
 
@@ -91,9 +91,7 @@ def random_stream(seed, n_triples, spacing, rate, n_cluster, n_bins=8) -> EventS
     order = np.lexsort((rng.random(len(t)), t))  # ties in random order
     code = code[order]
     x = np.where(code == CODE_D0, rng.integers(0, n_bins, len(t)), -1)
-    return EventStream(
-        event_id=rng.permutation(len(t)), detector=code, time_ns=t[order], x_bin=x, n_bins=n_bins
-    )
+    return EventStream(detector=code, time_ns=t[order], x_bin=x, n_bins=n_bins)
 
 
 def assert_batches_equal(got: TripleBatch, want: TripleBatch):
@@ -150,17 +148,14 @@ def test_stream_build_equals_lexsort_build(seed, bits, block_size, pair_rate_sca
     target=st.sampled_from(window_targets),
 )
 def test_background_merge_equals_lexsort_on_any_sorted_stream(monkeypatch, seed, n, span, rate, target):
-    """Any stream sorted by (time, id), ties and id gaps included, in any number of windows."""
+    """Any time-sorted stream, ties included, in any number of windows."""
     monkeypatch.setattr(events, "_DARK_WINDOW", target)
     rng = np.random.default_rng(seed)
-    t = rng.integers(0, span + 1, n)
-    ids = rng.choice(3 * n + 1, n, replace=False)
-    order = np.lexsort((ids, t))
+    t = np.sort(rng.integers(0, span + 1, n))
     code = rng.integers(0, len(DETECTOR_LABELS), n)
     stream = EventStream(
-        event_id=ids[order],
         detector=code,
-        time_ns=t[order],
+        time_ns=t,
         x_bin=np.where(code == CODE_D0, rng.integers(0, 8, n), -1),
         n_bins=8,
     )
@@ -175,8 +170,9 @@ def test_event_chunks_join_to_the_whole_stream_build(monkeypatch, chunk, target)
 
     Both draw the dark counts window by window from one generator.  A piece
     ends at the next batch's first D0 or at its window's end, whichever
-    comes first, so each piece is non-empty, its signal records (ids below
-    3n) come from one batch and its dark counts from one window.  The
+    comes first, so each piece is non-empty and its times fall in one cell
+    between consecutive batch starts and window ends: its signal records
+    come from one batch and its dark counts from one window.  The
     background's span ends at the last triple's later idler, which
     event_chunks reads off the last chunk of its pass over the delays: 89
     leaves that chunk one triple, and 45 makes two full chunks.
@@ -199,20 +195,19 @@ def test_event_chunks_join_to_the_whole_stream_build(monkeypatch, chunk, target)
         # the windows themselves: empty ones where a window holds about one dark
         # count, and windows that hold dark counts on both sides of a chunk's edge
         t1 = int(stream.time_ns[-1])
-        total, windows = events._dark_windows(rate, 0, t1, stream.n_bins, 3 * n, seed)
-        counts, straddled = [], 0
-        for _, columns in windows:
+        total, windows = events._dark_windows(rate, 0, t1, stream.n_bins, seed)
+        counts, ends, straddled = [], [], 0
+        for end, columns in windows:
             times = columns["time_ns"]
             counts.append(len(times))
+            ends.append(end)
             straddled += int(((times.min(initial=t1) < cuts) & (cuts <= times.max(initial=0))).sum())
         assert sum(counts) == total == len(whole) - 3 * n
         assert len(counts) == max(1, -(-total // target))
-        ends = 3 * n + np.cumsum(counts)  # one past each window's last dark id
+        cells = np.union1d(cuts, ends)
         for piece in pieces:
-            signal = piece.event_id < 3 * n
             assert len(piece)
-            assert len(np.unique(piece.event_id[signal] // 3 // chunk)) <= 1
-            assert len(np.unique(np.searchsorted(ends, piece.event_id[~signal], side="right"))) <= 1
+            assert len(np.unique(np.searchsorted(cells, piece.time_ns, side="right"))) == 1
         if rate != 0.5:
             continue
         assert (0 in counts) == (target == 1)
@@ -317,7 +312,6 @@ def test_matcher_carries_its_pointers_past_a_match_of_the_array_pass(monkeypatch
     """
     monkeypatch.setattr(events, "_CHUNK_TRIPLES", 3)
     stream = EventStream(
-        event_id=np.arange(9),
         detector=[CODE_D0, 1, 5, CODE_D0, 2, 6, CODE_D0, 3, 7],
         time_ns=[0, 3, 4, 100, 105, 106, 112, 115, 116],
         x_bin=[0, -1, -1, 1, -1, -1, 2, -1, -1],
@@ -401,9 +395,8 @@ def test_simulate_chunk_cuts_meet_dark_counts_and_open_windows(
     n = config.schedule.n_triples
     triples = oracles.sample_triples_concat(config, seed)
     stream = oracles.emit_events_lexsort(triples, config, seed)
-    stream = oracles.inject_background_lexsort(stream, rate, seed)
+    stream, dark = oracles.background_lexsort(stream, rate, seed)
     cuts = np.arange(chunk, n, chunk) * 40
-    dark = stream.event_id >= 3 * n
     assert np.isin(stream.time_ns[dark], cuts).any()
     d0 = stream.time_ns[stream.detector == CODE_D0]
     idlers = stream.time_ns[stream.detector != CODE_D0]
@@ -444,7 +437,6 @@ def random_events(rng, n, big) -> EventStream:
     hi = BIG if big else 1000
     code = rng.integers(0, len(DETECTOR_LABELS), n)
     return EventStream(
-        event_id=rng.integers(-hi, hi + 1, n),
         detector=code,
         time_ns=rng.integers(-hi, hi + 1, n),
         x_bin=np.where(code == CODE_D0, random_x_bin(rng, n, big), -1),
@@ -763,7 +755,6 @@ def test_writers_equal_fstring_rows(tmp_path, monkeypatch, data, n, chunk):
     codes = st.lists(st.integers(0, len(DETECTOR_LABELS) - 1), min_size=n, max_size=n)
     # x_bin on non-D0 rows is drawn too: the writer must leave it out whatever it holds
     stream = EventStream(
-        event_id=int_column(data, n),
         detector=data.draw(codes),
         time_ns=int_column(data, n),
         x_bin=int_column(data, n, x_bin_ints),
@@ -790,12 +781,10 @@ def test_writers_equal_fstring_rows(tmp_path, monkeypatch, data, n, chunk):
 def test_writers_cover_every_label(tmp_path):
     n = len(DETECTOR_LABELS)
     every = np.arange(n)
-    stream = EventStream(
-        event_id=every, detector=every, time_ns=every, x_bin=np.full(n, -1), n_bins=8
-    )
+    stream = EventStream(detector=every, time_ns=every, x_bin=np.full(n, -1), n_bins=8)
     oracles.write_event_log(tmp_path / "events.csv", stream, header())
     assert data_rows(tmp_path / "events.csv") == oracles.event_log_rows(stream).encode("ascii")
-    assert b"0,D0,0,-1\n" in data_rows(tmp_path / "events.csv")
+    assert b"D0,0,-1\n" in data_rows(tmp_path / "events.csv")
     every = np.arange(4)
     batch = TripleBatch(
         triple_id=every, x_bin=every, babu=every, alisha=every[::-1], block_index=every * 0
@@ -811,7 +800,7 @@ def test_writers_cover_every_label(tmp_path):
         ("triples", "block_index", -(2**63)),
         ("triples", "block_index", -(10**18)),
         ("events", "time_ns", 2**63 - 1),
-        ("events", "event_id", 10**18),
+        ("events", "time_ns", 10**18),
         ("events", "detector", len(DETECTOR_LABELS)),
         ("events", "detector", -1),
     ],
@@ -856,9 +845,9 @@ def test_event_log_pieces_must_hold_the_declared_rows(tmp_path, monkeypatch, dec
 def test_event_log_writer_ignores_x_bin_off_d0(tmp_path):
     """x_bin is not written on non-D0 rows, whatever int32 it holds there."""
     for x in (X_MIN, X_MAX):
-        stream = EventStream(event_id=[0], detector=[1], time_ns=[5], x_bin=[x], n_bins=8)
+        stream = EventStream(detector=[1], time_ns=[5], x_bin=[x], n_bins=8)
         oracles.write_event_log(tmp_path / "events.csv", stream, header())
-        assert data_rows(tmp_path / "events.csv") == b"0,D1,5,\n"
+        assert data_rows(tmp_path / "events.csv") == b"D1,5,\n"
 
 
 def test_x_bin_extremes_round_trip(tmp_path):
@@ -869,9 +858,7 @@ def test_x_bin_extremes_round_trip(tmp_path):
     batch = TripleBatch(
         triple_id=np.arange(n), x_bin=x, babu=np.arange(n) % 4, alisha=zeros, block_index=zeros
     )
-    stream = EventStream(
-        event_id=np.arange(n), detector=np.zeros(n), time_ns=np.arange(n), x_bin=x, n_bins=8
-    )
+    stream = EventStream(detector=np.zeros(n), time_ns=np.arange(n), x_bin=x, n_bins=8)
     oracles.write_triples(tmp_path / "triples.csv", batch, header())
     oracles.write_event_log(tmp_path / "events.csv", stream, header())
     assert data_rows(tmp_path / "triples.csv") == oracles.triples_rows(batch).encode("ascii")
