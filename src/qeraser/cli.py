@@ -206,10 +206,10 @@ def cmd_patterns(args) -> int:
 # ---------------------------------------------------------------------------
 
 
-# the shortest events.csv row: a two-letter label, a one-digit time, no x_bin
-_MIN_EVENT_ROW_BYTES = len("D1,0,\n")
+# the shortest events.csv row: a one-digit channel, a one-digit time, no x_bin
+_MIN_EVENT_ROW_BYTES = len("0,0,\n")
 # the shortest triples.csv row, which simulate writes twice: to its spill, then to triples.csv
-_MIN_TRIPLE_ROW_BYTES = len("0,0,D1,D1'\n")
+_MIN_TRIPLE_ROW_BYTES = len("0,0,0,0\n")
 
 
 def cmd_simulate(args) -> int:

@@ -733,13 +733,15 @@ def write_spilled_triples(path, spill, header: SimStreamHeader, n_rows: int) -> 
 
 # ---------------------------------------------------------------------------
 # Text formats.  '#'-prefixed key=value header, then one record per line.
-# Integers and fixed labels only, so identical runs are byte-identical.
+# Integers only, so identical runs are byte-identical; a channel column is an
+# index into the labels its header line names.
 #
 # Row grammar, checked by the readers and kept by the writers: header lines
 # only before the first data row; blank lines are skipped; fields are split on
 # ',' with no padding; an integer field is -?[0-9]{1,18} and fits its
-# column's dtype (int64 for every integer column but x_bin, which is int32);
-# labels are exact.  "\r\n" and "\r" line ends read as "\n".
+# column's dtype (int64 for every integer column but x_bin, which is int32),
+# and a channel lies among its labels' indices.  "\r\n" and "\r" line ends
+# read as "\n".
 # ---------------------------------------------------------------------------
 
 _INT_RE = re.compile(r"-?[0-9]{1,18}")
@@ -754,12 +756,13 @@ _READ_BYTES = 1 << 18  # bytes per read of a stream file, about one parse pass o
 class _Format:
     """One stream file kind: header tag, row noun and columns in file order.
 
-    A column is (name, None) for an integer, or (name, labels) for one of a
-    fixed label tuple, held in memory as its index into the tuple.  With
-    d0_x_bin, the x_bin field is present exactly on D0 rows, else empty (-1).
-    row_id, if given, names an integer column that a record holds but the
-    file does not: each row's number in the file, from 0.  Reader and
-    writer both work from this record, its header and its ranges.
+    A column is (name, None) for an integer, or (name, labels) for a channel,
+    written as its index into a fixed label tuple that the header names once,
+    as a <name>_labels= line.  With d0_x_bin, the x_bin field is present
+    exactly on D0 rows, else empty (-1).  row_id, if given, names an integer
+    column that a record holds but the file does not: each row's number in
+    the file, from 0.  Reader and writer both work from this record, its
+    header and its ranges.
     """
 
     tag: str
@@ -779,12 +782,18 @@ class _Format:
         return self.names + ((self.row_id,) if self.row_id else ())
 
     @property
-    def header(self) -> tuple:
-        return self.tag, ",".join(self.names)
+    def labels(self) -> dict:
+        """The header's <name>_labels= values, one per channel column."""
+        return {f"{name}_labels": ",".join(labels) for name, labels in self.columns if labels}
+
+    @property
+    def header(self) -> dict:
+        """What a file of this kind's header must hold: its tag, columns= and labels lines."""
+        return {"tag": self.tag, "columns": ",".join(self.names), **self.labels}
 
     @functools.cached_property
     def ranges(self) -> tuple:
-        """Per column, (lo, hi): a label's index range, else its dtype's range within ±_MAX_INT."""
+        """Per column, (lo, hi): a channel's index range, else its dtype's range within ±_MAX_INT."""
         ints = [np.iinfo(_DTYPE[name]) for name in self.names]
         return tuple(
             (0, len(labels) - 1) if labels else (max(i.min, -_MAX_INT), min(i.max, _MAX_INT))
@@ -793,7 +802,7 @@ class _Format:
 
     @functools.cached_property
     def limits(self) -> dict:
-        """Per held column, (lo, hi) in memory: a label's range, else its dtype's whole range."""
+        """Per held column, (lo, hi) in memory: a channel's range, else its dtype's whole range."""
         ints = {name: np.iinfo(_DTYPE[name]) for name in self.held}
         limits = {name: (i.min, i.max) for name, i in ints.items()}
         limits.update((name, r) for (name, labels), r in zip(self.columns, self.ranges) if labels)
@@ -801,14 +810,14 @@ class _Format:
 
 
 _EVENT_LOG = _Format(
-    "qeraser-event-log v2",
+    "qeraser-event-log v3",
     "event log",
     "event",
     (("detector", DETECTOR_LABELS), ("time_ns", None), ("x_bin", None)),
     d0_x_bin=True,
 )
 _TRIPLES = _Format(
-    "qeraser-triples v2",
+    "qeraser-triples v3",
     "triples file",
     "triple",
     (("block_index", None), ("x_bin", None), ("babu", BABU_LABELS), ("alisha", ALISHA_LABELS)),
@@ -853,9 +862,9 @@ def _header_lines(pairs: dict, columns: str) -> list:
 
 
 def _stream_header(fmt: _Format, header: SimStreamHeader, n_rows: int) -> list:
-    """The header lines of a stream file of fmt's kind holding n_rows rows."""
-    tag, columns = fmt.header
-    return [tag, *_header_lines({**asdict(header), "n_rows": n_rows}, columns)]
+    """The header lines of a stream file of fmt's kind holding n_rows rows; labels come before columns=."""
+    pairs = {**asdict(header), "n_rows": n_rows, **fmt.labels}
+    return [fmt.tag, *_header_lines(pairs, ",".join(fmt.names))]
 
 
 def _row_bytes(fmt: _Format, part, first_row: int):
@@ -897,36 +906,25 @@ def _format_rows(fmt: _Format, columns) -> np.ndarray:
     Each field's width per row lays the rows out in one exact-size buffer;
     only the widths, a byte or two per field, are held for every field.
     The fields are then written right to left: each puts its separator,
-    then its bytes from the right, byte j only into rows whose field is
-    longer than j.  An integer is its decimal digits after an optional '-';
-    a label is its big-endian key (as _parse_labels packs it) in base 256.
+    then its decimal digits from the right, digit j only into rows whose
+    field has more than j, then a '-' where it is negative.
     """
-    fields = list(zip(fmt.columns, columns, _written_fields(fmt, columns)))
-    right = np.full(len(columns[0]), len(fields), dtype=np.int64)  # a separator per field
+    right = np.full(len(columns[0]), len(columns), dtype=np.int64)  # a separator per field
     widths = []  # per field: (digit count, rows with a '-')
-    for (_, labels), col, present in fields:
-        if labels is None:
-            value = _magnitudes(col)
-            n_digits = np.searchsorted(_POW10, value, side="right").astype(np.uint8)
-            n_digits += 1
-            n_digits *= present
-            widths.append((n_digits, (col < 0) & present))
-        else:
-            sizes = np.array([len(label) for label in labels], dtype=np.uint8)
-            widths.append((sizes[col], np.zeros(len(col), dtype=bool)))
+    for col, present in zip(columns, _written_fields(fmt, columns)):
+        n_digits = np.searchsorted(_POW10, _magnitudes(col), side="right").astype(np.uint8)
+        n_digits += 1
+        n_digits *= present
+        widths.append((n_digits, (col < 0) & present))
         right += widths[-1][0]
         right += widths[-1][1]
     np.cumsum(right, out=right)  # one past each row's '\n'
     buf = np.empty(int(right[-1]), dtype=np.uint8)
-    for f in reversed(range(len(fields))):
-        (_, labels), col, _ = fields[f]
+    for f in reversed(range(len(columns))):
         n_digits, neg = widths.pop()
         right -= 1
-        buf[right] = ord("\n" if f == len(fields) - 1 else ",")
-        if labels is None:
-            _put_digits(buf, right, _magnitudes(col), n_digits, 10, ord("0"))
-        else:
-            _put_digits(buf, right, _label_keys(labels)[col], n_digits, 256, 0)
+        buf[right] = ord("\n" if f == len(columns) - 1 else ",")
+        _put_digits(buf, right, _magnitudes(columns[f]), n_digits)
         right -= n_digits
         right -= neg
         buf[right[neg]] = ord("-")
@@ -939,20 +937,19 @@ def _magnitudes(col) -> np.ndarray:
     return np.abs(value, out=value)
 
 
-def _put_digits(buf, end, value, n_digits, base: int, zero: int) -> None:
-    """buf[end - n_digits : end] = each value's last n_digits base-`base` digits, plus zero.
+def _put_digits(buf, end, value, n_digits) -> None:
+    """buf[end - n_digits : end] = each value's last n_digits decimal digits.
 
     value is overwritten.
     """
     at = end - 1
-    zero = np.uint8(zero)
     for j in range(int(n_digits.max(initial=0))):
         live = n_digits > j
         if not live.all():
             at, value, n_digits = at[live], value[live], n_digits[live]
-        rest = value // base  # np.divmod takes several times longer
-        value -= rest * base  # the digit
-        buf[at] = value.astype(np.uint8) + zero
+        rest = value // 10  # np.divmod takes several times longer
+        value -= rest * 10  # the digit
+        buf[at] = value.astype(np.uint8) + np.uint8(ord("0"))
         value = rest
         at -= 1
 
@@ -968,15 +965,15 @@ class _StreamPasses:
 
     The file is read _READ_BYTES at a time: the header lines, which set
     n_rows, the row count the header declares, and must then carry fmt's
-    tag and columns= line, then each read's data rows, _CHUNK_ROWS lines at
-    a time, whose separators are indexed and whose fields are parsed.  Each
-    such pass is yielded as record(**columns), its rows' columns (name ->
-    array of the column's _DTYPE; with row_id, also the rows' numbers, which
-    run on from the pass before) in file order, while no fault is certain:
-    passes stop at a row with the wrong field count or one whose fields fail
-    to parse, and past n_rows rows or the rows a regular file of its size
-    could hold.  Later rows are only counted, and checked for their field
-    count up to the first wrong one.
+    tag, columns= and labels lines, then each read's data rows, _CHUNK_ROWS
+    lines at a time, whose separators are indexed and whose fields are
+    parsed.  Each such pass is yielded as record(**columns), its rows'
+    columns (name -> array of the column's _DTYPE; with row_id, also the
+    rows' numbers, which run on from the pass before) in file order, while
+    no fault is certain: passes stop at a row with the wrong field count or
+    one whose fields fail to parse, and past n_rows rows or the rows a
+    regular file of its size could hold.  Later rows are only counted, and
+    checked for their field count up to the first wrong one.
     After the last read the file's faults are raised in the order the row
     grammar ranks them, whichever pass they sit in: the row count, then the
     first row with the wrong field count, then the first row whose fields
@@ -996,7 +993,8 @@ class _StreamPasses:
             if "n_rows" not in meta:
                 raise ValueError("stream header missing field 'n_rows'")
             declared = self.n_rows = _header_int("n_rows", meta["n_rows"])
-            for key, got, want in zip(("tag", "columns"), (tag, meta.get("columns")), fmt.header):
+            for key, want in fmt.header.items():
+                got = tag if key == "tag" else meta.get(key)
                 if got != want:
                     raise ValueError(f"stream header {key} {got!r} is not {want!r}")
             # a row takes two bytes or more, so a larger count cannot be a regular file's
@@ -1132,19 +1130,16 @@ def _parse_rows(buf, fmt: _Format, start, end, comma, out) -> np.ndarray:
     """
     k = comma.shape[1]
     good = np.ones(len(start), dtype=bool)
-    for f, ((name, labels), (lo, hi)) in enumerate(zip(fmt.columns, fmt.ranges)):
+    for f, (name, (lo, hi)) in enumerate(zip(fmt.names, fmt.ranges)):
         left = start if f == 0 else comma[:, f - 1] + 1
         right = end if f == k else comma[:, f]
-        if labels is not None:
-            value, ok = _parse_labels(buf, left, right, labels)
-        else:
-            value, ok = _parse_ints(buf, left, right)
-            ok &= (value >= lo) & (value <= hi)
-            if fmt.d0_x_bin and name == "x_bin":
-                present = right > left
-                is_d0 = out[fmt.names.index("detector")] == CODE_D0
-                ok = (ok | ~present) & (present == is_d0)
-                value[~present] = -1
+        value, ok = _parse_ints(buf, left, right)
+        ok &= (value >= lo) & (value <= hi)
+        if fmt.d0_x_bin and name == "x_bin":
+            present = right > left
+            is_d0 = out[fmt.names.index("detector")] == CODE_D0
+            ok = (ok | ~present) & (present == is_d0)
+            value[~present] = -1
         out[f][:] = value
         good &= ok
     return good
@@ -1167,53 +1162,28 @@ def _parse_ints(buf, left, right) -> tuple[np.ndarray, np.ndarray]:
     return value, good
 
 
-def _parse_labels(buf, left, right, labels: tuple) -> tuple[np.ndarray, np.ndarray]:
-    """Indices into labels of the fields buf[left:right], and which hold a label.
-
-    Each field packs big-endian into an int64 key, looked up among the
-    labels' sorted keys.
-    """
-    keys = _label_keys(labels)
-    codes = np.argsort(keys)
-    keys = keys[codes]
-    longest = max(len(label) for label in labels)
-    width = right - left
-    key = np.zeros(len(left), dtype=np.int64)
-    for k in range(longest):
-        key = np.where(k < width, key * 256 + buf.take(left + k, mode="clip"), key)
-    idx = np.minimum(np.searchsorted(keys, key), len(keys) - 1)
-    good = (keys[idx] == key) & (width <= longest)  # an empty field packs to 0, no label
-    return codes[idx], good
-
-
-def _label_keys(labels: tuple) -> np.ndarray:
-    """Each label's ASCII bytes packed big-endian into an int64, in label order."""
-    return np.array(
-        [int.from_bytes(label.encode("ascii"), "big") for label in labels], dtype=np.int64
-    )
-
-
 def _row_error(fmt: _Format, line: str) -> str:
-    """Message naming the first rule of the row grammar that line breaks."""
+    """Message naming the first rule of the row grammar that line breaks.
+
+    The fields come first, in column order (an empty x_bin is checked
+    below); then whether x_bin is present exactly on the rows whose
+    detector field reads as channel 0, as the parser reads it.
+    """
     if line.startswith("#"):
         return f"header line after the first data row: {line!r}"
     fields = line.split(",")
     if len(fields) != len(fmt.columns):
         return f"malformed {fmt.noun} row: {line!r}"
-    for (name, labels), field in zip(fmt.columns, fields):
-        if labels is not None and field not in labels:
-            known = " ".join(labels)
-            return f"unknown {name} {field!r} in {fmt.noun} row (labels {known}): {line!r}"
-    row = dict(zip(fmt.names, fields))
-    if fmt.d0_x_bin and (row["x_bin"] != "") != (row["detector"] == DETECTOR_LABELS[CODE_D0]):
-        return f"x_bin presence inconsistent with detector: {line!r}"
-    for (name, labels), (lo, hi), field in zip(fmt.columns, fmt.ranges, fields):
-        if labels is not None or (fmt.d0_x_bin and name == "x_bin" and field == ""):
+    for name, (lo, hi), field in zip(fmt.names, fmt.ranges, fields):
+        if fmt.d0_x_bin and name == "x_bin" and field == "":
             continue
         if not _INT_RE.fullmatch(field):
             return f"bad integer {field!r} in {fmt.noun} row (want -?[0-9]{{1,18}}): {line!r}"
         if not lo <= int(field) <= hi:
             return f"{name} {field} is outside {lo}..{hi} in {fmt.noun} row: {line!r}"
+    row = dict(zip(fmt.names, fields))
+    if fmt.d0_x_bin and (row["x_bin"] != "") != (int(row["detector"]) == CODE_D0):
+        return f"x_bin presence inconsistent with detector: {line!r}"
     return f"malformed {fmt.noun} row: {line!r}"
 
 

@@ -96,7 +96,6 @@ from qeraser.optics import (
     unitary_from_angle,
 )
 
-_CODE_BY_LABEL = {label: code for code, label in enumerate(DETECTOR_LABELS)}
 
 PATH_A = "A"
 PATH_B = "B"
@@ -613,17 +612,23 @@ def simulate_whole(config: ExperimentConfig, header: SimStreamHeader, rate_per_n
         stream, window, block_size=header.block_size, spacing_ns=header.spacing_ns
     )
 
-    def text(tag, columns, n_rows, rows):
+    def text(tag, labels, columns, n_rows, rows):
         lines = [tag, f"tool_version={__version__}"]
         lines += [f"{f.name}={getattr(header, f.name)}" for f in fields(header)]
-        lines += [f"n_rows={n_rows}", f"columns={columns}"]
+        lines += [f"n_rows={n_rows}", *labels, f"columns={columns}"]
         return ("".join(f"# {line}\n" for line in lines) + rows).encode("utf-8")
 
     events_csv = text(
-        "qeraser-event-log v2", "detector,time_ns,x_bin", len(stream), event_log_rows(stream)
+        "qeraser-event-log v3",
+        EVENT_LABEL_LINES,
+        "detector,time_ns,x_bin",
+        len(stream),
+        event_log_rows(stream),
     )
     columns = "block_index,x_bin,babu,alisha"
-    triples_csv = text("qeraser-triples v2", columns, len(matched), triples_rows(matched))
+    triples_csv = text(
+        "qeraser-triples v3", TRIPLE_LABEL_LINES, columns, len(matched), triples_rows(matched)
+    )
     which_path = np.mean((matched.babu >= 2) | (matched.alisha >= 2)) if len(matched) else 0.0
     stdout = (
         f"sampled {len(triples)} triples over {len(config.schedule.bits)} blocks\n"
@@ -669,22 +674,76 @@ def _header_from_meta(meta: dict) -> SimStreamHeader:
         raise ValueError(f"stream header missing field {exc}") from exc
 
 
+# the header lines that name each channel column's labels, in index order
+EVENT_LABEL_LINES = ["detector_labels=" + ",".join(DETECTOR_LABELS)]
+TRIPLE_LABEL_LINES = ["babu_labels=" + ",".join(BABU_LABELS), "alisha_labels=" + ",".join(ALISHA_LABELS)]
+
+
 def event_log_rows(stream: EventStream) -> str:
-    """Event-log data rows, one f-string per row."""
+    """Event-log data rows, one f-string per row; detector is its channel number."""
     columns = (stream.detector, stream.time_ns, stream.x_bin)
     return "".join(
-        f"{DETECTOR_LABELS[d]},{t},{x if d == CODE_D0 else ''}\n"
-        for d, t, x in zip(*(c.tolist() for c in columns))
+        f"{d},{t},{x if d == CODE_D0 else ''}\n" for d, t, x in zip(*(c.tolist() for c in columns))
     )
 
 
 def triples_rows(batch: TripleBatch) -> str:
     """Triples data rows, one f-string per row; triple_id is not written."""
     columns = (batch.block_index, batch.x_bin, batch.babu, batch.alisha)
-    return "".join(
-        f"{b},{x},{BABU_LABELS[j]},{ALISHA_LABELS[k]}\n"
-        for b, x, j, k in zip(*(c.tolist() for c in columns))
-    )
+    return "".join(f"{b},{x},{j},{k}\n" for b, x, j, k in zip(*(c.tolist() for c in columns)))
+
+
+def _check_labels(meta: dict, lines: list) -> None:
+    """Refuse a header (meta) that does not hold each key=value line of lines."""
+    for line in lines:
+        key, want = line.split("=", 1)
+        if meta.get(key) != want:
+            raise ValueError(f"stream header {key} {meta.get(key)!r} is not {want!r}")
+
+
+# per stream file kind: each channel field's position and labels, and v1's id column
+_CHANNELS = {
+    "qeraser-event-log": {0: DETECTOR_LABELS},
+    "qeraser-triples": {2: BABU_LABELS, 3: ALISHA_LABELS},
+}
+_V1_ID = {"qeraser-event-log": "event_id", "qeraser-triples": "triple_id"}
+
+
+def _split_v3(text: str) -> tuple:
+    """A v3 stream file's (kind, header lines, data rows), each line with its end."""
+    lines = text.splitlines(keepends=True)
+    head = [line for line in lines if line.startswith("#")]
+    kind, version = head[0][2:].split()
+    assert version == "v3", head[0]
+    return kind, head, lines[len(head) :]
+
+
+def as_v2(text: str) -> str:
+    """A v3 stream file's text in the v2 layout: tagged v2, no labels lines, each channel its label.
+
+    These are the bytes the v2 writer gave for the same records.
+    """
+    kind, head, rows = _split_v3(text)
+    channels = _CHANNELS[kind]
+
+    def row(line):
+        fields = line.rstrip("\n").split(",")
+        for i, labels in channels.items():
+            fields[i] = labels[int(fields[i])]
+        return ",".join(fields) + "\n"
+
+    head = [f"# {kind} v2\n"] + [line for line in head[1:] if "_labels=" not in line]
+    return "".join(head) + "".join(row(line) for line in rows)
+
+
+def as_v1(text: str) -> str:
+    """A v3 stream file's text in the v1 layout: as_v2's, tagged v1, each row's number first."""
+    kind = _split_v3(text)[0]
+    lines = as_v2(text).splitlines(keepends=True)
+    n_head = sum(line.startswith("#") for line in lines)
+    head = "".join(lines[:n_head]).replace(" v2\n", " v1\n", 1)
+    head = head.replace("# columns=", f"# columns={_V1_ID[kind]},")
+    return head + "".join(f"{i},{row}" for i, row in enumerate(lines[n_head:]))
 
 
 def write_triples(path, batch: TripleBatch, header: SimStreamHeader) -> str:
@@ -704,10 +763,11 @@ def write_event_log(path, stream: EventStream, header: SimStreamHeader) -> str:
 
 
 def read_event_log_lines(path) -> tuple[EventStream, SimStreamHeader]:
-    """Event-log reader with one split and two int() calls per row."""
+    """Event-log reader with one split and three int() calls per row."""
     with open(path, "r", encoding="utf-8") as fh:
         meta, data = _parse_header(fh)
     header = _header_from_meta(meta)
+    _check_labels(meta, EVENT_LABEL_LINES)
     declared = int(meta.get("n_rows", -1))
     if declared != len(data):
         raise ValueError(
@@ -719,9 +779,7 @@ def read_event_log_lines(path) -> tuple[EventStream, SimStreamHeader]:
         parts = line.split(",")
         if len(parts) != 3:
             raise ValueError(f"malformed event row: {line!r}")
-        code = _CODE_BY_LABEL.get(parts[0])
-        if code is None:
-            raise ValueError(f"unknown detector {parts[0]!r}")
+        code = int(parts[0])
         has_x = parts[2] != ""
         if has_x != (code == CODE_D0):
             raise ValueError(f"x_bin presence inconsistent with detector: {line!r}")
@@ -732,29 +790,26 @@ def read_event_log_lines(path) -> tuple[EventStream, SimStreamHeader]:
 
 
 def read_triples_lines(path) -> tuple[TripleBatch, SimStreamHeader]:
-    """Triples reader with one split and two int() calls per row; triple_id is the row number."""
+    """Triples reader with one split and four int() calls per row; triple_id is the row number."""
     with open(path, "r", encoding="utf-8") as fh:
         meta, data = _parse_header(fh)
     header = _header_from_meta(meta)
+    _check_labels(meta, TRIPLE_LABEL_LINES)
     declared = int(meta.get("n_rows", -1))
     if declared != len(data):
         raise ValueError(
             f"triples file declares {declared} rows but contains {len(data)}; "
             "file is truncated or corrupt"
         )
-    babu_code = {label: i for i, label in enumerate(BABU_LABELS)}
-    alisha_code = {label: i for i, label in enumerate(ALISHA_LABELS)}
     blk, xb, jj, kk = [], [], [], []
     for line in data:
         parts = line.split(",")
         if len(parts) != 4:
             raise ValueError(f"malformed triple row: {line!r}")
-        if parts[2] not in babu_code or parts[3] not in alisha_code:
-            raise ValueError(f"unknown outcome labels in row: {line!r}")
         blk.append(int(parts[0]))
         xb.append(int(parts[1]))
-        jj.append(babu_code[parts[2]])
-        kk.append(alisha_code[parts[3]])
+        jj.append(int(parts[2]))
+        kk.append(int(parts[3]))
     tid = np.arange(len(data))
     batch = TripleBatch(triple_id=tid, x_bin=xb, babu=jj, alisha=kk, block_index=blk)
     return batch, header

@@ -25,7 +25,7 @@ from qeraser.experiment import (
 )
 from qeraser.optics import D1, GaussianEnvelope, UniformEnvelope, arm_tables
 
-from oracles import property_suite_loop, sweep_rows
+from oracles import as_v1, as_v2, property_suite_loop, sweep_rows
 
 EXACT = 1e-12
 
@@ -525,7 +525,7 @@ def test_simulate_out_of_memory_exits_2(tmp_path, small_config_path, monkeypatch
 def test_simulate_refuses_a_run_larger_than_the_free_disk(
     tmp_path, small_config_path, monkeypatch, capsys
 ):
-    """1e10 dark counts per ns over 8e6 ns is 8e16 events: 4.8e17 bytes of events.csv or more.
+    """1e10 dark counts per ns over 8e6 ns is 8e16 events: 4.0e17 bytes of events.csv or more.
 
     The dark counts are drawn a window at a time, so no allocation refuses
     such a run; the disk check does, before any draw.
@@ -536,7 +536,7 @@ def test_simulate_refuses_a_run_larger_than_the_free_disk(
     assert cli.main(argv) == 2
     assert one_line_error(capsys).startswith(
         "qeraser: the run expects 8e+16 event records at --background-rate 10000000000.0 "
-        "and 8000 triples, at least 4.8e+17 bytes of events.csv, triples.csv and their spill, but "
+        "and 8000 triples, at least 4e+17 bytes of events.csv, triples.csv and their spill, but "
     )
     assert not out.exists()
 
@@ -545,9 +545,9 @@ def test_simulate_refuses_a_run_larger_than_the_free_disk(
 def test_simulate_checks_the_free_disk_where_out_will_be(
     tmp_path, small_config_path, monkeypatch, capsys, spare, code
 ):
-    """8,000 triples 1000 ns apart at 1e-3 per ns expect 32,000 rows, 6 bytes each at least.
+    """8,000 triples 1000 ns apart at 1e-3 per ns expect 32,000 rows, 5 bytes each at least.
 
-    The triples take 11 bytes each at least, twice: in the spill and in
+    The triples take 8 bytes each at least, twice: in the spill and in
     triples.csv.  The free bytes are read on --out's nearest existing
     parent; a run that needs one byte more than that is refused before any
     draw, with one line.
@@ -559,7 +559,7 @@ def test_simulate_checks_the_free_disk_where_out_will_be(
 
     def disk_usage(path):
         asked.append(Path(path))
-        return SimpleNamespace(total=10**12, used=0, free=32_000 * 6 + 2 * 8_000 * 11 + spare)
+        return SimpleNamespace(total=10**12, used=0, free=32_000 * 5 + 2 * 8_000 * 8 + spare)
 
     monkeypatch.setattr(shutil, "disk_usage", disk_usage)
     if code:
@@ -571,8 +571,8 @@ def test_simulate_checks_the_free_disk_where_out_will_be(
     if code:
         assert one_line_error(capsys) == (
             "qeraser: the run expects 3.2e+04 event records at --background-rate 0.001 "
-            "and 8000 triples, at least 3.68e+05 bytes of events.csv, triples.csv and their "
-            f"spill, but {tmp_path} has 367999 bytes free\n"
+            "and 8000 triples, at least 2.88e+05 bytes of events.csv, triples.csv and their "
+            f"spill, but {tmp_path} has 287999 bytes free\n"
         )
         assert not (tmp_path / "a").exists()
     else:
@@ -868,36 +868,55 @@ def edited(*edits):
     return rewrite
 
 
-def as_v1(text):
-    """The triples file in the v1 layout: its tag, a triple_id column first, each row's number."""
-    lines = text.splitlines(keepends=True)
-    n_head = sum(line.startswith("#") for line in lines)
-    tag = ("qeraser-triples v2", "qeraser-triples v1")
-    head = edited(tag, (TRIPLES_COLUMNS, "triple_id," + TRIPLES_COLUMNS))("".join(lines[:n_head]))
-    return head + "".join(f"{i},{row}" for i, row in enumerate(lines[n_head:]))
+BABU_LABELS_LINE = "babu_labels=D1,D2,D3,D4"
+ALISHA_LABELS_LINE = "alisha_labels=D1',D2',D3',D4'"
+
+
+def dropped(line):
+    """A rewrite of a triples file's text without its header line '# line'."""
+
+    def rewrite(text):
+        assert f"# {line}\n" in text
+        return text.replace(f"# {line}\n", "", 1)
+
+    return rewrite
 
 
 @pytest.mark.parametrize(
     "rewrite, message",
     [
         (
-            edited(("qeraser-triples v2", "qeraser-event-log v7"), (TRIPLES_COLUMNS, PERMUTED_COLUMNS)),
-            "stream header tag 'qeraser-event-log v7' is not 'qeraser-triples v2'",
+            edited(("qeraser-triples v3", "qeraser-event-log v7"), (TRIPLES_COLUMNS, PERMUTED_COLUMNS)),
+            "stream header tag 'qeraser-event-log v7' is not 'qeraser-triples v3'",
         ),
-        (as_v1, "stream header tag 'qeraser-triples v1' is not 'qeraser-triples v2'"),
+        (as_v1, "stream header tag 'qeraser-triples v1' is not 'qeraser-triples v3'"),
+        (as_v2, "stream header tag 'qeraser-triples v2' is not 'qeraser-triples v3'"),
         (
             edited((TRIPLES_COLUMNS, PERMUTED_COLUMNS)),
             f"stream header columns {PERMUTED_COLUMNS!r} is not {TRIPLES_COLUMNS!r}",
         ),
+        (dropped(BABU_LABELS_LINE), "stream header babu_labels None is not 'D1,D2,D3,D4'"),
+        (
+            edited((ALISHA_LABELS_LINE, "alisha_labels=D2',D1',D3',D4'")),
+            "stream header alisha_labels \"D2',D1',D3',D4'\" is not \"D1',D2',D3',D4'\"",
+        ),
+        (
+            edited((BABU_LABELS_LINE, "babu_labels=D1,D2,D3,D5")),
+            "stream header babu_labels 'D1,D2,D3,D5' is not 'D1,D2,D3,D4'",
+        ),
     ],
-    ids=["mis-tagged", "v1", "permuted-columns"],
+    ids=[
+        "mis-tagged", "v1", "v2", "permuted-columns", "no-babu-labels", "reordered-alisha-labels",
+        "other-babu-labels",
+    ],
 )
 def test_decode_refuses_a_wrong_tag_or_columns_line_before_any_pass(
     tmp_path, small_config_path, monkeypatch, capsys, rewrite, message
 ):
-    """The header's tag and columns= line must be the triples file's own, rows read or not.
+    """The header's tag, columns= and labels lines must be the triples file's own, rows read or not.
 
-    A v1 file, whose rows lead with triple_id, is refused by its tag.
+    A v1 file, whose rows lead with triple_id, and a v2 file, whose rows
+    spell each outcome as its label, are refused by their tags.
     """
     path = simulated_triples(tmp_path, small_config_path)
     path.write_text(rewrite(path.read_text()))
@@ -915,7 +934,7 @@ def test_decode_refuses_an_event_log(tmp_path, small_config_path, capsys):
     assert cli.main(decode_argv(small_config_path, path, tmp_path / "dec")) == 2
     assert one_line_error(capsys) == (
         f"qeraser: bad triples file {path}: "
-        "stream header tag 'qeraser-event-log v2' is not 'qeraser-triples v2'\n"
+        "stream header tag 'qeraser-event-log v3' is not 'qeraser-triples v3'\n"
     )
 
 
@@ -940,8 +959,8 @@ def test_decode_faults_in_different_passes_keep_their_first_message(
     """
     path = simulated_triples(tmp_path, small_config_path)
     for row, field, value in faults:
-        set_field(path, row, 2, "D1")  # so both decoders select the row
-        set_field(path, row, 3, "D1'")
+        set_field(path, row, 2, "0")  # D1 and D1', so both decoders select the row
+        set_field(path, row, 3, "0")
         set_field(path, row, field, value)
     config = load_config(small_config_path)
     decoder = decode_omniscient if mode == "omniscient" else decode_alisha_only

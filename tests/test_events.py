@@ -504,11 +504,22 @@ def test_event_log_truncation_detected(tmp_path, small_config):
         read_event_log(path)
 
 
+def _written(tmp_path, config, which):
+    """The path of a file of which kind ("events" or "triples") written from config at seed 0."""
+    path = tmp_path / f"{which}.csv"
+    triples = sample_triples(config, seed=0)
+    if which == "triples":
+        oracles.write_triples(path, triples, header_for(config))
+    else:
+        oracles.write_event_log(path, emit_events(triples, config, seed=0), header_for(config))
+    return path
+
+
 @pytest.mark.parametrize(
     "write, drop, message",
     [
-        ("triples", None, "tag 'qeraser-triples v2' is not 'qeraser-event-log v2'"),
-        ("events", "# qeraser-event-log v2", f"tag 'tool_version={__version__}' is not"),
+        ("triples", None, "tag 'qeraser-triples v3' is not 'qeraser-event-log v3'"),
+        ("events", "# qeraser-event-log v3", f"tag 'tool_version={__version__}' is not"),
         ("events", "# columns=", "columns None is not 'detector,time_ns,x_bin'"),
     ],
     ids=["triples-file", "no-tag", "no-columns"],
@@ -517,37 +528,68 @@ def test_event_log_reader_checks_the_tag_and_columns_line(
     tmp_path, small_config, write, drop, message
 ):
     """The header's first line names the file kind, and its columns= line the layout."""
-    path = tmp_path / "file.csv"
-    triples = sample_triples(small_config, seed=0)
-    if write == "triples":
-        oracles.write_triples(path, triples, header_for(small_config))
-    else:
-        stream = emit_events(triples, small_config, seed=0)
-        oracles.write_event_log(path, stream, header_for(small_config))
+    path = _written(tmp_path, small_config, write)
     lines = path.read_text().splitlines(keepends=True)
     path.write_text("".join(line for line in lines if not (drop and line.startswith(drop))))
     with pytest.raises(ValueError, match=f"^stream header {re.escape(message)}"):
         read_event_log(path)
 
 
+READERS = {"events": (read_event_log, "qeraser-event-log"), "triples": (read_triples, "qeraser-triples")}
+
+
 def test_event_log_reader_refuses_a_v1_log(tmp_path, small_config):
     """A v1 log, with an event_id column first, is refused by its tag, in one line."""
-    path = tmp_path / "events.csv"
-    stream = emit_events(sample_triples(small_config, seed=0), small_config, seed=0)
-    oracles.write_event_log(path, stream, header_for(small_config))
-    v1 = []
-    for i, line in enumerate(path.read_text().splitlines(keepends=True)):
-        if line.startswith("# qeraser-event-log"):
-            line = "# qeraser-event-log v1\n"
-        elif line.startswith("# columns="):
-            line = "# columns=event_id,detector,time_ns,x_bin\n"
-        elif not line.startswith("#"):
-            line = f"{i},{line}"
-        v1.append(line)
-    path.write_text("".join(v1))
+    path = _written(tmp_path, small_config, "events")
+    path.write_text(oracles.as_v1(path.read_text()))
+    assert path.read_text().splitlines()[-1].split(",")[1] in DETECTOR_LABELS
     with pytest.raises(ValueError) as info:
         read_event_log(path)
-    assert str(info.value) == "stream header tag 'qeraser-event-log v1' is not 'qeraser-event-log v2'"
+    assert str(info.value) == "stream header tag 'qeraser-event-log v1' is not 'qeraser-event-log v3'"
+
+
+@pytest.mark.parametrize("which", sorted(READERS))
+def test_readers_refuse_a_v2_file_by_its_tag(tmp_path, small_config, which):
+    """A v2 file, its channels spelt as labels in every row, is refused by its tag, in one line."""
+    path = _written(tmp_path, small_config, which)
+    path.write_text(oracles.as_v2(path.read_text()))
+    read, kind = READERS[which]
+    with pytest.raises(ValueError) as info:
+        read(path)
+    assert str(info.value) == f"stream header tag '{kind} v2' is not '{kind} v3'"
+
+
+LABEL_LINES = {"events": oracles.EVENT_LABEL_LINES, "triples": oracles.TRIPLE_LABEL_LINES}
+
+
+def _relabel(line, edit):
+    key, labels = line.split("=")
+    labels = labels.split(",")
+    if edit == "reordered":
+        labels[0], labels[1] = labels[1], labels[0]
+    elif edit == "different":
+        labels[-1] = "D9"
+    elif edit == "short":
+        labels.pop()
+    return f"{key}={','.join(labels)}"
+
+
+@pytest.mark.parametrize("edit", ["missing", "reordered", "different", "short"])
+@pytest.mark.parametrize("which", sorted(READERS))
+def test_readers_refuse_a_labels_line_not_their_own(tmp_path, small_config, which, edit):
+    """Each channel's labels line must name its labels in index order, or the file is refused."""
+    path = _written(tmp_path, small_config, which)
+    text = path.read_text()
+    read, _ = READERS[which]
+    for line in LABEL_LINES[which]:
+        assert f"# {line}\n" in text
+        new = "" if edit == "missing" else f"# {_relabel(line, edit)}\n"
+        path.write_text(text.replace(f"# {line}\n", new, 1))
+        key, want = line.split("=")
+        got = None if edit == "missing" else _relabel(line, edit).split("=")[1]
+        with pytest.raises(ValueError) as info:
+            read(path)
+        assert str(info.value) == f"stream header {key} {got!r} is not {want!r}"
 
 
 def test_triples_roundtrip(tmp_path, small_config):
@@ -555,8 +597,10 @@ def test_triples_roundtrip(tmp_path, small_config):
     hdr = header_for(small_config)
     path = tmp_path / "triples.csv"
     oracles.write_triples(path, tr, hdr)
-    text = path.read_text()
-    assert "D1'," not in text.split("columns")[0]  # labels live in rows, not header
+    head, rows = path.read_text().split("# columns=block_index,x_bin,babu,alisha\n")
+    # labels live in the header, once per channel column; rows hold channel numbers
+    assert head.endswith("# babu_labels=D1,D2,D3,D4\n# alisha_labels=D1',D2',D3',D4'\n")
+    assert "D" not in rows
     again, hdr2 = read_triples(path)
     assert hdr2 == hdr
     for name in ("triple_id", "x_bin", "babu", "alisha", "block_index"):
@@ -568,9 +612,9 @@ def test_triples_bad_rows_detected(tmp_path, small_config):
     path = tmp_path / "triples.csv"
     oracles.write_triples(path, tr, header_for(small_config))
     lines = path.read_text().splitlines()
-    lines[-1] = "0,0,D7,D1'"
+    lines[-1] = "0,0,7,0"
     path.write_text("\n".join(lines) + "\n")
-    with pytest.raises(ValueError, match="labels"):
+    with pytest.raises(ValueError, match=r"babu 7 is outside 0\.\.3"):
         read_triples(path)
     path.write_text("\n".join(lines[:-1]) + "\n")
     with pytest.raises(ValueError, match="truncated"):
@@ -597,17 +641,20 @@ def _replace_row(path, row):
 @pytest.mark.parametrize(
     "row, message",
     [
-        ("1_0,3,D1,D1'", "bad integer '1_0'"),
-        ("+5,3,D1,D1'", "bad integer '\\+5'"),
-        (" 5,3,D1,D1'", "bad integer ' 5'"),
-        ("0 ,3,D1,D1'", "bad integer '0 '"),
-        ("0,,D1,D1'", "bad integer ''"),
-        ("0,-,D1,D1'", "bad integer '-'"),
-        ("0,1234567890123456789,D1,D1'", "bad integer '1234567890123456789'"),
-        ("0,-2147483649,D1,D1'", "x_bin -2147483649 is outside -2147483648..2147483647"),
-        ("0,3,D1 ,D1'", "labels"),
-        ("0,3,D1,D1'x", "labels"),
-        ("0,3,D1", "malformed triple row"),
+        ("1_0,3,0,0", "bad integer '1_0'"),
+        ("+5,3,0,0", "bad integer '\\+5'"),
+        (" 5,3,0,0", "bad integer ' 5'"),
+        ("0 ,3,0,0", "bad integer '0 '"),
+        ("0,,0,0", "bad integer ''"),
+        ("0,-,0,0", "bad integer '-'"),
+        ("0,1234567890123456789,0,0", "bad integer '1234567890123456789'"),
+        ("0,-2147483649,0,0", "x_bin -2147483649 is outside -2147483648..2147483647"),
+        ("0,3,4,0", r"babu 4 is outside 0\.\.3 in triple row"),
+        ("0,3,0,-1", r"alisha -1 is outside 0\.\.3 in triple row"),
+        ("0,3,0 ,0", "bad integer '0 '"),
+        ("0,3,D1,D1'", "bad integer 'D1'"),
+        ("0,3,0,0x", "bad integer '0x'"),
+        ("0,3,0", "malformed triple row"),
         ("# late=1", "header line after the first data row"),
     ],
 )
@@ -622,15 +669,20 @@ def test_triples_grammar_rejects(tmp_path, small_config, row, message):
 @pytest.mark.parametrize(
     "row, message",
     [
-        ("D0,10,1_0", "bad integer '1_0'"),
-        ("D0,+10,3", "bad integer '\\+10'"),
-        ("D0,-12345678901234567890,3", "bad integer"),
-        ("D0,10,2147483648", "x_bin 2147483648 is outside -2147483648..2147483647"),
-        ("D1,10,3", "x_bin presence"),
-        ("D0,10,", "x_bin presence"),
-        ("D9,10,", "unknown detector 'D9'"),
-        ("D0,10,3,4", "malformed event row"),
-        ("5,D0,10,3", "malformed event row"),
+        ("0,10,1_0", "bad integer '1_0'"),
+        ("0,+10,3", "bad integer '\\+10'"),
+        ("0,-12345678901234567890,3", "bad integer"),
+        ("0,10,2147483648", "x_bin 2147483648 is outside -2147483648..2147483647"),
+        ("1,10,3", "x_bin presence"),
+        ("0,10,", "x_bin presence"),
+        ("00,10,", "x_bin presence"),  # 00 is channel 0, as the parser reads it
+        ("01,10,3", "x_bin presence"),
+        ("9,10,", r"detector 9 is outside 0\.\.8 in event row"),
+        ("-1,10,", r"detector -1 is outside 0\.\.8 in event row"),
+        ("D1,10,", "bad integer 'D1'"),
+        ("D0,10,3", "bad integer 'D0'"),
+        ("0,10,3,4", "malformed event row"),
+        ("5,0,10,3", "malformed event row"),
     ],
 )
 def test_event_log_grammar_rejects(tmp_path, small_config, row, message):
@@ -640,6 +692,19 @@ def test_event_log_grammar_rejects(tmp_path, small_config, row, message):
     _replace_row(path, row)
     with pytest.raises(ValueError, match=message):
         read_event_log(path)
+
+
+def test_event_log_reads_zero_padded_channels_as_channels(tmp_path, small_config):
+    """00 is channel 0 and 01 channel 1, so x_bin is present on the first only."""
+    path = tmp_path / "events.csv"
+    tr = sample_triples(small_config, seed=0)
+    oracles.write_event_log(path, emit_events(tr, small_config, seed=0), header_for(small_config))
+    lines = path.read_text().splitlines()
+    lines[-2:] = ["00,10,3", "01,11,"]
+    path.write_text("\n".join(lines) + "\n")
+    stream, _ = read_event_log(path)
+    assert stream.detector[-2:].tolist() == [CODE_D0, 1]
+    assert stream.x_bin[-2:].tolist() == [3, -1]
 
 
 def test_grammar_keeps_blank_lines_and_crlf(tmp_path, small_config):
@@ -772,13 +837,15 @@ def test_simulate_holds_one_chunk_and_one_dark_window(tmp_path, monkeypatch):
     Each case runs once before it is traced, so the small objects the
     interpreter keeps for reuse are already made; the tests run before it
     then move a reading by at most 7%.  Measured here with 1,000-triple
-    chunks: 798, 852 and 871 bytes per chunk triple at 2e-3 dark counts per
-    ns over 40, 80 and 160 blocks of 500 triples; 1,547, 1,525 and 1,514
+    chunks: 750, 804 and 823 bytes per chunk triple at 2e-3 dark counts per
+    ns over 40, 80 and 160 blocks of 500 triples; 1,392, 1,370 and 1,359
     over 10 blocks at 16e-3, 32e-3 and 64e-3.  The first doubling adds
-    6.8%, 4.4% of it the window growing from 13,286 to 15,960 dark counts
-    (35 kB); the window is full from 80 blocks on.  The figures below were
-    taken with an int64 record id column, which took 1,016, 1,102 and 1,086
-    and 1,852, 1,830 and 1,821 in the same cases.  A window is let
+    7.2%, 4.6% of it the window growing from 13,286 to 15,960 dark counts
+    (35 kB); the window is full from 80 blocks on.  Rows that spelt each
+    channel as its label took 798, 852 and 871, and 1,547, 1,525 and 1,514;
+    an int64 record id column besides took 1,016, 1,102 and 1,086 and
+    1,852, 1,830 and 1,821 in the same cases.  The figures below were
+    taken with both.  A window is let
     go before the piece that takes its last dark counts is made, and the
     background generator holds none between windows: holding the spent
     window until the next was drawn took 1,146 at 160 blocks and 2,192,
@@ -798,12 +865,12 @@ def test_simulate_holds_one_chunk_and_one_dark_window(tmp_path, monkeypatch):
         (records, matched), peak[repeat, rate] = _traced(_simulated, config, tmp_path, rate)
         assert records - 3 * n > n
         assert read_triples(tmp_path / "triples.csv")[0].triple_id.tolist() == list(range(matched))
-    assert peak[20, 2e-3] <= 900 * events._CHUNK_TRIPLES
+    assert peak[20, 2e-3] <= 850 * events._CHUNK_TRIPLES
     assert peak[40, 2e-3] <= 1.1 * peak[20, 2e-3]  # the window grows by 2,674 dark counts
     assert peak[80, 2e-3] <= 1.06 * peak[40, 2e-3]
     # 64e-3 per ns puts about 64,000 dark counts, four windows, in each chunk
     assert peak[5, 64e-3] <= peak[5, 32e-3] <= peak[5, 16e-3]
-    assert peak[5, 16e-3] <= 900 * events._CHUNK_TRIPLES + 55 * events._DARK_WINDOW
+    assert peak[5, 16e-3] <= 850 * events._CHUNK_TRIPLES + 55 * events._DARK_WINDOW
 
 
 def test_triple_ids_are_row_numbers_across_passes(tmp_path, monkeypatch):
@@ -816,7 +883,7 @@ def test_triple_ids_are_row_numbers_across_passes(tmp_path, monkeypatch):
     with the other columns, rests on this.
     """
     monkeypatch.setattr(events, "_CHUNK_TRIPLES", 1000)
-    monkeypatch.setattr(events, "_READ_BYTES", 1 << 12)
+    monkeypatch.setattr(events, "_READ_BYTES", 1 << 11)
     monkeypatch.setattr(events, "_CHUNK_ROWS", 100)
     _, matched = _simulated(make_config(bits=(1, 0) * 3, block_size=500), tmp_path)
     path = tmp_path / "triples.csv"
@@ -943,11 +1010,13 @@ def test_chunked_draws_equal_one_whole_draw(monkeypatch):
 def test_readers_hold_each_record_about_once(tmp_path, monkeypatch, which):
     """A reader peaks at its columns plus one read's bytes and one block's indexes.
 
-    Measured here at 8 kB reads: 14.4 bytes per event record and 28.1 per
-    triple (at 16 kB reads, 14.9 and 30.9); 22.0 per event record with an
-    int64 record id column.  The whole file held beside int64 columns took
-    53 and 65; newline and separator indexes over the whole file, 90 and
-    115 (both with the id column).
+    Measured here at 8 kB reads: 14.5 bytes per event record and 29.4 per
+    triple, a little above the 14.4 and 28.3 of rows that spelt each
+    channel as its label, as a read of shorter rows indexes more of them;
+    22.0 per event record with an int64 record id column besides.  The
+    whole file held beside int64 columns took 53 and 65; newline and
+    separator indexes over the whole file, 90 and 115 (both with the id
+    column and the labels).
     """
     # so the file spans many reads and blocks: 32 of them for the triples file
     monkeypatch.setattr(events, "_READ_BYTES", 1 << 13)

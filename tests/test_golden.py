@@ -36,8 +36,8 @@ SINGLE = CONFIGS / "single_default.json"
 GOLDEN = {
     "patterns_double": "4a15a9b456194e0e25b2e8ca43cd41fa44bc5ae4dfb7dccf37181b6f907fbbe0",
     "patterns_single": "eb07e2e8b43095c6ea8e84d8d272c2fc971bf49bdc418ef3d57b28f4501e80b0",
-    "simulate": "61cadcfaaf3b74d6fff60f6588420f726010ab7b55123ce2560ece812101d35a",
-    "simulate_background": "7e68eaa3b8d1148ac2a7bc6788bf9bcbb88aefd4d1fe24f495969e3370288246",
+    "simulate": "44dee5aaad53beb2a61d9c36a57d6b103876447e947456fbe2c020d3930fa81b",
+    "simulate_background": "bf8294b3b9e8e31e852e50952ecdc27038d8a68c354abf6c9a7734cf28bd71ad",
     "decode_omniscient": "6a1a0605a72bbcbd5ab04bb14f132cd5b2046e79f3571118ea723471e9e88a03",
     "decode_alisha": "30af981c16de8dc38faf89bec9bdc26f2085c9fe8b5d49fc08ac33ac32d9a766",
     "sweep": "79a4c4fd4ee3cef607f0032eeb8708680652746aa5119770d967425259b149d5",

@@ -472,16 +472,25 @@ def test_readers_roundtrip_equal_line_readers(tmp_path, monkeypatch, seed, n, bi
     assert_streams_equal(got, want)
 
 
-def _mutate(data: bytes, rng, kind: str) -> bytes:
+# what a channel field may be mutated to: another channel, one past its labels, a
+# negative, zero-padded or signed number, a label, or nothing
+CHANNEL_MUTANTS = [b"0", b"3", b"4", b"8", b"9", b"-1", b"-0", b"00", b"01", b"+1", b"D1", b"D2'", b""]
+
+
+def _mutate(data: bytes, rng, kind: str, channels: tuple) -> bytes:
     if kind == "truncate":
         return data[: rng.integers(0, len(data))]
     if kind == "flip":
         i = rng.integers(0, len(data))
         return data[:i] + bytes([rng.integers(0, 256)]) + data[i + 1 :]
-    if kind == "label":
-        return data.replace(b"D2", b"D7", 1) if rng.random() < 0.5 else data.replace(b"D1'", b"D1\"", 1)
-    # oversized integer: 19 or more digits in place of a row's first field
     rows = data.split(b"\n")
+    if kind == "channel":  # one data row's channel field, at channels' positions
+        i = rng.choice([i for i, row in enumerate(rows) if row and not row.startswith(b"#")])
+        fields = rows[i].split(b",")
+        fields[rng.choice(channels)] = CHANNEL_MUTANTS[rng.integers(len(CHANNEL_MUTANTS))]
+        rows[i] = b",".join(fields)
+        return b"\n".join(rows)
+    # oversized integer: 19 or more digits in place of a row's first field
     i = int(rng.integers(13, len(rows) - 1)) if len(rows) > 14 else len(rows) - 1
     rows[i] = b"9" * int(rng.integers(19, 25)) + rows[i][rows[i].find(b",") :]
     return b"\n".join(rows)
@@ -491,7 +500,7 @@ def _mutate(data: bytes, rng, kind: str) -> bytes:
 @given(
     seed=seeds,
     which=st.sampled_from(["triples", "events"]),
-    kind=st.sampled_from(["truncate", "flip", "label", "oversized"]),
+    kind=st.sampled_from(["truncate", "flip", "channel", "oversized"]),
     chunk=chunks,
     read=reads,
 )
@@ -506,10 +515,12 @@ def test_fuzzed_files_fail_only_with_value_error(
     if which == "triples":
         oracles.write_triples(path, random_batch(rng, 6, big=False), header())
         read, oracle, columns = read_triples, oracles.read_triples_lines, TRIPLE_COLUMNS
+        channels = (2, 3)
     else:
         oracles.write_event_log(path, random_events(rng, 6, big=False), header())
         read, oracle, columns = read_event_log, oracles.read_event_log_lines, EVENT_COLUMNS
-    path.write_bytes(_mutate(path.read_bytes(), rng, kind))
+        channels = (0,)
+    path.write_bytes(_mutate(path.read_bytes(), rng, kind, channels))
     try:
         got, got_hdr = read(path)
     except ValueError as exc:
@@ -649,9 +660,9 @@ def _late_header_line(head, rows):
     return "header line after the first data row: '# late=1'"
 
 
-def _late_unknown_label(head, rows):
-    rows[30] = rows[30].rsplit(",", 1)[0] + ",D9'"
-    return f"unknown alisha \"D9'\" in triple row (labels D1' D2' D3' D4'): {rows[30]!r}"
+def _late_channel_past_its_labels(head, rows):
+    rows[30] = rows[30].rsplit(",", 1)[0] + ",4"
+    return f"alisha 4 is outside 0..3 in triple row: {rows[30]!r}"
 
 
 def _extra_row_before_field_count(head, rows):
@@ -682,7 +693,7 @@ ROW_FAULTS = {
     "late x_bin past int32": _late_x_bin_past_int32,
     "late field count before early x_bin": _late_field_count_before_early_x_bin,
     "early x_bin before late bad integer": _early_x_bin_before_late_bad_integer,
-    "late unknown label": _late_unknown_label,
+    "late channel past its labels": _late_channel_past_its_labels,
     "extra row before field count": _extra_row_before_field_count,
     "missing rows": _missing_rows,
     "n_rows past the file": _n_rows(BIG),
@@ -784,13 +795,54 @@ def test_writers_cover_every_label(tmp_path):
     stream = EventStream(detector=every, time_ns=every, x_bin=np.full(n, -1), n_bins=8)
     oracles.write_event_log(tmp_path / "events.csv", stream, header())
     assert data_rows(tmp_path / "events.csv") == oracles.event_log_rows(stream).encode("ascii")
-    assert b"D0,0,-1\n" in data_rows(tmp_path / "events.csv")
+    assert data_rows(tmp_path / "events.csv").startswith(b"0,0,-1\n1,1,\n")
     every = np.arange(4)
     batch = TripleBatch(
         triple_id=every, x_bin=every, babu=every, alisha=every[::-1], block_index=every * 0
     )
     oracles.write_triples(tmp_path / "triples.csv", batch, header())
     assert data_rows(tmp_path / "triples.csv") == oracles.triples_rows(batch).encode("ascii")
+
+
+@fast
+@given(data=st.data(), extra=st.integers(0, 20), chunk=chunks, read=reads)
+def test_every_channel_round_trips(tmp_path, monkeypatch, data, extra, chunk, read):
+    """Every detector code 0..8 and outcome 0..3, in any order, reads back as written.
+
+    Each code is in every drawn file; a row holds it as its decimal digit,
+    and both readers give it back.
+    """
+    monkeypatch.setattr(events, "_CHUNK_ROWS", chunk)
+    monkeypatch.setattr(events, "_READ_BYTES", read)
+
+    def codes(n):
+        every = data.draw(st.permutations(range(n)))
+        return np.array(every + data.draw(st.lists(st.integers(0, n - 1), min_size=extra, max_size=extra)))
+
+    detector = codes(len(DETECTOR_LABELS))
+    n = len(detector)
+    stream = EventStream(
+        detector=detector, time_ns=np.arange(n), x_bin=np.where(detector == CODE_D0, 3, -1), n_bins=8
+    )
+    babu, alisha = codes(4), codes(4)
+    m = len(babu)
+    batch = TripleBatch(
+        triple_id=np.arange(m), x_bin=np.zeros(m), babu=babu, alisha=alisha, block_index=np.zeros(m)
+    )
+    cases = (  # per file, its channel columns by field position
+        (oracles.write_event_log, stream, read_event_log, oracles.read_event_log_lines, {0: detector}),
+        (oracles.write_triples, batch, read_triples, oracles.read_triples_lines, {2: babu, 3: alisha}),
+    )
+    for write, record, read, oracle, channels in cases:
+        path = tmp_path / "stream.csv"
+        write(path, record, header())
+        rows = [row.split(b",") for row in data_rows(path).splitlines()]
+        for f, column in channels.items():
+            assert [int(row[f]) for row in rows] == column.tolist()
+        for got in (read(path)[0], oracle(path)[0]):
+            for name, column in vars(record).items():
+                if name != "n_bins":
+                    np.testing.assert_array_equal(getattr(got, name), column, err_msg=name)
 
 
 @pytest.mark.parametrize(
@@ -847,7 +899,7 @@ def test_event_log_writer_ignores_x_bin_off_d0(tmp_path):
     for x in (X_MIN, X_MAX):
         stream = EventStream(detector=[1], time_ns=[5], x_bin=[x], n_bins=8)
         oracles.write_event_log(tmp_path / "events.csv", stream, header())
-        assert data_rows(tmp_path / "events.csv") == b"D1,5,\n"
+        assert data_rows(tmp_path / "events.csv") == b"1,5,\n"
 
 
 def test_x_bin_extremes_round_trip(tmp_path):
@@ -863,7 +915,7 @@ def test_x_bin_extremes_round_trip(tmp_path):
     oracles.write_event_log(tmp_path / "events.csv", stream, header())
     assert data_rows(tmp_path / "triples.csv") == oracles.triples_rows(batch).encode("ascii")
     assert data_rows(tmp_path / "events.csv") == oracles.event_log_rows(stream).encode("ascii")
-    assert b"0,-2147483648,D1,D1'\n0,2147483647,D2,D1'\n" in data_rows(tmp_path / "triples.csv")
+    assert b"0,-2147483648,0,0\n0,2147483647,1,0\n" in data_rows(tmp_path / "triples.csv")
     assert_batches_equal(read_triples(tmp_path / "triples.csv")[0], batch)
     assert_streams_equal(read_event_log(tmp_path / "events.csv")[0], stream)
 
