@@ -31,10 +31,10 @@ class LowSampleWarning(UserWarning):
     """Fewer detections than the sampling bound 2L/d; fit is undersampled."""
 
 
-def _select(triples: TripleBatch, babu=None, alisha=None) -> np.ndarray:
-    """Mask of the triples in one slice; None leaves that column unrestricted."""
-    mask = np.ones(len(triples), dtype=bool)
-    for value, column in ((babu, triples.babu), (alisha, triples.alisha)):
+def _select(columns: dict, babu=None, alisha=None) -> np.ndarray:
+    """Mask of the triples (columns) in one slice; None leaves that column unrestricted."""
+    mask = np.ones(len(columns["x_bin"]), dtype=bool)
+    for value, column in ((babu, columns["babu"]), (alisha, columns["alisha"])):
         if value is not None:
             mask &= column == int(value)  # int() refuses a set, which would select nothing
     return mask
@@ -47,7 +47,7 @@ def build_histogram(triples: TripleBatch, n_bins: int, babu=None, alisha=None) -
     alisha=k) is the usual coincidence slice and alisha-only selection is
     what a screen-side observer can actually form.
     """
-    x = triples.x_bin[_select(triples, babu, alisha)]
+    x = triples.x_bin[_select(vars(triples), babu, alisha)]
     if len(x) and (x.min() < 0 or x.max() >= n_bins):
         raise ValueError("x_bin outside the screen binning")
     return np.bincount(x, minlength=n_bins)
@@ -221,8 +221,8 @@ def _decode(
 ) -> DecodeReport:
     """The per-block fringe test on one coincidence slice of triples.
 
-    triples is a TripleBatch, or consecutive TripleBatch passes of one set
-    of triples, such as triple_passes reads.  Each pass is reduced to the
+    triples is a TripleBatch, or consecutive passes of one set of triples'
+    columns, such as triple_passes reads.  Each pass is reduced to the
     slice's (block, x_bin) count grid, whose row b is the slice's histogram
     over block b; only that sum is held.  A block's row total is the count
     the fit rests on, which confidence and the LowSampleWarning weigh
@@ -232,8 +232,8 @@ def _decode(
     n_blocks, n_bins = len(schedule.bits), geom.n_bins
     grid = np.zeros(n_blocks * n_bins, dtype=np.int64)
     bad_blocks, bad_bin = None, False  # the first pass with a bad block; a bad selected x_bin
-    for part in [triples] if isinstance(triples, TripleBatch) else triples:
-        blocks, x = part.block_index, part.x_bin
+    for part in [vars(triples)] if isinstance(triples, TripleBatch) else triples:
+        blocks, x = part["block_index"], part["x_bin"]
         known = (blocks >= 0) & (blocks < n_blocks)
         if bad_blocks is None and not known.all():
             bad_blocks = blocks

@@ -25,7 +25,9 @@ import numpy as np
 
 from . import __version__
 from .events import (
+    _EVENT_LOG,
     _MAX_INT,
+    _TRIPLES,
     DEFAULT_WINDOW_NS,
     SimStreamHeader,
     _write_text,
@@ -206,12 +208,6 @@ def cmd_patterns(args) -> int:
 # ---------------------------------------------------------------------------
 
 
-# the shortest events.csv row: a one-digit channel, a one-digit time, no x_bin
-_MIN_EVENT_ROW_BYTES = len("0,0,\n")
-# the shortest triples.csv row, which simulate writes twice: to its spill, then to triples.csv
-_MIN_TRIPLE_ROW_BYTES = len("0,0,0,0\n")
-
-
 def cmd_simulate(args) -> int:
     config = _load_config_or_fail(args.config)
     if config.schedule is None:
@@ -259,9 +255,9 @@ def cmd_simulate(args) -> int:
         )
     # the dark counts are drawn a window at a time, so only the disk bounds a run: refuse
     # one whose events.csv, triples.csv and spill could not fit where --out will be, before
-    # any draw
+    # any draw; simulate writes each triple's row twice, to its spill and to triples.csv
     rows = 3 * schedule.n_triples + expected
-    need = rows * _MIN_EVENT_ROW_BYTES + 2 * schedule.n_triples * _MIN_TRIPLE_ROW_BYTES
+    need = rows * _EVENT_LOG.min_row_bytes + 2 * schedule.n_triples * _TRIPLES.min_row_bytes
     where = _nearest_existing(Path(args.out))
     free = shutil.disk_usage(where).free
     if need > free:

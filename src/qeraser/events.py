@@ -66,28 +66,34 @@ _DTYPE = {
 
 
 def _set_columns(record, fmt: _Format) -> None:
-    """Cast each of record's fmt columns to its _DTYPE, checking the values as given first.
+    """Cast each of record's columns (its attributes with a _DTYPE) to it, checking the values first.
 
-    Each column's values must lie in its fmt limits, so no value wraps in
-    the cast; then the columns must share one length.  An array already of
-    its dtype is kept, not copied.
+    A channel's values must lie among its fmt labels' indices, any other
+    column's in its dtype's range, so no value wraps in the cast; then the
+    columns must share one length.  An array already of its dtype is kept,
+    not copied.
     """
-    for name, (lo, hi) in fmt.limits.items():
+    names = [name for name in vars(record) if name in _DTYPE]
+    channels = {name: (0, len(labels) - 1) for name, labels in fmt.columns if labels}
+    for name in names:
         values = np.asarray(getattr(record, name))
+        i = np.iinfo(_DTYPE[name])
+        lo, hi = channels.get(name, (i.min, i.max))
         if values.size:
             low, high = int(values.min()), int(values.max())  # exact for any integer dtype
             if low < lo or high > hi:
                 raise ValueError(f"{name} {low if low < lo else high} is outside {lo}..{hi}")
         setattr(record, name, values.astype(_DTYPE[name], copy=False))
-    if len({len(getattr(record, name)) for name in fmt.limits}) > 1:
+    if len({len(getattr(record, name)) for name in names}) > 1:
         raise ValueError(f"{fmt.noun} columns must share one length")
 
 
 @dataclass(eq=False)
 class TripleBatch:
-    """Column-oriented batch of coincidence triples, each column of its _DTYPE.
+    """A run's coincidence triples, column-oriented, each column of its _DTYPE.
 
-    triple_id is held in memory only: a triples file numbers its rows from 0.
+    triple_id is each triple's place in the run, from 0 (_numbered); a
+    triples file holds it only as its row numbers.
     """
 
     triple_id: np.ndarray
@@ -193,12 +199,18 @@ def sample_triples(config: ExperimentConfig, seed: int = 0) -> TripleBatch:
     streams (0, b) and (1, b) only, so blocks could be generated in any order
     with identical output.
     """
-    [batch] = _triple_chunks(config, seed, None)
-    return batch
+    [columns] = _triple_chunks(config, seed, None)
+    return _numbered(columns)
+
+
+def _numbered(columns: dict) -> TripleBatch:
+    """columns, a run's triples, as a TripleBatch: each triple numbered by its place, from 0."""
+    n = len(columns["x_bin"])
+    return TripleBatch(triple_id=np.arange(n, dtype=_DTYPE["triple_id"]), **columns)
 
 
 def _triple_chunks(config: ExperimentConfig, seed: int, size):
-    """The run's triples as consecutive TripleBatch chunks of size triples (None: one chunk).
+    """The run's triples as consecutive column mappings of size triples each (None: one chunk).
 
     The request is checked and the sampling tables built at once; each chunk
     is drawn when it is asked for.  A block cut by a chunk's end carries its
@@ -253,26 +265,26 @@ def _triple_chunks(config: ExperimentConfig, seed: int, size):
                 np.floor_divide(flat, 4, out=x_bin[piece])
                 np.remainder(flat, 4, out=alisha[piece])
                 at = end
-            yield TripleBatch(
-                triple_id=np.arange(lo, hi, dtype=_DTYPE["triple_id"]),
-                x_bin=x_bin,
-                babu=babu,
-                alisha=alisha,
-                block_index=np.arange(lo, hi, dtype=_DTYPE["block_index"]) // n,
-            )
+            yield {
+                "x_bin": x_bin,
+                "babu": babu,
+                "alisha": alisha,
+                "block_index": np.arange(lo, hi, dtype=_DTYPE["block_index"]) // n,
+            }
 
     return chunks()
 
 
-def _delay_chunks(n: int, seed: int, size: int):
-    """The (n, 2) idler delays in ns, as int8 pieces of size rows, each drawn when it is asked for.
+def _delay_chunks(n: int, seed: int):
+    """The (n, 2) idler delays in ns, as int8 pieces of _CHUNK_TRIPLES rows, each drawn when needed.
 
     Each piece is an int64 draw from the one delay generator; pieces equal
-    one whole draw, so the delays do not depend on the chunking.
+    one whole draw, so the delays do not depend on the chunking.  The chunk
+    size is read when this is called.
     """
     rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(_DOMAIN_DELAYS, 0)))
-    for lo in range(0, n, size):
-        yield rng.integers(1, 11, size=(min(size, n - lo), 2)).astype(np.int8)
+    size = _CHUNK_TRIPLES
+    return (rng.integers(1, 11, (min(size, n - lo), 2)).astype(np.int8) for lo in range(0, n, size))
 
 
 def emit_events(triples: TripleBatch, config: ExperimentConfig, seed: int = 0) -> EventStream:
@@ -291,20 +303,20 @@ def emit_events(triples: TripleBatch, config: ExperimentConfig, seed: int = 0) -
     """
     n = len(triples)
     spacing = triple_spacing_ns(config.pair_rate_scale, n)
-    pieces = _delay_chunks(n, int(seed), _CHUNK_TRIPLES)
+    pieces = _delay_chunks(n, int(seed))
     delays = np.concatenate([np.empty((0, 2), np.int8), *pieces])  # no piece when n is 0
-    return _emit(triples, delays, 0, spacing, config.geometry.n_bins)
+    return _emit(vars(triples), delays, 0, spacing, config.geometry.n_bins)
 
 
-def _emit(triples: TripleBatch, delays, first: int, spacing: int, n_bins: int) -> EventStream:
-    """The records of triples first, first + 1, ...: emit_events' rows from 3 first on."""
-    n = len(triples)
+def _emit(triples: dict, delays, first: int, spacing: int, n_bins: int) -> EventStream:
+    """The records of triples (columns) first, first + 1, ...: emit_events' rows from 3 first on."""
+    n = len(triples["x_bin"])
     # each idler as delay * 16 + detector code: babu's codes lie below
     # alisha's, so sorting a triple's pair puts babu first on a tie
     idlers = delays.astype(np.int16)
     idlers *= 16
-    idlers[:, 0] += triples.babu
-    idlers[:, 1] += triples.alisha
+    idlers[:, 0] += triples["babu"]
+    idlers[:, 1] += triples["alisha"]
     idlers += (_BABU_CODE, _ALISHA_CODE)
     idlers.sort(axis=1)
     detector = np.empty((n, 3), dtype=_DTYPE["detector"])
@@ -316,7 +328,7 @@ def _emit(triples: TripleBatch, delays, first: int, spacing: int, n_bins: int) -
     np.add(time_ns[:, :1], idlers, out=time_ns[:, 1:])
     del idlers
     x_bin = np.full((n, 3), -1, dtype=_DTYPE["x_bin"])
-    x_bin[:, 0] = triples.x_bin
+    x_bin[:, 0] = triples["x_bin"]
     return EventStream(
         detector=detector.ravel(),
         time_ns=time_ns.ravel(),
@@ -444,24 +456,24 @@ def event_chunks(config: ExperimentConfig, seed: int, rate_per_ns: float) -> tup
     """
     rate = _background_rate(rate_per_ns)
     seed = int(seed)
-    size = _CHUNK_TRIPLES
-    batches = _triple_chunks(config, seed, size)
+    batches = _triple_chunks(config, seed, _CHUNK_TRIPLES)
     n = config.schedule.n_triples
     spacing = triple_spacing_ns(config.pair_rate_scale, n)
-    for last in _delay_chunks(n, seed, size):
+    for last in _delay_chunks(n, seed):
         pass
     # emit_events' stream runs from 0 to the last triple's later idler
     t_end = (n - 1) * spacing + int(last[-1].max())
     n_bins = config.geometry.n_bins
     n_dark, windows = _dark_windows(rate, 0, t_end, n_bins, seed)
-    delays = _delay_chunks(n, seed, size)
+    delays = _delay_chunks(n, seed)
     return 3 * n + n_dark, _stream_chunks(batches, delays, windows, spacing, n_bins)
 
 
 def _stream_chunks(batches, delays, windows, spacing: int, n_bins: int):
     """The stream's pieces: each ends at the next batch's first D0 or its window's end, the earlier.
 
-    delays gives each batch's idler delays, one piece per batch.  A piece
+    batches are the run's consecutive triple chunks, as columns, and delays
+    gives each batch's idler delays, one piece per batch.  A piece
     merges the batch's records and the window's dark counts timed before
     its end, and every later record comes at or after that end, so a dark
     count timed at a batch's first D0 goes after that D0.  The piece that
@@ -471,9 +483,10 @@ def _stream_chunks(batches, delays, windows, spacing: int, n_bins: int):
     """
     windows = iter(windows)
     end, dark = next(windows)
+    hi = 0  # one past the last batch's last triple
     for batch, batch_delays in zip(batches, delays, strict=True):
-        lo = int(batch.triple_id[0])
-        stop = (lo + len(batch)) * spacing  # the next batch's first D0
+        lo, hi = hi, hi + len(batch["x_bin"])
+        stop = hi * spacing  # the next batch's first D0
         stream = _emit(batch, batch_delays, lo, spacing, n_bins)
         while dark is not None:
             cut = min(stop, end)
@@ -517,19 +530,18 @@ def _gather(parts, names, size) -> dict:
 
 
 class _Matcher:
-    """match_coincidences' greedy matcher, fed one time-sorted EventStream piece at a time.
+    """match_coincidences' greedy matcher, fed one time-sorted piece of event columns at a time.
 
     Between feeds it holds only unclaimed records, in three queues by kind:
     D0s as (time, x_bin), babu's and alisha's idlers as (time, code).  Each
     feed appends a slice to the queues, decides the D0s whose window closes
     before its last time, since every later record comes at or after it,
-    and returns the triples they matched.  An idler queue then drops what
-    the undecided D0s (at the last time less w or later) cannot claim: the
-    records before its greedy pointer or the last time less 2w.  Dropped
-    records that matched nothing are orphans.  finish decides the rest,
-    returns its triples and leaves the orphan report in report.  The matcher
-    keeps no matched triple: it only counts them, so each piece's triple ids
-    run on from the last piece's.
+    and returns the triples they matched, as columns.  An idler queue then
+    drops what the undecided D0s (at the last time less w or later) cannot
+    claim: the records before its greedy pointer or the last time less 2w.
+    Dropped records that matched nothing are orphans.  finish decides the
+    rest, returns its triples and leaves the orphan report in report.  The
+    matcher keeps no matched triple: it only counts them.
     """
 
     def __init__(self, window_ns: int, block_size: int, spacing_ns: int):
@@ -550,16 +562,16 @@ class _Matcher:
         self.orphans = np.zeros(len(DETECTOR_LABELS), dtype=np.int64)
         self.report = None  # the OrphanReport, once finished
 
-    def feed(self, piece: EventStream) -> TripleBatch:
-        """Queue a piece (not empty) starting at or after the last time fed; the triples decided."""
-        time_ns, detector = piece.time_ns, piece.detector
+    def feed(self, piece: dict) -> dict:
+        """Queue a piece's columns (not empty) from the last time fed on; the triples decided."""
+        time_ns, detector = piece["time_ns"], piece["detector"]
         if self.last is not None and time_ns[0] < self.last:
             raise ValueError("event stream is not time-sorted")
         _require_sorted(time_ns)
         self.last = int(time_ns[-1])
         babu = (detector >= _BABU_CODE) & (detector < _ALISHA_CODE)
         kinds = (detector == CODE_D0, babu, detector >= _ALISHA_CODE)
-        for i, (kind, other) in enumerate(zip(kinds, (piece.x_bin, detector, detector))):
+        for i, (kind, other) in enumerate(zip(kinds, (piece["x_bin"], detector, detector))):
             pos = np.flatnonzero(kind)
             times, values = self.queues[i]
             self.queues[i] = (
@@ -568,14 +580,14 @@ class _Matcher:
             )
         return self._step(final=False)
 
-    def finish(self) -> TripleBatch:
+    def finish(self) -> dict:
         """The triples of every D0 still queued; report then holds the whole stream's orphans."""
         rest = self._step(final=True)
         by_detector = {label: int(n) for label, n in zip(DETECTOR_LABELS, self.orphans) if n}
         self.report = OrphanReport(total=int(self.orphans.sum()), by_detector=by_detector)
         return rest
 
-    def _step(self, final: bool) -> TripleBatch:
+    def _step(self, final: bool) -> dict:
         """Decide the queued D0s before the last time less w (all of them if final), then drop.
 
         Each arm's greedy pointer starts at its queue's head.  A D0 more than
@@ -630,14 +642,13 @@ class _Matcher:
 
         got = np.flatnonzero(pick_b >= 0)
         pick_b, pick_a = pick_b[got], pick_a[got]
-        first, self.matched = self.matched, self.matched + len(got)
-        decided = TripleBatch(
-            triple_id=np.arange(first, self.matched, dtype=_DTYPE["triple_id"]),
-            x_bin=xd[got],
-            babu=cb[pick_b] - _BABU_CODE,
-            alisha=ca[pick_a] - _ALISHA_CODE,
-            block_index=td[got] // self.period,
-        )
+        self.matched += len(got)
+        decided = {
+            "x_bin": xd[got],
+            "babu": cb[pick_b] - _BABU_CODE,
+            "alisha": ca[pick_a] - _ALISHA_CODE,
+            "block_index": td[got] // self.period,
+        }
         self.orphans[CODE_D0] += cut - len(got)
         drop = [cut]
         for (t, codes), picks in zip(self.queues[1:], (pick_b, pick_a)):
@@ -669,24 +680,24 @@ def match_coincidences(
     record from each idler arm within window_ns, or becomes an orphan.  The
     block index is recovered from the D0 timestamp (spacing_ns and block_size
     normally come from the stream header), which stays correct even when
-    background events distort the matched sequence numbering.  The stream is
-    fed to the matcher 3 _CHUNK_TRIPLES records at a time, as _rows views;
-    _gather puts the triples into columns sized for one per D0, the most
-    there can be, so beyond a slice's temporaries it holds its output.
+    background events distort the matched sequence numbering.  The stream's
+    columns are fed to the matcher 3 _CHUNK_TRIPLES records at a time, as
+    views; _gather puts the triples into columns sized for one per D0, the
+    most there can be, so beyond a slice's temporaries it holds its output.
     """
     matcher = _Matcher(window_ns, block_size, spacing_ns)
     step = 3 * _CHUNK_TRIPLES
+    records = {name: getattr(stream, name) for name in _EVENT_LOG.names}
 
     def decided():
         for lo in range(0, len(stream), step):
-            yield vars(matcher.feed(_rows(stream, slice(lo, lo + step))))
-        yield vars(matcher.finish())
+            yield matcher.feed({name: c[lo : lo + step] for name, c in records.items()})
+        yield matcher.finish()
 
     columns = _gather(
         decided(), _TRIPLES.names, lambda: int(np.count_nonzero(stream.detector == CODE_D0))
     )
-    n = len(columns["x_bin"])
-    return TripleBatch(triple_id=np.arange(n, dtype=_DTYPE["triple_id"]), **columns), matcher.report
+    return _numbered(columns), matcher.report
 
 
 def write_and_match(path, header: SimStreamHeader, records: int, chunks, spill) -> tuple:
@@ -707,12 +718,12 @@ def write_and_match(path, header: SimStreamHeader, records: int, chunks, spill) 
 
     def spill_rows(piece):
         nonlocal which_path
-        spill.writelines(_row_bytes(_TRIPLES, piece, matcher.matched - len(piece)))
-        which_path += int(np.count_nonzero((piece.babu >= D3) | (piece.alisha >= D3)))
+        spill.writelines(_row_bytes(_TRIPLES, piece, matcher.matched - len(piece["x_bin"])))
+        which_path += int(np.count_nonzero((piece["babu"] >= D3) | (piece["alisha"] >= D3)))
 
     def matched(chunks):
         for chunk in chunks:
-            spill_rows(matcher.feed(chunk))
+            spill_rows(matcher.feed(vars(chunk)))
             yield chunk
         spill_rows(matcher.finish())  # in the writer's loop: a failure here leaves no event log
 
@@ -759,10 +770,8 @@ class _Format:
     A column is (name, None) for an integer, or (name, labels) for a channel,
     written as its index into a fixed label tuple that the header names once,
     as a <name>_labels= line.  With d0_x_bin, the x_bin field is present
-    exactly on D0 rows, else empty (-1).  row_id, if given, names an integer
-    column that a record holds but the file does not: each row's number in
-    the file, from 0.  Reader and writer both work from this record, its
-    header and its ranges.
+    exactly on D0 rows, else empty (-1).  Reader and writer both work from
+    this record, its header and its ranges.
     """
 
     tag: str
@@ -770,16 +779,15 @@ class _Format:
     noun: str
     columns: tuple
     d0_x_bin: bool = False
-    row_id: str | None = None
 
     @property
     def names(self) -> tuple:
         return tuple(name for name, _ in self.columns)
 
     @property
-    def held(self) -> tuple:
-        """The names of a record's columns: the file's, then row_id's."""
-        return self.names + ((self.row_id,) if self.row_id else ())
+    def min_row_bytes(self) -> int:
+        """The shortest row's length: a digit per field (x_bin empty with d0_x_bin), separators, "\n"."""
+        return 2 * len(self.columns) - self.d0_x_bin
 
     @property
     def labels(self) -> dict:
@@ -800,14 +808,6 @@ class _Format:
             for (_, labels), i in zip(self.columns, ints)
         )
 
-    @functools.cached_property
-    def limits(self) -> dict:
-        """Per held column, (lo, hi) in memory: a channel's range, else its dtype's whole range."""
-        ints = {name: np.iinfo(_DTYPE[name]) for name in self.held}
-        limits = {name: (i.min, i.max) for name, i in ints.items()}
-        limits.update((name, r) for (name, labels), r in zip(self.columns, self.ranges) if labels)
-        return limits
-
 
 _EVENT_LOG = _Format(
     "qeraser-event-log v3",
@@ -821,7 +821,6 @@ _TRIPLES = _Format(
     "triples file",
     "triple",
     (("block_index", None), ("x_bin", None), ("babu", BABU_LABELS), ("alisha", ALISHA_LABELS)),
-    row_id="triple_id",
 )
 
 
@@ -867,28 +866,36 @@ def _stream_header(fmt: _Format, header: SimStreamHeader, n_rows: int) -> list:
     return [fmt.tag, *_header_lines(pairs, ",".join(fmt.names))]
 
 
-def _row_bytes(fmt: _Format, part, first_row: int):
+def _row_bytes(fmt: _Format, part: dict, first_row: int):
     """The bytes of part's rows, _CHUNK_ROWS at a time, once its fields are checked.
 
-    part is a record holding fmt's columns; its rows are first_row on in
-    their file, which a refused field's message names.
+    part maps each of fmt's column names to its column; its rows are
+    first_row on in their file, which a refused field's message names.
     """
-    columns = [getattr(part, name) for name in fmt.names]
+    columns = [part[name] for name in fmt.names]
     _check_fields(fmt, columns, first_row)
     for lo in range(0, len(columns[0]), _CHUNK_ROWS):
         yield _format_rows(fmt, [c[lo : lo + _CHUNK_ROWS] for c in columns])
 
 
 def _check_fields(fmt: _Format, columns, first_row: int) -> None:
-    """Refuse a field outside the row grammar, naming its column and its row (first_row on)."""
+    """Refuse a value the file would not read back, naming its column and its row (first_row on).
+
+    A written field must lie in the row grammar; a field left empty reads
+    as -1, so its value must be -1.
+    """
     written = _written_fields(fmt, columns)
     for name, (lo, hi), col, present in zip(fmt.names, fmt.ranges, columns, written):
-        bad = np.flatnonzero(((col < lo) | (col > hi)) & present)
-        if len(bad):
-            i = int(bad[0])
+        bad = (col < lo) | (col > hi)
+        if present is not True:
+            bad = np.where(present, bad, col != -1)
+        if bad.any():
+            i = int(np.argmax(bad))
+            rule = f"is outside {lo}..{hi}"
+            if present is not True and not present[i]:
+                rule = f"is not -1 on a non-D0 row, which leaves {name} empty"
             raise ValueError(
-                f"cannot write {fmt.what}: {name} {int(col[i])} in row {first_row + i} "
-                f"is outside {lo}..{hi}"
+                f"cannot write {fmt.what}: {name} {int(col[i])} in row {first_row + i} {rule}"
             )
 
 
@@ -967,13 +974,12 @@ class _StreamPasses:
     n_rows, the row count the header declares, and must then carry fmt's
     tag, columns= and labels lines, then each read's data rows, _CHUNK_ROWS
     lines at a time, whose separators are indexed and whose fields are
-    parsed.  Each such pass is yielded as record(**columns), its rows'
-    columns (name -> array of the column's _DTYPE; with row_id, also the
-    rows' numbers, which run on from the pass before) in file order, while
-    no fault is certain: passes stop at a row with the wrong field count or
-    one whose fields fail to parse, and past n_rows rows or the rows a
-    regular file of its size could hold.  Later rows are only counted, and
-    checked for their field count up to the first wrong one.
+    parsed.  Each such pass is yielded as its rows' columns (name -> array
+    of the column's _DTYPE) in file order, while no fault is certain:
+    passes stop at a row with the wrong field count or one whose fields
+    fail to parse, and past n_rows rows or the rows a regular file of its
+    size could hold.  Later rows are only counted, and checked for their
+    field count up to the first wrong one.
     After the last read the file's faults are raised in the order the row
     grammar ranks them, whichever pass they sit in: the row count, then the
     first row with the wrong field count, then the first row whose fields
@@ -981,8 +987,8 @@ class _StreamPasses:
     sets header.
     """
 
-    def __init__(self, path, fmt: _Format, record=dict):
-        self.path, self.fmt, self.record = path, fmt, record
+    def __init__(self, path, fmt: _Format):
+        self.path, self.fmt = path, fmt
         self.n_rows = self.header = None
 
     def __iter__(self):
@@ -1020,11 +1026,7 @@ class _StreamPasses:
                         out = [np.empty(len(start), dtype=_DTYPE[name]) for name in fmt.names]
                         good = _parse_rows(buf, fmt, start, end, comma.reshape(-1, k), out)
                         if good.all():
-                            columns = dict(zip(fmt.names, out))
-                            if fmt.row_id:
-                                rows = np.arange(n - len(start), n, dtype=_DTYPE[fmt.row_id])
-                                columns[fmt.row_id] = rows
-                            yield self.record(**columns)
+                            yield dict(zip(fmt.names, out))
                         else:
                             i = int(np.argmin(good))
                             bad["grammar"] = buf[start[i] : end[i]].tobytes()
@@ -1051,7 +1053,7 @@ class _StreamPasses:
 def _read_columns(path, fmt: _Format) -> tuple[dict, SimStreamHeader]:
     """A stream file's columns and its header: each pass gathered into columns sized from n_rows."""
     passes = _StreamPasses(path, fmt)
-    return _gather(passes, fmt.held, lambda: passes.n_rows), passes.header
+    return _gather(passes, fmt.names, lambda: passes.n_rows), passes.header
 
 
 def _read_lines(fh):
@@ -1200,7 +1202,7 @@ def write_event_log(path, pieces, header: SimStreamHeader, n_rows: int) -> str:
     def chunks():
         row = 0
         for piece in pieces:
-            yield from _row_bytes(_EVENT_LOG, piece, row)
+            yield from _row_bytes(_EVENT_LOG, vars(piece), row)
             row += len(piece)
         if row != n_rows:
             raise ValueError(
@@ -1217,13 +1219,13 @@ def read_event_log(path) -> tuple[EventStream, SimStreamHeader]:
 
 def read_triples(path) -> tuple[TripleBatch, SimStreamHeader]:
     cols, header = _read_columns(path, _TRIPLES)
-    return TripleBatch(**cols), header
+    return _numbered(cols), header
 
 
 def triple_passes(path) -> _StreamPasses:
-    """The triples file at path, read one pass at a time: TripleBatch passes, then its header.
+    """The triples file at path, read one pass at a time: passes of its columns, then its header.
 
-    Iterating gives read_triples' batch in consecutive pieces, and raises
-    what read_triples would after the last; header is then set.
+    Iterating gives the file's four columns in consecutive pieces, and
+    raises what read_triples would after the last; header is then set.
     """
-    return _StreamPasses(path, _TRIPLES, TripleBatch)
+    return _StreamPasses(path, _TRIPLES)

@@ -753,7 +753,7 @@ def write_triples(path, batch: TripleBatch, header: SimStreamHeader) -> str:
     Returns the file's sha256 hex.
     """
     with tempfile.TemporaryFile() as spill:
-        spill.writelines(_row_bytes(_TRIPLES, batch, 0))
+        spill.writelines(_row_bytes(_TRIPLES, vars(batch), 0))
         return write_spilled_triples(path, spill, header, len(batch))
 
 

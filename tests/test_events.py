@@ -837,11 +837,13 @@ def test_simulate_holds_one_chunk_and_one_dark_window(tmp_path, monkeypatch):
     Each case runs once before it is traced, so the small objects the
     interpreter keeps for reuse are already made; the tests run before it
     then move a reading by at most 7%.  Measured here with 1,000-triple
-    chunks: 750, 804 and 823 bytes per chunk triple at 2e-3 dark counts per
-    ns over 40, 80 and 160 blocks of 500 triples; 1,392, 1,370 and 1,359
-    over 10 blocks at 16e-3, 32e-3 and 64e-3.  The first doubling adds
-    7.2%, 4.6% of it the window growing from 13,286 to 15,960 dark counts
-    (35 kB); the window is full from 80 blocks on.  Rows that spelt each
+    chunks: 742, 795 and 814 bytes per chunk triple at 2e-3 dark counts per
+    ns over 40, 80 and 160 blocks of 500 triples; 1,384, 1,362 and 1,350
+    over 10 blocks at 16e-3, 32e-3 and 64e-3 (750, 804, 823 and 1,392,
+    1,370, 1,359 while each triple chunk and matcher decision carried
+    triple ids).  The first doubling adds 7.1%, 4.6% of it the window
+    growing from 13,286 to 15,960 dark counts (35 kB); the window is full
+    from 80 blocks on.  Rows that spelt each
     channel as its label took 798, 852 and 871, and 1,547, 1,525 and 1,514;
     an int64 record id column besides took 1,016, 1,102 and 1,086 and
     1,852, 1,830 and 1,821 in the same cases.  The figures below were
@@ -873,11 +875,11 @@ def test_simulate_holds_one_chunk_and_one_dark_window(tmp_path, monkeypatch):
     assert peak[5, 16e-3] <= 850 * events._CHUNK_TRIPLES + 55 * events._DARK_WINDOW
 
 
-def test_triple_ids_are_row_numbers_across_passes(tmp_path, monkeypatch):
-    """A triples file's rows are numbered from 0 on, pass after pass, as the matcher numbers them.
+def test_triple_passes_are_the_file_columns_and_triples_are_numbered_once(tmp_path, monkeypatch):
+    """triple_passes yields a file's four columns; a run's triples are numbered 0..n - 1.
 
-    simulate's triples.csv, spanning many reads and parse passes: the ids of
-    triple_passes run on from pass to pass, read_triples' are arange(n), and
+    simulate's triples.csv, spanning many reads and parse passes: each pass
+    holds exactly the file's columns, read_triples' ids are arange(n), and
     match_coincidences on the event log written beside it gives the same
     ids and columns.  The benchmark's rematch digest, which hashes triple_id
     with the other columns, rests on this.
@@ -890,10 +892,12 @@ def test_triple_ids_are_row_numbers_across_passes(tmp_path, monkeypatch):
     assert path.stat().st_size > 8 * events._READ_BYTES
     passes = list(triple_passes(path))
     assert len(passes) > 8
-    ids = np.concatenate([batch.triple_id for batch in passes])
-    np.testing.assert_array_equal(ids, np.arange(matched))
-    triples, header = read_triples(path)
+    for part in passes:
+        assert list(part) == ["block_index", "x_bin", "babu", "alisha"]
+    triples, _ = read_triples(path)
     np.testing.assert_array_equal(triples.triple_id, np.arange(matched))
+    for name, column in passes[0].items():
+        np.testing.assert_array_equal(column, getattr(triples, name)[: len(column)], name)
     stream, header = read_event_log(tmp_path / "events.csv")
     rematched, _ = match_coincidences(
         stream,
@@ -903,6 +907,64 @@ def test_triple_ids_are_row_numbers_across_passes(tmp_path, monkeypatch):
     )
     for name in ("triple_id", "block_index", "x_bin", "babu", "alisha"):
         np.testing.assert_array_equal(getattr(rematched, name), getattr(triples, name), name)
+
+
+def test_simulate_and_decode_build_no_triple_batch(tmp_path, monkeypatch):
+    """simulate and decode hand triples on as columns: neither builds a TripleBatch.
+
+    Counted by wrapping _set_columns, which every record runs, over a run
+    of many chunks and a triples file of many passes.
+    """
+    built = []
+    set_columns = events._set_columns
+
+    def counted(record, fmt):
+        built.append(type(record).__name__)
+        set_columns(record, fmt)
+
+    monkeypatch.setattr(events, "_set_columns", counted)
+    monkeypatch.setattr(events, "_CHUNK_TRIPLES", 1000)
+    monkeypatch.setattr(events, "_READ_BYTES", 1 << 11)
+    config_path = tmp_path / "config.json"
+    save_config(make_config(bits=(1, 0) * 3, block_size=500), config_path)
+    sim = ["simulate", "--config", str(config_path), "--background-rate", "2e-3"]
+    assert cli.main([*sim, "--out", str(tmp_path / "sim")]) == 0
+    triples = str(tmp_path / "sim" / "triples.csv")
+    decode = ["decode", "--config", str(config_path), "--triples", triples]
+    assert cli.main([*decode, "--out", str(tmp_path / "decode")]) == 0
+    assert "EventStream" in built and "TripleBatch" not in built
+
+
+@pytest.mark.parametrize("read_bytes", [16, 40, 1 << 8, 1 << 12, 1 << 20])
+def test_matcher_fed_reader_passes_equals_matching_the_log(tmp_path, monkeypatch, read_bytes):
+    """The matcher fed an event log's passes as read matches what it matches in the log read whole.
+
+    Reads from a row or two up cut the log into passes of any length; the
+    triples and the orphan report are those of match_coincidences on
+    read_event_log's stream.  The passes need nothing from the header
+    before the first: the matcher takes only the window, block size and
+    spacing.
+    """
+    config = make_config(bits=(1, 0, 0, 1), block_size=150)
+    path = tmp_path / "events.csv"
+    stream = emit_events(sample_triples(config, 2), config, 2)
+    oracles.write_event_log(path, inject_background(stream, 4e-3, 2), header_for(config))
+    stream, _ = read_event_log(path)
+    spacing = triple_spacing_ns(config.pair_rate_scale)
+    want, want_orphans = match_coincidences(stream, 20, block_size=150, spacing_ns=spacing)
+    assert want_orphans.total > 0
+    monkeypatch.setattr(events, "_READ_BYTES", read_bytes)
+    matcher = events._Matcher(20, 150, spacing)
+    passes = events._StreamPasses(path, events._EVENT_LOG)
+    decided = [matcher.feed(part) for part in passes]
+    decided.append(matcher.finish())
+    assert len(decided) > (len(stream) // 2 if read_bytes == 16 else 1)
+    names = events._TRIPLES.names
+    got = events._numbered({name: np.concatenate([d[name] for d in decided]) for name in names})
+    for name in ("triple_id", "block_index", "x_bin", "babu", "alisha"):
+        np.testing.assert_array_equal(getattr(got, name), getattr(want, name), name)
+    assert matcher.report == want_orphans
+    assert list(matcher.report.by_detector) == list(want_orphans.by_detector)
 
 
 @pytest.mark.traced
@@ -926,11 +988,12 @@ def test_write_text_holds_one_chunk(tmp_path):
 def test_decode_holds_one_pass_not_the_triples(tmp_path):
     """decode's traced peak stays level when the triples file doubles.
 
-    It sums each pass of the reader into per-block totals and one count
-    grid, so it holds one read of the file and one pass's parse, not the
-    triples.  Measured here: 2.77 MB at 100,000, 200,000 and 400,000
-    triples in 4 blocks (1.8, 3.8 and 7.7 MB files); reading the triples
-    whole took 4.4, 6.6 and 11.0 MB.
+    It sums each pass of the reader's columns into per-block totals and
+    one count grid, so it holds one read of the file and one pass's parse,
+    not the triples.  Measured here: 2.76 MB at 100,000, 200,000 and
+    400,000 triples in 4 blocks (1.0, 1.9 and 3.8 MB files), and 2.85 MB
+    while each pass was a TripleBatch numbering its rows; reading the
+    triples whole took 3.9, 5.3 and 8.8 MB.
     """
     rng = np.random.default_rng(1)
     peak = {}
@@ -953,7 +1016,7 @@ def test_decode_holds_one_pass_not_the_triples(tmp_path):
         code, peak[n] = _traced(cli.main, ["decode", *argv, "--out", str(run / "decode")])
         assert code == 0
     assert peak[400_000] <= 1.05 * peak[200_000]
-    assert peak[400_000] <= 22 * 400_000 / 2  # half the columns of the triples read whole
+    assert peak[400_000] <= 8 * 400_000  # less than the triples' block_index column alone
 
 
 def test_chunked_draws_equal_one_whole_draw(monkeypatch):
@@ -993,11 +1056,11 @@ def test_chunked_draws_equal_one_whole_draw(monkeypatch):
     )
     for chunk in (1, 7, 8192, n):
         rows = n if chunk >= 8192 else m
-        pieces = list(events._delay_chunks(rows, 5, chunk))
+        monkeypatch.setattr(events, "_CHUNK_TRIPLES", chunk)
+        pieces = list(events._delay_chunks(rows, 5))
         assert [len(p) for p in pieces[:-1]] == [chunk] * (len(pieces) - 1)
         assert {p.dtype for p in pieces} == {np.dtype(np.int8)}
         np.testing.assert_array_equal(np.concatenate(pieces), delays[:rows])
-        monkeypatch.setattr(events, "_CHUNK_TRIPLES", chunk)
         stream = emit_events(triples, config, 5)
         lag = (stream.time_ns.reshape(m, 3) - stream.time_ns[::3, None])[:, 1:]
         code = stream.detector.reshape(m, 3)[:, 1:]
@@ -1010,13 +1073,14 @@ def test_chunked_draws_equal_one_whole_draw(monkeypatch):
 def test_readers_hold_each_record_about_once(tmp_path, monkeypatch, which):
     """A reader peaks at its columns plus one read's bytes and one block's indexes.
 
-    Measured here at 8 kB reads: 14.5 bytes per event record and 29.4 per
-    triple, a little above the 14.4 and 28.3 of rows that spelt each
-    channel as its label, as a read of shorter rows indexes more of them;
-    22.0 per event record with an int64 record id column besides.  The
-    whole file held beside int64 columns took 53 and 65; newline and
-    separator indexes over the whole file, 90 and 115 (both with the id
-    column and the labels).
+    Measured here at 8 kB reads: 14.4 bytes per event record and 22.5 per
+    triple, whose 22-byte columns include the triple_id that read_triples
+    adds once the file is read.  While each parse pass numbered its rows
+    the triples took 29.3; rows that spelt each channel as its label took
+    14.4 and 28.3, and an int64 record id column besides 22.0 per event
+    record.  The whole file held beside int64 columns took 53 and 65;
+    newline and separator indexes over the whole file, 90 and 115 (both
+    with the id column and the labels).
     """
     # so the file spans many reads and blocks: 32 of them for the triples file
     monkeypatch.setattr(events, "_READ_BYTES", 1 << 13)
@@ -1031,7 +1095,7 @@ def test_readers_hold_each_record_about_once(tmp_path, monkeypatch, which):
         spacing = triple_spacing_ns(MEMORY_CONFIG.pair_rate_scale)
         batch, _ = match_coincidences(noisy, 20, block_size=500, spacing_ns=spacing)
         oracles.write_triples(path, batch, hdr)
-        read, bound = read_triples, 35
+        read, bound = read_triples, 25
     del noisy
     (record, _), peak = _traced(read, path)
     assert path.stat().st_size > 20 * events._READ_BYTES

@@ -62,10 +62,9 @@ def header():
 
 
 def joined_batch(pieces) -> TripleBatch:
-    """One TripleBatch of consecutive pieces."""
-    return TripleBatch(
-        **{name: np.concatenate([getattr(p, name) for p in pieces]) for name in TRIPLE_COLUMNS}
-    )
+    """One TripleBatch of consecutive pieces of triple columns, numbered from 0."""
+    names = TRIPLE_COLUMNS[1:]  # all but triple_id
+    return events._numbered({name: np.concatenate([p[name] for p in pieces]) for name in names})
 
 
 def random_stream(seed, n_triples, spacing, rate, n_cluster, n_bins=8) -> EventStream:
@@ -288,7 +287,7 @@ def test_matcher_queues_hold_only_what_a_later_record_can_meet(kept, size):
         matcher = events._Matcher(window, 7, 40)
         pieces = []
         for lo in range(0, len(stream), size):
-            pieces.append(matcher.feed(events._rows(stream, slice(lo, lo + size))))
+            pieces.append(matcher.feed(vars(events._rows(stream, slice(lo, lo + size)))))
             (td, _), *arms = matcher.queues
             assert (td >= matcher.last - window).all()
             for ti, _ in arms:
@@ -763,12 +762,12 @@ def test_writers_equal_fstring_rows(tmp_path, monkeypatch, data, n, chunk):
     """Both writers' rows are the f-string formatters' rows byte for byte, at any chunking."""
     monkeypatch.setattr(events, "_CHUNK_ROWS", chunk)
     hdr = header()
-    codes = st.lists(st.integers(0, len(DETECTOR_LABELS) - 1), min_size=n, max_size=n)
-    # x_bin on non-D0 rows is drawn too: the writer must leave it out whatever it holds
+    codes = int_column(data, n, st.integers(0, len(DETECTOR_LABELS) - 1))
+    # a non-D0 row leaves x_bin empty, which reads as -1, the only x_bin it may hold
     stream = EventStream(
-        detector=data.draw(codes),
+        detector=codes,
         time_ns=int_column(data, n),
-        x_bin=int_column(data, n, x_bin_ints),
+        x_bin=np.where(codes == CODE_D0, int_column(data, n, x_bin_ints), -1),
         n_bins=8,
     )
     outcomes = st.lists(st.integers(0, 3), min_size=n, max_size=n)
@@ -875,6 +874,50 @@ def test_writers_refuse_what_readers_refuse(tmp_path, which, column, value):
     assert not path.exists()
 
 
+@pytest.mark.parametrize("x", [X_MIN, -7, 0, 5, X_MAX])
+def test_event_log_writer_refuses_x_bin_off_d0(tmp_path, x):
+    """A non-D0 row leaves x_bin empty, which reads as -1: any other x_bin there is refused.
+
+    The message names the column, the value and the row, and no file is
+    left behind; -1 there is written as the empty field.
+    """
+    path = tmp_path / "events.csv"
+    stream = EventStream(detector=[0, 1, 5], time_ns=[0, 3, 4], x_bin=[3, -1, x], n_bins=8)
+    with pytest.raises(ValueError) as info:
+        oracles.write_event_log(path, stream, header())
+    assert str(info.value) == (
+        f"cannot write event log: x_bin {x} in row 2 is not -1 on a non-D0 row, "
+        "which leaves x_bin empty"
+    )
+    assert not path.exists()
+    stream.x_bin[2] = -1
+    oracles.write_event_log(path, stream, header())
+    assert data_rows(path) == b"0,0,3\n1,3,\n5,4,\n"
+    assert read_event_log(path)[0].x_bin.tolist() == [3, -1, -1]
+
+
+def test_shortest_rows_come_from_the_formats_and_read_back(tmp_path):
+    """The shortest row simulate's disk budget counts: 5 bytes an event record, 8 a triple.
+
+    A digit per written field, an empty x_bin off D0, the separators and
+    "\n"; a file of rows that short reads back.
+    """
+    assert (events._EVENT_LOG.min_row_bytes, events._TRIPLES.min_row_bytes) == (5, 8)
+    stream = EventStream(detector=[1, 5, 8], time_ns=[0, 3, 9], x_bin=[-1, -1, -1], n_bins=8)
+    batch = TripleBatch(
+        triple_id=[0, 1], x_bin=[0, 7], babu=[0, 3], alisha=[1, 2], block_index=[0, 9]
+    )
+    for fmt, write, read, record, same in (
+        (events._EVENT_LOG, oracles.write_event_log, read_event_log, stream, assert_streams_equal),
+        (events._TRIPLES, oracles.write_triples, read_triples, batch, assert_batches_equal),
+    ):
+        path = tmp_path / "stream.csv"
+        write(path, record, header())
+        rows = data_rows(path).splitlines(keepends=True)
+        assert {len(row) for row in rows} == {fmt.min_row_bytes}
+        same(read(path)[0], record)
+
+
 @pytest.mark.parametrize("declared", [11, 13])
 def test_event_log_pieces_must_hold_the_declared_rows(tmp_path, monkeypatch, declared):
     """Pieces written under an n_rows they do not add up to are refused, and the file removed."""
@@ -892,14 +935,6 @@ def test_event_log_pieces_must_hold_the_declared_rows(tmp_path, monkeypatch, dec
     events.write_event_log(path, iter(pieces), header(), 12)
     oracles.write_event_log(tmp_path / "whole.csv", stream, header())
     assert path.read_bytes() == (tmp_path / "whole.csv").read_bytes()
-
-
-def test_event_log_writer_ignores_x_bin_off_d0(tmp_path):
-    """x_bin is not written on non-D0 rows, whatever int32 it holds there."""
-    for x in (X_MIN, X_MAX):
-        stream = EventStream(detector=[1], time_ns=[5], x_bin=[x], n_bins=8)
-        oracles.write_event_log(tmp_path / "events.csv", stream, header())
-        assert data_rows(tmp_path / "events.csv") == b"1,5,\n"
 
 
 def test_x_bin_extremes_round_trip(tmp_path):
