@@ -305,11 +305,11 @@ def emit_events(triples: TripleBatch, config: ExperimentConfig, seed: int = 0) -
     spacing = triple_spacing_ns(config.pair_rate_scale, n)
     pieces = _delay_chunks(n, int(seed))
     delays = np.concatenate([np.empty((0, 2), np.int8), *pieces])  # no piece when n is 0
-    return _emit(vars(triples), delays, 0, spacing, config.geometry.n_bins)
+    return EventStream(**_emit(vars(triples), delays, 0, spacing), n_bins=config.geometry.n_bins)
 
 
-def _emit(triples: dict, delays, first: int, spacing: int, n_bins: int) -> EventStream:
-    """The records of triples (columns) first, first + 1, ...: emit_events' rows from 3 first on."""
+def _emit(triples: dict, delays, first: int, spacing: int) -> dict:
+    """The record columns of triples (columns) first, first + 1, ...: emit_events' rows from 3 first on."""
     n = len(triples["x_bin"])
     # each idler as delay * 16 + detector code: babu's codes lie below
     # alisha's, so sorting a triple's pair puts babu first on a tie
@@ -329,12 +329,7 @@ def _emit(triples: dict, delays, first: int, spacing: int, n_bins: int) -> Event
     del idlers
     x_bin = np.full((n, 3), -1, dtype=_DTYPE["x_bin"])
     x_bin[:, 0] = triples["x_bin"]
-    return EventStream(
-        detector=detector.ravel(),
-        time_ns=time_ns.ravel(),
-        x_bin=x_bin.ravel(),
-        n_bins=n_bins,
-    )
+    return {"detector": detector.ravel(), "time_ns": time_ns.ravel(), "x_bin": x_bin.ravel()}
 
 
 def inject_background(stream: EventStream, rate_per_ns: float, seed: int = 0) -> EventStream:
@@ -353,7 +348,8 @@ def inject_background(stream: EventStream, rate_per_ns: float, seed: int = 0) ->
         return stream
     t0, t1 = int(stream.time_ns[0]), int(stream.time_ns[-1])
     total, windows = _dark_windows(rate, t0, t1, stream.n_bins, int(seed))
-    return _merge(stream, _gather((dark for _, dark in windows), _EVENT_LOG.names, lambda: total))
+    dark = _gather((dark for _, dark in windows), _EVENT_LOG.names, lambda: total)
+    return EventStream(**_merge(vars(stream), dark), n_bins=stream.n_bins)
 
 
 def _background_rate(rate_per_ns) -> float:
@@ -406,32 +402,32 @@ def _dark_windows(rate: float, t0: int, t1: int, n_bins: int, seed: int) -> tupl
     return total, windows()
 
 
-def _merge(stream: EventStream, dark: dict) -> EventStream:
-    """stream with the time-sorted dark columns merged in, each after every record at its time.
+def _merge(stream: dict, dark: dict) -> dict:
+    """stream's event columns with the time-sorted dark columns merged in, each after its time's records.
 
     Each dark column is taken out of dark as it is merged, the int64 one
     first, so a caller that holds the columns only in dark has each freed
-    once merged.  No dark counts: the stream as is, and dark emptied.
+    once merged.  No dark counts: stream's event columns as they are, and
+    dark emptied.
     """
     n_bg = len(dark["time_ns"])
     if not n_bg:
         dark.clear()
-        return stream
-    original = np.ones(len(stream) + n_bg, dtype=bool)
-    at = np.searchsorted(stream.time_ns, dark["time_ns"], side="right")
+        return {name: stream[name] for name in _EVENT_LOG.names}
+    original = np.ones(len(stream["time_ns"]) + n_bg, dtype=bool)
+    at = np.searchsorted(stream["time_ns"], dark["time_ns"], side="right")
     at += np.arange(n_bg)  # each earlier dark count shifts the next one place on
     original[at] = False
     del at
 
     def merged(name):
-        column = getattr(stream, name)
+        column = stream[name]
         out = np.empty(len(original), dtype=column.dtype)
         out[original] = column
         out[~original] = dark.pop(name)
         return out
 
-    columns = {name: merged(name) for name in ("time_ns", "detector", "x_bin")}
-    return EventStream(**columns, n_bins=stream.n_bins)
+    return {name: merged(name) for name in ("time_ns", "detector", "x_bin")}
 
 
 def _require_sorted(time_ns: np.ndarray) -> None:
@@ -444,7 +440,8 @@ def event_chunks(config: ExperimentConfig, seed: int, rate_per_ns: float) -> tup
     """(records, chunks): the run's stream as emit_events and inject_background build it, in chunks.
 
     records is the stream's length, 3 n_triples plus the dark counts.  chunks
-    iterates over consecutive EventStream pieces of the stream, cut by
+    iterates over consecutive pieces of the stream, each a mapping of its
+    record columns as a reader pass of the event log holds them, cut by
     _stream_chunks, so a piece holds at most one batch's records
     (_CHUNK_TRIPLES triples) and one window's dark counts, whatever the
     rate.  The checks and the dark-count total are done and drawn here.
@@ -463,13 +460,12 @@ def event_chunks(config: ExperimentConfig, seed: int, rate_per_ns: float) -> tup
         pass
     # emit_events' stream runs from 0 to the last triple's later idler
     t_end = (n - 1) * spacing + int(last[-1].max())
-    n_bins = config.geometry.n_bins
-    n_dark, windows = _dark_windows(rate, 0, t_end, n_bins, seed)
+    n_dark, windows = _dark_windows(rate, 0, t_end, config.geometry.n_bins, seed)
     delays = _delay_chunks(n, seed)
-    return 3 * n + n_dark, _stream_chunks(batches, delays, windows, spacing, n_bins)
+    return 3 * n + n_dark, _stream_chunks(batches, delays, windows, spacing)
 
 
-def _stream_chunks(batches, delays, windows, spacing: int, n_bins: int):
+def _stream_chunks(batches, delays, windows, spacing: int):
     """The stream's pieces: each ends at the next batch's first D0 or its window's end, the earlier.
 
     batches are the run's consecutive triple chunks, as columns, and delays
@@ -487,26 +483,20 @@ def _stream_chunks(batches, delays, windows, spacing: int, n_bins: int):
     for batch, batch_delays in zip(batches, delays, strict=True):
         lo, hi = hi, hi + len(batch["x_bin"])
         stop = hi * spacing  # the next batch's first D0
-        stream = _emit(batch, batch_delays, lo, spacing, n_bins)
+        stream = _emit(batch, batch_delays, lo, spacing)
         while dark is not None:
             cut = min(stop, end)
-            k, j = (int(np.searchsorted(t, cut)) for t in (stream.time_ns, dark["time_ns"]))
+            k, j = (int(np.searchsorted(t, cut)) for t in (stream["time_ns"], dark["time_ns"]))
             head = {name: c[:j] for name, c in dark.items()}
             # the rest of the window goes with the next batch, or none is left
             dark = {name: c[j:] for name, c in dark.items()} if stop < end else None
-            piece = _merge(_rows(stream, slice(None, k)), head)  # empties head
-            if len(piece):
+            piece = _merge({name: c[:k] for name, c in stream.items()}, head)  # empties head
+            if len(piece["time_ns"]):
                 yield piece
             if dark is not None:
                 break
-            stream = _rows(stream, slice(k, None))
+            stream = {name: c[k:] for name, c in stream.items()}
             end, dark = next(windows, (None, None))
-
-
-def _rows(stream: EventStream, rows: slice) -> EventStream:
-    """stream's records in rows, as views of its columns."""
-    columns = {name: getattr(stream, name)[rows] for name in _EVENT_LOG.names}
-    return EventStream(**columns, n_bins=stream.n_bins)
 
 
 def _gather(parts, names, size) -> dict:
@@ -723,7 +713,7 @@ def write_and_match(path, header: SimStreamHeader, records: int, chunks, spill) 
 
     def matched(chunks):
         for chunk in chunks:
-            spill_rows(matcher.feed(vars(chunk)))
+            spill_rows(matcher.feed(chunk))
             yield chunk
         spill_rows(matcher.finish())  # in the writer's loop: a failure here leaves no event log
 
@@ -977,9 +967,11 @@ class _StreamPasses:
     parsed.  Each such pass is yielded as its rows' columns (name -> array
     of the column's _DTYPE) in file order, while no fault is certain:
     passes stop at a row with the wrong field count or one whose fields
-    fail to parse, and past n_rows rows or the rows a regular file of its
-    size could hold.  Later rows are only counted, and checked for their
-    field count up to the first wrong one.
+    fail to parse, and past n_rows rows.  Later rows are only counted, and
+    checked for their field count up to the first wrong one.  A regular
+    file whose size holds fewer than n_rows rows of fmt.min_row_bytes
+    cannot be good: its rows are checked all the same, but no pass is
+    yielded, so no reader sizes columns from that count.
     After the last read the file's faults are raised in the order the row
     grammar ranks them, whichever pass they sit in: the row count, then the
     first row with the wrong field count, then the first row whose fields
@@ -1003,9 +995,9 @@ class _StreamPasses:
                 got = tag if key == "tag" else meta.get(key)
                 if got != want:
                     raise ValueError(f"stream header {key} {got!r} is not {want!r}")
-            # a row takes two bytes or more, so a larger count cannot be a regular file's
-            limit = st.st_size // 2 if stat.S_ISREG(st.st_mode) else declared
-            capacity = declared if 0 <= declared <= limit else 0
+            # a good row takes min_row_bytes or more, the last maybe without its "\n"
+            fits = not stat.S_ISREG(st.st_mode) or declared <= (st.st_size + 1) // fmt.min_row_bytes
+            capacity = max(declared, 0)
             k = len(fmt.columns) - 1
             n = 0
             bad = {}  # "fields", "grammar": the first row breaking that rule
@@ -1025,11 +1017,11 @@ class _StreamPasses:
                     elif "grammar" not in bad:
                         out = [np.empty(len(start), dtype=_DTYPE[name]) for name in fmt.names]
                         good = _parse_rows(buf, fmt, start, end, comma.reshape(-1, k), out)
-                        if good.all():
-                            yield dict(zip(fmt.names, out))
-                        else:
+                        if not good.all():
                             i = int(np.argmin(good))
                             bad["grammar"] = buf[start[i] : end[i]].tobytes()
+                        elif fits:
+                            yield dict(zip(fmt.names, out))
         if declared != n:
             raise ValueError(
                 f"{fmt.what} declares {declared} rows but contains {n}; "
@@ -1190,20 +1182,22 @@ def _row_error(fmt: _Format, line: str) -> str:
 
 
 def write_event_log(path, pieces, header: SimStreamHeader, n_rows: int) -> str:
-    """Write pieces, consecutive EventStream pieces of n_rows records in all, as the event log at path.
+    """Write pieces, consecutive pieces of n_rows records in all, as the event log at path.
 
-    Every field of a piece is checked against the row grammar before any of
-    its rows is written, the first piece's before the file is opened, so a
-    value the reader would refuse raises a one-line ValueError naming its
-    row in the file and leaves no file behind.  n_rows goes in the header;
-    pieces holding another number of records are refused the same way.
+    A piece maps each event column name to its column, as event_chunks
+    gives them.  Every field of a piece is checked against the row grammar
+    before any of its rows is written, the first piece's before the file is
+    opened, so a value the reader would refuse raises a one-line ValueError
+    naming its row in the file and leaves no file behind.  n_rows goes in
+    the header; pieces holding another number of records are refused the
+    same way.
     """
 
     def chunks():
         row = 0
         for piece in pieces:
-            yield from _row_bytes(_EVENT_LOG, vars(piece), row)
-            row += len(piece)
+            yield from _row_bytes(_EVENT_LOG, piece, row)
+            row += len(piece["time_ns"])
         if row != n_rows:
             raise ValueError(
                 f"cannot write event log: {row} rows where the header declares {n_rows}"

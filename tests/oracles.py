@@ -759,7 +759,7 @@ def write_triples(path, batch: TripleBatch, header: SimStreamHeader) -> str:
 
 def write_event_log(path, stream: EventStream, header: SimStreamHeader) -> str:
     """Write stream whole as the event log at path, as one piece; the file's sha256 hex."""
-    return write_event_log_pieces(path, [stream], header, len(stream))
+    return write_event_log_pieces(path, [vars(stream)], header, len(stream))
 
 
 def read_event_log_lines(path) -> tuple[EventStream, SimStreamHeader]:

@@ -364,9 +364,9 @@ def test_simulate_refuses_a_bad_field_in_a_middle_chunk(
         row = 0
         for i, piece in enumerate(stream_chunks(*args)):
             if i == 3:
-                piece.time_ns[-1] = 10**18
-                bad_chunks.row = row + len(piece) - 1
-            row += len(piece)
+                piece["time_ns"][-1] = 10**18
+                bad_chunks.row = row + len(piece["time_ns"]) - 1
+            row += len(piece["time_ns"])
             yield piece
 
     monkeypatch.setattr(events, "_stream_chunks", bad_chunks)

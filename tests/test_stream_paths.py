@@ -164,7 +164,7 @@ def test_background_merge_equals_lexsort_on_any_sorted_stream(monkeypatch, seed,
 
 @pytest.mark.parametrize("target", window_targets)
 @pytest.mark.parametrize("chunk", [1, 13, 45, 89, 10**9])
-def test_event_chunks_join_to_the_whole_stream_build(monkeypatch, chunk, target):
+def test_event_chunks_join_to_the_whole_stream_build(tmp_path, monkeypatch, chunk, target):
     """event_chunks' pieces, joined, are inject_background(emit_events(...)) at any chunking.
 
     Both draw the dark counts window by window from one generator.  A piece
@@ -174,7 +174,9 @@ def test_event_chunks_join_to_the_whole_stream_build(monkeypatch, chunk, target)
     come from one batch and its dark counts from one window.  The
     background's span ends at the last triple's later idler, which
     event_chunks reads off the last chunk of its pass over the delays: 89
-    leaves that chunk one triple, and 45 makes two full chunks.
+    leaves that chunk one triple, and 45 makes two full chunks.  Each piece
+    is a plain mapping of the columns an event-log reader pass holds, so
+    the matcher takes either.
     """
     monkeypatch.setattr(events, "_CHUNK_TRIPLES", chunk)
     monkeypatch.setattr(events, "_DARK_WINDOW", target)
@@ -189,7 +191,13 @@ def test_event_chunks_join_to_the_whole_stream_build(monkeypatch, chunk, target)
         records, chunks = events.event_chunks(config, seed, rate)
         pieces = list(chunks)
         assert records == len(whole)
-        joined = {name: np.concatenate([getattr(p, name) for p in pieces]) for name in EVENT_COLUMNS}
+        log = tmp_path / "events.csv"
+        events.write_event_log(log, pieces, header(), records)
+        read_pass = next(iter(events._StreamPasses(log, events._EVENT_LOG)))
+        dtypes = {name: column.dtype for name, column in read_pass.items()}
+        for piece in pieces:
+            assert type(piece) is dict and {name: c.dtype for name, c in piece.items()} == dtypes
+        joined = {name: np.concatenate([p[name] for p in pieces]) for name in EVENT_COLUMNS}
         assert_streams_equal(EventStream(**joined, n_bins=whole.n_bins), whole)
         # the windows themselves: empty ones where a window holds about one dark
         # count, and windows that hold dark counts on both sides of a chunk's edge
@@ -205,8 +213,8 @@ def test_event_chunks_join_to_the_whole_stream_build(monkeypatch, chunk, target)
         assert len(counts) == max(1, -(-total // target))
         cells = np.union1d(cuts, ends)
         for piece in pieces:
-            assert len(piece)
-            assert len(np.unique(np.searchsorted(cells, piece.time_ns, side="right"))) == 1
+            assert len(piece["time_ns"])
+            assert len(np.unique(np.searchsorted(cells, piece["time_ns"], side="right"))) == 1
         if rate != 0.5:
             continue
         assert (0 in counts) == (target == 1)
@@ -287,7 +295,8 @@ def test_matcher_queues_hold_only_what_a_later_record_can_meet(kept, size):
         matcher = events._Matcher(window, 7, 40)
         pieces = []
         for lo in range(0, len(stream), size):
-            pieces.append(matcher.feed(vars(events._rows(stream, slice(lo, lo + size)))))
+            piece = {name: getattr(stream, name)[lo : lo + size] for name in EVENT_COLUMNS}
+            pieces.append(matcher.feed(piece))
             (td, _), *arms = matcher.queues
             assert (td >= matcher.last - window).all()
             for ti, _ in arms:
@@ -685,6 +694,14 @@ def _n_rows(declared):
     return edit
 
 
+def _short_rows_past_the_size_bound(head, rows):
+    # 5 bytes a row, under a triple's shortest good row: the declared count is
+    # more than the file's size holds, and still the rows' own count
+    rows[:] = ["0,,,"] * 200
+    head.append("# n_rows=200")
+    return "bad integer '' in triple row (want -?[0-9]{1,18}): '0,,,'"
+
+
 ROW_FAULTS = {
     "late bad integer": _late_bad_integer,
     "late field count before early grammar": _late_field_count_before_early_grammar,
@@ -697,6 +714,7 @@ ROW_FAULTS = {
     "missing rows": _missing_rows,
     "n_rows past the file": _n_rows(BIG),
     "n_rows negative": _n_rows(-1),
+    "short rows past the size bound": _short_rows_past_the_size_bound,
 }
 
 
@@ -923,10 +941,7 @@ def test_event_log_pieces_must_hold_the_declared_rows(tmp_path, monkeypatch, dec
     """Pieces written under an n_rows they do not add up to are refused, and the file removed."""
     monkeypatch.setattr(events, "_CHUNK_ROWS", 5)
     stream = random_events(np.random.default_rng(0), 12, big=False)
-    pieces = [
-        EventStream(**{name: getattr(stream, name)[lo : lo + 4] for name in EVENT_COLUMNS}, n_bins=8)
-        for lo in (0, 4, 8)
-    ]
+    pieces = [{name: getattr(stream, name)[lo : lo + 4] for name in EVENT_COLUMNS} for lo in (0, 4, 8)]
     path = tmp_path / "events.csv"
     with pytest.raises(ValueError) as info:
         events.write_event_log(path, iter(pieces), header(), declared)
