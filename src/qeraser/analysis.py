@@ -82,6 +82,8 @@ def solve_normal(normal, rhs) -> np.ndarray:
     """
     a, b = [list(row) for row in normal], list(rhs)
     for col in range(3):
+        if not np.all(a[col][col] > 0.0):
+            raise ValueError("the fringe fit is singular: the screen spans too little of a fringe")
         for row in range(col + 1, 3):
             factor = a[row][col] / a[col][col]
             for j in range(col + 1, 3):

@@ -13,6 +13,7 @@ import itertools
 import json
 import math
 import os
+import re
 import shutil
 import sys
 import tempfile
@@ -226,6 +227,17 @@ def cmd_simulate(args) -> int:
             f"--background-rate {rate!r} expects {expected:.3g} dark counts, "
             f"more event records than the header's n_rows can declare ({_MAX_INT})"
         )
+    # the sampler's, the matcher's and the merge's own refusals, naming the flag, before
+    # any work and before the header's; a nan or negative rate passes the row limit above
+    if seed < 0:
+        raise ValueError(f"--seed {seed}: the seed must be a non-negative integer")
+    if window < 0:
+        raise ValueError(f"--window-ns {window}: the window must be non-negative")
+    if not rate >= 0.0:
+        raise ValueError(
+            f"--background-rate {rate!r}: "
+            "the background rate must be finite and non-negative"
+        )
     # built before any work: it refuses an integer the stream reader would refuse
     header = SimStreamHeader(
         seed=seed,
@@ -237,17 +249,6 @@ def cmd_simulate(args) -> int:
         n_triples=schedule.n_triples,
         n_bins=config.geometry.n_bins,
     )
-    # the sampler's, the matcher's and the merge's own refusals, before any work and
-    # naming the flag; a nan or negative rate passes the row limit above
-    if seed < 0:
-        raise ValueError(f"--seed {seed}: the seed must be a non-negative integer")
-    if window < 0:
-        raise ValueError(f"--window-ns {window}: the window must be non-negative")
-    if not rate >= 0.0:
-        raise ValueError(
-            f"--background-rate {rate!r}: "
-            "the background rate must be finite and non-negative"
-        )
     # the dark counts are drawn a window at a time, so only the disk bounds a run: refuse
     # one whose events.csv, triples.csv and spill could not fit where --out will be, before
     # any draw; simulate writes each triple's row twice, to its spill and to triples.csv
@@ -575,6 +576,11 @@ _DEFAULT_TAPS = "0.0,0.25,0.5"
 
 class _Parser(argparse.ArgumentParser):
     """An ArgumentParser whose usage errors are ValueErrors, which main refuses like any other."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        # '-' and a digit, or '-.' and a digit, start a value, as in --background-rate -1e-3
+        self._negative_number_matcher = re.compile(r"-\.?[0-9]")
 
     def error(self, message):
         raise ValueError(message)

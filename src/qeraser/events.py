@@ -143,10 +143,8 @@ class SimStreamHeader:
         # the reader's rule for header integers, so a header written is one read back
         for f in fields(self):
             value = getattr(self, f.name)
-            if f.type == "int" and not -_MAX_INT <= value <= _MAX_INT:
-                raise ValueError(
-                    f"stream header field {f.name}={value} is outside -{_MAX_INT}..{_MAX_INT}"
-                )
+            if f.type == "int" and not 0 <= value <= _MAX_INT:
+                raise ValueError(f"stream header field {f.name}={value} is outside 0..{_MAX_INT}")
 
 
 @dataclass(frozen=True)
@@ -739,13 +737,13 @@ def write_spilled_triples(path, spill, header: SimStreamHeader, n_rows: int) -> 
 #
 # Row grammar, checked by the readers and kept by the writers: header lines
 # only before the first data row; blank lines are skipped; fields are split on
-# ',' with no padding; an integer field is -?[0-9]{1,18} and fits its
+# ',' with no padding; an integer field is unsigned, [0-9]{1,18}, and fits its
 # column's dtype (int64 for every integer column but x_bin, which is int32),
 # and a channel lies among its labels' indices.  "\r\n" and "\r" line ends
 # read as "\n".
 # ---------------------------------------------------------------------------
 
-_INT_RE = re.compile(r"-?[0-9]{1,18}")
+_INT_RE = re.compile(r"[0-9]{1,18}")
 _MAX_DIGITS = 18
 _MAX_INT = 10**_MAX_DIGITS - 1
 _POW10 = 10 ** np.arange(1, _MAX_DIGITS, dtype=np.int64)  # a d-digit value reaches d - 1 of these
@@ -791,11 +789,10 @@ class _Format:
 
     @functools.cached_property
     def ranges(self) -> tuple:
-        """Per column, (lo, hi): a channel's index range, else its dtype's range within ±_MAX_INT."""
-        ints = [np.iinfo(_DTYPE[name]) for name in self.names]
+        """Per column, (0, hi): a channel's last label index, else its dtype's maximum up to _MAX_INT."""
         return tuple(
-            (0, len(labels) - 1) if labels else (max(i.min, -_MAX_INT), min(i.max, _MAX_INT))
-            for (_, labels), i in zip(self.columns, ints)
+            (0, len(labels) - 1 if labels else min(np.iinfo(_DTYPE[name]).max, _MAX_INT))
+            for name, labels in self.columns
         )
 
 
@@ -904,34 +901,25 @@ def _format_rows(fmt: _Format, columns) -> np.ndarray:
     only the widths, a byte or two per field, are held for every field.
     The fields are then written right to left: each puts its separator,
     then its decimal digits from the right, digit j only into rows whose
-    field has more than j, then a '-' where it is negative.
+    field has more than j.  Every written field is unsigned (_check_fields).
     """
     right = np.full(len(columns[0]), len(columns), dtype=np.int64)  # a separator per field
-    widths = []  # per field: (digit count, rows with a '-')
+    widths = []  # per field: its digit count
     for col, present in zip(columns, _written_fields(fmt, columns)):
-        n_digits = np.searchsorted(_POW10, _magnitudes(col), side="right").astype(np.uint8)
+        n_digits = np.searchsorted(_POW10, col, side="right").astype(np.uint8)
         n_digits += 1
         n_digits *= present
-        widths.append((n_digits, (col < 0) & present))
-        right += widths[-1][0]
-        right += widths[-1][1]
+        widths.append(n_digits)
+        right += n_digits
     np.cumsum(right, out=right)  # one past each row's '\n'
     buf = np.empty(int(right[-1]), dtype=np.uint8)
     for f in reversed(range(len(columns))):
-        n_digits, neg = widths.pop()
+        n_digits = widths.pop()
         right -= 1
         buf[right] = ord("\n" if f == len(columns) - 1 else ",")
-        _put_digits(buf, right, _magnitudes(columns[f]), n_digits)
+        _put_digits(buf, right, columns[f].astype(np.int64), n_digits)
         right -= n_digits
-        right -= neg
-        buf[right[neg]] = ord("-")
     return buf
-
-
-def _magnitudes(col) -> np.ndarray:
-    """|col| as a new int64 array; an int32 minimum would stay negative in np.abs."""
-    value = col.astype(np.int64)
-    return np.abs(value, out=value)
 
 
 def _put_digits(buf, end, value, n_digits) -> None:
@@ -997,14 +985,13 @@ class _StreamPasses:
                     raise ValueError(f"stream header {key} {got!r} is not {want!r}")
             # a good row takes min_row_bytes or more, the last maybe without its "\n"
             fits = not stat.S_ISREG(st.st_mode) or declared <= (st.st_size + 1) // fmt.min_row_bytes
-            capacity = max(declared, 0)
             k = len(fmt.columns) - 1
             n = 0
             bad = {}  # "fields", "grammar": the first row breaking that rule
             for buf in rows:
                 for start, end in _line_blocks(buf):
                     n += len(start)
-                    if n > capacity or "fields" in bad:
+                    if n > declared or "fields" in bad:
                         continue
                     comma = np.flatnonzero(buf[start[0] : end[-1]] == ord(",")) + start[0]
                     # m * k separators sit k to a row iff each row's first and last fall inside it
@@ -1124,11 +1111,11 @@ def _parse_rows(buf, fmt: _Format, start, end, comma, out) -> np.ndarray:
     """
     k = comma.shape[1]
     good = np.ones(len(start), dtype=bool)
-    for f, (name, (lo, hi)) in enumerate(zip(fmt.names, fmt.ranges)):
+    for f, (name, (_, hi)) in enumerate(zip(fmt.names, fmt.ranges)):
         left = start if f == 0 else comma[:, f - 1] + 1
         right = end if f == k else comma[:, f]
         value, ok = _parse_ints(buf, left, right)
-        ok &= (value >= lo) & (value <= hi)
+        ok &= value <= hi  # digits only, so never below 0
         if fmt.d0_x_bin and name == "x_bin":
             present = right > left
             is_d0 = out[fmt.names.index("detector")] == CODE_D0
@@ -1141,8 +1128,7 @@ def _parse_rows(buf, fmt: _Format, start, end, comma, out) -> np.ndarray:
 
 def _parse_ints(buf, left, right) -> tuple[np.ndarray, np.ndarray]:
     """Values of the integer fields buf[left:right], and which are well-formed."""
-    neg = buf[left] == ord("-")
-    n_digits = right - left - neg
+    n_digits = right - left
     good = (n_digits >= 1) & (n_digits <= _MAX_DIGITS)
     value = np.zeros(len(left), dtype=np.int64)
     scale = 1
@@ -1152,7 +1138,6 @@ def _parse_ints(buf, left, right) -> tuple[np.ndarray, np.ndarray]:
         good &= (digit < 10) | ~inside
         value += np.where(inside, digit, 0).astype(np.int64) * scale
         scale *= 10
-    np.negative(value, out=value, where=neg)
     return value, good
 
 
@@ -1172,7 +1157,7 @@ def _row_error(fmt: _Format, line: str) -> str:
         if fmt.d0_x_bin and name == "x_bin" and field == "":
             continue
         if not _INT_RE.fullmatch(field):
-            return f"bad integer {field!r} in {fmt.noun} row (want -?[0-9]{{1,18}}): {line!r}"
+            return f"bad integer {field!r} in {fmt.noun} row (want [0-9]{{1,18}}): {line!r}"
         if not lo <= int(field) <= hi:
             return f"{name} {field} is outside {lo}..{hi} in {fmt.noun} row: {line!r}"
     row = dict(zip(fmt.names, fields))

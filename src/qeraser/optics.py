@@ -134,10 +134,14 @@ class SlitScreenGeometry:
         if not 1 <= n <= MAX_BINS:
             raise ValueError(f"n_bins must be between 1 and {MAX_BINS}, got {n}")
         object.__setattr__(self, "n_bins", n)
-        # phase(L), in phase()'s order of operations, bounds every bin's phase
+        # phase(L), in phase()'s order of operations, bounds every bin's phase; the fringe
+        # frequency, and nyquist_min_samples' 2 L / d, must be finite too
         edge = 2.0 * math.pi * self.screen_width * self.slit_separation
-        if not math.isfinite(edge / (self.wavelength * self.focal_length)):
+        scale = self.wavelength * self.focal_length  # may underflow to 0
+        if not (scale > 0.0 and math.isfinite(edge / scale) and math.isfinite(self.fringe_frequency)):
             raise ValueError("screen phase overflows: d * L / (lambda * f) is too large")
+        if not math.isfinite(2.0 * self.screen_width / self.slit_separation):
+            raise ValueError("screen width over slit separation overflows: L / d is too large")
 
     @cached_property
     def bin_centers(self) -> np.ndarray:
@@ -187,7 +191,8 @@ class GaussianEnvelope:
 
     def profile(self, x):
         # math.exp per value: numpy's exp loop rounds differently on some CPUs
-        return np.vectorize(math.exp, otypes=[float])(-0.5 * (np.asarray(x, dtype=float) / self.sigma) ** 2)
+        with np.errstate(over="ignore"):  # a tiny sigma overflows (x / sigma)**2 to inf, exp(-inf) is 0
+            return np.vectorize(math.exp, otypes=[float])(-0.5 * (np.asarray(x, dtype=float) / self.sigma) ** 2)
 
 
 @lru_cache(maxsize=32)

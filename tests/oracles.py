@@ -34,7 +34,8 @@ They are kept verbatim as differential oracles: the fast paths must return
 the same arrays, headers, floats, orphan reports and file bytes.  The
 readers here are looser than the library's grammar (Python's ``int()``
 accepts ``+5``, ``1_0`` and padded fields, and ``#`` lines anywhere), so they
-agree with the library on every file the writers produce.
+agree with the library on every file the writers produce; like the grammar,
+they refuse a ``-`` sign, since every stream integer is unsigned.
 
 ``write_triples`` and ``write_event_log`` are no oracles: tests that need a
 triples file or an event log write a whole batch or stream through them,
@@ -657,18 +658,25 @@ def _parse_header(fh) -> tuple[dict, list[str]]:
     return meta, data
 
 
+def _uint(field: str) -> int:
+    """int(field), refusing a sign: a stream integer is unsigned."""
+    if field.strip().startswith("-"):
+        raise ValueError(f"bad integer {field!r}")
+    return int(field)
+
+
 def _header_from_meta(meta: dict) -> SimStreamHeader:
     try:
         return SimStreamHeader(
-            seed=int(meta["seed"]),
+            seed=_uint(meta["seed"]),
             config_digest=meta["config_digest"],
-            coincidence_window_ns=int(meta["coincidence_window_ns"]),
+            coincidence_window_ns=_uint(meta["coincidence_window_ns"]),
             rng_algorithm=meta["rng_algorithm"],
             bits=meta["bits"],
-            block_size=int(meta["block_size"]),
-            spacing_ns=int(meta["spacing_ns"]),
-            n_triples=int(meta["n_triples"]),
-            n_bins=int(meta["n_bins"]),
+            block_size=_uint(meta["block_size"]),
+            spacing_ns=_uint(meta["spacing_ns"]),
+            n_triples=_uint(meta["n_triples"]),
+            n_bins=_uint(meta["n_bins"]),
         )
     except KeyError as exc:
         raise ValueError(f"stream header missing field {exc}") from exc
@@ -763,12 +771,12 @@ def write_event_log(path, stream: EventStream, header: SimStreamHeader) -> str:
 
 
 def read_event_log_lines(path) -> tuple[EventStream, SimStreamHeader]:
-    """Event-log reader with one split and three int() calls per row."""
+    """Event-log reader with one split and three int() calls per row, each refusing a sign."""
     with open(path, "r", encoding="utf-8") as fh:
         meta, data = _parse_header(fh)
     header = _header_from_meta(meta)
     _check_labels(meta, EVENT_LABEL_LINES)
-    declared = int(meta.get("n_rows", -1))
+    declared = _uint(meta["n_rows"]) if "n_rows" in meta else -1
     if declared != len(data):
         raise ValueError(
             f"event log declares {declared} rows but contains {len(data)}; "
@@ -779,23 +787,26 @@ def read_event_log_lines(path) -> tuple[EventStream, SimStreamHeader]:
         parts = line.split(",")
         if len(parts) != 3:
             raise ValueError(f"malformed event row: {line!r}")
-        code = int(parts[0])
+        code = _uint(parts[0])
         has_x = parts[2] != ""
         if has_x != (code == CODE_D0):
             raise ValueError(f"x_bin presence inconsistent with detector: {line!r}")
         det.append(code)
-        ts.append(int(parts[1]))
-        xs.append(int(parts[2]) if has_x else -1)
+        ts.append(_uint(parts[1]))
+        xs.append(_uint(parts[2]) if has_x else -1)
     return EventStream(detector=det, time_ns=ts, x_bin=xs, n_bins=header.n_bins), header
 
 
 def read_triples_lines(path) -> tuple[TripleBatch, SimStreamHeader]:
-    """Triples reader with one split and four int() calls per row; triple_id is the row number."""
+    """Triples reader with one split and four int() calls per row, each refusing a sign.
+
+    triple_id is the row number.
+    """
     with open(path, "r", encoding="utf-8") as fh:
         meta, data = _parse_header(fh)
     header = _header_from_meta(meta)
     _check_labels(meta, TRIPLE_LABEL_LINES)
-    declared = int(meta.get("n_rows", -1))
+    declared = _uint(meta["n_rows"]) if "n_rows" in meta else -1
     if declared != len(data):
         raise ValueError(
             f"triples file declares {declared} rows but contains {len(data)}; "
@@ -806,10 +817,10 @@ def read_triples_lines(path) -> tuple[TripleBatch, SimStreamHeader]:
         parts = line.split(",")
         if len(parts) != 4:
             raise ValueError(f"malformed triple row: {line!r}")
-        blk.append(int(parts[0]))
-        xb.append(int(parts[1]))
-        jj.append(int(parts[2]))
-        kk.append(int(parts[3]))
+        blk.append(_uint(parts[0]))
+        xb.append(_uint(parts[1]))
+        jj.append(_uint(parts[2]))
+        kk.append(_uint(parts[3]))
     tid = np.arange(len(data))
     batch = TripleBatch(triple_id=tid, x_bin=xb, babu=jj, alisha=kk, block_index=blk)
     return batch, header

@@ -123,6 +123,17 @@ def test_fit_rejects_bad_input(geom):
         fit_fringe(np.ones(10), geom)
 
 
+@pytest.mark.parametrize("d", [7e-211, 1e-9])
+def test_fit_refuses_a_screen_too_narrow_for_a_fringe(d):
+    """cos u rounds to 1 at every bin, so the normal equations' second pivot is 0: no 0/0 warning."""
+    geom = SlitScreenGeometry(d, 7e-7, 1.0, 5e-3, 16)
+    for rows in ([np.full(16, 10.0)], np.full((3, 16), 10.0)):
+        with pytest.raises(ValueError, match="^the fringe fit is singular"):
+            fit_fringes(rows, geom)
+    with pytest.raises(ValueError, match="^the fringe fit is singular"):
+        unit_variance_fit(np.full(16, 1 / 16), geom)
+
+
 def test_fit_low_sample_warning(geom):
     bound = nyquist_min_samples(geom)
     thin = np.zeros(geom.n_bins)

@@ -31,6 +31,8 @@ from qeraser.experiment import (
 from qeraser.optics import D1, GaussianEnvelope, UniformEnvelope, arm_tables
 
 from oracles import as_v1, as_v2, property_suite_loop, sweep_rows
+from test_experiment import INTEGERS, NUMBERS, fuzz_base, malformed_documents, node_at
+from test_stream_paths import MUTATIONS, mutate_stream_file
 
 EXACT = 1e-12
 
@@ -380,7 +382,7 @@ def test_simulate_refuses_a_bad_field_in_a_middle_chunk(
     assert cli.main(argv) == 2
     assert one_line_error(capsys) == (
         f"qeraser: cannot write event log: time_ns 1000000000000000000 in row {bad_chunks.row} "
-        "is outside -999999999999999999..999999999999999999\n"
+        "is outside 0..999999999999999999\n"
     )
     assert not out.exists()
 
@@ -448,23 +450,28 @@ def test_simulate_rejects_bad_background_rate(
 
 
 @pytest.mark.parametrize(
-    "flag, value",
-    [("--seed", "99999999999999999999"), ("--seed", "-99999999999999999999"),
-     ("--window-ns", "-1000000000000000000")],
+    "flag, value, message",
+    [
+        ("--seed", "99999999999999999999", "stream header field seed=99999999999999999999 "
+         "is outside 0..999999999999999999"),
+        ("--seed", "1000000000000000000", "stream header field seed=1000000000000000000 "
+         "is outside 0..999999999999999999"),
+        # a negative one is the flag's own refusal, which comes before the header's
+        ("--seed", "-99999999999999999999",
+         "--seed -99999999999999999999: the seed must be a non-negative integer"),
+        ("--window-ns", "-1000000000000000000",
+         "--window-ns -1000000000000000000: the window must be non-negative"),
+    ],
 )
 def test_simulate_refuses_header_integers_the_reader_refuses(
-    tmp_path, small_config_path, monkeypatch, capsys, flag, value
+    tmp_path, small_config_path, monkeypatch, capsys, flag, value, message
 ):
-    """A stream header integer past 18 digits would write a triples.csv decode refuses."""
+    """A stream header integer past 18 digits or signed would write a triples.csv decode refuses."""
     monkeypatch.setattr(cli, "event_chunks", no_work("simulate"))
     out = tmp_path / "sim"
     argv = ["simulate", "--config", str(small_config_path), "--out", str(out), flag, value]
     assert cli.main(argv) == 2
-    name = "seed" if flag == "--seed" else "coincidence_window_ns"
-    assert one_line_error(capsys) == (
-        f"qeraser: stream header field {name}={value} is outside "
-        "-999999999999999999..999999999999999999\n"
-    )
+    assert one_line_error(capsys) == f"qeraser: {message}\n"
     assert not out.exists()
 
 
@@ -739,10 +746,14 @@ def test_decode_truncated_triples(tmp_path, small_config_path, capsys):
     [
         (1, "12345678901234567890", "bad integer '12345678901234567890'"),
         # 2**32 + 1: an int32 cast would wrap it to bin 1
-        (1, "4294967297", "x_bin 4294967297 is outside -2147483648..2147483647 in triple row"),
-        (1, "2147483648", "x_bin 2147483648 is outside -2147483648..2147483647 in triple row"),
+        (1, "4294967297", "x_bin 4294967297 is outside 0..2147483647 in triple row"),
+        (1, "2147483648", "x_bin 2147483648 is outside 0..2147483647 in triple row"),
         (0, "4", "block index 4 is outside the schedule's 4 blocks"),
-        (0, "-1", "block index -1 is outside the schedule's 4 blocks"),
+        # a field is unsigned: a sign is a bad integer, in any column
+        (0, "-1", "bad integer '-1' in triple row (want [0-9]{1,18})"),
+        (0, "-0", "bad integer '-0' in triple row (want [0-9]{1,18})"),
+        (1, "-1", "bad integer '-1' in triple row (want [0-9]{1,18})"),
+        (2, "-0", "bad integer '-0' in triple row (want [0-9]{1,18})"),
     ],
 )
 def test_decode_bad_triples_field_exits_2(tmp_path, small_config_path, capsys, field, value, message):
@@ -1269,6 +1280,25 @@ def test_sweep_refuses_fewer_bins_than_fringe_parameters(tmp_path, capsys, n_bin
     assert not (tmp_path / "s").exists()
 
 
+@pytest.mark.parametrize("d", [7e-211, 1e-9])
+def test_a_screen_too_narrow_for_a_fringe_is_refused_where_one_is_fitted(tmp_path, capsys, d):
+    """Where 1 and cos u round to one column over the bins, sweep and decode exit 2 in one line."""
+    doc = config_to_dict(default_config())
+    doc["experiment"]["geometry"]["d"] = d
+    doc["experiment"]["schedule"] = {"bits": [1, 0], "block_size": 10}
+    path = tmp_path / "narrow.json"
+    path.write_text(json.dumps(doc))
+    assert cli.main(["simulate", "--config", str(path), "--out", str(tmp_path / "sim")]) == 0
+    capsys.readouterr()
+    for argv in (["sweep"], ["decode", "--triples", str(tmp_path / "sim" / "triples.csv")]):
+        out = tmp_path / argv[0]
+        assert cli.main([*argv, "--config", str(path), "--out", str(out)]) == 2
+        assert one_line_error(capsys) == (
+            "qeraser: the fringe fit is singular: the screen spans too little of a fringe\n"
+        )
+        assert not out.exists()
+
+
 def test_sweep_needs_double_mode(tmp_path, capsys):
     path = tmp_path / "single.json"
     save_config(default_config(MODE_SINGLE), path)
@@ -1431,12 +1461,132 @@ def test_every_flag_value_exits_0_or_2_with_one_line(flag_fuzz_inputs, case):
         argv += [f"{flag}={value}"] if joined else [flag, value]
     if unknown:
         argv.append("--bogus")
-    stdout, stderr = io.StringIO(), io.StringIO()
-    with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
-        code = cli.main(argv)
-    assert code in ((0, 1, 2) if command == "verify" else (0, 2)), argv
-    if code == 2:
-        err = stderr.getvalue()
-        assert err.startswith("qeraser: ") and err.count("\n") == 1 and err.endswith("\n"), (argv, err)
-        assert not out.exists(), argv
+    assert_exits_0_or_2_with_one_line(argv, out.parent)
     shutil.rmtree(out.parent)
+
+
+def assert_exits_0_or_2_with_one_line(argv, out_parent) -> tuple[int, str]:
+    """cli.main(argv)'s return and stderr: 0 or 2 (1 only from verify), nothing raised.
+
+    On 2, stderr is one qeraser: line and out_parent, --out's parent, is
+    still empty.
+    """
+    stderr = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(stderr):
+        code = cli.main(argv)
+    err = stderr.getvalue()
+    assert code in ((0, 1, 2) if argv[0] == "verify" else (0, 2)), argv
+    if code == 2:
+        assert err.startswith("qeraser: ") and err.count("\n") == 1 and err.endswith("\n"), (argv, err)
+        assert list(out_parent.iterdir()) == [], argv
+    return code, err
+
+
+@pytest.mark.parametrize("theta", ["-0.5,0.5", "-.5,0.5"])
+def test_a_value_that_starts_with_minus_and_a_digit_is_a_value(tmp_path, config_path, capsys, theta):
+    """--theta -0.5,0.5 is the axis list, as --theta=-0.5,0.5 is, never an option: the sweep runs."""
+    outs = []
+    for words in (["--theta", theta], [f"--theta={theta}"]):
+        outs.append(tmp_path / str(len(outs)))
+        argv = ["sweep", "--config", str(config_path), "--out", str(outs[-1]), *words]
+        assert cli.main([*argv, "--chi", "0", "--tap", "0"]) == 0
+        assert capsys.readouterr().out.endswith("(4 grid points)\n")
+    assert {float(row[0]) for row in data_rows(outs[0] / "sweep.csv")} == {-0.5, 0.5}
+    assert (outs[0] / "sweep.csv").read_bytes() == (outs[1] / "sweep.csv").read_bytes()
+
+
+@pytest.mark.parametrize(
+    "flag, value, reason",
+    [
+        ("--background-rate", "-1e-3",
+         "--background-rate -0.001: the background rate must be finite and non-negative"),
+        ("--background-rate", "-.5", "--background-rate -0.5: the background rate must be finite and non-negative"),
+        ("--seed", "-x", "argument --seed: expected one argument"),
+    ],
+)
+def test_a_negative_number_after_its_flag_reaches_the_command(
+    tmp_path, small_config_path, monkeypatch, capsys, flag, value, reason
+):
+    """A word of '-' and a digit after a flag is its value, refused by the command naming it."""
+    monkeypatch.setattr(cli, "event_chunks", no_work("simulate"))
+    out = tmp_path / "sim"
+    assert cli.main(["simulate", "--config", str(small_config_path), "--out", str(out), flag, value]) == 2
+    assert one_line_error(capsys) == f"qeraser: {reason}\n"
+    assert not out.exists()
+
+
+# ---------------------------------------------------------------------------
+# config and stream file fuzz
+# ---------------------------------------------------------------------------
+
+
+def small_document():
+    """fuzz_base's document at 16 bins and 4 blocks of 5 triples, so a run is a few hundred records."""
+    doc = fuzz_base()
+    doc["experiment"]["geometry"]["n_bins"] = 16
+    doc["experiment"]["schedule"] = {"bits": [1, 0, 1, 0], "block_size": 5}
+    return doc
+
+
+@st.composite
+def mutated_documents(draw):
+    """small_document with one number or count set to a small value, which may or may not read."""
+    doc = small_document()
+    node, key = node_at(doc, draw(st.sampled_from(NUMBERS + INTEGERS)))
+    node[key] = draw(st.integers(-1, 20) | st.floats(-1.0, 40.0))
+    return doc
+
+
+# each command's flags besides --config and --out: a small grid, a few trials
+CONFIG_FUZZ_FLAGS = {
+    "patterns": [],
+    "simulate": [],
+    "sweep": ["--theta", "0,1", "--chi", "0", "--tap", "0.5"],
+    "verify": ["--trials", "10"],
+}
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    doc=malformed_documents(small_document) | mutated_documents(),
+    command=st.sampled_from(sorted(CONFIG_FUZZ_FLAGS)),
+)
+def test_every_config_exits_0_or_2_with_one_line(flag_fuzz_inputs, doc, command):
+    """A malformed or mutated config through each command that reads one: exit 0 or 2 (or verify's 1).
+
+    A refusal is one qeraser: line and leaves --out's parent empty.
+    """
+    work = Path(tempfile.mkdtemp(dir=flag_fuzz_inputs[2]))
+    config = work / "config.json"
+    config.write_text(json.dumps(doc), encoding="utf-8")
+    (work / "run").mkdir()
+    argv = [command, "--config", str(config), *CONFIG_FUZZ_FLAGS[command]]
+    if command != "verify":
+        argv += ["--out", str(work / "run" / "out")]
+    assert_exits_0_or_2_with_one_line(argv, work / "run")
+    shutil.rmtree(work)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    kind=st.sampled_from(MUTATIONS),
+    mode=st.sampled_from(["omniscient", "alisha"]),
+)
+def test_every_triples_file_exits_0_or_2_with_one_line(flag_fuzz_inputs, seed, kind, mode):
+    """A damaged 2-block x 10-triple triples.csv through decode: exit 0 or 2, a refusal one line.
+
+    A refusal leaves --out's parent empty, and a signed field is always
+    refused as a bad triples file.
+    """
+    config, triples, base = flag_fuzz_inputs
+    work = Path(tempfile.mkdtemp(dir=base))
+    path = work / "triples.csv"
+    rng = np.random.default_rng(seed)
+    path.write_bytes(mutate_stream_file(triples.read_bytes(), rng, kind, (2, 3)))  # babu, alisha
+    (work / "run").mkdir()
+    argv = ["decode", "--config", str(config), "--triples", str(path), "--mode", mode]
+    code, err = assert_exits_0_or_2_with_one_line([*argv, "--out", str(work / "run" / "out")], work / "run")
+    if kind == "signed":
+        assert code == 2 and err.startswith(f"qeraser: bad triples file {path}: bad integer '-"), err
+    shutil.rmtree(work)

@@ -629,7 +629,7 @@ def test_detector_code_layout():
 
 
 # ---------------------------------------------------------------------------
-# row grammar: integers are -?[0-9]{1,18}, headers only before the data
+# row grammar: integers are unsigned, [0-9]{1,18}, headers only before the data
 # ---------------------------------------------------------------------------
 
 
@@ -649,9 +649,19 @@ def _replace_row(path, row):
         ("0,,0,0", "bad integer ''"),
         ("0,-,0,0", "bad integer '-'"),
         ("0,1234567890123456789,0,0", "bad integer '1234567890123456789'"),
-        ("0,-2147483649,0,0", "x_bin -2147483649 is outside -2147483648..2147483647"),
+        ("0,2147483648,0,0", "x_bin 2147483648 is outside 0..2147483647"),
         ("0,3,4,0", r"babu 4 is outside 0\.\.3 in triple row"),
-        ("0,3,0,-1", r"alisha -1 is outside 0\.\.3 in triple row"),
+        # a sign, even on zero, is a bad digit in every column
+        ("-5,3,0,0", r"bad integer '-5' in triple row \(want \[0-9\]\{1,18\}\): '-5,3,0,0'"),
+        ("-0,3,0,0", "bad integer '-0'"),
+        ("0,-5,0,0", "bad integer '-5'"),
+        ("0,-0,0,0", "bad integer '-0'"),
+        ("0,-2147483648,0,0", "bad integer '-2147483648'"),
+        ("0,3,-5,0", "bad integer '-5'"),
+        ("0,3,-0,0", "bad integer '-0'"),
+        ("0,3,0,-5", "bad integer '-5'"),
+        ("0,3,0,-0", "bad integer '-0'"),
+        ("0,3,0,-1", "bad integer '-1'"),
         ("0,3,0 ,0", "bad integer '0 '"),
         ("0,3,D1,D1'", "bad integer 'D1'"),
         ("0,3,0,0x", "bad integer '0x'"),
@@ -673,13 +683,20 @@ def test_triples_grammar_rejects(tmp_path, small_config, row, message):
         ("0,10,1_0", "bad integer '1_0'"),
         ("0,+10,3", "bad integer '\\+10'"),
         ("0,-12345678901234567890,3", "bad integer"),
-        ("0,10,2147483648", "x_bin 2147483648 is outside -2147483648..2147483647"),
+        ("0,10,2147483648", "x_bin 2147483648 is outside 0..2147483647"),
         ("1,10,3", "x_bin presence"),
         ("0,10,", "x_bin presence"),
         ("00,10,", "x_bin presence"),  # 00 is channel 0, as the parser reads it
         ("01,10,3", "x_bin presence"),
         ("9,10,", r"detector 9 is outside 0\.\.8 in event row"),
-        ("-1,10,", r"detector -1 is outside 0\.\.8 in event row"),
+        # a sign, even on zero, is a bad digit in every column
+        ("-5,10,", r"bad integer '-5' in event row \(want \[0-9\]\{1,18\}\): '-5,10,'"),
+        ("-0,10,3", "bad integer '-0'"),
+        ("-1,10,", "bad integer '-1'"),
+        ("0,-5,3", "bad integer '-5'"),
+        ("0,-0,3", "bad integer '-0'"),
+        ("0,10,-5", "bad integer '-5'"),
+        ("0,10,-0", "bad integer '-0'"),
         ("D1,10,", "bad integer 'D1'"),
         ("D0,10,3", "bad integer 'D0'"),
         ("0,10,3,4", "malformed event row"),
@@ -693,6 +710,30 @@ def test_event_log_grammar_rejects(tmp_path, small_config, row, message):
     _replace_row(path, row)
     with pytest.raises(ValueError, match=message):
         read_event_log(path)
+
+
+@pytest.mark.parametrize("which", ["events", "triples"])
+@pytest.mark.parametrize(
+    "key, value",
+    [("n_rows", "-1"), ("n_rows", "-0"), ("seed", "-5"), ("block_size", "-0"), ("n_bins", "-8")],
+)
+def test_stream_header_integers_are_unsigned(tmp_path, small_config, which, key, value):
+    """A signed header integer is refused as no integer, as a signed field is."""
+    path = tmp_path / "stream.csv"
+    hdr = header_for(small_config)
+    tr = sample_triples(small_config, seed=0)
+    if which == "events":
+        oracles.write_event_log(path, emit_events(tr, small_config, seed=0), hdr)
+        read = read_event_log
+    else:
+        oracles.write_triples(path, tr, hdr)
+        read = read_triples
+    text = path.read_text()
+    line = next(line for line in text.splitlines() if line.startswith(f"# {key}="))
+    path.write_text(text.replace(line + "\n", f"# {key}={value}\n", 1))
+    with pytest.raises(ValueError) as info:
+        read(path)
+    assert str(info.value) == f"stream header field {key}={value!r} is not an integer"
 
 
 def test_event_log_reads_zero_padded_channels_as_channels(tmp_path, small_config):

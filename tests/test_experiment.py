@@ -311,6 +311,13 @@ def test_config_huge_integer_is_a_value_error():
         ("experiment.schedule.block_size", -(10**30), "experiment.schedule.block_size has more than 18 digits"),
         ("experiment.geometry.n_bins", 65_537, "n_bins must be between 1 and 65536, got 65537"),
         ("experiment.geometry.d", 10**308, "screen phase overflows: d * L / (lambda * f) is too large"),
+        # lambda * f underflows to 0, which no ZeroDivisionError may escape
+        ("experiment.geometry.f", 5e-324, "screen phase overflows: d * L / (lambda * f) is too large"),
+        # the fringe frequency 4 pi d / (lambda f) overflows where d * L / (lambda * f) does not
+        ("experiment.geometry.lambda", 2.225073858507e-311,
+         "screen phase overflows: d * L / (lambda * f) is too large"),
+        # 2 L / d, the decoders' sampling bound, overflows
+        ("experiment.geometry.d", 5e-324, "screen width over slit separation overflows: L / d is too large"),
         ("experiment.babu.tapp\nx", 1, "unknown key experiment.babu.'tapp\\nx'"),
     ],
 )
@@ -431,9 +438,9 @@ def node_at(doc, path: str):
 
 
 @st.composite
-def malformed_documents(draw):
-    """A valid document with one change that makes it malformed."""
-    doc = fuzz_base()
+def malformed_documents(draw, base=fuzz_base):
+    """A valid document, base(), with one change that makes it malformed."""
+    doc = base()
     kind = draw(st.sampled_from(
         ["type", "integer_type", "bool_type", "mode", "section", "unknown", "huge_integer",
          "huge_number", "nonfinite", "missing"]

@@ -268,6 +268,14 @@ def test_gaussian_envelope_validation():
         GaussianEnvelope(0.0)
 
 
+def test_an_envelope_too_narrow_for_every_bin_vanishes_without_a_warning(geom):
+    """(x / sigma)**2 overflows to inf at every bin centre, so the profile is 0 there, and refused."""
+    envelope = GaussianEnvelope(5e-182)
+    assert not envelope.profile(geom.bin_centers).any()
+    with pytest.raises(ValueError, match="^envelope vanishes on every bin$"):
+        screen_basis(geom, envelope)
+
+
 # ---------------------------------------------------------------------------
 # joint table against a brute-force expansion
 # ---------------------------------------------------------------------------

@@ -39,8 +39,8 @@ from conftest import make_config
 
 TRIPLE_COLUMNS = ("triple_id", "x_bin", "babu", "alisha", "block_index")
 EVENT_COLUMNS = ("detector", "time_ns", "x_bin")
-BIG = 10**18 - 1  # the largest magnitude an int64 field may hold
-X_MIN, X_MAX = -(2**31), 2**31 - 1  # x_bin is int32
+BIG = 10**18 - 1  # the largest value an int64 field may hold
+X_MIN, X_MAX = -(2**31), 2**31 - 1  # x_bin is int32; a field holds 0..X_MAX
 
 seeds = st.integers(min_value=0, max_value=2**32 - 1)
 fast = settings(
@@ -68,7 +68,7 @@ def joined_batch(pieces) -> TripleBatch:
 
 
 def random_stream(seed, n_triples, spacing, rate, n_cluster, n_bins=8) -> EventStream:
-    """Triples on a grid, extra D0s forced next to grid D0s, uniform dark counts."""
+    """Triples on a grid, extra D0s forced next to grid D0s, uniform dark counts; no time before 0."""
     rng = np.random.default_rng(seed)
     base = np.arange(n_triples, dtype=np.int64) * spacing
     times = [base, base + rng.integers(1, 11, n_triples), base + rng.integers(1, 11, n_triples)]
@@ -422,11 +422,11 @@ def test_simulate_chunk_cuts_meet_dark_counts_and_open_windows(
 
 
 def random_x_bin(rng, n, big):
-    """x_bin values, with big: any int32, the extremes included."""
+    """x_bin values a field holds, with big: any in 0..X_MAX, the extremes included."""
     if not big:
-        return rng.integers(-1000, 1001, n)
-    extreme = rng.choice([X_MIN, X_MAX], n)
-    return np.where(rng.random(n) < 0.2, extreme, rng.integers(X_MIN, X_MAX + 1, n))
+        return rng.integers(0, 1001, n)
+    extreme = rng.choice([0, X_MAX], n)
+    return np.where(rng.random(n) < 0.2, extreme, rng.integers(0, X_MAX + 1, n))
 
 
 def random_batch(rng, n, big) -> TripleBatch:
@@ -437,7 +437,7 @@ def random_batch(rng, n, big) -> TripleBatch:
         x_bin=random_x_bin(rng, n, big),
         babu=rng.integers(0, 4, n),
         alisha=rng.integers(0, 4, n),
-        block_index=rng.integers(-hi, hi + 1, n),
+        block_index=rng.integers(0, hi + 1, n),
     )
 
 
@@ -446,7 +446,7 @@ def random_events(rng, n, big) -> EventStream:
     code = rng.integers(0, len(DETECTOR_LABELS), n)
     return EventStream(
         detector=code,
-        time_ns=rng.integers(-hi, hi + 1, n),
+        time_ns=rng.integers(0, hi + 1, n),
         x_bin=np.where(code == CODE_D0, random_x_bin(rng, n, big), -1),
         n_bins=8,
     )
@@ -485,17 +485,27 @@ def test_readers_roundtrip_equal_line_readers(tmp_path, monkeypatch, seed, n, bi
 CHANNEL_MUTANTS = [b"0", b"3", b"4", b"8", b"9", b"-1", b"-0", b"00", b"01", b"+1", b"D1", b"D2'", b""]
 
 
-def _mutate(data: bytes, rng, kind: str, channels: tuple) -> bytes:
+# the ways a stream file is damaged: cut short, a byte flipped, a channel field replaced,
+# a '-' put before a field, or a first field of 19 or more digits
+MUTATIONS = ["truncate", "flip", "channel", "signed", "oversized"]
+
+
+def mutate_stream_file(data: bytes, rng, kind: str, channels: tuple) -> bytes:
+    """data, a stream file's bytes, damaged one of the MUTATIONS ways; channels are field positions."""
     if kind == "truncate":
         return data[: rng.integers(0, len(data))]
     if kind == "flip":
         i = rng.integers(0, len(data))
         return data[:i] + bytes([rng.integers(0, 256)]) + data[i + 1 :]
     rows = data.split(b"\n")
-    if kind == "channel":  # one data row's channel field, at channels' positions
+    if kind in ("channel", "signed"):  # one field of one data row
         i = rng.choice([i for i, row in enumerate(rows) if row and not row.startswith(b"#")])
         fields = rows[i].split(b",")
-        fields[rng.choice(channels)] = CHANNEL_MUTANTS[rng.integers(len(CHANNEL_MUTANTS))]
+        if kind == "channel":  # at channels' positions
+            fields[rng.choice(channels)] = CHANNEL_MUTANTS[rng.integers(len(CHANNEL_MUTANTS))]
+        else:  # a '-' before any field
+            j = rng.integers(len(fields))
+            fields[j] = b"-" + fields[j]
         rows[i] = b",".join(fields)
         return b"\n".join(rows)
     # oversized integer: 19 or more digits in place of a row's first field
@@ -508,14 +518,17 @@ def _mutate(data: bytes, rng, kind: str, channels: tuple) -> bytes:
 @given(
     seed=seeds,
     which=st.sampled_from(["triples", "events"]),
-    kind=st.sampled_from(["truncate", "flip", "channel", "oversized"]),
+    kind=st.sampled_from(MUTATIONS),
     chunk=chunks,
     read=reads,
 )
 def test_fuzzed_files_fail_only_with_value_error(
     tmp_path, monkeypatch, seed, which, kind, chunk, read
 ):
-    """A damaged file either reads as the line reader reads it, or raises ValueError."""
+    """A damaged file either reads as the line reader reads it, or raises ValueError.
+
+    A signed field always raises: every stream integer is unsigned.
+    """
     monkeypatch.setattr(events, "_CHUNK_ROWS", chunk)
     monkeypatch.setattr(events, "_READ_BYTES", read)
     rng = np.random.default_rng(seed)
@@ -528,12 +541,13 @@ def test_fuzzed_files_fail_only_with_value_error(
         oracles.write_event_log(path, random_events(rng, 6, big=False), header())
         read, oracle, columns = read_event_log, oracles.read_event_log_lines, EVENT_COLUMNS
         channels = (0,)
-    path.write_bytes(_mutate(path.read_bytes(), rng, kind, channels))
+    path.write_bytes(mutate_stream_file(path.read_bytes(), rng, kind, channels))
     try:
         got, got_hdr = read(path)
     except ValueError as exc:
         assert "\n" not in str(exc), f"multi-line reader error: {exc}"
         return
+    assert kind != "signed", "a signed field was read"
     want, want_hdr = oracle(path)  # anything the strict grammar accepts, int() accepts
     assert got_hdr == want_hdr
     for name in columns:
@@ -631,7 +645,7 @@ def test_reader_takes_a_pipe(tmp_path):
 
 def _late_bad_integer(head, rows):
     rows[30] = "1_0" + rows[30][rows[30].index(",") :]
-    return f"bad integer '1_0' in triple row (want -?[0-9]{{1,18}}): {rows[30]!r}"
+    return f"bad integer '1_0' in triple row (want [0-9]{{1,18}}): {rows[30]!r}"
 
 
 def _late_field_count_before_early_grammar(head, rows):
@@ -648,7 +662,7 @@ def _set_x_bin(rows, i, value):
 
 def _late_x_bin_past_int32(head, rows):
     _set_x_bin(rows, 30, "4294967297")
-    return f"x_bin 4294967297 is outside -2147483648..2147483647 in triple row: {rows[30]!r}"
+    return f"x_bin 4294967297 is outside 0..2147483647 in triple row: {rows[30]!r}"
 
 
 def _late_field_count_before_early_x_bin(head, rows):
@@ -660,7 +674,12 @@ def _late_field_count_before_early_x_bin(head, rows):
 def _early_x_bin_before_late_bad_integer(head, rows):
     _set_x_bin(rows, 3, "2147483648")
     rows[30] = "1_0" + rows[30][rows[30].index(",") :]
-    return f"x_bin 2147483648 is outside -2147483648..2147483647 in triple row: {rows[3]!r}"
+    return f"x_bin 2147483648 is outside 0..2147483647 in triple row: {rows[3]!r}"
+
+
+def _late_signed_field(head, rows):
+    _set_x_bin(rows, 30, "-1")
+    return f"bad integer '-1' in triple row (want [0-9]{{1,18}}): {rows[30]!r}"
 
 
 def _late_header_line(head, rows):
@@ -694,12 +713,17 @@ def _n_rows(declared):
     return edit
 
 
+def _signed_n_rows(head, rows):
+    head.append("# n_rows=-1")  # before any row is counted: a header integer is unsigned
+    return "stream header field n_rows='-1' is not an integer"
+
+
 def _short_rows_past_the_size_bound(head, rows):
     # 5 bytes a row, under a triple's shortest good row: the declared count is
     # more than the file's size holds, and still the rows' own count
     rows[:] = ["0,,,"] * 200
     head.append("# n_rows=200")
-    return "bad integer '' in triple row (want -?[0-9]{1,18}): '0,,,'"
+    return "bad integer '' in triple row (want [0-9]{1,18}): '0,,,'"
 
 
 ROW_FAULTS = {
@@ -707,13 +731,14 @@ ROW_FAULTS = {
     "late field count before early grammar": _late_field_count_before_early_grammar,
     "late header line": _late_header_line,
     "late x_bin past int32": _late_x_bin_past_int32,
+    "late signed field": _late_signed_field,
     "late field count before early x_bin": _late_field_count_before_early_x_bin,
     "early x_bin before late bad integer": _early_x_bin_before_late_bad_integer,
     "late channel past its labels": _late_channel_past_its_labels,
     "extra row before field count": _extra_row_before_field_count,
     "missing rows": _missing_rows,
     "n_rows past the file": _n_rows(BIG),
-    "n_rows negative": _n_rows(-1),
+    "n_rows signed": _signed_n_rows,
     "short rows past the size bound": _short_rows_past_the_size_bound,
 }
 
@@ -750,17 +775,17 @@ def test_reader_faults_across_reads_keep_their_message(tmp_path, monkeypatch, fa
 # writers
 # ---------------------------------------------------------------------------
 
-# every digit count and sign, the largest magnitudes and the empty-x_bin sentinel
+# every digit count and the largest values; a field is unsigned
 field_ints = st.one_of(
-    st.sampled_from([0, -1, 9, 10, -10, 99, 100, BIG, -BIG]),
-    st.integers(-BIG, BIG),
-    st.integers(-BIG, BIG).map(lambda v: v // 10 ** (abs(v) % 18)),
+    st.sampled_from([0, 1, 9, 10, 99, 100, BIG - 1, BIG]),
+    st.integers(0, BIG),
+    st.integers(0, BIG).map(lambda v: v // 10 ** (v % 18)),
 )
 
 
 x_bin_ints = st.one_of(
-    st.sampled_from([0, -1, 9, 10, -10, X_MIN, X_MAX, X_MIN + 1, X_MAX - 1]),
-    st.integers(X_MIN, X_MAX),
+    st.sampled_from([0, 1, 9, 10, X_MAX, X_MAX - 1]),
+    st.integers(0, X_MAX),
 )
 
 
@@ -809,10 +834,12 @@ def test_writers_equal_fstring_rows(tmp_path, monkeypatch, data, n, chunk):
 def test_writers_cover_every_label(tmp_path):
     n = len(DETECTOR_LABELS)
     every = np.arange(n)
-    stream = EventStream(detector=every, time_ns=every, x_bin=np.full(n, -1), n_bins=8)
+    stream = EventStream(
+        detector=every, time_ns=every, x_bin=np.where(every == CODE_D0, 7, -1), n_bins=8
+    )
     oracles.write_event_log(tmp_path / "events.csv", stream, header())
     assert data_rows(tmp_path / "events.csv") == oracles.event_log_rows(stream).encode("ascii")
-    assert data_rows(tmp_path / "events.csv").startswith(b"0,0,-1\n1,1,\n")
+    assert data_rows(tmp_path / "events.csv").startswith(b"0,0,7\n1,1,\n")
     every = np.arange(4)
     batch = TripleBatch(
         triple_id=every, x_bin=every, babu=every, alisha=every[::-1], block_index=every * 0
@@ -868,8 +895,13 @@ def test_every_channel_round_trips(tmp_path, monkeypatch, data, extra, chunk, re
         ("triples", "block_index", 10**18),
         ("triples", "block_index", -(2**63)),
         ("triples", "block_index", -(10**18)),
+        ("triples", "block_index", -1),
+        ("triples", "x_bin", -1),
         ("events", "time_ns", 2**63 - 1),
         ("events", "time_ns", 10**18),
+        ("events", "time_ns", -1),
+        ("events", "x_bin", -1),
+        ("events", "x_bin", X_MIN),
         ("events", "detector", len(DETECTOR_LABELS)),
         ("events", "detector", -1),
     ],
@@ -953,8 +985,12 @@ def test_event_log_pieces_must_hold_the_declared_rows(tmp_path, monkeypatch, dec
 
 
 def test_x_bin_extremes_round_trip(tmp_path):
-    """x_bin at both int32 extremes through both writers and readers; np.abs(X_MIN) < 0."""
-    x = np.array([X_MIN, X_MAX, X_MIN + 1, X_MAX - 1, -1, 0], dtype=np.int32)
+    """x_bin at 0 and the int32 maximum through both writers and readers; a sign is refused.
+
+    On a D0 row, the int32 minimum and -1 fail in one line naming the row,
+    and leave no file.
+    """
+    x = np.array([0, X_MAX, 1, X_MAX - 1, 9, 10], dtype=np.int32)
     n = len(x)
     zeros = np.zeros(n)
     batch = TripleBatch(
@@ -965,9 +1001,16 @@ def test_x_bin_extremes_round_trip(tmp_path):
     oracles.write_event_log(tmp_path / "events.csv", stream, header())
     assert data_rows(tmp_path / "triples.csv") == oracles.triples_rows(batch).encode("ascii")
     assert data_rows(tmp_path / "events.csv") == oracles.event_log_rows(stream).encode("ascii")
-    assert b"0,-2147483648,0,0\n0,2147483647,1,0\n" in data_rows(tmp_path / "triples.csv")
+    assert data_rows(tmp_path / "triples.csv").startswith(b"0,0,0,0\n0,2147483647,1,0\n")
     assert_batches_equal(read_triples(tmp_path / "triples.csv")[0], batch)
     assert_streams_equal(read_event_log(tmp_path / "events.csv")[0], stream)
+    for bad in (X_MIN, -1):
+        path = tmp_path / "signed.csv"
+        signed = EventStream(detector=[0, 0], time_ns=[0, 1], x_bin=[5, bad], n_bins=8)
+        with pytest.raises(ValueError) as info:
+            oracles.write_event_log(path, signed, header())
+        assert str(info.value) == f"cannot write event log: x_bin {bad} in row 1 is outside 0..{X_MAX}"
+        assert not path.exists()
 
 
 # ---------------------------------------------------------------------------
